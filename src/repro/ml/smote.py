@@ -13,6 +13,26 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+#: Elements of the ``(rows, m, d)`` difference tensor built per block.
+_DISTANCE_BLOCK_ELEMENTS = 1 << 20
+
+
+def _pairwise_distances(members: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix of the rows of ``members``.
+
+    Built a block of rows at a time so the difference tensor stays near
+    8 MB instead of ``m * m * d`` floats; each entry is the same
+    ``sqrt(sum(delta ** 2))`` over the contiguous feature axis, so the
+    matrix is bitwise equal to the one-shot broadcast.
+    """
+    n_members, n_features = members.shape
+    block = max(1, _DISTANCE_BLOCK_ELEMENTS // max(1, n_members * n_features))
+    distances = np.empty((n_members, n_members))
+    for start in range(0, n_members, block):
+        deltas = members[start:start + block, None, :] - members[None, :, :]
+        distances[start:start + block] = np.sqrt((deltas ** 2).sum(axis=2))
+    return distances
+
 
 class Smote:
     """SMOTE over-sampler for binary (or multi-class) datasets.
@@ -72,9 +92,7 @@ class Smote:
         if members.shape[0] == 1:
             return np.repeat(members, count, axis=0)
         k = min(self.k_neighbors, members.shape[0] - 1)
-        # Pairwise distances within the minority class.
-        deltas = members[:, None, :] - members[None, :, :]
-        distances = np.sqrt((deltas ** 2).sum(axis=2))
+        distances = _pairwise_distances(members)
         np.fill_diagonal(distances, np.inf)
         neighbor_indices = np.argsort(distances, axis=1)[:, :k]
 

@@ -5,6 +5,14 @@ axis-aligned split is chosen by exhaustive search over features and
 thresholds, scoring candidate splits with the weighted Gini impurity
 (classification) or weighted variance (regression).
 
+Fitting sorts once: :class:`_TreeBuilder` stable-argsorts every column at
+the start of ``build`` and hands each child a stable partition of its
+parent's sorted order.  Its split search, :meth:`_TreeBuilder._best_split`,
+scores all features of a node in a few whole-matrix passes.  The
+per-feature argsort-and-scan search it replaced is kept as
+:meth:`_TreeBuilder._best_split_loop`, with the same signature so tests can
+swap it in; the fitted trees are bitwise identical either way.
+
 A fitted tree carries two synchronised representations:
 
 * a ``List[TreeNode]`` of dataclasses — the builder's output and the
@@ -18,8 +26,9 @@ A fitted tree carries two synchronised representations:
   explainer (:mod:`repro.xai.tree_shap`) traverses.
 
 The batch paths are bit-identical to the per-sample oracles (same float64
-comparisons, same leaf values); the pairing is pinned by
-``tests/test_ml_vectorised.py`` and enforced by polaris-lint PL002.
+comparisons, same leaf values).  Both pairings (``tree-split`` and
+``tree-predict``) are pinned by ``tests/test_ml_vectorised.py`` and
+enforced by polaris-lint PL002.
 """
 
 from __future__ import annotations
@@ -77,11 +86,70 @@ class _SplitCandidate:
     feature: int
     threshold: float
     score: float
-    left_mask: np.ndarray
+
+
+def _midpoint(lower: float, upper: float) -> float:
+    """Split threshold between two adjacent distinct sorted values.
+
+    ``0.5 * (lower + upper)`` can round onto ``upper`` (or overflow) when
+    the two values are adjacent floats; the split would then send every
+    sample left and the node would be split again forever.  Falling back
+    to ``lower`` keeps ``x <= threshold`` separating the two values.
+    """
+    threshold = 0.5 * (lower + upper)
+    return float(lower if threshold >= upper else threshold)
+
+
+def _gini_scores(left_counts: np.ndarray, total_counts: np.ndarray,
+                 total_weight) -> np.ndarray:
+    """Weighted child Gini of candidate splits (``inf`` where a child is
+    weightless).
+
+    ``left_counts`` is ``(n_candidates, n_classes)`` cumulative class
+    weight left of each split; ``total_counts`` the node's class totals,
+    broadcastable to it.
+    """
+    right_counts = total_counts - left_counts
+    left_weight = left_counts.sum(axis=1)
+    right_weight = right_counts.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_left = 1.0 - np.sum(
+            (left_counts / np.maximum(left_weight[:, None], 1e-300)) ** 2,
+            axis=1)
+        gini_right = 1.0 - np.sum(
+            (right_counts / np.maximum(right_weight[:, None], 1e-300)) ** 2,
+            axis=1)
+    score = (left_weight * gini_left + right_weight * gini_right) / total_weight
+    return np.where((left_weight > 0) & (right_weight > 0), score, np.inf)
+
+
+def _mse_scores(cum_weight: np.ndarray, cum_target: np.ndarray,
+                cum_square: np.ndarray, total_weight, total_target,
+                total_square) -> np.ndarray:
+    """Weighted child variance of candidate splits (``inf`` where a child
+    is weightless), from cumulative weight / weighted-target / weighted-
+    square sums left of each split and the node totals."""
+    right_weight = total_weight - cum_weight
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_left = cum_square - cum_target ** 2 / np.maximum(cum_weight, 1e-300)
+        var_right = ((total_square - cum_square)
+                     - (total_target - cum_target) ** 2
+                     / np.maximum(right_weight, 1e-300))
+    score = (var_left + var_right) / total_weight
+    return np.where((cum_weight > 0) & (right_weight > 0), score, np.inf)
 
 
 class _TreeBuilder:
-    """Shared CART growing logic for classification and regression."""
+    """Shared CART growing logic for classification and regression.
+
+    ``build`` transposes the feature matrix to ``(n_features, n_samples)``
+    and stable-argsorts every column once.  Each node owns a column range
+    of two buffers: ``_rows`` (its rows, ascending) and ``_order`` (per
+    feature, its rows in sorted order).  A split stably partitions the
+    range into left then right; a stable partition of a stable sort equals
+    a stable sort of the subset, so every node sees the same sorted columns
+    (ties included) that a per-node argsort would give.
+    """
 
     def __init__(self, criterion: str, max_depth: Optional[int],
                  min_samples_split: int, min_samples_leaf: int,
@@ -96,6 +164,14 @@ class _TreeBuilder:
         self.max_features = max_features
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.nodes: List[TreeNode] = []
+        self._columns = np.zeros((0, 0))
+        self._targets = np.zeros(0)
+        self._weights = np.zeros(0)
+        self._n_classes = 0
+        self._tiled_targets = np.zeros(0)
+        self._tiled_weights = np.zeros(0)
+        self._rows = np.zeros(0, dtype=np.intp)
+        self._order = np.zeros((0, 0), dtype=np.intp)
 
     # -- impurity ------------------------------------------------------
     def _node_value(self, targets: np.ndarray, weights: np.ndarray,
@@ -123,131 +199,193 @@ class _TreeBuilder:
         return float(np.average((targets - mean) ** 2, weights=weights))
 
     # -- split search --------------------------------------------------
-    def _best_split(self, features: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray, n_classes: int) -> Optional[_SplitCandidate]:
-        n_samples, n_features = features.shape
-        feature_indices = np.arange(n_features)
+    def _feature_subset(self, n_features: int) -> np.ndarray:
+        """Features scanned at a node, in scan order (a random forest draws
+        a ``max_features`` subset here, once per searched node)."""
         if self.max_features is not None and self.max_features < n_features:
-            feature_indices = self.rng.choice(
-                n_features, size=self.max_features, replace=False)
+            return self.rng.choice(n_features, size=self.max_features,
+                                   replace=False)
+        return np.arange(n_features)
 
-        best: Optional[_SplitCandidate] = None
-        for feature in feature_indices:
-            column = features[:, feature]
-            order = np.argsort(column, kind="mergesort")
-            sorted_values = column[order]
-            sorted_weights = weights[order]
-            sorted_targets = targets[order]
-            # Candidate split positions: between distinct consecutive values.
-            distinct = np.nonzero(np.diff(sorted_values) > 1e-12)[0]
-            if distinct.size == 0:
-                continue
-            score, position = self._scan_splits(
-                sorted_targets, sorted_weights, distinct, n_classes)
-            if position is None:
-                continue
-            if best is None or score < best.score:
-                threshold = 0.5 * (sorted_values[position]
-                                   + sorted_values[position + 1])
-                best = _SplitCandidate(int(feature), float(threshold), float(score),
-                                       column <= threshold)
-        return best
+    def _best_split(self, rows: np.ndarray,
+                    order: np.ndarray) -> Optional[_SplitCandidate]:
+        """All-features split search over the node's presorted columns.
 
-    def _scan_splits(self, targets: np.ndarray, weights: np.ndarray,
-                     positions: np.ndarray,
-                     n_classes: int) -> Tuple[float, Optional[int]]:
-        """Vectorised scan of candidate split positions on a sorted column.
-
-        Positions whose left/right child would fall below
-        ``min_samples_leaf`` are masked out *before* the argmin, so a
-        feature whose best-scoring position violates the leaf constraint
-        still yields its best valid position rather than being discarded.
+        Scores every feature in a few whole-matrix passes and evaluates
+        impurity only at the candidate ``(feature, position)`` pairs (a
+        distinct-value boundary whose children satisfy
+        ``min_samples_leaf``).  Bit-identical to :meth:`_best_split_loop`
+        (oracle pair ``tree-split``, polaris-lint PL002): the running sums
+        are the same sequential ``cumsum`` over each full sorted column, the
+        per-feature totals reduce along the contiguous axis as the 1-D scan
+        does, and a row-major ``argmin`` over the candidates picks the
+        loop's winner (first feature in scan order, then first position).
         """
-        n_samples = targets.size
+        feature_indices = self._feature_subset(order.shape[0])
+        if feature_indices.size < order.shape[0]:
+            order = order[feature_indices]
+        n_samples = rows.size
+        sorted_values = self._columns.take(order)
+        positions = np.arange(n_samples - 1)
         # Split at position p sends samples [0, p] left and (p, n) right.
         leaf_ok = ((positions + 1 >= self.min_samples_leaf)
                    & (n_samples - positions - 1 >= self.min_samples_leaf))
-        total_weight = weights.sum()
+        features, splits = np.divmod(np.flatnonzero(
+            (np.diff(sorted_values, axis=1) > 1e-12) & leaf_ok), n_samples - 1)
+        if features.size == 0:
+            return None
+        sorted_weights = self._tiled_weights.take(order)
+        sorted_targets = self._tiled_targets.take(order)
+        total_weight = sorted_weights.sum(axis=1)[features]
         if self.criterion == "gini":
-            # Cumulative weighted class counts.
-            one_hot = np.zeros((targets.size, n_classes))
-            one_hot[np.arange(targets.size), targets] = weights
-            left_counts = np.cumsum(one_hot, axis=0)[positions]
-            total_counts = one_hot.sum(axis=0)
-            right_counts = total_counts - left_counts
-            left_weight = left_counts.sum(axis=1)
-            right_weight = right_counts.sum(axis=1)
-            valid = (left_weight > 0) & (right_weight > 0) & leaf_ok
-            if not np.any(valid):
-                return np.inf, None
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gini_left = 1.0 - np.sum(
-                    (left_counts / np.maximum(left_weight[:, None], 1e-300)) ** 2,
-                    axis=1)
-                gini_right = 1.0 - np.sum(
-                    (right_counts / np.maximum(right_weight[:, None], 1e-300)) ** 2,
-                    axis=1)
-            score = (left_weight * gini_left + right_weight * gini_right) / total_weight
+            left_counts = np.empty((features.size, self._n_classes))
+            total_counts = np.empty_like(left_counts)
+            weight_bits = sorted_weights.view(np.int64)
+            for k in range(self._n_classes):
+                # np.where(sorted_targets == k, sorted_weights, 0.0) bit for
+                # bit (an all-ones or all-zeros mask), at a third of its cost.
+                class_weights = (weight_bits & -(sorted_targets == k).astype(
+                    np.int64)).view(np.float64)
+                cumulative = np.cumsum(class_weights, axis=1)
+                left_counts[:, k] = cumulative[features, splits]
+                total_counts[:, k] = cumulative[:, -1][features]
+            score = _gini_scores(left_counts, total_counts, total_weight)
         else:
-            cum_weight = np.cumsum(weights)[positions]
-            cum_target = np.cumsum(weights * targets)[positions]
-            cum_square = np.cumsum(weights * targets ** 2)[positions]
-            total_target = float(np.sum(weights * targets))
-            total_square = float(np.sum(weights * targets ** 2))
-            left_weight = cum_weight
-            right_weight = total_weight - cum_weight
-            valid = (left_weight > 0) & (right_weight > 0) & leaf_ok
-            if not np.any(valid):
-                return np.inf, None
-            with np.errstate(divide="ignore", invalid="ignore"):
-                var_left = cum_square - cum_target ** 2 / np.maximum(left_weight, 1e-300)
-                var_right = ((total_square - cum_square)
-                             - (total_target - cum_target) ** 2
-                             / np.maximum(right_weight, 1e-300))
-            score = (var_left + var_right) / total_weight
-        score = np.where(valid, score, np.inf)
-        best_index = int(np.argmin(score))
-        if not np.isfinite(score[best_index]):
-            return np.inf, None
-        return float(score[best_index]), int(positions[best_index])
+            weighted = sorted_weights * sorted_targets
+            squared = sorted_weights * sorted_targets ** 2
+            score = _mse_scores(
+                np.cumsum(sorted_weights, axis=1)[features, splits],
+                np.cumsum(weighted, axis=1)[features, splits],
+                np.cumsum(squared, axis=1)[features, splits],
+                total_weight, weighted.sum(axis=1)[features],
+                squared.sum(axis=1)[features])
+        # A NaN score needs the node's weighted square total to overflow,
+        # which leaves no finite score in any feature, so both searches
+        # return None there.
+        best = int(np.argmin(score))
+        if not np.isfinite(score[best]):
+            return None
+        row, position = features[best], splits[best]
+        return _SplitCandidate(
+            int(feature_indices[row]),
+            _midpoint(sorted_values[row, position],
+                      sorted_values[row, position + 1]),
+            float(score[best]))
+
+    def _best_split_loop(self, rows: np.ndarray,
+                         order: np.ndarray) -> Optional[_SplitCandidate]:
+        """Reference split search: argsort and scan one feature at a time.
+
+        The oracle of :meth:`_best_split` (same signature so tests can swap
+        it in; ``order`` is ignored).  Each feature's column is re-sorted
+        for the node and scanned on its own; a later feature wins only with
+        a strictly lower score.
+        """
+        feature_indices = self._feature_subset(self._columns.shape[0])
+        targets = self._targets[rows]
+        weights = self._weights[rows]
+        n_samples = rows.size
+        best: Optional[_SplitCandidate] = None
+        for feature in feature_indices:
+            column = self._columns[feature, rows]
+            column_order = np.argsort(column, kind="mergesort")
+            sorted_values = column[column_order]
+            sorted_weights = weights[column_order]
+            sorted_targets = targets[column_order]
+            # Candidate split positions: between distinct consecutive values.
+            positions = np.nonzero(np.diff(sorted_values) > 1e-12)[0]
+            if positions.size == 0:
+                continue
+            leaf_ok = ((positions + 1 >= self.min_samples_leaf)
+                       & (n_samples - positions - 1 >= self.min_samples_leaf))
+            total_weight = sorted_weights.sum()
+            if self.criterion == "gini":
+                one_hot = np.zeros((n_samples, self._n_classes))
+                one_hot[np.arange(n_samples), sorted_targets] = sorted_weights
+                score = _gini_scores(np.cumsum(one_hot, axis=0)[positions],
+                                     one_hot.sum(axis=0), total_weight)
+            else:
+                weighted = sorted_weights * sorted_targets
+                squared = sorted_weights * sorted_targets ** 2
+                score = _mse_scores(
+                    np.cumsum(sorted_weights)[positions],
+                    np.cumsum(weighted)[positions],
+                    np.cumsum(squared)[positions], total_weight,
+                    float(np.sum(weighted)), float(np.sum(squared)))
+            score = np.where(leaf_ok, score, np.inf)
+            index = int(np.argmin(score))
+            if not np.isfinite(score[index]):
+                continue
+            if best is None or score[index] < best.score:
+                position = positions[index]
+                best = _SplitCandidate(
+                    int(feature),
+                    _midpoint(sorted_values[position],
+                              sorted_values[position + 1]),
+                    float(score[index]))
+        return best
 
     # -- recursion ------------------------------------------------------
     def build(self, features: np.ndarray, targets: np.ndarray,
               weights: np.ndarray, n_classes: int) -> List[TreeNode]:
+        n_samples, n_features = features.shape
         self.nodes = []
-        self._grow(features, targets, weights, n_classes, depth=0)
+        self._columns = np.ascontiguousarray(features.T)
+        self._targets = targets
+        self._weights = weights
+        self._n_classes = n_classes
+        # ``_order`` holds flat indices f * n_samples + row, which address
+        # (feature, row) in ``_columns`` and in the per-feature tiled
+        # targets/weights, so every per-node gather is a single ``take``.
+        self._tiled_targets = np.tile(targets, n_features)
+        self._tiled_weights = np.tile(weights, n_features)
+        self._rows = np.arange(n_samples)
+        self._order = (np.argsort(self._columns, axis=1, kind="mergesort")
+                       + (np.arange(n_features) * n_samples)[:, None])
+        self._grow(0, n_samples, depth=0)
         return self.nodes
 
-    def _grow(self, features: np.ndarray, targets: np.ndarray,
-              weights: np.ndarray, n_classes: int, depth: int) -> int:
+    def _grow(self, start: int, end: int, depth: int) -> int:
+        rows = self._rows[start:end]
+        targets = self._targets[rows]
+        weights = self._weights[rows]
         node_index = len(self.nodes)
-        value = self._node_value(targets, weights, n_classes)
-        impurity = self._impurity(targets, weights, n_classes)
+        value = self._node_value(targets, weights, self._n_classes)
+        impurity = self._impurity(targets, weights, self._n_classes)
         node = TreeNode(feature=LEAF, threshold=0.0, left=-1, right=-1,
                         value=value, cover=float(weights.sum()),
                         impurity=impurity, depth=depth)
         self.nodes.append(node)
 
-        n_samples = features.shape[0]
         stop = (
-            n_samples < self.min_samples_split
+            rows.size < self.min_samples_split
             or impurity <= 1e-12
             or (self.max_depth is not None and depth >= self.max_depth)
         )
         if stop:
             return node_index
-        split = self._best_split(features, targets, weights, n_classes)
+        order = self._order[:, start:end]
+        split = self._best_split(rows, order)
         if split is None or split.score >= impurity - 1e-12:
             return node_index
 
-        left_mask = split.left_mask
-        right_mask = ~left_mask
+        # Stable partition of the node's range: left rows first, each side
+        # keeping its order.  Both sides are copied out before the writes
+        # because ``order.ravel()`` is a view when the range is contiguous.
+        left_mask = self._columns[split.feature, rows] <= split.threshold
+        n_features, n_left = order.shape[0], int(np.count_nonzero(left_mask))
+        goes_left = np.zeros(self._rows.size, dtype=bool)
+        goes_left[rows[left_mask]] = True
+        keep = np.tile(goes_left, n_features).take(order).ravel()
+        left_order = np.compress(keep, order.ravel())
+        right_order = np.compress(~keep, order.ravel())
+        rows[:] = np.concatenate([rows[left_mask], rows[~left_mask]])
+        order[:, :n_left] = left_order.reshape(n_features, n_left)
+        order[:, n_left:] = right_order.reshape(n_features, -1)
         node.feature = split.feature
         node.threshold = split.threshold
-        node.left = self._grow(features[left_mask], targets[left_mask],
-                               weights[left_mask], n_classes, depth + 1)
-        node.right = self._grow(features[right_mask], targets[right_mask],
-                                weights[right_mask], n_classes, depth + 1)
+        node.left = self._grow(start, start + n_left, depth + 1)
+        node.right = self._grow(start + n_left, end, depth + 1)
         return node_index
 
 

@@ -129,3 +129,19 @@ class TestDecisionTreeRegressor:
         targets = 3.0 * features[:, 1]
         reg = DecisionTreeRegressor(max_depth=4).fit(features, targets)
         assert reg.feature_importances_.argmax() == 1
+
+
+@pytest.mark.parametrize("model", [DecisionTreeClassifier,
+                                   DecisionTreeRegressor])
+def test_adjacent_float_split_keeps_the_threshold_below_upper(model):
+    # Regression: 0.5 * (a + b) rounds onto b for adjacent floats more
+    # than 1e-12 apart, so every sample went left and the same node was
+    # split again until RecursionError.  The threshold falls back to a.
+    lower = 636965317.7045811
+    upper = np.nextafter(lower, np.inf)
+    features = np.array([[lower], [lower], [upper], [upper]])
+    tree = model().fit(features, np.array([0, 0, 1, 1]))
+    assert tree.tree_.n_nodes == 3
+    assert tree.tree_.nodes[0].threshold == lower
+    np.testing.assert_array_equal(
+        tree.predict(np.array([[lower], [upper]])).ravel(), [0, 1])

@@ -18,6 +18,7 @@ from repro.ml import (
     stratified_k_fold,
     train_test_split,
 )
+from repro.ml import smote as smote_module
 from repro.ml.base import NotFittedError
 
 
@@ -57,6 +58,26 @@ class TestSmote:
         resampled_x, resampled_y = Smote(random_state=0).fit_resample(features, labels)
         assert (resampled_y == 1).sum() == 9
         np.testing.assert_allclose(resampled_x[resampled_y == 1], 7.0)
+
+    @pytest.mark.parametrize("block_elements", [1, 997, 1 << 20])
+    def test_blocked_distances_match_full_tensor(self, rng, monkeypatch,
+                                                 block_elements):
+        # Ties (a coarse grid) make the neighbour argsort sensitive to any
+        # last-bit change in a distance.
+        features = np.round(rng.normal(size=(160, 13)), 1)
+        labels = np.array([1] * 70 + [0] * 90)
+
+        def full_tensor(members):
+            deltas = members[:, None, :] - members[None, :, :]
+            return np.sqrt((deltas ** 2).sum(axis=2))
+
+        monkeypatch.setattr(smote_module, "_DISTANCE_BLOCK_ELEMENTS",
+                            block_elements)
+        blocked = Smote(random_state=4).fit_resample(features, labels)
+        monkeypatch.setattr(smote_module, "_pairwise_distances", full_tensor)
+        reference = Smote(random_state=4).fit_resample(features, labels)
+        for got, expected in zip(blocked, reference):
+            assert got.tobytes() == expected.tobytes()
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

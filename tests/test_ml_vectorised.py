@@ -10,12 +10,16 @@ These tests pin the oracle pairs registered in
   the recursive ``expectation`` oracle.
 - ``tree-shap-explain``: the batched ``explain_matrix`` vs per-sample
   ``explain``.
+- ``tree-split``: the presorted all-features ``_best_split`` vs the
+  per-feature ``_best_split_loop`` (whole fits compared, every family).
 
 Every assertion is *bitwise* (``np.array_equal`` / ``==`` on floats is
 deliberate here): the vectorised paths are required to reproduce the
 oracle exactly, not approximately, so the hybrid per-sample/batched code
 paths can never disagree.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from repro.ml import (
     LEAF,
     RandomForestClassifier,
 )
+from repro.ml.tree import _TreeBuilder
 from repro.xai.tree_shap import TreeShapExplainer, _extract_trees
 
 SETTINGS = settings(max_examples=15, deadline=None,
@@ -249,3 +254,173 @@ def test_explain_matrix_rejects_wrong_width():
     explainer = TreeShapExplainer(model)
     with pytest.raises(ValueError, match="does not match"):
         explainer.explain_matrix(np.zeros((2, 5)))
+
+
+# ----------------------------------------------------------------------
+# Oracle pair tree-split: presorted _best_split vs per-feature
+# _best_split_loop
+# ----------------------------------------------------------------------
+FLAT_ARRAYS = ("feature", "threshold", "left", "right", "value", "cover")
+
+SPLIT_FAMILIES = {
+    "cart_gini": lambda depth, leaf, max_features, seed: DecisionTreeClassifier(
+        max_depth=depth, min_samples_leaf=leaf, max_features=max_features,
+        random_state=seed),
+    "cart_mse": lambda depth, leaf, max_features, seed: DecisionTreeRegressor(
+        max_depth=depth, min_samples_leaf=leaf, max_features=max_features,
+        random_state=seed),
+    "forest": lambda depth, leaf, max_features, seed: RandomForestClassifier(
+        n_estimators=3, max_depth=depth, min_samples_leaf=leaf,
+        max_features=max_features, random_state=seed),
+    "adaboost": lambda depth, leaf, max_features, seed: AdaBoostClassifier(
+        n_estimators=4, learning_rate=0.5, max_depth=depth, random_state=seed),
+    "gboost": lambda depth, leaf, max_features, seed: GradientBoostingClassifier(
+        n_estimators=4, learning_rate=0.3, max_depth=depth,
+        subsample=0.7 if seed % 2 else 1.0, min_samples_leaf=leaf,
+        random_state=seed),
+}
+
+
+def _split_problem(family, seed, n_samples, n_features, n_classes, values,
+                   weights, bootstrap):
+    """Features, targets and sample weights for one builder/oracle fit."""
+    rng = np.random.default_rng(seed)
+    shape = (n_samples, n_features)
+    if values == "grid":
+        # Heavy ties, negatives and both signed zeros.
+        features = rng.integers(-2, 3, size=shape) * 0.5
+        features[features == 0] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[
+            features == 0]
+    elif values == "adjacent":
+        # Adjacent floats whose midpoint rounds onto the upper value.
+        lower = 636965317.7045811
+        features = np.where(rng.random(shape) < 0.5, lower,
+                            np.nextafter(lower, np.inf))
+    else:
+        features = rng.normal(size=shape)
+    features[:, rng.integers(n_features)] = 1.5  # one constant column
+    if family == "cart_mse":
+        targets = np.round(rng.normal(size=n_samples), 1)
+        targets[targets == 0] = -0.0
+    else:
+        targets = rng.integers(0, 2 if family == "gboost" else n_classes,
+                               size=n_samples)
+    sample_weight = None
+    if weights != "none":
+        sample_weight = rng.uniform(0.1, 2.0, size=n_samples)
+        if weights == "zeros":
+            sample_weight[rng.random(n_samples) < 0.3] = 0.0
+            sample_weight[0] = 1.0
+    if bootstrap:
+        rows = rng.integers(0, n_samples, size=n_samples)
+        features, targets = features[rows], targets[rows]
+        if sample_weight is not None:
+            sample_weight = sample_weight[rows]
+            sample_weight[0] = 1.0
+    return features, targets, sample_weight
+
+
+def _fit_with_split_oracle(model, *args, **kwargs):
+    """Fit ``model`` with every node searched by ``_best_split_loop``."""
+    with mock.patch.object(_TreeBuilder, "_best_split",
+                           _TreeBuilder._best_split_loop):
+        return model.fit(*args, **kwargs)
+
+
+_PRESORTED_SPLIT = _TreeBuilder._best_split
+
+
+def _candidate_bits(candidate):
+    if candidate is None:
+        return None
+    return (candidate.feature, np.float64(candidate.threshold).tobytes(),
+            np.float64(candidate.score).tobytes())
+
+
+def _paired_split(builder, rows, order):
+    """``_best_split`` that also searches the same node with the loop
+    oracle and asserts both candidates match bit for bit, score included
+    (a last-bit score slip rarely changes a tree, so compare it here)."""
+    state = builder.rng.bit_generator.state
+    oracle = _TreeBuilder._best_split_loop(builder, rows, order)
+    builder.rng.bit_generator.state = state
+    fast = _PRESORTED_SPLIT(builder, rows, order)
+    assert _candidate_bits(fast) == _candidate_bits(oracle)
+    return fast
+
+
+def _fit_paired(model, *args, **kwargs):
+    with mock.patch.object(_TreeBuilder, "_best_split", _paired_split):
+        return model.fit(*args, **kwargs)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _assert_same_fit(fast, oracle):
+    fast_trees, oracle_trees = _fitted_trees(fast), _fitted_trees(oracle)
+    assert len(fast_trees) == len(oracle_trees)
+    for fast_tree, oracle_tree in zip(fast_trees, oracle_trees):
+        for name in FLAT_ARRAYS:
+            assert _same_bits(getattr(fast_tree.flat, name),
+                              getattr(oracle_tree.flat, name)), name
+    assert _same_bits(getattr(fast, "estimator_weights_", []),
+                      getattr(oracle, "estimator_weights_", []))
+
+
+@pytest.mark.parametrize("family", sorted(SPLIT_FAMILIES))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n_samples=st.integers(2, 45),
+       n_features=st.integers(1, 7), n_classes=st.sampled_from([2, 3, 9, 10]),
+       values=st.sampled_from(["normal", "grid", "adjacent"]),
+       weights=st.sampled_from(["none", "uniform", "zeros"]),
+       bootstrap=st.booleans(), leaf=st.sampled_from([1, 2, 3, 5]),
+       depth=st.sampled_from([None, 1, 2, 4]), subset=st.booleans())
+def test_presorted_split_matches_loop_oracle(family, seed, n_samples,
+                                             n_features, n_classes, values,
+                                             weights, bootstrap, leaf, depth,
+                                             subset):
+    features, targets, sample_weight = _split_problem(
+        family, seed, n_samples, n_features, n_classes, values, weights,
+        bootstrap)
+    max_features = 1 + seed % n_features if subset else None
+    factory = SPLIT_FAMILIES[family]
+    fast = _fit_paired(factory(depth, leaf, max_features, seed), features,
+                       targets, sample_weight=sample_weight)
+    oracle = _fit_with_split_oracle(
+        factory(depth, leaf, max_features, seed), features, targets,
+        sample_weight=sample_weight)
+    _assert_same_fit(fast, oracle)
+
+
+@pytest.mark.parametrize("family", sorted(SPLIT_FAMILIES))
+def test_presorted_split_matches_loop_oracle_large_nodes(family):
+    # 600 rows: the per-feature weight totals span several of numpy's
+    # 128-element pairwise-summation blocks, which the small hypothesis
+    # problems above never reach.
+    features, targets, sample_weight = _split_problem(
+        family, 11, 600, 12, 10, "grid", "zeros", bootstrap=True)
+    features[:, 6:] = np.random.default_rng(12).normal(size=(600, 6))
+    factory = SPLIT_FAMILIES[family]
+    fast = _fit_paired(factory(4, 2, None, 5), features, targets,
+                       sample_weight=sample_weight)
+    oracle = _fit_with_split_oracle(factory(4, 2, None, 5), features, targets,
+                                    sample_weight=sample_weight)
+    _assert_same_fit(fast, oracle)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_presorted_split_matches_loop_oracle_on_overflowing_targets():
+    # Squared targets overflow to inf, so every candidate scores inf or
+    # NaN; both searches must give up on exactly the same nodes.
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(30, 4))
+    targets = rng.normal(size=30)
+    targets[::7] = 1e200
+    fast = _fit_paired(DecisionTreeRegressor(), features, targets)
+    oracle = _fit_with_split_oracle(DecisionTreeRegressor(), features, targets)
+    _assert_same_fit(fast, oracle)

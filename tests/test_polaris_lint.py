@@ -302,6 +302,11 @@ def _oracle_repo_files(tmp_path):
         "src/repro/simulation/simulator.py":
             "SIM_BACKENDS = ('compiled', 'loop')\n",
         "src/repro/ml/tree.py":
+            "class TreeBuilder:\n"
+            "    def _best_split(self):\n"
+            "        pass\n"
+            "    def _best_split_loop(self):\n"
+            "        pass\n"
             "class FittedTree:\n"
             "    def predict_batch(self):\n"
             "        pass\n"
@@ -326,6 +331,7 @@ def _oracle_repo_files(tmp_path):
         "tests/test_oracles.py":
             "# references: update_batch update_batch_naive packed unpacked\n"
             "# compiled loop generate generate_loop\n"
+            "# _best_split _best_split_loop\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
             "# philox_raw philox_blocks_reference counter sequence\n",
@@ -369,6 +375,7 @@ class TestPL002Oracle:
         files["tests/test_oracles.py"] = (
             "# references: update_batch update_batch_naive packed unpacked\n"
             "# compiled loop generate\n"  # generate_loop dropped
+            "# _best_split _best_split_loop\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
             "# philox_raw philox_blocks_reference counter sequence\n")
@@ -382,6 +389,7 @@ class TestPL002Oracle:
         files["tests/test_oracles.py"] = (
             "# references: update_batch update_batch_naive packed unpacked\n"
             "# compiled loop generate_loop\n"
+            "# _best_split _best_split_loop\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
             "# philox_raw philox_blocks_reference counter sequence\n")

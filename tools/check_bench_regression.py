@@ -49,6 +49,7 @@ GATED: Dict[str, Tuple[Tuple[str, ...], str, bool]] = {
     "microbench_packed_power": (("design", "comparison"), "speedup", True),
     "microbench_moment_update": (("max_order",), "speedup", True),
     "microbench_ml_scoring": (("design", "comparison"), "speedup", True),
+    "microbench_ml_fit": (("family",), "speedup", True),
 }
 
 #: Row keys exempt from gating (informational rows): the packed-extraction

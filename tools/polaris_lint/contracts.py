@@ -85,6 +85,10 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # PR 7: batched SHAP matrix vs the per-sample explainer.
     OraclePair("tree-shap-explain", "src/repro/xai/tree_shap.py",
                "explain_matrix", "explain"),
+    # Presorted all-features CART split search vs the per-feature
+    # argsort-and-scan loop.
+    OraclePair("tree-split", "src/repro/ml/tree.py",
+               "_best_split", "_best_split_loop"),
     # PR 8: native Philox word production vs the pure-numpy 10-round
     # reference implementation of the 4x64 block function.
     OraclePair("ctr-philox", "src/repro/power/ctrsample.py",

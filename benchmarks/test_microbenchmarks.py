@@ -325,14 +325,16 @@ def test_packed_power_microbench(comparison_design, masked_design, recorder):
 
 
 def test_moment_update_fused_microbench(recorder):
-    """Fused (in-place Horner) vs naive ``update_batch`` power chain.
+    """Gate-blocked ``update_batch`` vs the naive power chain.
 
     Times one paper-scale chunk fold — a float32 gate-major trace block,
     exactly the ``traces.per_gate`` layout — per accumulator order: the
     order-1 TVLA default (central sums to 2) and order-3 TVLA (sums to 6,
-    where the naive ``delta**k`` chain allocated one fresh matrix per
-    order).  Both implementations are bit-identical (pinned by
-    tests/test_packed_power.py); recorded as ``microbench_moment_update``.
+    where the naive ``delta**k`` chain allocates one fresh full-chunk
+    matrix per order while the blocked fold reuses two L2-sized block
+    buffers).  Both implementations are bit-identical (pinned by
+    tests/test_packed_power.py); recorded as ``microbench_moment_update``
+    (the ``fused_ms`` column holds the blocked fold).
     """
 
     def best_of(fn, repeats=7, number=5):
@@ -362,7 +364,7 @@ def test_moment_update_fused_microbench(recorder):
         })
     recorder.record(ExperimentRecord(
         experiment_id="microbench_moment_update",
-        description=("Fused in-place Horner moment update vs the naive "
+        description=("Gate-blocked moment update vs the naive "
                      "delta**k chain, one 2048x300 float32 chunk per "
                      "accumulator order"),
         parameters={"n_traces": n_traces, "n_gates": n_gates,
@@ -373,7 +375,7 @@ def test_moment_update_fused_microbench(recorder):
     # Floors are deliberately loose (measured margins are ~2x): only a
     # genuine fusion regression should fail the always-on suite.
     assert all(value > 1.1 for value in speedups.values()), (
-        f"fused moment update lost its margin over the naive chain: "
+        f"blocked moment update lost its margin over the naive chain: "
         f"{speedups}")
 
 

@@ -196,8 +196,12 @@ def protect_design(
         evaluate: Run a TVLA assessment of the protected design (reporting).
         before: Optionally reuse an existing baseline assessment instead of
             re-running TVLA on the original design.
-        n_shards: Split each TVLA campaign into this many parallel shards
-            (see :mod:`repro.tvla.sharding`); 1 keeps the serial driver.
+        n_shards: Split each TVLA campaign into this many shards (see
+            :mod:`repro.tvla.sharding`).  The default 1 runs the serial
+            driver, which already spreads a streaming campaign's chunks
+            over every CPU, so the shard count mainly matters for the
+            durable/store path, where it is part of each assessment's
+            content hash.
         executor: Shard executor selector when ``n_shards > 1``.
         store: Optional :class:`repro.campaign.store.ResultStore` (or its
             root path).  The before and after assessments are looked up by

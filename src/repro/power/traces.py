@@ -103,13 +103,20 @@ class PowerTraces:
         label: Campaign label ("fixed", "random", ...).
         gate_names: Gate order corresponding to the matrix columns.
         per_gate: Float matrix of shape ``(n_traces, n_gates)``.
-        total: Design-level power per trace (row sums of ``per_gate``).
     """
 
     label: str
     gate_names: Tuple[str, ...]
     per_gate: np.ndarray
-    total: np.ndarray
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        """Design-level power per trace (row sums of ``per_gate``).
+
+        Computed on first access: the TVLA drivers fold ``per_gate`` only,
+        so streamed chunks never pay this strided pass.
+        """
+        return self.per_gate.sum(axis=1)
 
     @cached_property
     def _name_index(self) -> Dict[str, int]:
@@ -615,8 +622,7 @@ class PowerTraceGenerator:
         power = np.empty((n_gates, n_traces), dtype=self.trace_dtype)
         per_gate = power.T
         if n_gates == 0:
-            return PowerTraces(campaign.label, self.gate_names, per_gate,
-                               np.zeros(n_traces, dtype=self.trace_dtype))
+            return PowerTraces(campaign.label, self.gate_names, per_gate)
 
         # Packed backend: keep the simulation results bit-packed and unpack
         # only the rows the power model actually reads (watched outputs and
@@ -733,8 +739,7 @@ class PowerTraceGenerator:
             np.multiply(gauss, np.float32(sigma), out=gauss)
             np.add(power, gauss, out=power)
 
-        total = per_gate.sum(axis=1)
-        return PowerTraces(campaign.label, self.gate_names, per_gate, total)
+        return PowerTraces(campaign.label, self.gate_names, per_gate)
 
     # ------------------------------------------------------------------
     def generate_loop(self, campaign: TraceCampaign,
@@ -789,5 +794,4 @@ class PowerTraceGenerator:
             else:
                 per_gate[:, column] = self._model.add_noise(power, rng=rng)
 
-        total = per_gate.sum(axis=1)
-        return PowerTraces(campaign.label, self.gate_names, per_gate, total)
+        return PowerTraces(campaign.label, self.gate_names, per_gate)

@@ -14,7 +14,11 @@ Moradi — memory stays ``O(chunk_traces × n_gates)`` regardless of the trace
 count) or stacked into full matrices for the classic two-pass Welch test.
 Both modes consume identical traces, so their t-values agree to floating-
 point merge error (~1e-12); streaming is selected automatically for
-paper-scale campaigns.
+paper-scale campaigns.  Under the counter sampler a streaming campaign's
+``(class, group, chunk)`` triples are independent tasks: they run on every
+available CPU (inline when there is one) and each group's per-chunk
+accumulators are left-folded in global chunk order, so t-values do not
+depend on the worker count.
 
 Every chunk's mask/noise randomness is a pure function of its ``(seed,
 class, group, chunk)`` coordinates, so for a given ``TvlaConfig.seed`` and
@@ -37,10 +41,12 @@ same accumulators; see :func:`repro.tvla.welch.welch_higher_order`.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -54,7 +60,7 @@ from ..simulation.vectors import (
     fixed_vs_fixed_campaigns,
     fixed_vs_random_campaigns,
 )
-from .moments import OnePassMoments
+from .moments import OnePassMoments, fold_moments
 from .welch import (
     TVLA_THRESHOLD,
     WelchResult,
@@ -70,6 +76,8 @@ CampaignPair = Tuple[TraceCampaign, TraceCampaign]
 #: TVLA orders the engine knows how to evaluate (paper order 1 plus the
 #: Schneider & Moradi order-2/3 extensions backed by the moment engine).
 SUPPORTED_TVLA_ORDERS = (1, 2, 3)
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,9 @@ class TvlaConfig:
             matrix pipeline cache-resident.  Also the granularity of shard
             boundaries and of the per-chunk spawned RNG streams, so results
             depend on ``chunk_traces`` but **not** on the shard layout.
+            The chunk is also the parallel task unit: the streaming
+            counter-sampler driver of :func:`assess_leakage` runs one task
+            per ``(class, group, chunk)`` on every available CPU.
         streaming: ``True`` forces one-pass streaming accumulation,
             ``False`` forces the two-pass matrix test, ``None`` (default)
             streams automatically whenever a group exceeds one chunk (i.e.
@@ -495,6 +506,80 @@ def accumulate_campaign_chunks(
     return per_chunk
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: the worker count of the chunk driver."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> List[_T]:
+    """Run ``tasks`` on every available CPU; results come in task order.
+
+    With one CPU (or one task) the tasks run inline and no pool is
+    created.  Otherwise a per-call thread pool runs them; if one raises,
+    the queued tasks are cancelled and the running ones drained before the
+    exception propagates, so no pool thread outlives the call.
+    """
+    workers = min(_cpu_count(), len(tasks))
+    if workers <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers,
+                            thread_name_prefix="tvla-chunk") as pool:
+        futures = [pool.submit(task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _fold_chunk(generator: PowerTraceGenerator, campaign: TraceCampaign,
+                config: TvlaConfig, stream: CounterStream,
+                chunk_index: int) -> OnePassMoments:
+    """Generate one counter-sampler chunk and fold it into a fresh
+    accumulator — the same traces :meth:`PowerTraceGenerator.generate_stream`
+    yields for that chunk."""
+    start = chunk_index * config.chunk_traces
+    chunk = campaign.slice(start, min(campaign.n_traces,
+                                      start + config.chunk_traces))
+    traces = generator.generate(chunk, draws=stream.draws(chunk_index))
+    accumulator = OnePassMoments(max_order=config.moment_order(),
+                                 shape=(generator.n_gates,))
+    accumulator.update_batch(traces.per_gate)
+    return accumulator
+
+
+def _counter_class_results(generator: PowerTraceGenerator,
+                           campaigns: Sequence[CampaignPair],
+                           config: TvlaConfig) -> List[Dict[int, WelchResult]]:
+    """Per-class Welch results of a streaming counter-sampler campaign.
+
+    Every ``(class, group, chunk)`` is one task (:func:`_run_tasks` spreads
+    them over the CPUs); each task folds its chunk into a fresh
+    accumulator.  Each ``(class, group)`` stream is then left-folded in
+    global chunk order by :func:`~repro.tvla.moments.fold_moments` — the
+    association of :func:`accumulate_campaign_slice`'s running fold and of
+    :func:`repro.tvla.sharding.merge_shard_partials` — so t-values are
+    bitwise equal to both, whatever the worker count.
+    """
+    n_chunks = config.n_chunks()
+    tasks = [
+        partial(_fold_chunk, generator, campaign, config,
+                CounterStream(config.seed, class_index, group_index),
+                chunk_index)
+        for class_index, pair in enumerate(campaigns)
+        for group_index, campaign in enumerate(pair)
+        for chunk_index in range(n_chunks)
+    ]
+    chunks = _run_tasks(tasks)
+    folded = [fold_moments(chunks[start:start + n_chunks])
+              for start in range(0, len(chunks), n_chunks)]
+    return [results_from_accumulators(acc0, acc1, config)
+            for acc0, acc1 in zip(folded[0::2], folded[1::2])]
+
+
 def results_from_accumulators(acc0: OnePassMoments, acc1: OnePassMoments,
                               config: TvlaConfig) -> Dict[int, WelchResult]:
     """Welch results for every configured TVLA order from merged moments."""
@@ -660,10 +745,13 @@ def assess_leakage(netlist: Netlist,
     generator = resolve_generator(netlist, config, generator)
     streamed = config.resolved_streaming()
 
-    class_results = [
-        _class_results(generator, pair, config, class_index, streamed)
-        for class_index, pair in enumerate(campaigns)
-    ]
+    if streamed and resolve_sampler(config, generator) == "counter":
+        class_results = _counter_class_results(generator, campaigns, config)
+    else:
+        class_results = [
+            _class_results(generator, pair, config, class_index, streamed)
+            for class_index, pair in enumerate(campaigns)
+        ]
     elapsed = time.perf_counter() - start
     return aggregate_class_results(class_results, netlist.name,
                                    generator.gate_names, config, elapsed,

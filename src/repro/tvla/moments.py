@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import struct
 from math import comb
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,23 @@ _WIRE_MAGIC = b"OPM1"
 #: On-the-wire array dtype: explicit little-endian float64, so blobs written
 #: on any host deserialise bit-identically everywhere.
 _WIRE_DTYPE = "<f8"
+#: Columns per block of the gate-blocked :meth:`OnePassMoments.update_batch`:
+#: 64 float64 columns of a 2048-trace chunk are 1 MiB, so a block's two
+#: work buffers stay L2-resident through every order's pass.
+_FOLD_BLOCK_COLUMNS = 64
+
+
+def _column_blocks(width: int) -> List[Tuple[int, int]]:
+    """``[start, stop)`` column ranges of the blocked fold over ``width``.
+
+    A trailing single column is joined to the block before it: a one-column
+    block of a C-order batch is contiguous, so numpy would sum it pairwise,
+    while the same column of the whole batch is summed row by row.
+    """
+    edges = list(range(0, width, _FOLD_BLOCK_COLUMNS)) + [width]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges, edges[1:]))
 
 
 class OnePassMoments:
@@ -62,17 +79,6 @@ class OnePassMoments:
             np.zeros(self.shape, dtype=float)
             for _ in range(2, self.max_order + 1)
         ]
-        #: Reusable batch work buffers (delta, Horner power chain); see
-        #: :meth:`_scratch_like`.  Never serialised.
-        self._batch_scratch: List[Optional[np.ndarray]] = [None, None]
-
-    def __getstate__(self) -> dict:
-        # Scratch buffers are multi-megabyte per-chunk workspaces; pickling
-        # them would bloat every queue message and shard checkpoint that
-        # ships an accumulator, so they are dropped and lazily rebuilt.
-        state = self.__dict__.copy()
-        state["_batch_scratch"] = [None, None]
-        return state
 
     # ------------------------------------------------------------------
     def update(self, sample: ArrayLike) -> None:
@@ -97,17 +103,21 @@ class OnePassMoments:
         batch instead of one Python-level Welford step per sample, which is
         what makes chunked streaming TVLA practical at paper scale.
 
-        The power chain is **fused**: instead of materialising a float64
-        conversion copy, a ``delta`` array and one fresh ``delta**k`` array
-        per order, the conversion lands in a reusable scratch buffer, the
-        deltas are subtracted in place, and every higher order is one
-        in-place Horner-style multiply into a second scratch that is
-        reused across chunks.  An order-6 accumulator (order-3 TVLA)
-        therefore runs zero steady-state allocations where the naive chain
-        made seven per chunk.  The arithmetic — operand order, dtype,
-        layout, summation association — is unchanged, so results are
-        **bit-identical** to :meth:`update_batch_naive` (the pre-fusion
-        reference, pinned by ``tests/test_packed_power.py``).
+        The fold is **gate-blocked**: a 2-D batch is processed
+        ``_FOLD_BLOCK_COLUMNS`` columns at a time.  Each block is
+        converted into one float64 work buffer in the batch's own memory
+        layout, reduced to its mean, centred in place, and every order's
+        power is one in-place multiply into a second block buffer followed
+        by a column sum.  Both buffers stay L2-resident through all the
+        passes, and no full-chunk float64 temporary is ever allocated, so
+        concurrent folds on several threads do not contend for multi-MB
+        allocations.  Per column the operand order, dtype and summation
+        association (sequential row adds for C-order batches, contiguous
+        pairwise sums for F-order ones) are those of
+        :meth:`update_batch_naive`, so results are **bit-identical** to it
+        (pinned by ``tests/test_packed_power.py``).  1-D batches, batches
+        of more than two dimensions and strided layouts that are neither
+        C- nor F-contiguous take the naive path itself.
 
         Accumulators configured for ``max_order == 2`` (first-order TVLA
         campaigns) never build odd-order central sums: the batch reduction
@@ -123,57 +133,50 @@ class OnePassMoments:
         n_b = samples.shape[0]
         if n_b == 0:
             return
-        # Reductions in numpy associate differently per memory layout, and
-        # the naive path's temporaries inherit the input's layout (asarray
-        # copies in K-order, ufunc outputs follow their operands).  The
-        # scratch buffers must therefore match that layout exactly; exotic
-        # strided inputs (neither C- nor F-contiguous) fall back to the
-        # naive allocation pattern, which is bit-identical by construction.
-        if samples.ndim > 1 and samples.flags.f_contiguous \
-                and not samples.flags.c_contiguous:
-            order = "F"
-        elif samples.flags.c_contiguous:
-            order = "C"
-        else:
-            order = None
-        if samples.dtype != np.float64:
-            if order is None:
-                samples = np.asarray(samples, dtype=np.float64)
-                delta = samples  # fresh copy: subtract in place below
-            else:
-                converted = self._scratch_like(samples.shape, order, slot=0)
-                converted[...] = samples
-                samples = converted
-                delta = samples  # owned: subtract in place below
-        else:
-            # Caller's float64 array: reduce on it directly (exactly what
-            # the naive path does) and never mutate it.
-            delta = (self._scratch_like(samples.shape, order, slot=0)
-                     if order is not None else None)
-        mean_b = samples.mean(axis=0)
-        delta = np.subtract(samples, mean_b, out=delta)
-        if self.max_order == 2:
-            # Order-2 needs no preserved delta: square it in place.
-            np.multiply(delta, delta, out=delta)
-            self._combine(n_b, mean_b, [delta.sum(axis=0)])
+        if samples.ndim != 2 or not (samples.flags.c_contiguous
+                                     or samples.flags.f_contiguous):
+            self.update_batch_naive(samples)
             return
-        power = (self._scratch_like(samples.shape, order, slot=1)
-                 if order is not None else None)
-        power = np.multiply(delta, delta, out=power)
-        sums_b = [power.sum(axis=0)]
-        for _ in range(3, self.max_order + 1):
-            np.multiply(power, delta, out=power)
-            sums_b.append(power.sum(axis=0))
+        # numpy associates a column sum by memory layout, and the naive
+        # path's temporaries inherit the batch's layout, so the block
+        # buffers must share it.
+        order = "C" if samples.flags.c_contiguous else "F"
+        blocks = _column_blocks(samples.shape[1])
+        block_width = max((stop - start for start, stop in blocks), default=0)
+        work = np.empty((n_b, block_width), dtype=np.float64, order=order)
+        power = np.empty_like(work) if self.max_order > 2 else None
+        mean_b = np.empty(self.shape)
+        sums_b = [np.empty(self.shape) for _ in self._sums]
+        for start, stop in blocks:
+            delta = work[:, :stop - start]
+            block = samples[:, start:stop]
+            if block.dtype != np.float64:
+                delta[...] = block
+                block = delta
+            mean = np.mean(block, axis=0, out=mean_b[start:stop])
+            np.subtract(block, mean, out=delta)
+            if power is None:
+                # Order-2 needs no preserved delta: square it in place.
+                np.multiply(delta, delta, out=delta)
+                np.sum(delta, axis=0, out=sums_b[0][start:stop])
+                continue
+            chain = power[:, :stop - start]
+            np.multiply(delta, delta, out=chain)
+            np.sum(chain, axis=0, out=sums_b[0][start:stop])
+            for sums in sums_b[1:]:
+                np.multiply(chain, delta, out=chain)
+                np.sum(chain, axis=0, out=sums[start:stop])
         self._combine(n_b, mean_b, sums_b)
 
     def update_batch_naive(self, samples: np.ndarray) -> None:
-        """Pre-fusion reference implementation of :meth:`update_batch`.
+        """Reference implementation of :meth:`update_batch`.
 
-        Converts to float64 up front and materialises the full
-        ``delta**k`` power chain, exactly as the engine did before the
-        fused update.  Kept as the bit-identical oracle for the property
-        tests and the ``microbench_moment_update`` comparison; production
-        paths call :meth:`update_batch`.
+        Converts the whole batch to float64 up front and materialises the
+        full ``delta**k`` power chain, one batch-sized matrix per order.
+        Kept as the bit-identical oracle for the property tests and the
+        ``microbench_moment_update`` comparison, and run by
+        :meth:`update_batch` itself for layouts it does not block;
+        production paths call :meth:`update_batch`.
         """
         samples = np.asarray(samples, dtype=float)
         if samples.ndim < 1 or samples.shape[1:] != self.shape:
@@ -192,25 +195,6 @@ class OnePassMoments:
             power = power * delta
             sums_b.append(power.sum(axis=0))
         self._combine(n_b, mean_b, sums_b)
-
-    def _scratch_like(self, shape: Tuple[int, ...], order: str,
-                      slot: int) -> np.ndarray:
-        """A reusable float64 scratch buffer of ``shape`` and ``order``.
-
-        One accumulator folds same-sized chunks back to back, so caching
-        the two batch work buffers (delta and the Horner power chain)
-        eliminates the per-chunk multi-megabyte allocations — and their
-        page-fault cost — from the streaming hot path.  Buffers are
-        private to this accumulator: sharded workers each own their
-        accumulators, so no cross-thread aliasing is possible.
-        """
-        cached = self._batch_scratch[slot]
-        contiguous = "F_CONTIGUOUS" if order == "F" else "C_CONTIGUOUS"
-        if cached is None or cached.shape != shape \
-                or not cached.flags[contiguous]:
-            cached = np.empty(shape, dtype=np.float64, order=order)
-            self._batch_scratch[slot] = cached
-        return cached
 
     def _combine(self, n_b: int, mean_b: np.ndarray,
                  sums_b: Sequence[np.ndarray]) -> None:
@@ -422,3 +406,30 @@ class OnePassMoments:
         acc._mean = read_array()
         acc._sums = [read_array() for _ in acc._sums]
         return acc
+
+
+def fold_moments(accumulators: Iterable[OnePassMoments]) -> OnePassMoments:
+    """Left-fold accumulators, in the given order, into a fresh one.
+
+    ``fold_moments([a, b, c])`` is bitwise equal to ``a.merge(b).merge(c)``
+    — the same pairwise combines in the same association — without copying
+    the running state at every step, and the inputs are left untouched.
+    The TVLA drivers fold per-chunk accumulators in global chunk order with
+    it, which reproduces one running accumulator's association exactly
+    (``update_batch`` on an empty accumulator stores the batch moments
+    directly, and each later chunk replays the very same combine).
+
+    Raises:
+        ValueError: for an empty sequence or mismatched configurations.
+    """
+    accumulators = list(accumulators)
+    if not accumulators:
+        raise ValueError("fold_moments needs at least one accumulator")
+    folded = OnePassMoments(accumulators[0].max_order, accumulators[0].shape)
+    for accumulator in accumulators:
+        if accumulator.shape != folded.shape \
+                or accumulator.max_order != folded.max_order:
+            raise ValueError("cannot merge accumulators with different config")
+        folded._combine(accumulator.count, accumulator._mean,
+                        accumulator._sums)
+    return folded

@@ -62,7 +62,7 @@ from .assessment import (
     results_from_accumulators,
     validate_campaigns,
 )
-from .moments import OnePassMoments
+from .moments import OnePassMoments, fold_moments
 from .welch import WelchResult
 
 #: Executor selectors accepted by the sharded drivers.
@@ -300,27 +300,21 @@ def merge_shard_partials(shard_results: Sequence[ShardPartials],
     carry per-chunk accumulators; since shard ranges are contiguous and
     ascending, concatenating them in shard order lists every chunk in
     global chunk order, and the left-fold below reproduces the serial
-    run's association exactly — ``update_batch`` on an empty accumulator
-    stores the batch moments directly and ``merge`` replays the very same
-    pairwise combine, so the merged accumulator (and every t-value) is
-    **bitwise equal** to the serial run's, independent of shard layout.
+    run's association exactly — the same
+    :func:`~repro.tvla.moments.fold_moments` the serial counter driver
+    folds its chunks with — so the merged accumulator (and every t-value)
+    is **bitwise equal** to the serial run's, independent of shard layout.
     """
     n_classes = len(shard_results[0])
     per_chunk = isinstance(shard_results[0][0][0], list)
     class_results = []
     for class_index in range(n_classes):
-        merged0: Optional[OnePassMoments] = None
-        merged1: Optional[OnePassMoments] = None
+        streams: Tuple[List[OnePassMoments], List[OnePassMoments]] = ([], [])
         for partials in shard_results:
-            group0, group1 = partials[class_index]
-            chunks0 = group0 if per_chunk else [group0]
-            chunks1 = group1 if per_chunk else [group1]
-            for acc0 in chunks0:
-                merged0 = acc0 if merged0 is None else merged0.merge(acc0)
-            for acc1 in chunks1:
-                merged1 = acc1 if merged1 is None else merged1.merge(acc1)
-        class_results.append(results_from_accumulators(merged0, merged1,
-                                                       config))
+            for stream, part in zip(streams, partials[class_index]):
+                stream.extend(part if per_chunk else [part])
+        class_results.append(results_from_accumulators(
+            fold_moments(streams[0]), fold_moments(streams[1]), config))
     return class_results
 
 

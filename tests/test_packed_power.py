@@ -10,11 +10,13 @@ moment update safe defaults:
   every batch size, including batches that do not fill the last packed
   byte.  Identical traces then make t-values *exactly* equal, not merely
   close.
-* **Fused == naive moments.**  ``OnePassMoments.update_batch`` (in-place
-  Horner power chain over reusable scratch) must match
-  ``update_batch_naive`` (the pre-fusion allocation-per-order reference)
-  bitwise through order-3 TVLA (central sums to order 6), for the real
-  trace layouts (float32 transpose views) as well as plain arrays.
+* **Blocked == naive moments.**  ``OnePassMoments.update_batch`` (a
+  gate-blocked fold: per block of columns, one in-place power chain over
+  L2-sized work buffers) must match ``update_batch_naive`` (the
+  allocation-per-order reference) bitwise through order-3 TVLA (central
+  sums to order 6), for the real trace layouts (float32 transpose views)
+  as well as plain and strided arrays, at every width around the block
+  size.
 
 Plus the packed substrate itself: popcount on packed rows with padding
 masking, the lazy packed ``SimulationResult``, and the process-wide
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.masking import apply_masking, maskable_gates
@@ -43,6 +45,7 @@ from repro.simulation import (
 )
 from repro.tvla import OnePassMoments, TvlaConfig, assess_leakage, \
     assess_leakage_sharded
+from repro.tvla.moments import _FOLD_BLOCK_COLUMNS
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -204,6 +207,48 @@ class TestFusedMoments:
         for order in range(2, max_order + 1):
             np.testing.assert_array_equal(fused.central_moment(order),
                                           naive.central_moment(order))
+
+    @SETTINGS
+    @given(
+        width=st.sampled_from([1, _FOLD_BLOCK_COLUMNS - 1, _FOLD_BLOCK_COLUMNS,
+                               _FOLD_BLOCK_COLUMNS + 1,
+                               3 * _FOLD_BLOCK_COLUMNS + 5]),
+        n=st.sampled_from([1, 2, 33, 130]),
+        max_order=st.sampled_from([2, 4, 6]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        populated=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+    )
+    # A one-column tail block of a C-order batch would be summed pairwise
+    # while the naive column sum adds row by row: always cover it.
+    @example(width=_FOLD_BLOCK_COLUMNS + 1, n=130, max_order=2,
+             dtype=np.float64, layout="C", populated=False, seed=0)
+    @example(width=_FOLD_BLOCK_COLUMNS + 1, n=33, max_order=6,
+             dtype=np.float32, layout="C", populated=True, seed=1)
+    def test_blocked_fold_equals_naive_bitwise(self, width, n, max_order,
+                                               dtype, layout, populated,
+                                               seed):
+        rng = np.random.default_rng(seed)
+        # "F" is gate-major storage read through its transpose, like
+        # per_gate; "strided" is neither C- nor F-contiguous.
+        base_shape = {"C": (n, width), "F": (width, n),
+                      "strided": (2 * n, 3 * width)}[layout]
+        base = (rng.random(base_shape) * 12 - 6).astype(dtype)
+        samples = {"C": base, "F": base.T,
+                   "strided": base[::2, ::3]}[layout]
+        blocked = OnePassMoments(max_order=max_order, shape=(width,))
+        naive = OnePassMoments(max_order=max_order, shape=(width,))
+        if populated:
+            history = rng.random((17, width)) * 4 - 2
+            blocked.update_batch_naive(history)
+            naive.update_batch_naive(history)
+        blocked.update_batch(samples)
+        naive.update_batch_naive(samples)
+        assert blocked.count == naive.count
+        assert blocked._mean.tobytes() == naive._mean.tobytes()
+        for got, want in zip(blocked._sums, naive._sums):
+            assert got.tobytes() == want.tobytes()
 
     def test_fused_accumulators_merge_identically(self, rng):
         """Order-3 TVLA (central sums to 6): fused partials merge to the

@@ -22,6 +22,7 @@ if str(TOOLS_DIR) not in sys.path:
 from polaris_lint import RULES, Severity, lint_paths  # noqa: E402
 from polaris_lint import rules as _rules  # noqa: E402,F401  (registers rules)
 from polaris_lint.cli import main as cli_main  # noqa: E402
+from polaris_lint.contracts import PICKLE_SEAM_CLASSES  # noqa: E402
 
 
 def run_lint(tmp_path, files, rule_ids=None, paths=None):
@@ -550,17 +551,20 @@ class TestPL004Pickle:
             rule_ids=["PL004"])
         assert result.clean
 
-    def test_registry_class_is_checked_by_name(self, tmp_path):
-        # OnePassMoments is in PICKLE_SEAM_CLASSES: its registered
-        # attribute is enforced even without 'scratch' fuzzy-matching.
+    def test_registry_class_is_checked_by_name(self, tmp_path, monkeypatch):
+        # A class registered in PICKLE_SEAM_CLASSES has its registered
+        # attribute enforced even without 'scratch' fuzzy-matching.
+        monkeypatch.setitem(PICKLE_SEAM_CLASSES, "Accumulator",
+                            ("_workspace",))
         result = run_lint(
             tmp_path,
             {"mod.py":
-             "class OnePassMoments:\n"
+             "class Accumulator:\n"
              "    def __init__(self):\n"
-             "        self._batch_scratch = [None, None]\n"},
+             "        self._workspace = [None, None]\n"},
             rule_ids=["PL004"])
         assert codes(result) == ["PL004"]
+        assert "_workspace" in result.findings[0].message
 
     def test_class_without_scratch_passes(self, tmp_path):
         result = run_lint(

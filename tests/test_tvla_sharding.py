@@ -7,15 +7,22 @@ The contract pinned down here is what makes sharding trustworthy:
 * fixed seeds give bit-identical reruns, independent of the executor;
 * shard ranges are chunk-aligned, disjoint and cover the campaign;
 * ``assess_many`` fans several designs through one pool and returns exactly
-  what per-design sharded assessments return.
+  what per-design sharded assessments return;
+* the serial counter driver, which runs one task per ``(class, group,
+  chunk)`` on every CPU, is bitwise equal to the running fold and to every
+  shard layout whatever its worker count, creates no pool on one CPU and
+  propagates a failing chunk without leaving pool threads behind.
 """
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.masking import apply_masking, maskable_gates
+from repro.tvla import assessment as tvla_assessment
 from repro.tvla import (
     TvlaConfig,
     assess_leakage,
@@ -24,6 +31,13 @@ from repro.tvla import (
     campaign_schedule,
     chunk_seed_streams,
     shard_trace_ranges,
+)
+from repro.tvla.assessment import (
+    accumulate_campaign_chunks,
+    accumulate_campaign_slice,
+    aggregate_class_results,
+    resolve_generator,
+    results_from_accumulators,
 )
 
 #: Small-but-chunked campaign: 600 traces in 128-trace chunks -> 5 chunks.
@@ -234,3 +248,132 @@ class TestAssessMany:
     def test_duplicate_names_rejected(self, small_benchmark, sharded_config):
         with pytest.raises(ValueError, match="duplicate"):
             assess_many([small_benchmark, small_benchmark], sharded_config)
+
+
+def _assessment_bits(assessment):
+    """Every reported statistic of an assessment, as raw bytes."""
+    return (assessment.t_values.tobytes(), assessment.mean_abs_t.tobytes(),
+            assessment.degrees_of_freedom.tobytes(),
+            {order: values.tobytes()
+             for order, values in assessment.order_t_values.items()})
+
+
+def _running_fold(netlist, config):
+    """``accumulate_campaign_slice``'s one running accumulator per group,
+    aggregated exactly as the drivers aggregate."""
+    generator = resolve_generator(netlist, config, None)
+    class_results = []
+    for class_index, pair in enumerate(campaign_schedule(netlist, config)):
+        acc0, acc1 = accumulate_campaign_slice(generator, pair, config,
+                                               class_index)
+        class_results.append(results_from_accumulators(acc0, acc1, config))
+    return aggregate_class_results(class_results, netlist.name,
+                                   generator.gate_names, config, 0.0,
+                                   streamed=True)
+
+
+class TestParallelChunkDriver:
+    #: (n_traces, chunk_traces): a short final chunk (600 = 4 x 128 + 88)
+    #: and a single-chunk campaign.
+    LAYOUTS = [(600, 128), (100, 128)]
+
+    @pytest.mark.parametrize("n_traces,chunk_traces", LAYOUTS)
+    @pytest.mark.parametrize("tvla_order", [1, 2, 3])
+    def test_any_worker_count_bitwise_equals_fold_and_shards(
+            self, small_benchmark, monkeypatch, tvla_order, n_traces,
+            chunk_traces):
+        config = TvlaConfig(n_traces=n_traces, chunk_traces=chunk_traces,
+                            n_fixed_classes=2, seed=9, streaming=True,
+                            tvla_order=tvla_order)
+        references = [_running_fold(small_benchmark, config)] + [
+            assess_leakage_sharded(small_benchmark, config, n_shards=n_shards,
+                                   executor="thread")
+            for n_shards in (1, 2, 4)]
+        expected = _assessment_bits(references[0])
+        assert all(_assessment_bits(reference) == expected
+                   for reference in references[1:])
+        # More workers than cores, switching threads as often as possible:
+        # a race on the shared generator would break bitwise equality.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(tvla_assessment, "_cpu_count",
+                                    lambda workers=workers: workers)
+                driven = assess_leakage(small_benchmark, config)
+                assert _assessment_bits(driven) == expected, workers
+                assert set(driven.order_t_values) == \
+                    set(range(2, tvla_order + 1))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pool_sized_by_cpu_count(self, small_benchmark, sharded_config,
+                                     monkeypatch):
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(tvla_assessment, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 3)
+        assess_leakage(small_benchmark, sharded_config)
+        assert sizes == [3]
+
+    def test_one_cpu_creates_no_pool(self, small_benchmark, sharded_config,
+                                     monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created on one CPU")
+
+        monkeypatch.setattr(tvla_assessment, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 1)
+        assessment = assess_leakage(small_benchmark, sharded_config)
+        assert assessment.streamed
+
+    def test_failing_chunk_propagates_without_leaking_threads(
+            self, small_benchmark, sharded_config, monkeypatch):
+        fold_chunk = tvla_assessment._fold_chunk
+
+        def failing(generator, campaign, config, stream, chunk_index):
+            if stream.class_index == 1 and chunk_index == 2:
+                raise RuntimeError("chunk failed")
+            return fold_chunk(generator, campaign, config, stream, chunk_index)
+
+        monkeypatch.setattr(tvla_assessment, "_fold_chunk", failing)
+        monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 2)
+        outcome = []
+
+        def run():
+            try:
+                assess_leakage(small_benchmark, sharded_config)
+            except RuntimeError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the failing campaign hung"
+        assert [str(exc) for exc in outcome] == ["chunk failed"]
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("tvla-chunk")]
+
+
+class TestChunkAccumulatorFootprint:
+    def test_per_chunk_accumulators_hold_no_scratch(self, small_benchmark):
+        """Order-3 per-chunk accumulators keep only their mean and central
+        sums alive until the merge, not chunk-sized work buffers."""
+        config = TvlaConfig(n_traces=600, chunk_traces=128, n_fixed_classes=1,
+                            seed=9, tvla_order=3)
+        generator = resolve_generator(small_benchmark, config, None)
+        pair = campaign_schedule(small_benchmark, config)[0]
+        chunks0, chunks1 = accumulate_campaign_chunks(generator, pair, config,
+                                                      0)
+        limit = (config.moment_order() + 1) * generator.n_gates * 8
+        for accumulator in chunks0 + chunks1:
+            held = 0
+            for value in vars(accumulator).values():
+                arrays = value if isinstance(value, (list, tuple)) else [value]
+                held += sum(array.nbytes for array in arrays
+                            if isinstance(array, np.ndarray))
+            assert held <= limit

@@ -64,7 +64,7 @@ class OraclePair:
 #: PL002 verifies both sides still exist and that at least one test module
 #: references the pair together.
 ORACLE_PAIRS: Tuple[OraclePair, ...] = (
-    # PR 5: fused Horner moment update vs the naive power-chain reference.
+    # Gate-blocked moment fold vs the naive power-chain reference.
     OraclePair("moments-update", "src/repro/tvla/moments.py",
                "update_batch", "update_batch_naive"),
     # PR 5: packed toggle extraction vs the bool-matrix oracle.
@@ -103,14 +103,13 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
 
 #: Classes shipped across the process-executor / campaign pickle seam,
 #: mapped to the scratch-buffer attributes their ``__getstate__`` must
-#: exclude (PR 5 dropped these from pickles: multi-megabyte per-chunk
-#: workspaces must not bloat queue messages or shard checkpoints).
+#: exclude (multi-megabyte per-chunk workspaces must not bloat queue
+#: messages or shard checkpoints).  Empty today: the gate-blocked
+#: ``OnePassMoments.update_batch`` keeps its work buffers call-local.
 #: PL004 also flags *any* ``src/repro`` class whose attribute names mark
 #: them as scratch (``*scratch*``) when no ``__getstate__``/``__reduce__``
 #: excludes them.
-PICKLE_SEAM_CLASSES: Dict[str, Tuple[str, ...]] = {
-    "OnePassMoments": ("_batch_scratch",),
-}
+PICKLE_SEAM_CLASSES: Dict[str, Tuple[str, ...]] = {}
 
 #: Resource constructors PL005 tracks: every acquisition must be closed on
 #: all paths (``with``/``closing``/try-finally) or have its ownership

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import os
 import sys
+import timeit
 from pathlib import Path
+from typing import Callable, Tuple
 
 SRC = Path(__file__).parent.parent / "src"
 if str(SRC) not in sys.path:
@@ -79,3 +81,27 @@ def write_text_result(name: str, content: str) -> Path:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(content + "\n")
     return path
+
+
+def best_of(fn: Callable[[], object], repeats: int = 5,
+            number: int = 1) -> float:
+    """Fastest seconds per call of ``fn``: the minimum over ``repeats``
+    ``timeit`` runs of ``number`` calls each."""
+    return min(timeit.timeit(fn, number=number)
+               for _ in range(repeats)) / number
+
+
+def interleaved_best_of(fast: Callable[[], object],
+                        oracle: Callable[[], object],
+                        repeats: int) -> Tuple[float, float]:
+    """:func:`best_of` for a fast path and its oracle, timed alternately.
+
+    Each repeat times one call of each, back to back, so a burst of load
+    from another process on a shared host slows both sides of the ratio
+    rather than only one of them.  Returns ``(fast, oracle)`` seconds.
+    """
+    fast_runs, oracle_runs = [], []
+    for _ in range(repeats):
+        fast_runs.append(timeit.timeit(fast, number=1))
+        oracle_runs.append(timeit.timeit(oracle, number=1))
+    return min(fast_runs), min(oracle_runs)

@@ -53,7 +53,7 @@ from repro.tvla import (
 )
 from repro.tvla.welch import welch_from_accumulators
 
-from bench_common import BENCH_SCALE
+from bench_common import BENCH_SCALE, best_of, interleaved_best_of
 
 #: Trace count of the paper-scale generation benchmark (§V-A).
 PAPER_TRACES = 10_000
@@ -119,12 +119,9 @@ def test_compiled_sweep_microbench(recorder):
             np.testing.assert_array_equal(result.net_values[net],
                                           reference.net_values[net])
 
-        def best_of(fn, repeats=5, number=10):
-            return min(timeit.timeit(fn, number=number)
-                       for _ in range(repeats)) / number
-
-        loop_seconds = best_of(lambda: loop.evaluate(stimulus))
-        compiled_seconds = best_of(lambda: compiled.evaluate(stimulus))
+        loop_seconds = best_of(lambda: loop.evaluate(stimulus), number=10)
+        compiled_seconds = best_of(lambda: compiled.evaluate(stimulus),
+                                   number=10)
         stats = compiled.plan.describe()
         rows.append({
             "design": netlist.name,
@@ -233,10 +230,6 @@ def test_packed_power_microbench(comparison_design, masked_design, recorder):
     trajectory is separately gated by ``tools/check_bench_regression.py``
     with a 25% tolerance against the committed baseline.
     """
-
-    def best_of(fn, repeats=5):
-        return min(timeit.timeit(fn, number=1) for _ in range(repeats))
-
     rows = []
     speedups = {}
     for label, design in (("unmasked", comparison_design),
@@ -336,11 +329,6 @@ def test_moment_update_fused_microbench(recorder):
     tests/test_packed_power.py); recorded as ``microbench_moment_update``
     (the ``fused_ms`` column holds the blocked fold).
     """
-
-    def best_of(fn, repeats=7, number=5):
-        return min(timeit.timeit(fn, number=number)
-                   for _ in range(repeats)) / number
-
     rng = np.random.default_rng(0)
     n_traces, n_gates = 2048, 300
     # Gate-major block transposed into the public (n_traces, n_gates)
@@ -351,8 +339,10 @@ def test_moment_update_fused_microbench(recorder):
     for tvla_order, max_order in ((1, 2), (3, 6)):
         fused_acc = OnePassMoments(max_order=max_order, shape=(n_gates,))
         naive_acc = OnePassMoments(max_order=max_order, shape=(n_gates,))
-        fused = best_of(lambda: fused_acc.update_batch(samples))
-        naive = best_of(lambda: naive_acc.update_batch_naive(samples))
+        fused = best_of(lambda: fused_acc.update_batch(samples),
+                        repeats=7, number=5)
+        naive = best_of(lambda: naive_acc.update_batch_naive(samples),
+                        repeats=7, number=5)
         rows.append({
             "tvla_order": tvla_order,
             "max_order": max_order,
@@ -397,10 +387,6 @@ def test_trace_generation_vectorised_vs_loop(comparison_design, masked_design,
     representative TVLA hot path: POLARIS cognition and the Table II flows
     spend most of their trace budget assessing (partially) masked designs.
     """
-
-    def best_of(fn, repeats=5):
-        return min(timeit.timeit(fn, number=1) for _ in range(repeats))
-
     rows = []
     for label, netlist in (("unmasked", comparison_design),
                            ("masked", masked_design)):
@@ -760,10 +746,6 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
         column = classes.index(1) if 1 in classes else len(classes) - 1
         return probabilities[:, column]
 
-    def best_of(fn, repeats=5, number=1):
-        return min(timeit.timeit(fn, number=number)
-                   for _ in range(repeats)) / number
-
     np.testing.assert_array_equal(model.positive_score(matrix),
                                   per_sample_scores())
     scoring_fast = best_of(lambda: model.positive_score(matrix), number=3)
@@ -778,10 +760,12 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
         np.testing.assert_array_equal(fast_expl.shap_values,
                                       oracle_expl.shap_values)
         assert fast_expl.prediction == oracle_expl.prediction
-    shap_fast = best_of(lambda: explainer.explain_matrix(shap_rows),
-                        repeats=3)
-    shap_oracle = best_of(
-        lambda: [explainer.explain(row) for row in shap_rows], repeats=3)
+    # Timed alternately over more repeats than the scoring row: its 1.2x
+    # floor sits close to the measured ratio, so a load burst on a shared
+    # host must not land on one side only.
+    shap_fast, shap_oracle = interleaved_best_of(
+        lambda: explainer.explain_matrix(shap_rows),
+        lambda: [explainer.explain(row) for row in shap_rows], repeats=9)
 
     rows = [
         {
@@ -861,9 +845,6 @@ def test_ml_fit_microbench(trained_polaris_bench, recorder):
                                "value", "cover")]
         arrays.append(np.asarray(getattr(model, "estimator_weights_", [])))
         return [array.tobytes() for array in arrays]
-
-    def best_of(fn, repeats):
-        return min(timeit.timeit(fn, number=1) for _ in range(repeats))
 
     rows = []
     for family in rounds:

@@ -94,6 +94,37 @@ class TaskFailedError(RuntimeError):
     """A queued task exhausted its attempts; carries the worker traceback."""
 
 
+class _SettleSignal:
+    """Process-wide wake-up: every in-process ack or fail bumps a counter.
+
+    A draining worker that finds no claimable task while a sibling still
+    holds a lease waits here instead of sleeping blind, so it notices the
+    sibling's last ack at once.  Settles in other processes do not signal;
+    the wait's timeout (the worker's ``poll_interval``) still covers them.
+    """
+
+    def __init__(self) -> None:
+        self._condition = threading.Condition()
+        self._count = 0
+
+    def count(self) -> int:
+        with self._condition:
+            return self._count
+
+    def notify(self) -> None:
+        with self._condition:
+            self._count += 1
+            self._condition.notify_all()
+
+    def wait(self, seen: int, timeout: float) -> None:
+        """Return once the count moved past ``seen``, or after ``timeout``."""
+        with self._condition:
+            self._condition.wait_for(lambda: self._count != seen, timeout)
+
+
+_SETTLED = _SettleSignal()
+
+
 @dataclass(frozen=True)
 class PutOutcome:
     """Result of :meth:`TaskQueue.put`.
@@ -355,7 +386,9 @@ class TaskQueue:
                 " error = NULL WHERE id = ? AND lease_token = ?"
                 " AND status = 'leased'",
                 (result, time.time(), task_id, lease_token))
-            return cursor.rowcount == 1
+            completed = cursor.rowcount == 1
+        _SETTLED.notify()
+        return completed
 
     def fail(self, task_id: int, lease_token: str, error: str) -> str:
         """Report a failed execution; retry until attempts are exhausted.
@@ -372,18 +405,20 @@ class TaskQueue:
                 " WHERE id = ? AND lease_token = ? AND status = 'leased'",
                 (task_id, lease_token)).fetchone()
             if row is None:
-                return "stale"
-            attempts, max_attempts = row
-            if attempts >= max_attempts:
+                outcome = "stale"
+            elif row[0] >= row[1]:
                 conn.execute(
                     "UPDATE tasks SET status = 'failed', error = ?,"
                     " lease_token = NULL WHERE id = ?", (error, task_id))
-                return "failed"
-            conn.execute(
-                "UPDATE tasks SET status = 'pending', error = ?,"
-                " lease_token = NULL, lease_expires = NULL WHERE id = ?",
-                (error, task_id))
-            return "retried"
+                outcome = "failed"
+            else:
+                conn.execute(
+                    "UPDATE tasks SET status = 'pending', error = ?,"
+                    " lease_token = NULL, lease_expires = NULL WHERE id = ?",
+                    (error, task_id))
+                outcome = "retried"
+        _SETTLED.notify()
+        return outcome
 
     # ------------------------------------------------------------------
     def outcome(self, task_id: int) -> Tuple[str, Optional[bytes], Optional[str]]:
@@ -502,7 +537,9 @@ def run_worker(queue: TaskQueue,
         worker: Worker id recorded on leases (defaults to the pid).
         max_tasks: Stop after this many executions (None = unbounded).
         poll_interval: Idle sleep between empty claims (the *initial*
-            sleep in ``forever`` mode).
+            sleep in ``forever`` mode).  A draining worker waits at most
+            this long, and wakes as soon as an ack or fail in this process
+            settles a task.
         lease_seconds: Per-claim lease override.
         drain: Stop once the queue holds no outstanding work.  A leased
             task on another worker still counts as outstanding, so a
@@ -554,6 +591,9 @@ def run_worker(queue: TaskQueue,
     while stop_event is None or not stop_event.is_set():
         if max_tasks is not None and executed >= max_tasks:
             break
+        # Read before the outstanding() check, so a settle landing between
+        # the check and the wait below ends the wait at once.
+        settled = _SETTLED.count()
         try:
             task = queue.claim(worker=worker, lease_seconds=lease_seconds)
             if task is None and drain and queue.outstanding() == 0:
@@ -564,7 +604,9 @@ def run_worker(queue: TaskQueue,
             if max_idle is not None \
                     and time.monotonic() - last_claim >= max_idle:
                 break
-            if stop_event is not None:
+            if drain:
+                _SETTLED.wait(settled, sleep_for)
+            elif stop_event is not None:
                 stop_event.wait(sleep_for)
             else:
                 time.sleep(sleep_for)

@@ -11,18 +11,19 @@ filesystem)::
         spec.json                  the CampaignSpec (self-contained)
         shards/shard_0000.moments  durable shard partials (checkpoints)
 
-The unit of work is one chunk-aligned shard: a worker rebuilds the netlist
-and stimulus schedule from ``spec.json``, folds its trace range into
-partial :class:`~repro.tvla.moments.OnePassMoments`, and **atomically**
-publishes the packed partial as ``shards/shard_NNNN.moments`` before
-acking.  That file is the checkpoint: a campaign killed at any point
-resumes by enqueueing only the shards whose partial is missing (idempotent
-``{hash}:shard:{k}`` queue keys make double submission a no-op), and a
-worker killed mid-shard simply loses its lease — the shard is redelivered
-once the lease expires.  Because every chunk's randomness is keyed to its
-global coordinates, the merged result matches the serial assessment to
-floating-point merge error no matter how often work was re-attempted or
-where it ran.
+The unit of work is one chunk-aligned shard: a worker folds its trace
+range into partial :class:`~repro.tvla.moments.OnePassMoments` with the
+netlist, stimulus schedule and trace generator it built from ``spec.json``
+(once per process and campaign, see :func:`_campaign_context`), and
+**atomically** publishes the packed partial as
+``shards/shard_NNNN.moments`` before acking.  That file is the checkpoint:
+a campaign killed at any point resumes by enqueueing only the shards whose
+partial is missing (idempotent ``{hash}:shard:{k}`` queue keys make double
+submission a no-op), and a worker killed mid-shard simply loses its lease —
+the shard is redelivered once the lease expires.  Because every chunk's
+randomness is keyed to its global coordinates, the merged result matches
+the serial assessment to floating-point merge error no matter how often
+work was re-attempted or where it ran.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ import pickle
 import shutil
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..netlist.netlist import Netlist
+from ..power.traces import PowerTraceGenerator
 from ..reliability import faults
 from ..reliability.atomic import atomic_write_bytes
 from ..reliability.checkpoint import (
@@ -45,13 +48,14 @@ from ..reliability.checkpoint import (
     seal_checkpoint,
 )
 from ..tvla.assessment import (
+    CampaignPair,
     LeakageAssessment,
     TvlaConfig,
     aggregate_class_results,
     campaign_schedule,
     resolve_generator,
 )
-from ..tvla.sharding import _shard_moments_rebuilt, merge_shard_partials
+from ..tvla.sharding import _shard_moments, merge_shard_partials
 from .queue import TaskQueue
 from .serialize import pack_shard_moments, unpack_shard_moments
 from .spec import CampaignSpec
@@ -157,6 +161,120 @@ def load_spec(root: Union[str, Path], spec_hash: str) -> CampaignSpec:
             f"campaign directory {spec_hash[:12]}… holds a spec hashing to "
             f"{spec.content_hash[:12]}…")
     return spec
+
+
+# ----------------------------------------------------------------------
+# Per-campaign context (built once per process and campaign)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _CampaignContext:
+    """What every shard of one campaign derives from ``spec.json``.
+
+    The netlist, the full stimulus schedule and the trace generator are
+    pure functions of the spec, so all shards a process runs for one
+    campaign share them: the generator is read-only while it generates
+    (the sharded thread driver already shares one across threads) and
+    each shard slices its own trace range out of the schedule.
+    """
+
+    spec: CampaignSpec
+    netlist: Netlist
+    campaigns: Tuple[CampaignPair, ...]
+    generator: PowerTraceGenerator
+
+    @property
+    def gate_names(self) -> Tuple[str, ...]:
+        return self.generator.gate_names
+
+    def setflags(self, *, write: bool) -> None:
+        """Mark the schedule's stimulus arrays read-only (``write=False``).
+
+        A cached context is shared by every thread of the process, so its
+        arrays are frozen before it is published, like any other
+        process-wide table; a shared context never becomes writable again.
+        """
+        if write:
+            raise ValueError("a shared campaign context stays read-only")
+        for pair in self.campaigns:
+            for campaign in pair:
+                campaign.previous.setflags(write=False)
+                campaign.current.setflags(write=False)
+
+
+#: Contexts one process keeps.  ``collect_result`` evicts its campaign's
+#: context when it returns; the bound covers processes that never collect
+#: (external ``polaris-campaign work`` workers, the service).
+_CONTEXT_CACHE_SIZE = 4
+_CAMPAIGN_CONTEXT_CACHE: "OrderedDict[Tuple[str, str], _CampaignContext]" = \
+    OrderedDict()
+#: Guards the cache and the build-lock table (never held while building).
+_CONTEXT_LOCK = threading.Lock()
+#: One lock per key being built, so concurrent shards build it once.
+_CONTEXT_BUILD_LOCKS: Dict[Tuple[str, str], threading.Lock] = {}
+
+
+def _context_key(root: Union[str, Path], spec_hash: str) -> Tuple[str, str]:
+    return str(Path(root).resolve()), spec_hash
+
+
+def _cached_context(key: Tuple[str, str]) -> Optional[_CampaignContext]:
+    with _CONTEXT_LOCK:
+        context = _CAMPAIGN_CONTEXT_CACHE.get(key)
+        if context is not None:
+            _CAMPAIGN_CONTEXT_CACHE.move_to_end(key)
+        return context
+
+
+def _campaign_context(root: Union[str, Path],
+                      spec_hash: str) -> _CampaignContext:
+    """The campaign's spec, netlist, schedule and generator, built once.
+
+    Keyed by ``(resolved root, spec_hash)``: two roots holding the same
+    spec never share a context, so a fresh root always pays its own build.
+    A build that raises (missing or corrupt ``spec.json``) is not cached;
+    the next call tries again.
+    """
+    key = _context_key(root, spec_hash)
+    context = _cached_context(key)
+    if context is not None:
+        return context
+    with _CONTEXT_LOCK:
+        build_lock = _CONTEXT_BUILD_LOCKS.setdefault(key, threading.Lock())
+    with build_lock:
+        context = _cached_context(key)
+        if context is not None:
+            return context
+        try:
+            spec = load_spec(key[0], spec_hash)
+            netlist = spec.netlist()
+            context = _CampaignContext(
+                spec=spec, netlist=netlist,
+                campaigns=campaign_schedule(netlist, spec.tvla),
+                generator=resolve_generator(netlist, spec.tvla, None))
+            context.setflags(write=False)
+            with _CONTEXT_LOCK:
+                _CAMPAIGN_CONTEXT_CACHE[key] = context
+                while len(_CAMPAIGN_CONTEXT_CACHE) > _CONTEXT_CACHE_SIZE:
+                    _CAMPAIGN_CONTEXT_CACHE.popitem(last=False)
+        finally:
+            with _CONTEXT_LOCK:
+                _CONTEXT_BUILD_LOCKS.pop(key, None)
+    return context
+
+
+def _evict_campaign_context(root: Union[str, Path], spec_hash: str) -> None:
+    with _CONTEXT_LOCK:
+        _CAMPAIGN_CONTEXT_CACHE.pop(_context_key(root, spec_hash), None)
+
+
+def campaign_gate_names(root: Union[str, Path],
+                        spec_hash: str) -> Tuple[str, ...]:
+    """Column order of a submitted campaign's t-value arrays.
+
+    Served from this process's campaign context, so a process that also
+    runs the campaign's shards does not compile the design again.
+    """
+    return _campaign_context(root, spec_hash).gate_names
 
 
 # ----------------------------------------------------------------------
@@ -302,9 +420,11 @@ def run_shard_task(root: str, spec_hash: str,
                    shard_index: int) -> Dict[str, object]:
     """Compute one shard's partial accumulators and checkpoint them.
 
-    Rebuilds everything from ``spec.json`` (netlist, schedule, chunk RNG
-    streams are all pure functions of the spec), folds the shard's trace
-    range, and durably publishes the sha256-sealed packed partial.
+    Folds the shard's trace range with the campaign's context — the
+    netlist, schedule and generator this process built from ``spec.json``
+    for the first shard it ran (chunk RNG streams are pure functions of
+    the spec too) — and durably publishes the sha256-sealed packed
+    partial.
     Idempotent: if a *verified* checkpoint already exists — e.g. this is a
     duplicate delivery whose first execution acked late — the recompute is
     skipped; a corrupt checkpoint is quarantined and recomputed in place.
@@ -336,21 +456,16 @@ def run_shard_task(root: str, spec_hash: str,
         raise CampaignError(
             f"injected fault at worker.shard: shard {shard_index} of "
             f"campaign {spec_hash[:12]}… failed")
-    spec = load_spec(root, spec_hash)
-    config = spec.tvla
-    netlist = spec.netlist()
-    ranges = spec.shard_ranges()
+    context = _campaign_context(root, spec_hash)
+    ranges = context.spec.shard_ranges()
     if not 0 <= shard_index < len(ranges):
         raise CampaignError(
             f"shard {shard_index} out of range for campaign "
             f"{spec_hash[:12]}… with {len(ranges)} shard(s)")
     start, stop = ranges[shard_index]
-    campaigns = campaign_schedule(netlist, config)
-    sliced = tuple((pair[0].slice(start, stop), pair[1].slice(start, stop))
-                   for pair in campaigns)
     started = time.perf_counter()
-    partials = _shard_moments_rebuilt(netlist, sliced, config,
-                                      start // config.chunk_traces)
+    partials = _shard_moments(context.generator, context.campaigns,
+                              context.spec.tvla, start, stop)
     packed = pack_shard_moments(partials)
     # Durable all-or-nothing publish (fsync before rename); duplicate
     # deliveries racing here each use a private temp file and produce
@@ -432,7 +547,8 @@ def list_campaigns(root: Union[str, Path],
             if (path / "spec.json").exists()]
 
 
-def _merge_shard_results(shard_results: List[tuple], spec: CampaignSpec,
+def _merge_shard_results(shard_results: List[tuple],
+                         context: _CampaignContext,
                          started_at: float) -> LeakageAssessment:
     """Merge verified shard partials into the final assessment.
 
@@ -441,12 +557,10 @@ def _merge_shard_results(shard_results: List[tuple], spec: CampaignSpec,
     so a resumed or distributed campaign is bit-identical to an
     uninterrupted one with the same layout.
     """
-    config = spec.tvla
-    class_results = merge_shard_partials(shard_results, config)
-    netlist = spec.netlist()
-    generator = resolve_generator(netlist, config, None)
+    spec = context.spec
+    class_results = merge_shard_partials(shard_results, spec.tvla)
     return aggregate_class_results(class_results, spec.design_name,
-                                   generator.gate_names, config,
+                                   context.gate_names, spec.tvla,
                                    time.perf_counter() - started_at,
                                    streamed=True,
                                    n_shards=len(spec.shard_ranges()))
@@ -476,6 +590,10 @@ def collect_result(root: Union[str, Path], spec_hash: str,
     naming the casualties.  The degraded result is **not** stored — a
     resubmission after the fault is fixed recomputes the full campaign.
 
+    The merge takes its gate order from the campaign's context (shared
+    with any shard this process ran); the context is evicted when this
+    call returns or raises.
+
     Raises:
         CampaignError: when a shard task exhausted its retries (the worker
             traceback is included) — waiting longer cannot help.  With
@@ -488,60 +606,66 @@ def collect_result(root: Union[str, Path], spec_hash: str,
     cached = store.get(spec_hash)
     if cached is not None:
         return cached
-    spec = load_spec(root, spec_hash)
-    paths = CampaignPaths(root, spec_hash, key_prefix=shard_key_prefix)
-    ranges = spec.shard_ranges()
-    if queue is None:
-        queue = campaign_queue(root)
-    started_at = time.perf_counter()
-    deadline = None if timeout is None else time.monotonic() + timeout
-    verified: Dict[int, tuple] = {}
-    while True:
-        missing = []
-        for shard_index in range(len(ranges)):
-            if shard_index in verified:
-                continue  # checkpoints are immutable once verified
-            found = verified_checkpoint(paths, shard_index, queue=queue)
-            if found is None:
-                missing.append(shard_index)
-            else:
-                verified[shard_index] = found[1]
-        if not missing:
-            break
-        failed, failure = [], None
-        for shard_index in missing:
-            outcome = queue.outcome_by_key(paths.shard_key(shard_index))
-            if outcome is not None and outcome[0] == "failed":
-                failed.append(shard_index)
-                if failure is None:
-                    failure = (shard_index, outcome[2])
-        if failed:
-            if allow_partial and len(failed) == len(missing) and verified:
-                # Every outstanding shard is terminally dead: degrade.
-                assessment = _merge_shard_results(
-                    [verified[k] for k in sorted(verified)], spec,
-                    started_at)
-                assessment.failed_shards = tuple(failed)
-                return assessment  # degraded — deliberately not stored
-            if not allow_partial or not verified:
-                raise CampaignError(
-                    f"shard {failure[0]} of campaign {spec_hash[:12]}… "
-                    f"exhausted its retries:\n{failure[1]}")
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError(
-                f"campaign {spec_hash[:12]}… still missing shards "
-                f"{missing} after {timeout:.1f}s")
-        time.sleep(poll_interval)
-    assessment = _merge_shard_results(
-        [verified[k] for k in sorted(verified)], spec, started_at)
-    store.put(spec_hash, assessment, metadata={
-        "design_name": spec.design_name,
-        "n_shards": len(ranges),
-        "n_traces": spec.tvla.n_traces,
-    })
-    # Return the stored copy: later cache hits are bit-identical to it by
-    # construction (the round-trip itself is lossless).
-    return store.get(spec_hash)
+    try:
+        context = _campaign_context(root, spec_hash)
+        spec = context.spec
+        paths = CampaignPaths(root, spec_hash, key_prefix=shard_key_prefix)
+        ranges = spec.shard_ranges()
+        if queue is None:
+            queue = campaign_queue(root)
+        started_at = time.perf_counter()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        verified: Dict[int, tuple] = {}
+        while True:
+            missing = []
+            for shard_index in range(len(ranges)):
+                if shard_index in verified:
+                    continue  # checkpoints are immutable once verified
+                found = verified_checkpoint(paths, shard_index, queue=queue)
+                if found is None:
+                    missing.append(shard_index)
+                else:
+                    verified[shard_index] = found[1]
+            if not missing:
+                break
+            failed, failure = [], None
+            for shard_index in missing:
+                outcome = queue.outcome_by_key(paths.shard_key(shard_index))
+                if outcome is not None and outcome[0] == "failed":
+                    failed.append(shard_index)
+                    if failure is None:
+                        failure = (shard_index, outcome[2])
+            if failed:
+                if allow_partial and len(failed) == len(missing) and verified:
+                    # Every outstanding shard is terminally dead: degrade.
+                    assessment = _merge_shard_results(
+                        [verified[k] for k in sorted(verified)], context,
+                        started_at)
+                    assessment.failed_shards = tuple(failed)
+                    return assessment  # degraded — deliberately not stored
+                if not allow_partial or not verified:
+                    raise CampaignError(
+                        f"shard {failure[0]} of campaign {spec_hash[:12]}… "
+                        f"exhausted its retries:\n{failure[1]}")
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError(
+                    f"campaign {spec_hash[:12]}… still missing shards "
+                    f"{missing} after {timeout:.1f}s")
+            time.sleep(poll_interval)
+        assessment = _merge_shard_results(
+            [verified[k] for k in sorted(verified)], context, started_at)
+        store.put(spec_hash, assessment, metadata={
+            "design_name": spec.design_name,
+            "n_shards": len(ranges),
+            "n_traces": spec.tvla.n_traces,
+        })
+        # Return the stored copy: later cache hits are bit-identical to it by
+        # construction (the round-trip itself is lossless).
+        return store.get(spec_hash)
+    finally:
+        # Merged, degraded or given up on: this process is done with
+        # the campaign, so its context goes.
+        _evict_campaign_context(root, spec_hash)
 
 
 # ----------------------------------------------------------------------

@@ -376,6 +376,8 @@ class PowerTraceGenerator:
             self._gates.extend(gates)
             row += len(gates)
         self._sim_nets: Tuple[str, ...] = tuple(sim_nets)
+        #: Column order of every trace matrix; ``_gates`` is final here.
+        self._gate_names: Tuple[str, ...] = tuple(g.name for g in self._gates)
         #: Lazily built per-subgroup trace-dtype value tables (noise offset
         #: folded in) used by the packed extraction path; see
         #: :meth:`_packed_value_tables`.
@@ -402,7 +404,7 @@ class PowerTraceGenerator:
     @property
     def gate_names(self) -> Tuple[str, ...]:
         """Order of the per-gate power columns."""
-        return tuple(g.name for g in self._gates)
+        return self._gate_names
 
     @property
     def n_gates(self) -> int:

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from ..campaign.queue import TaskQueue
 from ..campaign.runner import (
     CampaignPaths,
+    campaign_gate_names,
     campaign_status,
     campaign_store,
     load_spec,
@@ -57,11 +58,7 @@ from ..campaign.serialize import (
     unpack_shard_moments,
 )
 from ..campaign.spec import CampaignSpec
-from ..tvla.assessment import (
-    LeakageAssessment,
-    aggregate_class_results,
-    resolve_generator,
-)
+from ..tvla.assessment import LeakageAssessment, aggregate_class_results
 from ..tvla.sharding import merge_shard_partials
 from .protocol import (
     CampaignAccepted,
@@ -104,9 +101,8 @@ class _Campaign:
 
     def gate_names(self) -> Tuple[str, ...]:
         if self._gate_names is None:
-            netlist = self.spec.netlist()
-            generator = resolve_generator(netlist, self.spec.tvla, None)
-            self._gate_names = tuple(generator.gate_names)
+            self._gate_names = campaign_gate_names(self.paths.root,
+                                                   self.spec.content_hash)
         return self._gate_names
 
 

@@ -966,6 +966,289 @@ class TestSamplerCampaigns:
 
 
 # ----------------------------------------------------------------------
+# Per-campaign context: one spec/netlist/schedule/generator per process
+# ----------------------------------------------------------------------
+def _count_generators(monkeypatch):
+    """Count every ``PowerTraceGenerator`` constructed from now on."""
+    from repro.power.traces import PowerTraceGenerator
+
+    built = {"n": 0}
+    original = PowerTraceGenerator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["n"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PowerTraceGenerator, "__init__", counting_init)
+    return built
+
+
+def _drain_with_threads(root, n_threads):
+    import threading
+
+    threads = [threading.Thread(
+        target=run_worker, kwargs=dict(queue=campaign_queue(root),
+                                       worker=f"t{index}", drain=True))
+        for index in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestCampaignContext:
+    def test_one_generator_per_campaign_and_none_at_collect(
+            self, small_benchmark, campaign_config, campaign_root,
+            monkeypatch):
+        from repro.campaign import runner
+
+        outcome = submit_campaign(campaign_root, netlist=small_benchmark,
+                                  config=campaign_config, n_shards=4)
+        assert outcome.n_shards_total == 4
+        built = _count_generators(monkeypatch)
+        _drain_with_threads(campaign_root, 2)
+        assert built["n"] == 1
+        key = runner._context_key(campaign_root, outcome.spec_hash)
+        assert key in runner._CAMPAIGN_CONTEXT_CACHE
+        collect_result(campaign_root, outcome.spec_hash, timeout=60)
+        assert built["n"] == 1
+        # Evicted once collect returns.
+        assert key not in runner._CAMPAIGN_CONTEXT_CACHE
+
+    def test_degraded_collect_evicts_context(self, small_benchmark,
+                                             campaign_config, campaign_root):
+        from repro.campaign import runner
+
+        outcome = submit_campaign(campaign_root, netlist=small_benchmark,
+                                  config=campaign_config, n_shards=2)
+        queue = campaign_queue(campaign_root)
+        paths = CampaignPaths(campaign_root, outcome.spec_hash)
+        for _ in range(queue.default_max_attempts):
+            task = queue.claim()
+            assert task.key == paths.shard_key(0)
+            queue.fail(task.task_id, task.lease_token, "poisoned")
+        run_worker(queue, drain=True)  # shard 1 succeeds
+        key = runner._context_key(campaign_root, outcome.spec_hash)
+        assert key in runner._CAMPAIGN_CONTEXT_CACHE
+        degraded = collect_result(campaign_root, outcome.spec_hash,
+                                  timeout=5, allow_partial=True)
+        assert degraded.failed_shards == (0,)
+        assert key not in runner._CAMPAIGN_CONTEXT_CACHE
+
+    def test_roots_never_share_a_context(self, small_benchmark,
+                                         campaign_config, tmp_path,
+                                         monkeypatch):
+        from repro.campaign import runner
+
+        roots = [tmp_path / "a", tmp_path / "b"]
+        hashes = {submit_campaign(root, netlist=small_benchmark,
+                                  config=campaign_config,
+                                  n_shards=2).spec_hash for root in roots}
+        assert len(hashes) == 1
+        spec_hash = hashes.pop()
+        built = _count_generators(monkeypatch)
+        contexts = [runner._campaign_context(root, spec_hash)
+                    for root in roots]
+        assert built["n"] == 2
+        assert contexts[0] is not contexts[1]
+        assert runner._campaign_context(roots[0], spec_hash) is contexts[0]
+        assert built["n"] == 2
+
+    @pytest.mark.parametrize("damage", ["corrupt", "missing"])
+    def test_failed_build_is_not_cached(self, small_benchmark,
+                                        campaign_config, campaign_root,
+                                        damage):
+        from repro.campaign import runner
+        from repro.campaign.runner import run_shard_task
+
+        outcome = submit_campaign(campaign_root, netlist=small_benchmark,
+                                  config=campaign_config, n_shards=2)
+        spec_path = CampaignPaths(campaign_root, outcome.spec_hash).spec_path
+        good = spec_path.read_bytes()
+        if damage == "corrupt":
+            spec_path.write_bytes(good[:len(good) // 2])
+        else:
+            spec_path.unlink()
+        with pytest.raises((ValueError, FileNotFoundError)):
+            run_shard_task(str(campaign_root), outcome.spec_hash, 0)
+        key = runner._context_key(campaign_root, outcome.spec_hash)
+        assert key not in runner._CAMPAIGN_CONTEXT_CACHE
+        spec_path.write_bytes(good)
+        done = run_shard_task(str(campaign_root), outcome.spec_hash, 0)
+        assert done["skipped"] is False
+        assert key in runner._CAMPAIGN_CONTEXT_CACHE
+
+    def test_quarantined_checkpoint_recomputed_from_context(
+            self, small_benchmark, campaign_root):
+        from repro.campaign.runner import run_shard_task
+
+        config = TvlaConfig(sampler="counter", **CAMPAIGN_TVLA)
+        outcome = submit_campaign(campaign_root, netlist=small_benchmark,
+                                  config=config, n_shards=3)
+        run_worker(campaign_queue(campaign_root), drain=True)
+        paths = CampaignPaths(campaign_root, outcome.spec_hash)
+        shard_path = paths.shard_path(1)
+        sealed = shard_path.read_bytes()
+        tampered = bytearray(sealed)
+        tampered[len(sealed) // 2] ^= 0xFF  # breaks the seal's digest
+        shard_path.write_bytes(bytes(tampered))
+        redone = run_shard_task(str(campaign_root), outcome.spec_hash, 1)
+        assert redone["skipped"] is False
+        assert shard_path.read_bytes() == sealed
+        assert shard_path.with_name(shard_path.name + ".corrupt").exists()
+        result = collect_result(campaign_root, outcome.spec_hash, timeout=60)
+        reference = assess_leakage(small_benchmark, config)
+        assert np.array_equal(result.t_values, reference.t_values)
+
+    def test_concurrent_first_use_builds_once(self, tiny_netlist, tmp_path,
+                                              monkeypatch):
+        import sys
+        import threading
+        from repro.campaign import runner
+
+        config = TvlaConfig(n_traces=40, n_fixed_classes=1, seed=5,
+                            chunk_traces=20)
+        roots = [tmp_path / f"root{index}" for index in range(3)]
+        hashes = [submit_campaign(root, netlist=tiny_netlist, config=config,
+                                  n_shards=1).spec_hash for root in roots]
+        built = _count_generators(monkeypatch)
+        seen = []
+        barrier = threading.Barrier(12)
+
+        def use(root, spec_hash):
+            barrier.wait(timeout=30)
+            seen.append((root, runner._campaign_context(root, spec_hash)))
+
+        threads = [threading.Thread(target=use, args=(roots[i % 3],
+                                                      hashes[i % 3]))
+                   for i in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert built["n"] == 3  # one build per root, however many callers
+        for root in roots:
+            assert len({id(context) for owner, context in seen
+                        if owner == root}) == 1
+        assert len(runner._CAMPAIGN_CONTEXT_CACHE) <= \
+            runner._CONTEXT_CACHE_SIZE
+
+    def test_cache_never_exceeds_its_bound(self, tiny_netlist, tmp_path):
+        from repro.campaign import runner
+
+        config = TvlaConfig(n_traces=40, n_fixed_classes=1, seed=5,
+                            chunk_traces=20)
+        bound = runner._CONTEXT_CACHE_SIZE
+        keys = []
+        for index in range(bound + 2):
+            root = tmp_path / f"root{index}"
+            spec_hash = submit_campaign(root, netlist=tiny_netlist,
+                                        config=config,
+                                        n_shards=1).spec_hash
+            runner.campaign_gate_names(root, spec_hash)
+            keys.append(runner._context_key(root, spec_hash))
+            assert len(runner._CAMPAIGN_CONTEXT_CACHE) <= bound
+        assert keys[0] not in runner._CAMPAIGN_CONTEXT_CACHE
+        assert keys[1] not in runner._CAMPAIGN_CONTEXT_CACHE
+        assert keys[-1] in runner._CAMPAIGN_CONTEXT_CACHE
+
+    def test_context_schedule_is_read_only(self, tiny_netlist,
+                                           campaign_root):
+        from repro.campaign import runner
+
+        config = TvlaConfig(n_traces=40, n_fixed_classes=1, seed=5,
+                            chunk_traces=20)
+        spec_hash = submit_campaign(campaign_root, netlist=tiny_netlist,
+                                    config=config, n_shards=1).spec_hash
+        context = runner._campaign_context(campaign_root, spec_hash)
+        for pair in context.campaigns:
+            for campaign in pair:
+                assert not campaign.previous.flags.writeable
+                assert not campaign.current.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            context.setflags(write=True)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_counter_campaign_bitwise_serial(self, small_benchmark,
+                                             campaign_root, order):
+        config = TvlaConfig(sampler="counter", tvla_order=order,
+                            **CAMPAIGN_TVLA)
+        reference = assess_leakage(small_benchmark, config)
+        result = run_campaign(campaign_root, small_benchmark, config,
+                              n_shards=4, n_workers=2)
+        _assert_order_t_values_equal(result, reference)
+
+    def test_format2_sequence_campaign_bitwise_serial(self, small_benchmark,
+                                                      campaign_config,
+                                                      campaign_root):
+        import dataclasses
+        import hashlib
+
+        config = dataclasses.replace(campaign_config, sampler="sequence",
+                                     tvla_order=3)
+        data = json.loads(CampaignSpec.from_netlist(
+            small_benchmark, config, 4).to_json())
+        data["format"] = 2
+        del data["tvla"]["sampler"]
+        legacy = CampaignSpec.from_json(json.dumps(
+            {**data, "content_hash": None}))
+        data["content_hash"] = hashlib.sha256(
+            legacy.canonical_payload(2).encode("utf-8")).hexdigest()
+        spec = CampaignSpec.from_json(json.dumps(data))
+        assert spec.tvla.sampler == "sequence"
+        outcome = submit_campaign(campaign_root, spec=spec)
+        _drain_with_threads(campaign_root, 2)
+        result = collect_result(campaign_root, outcome.spec_hash, timeout=60)
+        reference = assess_leakage(small_benchmark, config)
+        _assert_order_t_values_equal(result, reference)
+
+
+def _assert_order_t_values_equal(result, reference):
+    assert np.array_equal(result.t_values, reference.t_values)
+    assert sorted(result.order_t_values) == sorted(reference.order_t_values)
+    for order, values in reference.order_t_values.items():
+        assert np.array_equal(result.order_t_values[order], values)
+
+
+class TestDrainWakeUp:
+    def test_idle_drainer_wakes_when_sibling_acks(self, tmp_path):
+        """A draining worker waiting on a sibling's lease exits as soon as
+        that sibling acks, not a full ``poll_interval`` later."""
+        import threading
+
+        queue = TaskQueue(tmp_path / "q.sqlite")
+        queue.put(pickle.dumps((_nap, (0.05,), {})))
+        queue.put(pickle.dumps((_nap, (1.0,), {})))
+        exited = {}
+
+        def drain(name):
+            run_worker(TaskQueue(tmp_path / "q.sqlite"), worker=name,
+                       drain=True, poll_interval=5.0)
+            exited[name] = time.monotonic()
+
+        threads = [threading.Thread(target=drain, args=(name,), daemon=True)
+                   for name in ("w0", "w1")]
+        started = time.monotonic()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads)
+        assert queue.counts()["done"] == 2
+        # The slow task takes 1 s; the fast worker idles from ~0.05 s on
+        # and must leave right after the slow worker's ack.
+        assert abs(exited["w0"] - exited["w1"]) < 1.0
+        assert max(exited.values()) - started < 4.0
+
+
+# ----------------------------------------------------------------------
 # The slow-but-alive worker: SIGSTOP past lease expiry
 # ----------------------------------------------------------------------
 class TestSlowButAliveWorker:

@@ -238,6 +238,15 @@ class TestCampaignSpec:
         assert first.content_hash == second.content_hash
         assert len(first.content_hash) == 64
 
+    def test_hash_value_is_pinned(self, small_benchmark):
+        # Stored campaign directories and result stores are addressed by
+        # this digest: removing a TvlaConfig field must not move it.
+        config = TvlaConfig(n_traces=240, n_fixed_classes=2, seed=7,
+                            chunk_traces=48, streaming=True)
+        spec = CampaignSpec.from_netlist(small_benchmark, config, 3)
+        assert spec.content_hash == (
+            "27bc64eadcb89deb413ae1565f956b06563aa183ec37c0ea0325216c9f29a35e")
+
     def test_hash_covers_every_axis(self, small_benchmark, tiny_netlist,
                                     campaign_config):
         import dataclasses

@@ -44,7 +44,6 @@ from typing import List, Optional
 from ..netlist.benchmarks import load_benchmark
 from ..netlist.parser import parse_bench_file
 from ..power.traces import POWER_BACKENDS
-from ..power.ctrsample import SAMPLERS
 from ..tvla.assessment import SUPPORTED_TVLA_ORDERS, TvlaConfig
 from .queue import run_worker
 from .runner import (
@@ -97,13 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="power-engine toggle extraction (packed = "
                              "bit-packed fast path, unpacked = oracle; "
                              "bit-identical results, different hashes)")
-    submit.add_argument("--sampler", default="counter",
-                        choices=SAMPLERS,
-                        help="mask/noise sampling discipline (counter = "
-                             "Philox coordinate draws, bitwise layout-"
-                             "invariant; sequence = legacy SeedSequence "
-                             "streams; different samplers draw different "
-                             "traces and hash differently)")
     submit.add_argument("--tenant", default=None,
                         help="tenant id: campaign lives under "
                              "<root>/tenants/<tenant> with namespaced "
@@ -249,8 +241,7 @@ def _submit(args: argparse.Namespace) -> int:
                         n_fixed_classes=args.classes, seed=args.seed,
                         chunk_traces=args.chunk_traces,
                         tvla_order=args.order,
-                        power_backend=args.power_backend,
-                        sampler=args.sampler)
+                        power_backend=args.power_backend)
     if args.follow:
         return _submit_follow(args, netlist, config)
     root, queue, prefix = _tenant_scope(args.root, args.tenant)

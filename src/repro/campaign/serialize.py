@@ -2,15 +2,14 @@
 
 Two wire formats live here:
 
-* **Shard partials** — a shard's :data:`~repro.tvla.sharding.ShardPartials`
-  packed as length-prefixed :meth:`OnePassMoments.to_bytes` blobs.  Two
-  sub-formats share the dispatch: ``SHM1`` for sequence-sampler shards
-  (per class, one merged ``(group0, group1)`` accumulator pair) and
-  ``SHM2`` for counter-sampler shards (per class and group, a **list** of
-  per-chunk accumulators, kept unmerged so the campaign merge can
-  left-fold them in global chunk order).  This is the unit the checkpoint
-  layer persists and the queue ships between workers; the round-trip is
-  bit-identical, so resumed/distributed merges equal in-process ones.
+* **Shard partials** — a shard's
+  :data:`~repro.tvla.sharding.ShardChunkMoments` packed as ``SHM2``:
+  length-prefixed :meth:`OnePassMoments.to_bytes` blobs, per class and
+  group a **list** of per-chunk accumulators, kept unmerged so the
+  campaign merge can left-fold them in global chunk order.  This is the
+  unit the checkpoint layer persists and the queue ships between workers;
+  the round-trip is bit-identical, so resumed/distributed merges equal
+  in-process ones.
 * **Assessments** — a full :class:`~repro.tvla.assessment.LeakageAssessment`
   as a JSON-able dict whose arrays are base64 of the raw little-endian
   float64 buffers (never decimal text), so a result served from the
@@ -27,12 +26,9 @@ import numpy as np
 
 from ..tvla.assessment import LeakageAssessment
 from ..tvla.moments import OnePassMoments
-from ..tvla.sharding import ShardChunkMoments, ShardMoments, ShardPartials
+from ..tvla.sharding import ShardChunkMoments
 
-#: Magic + version prefix of the packed shard-partial format (one merged
-#: accumulator pair per class — sequence-sampler shards).
-_SHARD_MAGIC = b"SHM1"
-#: Magic of the per-chunk variant (counter-sampler shards: unmerged
+#: Magic + version prefix of the packed shard-partial format (unmerged
 #: per-chunk accumulator lists per class and group).
 _SHARD_CHUNK_MAGIC = b"SHM2"
 
@@ -56,69 +52,43 @@ def _read_accumulator(payload: bytes,
     return OnePassMoments.from_bytes(blob), offset + length
 
 
-def pack_shard_moments(partials: ShardPartials) -> bytes:
-    """Pack one shard's per-class accumulators into a byte string.
-
-    The wire format follows the partial form: merged pairs
-    (:data:`ShardMoments`) pack as ``SHM1`` exactly as before this format
-    existed; per-chunk lists (:data:`ShardChunkMoments`) pack as ``SHM2``
-    with an extra chunk-count prefix per group.
-    """
-    if partials and isinstance(partials[0][0], list):
-        chunks = [_SHARD_CHUNK_MAGIC, struct.pack("<I", len(partials))]
-        for pair in partials:
-            for group in pair:
-                chunks.append(struct.pack("<I", len(group)))
-                for accumulator in group:
-                    blob = accumulator.to_bytes()
-                    chunks.append(struct.pack("<I", len(blob)))
-                    chunks.append(blob)
-        return b"".join(chunks)
-    chunks = [_SHARD_MAGIC, struct.pack("<I", len(partials))]
+def pack_shard_moments(partials: ShardChunkMoments) -> bytes:
+    """Pack one shard's per-class, per-chunk accumulators into a byte
+    string (``SHM2``: a chunk-count prefix per group, then the
+    length-prefixed accumulator blobs)."""
+    chunks = [_SHARD_CHUNK_MAGIC, struct.pack("<I", len(partials))]
     for pair in partials:
-        for accumulator in pair:
-            blob = accumulator.to_bytes()
-            chunks.append(struct.pack("<I", len(blob)))
-            chunks.append(blob)
+        for group in pair:
+            chunks.append(struct.pack("<I", len(group)))
+            for accumulator in group:
+                blob = accumulator.to_bytes()
+                chunks.append(struct.pack("<I", len(blob)))
+                chunks.append(blob)
     return b"".join(chunks)
 
 
-def unpack_shard_moments(payload: bytes) -> ShardPartials:
+def unpack_shard_moments(payload: bytes) -> ShardChunkMoments:
     """Rebuild the partials packed by :func:`pack_shard_moments`.
-
-    Dispatches on the magic, so checkpoints written by either sampler
-    discipline (or by pre-``SHM2`` builds) all load.
 
     Raises:
         ValueError: for truncated or foreign payloads.
     """
-    if payload.startswith(_SHARD_CHUNK_MAGIC):
-        offset = len(_SHARD_CHUNK_MAGIC)
-        n_classes, offset = _read_u32(payload, offset)
-        per_chunk: ShardChunkMoments = []
-        for _ in range(n_classes):
-            groups: List[List[OnePassMoments]] = []
-            for _ in range(2):
-                n_chunks, offset = _read_u32(payload, offset)
-                group: List[OnePassMoments] = []
-                for _ in range(n_chunks):
-                    accumulator, offset = _read_accumulator(payload, offset)
-                    group.append(accumulator)
-                groups.append(group)
-            per_chunk.append((groups[0], groups[1]))
-        return per_chunk
-    if not payload.startswith(_SHARD_MAGIC):
+    if not payload.startswith(_SHARD_CHUNK_MAGIC):
         raise ValueError("not a packed shard-moments payload")
-    offset = len(_SHARD_MAGIC)
+    offset = len(_SHARD_CHUNK_MAGIC)
     n_classes, offset = _read_u32(payload, offset)
-    partials: ShardMoments = []
+    per_chunk: ShardChunkMoments = []
     for _ in range(n_classes):
-        pair = []
+        groups: List[List[OnePassMoments]] = []
         for _ in range(2):
-            accumulator, offset = _read_accumulator(payload, offset)
-            pair.append(accumulator)
-        partials.append((pair[0], pair[1]))
-    return partials
+            n_chunks, offset = _read_u32(payload, offset)
+            group: List[OnePassMoments] = []
+            for _ in range(n_chunks):
+                accumulator, offset = _read_accumulator(payload, offset)
+                group.append(accumulator)
+            groups.append(group)
+        per_chunk.append((groups[0], groups[1]))
+    return per_chunk
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,10 @@ one TVLA campaign: the netlist (as BENCH text), the full
 payload, which gives the campaign subsystem its two core properties:
 
 * **Work units are pure functions of the spec.**  A worker anywhere can
-  rebuild the netlist, the stimulus schedule and every chunk's RNG stream
-  from the spec alone (the per-chunk ``SeedSequence`` scheme keys
-  randomness to global chunk coordinates), so shard partials computed on
-  different machines merge losslessly.
+  rebuild the netlist, the stimulus schedule and every chunk's counter
+  draws from the spec alone (randomness is keyed to global chunk
+  coordinates), so shard partials computed on different machines merge
+  losslessly.
 * **Results are content-addressed.**  Two submissions with the same hash
   are by construction the same campaign; the second is served from
   :class:`repro.campaign.store.ResultStore` bit-identically, without
@@ -40,17 +40,14 @@ from ..tvla.sharding import shard_trace_ranges
 #: Bumped whenever the hashed payload layout (or the semantics of any
 #: hashed field) changes, so stale stores can never serve foreign results.
 #: Format 2 added ``TvlaConfig.power_backend`` to the hashed config;
-#: format 3 added ``TvlaConfig.sampler`` (the counter/sequence sampling
-#: discipline — campaigns with different samplers draw different traces,
-#: so the sampler must separate content hashes).
+#: format 3 added the mask/noise sampler.  Only format 3 loads: format-2
+#: campaigns drew through a sampler this build no longer has.
 SPEC_FORMAT = 3
 
-#: Older spec formats :meth:`CampaignSpec.from_json` still loads.  A
-#: format-2 file predates the ``sampler`` knob and therefore describes a
-#: ``sampler="sequence"`` campaign (the only discipline that existed);
-#: its stored ``content_hash`` is verified against the format-2 payload
-#: it was computed over.
-_COMPAT_FORMATS = (2,)
+#: The mask/noise sampler of every campaign.  Format 3 hashed it as a
+#: ``TvlaConfig`` field that has since been removed; the serialised config
+#: keeps the constant key so every stored format-3 hash stays valid.
+_SAMPLER = "counter"
 
 
 def tvla_config_to_dict(config: TvlaConfig) -> Dict[str, object]:
@@ -59,12 +56,23 @@ def tvla_config_to_dict(config: TvlaConfig) -> Dict[str, object]:
             for field in fields(config) if field.name != "power"}
     data["power"] = {field.name: getattr(config.power, field.name)
                      for field in fields(PowerModelConfig)}
+    # Constant, but hashed: format-3 hashes were computed with this key.
+    data["sampler"] = _SAMPLER
     return data
 
 
 def tvla_config_from_dict(data: Dict[str, object]) -> TvlaConfig:
-    """Rebuild a :class:`TvlaConfig` serialised by :func:`tvla_config_to_dict`."""
+    """Rebuild a :class:`TvlaConfig` serialised by :func:`tvla_config_to_dict`.
+
+    Raises:
+        ValueError: for a ``sampler`` other than ``"counter"``.
+    """
     data = dict(data)
+    sampler = data.pop("sampler", _SAMPLER)
+    if sampler != _SAMPLER:
+        raise ValueError(
+            f"campaign sampler {sampler!r} is not supported: every campaign "
+            f"draws through the {_SAMPLER!r} sampler")
     power = PowerModelConfig(**data.pop("power"))
     return TvlaConfig(power=power, **data)
 
@@ -138,21 +146,13 @@ class CampaignSpec:
         return shard_trace_ranges(self.tvla.n_traces, self.n_shards,
                                   self.tvla.chunk_traces)
 
-    def canonical_payload(self, spec_format: int = SPEC_FORMAT) -> str:
-        """The canonical JSON string the content hash is computed over.
-
-        ``spec_format`` selects the payload layout of an older format
-        (used to verify the stored hash of a legacy spec file); format 2
-        predates — and therefore omits — the ``sampler`` field.
-        """
-        tvla = tvla_config_to_dict(self.tvla)
-        if spec_format < 3:
-            tvla.pop("sampler", None)
+    def canonical_payload(self) -> str:
+        """The canonical JSON string the content hash is computed over."""
         return json.dumps({
-            "format": spec_format,
+            "format": SPEC_FORMAT,
             "design_name": self.design_name,
             "bench_text": self.bench_text,
-            "tvla": tvla,
+            "tvla": tvla_config_to_dict(self.tvla),
             "n_shards": self.n_shards,
         }, sort_keys=True, separators=(",", ":"))
 
@@ -183,38 +183,27 @@ class CampaignSpec:
     def from_json(cls, text: str) -> "CampaignSpec":
         """Rebuild a spec written by :meth:`to_json`.
 
-        Specs of the formats in :data:`_COMPAT_FORMATS` load too: a
-        format-2 file (pre-``sampler``) describes a
-        ``sampler="sequence"`` campaign, and its stored hash is verified
-        against the format-2 payload it was computed over, so legacy
-        campaign directories keep resuming bit-identically.
-
         Raises:
-            ValueError: for unknown format versions or a stored
+            ValueError: for a format other than :data:`SPEC_FORMAT` (a
+                format-2 spec drew through a retired sampler), a
+                ``sampler`` other than ``"counter"``, or a stored
                 ``content_hash`` that no longer matches (corrupt or
                 hand-edited spec files must never be silently trusted).
         """
         data = json.loads(text)
         spec_format = data.get("format")
-        if spec_format != SPEC_FORMAT and spec_format not in _COMPAT_FORMATS:
+        if spec_format != SPEC_FORMAT:
             raise ValueError(
-                f"unsupported campaign spec format {spec_format!r} "
-                f"(this build understands {SPEC_FORMAT} and "
-                f"{_COMPAT_FORMATS})")
-        tvla_data = dict(data["tvla"])
-        if spec_format < 3:
-            # The sampler knob did not exist: every legacy campaign drew
-            # through the SeedSequence discipline.
-            tvla_data["sampler"] = "sequence"
+                f"unsupported campaign spec format {spec_format!r}: this "
+                f"build reads format {SPEC_FORMAT} only (format-2 specs "
+                f"drew through the retired SeedSequence sampler)")
         spec = cls(design_name=data["design_name"],
                    bench_text=data["bench_text"],
-                   tvla=tvla_config_from_dict(tvla_data),
+                   tvla=tvla_config_from_dict(data["tvla"]),
                    n_shards=data["n_shards"])
         stored = data.get("content_hash")
         if stored is not None:
-            expected = hashlib.sha256(
-                spec.canonical_payload(spec_format).encode("utf-8")
-            ).hexdigest()
+            expected = spec.content_hash
             if stored != expected:
                 raise ValueError(
                     f"campaign spec hash mismatch: file says "

@@ -143,8 +143,7 @@ def paper_configuration(chunk_traces: int = 2048,
                         streaming: Optional[bool] = None,
                         tvla_order: int = 1,
                         sim_backend: str = "compiled",
-                        power_backend: str = "packed",
-                        sampler: str = "counter") -> PolarisConfig:
+                        power_backend: str = "packed") -> PolarisConfig:
     """The exact parameterisation reported in §V-A of the paper.
 
     (10,000 TVLA traces, ``Msize = 200``, ``L = 7``, ``itr = 100``,
@@ -168,13 +167,6 @@ def paper_configuration(chunk_traces: int = 2048,
             default — or ``"unpacked"``, the bool-matrix oracle); both
             generate bit-identical traces, see
             :class:`repro.tvla.TvlaConfig`.
-        sampler: Mask/noise sampling discipline (``"counter"`` — stateless
-            Philox draws keyed by ``(seed, class, group, chunk, lane)``
-            coordinates, bitwise layout-invariant across shard counts —
-            or ``"sequence"``, the legacy per-chunk ``SeedSequence``
-            streams).  The two disciplines draw *different* traces, so
-            they hash to different campaigns; see
-            :mod:`repro.power.ctrsample`.
     """
     return PolarisConfig(
         msize=200,
@@ -184,6 +176,6 @@ def paper_configuration(chunk_traces: int = 2048,
         tvla=TvlaConfig(n_traces=10_000, power=PowerModelConfig(),
                         chunk_traces=chunk_traces, streaming=streaming,
                         tvla_order=tvla_order, sim_backend=sim_backend,
-                        power_backend=power_backend, sampler=sampler),
+                        power_backend=power_backend),
         model=ModelConfig(model_type="adaboost", learning_rate=0.01),
     )

@@ -1,7 +1,7 @@
 """Power modelling: per-gate traces, noise, and area/power/delay analysis."""
 
 from .bitops import popcount16, popcount_rows, words_for_units
-from .ctrsample import SAMPLERS, CounterDraws, CounterStream
+from .ctrsample import CounterDraws, CounterStream
 from .model import GatePowerModel, PowerModelConfig
 from .traces import POWER_BACKENDS, PowerTraceGenerator, PowerTraces
 from .overhead import (
@@ -16,7 +16,6 @@ __all__ = [
     "popcount16",
     "popcount_rows",
     "words_for_units",
-    "SAMPLERS",
     "CounterDraws",
     "CounterStream",
     "GatePowerModel",

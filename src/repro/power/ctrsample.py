@@ -1,31 +1,21 @@
-"""Counter-based stateless mask/noise sampling (``TvlaConfig.sampler``).
+"""Counter-based stateless mask/noise sampling.
 
 The streaming TVLA engine draws two kinds of randomness per trace chunk:
 per-trace mask bytes for every masked composite sub-group and raw words for
-the popcount measurement-noise sampler.  Two sampler disciplines provide
-those draws:
-
-* ``"counter"`` (default, this module) — a Philox-4x64-10 counter-block
-  cipher keyed by the campaign seed, where the 256-bit counter encodes the
-  draw *coordinates* ``(class, group, chunk, lane)``.  Every chunk's bits
-  are a pure function of its coordinates: no generator object advances, no
-  seed tree is walked, and shard-layout invariance holds **by
-  construction** — any chunking/sharding/executor layout reads the very
-  same blocks.  The raw counter words are consumed directly: a 64-bit
-  block *is* eight packed mask bytes (the per-gate table gather indexes on
-  the raw byte, so a separate per-trace mask integer never materialises),
-  and noise popcounts are taken straight off 16-bit views of the same
-  words.  :meth:`CounterDraws.mask_planes` additionally emits the mask
-  bits in packed bit-sliced form (one ``numpy.packbits`` plane per mask
-  bit) for packed consumers, pinned against the byte emission by the
-  property suite in ``tests/test_ctrsample.py``.
-* ``"sequence"`` — the nested ``numpy.random.SeedSequence.spawn``
-  discipline introduced with sharded TVLA
-  (:func:`repro.tvla.assessment.chunk_seed_streams`).  It achieves the
-  same layout invariance operationally (every chunk gets its own spawned
-  stream) and is retained **frozen** as the oracle for the stateless
-  contract: its draws are pinned bit-identical to the pre-counter
-  implementation by golden regression tests.
+the popcount measurement-noise sampler.  Both come from a Philox-4x64-10
+counter-block cipher keyed by the campaign seed, where the 256-bit counter
+encodes the draw *coordinates* ``(class, group, chunk, lane)``.  Every
+chunk's bits are a pure function of its coordinates: no generator object
+advances, no seed tree is walked, and shard-layout invariance holds **by
+construction** — any chunking/sharding/executor layout reads the very same
+blocks.  The raw counter words are consumed directly: a 64-bit block *is*
+eight packed mask bytes (the per-gate table gather indexes on the raw byte,
+so a separate per-trace mask integer never materialises), and noise
+popcounts are taken straight off 16-bit views of the same words.
+:meth:`CounterDraws.mask_planes` additionally emits the mask bits in packed
+bit-sliced form (one ``numpy.packbits`` plane per mask bit) for packed
+consumers, pinned against the byte emission by the property suite in
+``tests/test_ctrsample.py``.
 
 Production bits come from :class:`numpy.random.Philox` (C implementation);
 :func:`philox_blocks_reference` re-implements the full 10-round bumped-key
@@ -58,11 +48,6 @@ from typing import Tuple
 import numpy as np
 
 from .bitops import popcount16, words_for_units
-
-#: Sampler disciplines accepted by ``TvlaConfig.sampler``: ``"counter"``
-#: (stateless Philox counter blocks, default) and ``"sequence"`` (the
-#: frozen ``SeedSequence``-spawn oracle).
-SAMPLERS = ("counter", "sequence")
 
 #: Lane of the fast-noise popcount words.
 NOISE_LANE = 0
@@ -263,12 +248,9 @@ class CounterDraws:
 class CounterStream:
     """Per-``(seed, class, group)`` factory of chunk draws.
 
-    The counter sampler's analogue of the sequence sampler's spawned
-    seed list: where :func:`repro.tvla.assessment.chunk_seed_streams`
-    returns one ``SeedSequence`` per chunk, this returns a
-    :class:`CounterDraws` for any **global** chunk index on demand —
-    shards never re-derive local coordinates, they just ask for the global
-    chunks of their range.
+    Returns a :class:`CounterDraws` for any **global** chunk index on
+    demand — shards never re-derive local coordinates, they just ask for
+    the global chunks of their range.
     """
 
     __slots__ = ("seed", "class_index", "group_index")

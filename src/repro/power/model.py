@@ -188,9 +188,7 @@ class GatePowerModel:
                 (computed by the trace generator from the driver gate types
                 via :meth:`input_glitch_factor`).
             rng: Generator for the fresh mask bits; defaults to the model's
-                own stream.  The chunked TVLA driver passes per-chunk
-                ``SeedSequence``-spawned generators so draws are independent
-                of how a campaign is chunked or sharded.
+                own stream.
 
         Returns:
             Float array (n_traces,) of noiseless power samples.

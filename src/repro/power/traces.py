@@ -8,12 +8,12 @@ exactly what the TVLA engine consumes.
 
 Two implementations coexist:
 
-* the **vectorised engine** (default) evaluates the whole campaign with
-  one-shot matrix operations in a gate-major layout — net values are
-  stacked into one value matrix via precomputed row indices, per-gate power
-  coefficients are applied by broadcasting, and masked composites are
-  handled as per-type sub-groups through exact fused power-value lookup
-  tables derived from
+* the **vectorised engine** (:meth:`PowerTraceGenerator.generate`)
+  evaluates the whole campaign with one-shot matrix operations in a
+  gate-major layout — net values are stacked into one value matrix via
+  precomputed row indices, per-gate power coefficients are applied by
+  broadcasting, and masked composites are handled as per-type sub-groups
+  through exact fused power-value lookup tables derived from
   :meth:`~repro.power.model.GatePowerModel.masked_toggle_table`;
 * :meth:`PowerTraceGenerator.generate_loop` keeps the original per-gate
   Python loop as the reference implementation for regression tests and the
@@ -45,32 +45,25 @@ traces — and therefore exactly equal t-values — pinned by
 ``tests/test_packed_power.py``.
 
 :meth:`PowerTraceGenerator.generate_stream` slices a campaign into chunks so
-the streaming TVLA driver (:func:`repro.tvla.assessment.assess_leakage`) can
-fold traces into one-pass moment accumulators without ever materialising the
-full ``(n_traces, n_gates)`` matrix.  Passing per-chunk ``seeds`` (spawned
-from a :class:`numpy.random.SeedSequence` per ``(seed, class, group,
-chunk)`` — the :func:`repro.tvla.assessment.chunk_seed_streams` contract)
-makes every chunk's mask/noise draws a pure function of its global chunk
-coordinates, which is what lets :mod:`repro.tvla.sharding` split one
-campaign across workers and still produce t-values identical to the serial
-run for a given seed.
-
-Alternatively a :class:`~repro.power.ctrsample.CounterStream` replaces the
-seed list (``TvlaConfig.sampler="counter"``, the default): each chunk's
-mask bytes and noise popcount words then come straight off Philox counter
-blocks addressed by ``(seed, class, group, chunk, lane)``, so layout
-invariance holds by construction instead of by seed-tree discipline, and
-the masked-composite gather indexes on the raw counter byte (``d << 8 |
-byte`` into a 4096-entry replicated value table) — per-trace mask integers
-never materialise.  The ``sampler="sequence"`` path below is kept
-byte-for-byte as the frozen oracle of that stateless contract.
+the TVLA drivers (:mod:`repro.tvla.assessment`) never materialise the full
+``(n_traces, n_gates)`` matrix.  Each chunk's mask bytes and noise popcount
+words come straight off the Philox counter blocks of a
+:class:`~repro.power.ctrsample.CounterStream`, addressed by ``(seed, class,
+group, chunk, lane)``, so every chunk's draws are a pure function of its
+global chunk coordinates — which is what lets :mod:`repro.tvla.sharding`
+split one campaign across workers and still produce t-values bitwise equal
+to the serial run.  The masked-composite gather indexes on the raw counter
+byte (``d << 8 | byte`` into a 4096-entry replicated value table), so
+per-trace mask integers never materialise.  :meth:`~PowerTraceGenerator.
+generate` also accepts a plain :class:`numpy.random.Generator` (``rng``)
+for single campaigns outside the TVLA drivers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -191,8 +184,6 @@ class PowerTraceGenerator:
         library: Cell library (defaults to the netlist's).
         config: Power-model configuration.
         seed: RNG seed for masks and measurement noise.
-        vectorised: Use the one-shot matrix engine (default).  When False,
-            :meth:`generate` falls back to the reference per-gate loop.
         trace_dtype: dtype of the per-gate trace matrix.  ``float32``
             (default) halves memory traffic on the hot path; statistics are
             still computed in float64 downstream.
@@ -224,7 +215,6 @@ class PowerTraceGenerator:
         library: Optional[CellLibrary] = None,
         config: Optional[PowerModelConfig] = None,
         seed: int = 0,
-        vectorised: bool = True,
         trace_dtype: np.dtype = np.float32,
         sim_backend: str = "compiled",
         power_backend: str = "packed",
@@ -237,7 +227,6 @@ class PowerTraceGenerator:
         self.library = library if library is not None else netlist.library
         self.config = config if config is not None else PowerModelConfig()
         self.seed = seed
-        self.vectorised = bool(vectorised)
         self.trace_dtype = np.dtype(trace_dtype)
         self.sim_backend = sim_backend
         self.power_backend = power_backend
@@ -392,12 +381,11 @@ class PowerTraceGenerator:
         """The toggle-extraction backend that will actually run.
 
         ``"packed"`` requires the compiled simulation plan (the packed
-        state matrix is its output format) and the vectorised engine;
-        otherwise the requested ``"packed"`` degrades to ``"unpacked"``,
-        mirroring the compiled->loop simulation fallback.
+        state matrix is its output format); otherwise the requested
+        ``"packed"`` degrades to ``"unpacked"``, mirroring the
+        compiled->loop simulation fallback.
         """
-        if (self.power_backend == "packed" and self.vectorised
-                and self._simulator.plan is not None):
+        if self.power_backend == "packed" and self._simulator.plan is not None:
             return "packed"
         return "unpacked"
 
@@ -411,13 +399,13 @@ class PowerTraceGenerator:
         """Number of gates with a power column."""
         return len(self._gates)
 
-    def _resolved_noise_mode(self, vectorised: bool) -> str:
+    def _resolved_noise_mode(self, auto_mode: str) -> str:
+        """The configured noise mode, with ``"auto"`` resolved to
+        ``auto_mode`` (each engine's own default)."""
         if self.config.noise_sigma <= 0:
             return "none"
         mode = self.config.noise_mode
-        if mode == "auto":
-            return "fast" if vectorised else "gaussian"
-        return mode
+        return auto_mode if mode == "auto" else mode
 
     def _packed_value_tables(self, noise_offset: float) -> List[np.ndarray]:
         """Per-subgroup value tables in trace dtype, noise offset folded in.
@@ -490,39 +478,27 @@ class PowerTraceGenerator:
         Args:
             campaign: The stimulus campaign to trace.
             rng: Generator for mask and noise draws.  Defaults to the
-                model's own sequential stream (legacy behaviour); the
-                chunked TVLA driver passes per-chunk spawned generators so
-                draws do not depend on chunk/shard layout.  With an
-                explicit ``rng`` the vectorised engine mutates no generator
-                state, so one :class:`PowerTraceGenerator` can be shared by
+                model's own sequential stream.  With an explicit ``rng``
+                (or ``draws``) the engine mutates no generator state, so
+                one :class:`PowerTraceGenerator` can be shared by
                 concurrent shard threads.
-            draws: Counter-sampler draws for this campaign's coordinates
-                (``sampler="counter"``): mask bytes and noise words come
-                straight off Philox counter blocks instead of ``rng``.
-                Mutually exclusive with ``rng`` and — like the packed
-                extraction backend — only meaningful for the vectorised
-                engine.
+            draws: Counter-sampler draws for this campaign's coordinates:
+                mask bytes and noise words come straight off Philox counter
+                blocks instead of ``rng``.  The TVLA drivers always pass
+                these.  Mutually exclusive with ``rng``.
 
         Raises:
-            ValueError: if both ``rng`` and ``draws`` are passed, or
-                ``draws`` is passed to the non-vectorised engine.
+            ValueError: if both ``rng`` and ``draws`` are passed.
         """
-        if draws is not None:
-            if rng is not None:
-                raise ValueError("pass either rng or draws, not both")
-            if not self.vectorised:
-                raise ValueError(
-                    "counter-sampler draws require the vectorised engine")
-        if not self.vectorised:
-            return self.generate_loop(campaign, rng=rng)
+        if draws is not None and rng is not None:
+            raise ValueError("pass either rng or draws, not both")
         return self._generate_vectorised(campaign, rng=rng, draws=draws)
 
     def generate_stream(
         self,
         campaign: TraceCampaign,
         chunk_traces: int,
-        seeds: Optional[Sequence[Union[int, np.random.SeedSequence]]] = None,
-        counter_stream: Optional[CounterStream] = None,
+        counter_stream: CounterStream,
         first_chunk: int = 0,
     ) -> Iterator[PowerTraces]:
         """Yield ``campaign``'s traces in chunks of at most ``chunk_traces``.
@@ -534,50 +510,22 @@ class PowerTraceGenerator:
         Args:
             campaign: The stimulus campaign (possibly a shard's sub-range).
             chunk_traces: Maximum traces per yielded block.
-            seeds: Optional per-chunk RNG seeds (ints or ``SeedSequence``
-                objects), one per chunk of this campaign in order.  When
-                given, each chunk's mask/noise draws come from a fresh
-                ``numpy.random.default_rng(seed)`` instead of the model's
-                sequential stream, making the generated traces independent
-                of how the surrounding campaign was chunked or sharded.
-                The TVLA drivers pass the streams spawned per ``(seed,
-                class, group, chunk)`` by
-                :func:`repro.tvla.assessment.chunk_seed_streams`; shards of
-                one campaign hand in the sub-range of streams matching
-                their global chunk offset, never streams of their own.
-            counter_stream: Counter-sampler alternative to ``seeds``
-                (``sampler="counter"``): each chunk's draws are read
-                directly off the stream's Philox counter blocks at global
-                chunk index ``first_chunk + i``, no seed list needed.
-                Mutually exclusive with ``seeds``.
+            counter_stream: The campaign group's draws: chunk ``i`` reads
+                the stream's Philox counter blocks at global chunk index
+                ``first_chunk + i``.
             first_chunk: Global index of this campaign's first chunk
-                (shards pass their chunk offset); only meaningful with
-                ``counter_stream`` — the sequence path encodes the offset
-                in the ``seeds`` sub-range instead.
+                (shards pass their chunk offset).
 
         Raises:
-            ValueError: if ``chunk_traces < 1``, ``seeds`` does not have
-                exactly one entry per chunk, or both ``seeds`` and
-                ``counter_stream`` are passed.
+            ValueError: if ``chunk_traces < 1``.
         """
         if chunk_traces < 1:
             raise ValueError("chunk_traces must be >= 1")
-        if seeds is not None and counter_stream is not None:
-            raise ValueError("pass either seeds or counter_stream, not both")
         n = campaign.n_traces
-        n_chunks = (n + chunk_traces - 1) // chunk_traces
-        if seeds is not None and len(seeds) != n_chunks:
-            raise ValueError(
-                f"got {len(seeds)} chunk seeds for {n_chunks} chunks")
         for index, start in enumerate(range(0, n, chunk_traces)):
             chunk = campaign.slice(start, min(n, start + chunk_traces))
-            if counter_stream is not None:
-                yield self.generate(
-                    chunk, draws=counter_stream.draws(first_chunk + index))
-            else:
-                rng = (np.random.default_rng(seeds[index])
-                       if seeds is not None else None)
-                yield self.generate(chunk, rng=rng)
+            yield self.generate(
+                chunk, draws=counter_stream.draws(first_chunk + index))
 
     def generate_pair(
         self, campaigns: Tuple[TraceCampaign, TraceCampaign]
@@ -641,7 +589,7 @@ class PowerTraceGenerator:
             net_cur = self._net_matrix(current)
         if draws is None:
             rng = rng if rng is not None else self._model._rng
-        noise_mode = self._resolved_noise_mode(vectorised=True)
+        noise_mode = self._resolved_noise_mode("fast")
         sigma = self._model.noise_sigma_abs()
         # The popcount sampler's -E[count]*scale centring term is folded
         # into the static offsets (one scalar per masked table, one column
@@ -695,7 +643,7 @@ class PowerTraceGenerator:
                 # Counter path: word-wide code combine, then a gather on
                 # ``d << 8 | raw_byte`` — the raw Philox bytes index the
                 # replicated table directly, so the ``& mask`` pass of the
-                # sequence path (and its per-trace mask integers) is gone.
+                # rng path (and its per-trace mask integers) is gone.
                 if shares is None:
                     shares = np.stack((a_prev, b_prev, a_cur, b_cur))
                 flat = combine_transition_codes(shares).astype(np.uint16)
@@ -759,7 +707,7 @@ class PowerTraceGenerator:
         previous = self._simulator.evaluate(prev_inputs)
         current = self._simulator.evaluate(cur_inputs)
 
-        noise_mode = self._resolved_noise_mode(vectorised=False)
+        noise_mode = self._resolved_noise_mode("gaussian")
         noise_scale, _ = self._model.fast_noise_params()
         rng = rng if rng is not None else self._model._rng
 

@@ -8,9 +8,9 @@ corruption is *detected* at read time and handled by policy: the file is
 renamed aside (``.corrupt``) and the shard requeued, never silently
 merged and never fatal.
 
-Unsealed files whose payload starts with a known shard-moments magic
-(``SHM1``/``SHM2``) are still accepted, so checkpoints written before
-sealing existed remain readable mid-campaign.
+Unsealed files whose payload starts with the shard-moments magic
+(``SHM2``) are still accepted, so checkpoints written before sealing
+existed remain readable mid-campaign.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ TRAILER_MAGIC = b"SHSEAL\x01\n"
 _DIGEST_LEN = 32
 _TRAILER_LEN = len(TRAILER_MAGIC) + _DIGEST_LEN
 
-#: Payload magics of the two packed shard-moments formats (PR 4/PR 6) —
-#: the legacy-acceptance allowlist for unsealed checkpoints.
-_PAYLOAD_MAGICS = (b"SHM1", b"SHM2")
+#: Payload magic of the packed shard-moments format — the
+#: legacy-acceptance allowlist for unsealed checkpoints.
+_PAYLOAD_MAGIC = b"SHM2"
 
 
 class CheckpointCorruptError(ValueError):
@@ -56,7 +56,7 @@ def unseal_checkpoint(data: bytes) -> bytes:
                 "checkpoint digest mismatch: file was truncated or "
                 "tampered with after sealing")
         return payload
-    if data[:4] in _PAYLOAD_MAGICS:
+    if data.startswith(_PAYLOAD_MAGIC):
         return data  # legacy pre-seal checkpoint
     raise CheckpointCorruptError(
         "checkpoint carries neither a valid seal trailer nor a known "

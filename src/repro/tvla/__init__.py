@@ -16,7 +16,6 @@ from .assessment import (
     TvlaConfig,
     assess_leakage,
     campaign_schedule,
-    chunk_seed_streams,
     compare_assessments,
 )
 from .sharding import (
@@ -41,7 +40,6 @@ __all__ = [
     "TvlaConfig",
     "assess_leakage",
     "campaign_schedule",
-    "chunk_seed_streams",
     "compare_assessments",
     "EXECUTORS",
     "assess_leakage_sharded",

@@ -14,25 +14,18 @@ Moradi — memory stays ``O(chunk_traces × n_gates)`` regardless of the trace
 count) or stacked into full matrices for the classic two-pass Welch test.
 Both modes consume identical traces, so their t-values agree to floating-
 point merge error (~1e-12); streaming is selected automatically for
-paper-scale campaigns.  Under the counter sampler a streaming campaign's
-``(class, group, chunk)`` triples are independent tasks: they run on every
-available CPU (inline when there is one) and each group's per-chunk
-accumulators are left-folded in global chunk order, so t-values do not
-depend on the worker count.
+paper-scale campaigns.  A streaming campaign's ``(class, group, chunk)``
+triples are independent tasks: they run on every available CPU (inline when
+there is one) and each group's per-chunk accumulators are left-folded in
+global chunk order, so t-values do not depend on the worker count.
 
-Every chunk's mask/noise randomness is a pure function of its ``(seed,
-class, group, chunk)`` coordinates, so for a given ``TvlaConfig.seed`` and
+Every chunk's mask/noise randomness is read off Philox counter blocks
+addressed by its ``(seed, class, group, chunk)`` coordinates
+(:mod:`repro.power.ctrsample`), so for a given ``TvlaConfig.seed`` and
 ``chunk_traces`` the generated traces — and therefore the t-values — are
 identical no matter how the campaign is chunked across workers.  That is
 the property :mod:`repro.tvla.sharding` builds on to split campaigns over
-thread/process pools and merge the partial accumulators losslessly.  Two
-sampler disciplines realise it (``TvlaConfig.sampler``): ``"counter"``
-(default) reads Philox counter blocks addressed by those coordinates
-(:mod:`repro.power.ctrsample` — stateless, layout-invariant by
-construction), while ``"sequence"`` walks a dedicated
-``numpy.random.SeedSequence`` spawned per coordinate
-(:func:`chunk_seed_streams`) and is retained as the frozen oracle of the
-stateless contract.
+thread/process pools and merge the partial accumulators bitwise-exactly.
 
 With ``TvlaConfig.tvla_order > 1`` the driver additionally evaluates the
 higher-order (centered-variance / standardised-skewness) t-tests from the
@@ -51,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 import numpy as np
 
 from ..netlist.netlist import Netlist
-from ..power.ctrsample import SAMPLERS, CounterStream
+from ..power.ctrsample import CounterStream
 from ..power.model import PowerModelConfig
 from ..power.traces import POWER_BACKENDS, PowerTraceGenerator
 from ..simulation.simulator import SIM_BACKENDS
@@ -101,11 +94,11 @@ class TvlaConfig:
             group is simulated and folded/stacked ``chunk_traces`` rows at a
             time.  Bounds peak trace memory in streaming mode and keeps the
             matrix pipeline cache-resident.  Also the granularity of shard
-            boundaries and of the per-chunk spawned RNG streams, so results
+            boundaries and of the per-chunk counter draws, so results
             depend on ``chunk_traces`` but **not** on the shard layout.
             The chunk is also the parallel task unit: the streaming
-            counter-sampler driver of :func:`assess_leakage` runs one task
-            per ``(class, group, chunk)`` on every available CPU.
+            driver of :func:`assess_leakage` runs one task per ``(class,
+            group, chunk)`` on every available CPU.
         streaming: ``True`` forces one-pass streaming accumulation,
             ``False`` forces the two-pass matrix test, ``None`` (default)
             streams automatically whenever a group exceeds one chunk (i.e.
@@ -130,21 +123,6 @@ class TvlaConfig:
             either way (pinned by ``tests/test_packed_power.py``); with
             ``sim_backend="loop"`` there is no packed matrix and
             ``"packed"`` silently degrades to ``"unpacked"``.
-        sampler: Mask/noise sampling discipline: ``"counter"`` (default)
-            draws every chunk's randomness straight off Philox counter
-            blocks addressed by ``(seed, class, group, chunk, lane)``
-            (:mod:`repro.power.ctrsample`), making draws stateless and
-            shard-layout invariance hold by construction; ``"sequence"``
-            keeps the nested ``SeedSequence.spawn`` streams
-            (:func:`chunk_seed_streams`) as the frozen stateless-contract
-            oracle, bit-identical to the pre-counter implementation.  The
-            two samplers draw from different streams, so their t-values
-            differ numerically (both are valid TVLA campaigns); within a
-            sampler, results are exactly equal across any chunking,
-            sharding or executor layout.  ``"counter"`` requires the
-            vectorised trace engine and degrades to ``"sequence"`` for
-            loop-engine generators, mirroring the packed->unpacked
-            fallback.
     """
 
     n_traces: int = 1000
@@ -158,14 +136,10 @@ class TvlaConfig:
     tvla_order: int = 1
     sim_backend: str = "compiled"
     power_backend: str = "packed"
-    sampler: str = "counter"
 
     def __post_init__(self) -> None:
         if self.chunk_traces < 1:
             raise ValueError("chunk_traces must be >= 1")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(
-                f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
         if self.tvla_order not in SUPPORTED_TVLA_ORDERS:
             raise ValueError(
                 f"tvla_order must be one of {SUPPORTED_TVLA_ORDERS}, "
@@ -379,93 +353,29 @@ def campaign_schedule(netlist: Netlist,
 
 
 # ----------------------------------------------------------------------
-# Per-chunk RNG streams and accumulation (shared with repro.tvla.sharding)
+# Per-chunk accumulation (shared with repro.tvla.sharding)
 # ----------------------------------------------------------------------
-def chunk_seed_streams(seed: int, class_index: int, group_index: int,
-                       n_chunks: int) -> List[np.random.SeedSequence]:
-    """Per-chunk mask/noise seed streams of one campaign group.
+def _fold_chunk(generator: PowerTraceGenerator, campaign: TraceCampaign,
+                config: TvlaConfig, stream: CounterStream, chunk_index: int,
+                first_chunk: int = 0) -> OnePassMoments:
+    """Generate chunk ``chunk_index`` of ``campaign`` and fold it into a
+    fresh accumulator.
 
-    Derived by nested ``numpy.random.SeedSequence.spawn``: the campaign
-    root spawns one child per fixed class, each class one child per group
-    and each group one child per trace chunk.  A chunk's stream is
-    therefore a pure function of ``(seed, class, group, chunk index)`` —
-    independent streams that are reproducible regardless of which worker
-    or shard processes the chunk.
+    ``campaign`` may be a chunk-aligned shard slice whose first chunk is
+    global chunk ``first_chunk``; the draws are those of the global chunk,
+    so the traces are the ones :meth:`PowerTraceGenerator.generate_stream`
+    yields for it.  ``update_batch`` on an empty accumulator stores the
+    batch moments directly, so the single-update accumulator is bit-exact.
     """
-    root = np.random.SeedSequence(seed)
-    class_seq = root.spawn(class_index + 1)[class_index]
-    group_seq = class_seq.spawn(group_index + 1)[group_index]
-    return group_seq.spawn(n_chunks)
-
-
-def resolve_sampler(config: TvlaConfig,
-                    generator: PowerTraceGenerator) -> str:
-    """The sampler discipline that will actually run.
-
-    ``"counter"`` needs the vectorised trace engine (its draws feed the
-    matrix pipeline's table gathers directly); a loop-engine generator
-    degrades it to ``"sequence"``, mirroring the packed->unpacked
-    power-backend fallback.
-    """
-    if config.sampler == "counter" and not generator.vectorised:
-        return "sequence"
-    return config.sampler
-
-
-def _group_stream_kwargs(config: TvlaConfig, sampler: str, class_index: int,
-                         group_index: int, first_chunk: int,
-                         n_local: int) -> dict:
-    """``generate_stream`` randomness arguments for one campaign group.
-
-    Counter sampler: one stateless :class:`CounterStream` plus the global
-    chunk offset.  Sequence sampler: the slice of spawned per-chunk seed
-    streams matching the same global chunk range.
-    """
-    if sampler == "counter":
-        return {"counter_stream": CounterStream(config.seed, class_index,
-                                                group_index),
-                "first_chunk": first_chunk}
-    seeds = chunk_seed_streams(config.seed, class_index, group_index,
-                               config.n_chunks())
-    return {"seeds": seeds[first_chunk:first_chunk + n_local]}
-
-
-def accumulate_campaign_slice(
-    generator: PowerTraceGenerator,
-    pair: CampaignPair,
-    config: TvlaConfig,
-    class_index: int,
-    first_chunk: int = 0,
-) -> Tuple[OnePassMoments, OnePassMoments]:
-    """Fold one class's (sliced) campaign pair into fresh moment accumulators.
-
-    Args:
-        generator: Trace generator of the assessed netlist.
-        pair: The class's ``(group0, group1)`` campaigns — either the full
-            campaigns or a chunk-aligned shard slice of both.
-        config: Campaign configuration (defines chunk size and seeds).
-        class_index: Index of the fixed class (selects the seed stream).
-        first_chunk: Global index of the slice's first chunk; shards pass
-            their offset so every chunk consumes the same spawned RNG
-            stream it would consume in the serial run.
-
-    Returns:
-        ``(acc0, acc1)`` accumulators tracking central moments up to
-        ``config.moment_order()``.
-    """
-    shape = (generator.n_gates,)
-    max_order = config.moment_order()
-    accumulators = (OnePassMoments(max_order=max_order, shape=shape),
-                    OnePassMoments(max_order=max_order, shape=shape))
-    sampler = resolve_sampler(config, generator)
-    for group_index, campaign in enumerate(pair):
-        n_local = (campaign.n_traces + config.chunk_traces - 1) // config.chunk_traces
-        kwargs = _group_stream_kwargs(config, sampler, class_index,
-                                      group_index, first_chunk, n_local)
-        for traces in generator.generate_stream(campaign, config.chunk_traces,
-                                                **kwargs):
-            accumulators[group_index].update_batch(traces.per_gate)
-    return accumulators
+    start = chunk_index * config.chunk_traces
+    chunk = campaign.slice(start, min(campaign.n_traces,
+                                      start + config.chunk_traces))
+    traces = generator.generate(
+        chunk, draws=stream.draws(first_chunk + chunk_index))
+    accumulator = OnePassMoments(max_order=config.moment_order(),
+                                 shape=(generator.n_gates,))
+    accumulator.update_batch(traces.per_gate)
+    return accumulator
 
 
 def accumulate_campaign_chunks(
@@ -477,33 +387,61 @@ def accumulate_campaign_chunks(
 ) -> Tuple[List[OnePassMoments], List[OnePassMoments]]:
     """Fold one class's (sliced) campaign pair into per-chunk accumulators.
 
-    Same traces as :func:`accumulate_campaign_slice`, but every chunk gets
-    its **own** fresh accumulator pair instead of being folded into one
-    running pair.  Sharded counter campaigns return these unmerged so the
-    merge step can left-fold all chunks in global chunk order — the exact
-    associativity order of the serial run — which is what makes sharded
-    t-values bitwise equal to serial ones (not merely ~1e-12 close).
-    ``update_batch`` on an empty accumulator stores the batch moments
-    directly, so a chunk's single-update accumulator is itself bit-exact.
+    Every chunk gets its **own** fresh accumulator (:func:`_fold_chunk`).
+    Shards return these unmerged so the merge step can left-fold all
+    chunks in global chunk order — the exact association of the serial
+    run — which is what makes sharded t-values bitwise equal to serial
+    ones.
+
+    Args:
+        generator: Trace generator of the assessed netlist.
+        pair: The class's ``(group0, group1)`` campaigns — either the full
+            campaigns or a chunk-aligned shard slice of both.
+        config: Campaign configuration (defines chunk size and seed).
+        class_index: Index of the fixed class (selects the counter stream).
+        first_chunk: Global index of the slice's first chunk; shards pass
+            their offset so every chunk reads the counter blocks it reads
+            in the serial run.
 
     Returns:
         ``(chunks0, chunks1)`` — one accumulator per chunk per group, in
         local chunk order.
     """
+    per_chunk: Tuple[List[OnePassMoments], List[OnePassMoments]] = ([], [])
+    for group_index, campaign in enumerate(pair):
+        stream = CounterStream(config.seed, class_index, group_index)
+        n_local = (campaign.n_traces + config.chunk_traces - 1) // config.chunk_traces
+        per_chunk[group_index].extend(
+            _fold_chunk(generator, campaign, config, stream, index,
+                        first_chunk)
+            for index in range(n_local))
+    return per_chunk
+
+
+def accumulate_campaign_slice(
+    generator: PowerTraceGenerator,
+    pair: CampaignPair,
+    config: TvlaConfig,
+    class_index: int,
+    first_chunk: int = 0,
+) -> Tuple[OnePassMoments, OnePassMoments]:
+    """Running-fold reference of :func:`accumulate_campaign_chunks`.
+
+    Folds every chunk of :meth:`PowerTraceGenerator.generate_stream` into
+    one running accumulator pair.  The drivers left-fold per-chunk
+    accumulators instead; tests compare the two, which associate the
+    same chunk moments in the same order.
+    """
     shape = (generator.n_gates,)
     max_order = config.moment_order()
-    per_chunk: Tuple[List[OnePassMoments], List[OnePassMoments]] = ([], [])
-    sampler = resolve_sampler(config, generator)
+    accumulators = (OnePassMoments(max_order=max_order, shape=shape),
+                    OnePassMoments(max_order=max_order, shape=shape))
     for group_index, campaign in enumerate(pair):
-        n_local = (campaign.n_traces + config.chunk_traces - 1) // config.chunk_traces
-        kwargs = _group_stream_kwargs(config, sampler, class_index,
-                                      group_index, first_chunk, n_local)
+        stream = CounterStream(config.seed, class_index, group_index)
         for traces in generator.generate_stream(campaign, config.chunk_traces,
-                                                **kwargs):
-            accumulator = OnePassMoments(max_order=max_order, shape=shape)
-            accumulator.update_batch(traces.per_gate)
-            per_chunk[group_index].append(accumulator)
-    return per_chunk
+                                                stream, first_chunk):
+            accumulators[group_index].update_batch(traces.per_gate)
+    return accumulators
 
 
 def _cpu_count() -> int:
@@ -535,26 +473,10 @@ def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> List[_T]:
             raise
 
 
-def _fold_chunk(generator: PowerTraceGenerator, campaign: TraceCampaign,
-                config: TvlaConfig, stream: CounterStream,
-                chunk_index: int) -> OnePassMoments:
-    """Generate one counter-sampler chunk and fold it into a fresh
-    accumulator — the same traces :meth:`PowerTraceGenerator.generate_stream`
-    yields for that chunk."""
-    start = chunk_index * config.chunk_traces
-    chunk = campaign.slice(start, min(campaign.n_traces,
-                                      start + config.chunk_traces))
-    traces = generator.generate(chunk, draws=stream.draws(chunk_index))
-    accumulator = OnePassMoments(max_order=config.moment_order(),
-                                 shape=(generator.n_gates,))
-    accumulator.update_batch(traces.per_gate)
-    return accumulator
-
-
-def _counter_class_results(generator: PowerTraceGenerator,
-                           campaigns: Sequence[CampaignPair],
-                           config: TvlaConfig) -> List[Dict[int, WelchResult]]:
-    """Per-class Welch results of a streaming counter-sampler campaign.
+def _streamed_class_results(generator: PowerTraceGenerator,
+                            campaigns: Sequence[CampaignPair],
+                            config: TvlaConfig) -> List[Dict[int, WelchResult]]:
+    """Per-class Welch results of a streaming campaign.
 
     Every ``(class, group, chunk)`` is one task (:func:`_run_tasks` spreads
     them over the CPUs); each task folds its chunk into a fresh
@@ -589,29 +511,22 @@ def results_from_accumulators(acc0: OnePassMoments, acc1: OnePassMoments,
     return results
 
 
-def _class_results(generator: PowerTraceGenerator, pair: CampaignPair,
-                   config: TvlaConfig, class_index: int,
-                   streamed: bool) -> Dict[int, WelchResult]:
-    """Per-order Welch's t-tests for one fixed class via the chunked driver.
+def _two_pass_class_results(generator: PowerTraceGenerator,
+                            pair: CampaignPair, config: TvlaConfig,
+                            class_index: int) -> Dict[int, WelchResult]:
+    """Order-1 two-pass Welch's t-test of one fixed class.
 
-    Both modes pull identical traces (same per-chunk spawned RNG streams),
-    so the streaming result equals the two-pass result up to the
-    floating-point error of the moment merge.
+    Stacks the same chunks the streaming driver folds, so the result
+    equals the streamed one up to the floating-point error of the moment
+    merge.
     """
-    if streamed:
-        acc0, acc1 = accumulate_campaign_slice(generator, pair, config,
-                                               class_index)
-        return results_from_accumulators(acc0, acc1, config)
-    blocks: Tuple[List[np.ndarray], List[np.ndarray]] = ([], [])
-    sampler = resolve_sampler(config, generator)
-    for group_index, campaign in enumerate(pair):
-        kwargs = _group_stream_kwargs(config, sampler, class_index,
-                                      group_index, 0, config.n_chunks())
-        for traces in generator.generate_stream(campaign, config.chunk_traces,
-                                                **kwargs):
-            blocks[group_index].append(traces.per_gate)
-    return {1: welch_t_test(np.concatenate(blocks[0]),
-                            np.concatenate(blocks[1]))}
+    blocks = tuple(
+        np.concatenate([
+            traces.per_gate for traces in generator.generate_stream(
+                campaign, config.chunk_traces,
+                CounterStream(config.seed, class_index, group_index))])
+        for group_index, campaign in enumerate(pair))
+    return {1: welch_t_test(*blocks)}
 
 
 def aggregate_class_results(
@@ -745,11 +660,11 @@ def assess_leakage(netlist: Netlist,
     generator = resolve_generator(netlist, config, generator)
     streamed = config.resolved_streaming()
 
-    if streamed and resolve_sampler(config, generator) == "counter":
-        class_results = _counter_class_results(generator, campaigns, config)
+    if streamed:
+        class_results = _streamed_class_results(generator, campaigns, config)
     else:
         class_results = [
-            _class_results(generator, pair, config, class_index, streamed)
+            _two_pass_class_results(generator, pair, config, class_index)
             for class_index, pair in enumerate(campaigns)
         ]
     elapsed = time.perf_counter() - start

@@ -9,26 +9,18 @@ Welch verdict (all configured TVLA orders).
 
 Three properties make the result trustworthy:
 
-* **Shard-layout invariance** — every chunk's mask/noise randomness is a
-  pure function of its ``(seed, class, group, chunk)`` coordinates: Philox
-  counter blocks under ``TvlaConfig.sampler="counter"`` (the default; see
-  :mod:`repro.power.ctrsample`), spawned ``numpy.random.SeedSequence``
-  streams under ``sampler="sequence"`` (see
-  :func:`repro.tvla.assessment.chunk_seed_streams`).  Shards therefore
-  generate exactly the traces the serial run would.
-* **Lossless merge** — partial accumulators combine with the exact pairwise
-  Chan/Pébay formulas (:meth:`OnePassMoments.merge`), in deterministic
-  shard order.  Under the sequence sampler each shard folds its chunks
-  into one running accumulator pair and t-values agree with the unsharded
-  streaming path to floating-point merge error (~1e-12).  Under the
-  counter sampler shards return **per-chunk** accumulators unmerged and
-  the merge left-folds them in global chunk order — the serial run's exact
-  association — so sharded t-values are **bitwise equal** to serial ones
-  for any shard count and executor.
+* **Shard-layout invariance** — every chunk's mask/noise randomness is
+  read off Philox counter blocks addressed by its ``(seed, class, group,
+  chunk)`` coordinates (see :mod:`repro.power.ctrsample`).  Shards
+  therefore generate exactly the traces the serial run would.
+* **Exact merge** — shards return **per-chunk** accumulators unmerged and
+  the merge left-folds them in global chunk order with the pairwise
+  Chan/Pébay formulas (:meth:`OnePassMoments.merge`) — the serial run's
+  exact association — so sharded t-values are **bitwise equal** to serial
+  ones for any shard count and executor.
 * **Pluggable executors** — ``"serial"`` (inline), ``"thread"``
   (:class:`~concurrent.futures.ThreadPoolExecutor`; workers share one
-  read-only trace generator per design, or rebuild private ones when the
-  reference loop engine is selected) or ``"process"``
+  read-only trace generator per design) or ``"process"``
   (:class:`~concurrent.futures.ProcessPoolExecutor`, platform-default
   start method; workers rebuild the generator from the pickled netlist).
   An existing :class:`~concurrent.futures.Executor` instance can be
@@ -54,11 +46,9 @@ from .assessment import (
     LeakageAssessment,
     TvlaConfig,
     accumulate_campaign_chunks,
-    accumulate_campaign_slice,
     aggregate_class_results,
     campaign_schedule,
     resolve_generator,
-    resolve_sampler,
     results_from_accumulators,
     validate_campaigns,
 )
@@ -70,18 +60,11 @@ EXECUTORS = ("serial", "thread", "process")
 
 ExecutorLike = Union[str, Executor]
 
-#: One shard's partial accumulators: per fixed class, a (group0, group1)
-#: pair of :class:`OnePassMoments` (sequence-sampler shards).
-ShardMoments = List[Tuple[OnePassMoments, OnePassMoments]]
-
-#: One counter-sampler shard's partials: per fixed class, a (group0,
-#: group1) pair of **per-chunk accumulator lists** in local chunk order,
-#: returned unmerged so the campaign merge can left-fold all chunks in
-#: global chunk order (the serial association — bitwise-equal results).
+#: One shard's partials: per fixed class, a (group0, group1) pair of
+#: **per-chunk accumulator lists** in local chunk order, returned unmerged
+#: so the campaign merge can left-fold all chunks in global chunk order
+#: (the serial association — bitwise-equal results).
 ShardChunkMoments = List[Tuple[List[OnePassMoments], List[OnePassMoments]]]
-
-#: Either partial form; :func:`merge_shard_partials` dispatches on shape.
-ShardPartials = Union[ShardMoments, ShardChunkMoments]
 
 
 def shard_trace_ranges(n_traces: int, n_shards: int,
@@ -89,8 +72,8 @@ def shard_trace_ranges(n_traces: int, n_shards: int,
     """Split ``[0, n_traces)`` into contiguous chunk-aligned shard ranges.
 
     Shard boundaries always fall on ``chunk_traces`` multiples so every
-    shard consumes whole chunks (and therefore whole per-chunk RNG
-    streams).  Chunks are distributed as evenly as possible; when there are
+    shard consumes whole chunks (and therefore reads each chunk's counter
+    draws exactly as the serial run does).  Chunks are distributed as evenly as possible; when there are
     fewer chunks than requested shards the surplus shards are dropped, so
     the returned tuple may be shorter than ``n_shards`` but never contains
     an empty range.
@@ -121,55 +104,40 @@ def shard_trace_ranges(n_traces: int, n_shards: int,
 
 def _shard_moments(generator: PowerTraceGenerator,
                    campaigns: Sequence[CampaignPair], config: TvlaConfig,
-                   start: int, stop: int) -> ShardPartials:
-    """Fold traces ``[start, stop)`` of every class into fresh accumulators.
-
-    Counter-sampler shards keep one accumulator **per chunk** (unmerged);
-    sequence-sampler shards fold their chunks into one running pair —
-    see :func:`merge_shard_partials` for why the forms differ.
-    """
+                   start: int, stop: int) -> ShardChunkMoments:
+    """Fold traces ``[start, stop)`` of every class into per-chunk
+    accumulators (see :func:`merge_shard_partials`)."""
     first_chunk = start // config.chunk_traces
-    accumulate = (accumulate_campaign_chunks
-                  if resolve_sampler(config, generator) == "counter"
-                  else accumulate_campaign_slice)
-    partials: ShardPartials = []
-    for class_index, pair in enumerate(campaigns):
-        sliced = (pair[0].slice(start, stop), pair[1].slice(start, stop))
-        partials.append(accumulate(
-            generator, sliced, config, class_index, first_chunk=first_chunk))
-    return partials
+    return [
+        accumulate_campaign_chunks(
+            generator, (pair[0].slice(start, stop), pair[1].slice(start, stop)),
+            config, class_index, first_chunk=first_chunk)
+        for class_index, pair in enumerate(campaigns)
+    ]
 
 
 def _shard_moments_rebuilt(netlist: Netlist,
                            sliced_campaigns: Sequence[CampaignPair],
-                           config: TvlaConfig, first_chunk: int,
-                           vectorised: bool = True) -> ShardPartials:
+                           config: TvlaConfig,
+                           first_chunk: int) -> ShardChunkMoments:
     """Worker entry point that builds its own generator, then folds a shard.
 
     Module-level (picklable) and self-contained: the worker receives the
     netlist plus already-sliced campaigns, so only the shard's stimulus
-    crosses a process boundary; ``first_chunk`` anchors the slices to
-    their global RNG streams (each chunk consumes the
-    :func:`repro.tvla.assessment.chunk_seed_streams` stream of its global
-    ``(seed, class, group, chunk)`` coordinates, which is what makes the
-    result shard-layout invariant).  Also used by the thread pool when the
-    reference loop engine is selected (``vectorised=False``): the loop
-    path mutates per-generator model state, so each task gets a private
-    generator instead of sharing one.  The simulation and power backends
-    follow ``config.sim_backend``/``config.power_backend``, so a campaign
-    runs the same extraction pipeline no matter which worker rebuilt the
-    generator.
+    crosses a process boundary; ``first_chunk`` anchors the slices to the
+    counter draws of their global ``(seed, class, group, chunk)``
+    coordinates, which is what makes the result shard-layout invariant.
+    The simulation and power backends follow
+    ``config.sim_backend``/``config.power_backend``, so a campaign runs the
+    same extraction pipeline no matter which worker rebuilt the generator.
     """
     generator = PowerTraceGenerator(netlist, config=config.power,
-                                    seed=config.seed, vectorised=vectorised,
+                                    seed=config.seed,
                                     sim_backend=config.sim_backend,
                                     power_backend=config.power_backend)
-    accumulate = (accumulate_campaign_chunks
-                  if resolve_sampler(config, generator) == "counter"
-                  else accumulate_campaign_slice)
     return [
-        accumulate(generator, pair, config, class_index,
-                   first_chunk=first_chunk)
+        accumulate_campaign_chunks(generator, pair, config, class_index,
+                                   first_chunk=first_chunk)
         for class_index, pair in enumerate(sliced_campaigns)
     ]
 
@@ -182,7 +150,7 @@ class _ShardedDesign:
     config: TvlaConfig
     gate_names: Tuple[str, ...]
     started_at: float
-    futures: List["Future[ShardPartials]"]
+    futures: List["Future[ShardChunkMoments]"]
 
 
 def _make_executor(executor: ExecutorLike,
@@ -253,29 +221,24 @@ def _submit_design(netlist: Netlist, config: TvlaConfig, n_shards: int,
     ranges = shard_trace_ranges(config.n_traces, n_shards,
                                 config.chunk_traces)
     # Resolved in every branch: process workers rebuild their generator,
-    # but the gate order (and the vectorised flag to preserve) is a pure
-    # function of the netlist + power plan, so derive both locally once.
+    # but the gate order is a pure function of the netlist + power plan,
+    # so derive it locally once.
     generator = resolve_generator(netlist, config, generator)
-    futures: List["Future[ShardPartials]"] = []
+    futures: List["Future[ShardChunkMoments]"] = []
     if pool is None:
         for start, stop in ranges:
-            future: "Future[ShardPartials]" = Future()
+            future: "Future[ShardChunkMoments]" = Future()
             future.set_result(
                 _shard_moments(generator, campaigns, config, start, stop))
             futures.append(future)
-    elif ship_netlist or not generator.vectorised:
-        # Process pools always rebuild per worker; thread pools do too when
-        # the reference loop engine is selected, because generate_loop
-        # mutates per-generator model state and must not be shared across
-        # concurrent tasks.
+    elif ship_netlist:
         for start, stop in ranges:
             sliced = tuple(
                 (pair[0].slice(start, stop), pair[1].slice(start, stop))
                 for pair in campaigns)
             futures.append(pool.submit(_shard_moments_rebuilt, netlist,
                                        sliced, config,
-                                       start // config.chunk_traces,
-                                       generator.vectorised))
+                                       start // config.chunk_traces))
     else:
         for start, stop in ranges:
             futures.append(pool.submit(_shard_moments, generator, campaigns,
@@ -286,33 +249,27 @@ def _submit_design(netlist: Netlist, config: TvlaConfig, n_shards: int,
                           futures=futures)
 
 
-def merge_shard_partials(shard_results: Sequence[ShardPartials],
+def merge_shard_partials(shard_results: Sequence[ShardChunkMoments],
                          config: TvlaConfig) -> List[Dict[int, WelchResult]]:
     """Merge per-shard accumulator sets into per-class Welch results.
 
     The single definition of the campaign merge, shared by the in-process
-    driver and the durable runner (:mod:`repro.campaign.runner`): partials
-    merge **in shard order** — deterministic association, so reruns,
-    resumed campaigns and store-cached results with the same shard layout
-    are all bit-identical.
-
-    Counter-sampler shards (:data:`ShardChunkMoments`, detected by shape)
-    carry per-chunk accumulators; since shard ranges are contiguous and
-    ascending, concatenating them in shard order lists every chunk in
-    global chunk order, and the left-fold below reproduces the serial
-    run's association exactly — the same
-    :func:`~repro.tvla.moments.fold_moments` the serial counter driver
-    folds its chunks with — so the merged accumulator (and every t-value)
-    is **bitwise equal** to the serial run's, independent of shard layout.
+    driver, the durable runner (:mod:`repro.campaign.runner`) and the
+    service.  Shard ranges are contiguous and ascending, so concatenating
+    the per-chunk accumulators in shard order lists every chunk in global
+    chunk order, and the left-fold below reproduces the serial run's
+    association exactly — the same :func:`~repro.tvla.moments.fold_moments`
+    the serial driver folds its chunks with — so the merged accumulator
+    (and every t-value) is **bitwise equal** to the serial run's,
+    independent of shard layout.
     """
     n_classes = len(shard_results[0])
-    per_chunk = isinstance(shard_results[0][0][0], list)
     class_results = []
     for class_index in range(n_classes):
         streams: Tuple[List[OnePassMoments], List[OnePassMoments]] = ([], [])
         for partials in shard_results:
             for stream, part in zip(streams, partials[class_index]):
-                stream.extend(part if per_chunk else [part])
+                stream.extend(part)
         class_results.append(results_from_accumulators(
             fold_moments(streams[0]), fold_moments(streams[1]), config))
     return class_results
@@ -341,13 +298,11 @@ def assess_leakage_sharded(
 ) -> LeakageAssessment:
     """Run one TVLA campaign split into ``n_shards`` parallel shards.
 
-    Produces the same verdict as the unsharded streaming
+    Produces bitwise the same t-values as the unsharded streaming
     :func:`~repro.tvla.assessment.assess_leakage` for any shard count,
     because trace randomness is keyed to global chunk indices rather than
-    to a shared sequential stream: bitwise-equal t-values under the
-    counter sampler (per-chunk partials folded in the serial order),
-    floating-point merge error (~1e-12) under the sequence sampler; see
-    the module docstring.
+    to a shared sequential stream and per-chunk partials fold in the
+    serial order; see the module docstring.
 
     Args:
         netlist: The design to assess.

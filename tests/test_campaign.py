@@ -38,6 +38,7 @@ from repro.campaign import (
     campaign_status,
     collect_result,
     list_campaigns,
+    load_spec,
     pack_shard_moments,
     run_campaign,
     run_worker,
@@ -139,16 +140,16 @@ class TestMomentsSerialisation:
 
     def test_shard_moments_pack_round_trip(self, rng):
         partials = []
-        for _ in range(3):  # 3 fixed classes
+        for _ in range(3):  # 3 fixed classes, one chunk per group
             pair = []
             for _ in range(2):
                 acc = OnePassMoments(max_order=4, shape=(6,))
                 acc.update_batch(rng.normal(size=(20, 6)))
-                pair.append(acc)
+                pair.append([acc])
             partials.append((pair[0], pair[1]))
         revived = unpack_shard_moments(pack_shard_moments(partials))
         assert len(revived) == 3
-        for (acc0, acc1), (rev0, rev1) in zip(partials, revived):
+        for ([acc0], [acc1]), ([rev0], [rev1]) in zip(partials, revived):
             assert np.array_equal(acc0.central_moment(4),
                                   rev0.central_moment(4))
             assert np.array_equal(acc1.mean, rev1.mean)
@@ -156,10 +157,13 @@ class TestMomentsSerialisation:
     def test_packed_shard_garbage_rejected(self):
         with pytest.raises(ValueError, match="shard-moments"):
             unpack_shard_moments(b"garbage")
+        # Merged-pair (SHM1) payloads are no longer a shard format.
+        with pytest.raises(ValueError, match="shard-moments"):
+            unpack_shard_moments(b"SHM1" + bytes(8))
 
     def test_per_chunk_shard_moments_round_trip(self, rng):
-        # Counter-sampler shards checkpoint UNMERGED per-chunk accumulator
-        # lists (the SHM2 wire format); the round-trip must preserve both
+        # Shards checkpoint UNMERGED per-chunk accumulator lists (the SHM2
+        # wire format); the round-trip must preserve both
         # the chunk structure and every accumulator bit-for-bit.
         partials = []
         for class_index in range(2):
@@ -852,22 +856,31 @@ class TestCampaignRunner:
 
 
 # ----------------------------------------------------------------------
-# Sampler disciplines through the durable runner (PR 8)
+# The counter sampler through the durable runner
 # ----------------------------------------------------------------------
-class TestSamplerCampaigns:
-    """Counter/sequence sampling through the spec, queue and resume path.
+def _retired_spec_json(spec: CampaignSpec, **changes) -> str:
+    """``spec``'s JSON with top-level ``changes`` and a ``tvla.sampler``
+    override (``sampler=...``) applied."""
+    data = json.loads(spec.to_json())
+    if "sampler" in changes:
+        data["tvla"]["sampler"] = changes.pop("sampler")
+    data.update(changes)
+    return json.dumps(data)
 
-    The counter discipline upgrades the campaign contract from ~1e-12
-    closeness to bitwise equality: a queue-backed distributed campaign,
-    a killed-and-resumed campaign and the in-process serial assessment
-    all produce ``np.array_equal`` t-values.  Sequence campaigns keep
-    their historical contract, and format-2 spec files (which predate the
-    ``sampler`` knob) keep loading as sequence campaigns.
+
+class TestSamplerCampaigns:
+    """Counter sampling through the spec, queue and resume path.
+
+    A queue-backed distributed campaign, a killed-and-resumed campaign
+    and the in-process serial assessment all produce ``np.array_equal``
+    t-values.  Specs of the retired SeedSequence sampler — format-2 files
+    and ``"sampler"`` values other than ``"counter"`` — are rejected with
+    a ``ValueError`` naming the reason.
     """
 
     def test_counter_queue_campaign_is_bitwise_serial(self, small_benchmark,
                                                       campaign_root):
-        config = TvlaConfig(sampler="counter", **CAMPAIGN_TVLA)
+        config = TvlaConfig(**CAMPAIGN_TVLA)
         reference = assess_leakage(small_benchmark, config)
         result = run_campaign(campaign_root, small_benchmark, config,
                               n_shards=3, n_workers=2)
@@ -876,13 +889,12 @@ class TestSamplerCampaigns:
         assert np.array_equal(result.degrees_of_freedom,
                               reference.degrees_of_freedom)
 
-    @pytest.mark.parametrize("sampler", ["counter", "sequence"])
     def test_killed_and_resumed_campaign_bit_identical(self, small_benchmark,
-                                                       tmp_path, sampler):
+                                                       tmp_path):
         # Kill after one shard, resubmit, finish: equal to an
-        # uninterrupted campaign bit for bit, under BOTH disciplines
-        # (the checkpointed partials and the merge order are identical).
-        config = TvlaConfig(sampler=sampler, **CAMPAIGN_TVLA)
+        # uninterrupted campaign bit for bit (the checkpointed partials
+        # and the merge order are identical).
+        config = TvlaConfig(**CAMPAIGN_TVLA)
         interrupted_root = tmp_path / "interrupted"
         clean_root = tmp_path / "clean"
         outcome = submit_campaign(interrupted_root, netlist=small_benchmark,
@@ -898,56 +910,37 @@ class TestSamplerCampaigns:
         clean = run_campaign(clean_root, small_benchmark, config,
                              n_shards=3, n_workers=1)
         _assert_assessments_equal(result, clean)
-        if sampler == "counter":
-            # ...and for counter, the campaign is also bitwise-serial.
-            reference = assess_leakage(small_benchmark, config)
-            assert np.array_equal(result.t_values, reference.t_values)
+        # ...and the campaign is also bitwise-serial.
+        reference = assess_leakage(small_benchmark, config)
+        assert np.array_equal(result.t_values, reference.t_values)
 
-    def test_sampler_separates_content_hashes(self, small_benchmark,
-                                              campaign_config):
-        import dataclasses
-        counter = CampaignSpec.from_netlist(small_benchmark,
-                                            campaign_config, 2)
-        sequence = CampaignSpec.from_netlist(
-            small_benchmark,
-            dataclasses.replace(campaign_config, sampler="sequence"), 2)
-        assert counter.tvla.sampler == "counter"
-        assert counter.content_hash != sequence.content_hash
+    def test_format2_spec_rejected(self, small_benchmark, campaign_config):
+        # Format-2 files predate the sampler key and drew through the
+        # retired SeedSequence sampler.
+        spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
+        text = _retired_spec_json(spec, format=2)
+        with pytest.raises(ValueError, match="format 2.*SeedSequence"):
+            CampaignSpec.from_json(text)
 
-    def test_format2_spec_loads_as_sequence_campaign(self, small_benchmark,
-                                                     campaign_config):
-        # A spec file written before the sampler knob existed: format 2,
-        # no "sampler" key, content hash over the format-2 payload.  It
-        # must load as a sequence campaign and re-verify its stored hash.
-        import dataclasses
-        import hashlib
-        legacy_config = dataclasses.replace(campaign_config,
-                                            sampler="sequence")
-        spec = CampaignSpec.from_netlist(small_benchmark, legacy_config, 3)
-        data = json.loads(spec.to_json())
-        data["format"] = 2
-        del data["tvla"]["sampler"]
-        data["content_hash"] = hashlib.sha256(
-            spec.canonical_payload(2).encode("utf-8")).hexdigest()
-        loaded = CampaignSpec.from_json(json.dumps(data))
-        assert loaded == spec
-        assert loaded.tvla.sampler == "sequence"
+    @pytest.mark.parametrize("sampler", ["sequence", None, 3])
+    def test_non_counter_sampler_rejected(self, small_benchmark,
+                                          campaign_config, sampler):
+        spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
+        text = _retired_spec_json(spec, sampler=sampler)
+        with pytest.raises(ValueError, match="sampler .* is not supported"):
+            CampaignSpec.from_json(text)
 
-    def test_format2_tampering_still_detected(self, small_benchmark,
-                                              campaign_config):
-        import dataclasses
-        import hashlib
-        legacy_config = dataclasses.replace(campaign_config,
-                                            sampler="sequence")
-        spec = CampaignSpec.from_netlist(small_benchmark, legacy_config, 3)
-        data = json.loads(spec.to_json())
-        data["format"] = 2
-        del data["tvla"]["sampler"]
-        data["content_hash"] = hashlib.sha256(
-            spec.canonical_payload(2).encode("utf-8")).hexdigest()
-        data["n_shards"] = 5
-        with pytest.raises(ValueError, match="hash mismatch"):
-            CampaignSpec.from_json(json.dumps(data))
+    @pytest.mark.parametrize("changes", [{"format": 2},
+                                         {"sampler": "sequence"}])
+    def test_load_spec_rejects_retired_campaign_directory(
+            self, small_benchmark, campaign_config, campaign_root, changes):
+        outcome = submit_campaign(campaign_root, netlist=small_benchmark,
+                                  config=campaign_config, n_shards=3)
+        paths = CampaignPaths(campaign_root, outcome.spec_hash)
+        spec = load_spec(campaign_root, outcome.spec_hash)
+        paths.spec_path.write_text(_retired_spec_json(spec, **changes))
+        with pytest.raises(ValueError):
+            load_spec(campaign_root, outcome.spec_hash)
 
     def test_unknown_spec_format_rejected(self, small_benchmark,
                                           campaign_config):
@@ -956,22 +949,6 @@ class TestSamplerCampaigns:
         data["format"] = 1
         with pytest.raises(ValueError, match="unsupported campaign spec"):
             CampaignSpec.from_json(json.dumps(data))
-
-    def test_cli_sampler_flag(self, campaign_root, capsys, small_benchmark,
-                              campaign_config):
-        import dataclasses
-        args = TestCli()._submit_args(campaign_root) + \
-            ["--sampler", "sequence"]
-        assert cli_main(args) == 0
-        spec_hash = capsys.readouterr().out.split()[1]
-        assert cli_main(["work", "--root", str(campaign_root),
-                         "--drain"]) == 0
-        result = collect_result(campaign_root, spec_hash, timeout=60)
-        reference = assess_leakage(
-            small_benchmark,
-            dataclasses.replace(campaign_config, sampler="sequence"))
-        np.testing.assert_allclose(result.t_values, reference.t_values,
-                                   rtol=1e-12, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -1092,7 +1069,7 @@ class TestCampaignContext:
             self, small_benchmark, campaign_root):
         from repro.campaign.runner import run_shard_task
 
-        config = TvlaConfig(sampler="counter", **CAMPAIGN_TVLA)
+        config = TvlaConfig(**CAMPAIGN_TVLA)
         outcome = submit_campaign(campaign_root, netlist=small_benchmark,
                                   config=config, n_shards=3)
         run_worker(campaign_queue(campaign_root), drain=True)
@@ -1187,35 +1164,10 @@ class TestCampaignContext:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_counter_campaign_bitwise_serial(self, small_benchmark,
                                              campaign_root, order):
-        config = TvlaConfig(sampler="counter", tvla_order=order,
-                            **CAMPAIGN_TVLA)
+        config = TvlaConfig(tvla_order=order, **CAMPAIGN_TVLA)
         reference = assess_leakage(small_benchmark, config)
         result = run_campaign(campaign_root, small_benchmark, config,
                               n_shards=4, n_workers=2)
-        _assert_order_t_values_equal(result, reference)
-
-    def test_format2_sequence_campaign_bitwise_serial(self, small_benchmark,
-                                                      campaign_config,
-                                                      campaign_root):
-        import dataclasses
-        import hashlib
-
-        config = dataclasses.replace(campaign_config, sampler="sequence",
-                                     tvla_order=3)
-        data = json.loads(CampaignSpec.from_netlist(
-            small_benchmark, config, 4).to_json())
-        data["format"] = 2
-        del data["tvla"]["sampler"]
-        legacy = CampaignSpec.from_json(json.dumps(
-            {**data, "content_hash": None}))
-        data["content_hash"] = hashlib.sha256(
-            legacy.canonical_payload(2).encode("utf-8")).hexdigest()
-        spec = CampaignSpec.from_json(json.dumps(data))
-        assert spec.tvla.sampler == "sequence"
-        outcome = submit_campaign(campaign_root, spec=spec)
-        _drain_with_threads(campaign_root, 2)
-        result = collect_result(campaign_root, outcome.spec_hash, timeout=60)
-        reference = assess_leakage(small_benchmark, config)
         _assert_order_t_values_equal(result, reference)
 
 
@@ -1261,13 +1213,11 @@ class TestDrainWakeUp:
 # The slow-but-alive worker: SIGSTOP past lease expiry
 # ----------------------------------------------------------------------
 class TestSlowButAliveWorker:
-    @pytest.mark.parametrize("sampler", ["counter", "sequence"])
     def test_sigstopped_worker_is_fenced_out(self, tmp_path, monkeypatch,
-                                             small_benchmark, sampler):
+                                             small_benchmark):
         """SIGSTOP a worker mid-shard until its lease expires: the shard
         is reclaimed and completed elsewhere, the resumed worker's stale
-        ack is rejected, and the result stays bit-identical — under both
-        samplers."""
+        ack is rejected, and the result stays bit-identical."""
         import os
         import signal
         import subprocess
@@ -1276,7 +1226,7 @@ class TestSlowButAliveWorker:
 
         monkeypatch.setenv("POLARIS_SHARD_DELAY", "1.1")
         root = tmp_path / "runs"
-        config = TvlaConfig(sampler=sampler, **CAMPAIGN_TVLA)
+        config = TvlaConfig(**CAMPAIGN_TVLA)
         outcome = submit_campaign(root, netlist=small_benchmark,
                                   config=config, n_shards=2)
         queue = campaign_queue(root)

@@ -15,11 +15,12 @@ coordinates.  The stateless-sampling contract lives here:
 * **Packed emission** — ``mask_planes`` (bit-sliced ``packbits`` planes)
   round-trips against ``mask_bytes`` on every batch size, including
   non-multiple-of-8 ones.
-* **Layout invariance** — ``sampler="counter"`` t-values are **bitwise**
-  equal (``np.array_equal``, not ~1e-12) across 1/2/4/8 shards and the
+* **Layout invariance** — counter-sampler t-values are **bitwise** equal
+  (``np.array_equal``, not ~1e-12) across 1/2/4/8 shards and the
   serial/thread/process executors, and across hypothesis-sampled chunk
-  partitions; the ``sampler="sequence"`` oracle keeps its ~1e-12
-  contract and its byte-frozen golden draws.
+  partitions.
+* **Frozen rng draws** — ``generate(rng=...)`` and ``generate_loop`` keep
+  byte-frozen golden digests.
 * **Statistical sanity** — chi-square smoke tests of the emitted bytes
   and popcounts (``slow``-marked, excluded from tier-1 CI).
 """
@@ -41,7 +42,6 @@ from repro.power.ctrsample import (
     GAUSS_LANE,
     MASK_LANE_BASE,
     NOISE_LANE,
-    SAMPLERS,
     CounterDraws,
     CounterStream,
     counter_block,
@@ -55,7 +55,6 @@ from repro.tvla.assessment import (
     accumulate_campaign_chunks,
     accumulate_campaign_slice,
     campaign_schedule,
-    resolve_sampler,
 )
 from repro.tvla.sharding import merge_shard_partials
 
@@ -321,28 +320,6 @@ class TestCounterTraceEngine:
             generator.generate(campaign, rng=np.random.default_rng(1),
                                draws=CounterDraws(1, 0, 0, 0))
 
-    def test_loop_engine_rejects_counter_draws(self, masked_arbiter):
-        generator = PowerTraceGenerator(masked_arbiter,
-                                        config=PowerModelConfig(), seed=1,
-                                        vectorised=False)
-        campaign = fixed_vs_random_campaigns(masked_arbiter, 9, seed=2)[0]
-        with pytest.raises(ValueError):
-            generator.generate(campaign, draws=CounterDraws(1, 0, 0, 0))
-
-    def test_resolve_sampler_degrades_for_loop_engine(self, masked_arbiter):
-        config = TvlaConfig(n_traces=16, sampler="counter")
-        loop = PowerTraceGenerator(masked_arbiter,
-                                   config=config.power, seed=config.seed,
-                                   vectorised=False)
-        fast = PowerTraceGenerator(masked_arbiter,
-                                   config=config.power, seed=config.seed)
-        assert resolve_sampler(config, loop) == "sequence"
-        assert resolve_sampler(config, fast) == "counter"
-
-    def test_sampler_knob_validated(self):
-        with pytest.raises(ValueError, match="sampler"):
-            TvlaConfig(sampler="bogus")
-        assert SAMPLERS == ("counter", "sequence")
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +332,7 @@ COUNTER_TVLA = dict(n_traces=600, n_fixed_classes=2, seed=9,
 
 @pytest.fixture(scope="module")
 def counter_config() -> TvlaConfig:
-    return TvlaConfig(sampler="counter", **COUNTER_TVLA)
+    return TvlaConfig(**COUNTER_TVLA)
 
 
 @pytest.fixture(scope="module")
@@ -385,25 +362,6 @@ class TestLayoutInvariance:
                                          n_shards=4, executor="process")
         assert np.array_equal(sharded.t_values, counter_reference.t_values)
 
-    def test_sequence_oracle_keeps_close_contract(self, small_benchmark):
-        # The frozen discipline stays on its historical ~1e-12 contract —
-        # close, not bitwise — which is exactly why the counter sampler
-        # exists.
-        config = TvlaConfig(sampler="sequence", **COUNTER_TVLA)
-        reference = assess_leakage(small_benchmark, config)
-        sharded = assess_leakage_sharded(small_benchmark, config,
-                                         n_shards=4, executor="serial")
-        np.testing.assert_allclose(sharded.t_values, reference.t_values,
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_samplers_draw_different_universes(self, small_benchmark,
-                                               counter_config,
-                                               counter_reference):
-        sequence = assess_leakage(
-            small_benchmark, TvlaConfig(sampler="sequence", **COUNTER_TVLA))
-        assert not np.array_equal(sequence.t_values,
-                                  counter_reference.t_values)
-
 
 class TestChunkPartitionProperty:
     """Hypothesis-driven layout invariance at the accumulator level.
@@ -416,8 +374,7 @@ class TestChunkPartitionProperty:
     @pytest.fixture(scope="class")
     def chunk_partials(self, masked_arbiter):
         config = TvlaConfig(n_traces=384, n_fixed_classes=2, seed=21,
-                            chunk_traces=64, streaming=True,
-                            sampler="counter")
+                            chunk_traces=64, streaming=True)
         generator = PowerTraceGenerator(masked_arbiter, config=config.power,
                                         seed=config.seed)
         schedule = campaign_schedule(masked_arbiter, config)
@@ -428,7 +385,7 @@ class TestChunkPartitionProperty:
                                             class_index)
                   for class_index, pair in enumerate(schedule)]
         reference = merge_shard_partials(
-            [[(acc0, acc1) for acc0, acc1 in serial]], config)
+            [[([acc0], [acc1]) for acc0, acc1 in serial]], config)
         return config, per_class, reference
 
     @SETTINGS
@@ -456,14 +413,14 @@ class TestChunkPartitionProperty:
 
 
 # ----------------------------------------------------------------------
-# Frozen sequence oracle (satellite: golden byte-level regression)
+# Frozen rng-driven draws (golden byte-level regression)
 # ----------------------------------------------------------------------
 class TestSequenceGoldenDraws:
-    """The ``sampler="sequence"`` path is a frozen oracle: its traces are
-    pinned byte-for-byte to the pre-counter implementation.  These hashes
-    were captured from the tree at the commit preceding this change —
-    any drift in the SeedSequence draw order, word over-allocation or
-    noise synthesis breaks them."""
+    """Traces drawn from a sequential ``numpy.random.Generator``
+    (``generate(rng=...)`` and the ``generate_loop`` oracle) are pinned
+    byte-for-byte to the pre-counter implementation: any drift in the
+    draw order, word over-allocation or noise synthesis breaks these
+    hashes."""
 
     GOLDEN = {
         "fast/fixed":
@@ -504,9 +461,10 @@ class TestSequenceGoldenDraws:
         generator = PowerTraceGenerator(masked_arbiter,
                                         config=PowerModelConfig(
                                             noise_mode="fast"),
-                                        seed=1, vectorised=False)
+                                        seed=1)
         campaign = fixed_vs_random_campaigns(masked_arbiter, 17, seed=3)[0]
-        traces = generator.generate(campaign, rng=np.random.default_rng(9))
+        traces = generator.generate_loop(campaign,
+                                         rng=np.random.default_rng(9))
         assert self._digest(traces) == self.GOLDEN["loop/fast"]
 
 

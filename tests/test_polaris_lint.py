@@ -324,7 +324,6 @@ def _oracle_repo_files(tmp_path):
             "    def explain(self):\n"
             "        pass\n",
         "src/repro/power/ctrsample.py":
-            "SAMPLERS = ('counter', 'sequence')\n"
             "def philox_raw():\n"
             "    pass\n"
             "def philox_blocks_reference():\n"
@@ -335,7 +334,7 @@ def _oracle_repo_files(tmp_path):
             "# _best_split _best_split_loop\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
-            "# philox_raw philox_blocks_reference counter sequence\n",
+            "# philox_raw philox_blocks_reference\n",
     }
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.masking import apply_masking, maskable_gates
 from repro.netlist import GateType, Netlist
 from repro.power import (
+    CounterStream,
     DesignMetrics,
     GatePowerModel,
     PowerModelConfig,
@@ -172,10 +173,9 @@ class TestVectorisedEngine:
 
     def test_loop_path_honours_explicit_fast_noise(self, tiny_netlist):
         config = PowerModelConfig(noise_mode="fast")
-        generator = PowerTraceGenerator(tiny_netlist, config=config, seed=6,
-                                        vectorised=False)
+        generator = PowerTraceGenerator(tiny_netlist, config=config, seed=6)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 4000, seed=6)
-        traces = generator.generate(fixed)
+        traces = generator.generate_loop(fixed)
         sigma = generator._model.noise_sigma_abs()
         # The popcount sampler yields a 17-point lattice per column (the
         # fixed campaign keeps the noiseless power constant), with the
@@ -188,12 +188,17 @@ class TestVectorisedEngine:
     def test_stream_chunks_cover_campaign(self, tiny_netlist):
         generator = PowerTraceGenerator(tiny_netlist, seed=1)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 250, seed=1)
-        chunks = list(generator.generate_stream(fixed, chunk_traces=64))
+        stream = CounterStream(1, 0, 0)
+        chunks = list(generator.generate_stream(fixed, 64, stream))
         assert [chunk.n_traces for chunk in chunks] == [64, 64, 64, 58]
         assert all(chunk.gate_names == generator.gate_names
                    for chunk in chunks)
+        # Chunk i reads the draws of global chunk first_chunk + i.
+        tail = next(generator.generate_stream(fixed.slice(192, 250), 64,
+                                              stream, first_chunk=3))
+        assert np.array_equal(tail.per_gate, chunks[3].per_gate)
         with pytest.raises(ValueError):
-            next(generator.generate_stream(fixed, chunk_traces=0))
+            next(generator.generate_stream(fixed, 0, stream))
 
     def test_mask_reuse_mode_leaks_through_shares(self, tiny_netlist):
         # mask_refresh=False models faulty masking: the shares track the

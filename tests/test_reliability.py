@@ -9,8 +9,7 @@ The contracts pinned here:
   its best-effort / reraise semantics straight;
 * atomic publication fsyncs the data *and* the directory entry, and a
   fault-injected torn write is detected, quarantined and requeued —
-  the healed campaign is **bitwise equal** to an uninjected one, under
-  both samplers;
+  the healed campaign is **bitwise equal** to an uninjected one;
 * ``collect_result(allow_partial=True)`` degrades a poisoned campaign
   to the surviving shards (never stored) instead of raising;
 * transient queue faults at claim/ack are absorbed by the worker loop
@@ -92,8 +91,8 @@ def _clear_fault_plan():
     set_fault_plan(None)
 
 
-def _config(sampler: str = "counter") -> TvlaConfig:
-    return TvlaConfig(sampler=sampler, **RELIABILITY_TVLA)
+def _config() -> TvlaConfig:
+    return TvlaConfig(**RELIABILITY_TVLA)
 
 
 def _assert_bitwise_equal(left, right):
@@ -418,15 +417,14 @@ class TestCheckpointSeal:
         assert unseal_checkpoint(seal_checkpoint(payload)) == payload
 
     def test_tampered_byte_is_detected(self):
-        sealed = bytearray(seal_checkpoint(b"SHM1" + bytes(100)))
+        sealed = bytearray(seal_checkpoint(b"SHM2" + bytes(100)))
         sealed[10] ^= 0xFF
         with pytest.raises(CheckpointCorruptError, match="digest"):
             unseal_checkpoint(bytes(sealed))
 
     def test_legacy_unsealed_payloads_still_load(self):
-        for magic in (b"SHM1", b"SHM2"):
-            payload = magic + bytes(32)
-            assert unseal_checkpoint(payload) == payload
+        payload = b"SHM2" + bytes(32)
+        assert unseal_checkpoint(payload) == payload
 
     def test_foreign_bytes_are_rejected(self):
         with pytest.raises(CheckpointCorruptError, match="neither"):
@@ -449,13 +447,12 @@ class TestCheckpointSeal:
 # Campaign-level hardening
 # ----------------------------------------------------------------------
 class TestCampaignHardening:
-    @pytest.mark.parametrize("sampler", ["counter", "sequence"])
     def test_corrupt_checkpoint_quarantined_requeued_bitwise(
-            self, small_benchmark, tmp_path, sampler):
+            self, small_benchmark, tmp_path):
         """The tentpole scenario: a seeded plan corrupts one checkpoint
         mid-campaign; collection quarantines it, requeues the shard, and
         the healed result is bitwise equal to an uninjected campaign."""
-        config = _config(sampler)
+        config = _config()
         root = tmp_path / "faulted"
         set_fault_plan(FaultPlan.parse(
             "seed=42;checkpoint.write:mode=corrupt,max=1"))
@@ -640,9 +637,9 @@ def _drain_until_complete(client, timeout=120.0):
     raise AssertionError("stream ended before completion")
 
 
-def _service_spec(sampler: str = "counter") -> CampaignSpec:
+def _service_spec() -> CampaignSpec:
     netlist = load_benchmark("des3", scale=0.25, seed=99)
-    return CampaignSpec.from_netlist(netlist, _config(sampler), n_shards=3,
+    return CampaignSpec.from_netlist(netlist, _config(), n_shards=3,
                                      force_streaming=True)
 
 
@@ -695,14 +692,13 @@ class TestServiceReliability:
         assert np.array_equal(decode_array(final.t_values),
                               collected.t_values)
 
-    @pytest.mark.parametrize("sampler", ["counter", "sequence"])
-    def test_four_domain_chaos_converges_bitwise(self, tmp_path, sampler):
+    def test_four_domain_chaos_converges_bitwise(self, tmp_path):
         """The acceptance scenario: one seeded plan spanning four fault
         domains — a SIGKILLed worker, a corrupted checkpoint, transient
         queue errors, a severed watch connection — and the campaign still
         completes with t-values bitwise equal to an uninjected run."""
         shared_root = tmp_path / "svc"
-        spec = _service_spec(sampler)
+        spec = _service_spec()
         tenant = "lab"
         handle = _ServiceHandle(shared_root).start()
         client = ServiceClient(handle.server.host, handle.port)

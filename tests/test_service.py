@@ -9,8 +9,8 @@ The contracts pinned here:
   submitting the *same* spec into the shared queue get disjoint tasks;
 * the server folds streamed shard partials in global shard order, so the
   progress frame emitted after the final partial carries t-values
-  **bitwise equal** to the batch ``collect_result`` — under both the
-  counter and the sequence sampler, and under faults (a worker SIGKILLed
+  **bitwise equal** to the batch ``collect_result`` — also under faults
+  (a worker SIGKILLed
   mid-shard, completion via lease expiry, a worker renewing its lease
   past the original expiry).
 """
@@ -70,9 +70,9 @@ SERVICE_TVLA = dict(n_traces=240, n_fixed_classes=2, seed=7,
                     chunk_traces=48, streaming=True)
 
 
-def _spec(sampler: str = "counter", n_shards: int = 3) -> CampaignSpec:
+def _spec(n_shards: int = 3) -> CampaignSpec:
     netlist = load_benchmark("des3", scale=0.25, seed=99)
-    config = TvlaConfig(sampler=sampler, **SERVICE_TVLA)
+    config = TvlaConfig(**SERVICE_TVLA)
     return CampaignSpec.from_netlist(netlist, config, n_shards=n_shards,
                                      force_streaming=True)
 
@@ -247,6 +247,18 @@ class TestServer:
             with pytest.raises(ProtocolError, match="bad-spec"):
                 client.submit("lab", '{"not": "a spec"}')
 
+    @pytest.mark.parametrize("key,value", [("format", 2),
+                                           ("sampler", "sequence")])
+    def test_retired_spec_is_rejected(self, service, key, value):
+        # Format-2 specs and non-counter samplers name a retired draw
+        # discipline: the service answers bad-spec with the reason.
+        data = json.loads(_spec().to_json())
+        (data if key == "format" else data["tvla"])[key] = value
+        with ServiceClient(service.host, service.port) as client:
+            with pytest.raises(ProtocolError,
+                               match="bad-spec.*(format 2|sampler)"):
+                client.submit("lab", json.dumps(data))
+
     def test_undecodable_frame_gets_error_reply(self, service):
         with ServiceClient(service.host, service.port) as client:
             client._sock.sendall(b"this is not json\n")
@@ -290,17 +302,16 @@ class TestServer:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: faults + bitwise-equal streamed t-values, both samplers
+# End-to-end: faults + bitwise-equal streamed t-values
 # ----------------------------------------------------------------------
 class TestEndToEndStreaming:
-    @pytest.mark.parametrize("sampler", ["counter", "sequence"])
     def test_streamed_t_values_bitwise_equal_collect(
-            self, service, tmp_path, monkeypatch, sampler):
+            self, service, tmp_path, monkeypatch):
         """The acceptance scenario: one worker SIGKILLed mid-shard, one
         renewing past its original lease; the final progress frame is
         bitwise equal to ``polaris-campaign result``."""
         monkeypatch.setenv("POLARIS_SHARD_DELAY", "0.9")
-        spec = _spec(sampler=sampler)
+        spec = _spec()
         tenant = "lab"
         shared_root = service.root
 

@@ -4,7 +4,7 @@
 Run by the CI ``chaos-smoke`` job (and runnable locally with
 ``python tools/chaos_soak.py``).  One seeded :class:`FaultPlan` spans
 **four fault domains** and the campaign must still converge *bitwise*
-to an uninjected run, under both samplers:
+to an uninjected run:
 
 1. start ``polaris-campaign serve`` as a real subprocess and submit a
    campaign through a following client;
@@ -72,7 +72,9 @@ from repro.tvla import TvlaConfig  # noqa: E402
 #: The soak campaign: 240 traces in 48-trace chunks -> 5 chunks, 3 shards.
 DESIGN = dict(name="des3", scale=0.25, seed=99)
 N_SHARDS = 3
-SAMPLERS = ("counter", "sequence")
+#: The campaign configuration every soak run (and its clean rerun) uses.
+CONFIG = TvlaConfig(n_traces=240, n_fixed_classes=2, seed=9,
+                    chunk_traces=48, streaming=True)
 
 #: The doomed worker SIGKILLs itself at its first shard's entry point.
 DOOMED_PLAN = "worker.shard:mode=crash,max=1"
@@ -82,11 +84,6 @@ SURVIVOR_PLAN = ("seed=42;checkpoint.write:mode=corrupt,max=1;"
                  "queue.ack:mode=error,max=2")
 #: The watching client's connection is severed on its next receive.
 WATCHER_PLAN = "service.recv:mode=sever,max=1"
-
-
-def _config(sampler: str) -> TvlaConfig:
-    return TvlaConfig(sampler=sampler, n_traces=240, n_fixed_classes=2,
-                      seed=9, chunk_traces=48, streaming=True)
 
 
 def _env(fault_plan: str = "") -> dict:
@@ -111,18 +108,18 @@ def start_server(root: Path) -> tuple:
     return process, host, int(port)
 
 
-def soak_one(sampler: str, root: Path, host: str, port: int) -> int:
-    tenant = f"soak-{sampler}"
+def soak(root: Path, host: str, port: int) -> int:
+    tenant = "soak"
     netlist = load_benchmark(DESIGN["name"], scale=DESIGN["scale"],
                              seed=DESIGN["seed"])
-    spec = CampaignSpec.from_netlist(netlist, _config(sampler),
+    spec = CampaignSpec.from_netlist(netlist, CONFIG,
                                      n_shards=N_SHARDS,
                                      force_streaming=True)
     queue = campaign_queue(root)
     client = ServiceClient(host, port)
     try:
         accepted = client.submit(tenant, spec.to_json(), follow=True)
-        print(f"[{sampler}] submitted {accepted.spec_hash[:12]}… "
+        print(f"submitted {accepted.spec_hash[:12]}… "
               f"({accepted.n_enqueued} shards enqueued)")
 
         # Fault domain 1: the doomed worker SIGKILLs mid-shard; its
@@ -137,7 +134,7 @@ def soak_one(sampler: str, root: Path, host: str, port: int) -> int:
             print(f"FAIL: doomed worker exited {doomed.returncode}, "
                   f"expected SIGKILL (-9)")
             return 1
-        print(f"[{sampler}] doomed worker pid {doomed.pid} SIGKILLed "
+        print(f"doomed worker pid {doomed.pid} SIGKILLed "
               f"mid-shard; lease will expire")
 
         # Fault domains 2+3: the survivor corrupts one on-disk
@@ -175,7 +172,7 @@ def soak_one(sampler: str, root: Path, host: str, port: int) -> int:
         if len(seen) != len(set(seen)):
             print(f"FAIL: reconnect replayed progress frames: {seen}")
             return 1
-        print(f"[{sampler}] stream survived sever + reconnect "
+        print("stream survived sever + reconnect "
               f"({len(progress)} progress frames, no replays)")
     finally:
         client.close()
@@ -201,7 +198,7 @@ def soak_one(sampler: str, root: Path, host: str, port: int) -> int:
     if not checkpoint_ok(paths.shard_path(bad[0])):
         print(f"FAIL: shard {bad[0]} still corrupt after healing")
         return 1
-    print(f"[{sampler}] shard {bad[0]} quarantined ({corpses[0]}) and "
+    print(f"shard {bad[0]} quarantined ({corpses[0]}) and "
           f"healed")
 
     # Convergence: streamed == collected == a clean uninjected rerun.
@@ -212,12 +209,12 @@ def soak_one(sampler: str, root: Path, host: str, port: int) -> int:
         print("FAIL: streamed final t-values != collect result (bitwise)")
         return 1
     with tempfile.TemporaryDirectory(prefix="chaos-clean-") as clean_dir:
-        clean = run_campaign(clean_dir, netlist, _config(sampler),
+        clean = run_campaign(clean_dir, netlist, CONFIG,
                              n_shards=N_SHARDS, n_workers=1)
     if not np.array_equal(collected.t_values, clean.t_values):
         print("FAIL: chaos campaign != uninjected campaign (bitwise)")
         return 1
-    print(f"[{sampler}] chaos t-values converge bitwise to the clean "
+    print("chaos t-values converge bitwise to the clean "
           f"run ({clean.t_values.shape[-1]} gates)")
     return 0
 
@@ -228,14 +225,13 @@ def main() -> int:
     server, host, port = start_server(root)
     print(f"service pid {server.pid} on {host}:{port}, root {root}")
     try:
-        for sampler in SAMPLERS:
-            code = soak_one(sampler, root, host, port)
-            if code != 0:
-                return code
+        code = soak(root, host, port)
+        if code != 0:
+            return code
     finally:
         server.terminate()
         server.wait(timeout=30)
-    print(f"chaos soak ok: 4 fault domains x {len(SAMPLERS)} samplers in "
+    print("chaos soak ok: 4 fault domains in "
           f"{time.monotonic() - started:.1f}s")
     return 0
 

@@ -12,16 +12,16 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 #: Paths (relative, posix) under which PL001's strict RNG discipline
-#: applies: every generator must be injected or derived from a seeded
-#: ``SeedSequence``-based seam.  Tools and benchmarks may construct their
+#: applies: every generator must be injected, seeded explicitly or derived
+#: from a coordinate-keyed seam.  Tools and benchmarks may construct their
 #: own seeded generators but are still barred from global RNG state.
 RNG_STRICT_PREFIXES: Tuple[str, ...] = ("src/repro/",)
 
 #: ``numpy.random`` attributes that are part of the sanctioned Generator
 #: API.  Everything else (``np.random.seed``, ``np.random.rand``,
 #: ``np.random.RandomState``, ...) is hidden global state: it breaks the
-#: shard-layout invariance built in PR 2, where every stream derives from
-#: ``SeedSequence.spawn`` coordinates.
+#: shard-layout invariance, where every stream derives from campaign
+#: coordinates.
 NP_RANDOM_ALLOWED: Tuple[str, ...] = (
     "default_rng", "Generator", "SeedSequence", "BitGenerator",
     "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64",
@@ -31,7 +31,6 @@ NP_RANDOM_ALLOWED: Tuple[str, ...] = (
 #: accepting an injected ``rng`` parameter) is the sanctioned way to get
 #: randomness inside ``src/repro``.
 RNG_SEAM_FUNCTIONS: Tuple[str, ...] = (
-    "chunk_seed_streams",
     # PR 8: the counter sampler's single BitGenerator seam — Philox keyed
     # by (seed, class, group, chunk, lane) coordinates, seedless by design.
     "philox_bit_generator",
@@ -93,11 +92,6 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # reference implementation of the 4x64 block function.
     OraclePair("ctr-philox", "src/repro/power/ctrsample.py",
                "philox_raw", "philox_blocks_reference"),
-    # PR 8: counter-based sampling discipline vs the frozen SeedSequence
-    # stream discipline (different draws by design — the sequence side is
-    # the stateless-contract oracle pinned byte-for-byte by regression).
-    OraclePair("mask-sampler", "src/repro/power/ctrsample.py",
-               "counter", "sequence", kind="string"),
 )
 
 

@@ -2,8 +2,8 @@
 
 Every random stream in ``src/repro`` must be reproducible from campaign
 coordinates: generators are injected parameters, seeded explicitly, or
-spawned from ``numpy.random.SeedSequence`` seam functions such as
-``chunk_seed_streams`` (PR 2's shard-layout invariance depends on it).
+built by seam functions such as ``philox_bit_generator`` (shard-layout
+invariance depends on it).
 Therefore:
 
 * ``np.random.default_rng()`` without a seed (or with a literal ``None``)

@@ -152,18 +152,19 @@ def test_compiled_sweep_microbench(recorder):
         f"fused kernel regressed below the loop on some designs: {speedups}")
 
 
-def _tvla_end_to_end(design, power_backend, fused_moments,
+def _tvla_end_to_end(design, sim_backend, fused_moments,
                      n_traces=PAPER_TRACES, chunk=2048, seed=2):
     """One full trace-generation + streaming-TVLA pass (order 1, 1 class).
 
     Mirrors the chunked driver (per-chunk counter draws, one-pass
     accumulators, Welch from merged moments) but lets the caller pick the
-    extraction backend and the moment-update implementation, so the bench
-    can time the packed fast path against the pre-fusion oracle on
-    identical work.
+    trace engine (``sim_backend="loop"`` is the loop-simulation +
+    bool-matrix oracle seam) and the moment-update implementation, so the
+    bench can time the packed fast path against its oracle on identical
+    work.
     """
     generator = PowerTraceGenerator(design, seed=seed,
-                                    power_backend=power_backend)
+                                    sim_backend=sim_backend)
     campaigns = fixed_vs_random_campaigns(design, n_traces, seed=seed)
     accumulators = []
     for group_index, campaign in enumerate(campaigns):
@@ -177,17 +178,15 @@ def _tvla_end_to_end(design, power_backend, fused_moments,
 
 
 def test_packed_power_microbench(comparison_design, masked_design, recorder):
-    """The packed end-to-end hot path vs the pre-PR oracle at paper scale.
+    """The packed end-to-end hot path vs its in-tree oracle at paper scale.
 
     Runs 10,000-trace trace-generation + streaming TVLA per group on the
-    bench designs two ways: the fast path (``power_backend="packed"`` +
-    fused ``update_batch``) and the bit-identical oracle it replaced
-    (``power_backend="unpacked"`` + naive per-order moment updates — the
-    pre-PR pipeline, kept in-tree).  T-values must be **exactly** equal;
-    the fast path must be >= 1.3x faster end to end.  The
-    ``power_backend_only`` rows isolate the packed-extraction share of the
-    win (same fused moments on both sides, not asserted — on masked
-    designs the shared mask/noise sampling dominates that slice).
+    bench designs two ways: the fast path (the default generator — fused
+    simulation, packed toggle extraction — plus the gate-blocked
+    ``update_batch``) and the bit-identical oracle (the
+    ``sim_backend="loop"`` generator — loop simulation, bool-matrix
+    extraction — plus naive per-order moment updates).  T-values must be
+    **exactly** equal; the fast path must be >= 1.3x faster end to end.
 
     The fast path and the oracle are timed alternately (best of 7 each),
     so a burst of load on a shared host slows both sides of the asserted
@@ -201,12 +200,10 @@ def test_packed_power_microbench(comparison_design, masked_design, recorder):
     for label, design in (("unmasked", comparison_design),
                           ("masked", masked_design)):
         fast, oracle = interleaved_best_of(
-            lambda: _tvla_end_to_end(design, "packed", True),
-            lambda: _tvla_end_to_end(design, "unpacked", False), repeats=7)
-        unpacked_fused = best_of(
-            lambda: _tvla_end_to_end(design, "unpacked", True))
-        fast_result = _tvla_end_to_end(design, "packed", True)
-        oracle_result = _tvla_end_to_end(design, "unpacked", False)
+            lambda: _tvla_end_to_end(design, "compiled", True),
+            lambda: _tvla_end_to_end(design, "loop", False), repeats=7)
+        fast_result = _tvla_end_to_end(design, "compiled", True)
+        oracle_result = _tvla_end_to_end(design, "loop", False)
         np.testing.assert_array_equal(fast_result.t_statistic,
                                       oracle_result.t_statistic)
         speedups[label] = oracle / fast
@@ -221,24 +218,14 @@ def test_packed_power_microbench(comparison_design, masked_design, recorder):
             "speedup": oracle / fast,
             "t_values_exactly_equal": True,
         })
-        rows.append({
-            "design": design.name,
-            "variant": label,
-            "comparison": "power_backend_only",
-            "n_traces": PAPER_TRACES,
-            "n_gates": len(design),
-            "oracle_seconds": unpacked_fused,
-            "fast_seconds": fast,
-            "speedup": unpacked_fused / fast,
-            "t_values_exactly_equal": True,
-        })
 
     recorder.record(ExperimentRecord(
         experiment_id="microbench_packed_power",
-        description=("Packed end-to-end hot path (packed toggle extraction "
-                     "+ fused moment updates) vs the pre-PR oracle "
-                     f"(unpacked + naive updates) at {PAPER_TRACES} traces; "
-                     "t-values exactly equal"),
+        description=("Packed end-to-end hot path (fused simulation, packed "
+                     "toggle extraction, fused moment updates) vs the "
+                     "oracle (loop simulation, bool-matrix extraction, "
+                     f"naive updates) at {PAPER_TRACES} traces; t-values "
+                     "exactly equal"),
         parameters={"scale": max(BENCH_SCALE, 0.35),
                     "n_traces": PAPER_TRACES, "chunk_traces": 2048,
                     "cpu_count": os.cpu_count()},
@@ -390,8 +377,9 @@ def test_sharded_tvla_scaling(masked_design, recorder):
     """Shard-count scaling of a 10,000-trace sharded TVLA campaign.
 
     Runs the same campaign with 1/2/4 workers on both pool executors and
-    **both simulation backends** (the per-gate ``"loop"`` before, the fused
-    ``"compiled"`` kernel after) and records the scaling curves in
+    **both trace engines** (the default fused ``"compiled"`` generator, and
+    the per-gate ``PowerTraceGenerator(..., sim_backend="loop")`` oracle
+    passed via ``generator=``) and records the scaling curves in
     ``latest.json``.  Chunk size 1024 gives 10 chunks, so 4 shards still
     get a balanced 3/3/2/2 split.  Correctness is asserted against the
     serial streaming driver (~1e-12); the speedups are recorded together
@@ -402,24 +390,27 @@ def test_sharded_tvla_scaling(masked_design, recorder):
     (with the loop backend, the thread curve stays flat: the per-gate
     Python sweep holds the GIL).
     """
+    config = TvlaConfig(n_traces=PAPER_TRACES, n_fixed_classes=1, seed=2,
+                        chunk_traces=1024, streaming=True)
+    # The loop generator is shared by every loop run (thread pools only).
+    generators = {
+        "loop": PowerTraceGenerator(masked_design, config=config.power,
+                                    seed=config.seed, sim_backend="loop"),
+        "compiled": None,
+    }
     serial_seconds = {}
     references = {}
-    configs = {}
-    for sim_backend in ("loop", "compiled"):
-        configs[sim_backend] = TvlaConfig(
-            n_traces=PAPER_TRACES, n_fixed_classes=1, seed=2,
-            chunk_traces=1024, streaming=True, sim_backend=sim_backend)
+    for sim_backend, generator in generators.items():
         start = time.perf_counter()
-        references[sim_backend] = assess_leakage(masked_design,
-                                                 configs[sim_backend])
+        references[sim_backend] = assess_leakage(masked_design, config,
+                                                 generator=generator)
         serial_seconds[sim_backend] = time.perf_counter() - start
     # Both backends generate bit-identical traces: same verdict.
     np.testing.assert_array_equal(references["loop"].t_values,
                                   references["compiled"].t_values)
 
     rows = []
-    for sim_backend in ("loop", "compiled"):
-        config = configs[sim_backend]
+    for sim_backend, generator in generators.items():
         for executor in ("thread", "process"):
             if executor == "process" and sim_backend == "loop":
                 continue  # the before/after story is the thread curve
@@ -428,7 +419,8 @@ def test_sharded_tvla_scaling(masked_design, recorder):
                 sharded = assess_leakage_sharded(masked_design, config,
                                                  n_shards=n_shards,
                                                  executor=executor,
-                                                 max_workers=n_shards)
+                                                 max_workers=n_shards,
+                                                 generator=generator)
                 elapsed = time.perf_counter() - start
                 np.testing.assert_allclose(
                     sharded.t_values, references[sim_backend].t_values,

@@ -14,8 +14,6 @@ multi-worker jobs:
   (cache hits are bit-identical, keyed on the spec hash);
 * :mod:`repro.campaign.serialize` — lossless wire formats for shard
   partials and assessments;
-* :mod:`repro.campaign.adapters` — optional dask / MPI executors behind
-  guarded imports;
 * :mod:`repro.campaign.cli` — the ``polaris-campaign`` console script
   (``submit`` / ``work`` / ``status`` / ``result`` / ``gc``).
 
@@ -30,12 +28,6 @@ work --root ...`` anywhere the root is mounted, then ``result`` merges the
 shard checkpoints.  See ``docs/campaigns.md``.
 """
 
-from .adapters import (
-    CrossProcessExecutor,
-    OptionalDependencyError,
-    dask_executor,
-    mpi_executor,
-)
 from .queue import (
     ClaimedTask,
     QueueExecutor,
@@ -80,9 +72,7 @@ __all__ = [
     "CampaignSpec",
     "CampaignStatus",
     "ClaimedTask",
-    "CrossProcessExecutor",
     "GcOutcome",
-    "OptionalDependencyError",
     "QueueExecutor",
     "ResultStore",
     "SubmitOutcome",
@@ -94,11 +84,9 @@ __all__ = [
     "campaign_status",
     "campaign_store",
     "collect_result",
-    "dask_executor",
     "gc_campaign_root",
     "list_campaigns",
     "load_spec",
-    "mpi_executor",
     "pack_shard_moments",
     "run_campaign",
     "run_shard_task",

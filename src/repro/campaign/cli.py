@@ -43,7 +43,6 @@ from typing import List, Optional
 
 from ..netlist.benchmarks import load_benchmark
 from ..netlist.parser import parse_bench_file
-from ..power.traces import POWER_BACKENDS
 from ..tvla.assessment import SUPPORTED_TVLA_ORDERS, TvlaConfig
 from .queue import run_worker
 from .runner import (
@@ -91,11 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="highest TVLA order to evaluate")
     submit.add_argument("--mode", default="fixed_vs_random",
                         choices=("fixed_vs_random", "fixed_vs_fixed"))
-    submit.add_argument("--power-backend", default="packed",
-                        choices=POWER_BACKENDS,
-                        help="power-engine toggle extraction (packed = "
-                             "bit-packed fast path, unpacked = oracle; "
-                             "bit-identical results, different hashes)")
     submit.add_argument("--tenant", default=None,
                         help="tenant id: campaign lives under "
                              "<root>/tenants/<tenant> with namespaced "
@@ -240,8 +234,7 @@ def _submit(args: argparse.Namespace) -> int:
     config = TvlaConfig(n_traces=args.traces, mode=args.mode,
                         n_fixed_classes=args.classes, seed=args.seed,
                         chunk_traces=args.chunk_traces,
-                        tvla_order=args.order,
-                        power_backend=args.power_backend)
+                        tvla_order=args.order)
     if args.follow:
         return _submit_follow(args, netlist, config)
     root, queue, prefix = _tenant_scope(args.root, args.tenant)

@@ -94,6 +94,10 @@ class TaskFailedError(RuntimeError):
     """A queued task exhausted its attempts; carries the worker traceback."""
 
 
+#: How often a draining worker's settle wait re-checks its ``stop_event``.
+_STOP_POLL_S = 0.05
+
+
 class _SettleSignal:
     """Process-wide wake-up: every in-process ack or fail bumps a counter.
 
@@ -116,10 +120,25 @@ class _SettleSignal:
             self._count += 1
             self._condition.notify_all()
 
-    def wait(self, seen: int, timeout: float) -> None:
-        """Return once the count moved past ``seen``, or after ``timeout``."""
+    def wait(self, seen: int, timeout: float,
+             stop_event: Optional[threading.Event] = None) -> None:
+        """Return once the count moved past ``seen``, ``stop_event`` is
+        set, or after ``timeout``.
+
+        A :class:`threading.Event` cannot notify this condition, so with a
+        ``stop_event`` the wait re-checks it every :data:`_STOP_POLL_S`.
+        """
+        deadline = time.monotonic() + timeout
         with self._condition:
-            self._condition.wait_for(lambda: self._count != seen, timeout)
+            while self._count == seen:
+                if stop_event is not None and stop_event.is_set():
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                if stop_event is not None:
+                    remaining = min(remaining, _STOP_POLL_S)
+                self._condition.wait(remaining)
 
 
 _SETTLED = _SettleSignal()
@@ -539,7 +558,7 @@ def run_worker(queue: TaskQueue,
         poll_interval: Idle sleep between empty claims (the *initial*
             sleep in ``forever`` mode).  A draining worker waits at most
             this long, and wakes as soon as an ack or fail in this process
-            settles a task.
+            settles a task or ``stop_event`` is set.
         lease_seconds: Per-claim lease override.
         drain: Stop once the queue holds no outstanding work.  A leased
             task on another worker still counts as outstanding, so a
@@ -605,7 +624,7 @@ def run_worker(queue: TaskQueue,
                     and time.monotonic() - last_claim >= max_idle:
                 break
             if drain:
-                _SETTLED.wait(settled, sleep_for)
+                _SETTLED.wait(settled, sleep_for, stop_event)
             elif stop_event is not None:
                 stop_event.wait(sleep_for)
             else:

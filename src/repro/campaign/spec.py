@@ -39,15 +39,22 @@ from ..tvla.sharding import shard_trace_ranges
 
 #: Bumped whenever the hashed payload layout (or the semantics of any
 #: hashed field) changes, so stale stores can never serve foreign results.
-#: Format 2 added ``TvlaConfig.power_backend`` to the hashed config;
-#: format 3 added the mask/noise sampler.  Only format 3 loads: format-2
-#: campaigns drew through a sampler this build no longer has.
+#: Format 2 added the power engine's toggle-extraction selector to the
+#: hashed config; format 3 added the mask/noise sampler.  Only format 3 loads: format-2
+#: campaigns drew through a sampler this build no longer has.  The
+#: sampler, simulation and power-extraction selectors have since left
+#: ``TvlaConfig``; format 3 keeps hashing them as constants (see
+#: :data:`_RETIRED_KEYS`).
 SPEC_FORMAT = 3
 
-#: The mask/noise sampler of every campaign.  Format 3 hashed it as a
-#: ``TvlaConfig`` field that has since been removed; the serialised config
-#: keeps the constant key so every stored format-3 hash stays valid.
-_SAMPLER = "counter"
+#: Hashed ``TvlaConfig`` fields that have since been removed, with the one
+#: value each can still take: every campaign draws through the counter
+#: sampler, and the trace engine now follows the netlist (the fused kernel
+#: with packed extraction whenever the planner can fuse it).  The
+#: serialised config keeps the constant keys so every stored format-3 hash
+#: stays valid.
+_RETIRED_KEYS = {"sampler": "counter", "sim_backend": "compiled",
+                 "power_backend": "packed"}
 
 
 def tvla_config_to_dict(config: TvlaConfig) -> Dict[str, object]:
@@ -56,8 +63,8 @@ def tvla_config_to_dict(config: TvlaConfig) -> Dict[str, object]:
             for field in fields(config) if field.name != "power"}
     data["power"] = {field.name: getattr(config.power, field.name)
                      for field in fields(PowerModelConfig)}
-    # Constant, but hashed: format-3 hashes were computed with this key.
-    data["sampler"] = _SAMPLER
+    # Constant, but hashed: format-3 hashes were computed with these keys.
+    data.update(_RETIRED_KEYS)
     return data
 
 
@@ -65,14 +72,16 @@ def tvla_config_from_dict(data: Dict[str, object]) -> TvlaConfig:
     """Rebuild a :class:`TvlaConfig` serialised by :func:`tvla_config_to_dict`.
 
     Raises:
-        ValueError: for a ``sampler`` other than ``"counter"``.
+        ValueError: for a retired key (see :data:`_RETIRED_KEYS`) with any
+            value but its one supported value.
     """
     data = dict(data)
-    sampler = data.pop("sampler", _SAMPLER)
-    if sampler != _SAMPLER:
-        raise ValueError(
-            f"campaign sampler {sampler!r} is not supported: every campaign "
-            f"draws through the {_SAMPLER!r} sampler")
+    for key, supported in _RETIRED_KEYS.items():
+        value = data.pop(key, supported)
+        if value != supported:
+            raise ValueError(
+                f"campaign {key} {value!r} is not supported: every campaign "
+                f"runs with {key}={supported!r}")
     power = PowerModelConfig(**data.pop("power"))
     return TvlaConfig(power=power, **data)
 
@@ -185,8 +194,9 @@ class CampaignSpec:
 
         Raises:
             ValueError: for a format other than :data:`SPEC_FORMAT` (a
-                format-2 spec drew through a retired sampler), a
-                ``sampler`` other than ``"counter"``, or a stored
+                format-2 spec drew through a retired sampler), a retired
+                selector other than its one supported value (see
+                :func:`tvla_config_from_dict`), or a stored
                 ``content_hash`` that no longer matches (corrupt or
                 hand-edited spec files must never be silently trusted).
         """

@@ -141,9 +141,7 @@ class PolarisConfig:
 
 def paper_configuration(chunk_traces: int = 2048,
                         streaming: Optional[bool] = None,
-                        tvla_order: int = 1,
-                        sim_backend: str = "compiled",
-                        power_backend: str = "packed") -> PolarisConfig:
+                        tvla_order: int = 1) -> PolarisConfig:
     """The exact parameterisation reported in §V-A of the paper.
 
     (10,000 TVLA traces, ``Msize = 200``, ``L = 7``, ``itr = 100``,
@@ -159,14 +157,6 @@ def paper_configuration(chunk_traces: int = 2048,
         tvla_order: Highest TVLA order assessed (1, 2 or 3).  The paper
             reports first-order TVLA; orders 2/3 evaluate the masked
             results against the Schneider & Moradi higher-order tests.
-        sim_backend: Logic-simulation backend (``"compiled"`` fused kernel
-            or the ``"loop"`` reference sweep); both generate bit-identical
-            traces, see :class:`repro.tvla.TvlaConfig`.
-        power_backend: Toggle-extraction backend of the power engine
-            (``"packed"`` — consume the bit-packed state matrix directly,
-            default — or ``"unpacked"``, the bool-matrix oracle); both
-            generate bit-identical traces, see
-            :class:`repro.tvla.TvlaConfig`.
     """
     return PolarisConfig(
         msize=200,
@@ -175,7 +165,6 @@ def paper_configuration(chunk_traces: int = 2048,
         theta_r=0.70,
         tvla=TvlaConfig(n_traces=10_000, power=PowerModelConfig(),
                         chunk_traces=chunk_traces, streaming=streaming,
-                        tvla_order=tvla_order, sim_backend=sim_backend,
-                        power_backend=power_backend),
+                        tvla_order=tvla_order),
         model=ModelConfig(model_type="adaboost", learning_rate=0.01),
     )

@@ -31,7 +31,6 @@ from ..tvla.assessment import (
     campaign_schedule,
     compare_assessments,
 )
-from ..tvla.sharding import assess_leakage_sharded
 from ..xai.explain import Explanation
 from ..xai.rules import RuleExtractor, RuleSet
 from ..xai.tree_shap import TreeShapExplainer
@@ -179,8 +178,6 @@ def protect_design(
     budget_from_leaky: bool = True,
     evaluate: bool = True,
     before: Optional[LeakageAssessment] = None,
-    n_shards: int = 1,
-    executor: str = "thread",
     store: Optional[object] = None,
 ) -> ProtectionReport:
     """Protect ``netlist`` with a trained POLARIS instance.
@@ -196,13 +193,6 @@ def protect_design(
         evaluate: Run a TVLA assessment of the protected design (reporting).
         before: Optionally reuse an existing baseline assessment instead of
             re-running TVLA on the original design.
-        n_shards: Split each TVLA campaign into this many shards (see
-            :mod:`repro.tvla.sharding`).  The default 1 runs the serial
-            driver, which already spreads a streaming campaign's chunks
-            over every CPU, so the shard count mainly matters for the
-            durable/store path, where it is part of each assessment's
-            content hash.
-        executor: Shard executor selector when ``n_shards > 1``.
         store: Optional :class:`repro.campaign.store.ResultStore` (or its
             root path).  The before and after assessments are looked up by
             their :class:`~repro.campaign.spec.CampaignSpec` content hash
@@ -233,8 +223,9 @@ def protect_design(
         return schedule
 
     def run_assessment(design, campaigns_fn):
-        """Assess ``design`` with the configured (possibly sharded) driver,
-        serving and feeding the content-addressed store when one is given.
+        """Assess ``design`` with the serial driver (which spreads a
+        streaming campaign's chunks over every CPU), serving and feeding
+        the content-addressed store when one is given.
 
         ``campaigns_fn`` builds (or reuses) the stimulus schedule and is
         only invoked on a cache miss: when both assessments hit the store,
@@ -243,22 +234,13 @@ def protect_design(
         spec_hash = None
         if store is not None:
             from ..campaign.spec import CampaignSpec
-            spec = CampaignSpec.from_netlist(design, config.tvla,
-                                             n_shards=n_shards,
-                                             force_streaming=n_shards > 1)
+            spec = CampaignSpec.from_netlist(design, config.tvla)
             spec_hash = spec.content_hash
             hit = store.get(spec_hash)
             if hit is not None:
                 return hit
-        campaigns = campaigns_fn()
-        if n_shards > 1:
-            assessment = assess_leakage_sharded(design, config.tvla,
-                                                n_shards=n_shards,
-                                                executor=executor,
-                                                campaigns=campaigns)
-        else:
-            assessment = assess_leakage(design, config.tvla,
-                                        campaigns=campaigns)
+        assessment = assess_leakage(design, config.tvla,
+                                    campaigns=campaigns_fn())
         if spec_hash is not None:
             store.put(spec_hash, assessment)
         return assessment

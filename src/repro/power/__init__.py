@@ -3,7 +3,7 @@
 from .bitops import popcount16, popcount_rows, words_for_units
 from .ctrsample import CounterDraws, CounterStream
 from .model import GatePowerModel, PowerModelConfig
-from .traces import POWER_BACKENDS, PowerTraceGenerator, PowerTraces
+from .traces import PowerTraceGenerator, PowerTraces
 from .overhead import (
     DEFAULT_ACTIVITY,
     DesignMetrics,
@@ -20,7 +20,6 @@ __all__ = [
     "CounterStream",
     "GatePowerModel",
     "PowerModelConfig",
-    "POWER_BACKENDS",
     "PowerTraceGenerator",
     "PowerTraces",
     "DEFAULT_ACTIVITY",

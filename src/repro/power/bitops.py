@@ -2,8 +2,8 @@
 
 The simulator's compiled backend keeps the whole state matrix **bit-packed**
 (eight stimulus vectors per byte, ``numpy.packbits`` MSB-first order), and
-with ``power_backend="packed"`` the power engine consumes those bytes
-directly.  The primitives every packed consumer needs — population counts
+the power engine consumes those bytes directly whenever a compiled plan
+exists.  The primitives every packed consumer needs — population counts
 and padding-aware per-row reductions — live here, shared by
 
 * the fast measurement-noise sampler of :mod:`repro.power.traces`

@@ -19,30 +19,26 @@ Two implementations coexist:
   Python loop as the reference implementation for regression tests and the
   microbenchmark comparison.
 
-Simulation itself runs on the backend selected by ``sim_backend``: with the
-default ``"compiled"`` fused kernel (:mod:`repro.simulation.compiled`) the
-power plan adopts the simulator's state-matrix row numbering, so net values
-flow from simulation into power extraction as a zero-copy view and the
-whole chunk is processed by GIL-releasing numpy calls.
+The netlist picks the trace engine; no option does:
 
-On top of that, ``power_backend`` selects how toggles are extracted from
-the simulation results:
+* a netlist the fused levelised kernel (:mod:`repro.simulation.compiled`)
+  can plan is simulated by it, and toggles are extracted straight from the
+  simulator's **bit-packed** state matrix
+  (:attr:`SimulationResult.packed_matrix`).  The power plan adopts the
+  simulator's row numbering; unmasked gate toggles are one XOR over packed
+  bytes followed by a single ``numpy.unpackbits`` of just the watched
+  rows, and masked-composite data codes are assembled from the packed
+  share rows with shifts/ORs.  The full ``(n_signals, batch)`` boolean
+  state matrix is **never materialised**, and the whole chunk is
+  processed by GIL-releasing numpy calls;
+* a netlist the planner cannot fuse runs on the per-gate loop simulator,
+  and toggles come from a compact bool net-value matrix filled from its
+  net-value mapping.
 
-* ``"packed"`` (default) consumes the simulator's **bit-packed** state
-  matrix directly (:attr:`SimulationResult.packed_matrix`): unmasked gate
-  toggles are one XOR over packed bytes followed by a single
-  ``numpy.unpackbits`` of just the watched rows, and masked-composite
-  data codes are assembled from the packed share rows with shifts/ORs —
-  the full ``(n_signals, batch)`` boolean state matrix is **never
-  materialised**, which removes the pack/unpack boundary that used to
-  cost ~30% of evaluate time at large batches;
-* ``"unpacked"`` keeps the previous bool-matrix extraction as the
-  bit-identical oracle (it is also what runs when the simulator fell back
-  to the per-gate loop, which has no packed matrix).
-
-Both backends draw masks and noise identically and produce bit-identical
-traces — and therefore exactly equal t-values — pinned by
-``tests/test_packed_power.py``.
+``sim_backend="loop"`` forces the second engine on any netlist.  That is
+the oracle seam tests use: both engines draw masks and noise identically
+and produce bit-identical traces — and therefore exactly equal t-values —
+pinned by ``tests/test_packed_power.py``.
 
 :meth:`PowerTraceGenerator.generate_stream` slices a campaign into chunks so
 the TVLA drivers (:mod:`repro.tvla.assessment`) never materialise the full
@@ -75,10 +71,6 @@ from .bitops import (FAST_NOISE_BITS, combine_transition_codes, popcount16,
                      words_for_units)
 from .ctrsample import CounterDraws, CounterStream
 from .model import GatePowerModel, PowerModelConfig
-
-#: Toggle-extraction backends accepted by :class:`PowerTraceGenerator` (and,
-#: downstream, by ``TvlaConfig.power_backend``).
-POWER_BACKENDS = ("packed", "unpacked")
 
 #: Full range of a uint64 word, used to draw raw random bits.
 _U64_MAX = np.iinfo(np.uint64).max
@@ -187,26 +179,17 @@ class PowerTraceGenerator:
         trace_dtype: dtype of the per-gate trace matrix.  ``float32``
             (default) halves memory traffic on the hot path; statistics are
             still computed in float64 downstream.
-        sim_backend: Logic-simulation backend (``"compiled"`` — the fused
-            levelised kernel, default — or ``"loop"``, the per-gate
-            reference sweep); see :class:`~repro.simulation.LogicSimulator`.
-            With the compiled backend the power plan indexes the
-            simulator's state matrix directly, so no per-net value
-            marshalling happens between simulation and power extraction.
-        power_backend: Toggle-extraction backend: ``"packed"`` (default)
-            reads the simulator's bit-packed state matrix directly, so the
-            boolean state matrix is never materialised; ``"unpacked"``
-            keeps the bool-matrix extraction as the bit-identical oracle.
-            ``"packed"`` silently resolves to ``"unpacked"`` when no packed
-            matrix exists (loop simulation backend, or a netlist the
-            planner could not fuse) — see :attr:`resolved_power_backend`.
-            Both backends generate bit-identical traces.
+        sim_backend: ``"compiled"`` (default) lets the netlist pick the
+            engine: the fused kernel with packed toggle extraction when the
+            planner can fuse it, the per-gate loop with bool-matrix
+            extraction otherwise.  ``"loop"`` forces the second engine on
+            any netlist; it is the bit-identical oracle tests compare the
+            default against, not a production setting.
 
     Raises:
         SimulationError: if a masked gate has fewer than two data inputs
             (malformed masked composite).
-        ValueError: for unknown ``sim_backend``/``power_backend``
-            selectors.
+        ValueError: for an unknown ``sim_backend`` selector.
     """
 
     def __init__(
@@ -217,19 +200,12 @@ class PowerTraceGenerator:
         seed: int = 0,
         trace_dtype: np.dtype = np.float32,
         sim_backend: str = "compiled",
-        power_backend: str = "packed",
     ) -> None:
-        if power_backend not in POWER_BACKENDS:
-            raise ValueError(
-                f"power_backend must be one of {POWER_BACKENDS}, "
-                f"got {power_backend!r}")
         self.netlist = netlist
         self.library = library if library is not None else netlist.library
         self.config = config if config is not None else PowerModelConfig()
         self.seed = seed
         self.trace_dtype = np.dtype(trace_dtype)
-        self.sim_backend = sim_backend
-        self.power_backend = power_backend
         self._simulator = LogicSimulator(netlist, backend=sim_backend)
         self._model = GatePowerModel(self.library, self.config, seed=seed)
 
@@ -276,12 +252,11 @@ class PowerTraceGenerator:
     def _build_plan(self, unmasked: List[Gate], masked: List[Gate]) -> None:
         config = self.config
         # Unique nets whose values feed the engine; both the unmasked watch
-        # rows and the masked data inputs index into one net-value matrix.
-        # With the compiled simulation backend that matrix *is* the
-        # simulator's state matrix (rows adopt the plan's signal numbering,
-        # undriven nets share its constant-zero row), so per-evaluation
-        # marshalling is a zero-copy view; with the loop backend a compact
-        # matrix is filled from the net-value dict per evaluation.
+        # rows and the masked data inputs index one net-value matrix.  With
+        # a compiled plan that matrix is the simulator's packed state
+        # matrix (rows adopt the plan's signal numbering, undriven nets
+        # share its constant-zero row); on the loop simulator a compact
+        # bool matrix is filled from the net-value dict per evaluation.
         sim_plan = self._simulator.plan
         net_positions: Dict[str, int] = {}
         sim_nets: List[str] = []
@@ -368,26 +343,13 @@ class PowerTraceGenerator:
         #: Column order of every trace matrix; ``_gates`` is final here.
         self._gate_names: Tuple[str, ...] = tuple(g.name for g in self._gates)
         #: Lazily built per-subgroup trace-dtype value tables (noise offset
-        #: folded in) used by the packed extraction path; see
-        #: :meth:`_packed_value_tables`.
-        self._packed_tables: Optional[List[np.ndarray]] = None
+        #: folded in) used by the ``rng`` draw path; see
+        #: :meth:`_value_tables`.
+        self._value_tables_cache: Optional[List[np.ndarray]] = None
         #: Lazily built per-subgroup 4096-entry tables indexed by
         #: ``d << 8 | raw_mask_byte`` for the counter sampler; see
         #: :meth:`_counter_value_tables`.
         self._counter_tables: Optional[List[np.ndarray]] = None
-
-    @property
-    def resolved_power_backend(self) -> str:
-        """The toggle-extraction backend that will actually run.
-
-        ``"packed"`` requires the compiled simulation plan (the packed
-        state matrix is its output format); otherwise the requested
-        ``"packed"`` degrades to ``"unpacked"``, mirroring the
-        compiled->loop simulation fallback.
-        """
-        if self.power_backend == "packed" and self._simulator.plan is not None:
-            return "packed"
-        return "unpacked"
 
     @property
     def gate_names(self) -> Tuple[str, ...]:
@@ -407,17 +369,16 @@ class PowerTraceGenerator:
         mode = self.config.noise_mode
         return auto_mode if mode == "auto" else mode
 
-    def _packed_value_tables(self, noise_offset: float) -> List[np.ndarray]:
+    def _value_tables(self, noise_offset: float) -> List[np.ndarray]:
         """Per-subgroup value tables in trace dtype, noise offset folded in.
 
-        The tables are pure functions of the (frozen) power config, so the
-        packed path computes them once per generator instead of re-casting
-        1 KiB of float64 per subgroup per chunk.  Values are exactly what
-        the per-call cast of the unpacked oracle produces.  Built with a
-        benign idempotent race (local list, atomic publish), so one
-        generator can be shared by concurrent shard threads.
+        The tables are pure functions of the (frozen) power config, so they
+        are computed once per generator instead of re-casting 1 KiB of
+        float64 per subgroup per chunk.  Built with a benign idempotent
+        race (local list, atomic publish), so one generator can be shared
+        by concurrent shard threads.
         """
-        cached = self._packed_tables
+        cached = self._value_tables_cache
         if cached is None:
             cached = []
             for sub in self._masked_subgroups:
@@ -426,7 +387,7 @@ class PowerTraceGenerator:
                     table += self.trace_dtype.type(noise_offset)
                 table.setflags(write=False)
                 cached.append(table)
-            self._packed_tables = cached
+            self._value_tables_cache = cached
         return cached
 
     def _counter_value_tables(self, noise_offset: float) -> List[np.ndarray]:
@@ -438,10 +399,9 @@ class PowerTraceGenerator:
         16 x 256 entries makes ``table[d << 8 | byte]`` hit the same value
         for every byte with equal low bits, so the masking ``&`` pass (and
         the per-trace mask integer it produced) disappears from the hot
-        loop.  Entries are computed exactly as :meth:`_packed_value_tables`
-        computes theirs (same cast, same offset fold), so counter traces
-        are identical across the packed and unpacked backends.  Built with
-        the same benign idempotent race (atomic publish).
+        loop.  Entries are computed exactly as :meth:`_value_tables`
+        computes theirs (same cast, same offset fold).  Built with the same
+        benign idempotent race (atomic publish).
         """
         cached = self._counter_tables
         if cached is None:
@@ -536,15 +496,8 @@ class PowerTraceGenerator:
 
     # ------------------------------------------------------------------
     def _net_matrix(self, result: SimulationResult) -> np.ndarray:
-        """Net values as a uint8 matrix indexed by the plan's net rows.
-
-        Compiled simulation backend: the plan's rows index straight into
-        the simulator's state matrix, so this is a zero-copy view.  Loop
-        backend: a compact ``(n_nets, n)`` matrix is filled from the
-        net-value mapping.
-        """
-        if result.state_matrix is not None:
-            return result.state_matrix.view(np.uint8)
+        """Loop-simulator net values as a compact ``(n_nets, n)`` uint8
+        matrix indexed by the plan's net rows."""
         n = result.n_vectors
         matrix = np.empty((len(self._sim_nets), n), dtype=bool)
         for index, net in enumerate(self._sim_nets):
@@ -574,13 +527,11 @@ class PowerTraceGenerator:
         if n_gates == 0:
             return PowerTraces(campaign.label, self.gate_names, per_gate)
 
-        # Packed backend: keep the simulation results bit-packed and unpack
+        # A compiled plan keeps the simulation results bit-packed: unpack
         # only the rows the power model actually reads (watched outputs and
         # masked data inputs).  The bool state matrix never materialises,
         # and the lazy SimulationResult never unpacks it either.
-        packed = (self.power_backend == "packed"
-                  and previous.packed_matrix is not None
-                  and current.packed_matrix is not None)
+        packed = self._simulator.plan is not None
         if packed:
             packed_prev = previous.packed_matrix
             packed_cur = current.packed_matrix
@@ -619,8 +570,6 @@ class PowerTraceGenerator:
                 self.trace_dtype)
             np.add(power[:n_unmasked], offset_column, out=power[:n_unmasked])
 
-        packed_tables = self._packed_value_tables(noise_offset) if packed \
-            else None
         counter_tables = self._counter_value_tables(noise_offset) \
             if draws is not None and self._masked_subgroups else None
         for group_index, sub in enumerate(self._masked_subgroups):
@@ -665,12 +614,7 @@ class PowerTraceGenerator:
                               & np.uint8((1 << sub.mask_bits) - 1))
                 np.left_shift(flat, sub.mask_bits, out=flat)
                 np.bitwise_or(flat, mask_index, out=flat)
-                if packed:
-                    table = packed_tables[group_index]
-                else:
-                    table = sub.value_table.astype(self.trace_dtype)
-                    if noise_offset:
-                        table += self.trace_dtype.type(noise_offset)
+                table = self._value_tables(noise_offset)[group_index]
             # Indices are < len(table) by construction; mode="clip" skips
             # the bounds-check buffering of the default mode.
             np.take(table, flat, out=power[sub.row_slice], mode="clip")

@@ -33,8 +33,8 @@ This module removes the per-gate loop with a classic plan/execute split:
   is a bitwise byte operation, and the whole sweep touches 8x less memory
   than a boolean evaluation would.  ``execute_packed`` returns that packed
   ``(n_signals, ceil(n_vectors / 8))`` byte matrix directly — consumers
-  that can work on packed bits (the power engine's
-  ``power_backend="packed"`` toggle extraction) never pay an unpack at
+  that can work on packed bits (the power engine's packed toggle
+  extraction) never pay an unpack at
   all, while :meth:`CompiledNetlist.unpack` (or the convenience
   :meth:`CompiledNetlist.execute`) materialises the boolean
   ``(n_signals, n_vectors)`` state matrix for everyone else.  Every call

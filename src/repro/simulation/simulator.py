@@ -33,8 +33,8 @@ from .compiled import CompilationError, CompiledNetlist
 from .levelize import topological_gate_order
 from .logic import _EVALUATORS, evaluate_gate, supports_static_dispatch
 
-#: Simulation backends accepted by :class:`LogicSimulator` (and, downstream,
-#: by ``TvlaConfig.sim_backend`` / ``PowerTraceGenerator``).
+#: Simulation backends accepted by :class:`LogicSimulator` (and by
+#: ``PowerTraceGenerator``'s ``sim_backend`` oracle seam).
 SIM_BACKENDS = ("compiled", "loop")
 
 
@@ -95,8 +95,8 @@ class SimulationResult:
     Results from the compiled backend are **lazy**: the sweep produces
     only ``packed_matrix``, and ``state_matrix`` / ``net_values`` /
     ``next_state`` unpack it on first access (cached thereafter).
-    Consumers that stay on packed bits — the power engine's
-    ``power_backend="packed"`` toggle extraction — therefore never pay
+    Consumers that stay on packed bits — the power engine's packed
+    toggle extraction — therefore never pay
     the unpack, while every existing consumer sees the exact values it
     always did.
     """

@@ -46,8 +46,7 @@ import numpy as np
 from ..netlist.netlist import Netlist
 from ..power.ctrsample import CounterStream
 from ..power.model import PowerModelConfig
-from ..power.traces import POWER_BACKENDS, PowerTraceGenerator
-from ..simulation.simulator import SIM_BACKENDS
+from ..power.traces import PowerTraceGenerator
 from ..simulation.vectors import (
     TraceCampaign,
     fixed_vs_fixed_campaigns,
@@ -107,22 +106,6 @@ class TvlaConfig:
             above 1 are computed from the moment accumulators (the engine
             tracks central moments up to ``2 * tvla_order``), so they force
             the streaming path regardless of ``streaming``.
-        sim_backend: Logic-simulation backend driving trace generation:
-            ``"compiled"`` (default) runs the fused levelised kernel of
-            :mod:`repro.simulation.compiled`, which releases the GIL for
-            the bulk of each chunk and lets thread-pool shards scale;
-            ``"loop"`` keeps the per-gate reference sweep (the regression
-            oracle).  Both backends generate bit-identical traces, so
-            t-values agree exactly for a given seed.
-        power_backend: Toggle-extraction backend of the power engine:
-            ``"packed"`` (default) consumes the simulator's bit-packed
-            state matrix directly — the boolean state matrix is never
-            materialised between simulation and power extraction;
-            ``"unpacked"`` keeps the bool-matrix path as the bit-identical
-            oracle.  Traces — and therefore t-values — are exactly equal
-            either way (pinned by ``tests/test_packed_power.py``); with
-            ``sim_backend="loop"`` there is no packed matrix and
-            ``"packed"`` silently degrades to ``"unpacked"``.
     """
 
     n_traces: int = 1000
@@ -134,8 +117,6 @@ class TvlaConfig:
     chunk_traces: int = 2048
     streaming: Optional[bool] = None
     tvla_order: int = 1
-    sim_backend: str = "compiled"
-    power_backend: str = "packed"
 
     def __post_init__(self) -> None:
         if self.chunk_traces < 1:
@@ -144,14 +125,6 @@ class TvlaConfig:
             raise ValueError(
                 f"tvla_order must be one of {SUPPORTED_TVLA_ORDERS}, "
                 f"got {self.tvla_order!r}")
-        if self.sim_backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"sim_backend must be one of {SIM_BACKENDS}, "
-                f"got {self.sim_backend!r}")
-        if self.power_backend not in POWER_BACKENDS:
-            raise ValueError(
-                f"power_backend must be one of {POWER_BACKENDS}, "
-                f"got {self.power_backend!r}")
 
     def resolved_streaming(self) -> bool:
         """Whether assessments with this config stream their moments.
@@ -616,9 +589,7 @@ def resolve_generator(netlist: Netlist, config: TvlaConfig,
     """Return a generator for ``netlist``, validating a caller-supplied one."""
     if generator is None:
         return PowerTraceGenerator(netlist, config=config.power,
-                                   seed=config.seed,
-                                   sim_backend=config.sim_backend,
-                                   power_backend=config.power_backend)
+                                   seed=config.seed)
     if generator.netlist is not netlist:
         raise ValueError(
             f"generator was built for netlist {generator.netlist.name!r}, "

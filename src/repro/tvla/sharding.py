@@ -127,14 +127,9 @@ def _shard_moments_rebuilt(netlist: Netlist,
     crosses a process boundary; ``first_chunk`` anchors the slices to the
     counter draws of their global ``(seed, class, group, chunk)``
     coordinates, which is what makes the result shard-layout invariant.
-    The simulation and power backends follow
-    ``config.sim_backend``/``config.power_backend``, so a campaign runs the
-    same extraction pipeline no matter which worker rebuilt the generator.
     """
     generator = PowerTraceGenerator(netlist, config=config.power,
-                                    seed=config.seed,
-                                    sim_backend=config.sim_backend,
-                                    power_backend=config.power_backend)
+                                    seed=config.seed)
     return [
         accumulate_campaign_chunks(generator, pair, config, class_index,
                                    first_chunk=first_chunk)

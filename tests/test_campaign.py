@@ -858,12 +858,19 @@ class TestCampaignRunner:
 # ----------------------------------------------------------------------
 # The counter sampler through the durable runner
 # ----------------------------------------------------------------------
+#: Retired ``TvlaConfig`` selectors that stored specs still carry as
+#: constant hashed keys.
+_RETIRED_TVLA_KEYS = ("sampler", "sim_backend", "power_backend")
+
+
 def _retired_spec_json(spec: CampaignSpec, **changes) -> str:
-    """``spec``'s JSON with top-level ``changes`` and a ``tvla.sampler``
-    override (``sampler=...``) applied."""
+    """``spec``'s JSON with top-level ``changes`` and ``tvla`` overrides of
+    the retired selectors (``sampler=...``, ``sim_backend=...``,
+    ``power_backend=...``) applied."""
     data = json.loads(spec.to_json())
-    if "sampler" in changes:
-        data["tvla"]["sampler"] = changes.pop("sampler")
+    for key in _RETIRED_TVLA_KEYS:
+        if key in changes:
+            data["tvla"][key] = changes.pop(key)
     data.update(changes)
     return json.dumps(data)
 
@@ -930,8 +937,24 @@ class TestSamplerCampaigns:
         with pytest.raises(ValueError, match="sampler .* is not supported"):
             CampaignSpec.from_json(text)
 
+    @pytest.mark.parametrize("key,value", [("power_backend", "unpacked"),
+                                           ("sim_backend", "loop")])
+    def test_non_default_backend_rejected(self, small_benchmark,
+                                          campaign_config, key, value):
+        # The netlist picks the trace engine; a stored spec may only name
+        # the one engine every format-3 campaign ran on.
+        spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
+        stored = json.loads(spec.to_json())["tvla"]
+        assert (stored["sim_backend"], stored["power_backend"]) == (
+            "compiled", "packed")
+        text = _retired_spec_json(spec, **{key: value})
+        with pytest.raises(ValueError, match=f"{key} .* is not supported"):
+            CampaignSpec.from_json(text)
+
     @pytest.mark.parametrize("changes", [{"format": 2},
-                                         {"sampler": "sequence"}])
+                                         {"sampler": "sequence"},
+                                         {"power_backend": "unpacked"},
+                                         {"sim_backend": "loop"}])
     def test_load_spec_rejects_retired_campaign_directory(
             self, small_benchmark, campaign_config, campaign_root, changes):
         outcome = submit_campaign(campaign_root, netlist=small_benchmark,
@@ -1207,6 +1230,33 @@ class TestDrainWakeUp:
         # and must leave right after the slow worker's ack.
         assert abs(exited["w0"] - exited["w1"]) < 1.0
         assert max(exited.values()) - started < 4.0
+
+    def test_idle_drainer_honours_stop_event(self, tmp_path):
+        """A draining worker waiting on a sibling's lease returns promptly
+        once its ``stop_event`` is set, not a full ``poll_interval``
+        later."""
+        import threading
+
+        queue = TaskQueue(tmp_path / "q.sqlite")
+        queue.put(pickle.dumps((_nap, (0.05,), {})))
+        # The sibling holds the only task and never settles it.
+        assert queue.claim(worker="sibling", lease_seconds=60) is not None
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=run_worker,
+            args=(TaskQueue(tmp_path / "q.sqlite"),),
+            kwargs=dict(worker="drainer", drain=True, poll_interval=5.0,
+                        stop_event=stop),
+            daemon=True)
+        thread.start()
+        time.sleep(0.3)
+        assert thread.is_alive()
+        stopped = time.monotonic()
+        stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert time.monotonic() - stopped < 1.0
+        assert queue.counts()["leased"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -1503,35 +1553,6 @@ class TestCli:
         assert cli_main(["result", "--root", str(campaign_root), spec_hash,
                          "--timeout", "0.2"]) == 1
         assert "missing shards" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# Optional distributed adapters
-# ----------------------------------------------------------------------
-class TestAdapters:
-    def test_guarded_imports(self):
-        from repro.campaign import (OptionalDependencyError, dask_executor,
-                                    mpi_executor)
-        for factory, module in ((dask_executor, "distributed"),
-                                (mpi_executor, "mpi4py")):
-            try:
-                __import__(module)
-            except ImportError:
-                with pytest.raises(OptionalDependencyError,
-                                   match="QueueExecutor"):
-                    factory()
-            else:  # pragma: no cover - depends on the environment
-                pytest.skip(f"{module} installed; adapter exercised there")
-
-    def test_cross_process_proxy(self, tmp_path):
-        from concurrent.futures import ThreadPoolExecutor
-        from repro.campaign import CrossProcessExecutor
-        inner = ThreadPoolExecutor(max_workers=1)
-        proxy = CrossProcessExecutor(inner, owns_inner=True)
-        assert proxy.cross_process
-        assert proxy.submit(_double, 21).result(timeout=10) == 42
-        proxy.shutdown()
-        assert inner._shutdown
 
 
 # ----------------------------------------------------------------------

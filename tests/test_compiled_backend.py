@@ -2,8 +2,9 @@
 
 The compiled backend (``repro.simulation.compiled``) must be **bit-identical**
 to the per-gate reference loop on every net of every design — that is the
-contract that lets ``TvlaConfig.sim_backend`` default to ``"compiled"``
-without perturbing any published t-value.  This module pins it down over
+contract that lets every fusable netlist run on the compiled kernel
+without perturbing any published t-value; ``PowerTraceGenerator(...,
+sim_backend="loop")`` is the oracle seam the TVLA comparisons use.  This module pins it down over
 
 * a hand-built netlist covering every combinational cell-library gate type
   (including wide fan-ins, MUX, masked composites and the
@@ -28,6 +29,7 @@ from repro.netlist import (
     list_benchmarks,
     load_benchmark,
 )
+from repro.campaign import tvla_config_from_dict, tvla_config_to_dict
 from repro.power import PowerTraceGenerator
 from repro.simulation import (
     CompilationError,
@@ -171,18 +173,22 @@ class TestHypothesisProperty:
                               cycles=2 if register_fraction else 1)
 
 
+def _loop_generator(netlist, config: TvlaConfig) -> PowerTraceGenerator:
+    """The loop-simulator generator ``assess_leakage`` is compared with."""
+    return PowerTraceGenerator(netlist, config=config.power,
+                               seed=config.seed, sim_backend="loop")
+
+
 class TestTvlaEquivalence:
     def test_t_values_agree_across_backends(self, tiny_netlist):
         netlist = load_benchmark("arbiter", scale=0.15, seed=11)
         masked = apply_masking(netlist, maskable_gates(netlist)).netlist
+        config = TvlaConfig(n_traces=160, n_fixed_classes=2, seed=5,
+                            chunk_traces=64, tvla_order=2)
         for design in (netlist, masked):
-            results = {}
-            for backend in ("compiled", "loop"):
-                config = TvlaConfig(n_traces=160, n_fixed_classes=2, seed=5,
-                                    chunk_traces=64, tvla_order=2,
-                                    sim_backend=backend)
-                results[backend] = assess_leakage(design, config)
-            compiled, loop = results["compiled"], results["loop"]
+            compiled = assess_leakage(design, config)
+            loop = assess_leakage(design, config,
+                                  generator=_loop_generator(design, config))
             assert compiled.gate_names == loop.gate_names
             # Identical traces feed identical accumulators, so the
             # agreement is exact — well inside the ~1e-12 contract.
@@ -197,9 +203,7 @@ class TestTvlaEquivalence:
         config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
                             chunk_traces=32, streaming=True)
         serial_loop = assess_leakage(
-            netlist, TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
-                                chunk_traces=32, streaming=True,
-                                sim_backend="loop"))
+            netlist, config, generator=_loop_generator(netlist, config))
         sharded = assess_leakage_sharded(netlist, config, n_shards=4,
                                          executor="thread", max_workers=2)
         np.testing.assert_allclose(sharded.t_values, serial_loop.t_values,
@@ -287,5 +291,11 @@ class TestFallback:
             LogicSimulator(tiny_netlist, backend="turbo")
 
     def test_unknown_sim_backend_rejected_in_config(self):
-        with pytest.raises(ValueError, match="sim_backend must be one of"):
-            TvlaConfig(sim_backend="turbo")
+        """``TvlaConfig`` has no engine selector, and a stored config
+        naming any simulation backend but compiled is refused."""
+        with pytest.raises(TypeError, match="sim_backend"):
+            TvlaConfig(sim_backend="loop")
+        for value in ("loop", "turbo"):
+            data = dict(tvla_config_to_dict(TvlaConfig()), sim_backend=value)
+            with pytest.raises(ValueError, match="sim_backend"):
+                tvla_config_from_dict(data)

@@ -305,9 +305,10 @@ class TestCounterTraceEngine:
         campaign = fixed_vs_random_campaigns(masked_arbiter, 93, seed=2)[1]
         draws = CounterDraws(17, 0, 1, 0)
         per_backend = []
-        for backend in ("packed", "unpacked"):
+        # The default engine extracts packed; the loop seam, unpacked.
+        for backend in ("compiled", "loop"):
             generator = PowerTraceGenerator(masked_arbiter, config=config,
-                                            seed=1, power_backend=backend)
+                                            seed=1, sim_backend=backend)
             per_backend.append(generator.generate(campaign, draws=draws)
                                .per_gate)
         assert np.array_equal(per_backend[0], per_backend[1])
@@ -449,7 +450,7 @@ class TestSequenceGoldenDraws:
         config = (PowerModelConfig(noise_sigma=0.0) if noise_mode == "none"
                   else PowerModelConfig(noise_mode=noise_mode))
         generator = PowerTraceGenerator(masked_arbiter, config=config,
-                                        seed=1, power_backend="packed")
+                                        seed=1)
         fixed, random = fixed_vs_random_campaigns(masked_arbiter, 93, seed=2)
         for label, campaign in (("fixed", fixed), ("random", random)):
             traces = generator.generate(campaign,

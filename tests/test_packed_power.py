@@ -1,15 +1,17 @@
 """The packed end-to-end hot path is bit-identical to its oracles.
 
-Two independent contracts make ``power_backend="packed"`` and the fused
+Two independent contracts make the packed trace engine and the fused
 moment update safe defaults:
 
 * **Packed == unpacked traces.**  The packed toggle extraction (XOR over
   packed state bytes + single unpack of the watched rows; masked data
-  codes assembled from packed share rows) must produce the same bytes the
-  bool-matrix oracle produces — for every netlist, every noise mode and
-  every batch size, including batches that do not fill the last packed
-  byte.  Identical traces then make t-values *exactly* equal, not merely
-  close.
+  codes assembled from packed share rows), which runs whenever the
+  simulator has a compiled plan, must produce the same bytes as the
+  oracle seam ``PowerTraceGenerator(..., sim_backend="loop")`` (loop
+  simulation + bool-matrix extraction) — for every netlist, every noise
+  mode and every batch size, including batches that do not fill the last
+  packed byte.  Identical traces then make t-values *exactly* equal, not
+  merely close.
 * **Blocked == naive moments.**  ``OnePassMoments.update_batch`` (a
   gate-blocked fold: per block of columns, one in-place power chain over
   L2-sized work buffers) must match ``update_batch_naive`` (the
@@ -43,6 +45,7 @@ from repro.simulation import (
     fixed_vs_random_campaigns,
     toggle_counts,
 )
+from repro.campaign import tvla_config_from_dict, tvla_config_to_dict
 from repro.tvla import OnePassMoments, TvlaConfig, assess_leakage, \
     assess_leakage_sharded
 from repro.tvla.moments import _FOLD_BLOCK_COLUMNS
@@ -67,11 +70,23 @@ def _generators(netlist, noise_mode: str, mask_refresh: bool = True):
         config = PowerModelConfig(noise_mode=config.noise_mode,
                                   noise_sigma=config.noise_sigma,
                                   mask_refresh=False)
-    packed = PowerTraceGenerator(netlist, config=config, seed=1,
-                                 power_backend="packed")
+    packed = PowerTraceGenerator(netlist, config=config, seed=1)
     unpacked = PowerTraceGenerator(netlist, config=config, seed=1,
-                                   power_backend="unpacked")
+                                   sim_backend="loop")
     return packed, unpacked
+
+
+def _is_packed(generator: PowerTraceGenerator) -> bool:
+    """Whether ``generator`` extracts toggles from packed state bytes
+    (exactly when its simulator holds a compiled plan)."""
+    return generator._simulator.plan is not None
+
+
+def _loop_generator(netlist, config: TvlaConfig) -> PowerTraceGenerator:
+    """The oracle generator ``assess_leakage`` would build for ``config``,
+    on the loop simulator and bool-matrix extraction."""
+    return PowerTraceGenerator(netlist, config=config.power,
+                               seed=config.seed, sim_backend="loop")
 
 
 class TestPackedTraceEquality:
@@ -97,8 +112,8 @@ class TestPackedTraceEquality:
             if targets:
                 netlist = apply_masking(netlist, targets).netlist
         packed, unpacked = _generators(netlist, noise_mode)
-        assert packed.resolved_power_backend == "packed"
-        assert unpacked.resolved_power_backend == "unpacked"
+        assert _is_packed(packed)
+        assert not _is_packed(unpacked)
         campaigns = fixed_vs_random_campaigns(netlist, n_traces, seed=seed)
         for campaign in campaigns:
             fast = packed.generate(campaign, rng=np.random.default_rng(3))
@@ -120,20 +135,18 @@ class TestPackedTraceEquality:
 
     @pytest.mark.parametrize("tvla_order", [1, 2, 3])
     def test_t_values_exactly_equal(self, tvla_order):
-        """End-to-end assessments: packed and unpacked verdicts match
-        bitwise, for odd chunk sizes (partial last bytes per chunk) and
-        every evaluated TVLA order."""
+        """End-to-end assessments: the default (packed) and the loop-seam
+        (unpacked) verdicts match bitwise, for odd chunk sizes (partial
+        last bytes per chunk) and every evaluated TVLA order."""
         netlist = load_benchmark("voter", scale=0.2, seed=11)
         masked = apply_masking(netlist, maskable_gates(netlist)).netlist
+        config = TvlaConfig(n_traces=165, n_fixed_classes=2, seed=5,
+                            chunk_traces=52, streaming=True,
+                            tvla_order=tvla_order)
         for design in (netlist, masked):
-            results = {}
-            for backend in ("packed", "unpacked"):
-                config = TvlaConfig(n_traces=165, n_fixed_classes=2, seed=5,
-                                    chunk_traces=52, streaming=True,
-                                    tvla_order=tvla_order,
-                                    power_backend=backend)
-                results[backend] = assess_leakage(design, config)
-            fast, slow = results["packed"], results["unpacked"]
+            fast = assess_leakage(design, config)
+            slow = assess_leakage(design, config,
+                                  generator=_loop_generator(design, config))
             assert fast.gate_names == slow.gate_names
             np.testing.assert_array_equal(fast.t_values, slow.t_values)
             for order in fast.order_t_values:
@@ -142,34 +155,39 @@ class TestPackedTraceEquality:
 
     def test_sharded_packed_matches_serial_unpacked(self):
         netlist = load_benchmark("sin", scale=0.2, seed=11)
-        packed_config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
-                                   chunk_traces=32, streaming=True,
-                                   power_backend="packed")
-        unpacked_config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
-                                     chunk_traces=32, streaming=True,
-                                     power_backend="unpacked")
-        serial = assess_leakage(netlist, unpacked_config)
-        sharded = assess_leakage_sharded(netlist, packed_config, n_shards=4,
+        config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
+                            chunk_traces=32, streaming=True)
+        serial = assess_leakage(netlist, config,
+                                generator=_loop_generator(netlist, config))
+        sharded = assess_leakage_sharded(netlist, config, n_shards=4,
                                          executor="thread", max_workers=2)
         np.testing.assert_allclose(sharded.t_values, serial.t_values,
                                    rtol=1e-12, atol=1e-12)
 
     def test_loop_sim_backend_degrades_to_unpacked(self, tiny_netlist):
-        generator = PowerTraceGenerator(tiny_netlist, sim_backend="loop",
-                                        power_backend="packed")
-        assert generator.resolved_power_backend == "unpacked"
+        """The loop simulator has no packed matrix, so the loop seam runs
+        the bool-matrix extraction, bit-identical to the packed default."""
+        generator = PowerTraceGenerator(tiny_netlist, sim_backend="loop")
+        assert not _is_packed(generator)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 50, seed=1)
-        reference = PowerTraceGenerator(tiny_netlist,
-                                        power_backend="unpacked")
+        reference = PowerTraceGenerator(tiny_netlist)
+        assert _is_packed(reference)
         np.testing.assert_array_equal(
             generator.generate(fixed, rng=np.random.default_rng(1)).per_gate,
             reference.generate(fixed, rng=np.random.default_rng(1)).per_gate)
 
     def test_invalid_power_backend_rejected(self, tiny_netlist):
-        with pytest.raises(ValueError, match="power_backend"):
-            PowerTraceGenerator(tiny_netlist, power_backend="simd")
-        with pytest.raises(ValueError, match="power_backend"):
-            TvlaConfig(power_backend="simd")
+        """The netlist picks the extraction: no option selects it, and a
+        stored config naming any extraction but packed is refused."""
+        with pytest.raises(TypeError, match="power_backend"):
+            PowerTraceGenerator(tiny_netlist, power_backend="unpacked")
+        with pytest.raises(TypeError, match="power_backend"):
+            TvlaConfig(power_backend="unpacked")
+        for value in ("unpacked", "simd"):
+            data = dict(tvla_config_to_dict(TvlaConfig()),
+                        power_backend=value)
+            with pytest.raises(ValueError, match="power_backend"):
+                tvla_config_from_dict(data)
 
 
 class TestFusedMoments:

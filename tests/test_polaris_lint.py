@@ -294,7 +294,6 @@ def _oracle_repo_files(tmp_path):
             "    def update_batch_naive(self):\n"
             "        pass\n",
         "src/repro/power/traces.py":
-            "POWER_BACKENDS = ('packed', 'unpacked')\n"
             "class TraceEngine:\n"
             "    def generate(self):\n"
             "        pass\n"
@@ -329,7 +328,7 @@ def _oracle_repo_files(tmp_path):
             "def philox_blocks_reference():\n"
             "    pass\n",
         "tests/test_oracles.py":
-            "# references: update_batch update_batch_naive packed unpacked\n"
+            "# references: update_batch update_batch_naive\n"
             "# compiled loop generate generate_loop\n"
             "# _best_split _best_split_loop\n"
             "# predict_batch predict_value expectation_batch expectation\n"
@@ -373,7 +372,7 @@ class TestPL002Oracle:
     def test_untested_pair_is_flagged(self, tmp_path):
         files = _oracle_repo_files(tmp_path)
         files["tests/test_oracles.py"] = (
-            "# references: update_batch update_batch_naive packed unpacked\n"
+            "# references: update_batch update_batch_naive\n"
             "# compiled loop generate\n"  # generate_loop dropped
             "# _best_split _best_split_loop\n"
             "# predict_batch predict_value expectation_batch expectation\n"
@@ -387,7 +386,7 @@ class TestPL002Oracle:
         # 'generate_loop' alone must not satisfy the 'generate' side.
         files = _oracle_repo_files(tmp_path)
         files["tests/test_oracles.py"] = (
-            "# references: update_batch update_batch_naive packed unpacked\n"
+            "# references: update_batch update_batch_naive\n"
             "# compiled loop generate_loop\n"
             "# _best_split _best_split_loop\n"
             "# predict_batch predict_value expectation_batch expectation\n"

@@ -248,15 +248,18 @@ class TestServer:
                 client.submit("lab", '{"not": "a spec"}')
 
     @pytest.mark.parametrize("key,value", [("format", 2),
-                                           ("sampler", "sequence")])
+                                           ("sampler", "sequence"),
+                                           ("power_backend", "unpacked"),
+                                           ("sim_backend", "loop")])
     def test_retired_spec_is_rejected(self, service, key, value):
-        # Format-2 specs and non-counter samplers name a retired draw
-        # discipline: the service answers bad-spec with the reason.
+        # Format-2 specs, non-counter samplers and non-default trace
+        # engines name retired selectors: the service answers bad-spec
+        # with the reason.
         data = json.loads(_spec().to_json())
         (data if key == "format" else data["tvla"])[key] = value
         with ServiceClient(service.host, service.port) as client:
             with pytest.raises(ProtocolError,
-                               match="bad-spec.*(format 2|sampler)"):
+                               match="bad-spec.*(format 2|sampler|backend)"):
                 client.submit("lab", json.dumps(data))
 
     def test_undecodable_frame_gets_error_reply(self, service):

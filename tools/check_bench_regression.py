@@ -52,14 +52,6 @@ GATED: Dict[str, Tuple[Tuple[str, ...], str, bool]] = {
     "microbench_ml_fit": (("family",), "speedup", True),
 }
 
-#: Row keys exempt from gating (informational rows): the packed-extraction
-#: share in isolation sits at ~1.0x on masked designs (shared mask/noise
-#: sampling dominates) and is recorded for transparency, not as a floor.
-UNGATED_ROWS = {
-    ("microbench_packed_power", ("md5", "power_backend_only")),
-    ("microbench_packed_power", ("md5_masked", "power_backend_only")),
-}
-
 
 def load_records(path: Path) -> Dict[str, List[dict]]:
     """Map experiment_id -> rows for every record in a results file."""
@@ -96,8 +88,6 @@ def check() -> int:
         latest_by_key = {row_key(row, fields): row for row in latest_rows}
         for base_row in base_rows:
             key = row_key(base_row, fields)
-            if (experiment, key) in UNGATED_ROWS:
-                continue
             current = latest_by_key.get(key)
             if current is None:
                 failures.append(f"{experiment} {key}: row missing from "

@@ -66,10 +66,9 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # Gate-blocked moment fold vs the naive power-chain reference.
     OraclePair("moments-update", "src/repro/tvla/moments.py",
                "update_batch", "update_batch_naive"),
-    # PR 5: packed toggle extraction vs the bool-matrix oracle.
-    OraclePair("power-backend", "src/repro/power/traces.py",
-               "packed", "unpacked", kind="string"),
-    # PR 3: fused levelised simulation kernel vs the per-gate loop.
+    # Fused levelised simulation kernel vs the per-gate loop.  The
+    # loop simulator also selects the bool-matrix toggle extraction, so
+    # this pair pins packed extraction against its oracle as well.
     OraclePair("sim-backend", "src/repro/simulation/simulator.py",
                "compiled", "loop", kind="string"),
     # PR 1: vectorised trace engine vs the per-gate reference loop.

@@ -1,8 +1,8 @@
 """PL002 — oracle pairing.
 
 Every fast path in this repo is pinned to a bit-identical slow oracle
-(``update_batch``/``update_batch_naive``, ``power_backend="packed"`` /
-``"unpacked"``, ``backend="compiled"``/``"loop"``, ...).  The registry in
+(``update_batch``/``update_batch_naive``, ``backend="compiled"``/
+``"loop"``, ``generate``/``generate_loop``, ...).  The registry in
 :mod:`polaris_lint.contracts` names those pairs; this rule verifies that
 
 1. both sides of each pair still exist in the module that owns them (a

@@ -16,8 +16,8 @@ moment update as ``microbench_moment_update``, the flat-array batch
 model scoring + batched TreeSHAP vs their per-sample oracles as
 ``microbench_ml_scoring``, the presorted CART split search vs the
 per-feature loop over whole ensemble fits as ``microbench_ml_fit``, and
-the shard-count scaling curve of the
-sharded TVLA driver (both simulation backends) as
+the shard-count scaling of the
+sharded TVLA driver (in process vs a caller's process pool) as
 ``microbench_sharded_tvla_scaling``.  The speedup metrics of the non-slow
 benches are anchored in ``benchmarks/results/baseline.json`` and gated
 against >25% regressions by ``tools/check_bench_regression.py`` (the CI
@@ -33,6 +33,8 @@ from __future__ import annotations
 import os
 import time
 import timeit
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -376,78 +378,54 @@ def test_streaming_assessment_paper_scale(masked_design, recorder):
 def test_sharded_tvla_scaling(masked_design, recorder):
     """Shard-count scaling of a 10,000-trace sharded TVLA campaign.
 
-    Runs the same campaign with 1/2/4 workers on both pool executors and
-    **both trace engines** (the default fused ``"compiled"`` generator, and
-    the per-gate ``PowerTraceGenerator(..., sim_backend="loop")`` oracle
-    passed via ``generator=``) and records the scaling curves in
-    ``latest.json``.  Chunk size 1024 gives 10 chunks, so 4 shards still
-    get a balanced 3/3/2/2 split.  Correctness is asserted against the
-    serial streaming driver (~1e-12); the speedups are recorded together
-    with the host's CPU count but not asserted — on a single-core CI
-    container the curve documents pure sharding overhead, while multi-core
-    hosts see both pools scale with the shard count now that the fused
-    kernel's numpy segments release the GIL for the bulk of each chunk
-    (with the loop backend, the thread curve stays flat: the per-gate
-    Python sweep holds the GIL).
+    Times ``assess_leakage_sharded`` at 1/2/4 shards on its two paths:
+    ``executor=None`` (the serial driver's chunk-task engine, which runs
+    on every CPU whatever the shard count) and a caller-owned
+    :class:`~concurrent.futures.ProcessPoolExecutor` with one worker per
+    shard (spawned workers; each shard rebuilds its generator from the
+    shipped netlist; the pool start-up is inside the timing).  Chunk size 1024 gives 10
+    chunks, so 4 shards still get a balanced 3/3/2/2 split.  t-values are
+    asserted bitwise equal to the serial ``assess_leakage``; the timings
+    are recorded with the host's CPU count but not asserted.
     """
     config = TvlaConfig(n_traces=PAPER_TRACES, n_fixed_classes=1, seed=2,
                         chunk_traces=1024, streaming=True)
-    # The loop generator is shared by every loop run (thread pools only).
-    generators = {
-        "loop": PowerTraceGenerator(masked_design, config=config.power,
-                                    seed=config.seed, sim_backend="loop"),
-        "compiled": None,
-    }
-    serial_seconds = {}
-    references = {}
-    for sim_backend, generator in generators.items():
-        start = time.perf_counter()
-        references[sim_backend] = assess_leakage(masked_design, config,
-                                                 generator=generator)
-        serial_seconds[sim_backend] = time.perf_counter() - start
-    # Both backends generate bit-identical traces: same verdict.
-    np.testing.assert_array_equal(references["loop"].t_values,
-                                  references["compiled"].t_values)
+    start = time.perf_counter()
+    reference = assess_leakage(masked_design, config)
+    serial_seconds = time.perf_counter() - start
 
-    rows = []
-    for sim_backend, generator in generators.items():
-        for executor in ("thread", "process"):
-            if executor == "process" and sim_backend == "loop":
-                continue  # the before/after story is the thread curve
-            for n_shards in (1, 2, 4):
-                start = time.perf_counter()
-                sharded = assess_leakage_sharded(masked_design, config,
-                                                 n_shards=n_shards,
-                                                 executor=executor,
-                                                 max_workers=n_shards,
-                                                 generator=generator)
-                elapsed = time.perf_counter() - start
-                np.testing.assert_allclose(
-                    sharded.t_values, references[sim_backend].t_values,
-                    rtol=1e-12, atol=1e-12)
-                rows.append({
-                    "design": masked_design.name,
-                    "sim_backend": sim_backend,
-                    "executor": executor,
-                    "n_shards": n_shards,
-                    "n_gates": len(masked_design),
-                    "seconds": elapsed,
-                    "speedup_vs_serial":
-                        serial_seconds[sim_backend] / elapsed,
-                    "traces_per_second": 2 * PAPER_TRACES / elapsed,
-                })
+    def timed_row(executor, n_shards, pool):
+        start = time.perf_counter()
+        sharded = assess_leakage_sharded(masked_design, config,
+                                         n_shards=n_shards, executor=pool)
+        elapsed = time.perf_counter() - start
+        assert np.array_equal(sharded.t_values, reference.t_values)
+        return {
+            "design": masked_design.name,
+            "executor": executor,
+            "n_shards": n_shards,
+            "n_gates": len(masked_design),
+            "seconds": elapsed,
+            "speedup_vs_serial": serial_seconds / elapsed,
+            "traces_per_second": 2 * PAPER_TRACES / elapsed,
+        }
+
+    rows = [timed_row("in_process", n_shards, None)
+            for n_shards in (1, 2, 4)]
+    for n_shards in (1, 2, 4):
+        with ProcessPoolExecutor(max_workers=n_shards,
+                                 mp_context=get_context("spawn")) as pool:
+            rows.append(timed_row("process_pool", n_shards, pool))
 
     recorder.record(ExperimentRecord(
         experiment_id="microbench_sharded_tvla_scaling",
         description=("Sharded streaming TVLA campaign at 10,000 traces: "
-                     "shard-count scaling (1/2/4 workers; loop vs fused "
-                     "compiled simulation backend on the thread pool, "
-                     "plus the process-pool curve)"),
+                     "1/2/4 shards in process (executor=None) vs a "
+                     "caller-owned process pool, one worker per shard"),
         parameters={"scale": max(BENCH_SCALE, 0.35),
                     "n_traces": PAPER_TRACES,
                     "chunk_traces": 1024,
-                    "serial_seconds_loop": serial_seconds["loop"],
-                    "serial_seconds_compiled": serial_seconds["compiled"],
+                    "serial_seconds": serial_seconds,
                     "cpu_count": os.cpu_count()},
         rows=rows,
     ))
@@ -456,15 +434,16 @@ def test_sharded_tvla_scaling(masked_design, recorder):
 def test_campaign_overhead_microbench(design, recorder, tmp_path):
     """Queue + store overhead of the campaign subsystem vs in-process shards.
 
-    Runs the same 2-shard campaign three ways — in-process thread pool,
-    queue-backed ``QueueExecutor`` (SQLite lease/ack per shard), and the
-    full durable runner (submit → work → checkpoint → merge → store) —
-    plus a store cache hit, and records the wall-clock of each as
-    ``microbench_campaign_overhead`` in ``latest.json``.  Correctness is
-    asserted (~1e-12 against the in-process result, bit-identical for the
-    cache hit); the recorded overhead documents what durability costs at
-    small scale, where the fixed per-task queue round-trips are most
-    visible — at paper scale the shard compute dominates.
+    Runs the same 2-shard campaign three ways — in process
+    (``executor=None``), queue-backed ``QueueExecutor`` (SQLite lease/ack
+    per shard), and the full durable runner (submit → work → checkpoint →
+    merge → store) — plus a store cache hit, and records the wall-clock of
+    each as ``microbench_campaign_overhead`` in ``latest.json``.
+    Correctness is asserted (bitwise for the queue executor, ~1e-12 for
+    the durable runner, bit-identical for the cache hit); the recorded
+    overhead documents what durability costs at small scale, where the
+    fixed per-task queue round-trips are most visible — at paper scale the
+    shard compute dominates.
     """
     from repro.campaign import QueueExecutor, collect_result, run_campaign, \
         submit_campaign
@@ -474,9 +453,7 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
     n_shards = 2
 
     start = time.perf_counter()
-    in_process = assess_leakage_sharded(design, config, n_shards=n_shards,
-                                        executor="thread",
-                                        max_workers=n_shards)
+    in_process = assess_leakage_sharded(design, config, n_shards=n_shards)
     in_process_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -484,8 +461,7 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
         queued = assess_leakage_sharded(design, config, n_shards=n_shards,
                                         executor=pool)
     queue_seconds = time.perf_counter() - start
-    np.testing.assert_allclose(queued.t_values, in_process.t_values,
-                               rtol=1e-12, atol=1e-12)
+    assert np.array_equal(queued.t_values, in_process.t_values)
 
     root = tmp_path / "campaigns"
     start = time.perf_counter()
@@ -512,7 +488,7 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
         "overhead_pct": (seconds - in_process_seconds)
         / in_process_seconds * 100.0,
     } for variant, seconds in (
-        ("in_process_thread", in_process_seconds),
+        ("in_process", in_process_seconds),
         ("queue_executor", queue_seconds),
         ("durable_campaign", durable_seconds),
         ("store_cache_hit", cache_seconds),

@@ -6,7 +6,7 @@ in a single SQLite file (WAL mode), and :class:`QueueExecutor` adapts it to
 the :class:`concurrent.futures.Executor` interface — so
 :func:`repro.tvla.sharding.assess_leakage_sharded` / ``assess_many`` gain
 cross-process and cross-machine workers with **zero API change**: pass a
-``QueueExecutor`` wherever ``"thread"``/``"process"`` went before.
+``QueueExecutor`` as their ``executor``, as any caller-owned executor.
 
 Queue protocol (also documented in ``docs/campaigns.md``):
 
@@ -697,14 +697,10 @@ class QueueExecutor(Executor):
     resolves futures as acks land.  Work is executed by whoever serves the
     queue: the executor's own ``n_workers`` in-process worker threads,
     and/or external ``polaris-campaign work`` processes on any machine
-    sharing the queue file.  The class advertises ``cross_process = True``
-    so the sharded drivers ship pickled netlists to workers (each task
-    rebuilds its own generator) instead of sharing in-process state.
+    sharing the queue file.  Like every caller-owned executor, it receives
+    pickled netlists from the sharded drivers (each task rebuilds its own
+    generator), never in-process state.
     """
-
-    #: Tasks may execute in other processes/hosts; see
-    #: :func:`repro.tvla.sharding._make_executor`.
-    cross_process = True
 
     def __init__(self, queue: Union[TaskQueue, str, Path],
                  n_workers: int = 0,

@@ -173,7 +173,7 @@ class _CampaignContext:
     The netlist, the full stimulus schedule and the trace generator are
     pure functions of the spec, so all shards a process runs for one
     campaign share them: the generator is read-only while it generates
-    (the sharded thread driver already shares one across threads) and
+    (the serial driver's chunk tasks already share one across threads) and
     each shard slices its own trace range out of the schedule.
     """
 
@@ -433,8 +433,7 @@ def run_shard_task(root: str, spec_hash: str,
     ``worker.shard`` site fires before compute (``delay`` stretches the
     shard, ``crash`` SIGKILLs the worker mid-shard, ``error`` fails the
     attempt so queue retries engage) and ``checkpoint.write`` mangles the
-    published bytes.  The legacy ``POLARIS_SHARD_DELAY`` knob (seconds,
-    float) is honoured as a ``worker.shard`` delay rule.
+    published bytes.
     """
     paths = CampaignPaths(Path(root), spec_hash)
     shard_path = paths.shard_path(shard_index)

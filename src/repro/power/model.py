@@ -35,9 +35,10 @@ from .bitops import FAST_NOISE_BITS
 #: shared; consumers copy (or ``astype``) before deriving from them.
 _TOGGLE_TABLE_CACHE: Dict[Tuple[type, GateType, bool], np.ndarray] = {}
 
-#: Serialises cache fills: thread-backend shards construct their trace
-#: generators concurrently, and an unguarded check-then-build would let two
-#: threads enumerate (and publish) the same table.  Duplicate work is only
+#: Serialises cache fills: shards on a thread pool (or on QueueExecutor's
+#: in-process workers) construct their trace generators concurrently, and
+#: an unguarded check-then-build would let two threads enumerate (and
+#: publish) the same table.  Duplicate work is only
 #: the benign half of that race — callers compare tables by identity in
 #: tests, and a torn publish under free-threaded builds is not.
 _TOGGLE_TABLE_LOCK = threading.Lock()

@@ -376,7 +376,7 @@ class PowerTraceGenerator:
         are computed once per generator instead of re-casting 1 KiB of
         float64 per subgroup per chunk.  Built with a benign idempotent
         race (local list, atomic publish), so one generator can be shared
-        by concurrent shard threads.
+        by concurrent chunk tasks.
         """
         cached = self._value_tables_cache
         if cached is None:
@@ -441,7 +441,7 @@ class PowerTraceGenerator:
                 model's own sequential stream.  With an explicit ``rng``
                 (or ``draws``) the engine mutates no generator state, so
                 one :class:`PowerTraceGenerator` can be shared by
-                concurrent shard threads.
+                concurrent chunk tasks.
             draws: Counter-sampler draws for this campaign's coordinates:
                 mask bytes and noise words come straight off Philox counter
                 blocks instead of ``rng``.  The TVLA drivers always pass

@@ -14,9 +14,8 @@ one.
 
 Plans are activated per process via the ``POLARIS_FAULT_PLAN``
 environment variable (grammar below), via ``polaris-campaign work
---fault-plan``, or in-process with :func:`set_fault_plan`.  The legacy
-``POLARIS_SHARD_DELAY`` knob is re-expressed as a plan rule
-(``worker.shard: mode=delay``) so existing harnesses keep working.
+--fault-plan``, or in-process with :func:`set_fault_plan`.  A shard
+delay is the rule ``worker.shard:mode=delay,delay=SECONDS``.
 
 Plan grammar (``;``-separated, optional leading ``seed=N``)::
 
@@ -42,9 +41,6 @@ from ..power.ctrsample import philox_raw
 
 #: Environment variable holding a plan in the grammar above.
 FAULT_PLAN_ENV = "POLARIS_FAULT_PLAN"
-#: Legacy knob (seconds of sleep before each shard compute); merged into
-#: the active plan as a ``worker.shard`` delay rule for back-compat.
-LEGACY_DELAY_ENV = "POLARIS_SHARD_DELAY"
 
 #: Named injection sites wired through the stack.
 FAULT_SITES = (
@@ -223,22 +219,7 @@ class FaultPlan:
 _state_lock = threading.Lock()
 _override: Optional[FaultPlan] = None
 _cached: Optional[FaultPlan] = None
-_cached_key: Optional[Tuple[str, str]] = None
-
-
-def _plan_from_env(text: str, legacy_delay: str) -> Optional[FaultPlan]:
-    plan = FaultPlan.parse(text) if text else None
-    try:
-        delay = float(legacy_delay or 0)
-    except ValueError:
-        delay = 0.0
-    if delay > 0:
-        legacy = FaultRule(site="worker.shard", mode="delay", delay=delay)
-        if plan is None:
-            plan = FaultPlan(seed=0, rules=(legacy,))
-        else:
-            plan = FaultPlan(seed=plan.seed, rules=plan.rules + (legacy,))
-    return plan
+_cached_key: Optional[str] = None
 
 
 def set_fault_plan(plan: Optional[FaultPlan]) -> None:
@@ -251,9 +232,9 @@ def set_fault_plan(plan: Optional[FaultPlan]) -> None:
 
 def active_plan() -> Optional[FaultPlan]:
     """The process's current plan: the override if set, else the plan
-    described by ``POLARIS_FAULT_PLAN`` / ``POLARIS_SHARD_DELAY``.
+    described by ``POLARIS_FAULT_PLAN``.
 
-    The env-derived plan is cached on the exact variable values, so its
+    The env-derived plan is cached on the exact variable value, so its
     evaluation counters persist across calls until the environment
     changes.
     """
@@ -261,11 +242,10 @@ def active_plan() -> Optional[FaultPlan]:
     with _state_lock:
         if _override is not None:
             return _override
-        key = (os.environ.get(FAULT_PLAN_ENV, ""),
-               os.environ.get(LEGACY_DELAY_ENV, ""))
+        key = os.environ.get(FAULT_PLAN_ENV, "")
         if key != _cached_key:
             _cached_key = key
-            _cached = _plan_from_env(*key)
+            _cached = FaultPlan.parse(key) if key else None
         return _cached
 
 

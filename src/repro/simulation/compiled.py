@@ -5,8 +5,7 @@ with ``backend="loop"``) evaluates one gate per Python iteration.  Each
 iteration is a vectorised numpy call, but the loop itself — operand list
 construction, evaluator dispatch, dictionary stores — runs under the GIL and
 dominates once designs reach a few hundred gates.  That loop is what capped
-the thread-executor scaling of sharded TVLA campaigns
-(``microbench_sharded_tvla_scaling``).
+the thread-level parallelism of TVLA campaigns.
 
 This module removes the per-gate loop with a classic plan/execute split:
 
@@ -39,8 +38,9 @@ This module removes the per-gate loop with a classic plan/execute split:
   :meth:`CompiledNetlist.execute`) materialises the boolean
   ``(n_signals, n_vectors)`` state matrix for everyone else.  Every call
   operates on whole segments, so numpy releases the GIL for the bulk of
-  each chunk's work and thread-pool shards (:mod:`repro.tvla.sharding`)
-  genuinely overlap.
+  each chunk's work and the chunk tasks of
+  :func:`~repro.tvla.assessment.assess_leakage` genuinely overlap on its
+  thread pool.
 
 The plan is immutable after construction and ``execute`` allocates fresh
 buffers per call, so one plan can be shared by concurrent threads.  Netlists

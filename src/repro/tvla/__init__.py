@@ -19,7 +19,6 @@ from .assessment import (
     compare_assessments,
 )
 from .sharding import (
-    EXECUTORS,
     assess_leakage_sharded,
     assess_many,
     merge_shard_partials,
@@ -41,7 +40,6 @@ __all__ = [
     "assess_leakage",
     "campaign_schedule",
     "compare_assessments",
-    "EXECUTORS",
     "assess_leakage_sharded",
     "assess_many",
     "merge_shard_partials",

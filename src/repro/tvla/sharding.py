@@ -18,26 +18,28 @@ Three properties make the result trustworthy:
   Chan/Pébay formulas (:meth:`OnePassMoments.merge`) — the serial run's
   exact association — so sharded t-values are **bitwise equal** to serial
   ones for any shard count and executor.
-* **Pluggable executors** — ``"serial"`` (inline), ``"thread"``
-  (:class:`~concurrent.futures.ThreadPoolExecutor`; workers share one
-  read-only trace generator per design) or ``"process"``
-  (:class:`~concurrent.futures.ProcessPoolExecutor`, platform-default
-  start method; workers rebuild the generator from the pickled netlist).
-  An existing :class:`~concurrent.futures.Executor` instance can be
-  passed directly.
+* **One in-process driver** — with ``executor=None`` (the default) a
+  sharded campaign runs through the chunk-task engine of
+  :func:`~repro.tvla.assessment.assess_leakage`, which already spreads its
+  ``(class, group, chunk)`` tasks over every CPU; the shard layout is
+  validated and recorded but does not change the work.  A caller-owned
+  :class:`~concurrent.futures.Executor` (a process pool, a
+  :class:`~repro.campaign.queue.QueueExecutor`, any other) is the only
+  remote path: each shard ships the netlist and its stimulus slice to
+  :func:`_shard_moments_rebuilt`, which rebuilds the trace generator
+  wherever it runs.
 
-:func:`assess_many` extends the same machinery to fan out *multiple
-designs* in one call: all (design, shard) tasks are submitted to a single
-pool, so small designs do not serialise behind large ones.
+:func:`assess_many` extends the same machinery to *multiple designs*;
+under a caller executor all (design, shard) tasks are submitted up front,
+so small designs do not serialise behind large ones.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import Executor, Future
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.netlist import Netlist
 from ..power.traces import PowerTraceGenerator
@@ -45,6 +47,7 @@ from .assessment import (
     CampaignPair,
     LeakageAssessment,
     TvlaConfig,
+    _streamed_class_results,
     accumulate_campaign_chunks,
     aggregate_class_results,
     campaign_schedule,
@@ -54,11 +57,6 @@ from .assessment import (
 )
 from .moments import OnePassMoments, fold_moments
 from .welch import WelchResult
-
-#: Executor selectors accepted by the sharded drivers.
-EXECUTORS = ("serial", "thread", "process")
-
-ExecutorLike = Union[str, Executor]
 
 #: One shard's partials: per fixed class, a (group0, group1) pair of
 #: **per-chunk accumulator lists** in local chunk order, returned unmerged
@@ -106,7 +104,8 @@ def _shard_moments(generator: PowerTraceGenerator,
                    campaigns: Sequence[CampaignPair], config: TvlaConfig,
                    start: int, stop: int) -> ShardChunkMoments:
     """Fold traces ``[start, stop)`` of every class into per-chunk
-    accumulators (see :func:`merge_shard_partials`)."""
+    accumulators (see :func:`merge_shard_partials`); the durable runner's
+    shard entry, sharing the worker's generator."""
     first_chunk = start // config.chunk_traces
     return [
         accumulate_campaign_chunks(
@@ -139,75 +138,26 @@ def _shard_moments_rebuilt(netlist: Netlist,
 
 @dataclass
 class _ShardedDesign:
-    """Bookkeeping for one design's in-flight shard tasks."""
+    """One design's schedule, shard layout and in-flight shard tasks."""
 
     netlist: Netlist
-    config: TvlaConfig
-    gate_names: Tuple[str, ...]
+    campaigns: Sequence[CampaignPair]
+    ranges: Tuple[Tuple[int, int], ...]
+    generator: PowerTraceGenerator
     started_at: float
-    futures: List["Future[ShardChunkMoments]"]
+    futures: List["Future[ShardChunkMoments]"] = field(default_factory=list)
 
 
-def _make_executor(executor: ExecutorLike,
-                   max_workers: Optional[int]) -> Tuple[Optional[Executor], bool, bool]:
-    """Resolve an executor selector to ``(pool, ship_netlist, owned)``.
+def _prepare_design(netlist: Netlist, config: TvlaConfig, n_shards: int,
+                    generator: Optional[PowerTraceGenerator],
+                    campaigns: Optional[Sequence[CampaignPair]]
+                    ) -> _ShardedDesign:
+    """Build (or validate) the schedule and the shard layout of a design.
 
-    ``pool`` is ``None`` for the serial driver.  ``ship_netlist`` selects
-    the process entry point (workers rebuild their own generator from the
-    pickled netlist) instead of sharing the parent's generator.  Besides
-    :class:`~concurrent.futures.ProcessPoolExecutor`, any executor
-    instance exposing a truthy ``cross_process`` attribute (e.g.
-    :class:`repro.campaign.queue.QueueExecutor`, whose tasks may be picked
-    up by workers on other machines) gets the shipped entry point too.
+    The generator is resolved on both paths: remote shards rebuild their
+    own, but the gate order is a pure function of the netlist and power
+    plan, so it is derived locally once.
     """
-    if isinstance(executor, Executor):
-        ship_netlist = (isinstance(executor, ProcessPoolExecutor)
-                        or bool(getattr(executor, "cross_process", False)))
-        return executor, ship_netlist, False
-    if executor == "serial":
-        return None, False, False
-    if executor == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers), False, True
-    if executor == "process":
-        # Platform-default start method: forcing fork would deadlock
-        # callers that already have live threads (a forked child inherits
-        # mutexes held by threads that do not exist in it — the reason
-        # CPython moved the Linux default off fork).  The worker entry
-        # point is module-level and picklable, so spawn/forkserver work
-        # wherever ``repro`` is importable by a fresh interpreter.
-        return ProcessPoolExecutor(max_workers=max_workers), True, True
-    raise ValueError(
-        f"executor must be one of {EXECUTORS} or an Executor instance, "
-        f"got {executor!r}")
-
-
-@contextmanager
-def _pool_lifecycle(pool: Optional[Executor], owned: bool):
-    """Guarantee owned pools are torn down, even when a shard worker raises.
-
-    On the failure path the pool is shut down with ``cancel_futures=True``
-    first: a raising shard must not leave the remaining shards burning CPU
-    (or, for process pools, leak live worker processes) while the caller
-    unwinds — the campaign's pending futures are cancelled and only the
-    already-running tasks are drained.  Caller-supplied executors are never
-    shut down; their lifecycle belongs to the caller.
-    """
-    try:
-        yield
-    except BaseException:
-        if owned and pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    finally:
-        if owned and pool is not None:
-            pool.shutdown(wait=True)
-
-
-def _submit_design(netlist: Netlist, config: TvlaConfig, n_shards: int,
-                   pool: Optional[Executor], ship_netlist: bool,
-                   generator: Optional[PowerTraceGenerator],
-                   campaigns: Optional[Sequence[CampaignPair]]) -> _ShardedDesign:
-    """Build the schedule and submit one design's shard tasks."""
     started_at = time.perf_counter()
     if campaigns is None:
         campaigns = campaign_schedule(netlist, config)
@@ -215,45 +165,24 @@ def _submit_design(netlist: Netlist, config: TvlaConfig, n_shards: int,
         validate_campaigns(netlist, config, campaigns)
     ranges = shard_trace_ranges(config.n_traces, n_shards,
                                 config.chunk_traces)
-    # Resolved in every branch: process workers rebuild their generator,
-    # but the gate order is a pure function of the netlist + power plan,
-    # so derive it locally once.
-    generator = resolve_generator(netlist, config, generator)
-    futures: List["Future[ShardChunkMoments]"] = []
-    if pool is None:
-        for start, stop in ranges:
-            future: "Future[ShardChunkMoments]" = Future()
-            future.set_result(
-                _shard_moments(generator, campaigns, config, start, stop))
-            futures.append(future)
-    elif ship_netlist:
-        for start, stop in ranges:
-            sliced = tuple(
-                (pair[0].slice(start, stop), pair[1].slice(start, stop))
-                for pair in campaigns)
-            futures.append(pool.submit(_shard_moments_rebuilt, netlist,
-                                       sliced, config,
-                                       start // config.chunk_traces))
-    else:
-        for start, stop in ranges:
-            futures.append(pool.submit(_shard_moments, generator, campaigns,
-                                       config, start, stop))
-    gate_names = generator.gate_names
-    return _ShardedDesign(netlist=netlist, config=config,
-                          gate_names=gate_names, started_at=started_at,
-                          futures=futures)
+    return _ShardedDesign(netlist=netlist, campaigns=campaigns,
+                          ranges=ranges,
+                          generator=resolve_generator(netlist, config,
+                                                      generator),
+                          started_at=started_at)
 
 
 def merge_shard_partials(shard_results: Sequence[ShardChunkMoments],
                          config: TvlaConfig) -> List[Dict[int, WelchResult]]:
     """Merge per-shard accumulator sets into per-class Welch results.
 
-    The single definition of the campaign merge, shared by the in-process
-    driver, the durable runner (:mod:`repro.campaign.runner`) and the
-    service.  Shard ranges are contiguous and ascending, so concatenating
-    the per-chunk accumulators in shard order lists every chunk in global
-    chunk order, and the left-fold below reproduces the serial run's
-    association exactly — the same :func:`~repro.tvla.moments.fold_moments`
+    The single definition of the campaign merge, shared by the
+    caller-executor path of :func:`assess_leakage_sharded`, the durable
+    runner (:mod:`repro.campaign.runner`) and the service.  Shard ranges
+    are contiguous and ascending, so concatenating the per-chunk
+    accumulators in shard order lists every chunk in global chunk order,
+    and the left-fold below reproduces the serial run's association
+    exactly — the same :func:`~repro.tvla.moments.fold_moments`
     the serial driver folds its chunks with — so the merged accumulator
     (and every t-value) is **bitwise equal** to the serial run's,
     independent of shard layout.
@@ -270,30 +199,80 @@ def merge_shard_partials(shard_results: Sequence[ShardChunkMoments],
     return class_results
 
 
-def _collect_design(design: _ShardedDesign) -> LeakageAssessment:
-    """Merge one design's shard results into the final assessment."""
-    config = design.config
-    shard_results = [future.result() for future in design.futures]
-    class_results = merge_shard_partials(shard_results, config)
+def _finish_design(design: _ShardedDesign,
+                   class_results: List[Dict[int, WelchResult]],
+                   config: TvlaConfig) -> LeakageAssessment:
+    """Aggregate one design's per-class results into its assessment."""
     elapsed = time.perf_counter() - design.started_at
     return aggregate_class_results(class_results, design.netlist.name,
-                                   design.gate_names, config, elapsed,
-                                   streamed=True,
-                                   n_shards=len(design.futures))
+                                   design.generator.gate_names, config,
+                                   elapsed, streamed=True,
+                                   n_shards=len(design.ranges))
+
+
+def _assess_in_process(netlist: Netlist, config: TvlaConfig, n_shards: int,
+                       generator: Optional[PowerTraceGenerator],
+                       campaigns: Optional[Sequence[CampaignPair]]
+                       ) -> LeakageAssessment:
+    """The ``executor=None`` path: the serial driver's chunk-task engine."""
+    design = _prepare_design(netlist, config, n_shards, generator, campaigns)
+    return _finish_design(
+        design,
+        _streamed_class_results(design.generator, design.campaigns, config),
+        config)
+
+
+def _assess_remote(netlists: Sequence[Netlist], config: TvlaConfig,
+                   n_shards: int, executor: Executor,
+                   campaigns: Optional[Sequence[CampaignPair]] = None
+                   ) -> Dict[str, LeakageAssessment]:
+    """Run every (design, shard) task on a caller-owned executor.
+
+    All shards are submitted before any result is awaited.  If preparing,
+    submitting or running one of them raises, this call's still-pending
+    futures are cancelled before the exception propagates, so no sibling
+    shard is left burning CPU; the executor itself stays running, because
+    its lifecycle belongs to the caller.
+    """
+    designs: List[_ShardedDesign] = []
+    try:
+        for netlist in netlists:
+            design = _prepare_design(netlist, config, n_shards, None,
+                                     campaigns)
+            designs.append(design)
+            for start, stop in design.ranges:
+                sliced = tuple(
+                    (pair[0].slice(start, stop), pair[1].slice(start, stop))
+                    for pair in design.campaigns)
+                design.futures.append(executor.submit(
+                    _shard_moments_rebuilt, netlist, sliced, config,
+                    start // config.chunk_traces))
+        return {
+            design.netlist.name: _finish_design(
+                design,
+                merge_shard_partials(
+                    [future.result() for future in design.futures], config),
+                config)
+            for design in designs
+        }
+    except BaseException:
+        for design in designs:
+            for future in design.futures:
+                future.cancel()
+        raise
 
 
 def assess_leakage_sharded(
     netlist: Netlist,
     config: Optional[TvlaConfig] = None,
     n_shards: int = 2,
-    executor: ExecutorLike = "thread",
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
     generator: Optional[PowerTraceGenerator] = None,
     campaigns: Optional[Sequence[CampaignPair]] = None,
 ) -> LeakageAssessment:
-    """Run one TVLA campaign split into ``n_shards`` parallel shards.
+    """Run one TVLA campaign split into ``n_shards`` chunk-aligned shards.
 
-    Produces bitwise the same t-values as the unsharded streaming
+    Produces bitwise the same t-values as the streaming
     :func:`~repro.tvla.assessment.assess_leakage` for any shard count,
     because trace randomness is keyed to global chunk indices rather than
     to a shared sequential stream and per-chunk partials fold in the
@@ -302,55 +281,62 @@ def assess_leakage_sharded(
     Args:
         netlist: The design to assess.
         config: Campaign configuration; defaults to :class:`TvlaConfig`.
+            The campaign always streams.
         n_shards: Number of chunk-aligned trace shards (capped at the
             number of chunks).
-        executor: ``"serial"``, ``"thread"``, ``"process"`` or an existing
-            :class:`~concurrent.futures.Executor` instance.
-        max_workers: Worker count for the string selectors (defaults to the
-            executor's own default).
-        generator: Optional pre-built trace generator (serial/thread only
-            benefit; process workers rebuild their own).
+        executor: ``None`` (default) runs the in-process chunk-task engine
+            on every CPU.  A caller-owned
+            :class:`~concurrent.futures.Executor` runs one task per shard,
+            each rebuilding its generator from the shipped netlist; the
+            executor is never shut down here.
+        generator: Optional pre-built trace generator (``executor=None``
+            only).
         campaigns: Optional pre-built stimulus schedule.
 
     Returns:
         A :class:`LeakageAssessment` with ``n_shards`` recorded.
 
     Raises:
-        ValueError: for invalid shard counts or executor selectors, and
+        ValueError: for invalid shard counts, for ``generator=`` together
+            with an ``executor`` (shipped shards rebuild their own), and
             for schedule/configuration mismatches.
     """
     config = config if config is not None else TvlaConfig()
-    pool, ship_netlist, owned = _make_executor(executor, max_workers)
-    with _pool_lifecycle(pool, owned):
-        design = _submit_design(netlist, config, n_shards, pool, ship_netlist,
-                                generator, campaigns)
-        return _collect_design(design)
+    if executor is None:
+        return _assess_in_process(netlist, config, n_shards, generator,
+                                  campaigns)
+    if generator is not None:
+        raise ValueError(
+            "generator= applies only to executor=None: shards shipped to an "
+            "executor rebuild their own generator from the netlist")
+    return _assess_remote([netlist], config, n_shards, executor,
+                          campaigns)[netlist.name]
 
 
 def assess_many(
     netlists: Sequence[Netlist],
     config: Optional[TvlaConfig] = None,
     n_shards: int = 1,
-    executor: ExecutorLike = "thread",
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
     store: Optional[object] = None,
 ) -> Dict[str, LeakageAssessment]:
     """Assess several designs in one sharded campaign fan-out.
 
-    Every (design, shard) task is submitted to a single pool up front, so
-    the pool stays saturated across designs of different sizes; each
-    design's shard partials are then merged exactly as in
+    With ``executor=None`` each design runs through the in-process
+    chunk-task engine in turn (every design already uses every CPU).
+    With a caller executor every (design, shard) task is submitted up
+    front, so the executor stays saturated across designs of different
+    sizes; each design's shard partials are then merged exactly as in
     :func:`assess_leakage_sharded`.
 
     Args:
         netlists: Designs to assess (names must be unique).
         config: Shared campaign configuration.
         n_shards: Trace shards per design.
-        executor: ``"serial"``, ``"thread"``, ``"process"`` or an existing
-            :class:`~concurrent.futures.Executor` instance (including
+        executor: ``None`` or a caller-owned
+            :class:`~concurrent.futures.Executor` (for example a
             :class:`repro.campaign.queue.QueueExecutor` for cross-process
             workers).
-        max_workers: Worker count for the string selectors.
         store: Optional :class:`repro.campaign.store.ResultStore` (or its
             root path).  Designs whose
             :class:`~repro.campaign.spec.CampaignSpec` content hash is
@@ -362,7 +348,7 @@ def assess_many(
         Mapping design name -> :class:`LeakageAssessment`, in input order.
 
     Raises:
-        ValueError: for duplicate design names or invalid selectors.
+        ValueError: for duplicate design names or invalid shard counts.
     """
     config = config if config is not None else TvlaConfig()
     names = [netlist.name for netlist in netlists]
@@ -388,15 +374,12 @@ def assess_many(
                 cached[netlist.name] = hit
             else:
                 to_run.append(netlist)
-    pool, ship_netlist, owned = _make_executor(executor, max_workers)
-    with _pool_lifecycle(pool, owned):
-        submitted = [
-            _submit_design(netlist, config, n_shards, pool, ship_netlist,
-                           generator=None, campaigns=None)
-            for netlist in to_run
-        ]
-        fresh = {design.netlist.name: _collect_design(design)
-                 for design in submitted}
+    if executor is None:
+        fresh = {netlist.name: _assess_in_process(netlist, config, n_shards,
+                                                  None, None)
+                 for netlist in to_run}
+    else:
+        fresh = _assess_remote(to_run, config, n_shards, executor)
     if store is not None:
         for name, assessment in fresh.items():
             store.put(hashes[name], assessment)

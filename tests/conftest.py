@@ -7,6 +7,9 @@ is where paper-scale settings live.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,27 @@ def random_netlist() -> Netlist:
 def small_benchmark() -> Netlist:
     """A small instance of the des3 evaluation benchmark."""
     return load_benchmark("des3", scale=0.25, seed=99)
+
+
+@pytest.fixture(scope="session")
+def process_pool():
+    """One caller-owned process pool for the tests of the pickle seam
+    (shards shipped to ``_shard_moments_rebuilt`` in worker processes).
+
+    Spawned, not forked: the test process runs threads (chunk pools,
+    queue workers), and a forked child would inherit their held locks.
+    """
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=get_context("spawn")) as pool:
+        yield pool
+
+
+@pytest.fixture
+def executors(process_pool):
+    """``executor=`` values by test id: ``"serial"`` is ``None`` (the
+    serial driver's chunk-task engine, in process) and ``"process"`` a
+    caller-owned process pool (the pickle seam)."""
+    return {"serial": None, "process": process_pool}
 
 
 @pytest.fixture(scope="session")

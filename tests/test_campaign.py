@@ -6,7 +6,7 @@ The contracts pinned here are what make campaigns trustworthy:
   (not merely close) — the foundation of the content-addressed store;
 * the queue's lease/ack/retry semantics survive dead workers, duplicate
   deliveries and poisoned tasks;
-* `QueueExecutor` satisfies the existing `ExecutorLike` seam, so the
+* `QueueExecutor` is a caller-owned `concurrent.futures.Executor`, so the
   sharded drivers gain cross-process workers with zero API change;
 * a resumed / fault-injected campaign converges to the serial t-values
   (~1e-12), and cache hits are served bit-identically without simulating;
@@ -20,6 +20,7 @@ import contextlib
 import json
 import pickle
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -618,18 +619,20 @@ class TestQueueExecutor:
         with pytest.raises(RuntimeError, match="shut-down"):
             pool.submit(_double, 1)
 
-    def test_sharded_assessment_via_queue(self, small_benchmark,
-                                          campaign_config, tmp_path):
+    def test_sharded_assessment_via_queue(self, small_benchmark, tmp_path):
         # The tentpole seam: zero API change — a queue-backed executor
-        # drops into assess_leakage_sharded and matches serial ~1e-12.
-        reference = assess_leakage(small_benchmark, campaign_config)
+        # drops into assess_leakage_sharded, bitwise equal to serial at
+        # every shard count and order.
+        config = TvlaConfig(tvla_order=3, **CAMPAIGN_TVLA)
+        reference = assess_leakage(small_benchmark, config)
         with QueueExecutor(tmp_path / "q.sqlite", n_workers=2) as pool:
-            sharded = assess_leakage_sharded(small_benchmark,
-                                             campaign_config,
-                                             n_shards=3, executor=pool)
-        np.testing.assert_allclose(sharded.t_values, reference.t_values,
-                                   rtol=1e-12, atol=1e-12)
-        assert sharded.n_shards == 3
+            for n_shards in (1, 2, 4, 8):
+                sharded = assess_leakage_sharded(small_benchmark, config,
+                                                 n_shards=n_shards,
+                                                 executor=pool)
+                assert sharded.n_shards == min(n_shards, 5)
+                _assert_assessments_equal(replace(sharded, n_shards=1),
+                                          reference)
 
     def test_assess_many_via_queue(self, small_benchmark, tiny_netlist,
                                    campaign_config, tmp_path):
@@ -638,46 +641,12 @@ class TestQueueExecutor:
                                   campaign_config, n_shards=2, executor=pool)
         for netlist in (small_benchmark, tiny_netlist):
             serial = assess_leakage_sharded(netlist, campaign_config,
-                                            n_shards=2, executor="serial")
+                                            n_shards=2)
             assert np.array_equal(results[netlist.name].t_values,
                                   serial.t_values)
 
 
 class TestExecutorLifecycle:
-    def test_owned_pool_shut_down_when_worker_raises(self, small_benchmark,
-                                                     campaign_config,
-                                                     monkeypatch):
-        # Satellite pin: a raising shard must not leak an owned pool (nor
-        # leave its siblings running) — shutdown(cancel_futures) happens
-        # on the failure path.
-        from concurrent.futures import ThreadPoolExecutor
-        from repro.tvla import sharding
-
-        created = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
-                self.cancelled_on_failure = False
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                if cancel_futures:
-                    self.cancelled_on_failure = True
-                super().shutdown(wait=wait, cancel_futures=cancel_futures)
-
-        def poisoned(*args, **kwargs):
-            raise RuntimeError("shard worker exploded")
-
-        monkeypatch.setattr(sharding, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(sharding, "_shard_moments", poisoned)
-        with pytest.raises(RuntimeError, match="shard worker exploded"):
-            assess_leakage_sharded(small_benchmark, campaign_config,
-                                   n_shards=3, executor="thread")
-        assert len(created) == 1
-        assert created[0]._shutdown
-        assert created[0].cancelled_on_failure
-
     def test_caller_supplied_pool_left_running(self, small_benchmark,
                                                campaign_config, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
@@ -686,12 +655,54 @@ class TestExecutorLifecycle:
         def poisoned(*args, **kwargs):
             raise RuntimeError("shard worker exploded")
 
-        monkeypatch.setattr(sharding, "_shard_moments", poisoned)
+        monkeypatch.setattr(sharding, "_shard_moments_rebuilt", poisoned)
         with ThreadPoolExecutor(max_workers=1) as pool:
             with pytest.raises(RuntimeError, match="exploded"):
                 assess_leakage_sharded(small_benchmark, campaign_config,
                                        n_shards=2, executor=pool)
             assert not pool._shutdown  # caller owns its lifecycle
+            assert pool.submit(int, "7").result(timeout=30) == 7
+
+    def test_failing_shard_cancels_pending_futures(self, small_benchmark,
+                                                   campaign_config,
+                                                   monkeypatch):
+        # A raising shard leaves no sibling burning CPU: this call's
+        # queued shards are cancelled, the caller's pool keeps running.
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+        from repro.tvla import sharding
+
+        release = threading.Event()
+        ran = []
+
+        def shard(netlist, sliced, config, first_chunk):
+            ran.append(first_chunk)
+            if first_chunk == 0:
+                raise RuntimeError("shard worker exploded")
+            release.wait(30)  # hold the only worker thread
+
+        submitted = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(super().submit(fn, *args, **kwargs))
+                return submitted[-1]
+
+        monkeypatch.setattr(sharding, "_shard_moments_rebuilt", shard)
+        with RecordingPool(max_workers=1) as pool:
+            try:
+                with pytest.raises(RuntimeError, match="exploded"):
+                    assess_leakage_sharded(small_benchmark, campaign_config,
+                                           n_shards=5, executor=pool)
+                assert len(submitted) == 5
+                # The one worker thread is held by at most one sibling
+                # shard; every other sibling was still queued, so it was
+                # cancelled and never runs.
+                assert sum(future.cancelled() for future in submitted) >= 3
+                assert not pool._shutdown
+            finally:
+                release.set()
+        assert len(ran) <= 2
 
 
 # ----------------------------------------------------------------------
@@ -1274,7 +1285,8 @@ class TestSlowButAliveWorker:
         import sys
         from pathlib import Path
 
-        monkeypatch.setenv("POLARIS_SHARD_DELAY", "1.1")
+        monkeypatch.setenv("POLARIS_FAULT_PLAN",
+                           "worker.shard:mode=delay,delay=1.1")
         root = tmp_path / "runs"
         config = TvlaConfig(**CAMPAIGN_TVLA)
         outcome = submit_campaign(root, netlist=small_benchmark,
@@ -1290,7 +1302,7 @@ class TestSlowButAliveWorker:
              "--root", str(root), "--max-tasks", "1",
              "--lease-seconds", "0.6", "--no-renew"],
             env={**os.environ, "PYTHONPATH": src_dir,
-                 "POLARIS_SHARD_DELAY": "1.1"},
+                 "POLARIS_FAULT_PLAN": "worker.shard:mode=delay,delay=1.1"},
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
         try:
             deadline = time.monotonic() + 30
@@ -1336,7 +1348,7 @@ class TestSlowButAliveWorker:
         faulted = collect_result(root, outcome.spec_hash, timeout=30)
 
         # Bit-identical to an undisturbed campaign of the same layout.
-        monkeypatch.delenv("POLARIS_SHARD_DELAY")
+        monkeypatch.delenv("POLARIS_FAULT_PLAN")
         clean = run_campaign(tmp_path / "clean", small_benchmark, config,
                              n_shards=2)
         assert np.array_equal(faulted.t_values, clean.t_values)
@@ -1404,17 +1416,17 @@ class TestStoreWiring:
             monkeypatch):
         store = tmp_path / "store"
         first = assess_many([small_benchmark, tiny_netlist], campaign_config,
-                            n_shards=2, executor="thread", store=store)
+                            n_shards=2, store=store)
 
         from repro.tvla import sharding
 
         def no_simulation(*args, **kwargs):
             raise AssertionError("cache hit must not simulate")
 
-        monkeypatch.setattr(sharding, "_shard_moments", no_simulation)
-        monkeypatch.setattr(sharding, "_shard_moments_rebuilt", no_simulation)
+        monkeypatch.setattr(sharding, "_streamed_class_results",
+                            no_simulation)
         second = assess_many([small_benchmark, tiny_netlist], campaign_config,
-                             n_shards=2, executor="thread", store=store)
+                             n_shards=2, store=store)
         for name in first:
             _assert_assessments_equal(first[name], second[name])
 

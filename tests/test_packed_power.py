@@ -159,8 +159,7 @@ class TestPackedTraceEquality:
                             chunk_traces=32, streaming=True)
         serial = assess_leakage(netlist, config,
                                 generator=_loop_generator(netlist, config))
-        sharded = assess_leakage_sharded(netlist, config, n_shards=4,
-                                         executor="thread", max_workers=2)
+        sharded = assess_leakage_sharded(netlist, config, n_shards=4)
         np.testing.assert_allclose(sharded.t_values, serial.t_values,
                                    rtol=1e-12, atol=1e-12)
 

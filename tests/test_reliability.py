@@ -212,12 +212,11 @@ class TestFaultPlanDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Environment activation (and the legacy delay knob)
+# Environment activation
 # ----------------------------------------------------------------------
 class TestEnvActivation:
     def test_no_env_no_plan(self, monkeypatch):
         monkeypatch.delenv("POLARIS_FAULT_PLAN", raising=False)
-        monkeypatch.delenv("POLARIS_SHARD_DELAY", raising=False)
         assert active_plan() is None
 
     def test_env_plan_is_parsed_and_cached(self, monkeypatch):
@@ -230,22 +229,13 @@ class TestEnvActivation:
         assert plan.evaluate("queue.ack") is not None
         assert active_plan().evaluate("queue.ack") is None  # max spent
 
-    def test_legacy_shard_delay_becomes_a_plan_rule(self, monkeypatch):
-        monkeypatch.delenv("POLARIS_FAULT_PLAN", raising=False)
-        monkeypatch.setenv("POLARIS_SHARD_DELAY", "0.125")
-        plan = active_plan()
-        (rule,) = plan.rules
+    def test_env_shard_delay_plan_parses_to_a_rule(self, monkeypatch):
+        monkeypatch.setenv("POLARIS_FAULT_PLAN",
+                           "worker.shard:mode=delay,delay=0.125")
+        (rule,) = active_plan().rules
         assert rule.site == "worker.shard"
         assert rule.mode == "delay"
         assert rule.delay == pytest.approx(0.125)
-
-    def test_legacy_delay_appends_to_an_env_plan(self, monkeypatch):
-        monkeypatch.setenv("POLARIS_FAULT_PLAN",
-                           "seed=2;queue.ack:mode=error")
-        monkeypatch.setenv("POLARIS_SHARD_DELAY", "0.25")
-        plan = active_plan()
-        assert plan.seed == 2
-        assert [r.site for r in plan.rules] == ["queue.ack", "worker.shard"]
 
     def test_override_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("POLARIS_FAULT_PLAN", "queue.ack:mode=error")
@@ -254,11 +244,6 @@ class TestEnvActivation:
         assert active_plan() is override
         set_fault_plan(None)
         assert active_plan().rules[0].site == "queue.ack"
-
-    def test_unparsable_legacy_delay_is_ignored(self, monkeypatch):
-        monkeypatch.delenv("POLARIS_FAULT_PLAN", raising=False)
-        monkeypatch.setenv("POLARIS_SHARD_DELAY", "not-a-number")
-        assert active_plan() is None
 
     def test_bad_cli_fault_plan_is_a_usage_error(self, tmp_path, capsys):
         code = cli_main(["work", "--root", str(tmp_path),

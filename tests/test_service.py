@@ -313,7 +313,8 @@ class TestEndToEndStreaming:
         """The acceptance scenario: one worker SIGKILLed mid-shard, one
         renewing past its original lease; the final progress frame is
         bitwise equal to ``polaris-campaign result``."""
-        monkeypatch.setenv("POLARIS_SHARD_DELAY", "0.9")
+        monkeypatch.setenv("POLARIS_FAULT_PLAN",
+                           "worker.shard:mode=delay,delay=0.9")
         spec = _spec()
         tenant = "lab"
         shared_root = service.root
@@ -330,7 +331,7 @@ class TestEndToEndStreaming:
                  "--root", str(shared_root), "--max-tasks", "1",
                  "--lease-seconds", "0.7", "--no-renew"],
                 env={**os.environ, "PYTHONPATH": SRC_DIR,
-                     "POLARIS_SHARD_DELAY": "0.9"},
+                     "POLARIS_FAULT_PLAN": "worker.shard:mode=delay,delay=0.9"},
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
@@ -384,7 +385,7 @@ class TestEndToEndStreaming:
         assert np.array_equal(complete_assessment.degrees_of_freedom,
                               collected.degrees_of_freedom)
 
-        monkeypatch.delenv("POLARIS_SHARD_DELAY")
+        monkeypatch.delenv("POLARIS_FAULT_PLAN")
         clean = run_campaign(tmp_path / "clean", spec.netlist(),
                              spec.tvla, n_shards=3)
         assert np.array_equal(collected.t_values, clean.t_values)

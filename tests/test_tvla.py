@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from repro.masking import apply_masking, maskable_gates
-from repro.power import PowerModelConfig
+from repro.power import CounterStream, GatePowerModel, PowerModelConfig
 from repro.tvla import (
     OnePassMoments,
     TVLA_THRESHOLD,
@@ -383,6 +383,130 @@ class TestHigherOrderWelch:
             result = welch_higher_order(acc0, acc1, order)
             assert np.isfinite(result.t_statistic).all()
             assert float(result.t_statistic) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Calibration: the null |t| tail and a planted leak's t
+# ----------------------------------------------------------------------
+#: Traces per group, fold chunk and independent "gates" (columns): the
+#: paper's 10k traces in the driver's default 2048-row chunks.
+CAL_TRACES = 10_000
+CAL_CHUNK = 2048
+CAL_GATES = 3000
+#: A leak of 0.05 sigma gives an expected order-1 |t| of ~3.5 at 10k.
+CAL_DELTA = 0.05
+
+
+def _popcount_noise(draws, shape):
+    """The fast sampler's Binomial(16, 1/2) noise, scaled as the trace
+    engine scales it (mean 0, standard deviation ``noise_sigma_abs``)."""
+    scale, offset = GatePowerModel().fast_noise_params()
+    return (draws.noise_counts(shape) * np.float32(scale)
+            + np.float32(offset))
+
+
+def _gauss_noise(draws, shape):
+    """The exact Gaussian noise of the ``noise_mode="gaussian"`` path."""
+    return draws.gauss(shape) * np.float32(GatePowerModel().noise_sigma_abs())
+
+
+def _popcount_moments():
+    """Standardised 4th and 6th central moments of Binomial(16, 1/2)."""
+    counts = np.arange(17)
+    pmf = stats.binom.pmf(counts, 16, 0.5)
+    z = (counts - 8.0) / 2.0
+    return float(pmf @ z ** 4), float(pmf @ z ** 6)
+
+
+#: noise mode -> (sampler, standardised (mu4, mu6) of the noise law).
+CAL_NOISE = {"popcount": (_popcount_noise, _popcount_moments()),
+             "gauss": (_gauss_noise, (3.0, 15.0))}
+
+
+def _fold_group(noise, group_index, max_order, delta=0.0):
+    """Fold one group's pure-noise traces chunk by chunk, as the driver
+    folds a campaign group (counter draws of each chunk, ``update_batch``
+    on the ``(rows, gates)`` view)."""
+    accumulator = OnePassMoments(max_order=max_order, shape=(CAL_GATES,))
+    stream = CounterStream(31, 0, group_index)
+    for chunk, start in enumerate(range(0, CAL_TRACES, CAL_CHUNK)):
+        rows = min(CAL_CHUNK, CAL_TRACES - start)
+        traces = noise(stream.draws(chunk), (CAL_GATES, rows))
+        if delta:
+            traces += np.float32(delta)
+        accumulator.update_batch(traces.T)
+    return accumulator
+
+
+@pytest.fixture(scope="module", params=sorted(CAL_NOISE))
+def null_campaign(request):
+    """Both groups of one noise law: ``(mode, acc0, acc1)``, no leak."""
+    noise, _ = CAL_NOISE[request.param]
+    return (request.param,) + tuple(_fold_group(noise, group, max_order=6)
+                                    for group in (0, 1))
+
+
+class TestNullCalibration:
+    """Two groups drawn from one distribution (ROADMAP item 1).
+
+    Orders 1 and 2 follow the Student-t law at the Welch dof.  The order-3
+    statistic (the standardised-skewness test: a Welch test on
+    ``((y - mean) / sigma)^3``) divides by ``Var[z^3] = mu6`` but the
+    sample skewness it averages has the delta-method variance
+    ``(mu6 - 6 mu4 + 9) / n`` for a symmetric law, so under the null its
+    |t| is scaled by ``sqrt((mu6 - 6 mu4 + 9) / mu6)`` (``sqrt(6/15)`` for
+    Gaussian noise): the test is conservative.  The checks below pin that
+    scale, so both a miscalibration and a change of the statistic show.
+    """
+
+    @staticmethod
+    def _null_scale(mode, order):
+        if order < 3:
+            return 1.0
+        mu4, mu6 = CAL_NOISE[mode][1]
+        return float(np.sqrt((mu6 - 6.0 * mu4 + 9.0) / mu6))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_tail_count_inside_binomial_band(self, null_campaign, order):
+        mode, acc0, acc1 = null_campaign
+        result = welch_higher_order(acc0, acc1, order)
+        scaled = np.abs(result.t_statistic) / self._null_scale(mode, order)
+        p_tail = float(np.mean(
+            2.0 * stats.t.sf(3.0, result.degrees_of_freedom)))
+        low, high = stats.binom.interval(0.999, CAL_GATES, p_tail)
+        count = int((scaled > 3.0).sum())
+        assert low <= count <= high, (mode, order, count, low, high)
+
+    def test_order3_scale_matches_delta_method(self, null_campaign):
+        mode, acc0, acc1 = null_campaign
+        t3 = welch_higher_order(acc0, acc1, 3).t_statistic
+        # The sample sd of G unit-variance t's has standard error
+        # ~1/sqrt(2G); allow five of them.
+        assert np.std(t3) == pytest.approx(self._null_scale(mode, 3),
+                                           abs=5.0 / np.sqrt(2 * CAL_GATES))
+
+    def test_threshold_rate_consistent_with_student_t(self, null_campaign):
+        mode, acc0, acc1 = null_campaign
+        exceed = 0
+        for order in (1, 2, 3):
+            result = welch_higher_order(acc0, acc1, order)
+            exceed += int((np.abs(result.t_statistic)
+                           / self._null_scale(mode, order)
+                           > TVLA_THRESHOLD).sum())
+        p_threshold = 2.0 * stats.t.sf(TVLA_THRESHOLD, 2 * CAL_TRACES - 2)
+        assert p_threshold == pytest.approx(7e-6, rel=0.05)
+        assert exceed <= stats.binom.ppf(0.999, 3 * CAL_GATES, p_threshold)
+
+    def test_planted_leak_matches_analytic_t(self, null_campaign):
+        mode, acc0, _ = null_campaign
+        noise, _ = CAL_NOISE[mode]
+        sigma = GatePowerModel().noise_sigma_abs()
+        leaky = _fold_group(noise, 1, max_order=2, delta=CAL_DELTA * sigma)
+        t = welch_from_accumulators(acc0, leaky).t_statistic
+        # Group 1 carries +delta, so t = (mean0 - mean1) / se is negative.
+        expected = CAL_DELTA * np.sqrt(CAL_TRACES / 2.0)
+        assert float(np.mean(-t)) == pytest.approx(
+            expected, abs=4.0 / np.sqrt(CAL_GATES))
 
 
 class TestAssessment:

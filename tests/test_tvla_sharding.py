@@ -2,12 +2,13 @@
 
 The contract pinned down here is what makes sharding trustworthy:
 
-* sharded assessments (any shard count, any executor) match the unsharded
-  streaming path in t-values, for every configured TVLA order;
+* sharded assessments (any shard count; in process with ``executor=None``
+  or shipped to a caller's process pool) are bitwise equal to the
+  unsharded streaming path, for every configured TVLA order;
 * fixed seeds give bit-identical reruns, independent of the executor;
 * shard ranges are chunk-aligned, disjoint and cover the campaign;
-* ``assess_many`` fans several designs through one pool and returns exactly
-  what per-design sharded assessments return;
+* ``assess_many`` returns exactly what per-design sharded assessments
+  return;
 * the serial counter driver, which runs one task per ``(class, group,
   chunk)`` on every CPU, is bitwise equal to the running fold and to every
   shard layout whatever its worker count, creates no pool on one CPU and
@@ -104,43 +105,45 @@ class TestSeedStreams:
         assert _chunk_noise(7, 0, 0, 1) != base
 
 
+def _assessment_bits(assessment):
+    """Every reported statistic of an assessment, as raw bytes."""
+    return (assessment.t_values.tobytes(), assessment.mean_abs_t.tobytes(),
+            assessment.degrees_of_freedom.tobytes(),
+            {order: values.tobytes()
+             for order, values in assessment.order_t_values.items()})
+
+
 class TestShardedRegression:
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_matches_unsharded_streaming(self, small_benchmark, sharded_config,
-                                         n_shards, executor):
-        # The headline regression: sharded == unsharded to ~1e-12 in
-        # t-values, for both pool executors, at every shard count.
+                                         executors, n_shards, executor):
+        # The headline regression: sharded == unsharded bitwise, in
+        # process and through the pickle seam, at every shard count.
         reference = assess_leakage(small_benchmark, sharded_config)
         sharded = assess_leakage_sharded(small_benchmark, sharded_config,
-                                         n_shards=n_shards, executor=executor)
-        np.testing.assert_allclose(sharded.t_values, reference.t_values,
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sharded.mean_abs_t, reference.mean_abs_t,
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sharded.degrees_of_freedom,
-                                   reference.degrees_of_freedom,
-                                   rtol=1e-9, atol=1e-9)
+                                         n_shards=n_shards,
+                                         executor=executors[executor])
+        assert _assessment_bits(sharded) == _assessment_bits(reference)
         assert sharded.gate_names == reference.gate_names
         assert sharded.n_shards == min(n_shards, 5)
 
     def test_serial_executor_matches(self, small_benchmark, sharded_config):
         reference = assess_leakage(small_benchmark, sharded_config)
         sharded = assess_leakage_sharded(small_benchmark, sharded_config,
-                                         n_shards=3, executor="serial")
-        np.testing.assert_allclose(sharded.t_values, reference.t_values,
-                                   rtol=1e-12, atol=1e-12)
+                                         n_shards=3)
+        assert _assessment_bits(sharded) == _assessment_bits(reference)
+        assert sharded.streamed and sharded.n_shards == 3
 
     def test_fixed_seed_reruns_bit_identical(self, small_benchmark,
-                                             sharded_config):
+                                             sharded_config, process_pool):
         runs = [
             assess_leakage_sharded(small_benchmark, sharded_config,
                                    n_shards=4, executor=executor)
-            for executor in ("thread", "thread", "process", "serial")
+            for executor in (None, None, process_pool, process_pool)
         ]
         for other in runs[1:]:
-            assert np.array_equal(runs[0].t_values, other.t_values)
-            assert np.array_equal(runs[0].mean_abs_t, other.mean_abs_t)
+            assert _assessment_bits(other) == _assessment_bits(runs[0])
 
     def test_shard_count_does_not_change_results(self, small_benchmark,
                                                  sharded_config):
@@ -148,23 +151,24 @@ class TestShardedRegression:
         # of the shard layout (chunk_traces fixed).
         by_shards = {
             n: assess_leakage_sharded(small_benchmark, sharded_config,
-                                      n_shards=n, executor="serial")
+                                      n_shards=n)
             for n in (1, 2, 5)
         }
         for n in (2, 5):
-            np.testing.assert_allclose(by_shards[n].t_values,
-                                       by_shards[1].t_values,
-                                       rtol=1e-12, atol=1e-12)
+            assert np.array_equal(by_shards[n].t_values,
+                                  by_shards[1].t_values)
 
-    def test_higher_orders_through_shards(self, small_benchmark):
+    def test_higher_orders_through_shards(self, small_benchmark,
+                                          process_pool):
         config = TvlaConfig(tvla_order=3, **SHARD_TVLA)
-        reference = assess_leakage(small_benchmark, config)
-        sharded = assess_leakage_sharded(small_benchmark, config, n_shards=4,
-                                         executor="process")
-        for order in (2, 3):
-            np.testing.assert_allclose(sharded.order_t_values[order],
-                                       reference.order_t_values[order],
-                                       rtol=1e-12, atol=1e-12)
+        expected = _assessment_bits(assess_leakage(small_benchmark, config))
+        for executor in (None, process_pool):
+            for n_shards in (1, 2, 4, 8):
+                sharded = assess_leakage_sharded(small_benchmark, config,
+                                                 n_shards=n_shards,
+                                                 executor=executor)
+                assert _assessment_bits(sharded) == expected
+                assert set(sharded.order_t_values) == {2, 3}
 
     def test_numpy_integer_order_accepted(self, tiny_netlist):
         config = TvlaConfig(n_traces=100, n_fixed_classes=1, seed=1,
@@ -174,68 +178,93 @@ class TestShardedRegression:
         assert moment_order_for_tvla(np.int64(3)) == 6
 
     def test_executor_instance_is_pluggable(self, small_benchmark,
-                                            sharded_config):
+                                            sharded_config, monkeypatch):
+        # Any caller executor, even a thread pool, takes the shipped path:
+        # one _shard_moments_rebuilt task per shard.
+        from repro.tvla import sharding
+
+        rebuilt = sharding._shard_moments_rebuilt
+        calls = []
+
+        def spy(*args):
+            calls.append(args[-1])
+            return rebuilt(*args)
+
+        monkeypatch.setattr(sharding, "_shard_moments_rebuilt", spy)
         reference = assess_leakage(small_benchmark, sharded_config)
         with ThreadPoolExecutor(max_workers=2) as pool:
             sharded = assess_leakage_sharded(small_benchmark, sharded_config,
                                              n_shards=2, executor=pool)
-        np.testing.assert_allclose(sharded.t_values, reference.t_values,
-                                   rtol=1e-12, atol=1e-12)
+            assert not pool._shutdown  # the caller owns its lifecycle
+        assert _assessment_bits(sharded) == _assessment_bits(reference)
+        assert sorted(calls) == [0, 3]  # first chunk of each 3/2 shard
+
+    def test_generator_with_executor_rejected(self, small_benchmark,
+                                              sharded_config):
+        # Shipped shards rebuild their own generator; a caller's would be
+        # silently ignored, so the combination fails before any work.
+        generator = resolve_generator(small_benchmark, sharded_config, None)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(ValueError, match="generator="):
+                assess_leakage_sharded(small_benchmark, sharded_config,
+                                       executor=pool, generator=generator)
+
+    def test_in_process_path_honours_generator(self, small_benchmark,
+                                               tiny_netlist, sharded_config):
+        foreign = resolve_generator(tiny_netlist, sharded_config, None)
+        with pytest.raises(ValueError, match="generator was built"):
+            assess_leakage_sharded(small_benchmark, sharded_config,
+                                   generator=foreign)
+
+    def test_invalid_shard_count_rejected(self, small_benchmark,
+                                          sharded_config):
+        # executor=None validates the layout it records, like the
+        # shipped path.
+        with pytest.raises(ValueError, match="n_shards"):
+            assess_leakage_sharded(small_benchmark, sharded_config,
+                                   n_shards=0)
 
     def test_schedule_reuse(self, small_benchmark, sharded_config):
         schedule = campaign_schedule(small_benchmark, sharded_config)
         direct = assess_leakage_sharded(small_benchmark, sharded_config,
-                                        n_shards=2, executor="serial")
+                                        n_shards=2)
         reused = assess_leakage_sharded(small_benchmark, sharded_config,
-                                        n_shards=2, executor="serial",
-                                        campaigns=schedule)
+                                        n_shards=2, campaigns=schedule)
         assert np.array_equal(direct.t_values, reused.t_values)
-
-    def test_unknown_executor_rejected(self, small_benchmark, sharded_config):
-        with pytest.raises(ValueError, match="executor"):
-            assess_leakage_sharded(small_benchmark, sharded_config,
-                                   executor="bogus")
 
     def test_invalid_schedule_rejected(self, tiny_netlist, small_benchmark,
                                        sharded_config):
         foreign = campaign_schedule(small_benchmark, sharded_config)
         with pytest.raises(ValueError, match="primary inputs"):
             assess_leakage_sharded(tiny_netlist, sharded_config,
-                                   executor="serial", campaigns=foreign)
+                                   campaigns=foreign)
 
 
 class TestAssessMany:
-    def test_matches_per_design_sharded(self, small_benchmark, sharded_config):
+    def test_matches_per_design_sharded(self, small_benchmark, sharded_config,
+                                        process_pool):
         masked = apply_masking(small_benchmark,
                                maskable_gates(small_benchmark)).netlist
         results = assess_many([small_benchmark, masked], sharded_config,
-                              n_shards=2, executor="thread")
+                              n_shards=2, executor=process_pool)
         assert list(results) == [small_benchmark.name, masked.name]
         for netlist in (small_benchmark, masked):
             single = assess_leakage_sharded(netlist, sharded_config,
-                                            n_shards=2, executor="serial")
-            assert np.array_equal(results[netlist.name].t_values,
-                                  single.t_values)
+                                            n_shards=2)
+            assert _assessment_bits(results[netlist.name]) == \
+                _assessment_bits(single)
 
     def test_masked_design_improves(self, small_benchmark, sharded_config):
         masked = apply_masking(small_benchmark,
                                maskable_gates(small_benchmark)).netlist
         results = assess_many([small_benchmark, masked], sharded_config,
-                              n_shards=2, executor="process")
+                              n_shards=2)
         assert results[masked.name].mean_leakage < \
             results[small_benchmark.name].mean_leakage
 
     def test_duplicate_names_rejected(self, small_benchmark, sharded_config):
         with pytest.raises(ValueError, match="duplicate"):
             assess_many([small_benchmark, small_benchmark], sharded_config)
-
-
-def _assessment_bits(assessment):
-    """Every reported statistic of an assessment, as raw bytes."""
-    return (assessment.t_values.tobytes(), assessment.mean_abs_t.tobytes(),
-            assessment.degrees_of_freedom.tobytes(),
-            {order: values.tobytes()
-             for order, values in assessment.order_t_values.items()})
 
 
 def _running_fold(netlist, config):
@@ -260,14 +289,14 @@ class TestParallelChunkDriver:
     @pytest.mark.parametrize("n_traces,chunk_traces", LAYOUTS)
     @pytest.mark.parametrize("tvla_order", [1, 2, 3])
     def test_any_worker_count_bitwise_equals_fold_and_shards(
-            self, small_benchmark, monkeypatch, tvla_order, n_traces,
-            chunk_traces):
+            self, small_benchmark, process_pool, monkeypatch, tvla_order,
+            n_traces, chunk_traces):
         config = TvlaConfig(n_traces=n_traces, chunk_traces=chunk_traces,
                             n_fixed_classes=2, seed=9, streaming=True,
                             tvla_order=tvla_order)
         references = [_running_fold(small_benchmark, config)] + [
             assess_leakage_sharded(small_benchmark, config, n_shards=n_shards,
-                                   executor="thread")
+                                   executor=process_pool)
             for n_shards in (1, 2, 4)]
         expected = _assessment_bits(references[0])
         assert all(_assessment_bits(reference) == expected

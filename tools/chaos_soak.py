@@ -90,7 +90,6 @@ def _env(fault_plan: str = "") -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("POLARIS_FAULT_PLAN", None)
-    env.pop("POLARIS_SHARD_DELAY", None)
     if fault_plan:
         env["POLARIS_FAULT_PLAN"] = fault_plan
     return env

@@ -10,8 +10,8 @@ service story:
 2. submit a campaign *through the service* with a following client;
 3. attach **two** ``polaris-campaign work --connect`` worker processes
    that stream shard partials and heartbeats;
-4. SIGKILL one of them mid-shard (shards are stretched with
-   ``POLARIS_SHARD_DELAY`` so "mid-shard" is deterministic) — the
+4. SIGKILL one of them mid-shard (shards are stretched by a
+   ``worker.shard`` delay fault plan so "mid-shard" is deterministic) — the
    campaign must complete anyway, via lease expiry + redelivery;
 5. assert the streamed interim t-values converge **bitwise** to the
    batch ``collect_result`` for the same spec, and that the final
@@ -62,14 +62,14 @@ N_SHARDS = 3
 TENANT = "smoke"
 #: Every shard is stretched to ~1.2s so mid-shard kills are deterministic,
 #: and the victim's lease (1.0s) expires while the shard is still running.
-SHARD_DELAY = "1.2"
+SHARD_DELAY_PLAN = "worker.shard:mode=delay,delay=1.2"
 LEASE_SECONDS = 1.0
 
 
 def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env["POLARIS_SHARD_DELAY"] = SHARD_DELAY
+    env["POLARIS_FAULT_PLAN"] = SHARD_DELAY_PLAN
     return env
 
 

@@ -7,7 +7,7 @@ is where paper-scale settings live.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from multiprocessing import get_context
 
 import numpy as np
@@ -88,12 +88,21 @@ def process_pool():
         yield pool
 
 
+@pytest.fixture(scope="session")
+def thread_pool():
+    """One caller-owned thread pool: shards still take the shipped-netlist
+    path (``_shard_moments_rebuilt``), but without a pickle round trip."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
 @pytest.fixture
-def executors(process_pool):
+def executors(thread_pool, process_pool):
     """``executor=`` values by test id: ``"serial"`` is ``None`` (the
-    serial driver's chunk-task engine, in process) and ``"process"`` a
-    caller-owned process pool (the pickle seam)."""
-    return {"serial": None, "process": process_pool}
+    serial driver's chunk-task engine, in process), ``"thread"`` a
+    caller-owned thread pool (shipped netlist, no pickling) and
+    ``"process"`` a caller-owned process pool (the pickle seam)."""
+    return {"serial": None, "thread": thread_pool, "process": process_pool}
 
 
 @pytest.fixture(scope="session")

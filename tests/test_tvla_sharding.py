@@ -3,7 +3,7 @@
 The contract pinned down here is what makes sharding trustworthy:
 
 * sharded assessments (any shard count; in process with ``executor=None``
-  or shipped to a caller's process pool) are bitwise equal to the
+  or shipped to a caller's thread or process pool) are bitwise equal to the
   unsharded streaming path, for every configured TVLA order;
 * fixed seeds give bit-identical reruns, independent of the executor;
 * shard ranges are chunk-aligned, disjoint and cover the campaign;
@@ -115,11 +115,12 @@ def _assessment_bits(assessment):
 
 class TestShardedRegression:
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_matches_unsharded_streaming(self, small_benchmark, sharded_config,
                                          executors, n_shards, executor):
         # The headline regression: sharded == unsharded bitwise, in
-        # process and through the pickle seam, at every shard count.
+        # process, through a caller's thread pool and through the pickle
+        # seam, at every shard count.
         reference = assess_leakage(small_benchmark, sharded_config)
         sharded = assess_leakage_sharded(small_benchmark, sharded_config,
                                          n_shards=n_shards,

@@ -715,6 +715,9 @@ def test_ml_fit_microbench(trained_polaris_bench, recorder):
     forest at the paper's family settings, with fewer rounds, on the bench
     cognition gate-feature matrix two ways: with the builder's presorted
     ``_best_split`` and with the ``_best_split_loop`` oracle swapped in.
+    The fast side of the boosted families also reuses, round after round,
+    the node orders and candidate scans of the fit's shared
+    ``_PresortedColumns``; the oracle re-sorts every node it searches.
     Every ``FlatTree`` array and every AdaBoost estimator weight must be
     bitwise equal; one speedup row per family is recorded as
     ``microbench_ml_fit`` and gated by ``tools/check_bench_regression.py``.

@@ -92,7 +92,7 @@ class TrainedPolaris:
         importances = getattr(self.model, "feature_importances_", None)
         if importances is None:
             return []
-        order = np.argsort(-importances)
+        order = np.argsort(-importances, kind="stable")
         return [(self.dataset.feature_names[i], float(importances[i]))
                 for i in order]
 

@@ -20,7 +20,7 @@ from .base import (
     check_labels,
     check_sample_weight,
 )
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, _PresortedColumns
 
 
 class AdaBoostClassifier(BaseClassifier):
@@ -62,12 +62,16 @@ class AdaBoostClassifier(BaseClassifier):
 
         self.estimators_ = []
         self.estimator_weights_ = []
+        # Low-learning-rate rounds regrow nearly the same trees: share one
+        # presort (and its node memo) across them for this fit only.
+        presorted = _PresortedColumns(features, min_samples_leaf=1,
+                                      shared=True)
         for round_index in range(self.n_estimators):
             tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 random_state=self.random_state + round_index,
             )
-            tree.fit(features, labels, sample_weight=weights)
+            tree._fit_presorted(presorted, labels, sample_weight=weights)
             predictions = tree.predict(features)
             incorrect = predictions != labels
             error = float(np.sum(weights * incorrect))

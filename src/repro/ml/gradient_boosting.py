@@ -21,7 +21,7 @@ from .base import (
     check_labels,
     check_sample_weight,
 )
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, _PresortedColumns
 
 
 def _sigmoid(values: np.ndarray) -> np.ndarray:
@@ -88,6 +88,12 @@ class GradientBoostingClassifier(BaseClassifier):
         rng = np.random.default_rng(self.random_state)
         scores = np.full(features.shape[0], self.initial_score_)
         self.estimators_ = []
+        # Without subsampling every round searches the same rows, so the
+        # rounds share one presort (and its node memo) for this fit.
+        presorted = None
+        if self.subsample >= 1.0:
+            presorted = _PresortedColumns(features, self.min_samples_leaf,
+                                          shared=True)
         for round_index in range(self.n_estimators):
             probabilities = _sigmoid(scores)
             gradient = targets - probabilities
@@ -97,13 +103,16 @@ class GradientBoostingClassifier(BaseClassifier):
             if self.subsample < 1.0:
                 n_rows = max(2, int(round(self.subsample * rows.size)))
                 rows = rng.choice(rows.size, size=n_rows, replace=False)
+                presorted = _PresortedColumns(features[rows],
+                                              self.min_samples_leaf)
 
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 random_state=self.random_state + round_index,
             )
-            tree.fit(features[rows], gradient[rows], sample_weight=weights[rows])
+            tree._fit_presorted(presorted, gradient[rows],
+                                sample_weight=weights[rows])
             self._newton_adjust_leaves(tree, features[rows], gradient[rows],
                                        hessian[rows], weights[rows])
             update = tree.predict(features)

@@ -34,6 +34,18 @@ def _pairwise_distances(members: np.ndarray) -> np.ndarray:
     return distances
 
 
+def _nearest_neighbours(members: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` nearest other rows of every row of ``members``.
+
+    Equidistant neighbours (duplicate rows, grid-valued features) come in
+    row order: the sort is stable, so the result does not depend on which
+    sort kernel the CPU selects.
+    """
+    distances = _pairwise_distances(members)
+    np.fill_diagonal(distances, np.inf)
+    return np.argsort(distances, axis=1, kind="stable")[:, :k]
+
+
 class Smote:
     """SMOTE over-sampler for binary (or multi-class) datasets.
 
@@ -92,9 +104,7 @@ class Smote:
         if members.shape[0] == 1:
             return np.repeat(members, count, axis=0)
         k = min(self.k_neighbors, members.shape[0] - 1)
-        distances = _pairwise_distances(members)
-        np.fill_diagonal(distances, np.inf)
-        neighbor_indices = np.argsort(distances, axis=1)[:, :k]
+        neighbor_indices = _nearest_neighbours(members, k)
 
         synthetic = np.zeros((count, members.shape[1]))
         seeds = rng.integers(0, members.shape[0], size=count)

@@ -5,9 +5,13 @@ axis-aligned split is chosen by exhaustive search over features and
 thresholds, scoring candidate splits with the weighted Gini impurity
 (classification) or weighted variance (regression).
 
-Fitting sorts once: :class:`_TreeBuilder` stable-argsorts every column at
-the start of ``build`` and hands each child a stable partition of its
-parent's sorted order.  Its split search, :meth:`_TreeBuilder._best_split`,
+Fitting sorts once per ensemble fit: :class:`_PresortedColumns` stable-
+argsorts every column and memoises, per split path, each node's rows, its
+sorted order (a stable filter of its parent's) and its candidate splits.
+AdaBoost and gradient boosting (without subsampling) share one across their
+rounds, which at a low learning rate regrow nearly the same nodes; a single
+tree and each forest tree build their own.  :class:`_TreeBuilder` grows a
+tree over it, and its split search, :meth:`_TreeBuilder._best_split`,
 scores all features of a node in a few whole-matrix passes.  The
 per-feature argsort-and-scan search it replaced is kept as
 :meth:`_TreeBuilder._best_split_loop`, with the same signature so tests can
@@ -139,16 +143,139 @@ def _mse_scores(cum_weight: np.ndarray, cum_target: np.ndarray,
     return np.where((cum_weight > 0) & (right_weight > 0), score, np.inf)
 
 
+#: A node's split path: one ``(feature, threshold, side)`` per split from
+#: the root (``side`` 0 for ``x <= threshold``, 1 for the rest).
+_SplitPath = Tuple[Tuple[int, float, int], ...]
+
+
+@dataclass
+class _Scan:
+    """Candidate splits of a node over the features it scans.
+
+    ``features`` lists the scanned features that have a candidate, in scan
+    order; candidate ``i`` splits ``features[cand_row[i]]`` after sorted
+    position ``cand_split[i]`` (sorted rows ``[0, p]`` go left).
+    Candidates are row-major: by scan order, then by position.
+    """
+
+    features: np.ndarray
+    cand_row: np.ndarray
+    cand_split: np.ndarray
+
+
+class _NodeEntry:
+    """One node's row set and the split-search data derived from it.
+
+    All of it is a function of the node's split path, so one entry serves
+    every tree of an ensemble fit that grows the node.  ``rows``
+    (ascending) is set when the parent splits; ``order`` (per feature, the
+    rows in stable sorted order, ``int32``) is derived from the parent's
+    order the first time the node is searched, and ``scan`` caches the
+    all-features candidate scan.
+    """
+
+    def __init__(self, path: _SplitPath, rows: np.ndarray,
+                 parent_order: Optional[np.ndarray]) -> None:
+        self.path = path
+        self.rows = rows
+        self.parent_order = parent_order
+        self.order: Optional[np.ndarray] = None
+        self.scan: Optional[_Scan] = None
+
+
+class _PresortedColumns:
+    """Feature columns sorted once for the trees of one fit.
+
+    Holds the ``(n_features, n_samples)`` transposed columns, one stable
+    argsort of every column as an ``int32`` row order (the root's), and,
+    when ``shared``, a memo of :class:`_NodeEntry` keyed by split path.
+    AdaBoost shares one across the rounds of a ``fit``, and so does
+    gradient boosting without subsampling: a later round that regrows a
+    node only gathers its new weights or targets through the cached order
+    and scores the cached candidates.  A single tree (and each forest tree)
+    builds an unshared one, which memoises nothing and lets each node's
+    order go once its children have derived theirs.  No estimator keeps a
+    reference to it once ``fit`` returns.
+    """
+
+    def __init__(self, features: np.ndarray, min_samples_leaf: int,
+                 shared: bool = False) -> None:
+        self.columns = np.ascontiguousarray(features.T)
+        self.min_samples_leaf = max(1, min_samples_leaf)
+        self.root = _NodeEntry((), np.arange(self.n_samples), None)
+        self.root.order = np.argsort(self.columns, axis=1,
+                                     kind="stable").astype(np.int32)
+        self.memo: Optional[dict] = {} if shared else None
+
+    @property
+    def n_features(self) -> int:
+        return self.columns.shape[0]
+
+    @property
+    def n_samples(self) -> int:
+        return self.columns.shape[1]
+
+    def children(self, node: _NodeEntry, feature: int,
+                 threshold: float) -> Tuple[_NodeEntry, _NodeEntry]:
+        """The entries of ``node``'s two sides when split at
+        ``x[feature] <= threshold`` (memo lookups after the first time)."""
+        paths = [node.path + ((feature, threshold, side),) for side in (0, 1)]
+        if self.memo is not None and paths[0] in self.memo:
+            return self.memo[paths[0]], self.memo[paths[1]]
+        left = self.columns[feature, node.rows] <= threshold
+        entries = tuple(_NodeEntry(path, rows, node.order) for path, rows
+                        in zip(paths, (node.rows[left], node.rows[~left])))
+        if self.memo is None:
+            node.order = None  # never searched again; the children hold it
+        else:
+            self.memo.update(zip(paths, entries))
+        return entries
+
+    def scan(self, node: _NodeEntry, features: np.ndarray) -> _Scan:
+        """Candidate splits of ``node`` over ``features`` (scan order).
+
+        Derives the node's sorted order on first use: a stable filter of
+        the parent's stable order to the node's rows is the stable sort of
+        those rows, ties included, so every node sees exactly the columns
+        a per-node argsort would give.  A shared memo caches the scan of
+        all features (in index order).
+        """
+        if node.order is None:
+            member = np.zeros(self.n_samples, dtype=bool)
+            member[node.rows] = True
+            node.order = np.compress(
+                member.take(node.parent_order).ravel(),
+                node.parent_order).reshape(self.n_features, -1)
+            node.parent_order = None
+        every = features.size == self.n_features
+        if every and node.scan is not None:
+            return node.scan
+        n_rows = node.rows.size
+        order = node.order if every else node.order[features]
+        sorted_values = self.columns.take(
+            order + (features * self.n_samples)[:, None])
+        positions = np.arange(n_rows - 1)
+        leaf_ok = ((positions + 1 >= self.min_samples_leaf)
+                   & (n_rows - positions - 1 >= self.min_samples_leaf))
+        rows, splits = np.divmod(np.flatnonzero(
+            (np.diff(sorted_values, axis=1) > 1e-12) & leaf_ok), n_rows - 1)
+        # ``rows`` is non-decreasing: number the distinct ones in one pass.
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        scan = _Scan(features[rows[first]], np.cumsum(first) - 1, splits)
+        if every and self.memo is not None:
+            node.scan = scan
+        return scan
+
+
 class _TreeBuilder:
     """Shared CART growing logic for classification and regression.
 
-    ``build`` transposes the feature matrix to ``(n_features, n_samples)``
-    and stable-argsorts every column once.  Each node owns a column range
-    of two buffers: ``_rows`` (its rows, ascending) and ``_order`` (per
-    feature, its rows in sorted order).  A split stably partitions the
-    range into left then right; a stable partition of a stable sort equals
-    a stable sort of the subset, so every node sees the same sorted columns
-    (ties included) that a per-node argsort would give.
+    ``build`` grows one tree over a :class:`_PresortedColumns`: each node
+    is a :class:`_NodeEntry` searched through its presorted order, and a
+    split asks the presort for the two child entries (memo lookups when it
+    is shared).  The order and candidates belong to the split path; only
+    the weights and targets are the tree's own.
     """
 
     def __init__(self, criterion: str, max_depth: Optional[int],
@@ -164,14 +291,14 @@ class _TreeBuilder:
         self.max_features = max_features
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.nodes: List[TreeNode] = []
+        self._presorted: Optional[_PresortedColumns] = None
         self._columns = np.zeros((0, 0))
         self._targets = np.zeros(0)
         self._weights = np.zeros(0)
         self._n_classes = 0
-        self._tiled_targets = np.zeros(0)
-        self._tiled_weights = np.zeros(0)
-        self._rows = np.zeros(0, dtype=np.intp)
-        self._order = np.zeros((0, 0), dtype=np.intp)
+        self._class_weights: List[np.ndarray] = []
+        self._weighted = np.zeros(0)
+        self._squared = np.zeros(0)
 
     # -- impurity ------------------------------------------------------
     def _node_value(self, targets: np.ndarray, weights: np.ndarray,
@@ -207,80 +334,67 @@ class _TreeBuilder:
                                    replace=False)
         return np.arange(n_features)
 
-    def _best_split(self, rows: np.ndarray,
-                    order: np.ndarray) -> Optional[_SplitCandidate]:
+    def _best_split(self, node: _NodeEntry) -> Optional[_SplitCandidate]:
         """All-features split search over the node's presorted columns.
 
-        Scores every feature in a few whole-matrix passes and evaluates
-        impurity only at the candidate ``(feature, position)`` pairs (a
-        distinct-value boundary whose children satisfy
-        ``min_samples_leaf``).  Bit-identical to :meth:`_best_split_loop`
-        (oracle pair ``tree-split``, polaris-lint PL002): the running sums
-        are the same sequential ``cumsum`` over each full sorted column, the
-        per-feature totals reduce along the contiguous axis as the 1-D scan
-        does, and a row-major ``argmin`` over the candidates picks the
-        loop's winner (first feature in scan order, then first position).
+        Gathers the tree's score summands through the sorted order of the
+        scanned features that have a candidate, runs one ``cumsum`` per
+        summand, and evaluates impurity only at the candidate ``(feature,
+        position)`` pairs (a distinct-value boundary whose children satisfy
+        ``min_samples_leaf``; cached per node for all-features scans).
+        Bit-identical to :meth:`_best_split_loop` (oracle pair
+        ``tree-split``, polaris-lint PL002): the running sums are the same
+        sequential ``cumsum`` over each full sorted column, the per-feature
+        totals reduce along the contiguous axis as the 1-D scan does, and a
+        row-major ``argmin`` over the candidates picks the loop's winner
+        (first feature in scan order, then first position).
         """
-        feature_indices = self._feature_subset(order.shape[0])
-        if feature_indices.size < order.shape[0]:
-            order = order[feature_indices]
-        n_samples = rows.size
-        sorted_values = self._columns.take(order)
-        positions = np.arange(n_samples - 1)
-        # Split at position p sends samples [0, p] left and (p, n) right.
-        leaf_ok = ((positions + 1 >= self.min_samples_leaf)
-                   & (n_samples - positions - 1 >= self.min_samples_leaf))
-        features, splits = np.divmod(np.flatnonzero(
-            (np.diff(sorted_values, axis=1) > 1e-12) & leaf_ok), n_samples - 1)
-        if features.size == 0:
+        scan = self._presorted.scan(
+            node, self._feature_subset(self._columns.shape[0]))
+        if scan.cand_row.size == 0:
             return None
-        sorted_weights = self._tiled_weights.take(order)
-        sorted_targets = self._tiled_targets.take(order)
-        total_weight = sorted_weights.sum(axis=1)[features]
+        cand_row, cand_split = scan.cand_row, scan.cand_split
+        order = node.order[scan.features].astype(np.intp)
+        sorted_weights = self._weights.take(order)
+        total_weight = sorted_weights.sum(axis=1)[cand_row]
         if self.criterion == "gini":
-            left_counts = np.empty((features.size, self._n_classes))
+            left_counts = np.empty((cand_row.size, self._n_classes))
             total_counts = np.empty_like(left_counts)
-            weight_bits = sorted_weights.view(np.int64)
-            for k in range(self._n_classes):
-                # np.where(sorted_targets == k, sorted_weights, 0.0) bit for
-                # bit (an all-ones or all-zeros mask), at a third of its cost.
-                class_weights = (weight_bits & -(sorted_targets == k).astype(
-                    np.int64)).view(np.float64)
-                cumulative = np.cumsum(class_weights, axis=1)
-                left_counts[:, k] = cumulative[features, splits]
-                total_counts[:, k] = cumulative[:, -1][features]
+            for k, class_weights in enumerate(self._class_weights):
+                cumulative = np.cumsum(class_weights.take(order), axis=1)
+                left_counts[:, k] = cumulative[cand_row, cand_split]
+                total_counts[:, k] = cumulative[:, -1][cand_row]
             score = _gini_scores(left_counts, total_counts, total_weight)
         else:
-            weighted = sorted_weights * sorted_targets
-            squared = sorted_weights * sorted_targets ** 2
+            weighted = self._weighted.take(order)
+            squared = self._squared.take(order)
             score = _mse_scores(
-                np.cumsum(sorted_weights, axis=1)[features, splits],
-                np.cumsum(weighted, axis=1)[features, splits],
-                np.cumsum(squared, axis=1)[features, splits],
-                total_weight, weighted.sum(axis=1)[features],
-                squared.sum(axis=1)[features])
+                np.cumsum(sorted_weights, axis=1)[cand_row, cand_split],
+                np.cumsum(weighted, axis=1)[cand_row, cand_split],
+                np.cumsum(squared, axis=1)[cand_row, cand_split],
+                total_weight, weighted.sum(axis=1)[cand_row],
+                squared.sum(axis=1)[cand_row])
         # A NaN score needs the node's weighted square total to overflow,
         # which leaves no finite score in any feature, so both searches
         # return None there.
         best = int(np.argmin(score))
         if not np.isfinite(score[best]):
             return None
-        row, position = features[best], splits[best]
-        return _SplitCandidate(
-            int(feature_indices[row]),
-            _midpoint(sorted_values[row, position],
-                      sorted_values[row, position + 1]),
-            float(score[best]))
+        feature, position = scan.features[cand_row[best]], cand_split[best]
+        lower, upper = self._columns[feature,
+                                     node.order[feature, position:position + 2]]
+        return _SplitCandidate(int(feature), _midpoint(lower, upper),
+                               float(score[best]))
 
-    def _best_split_loop(self, rows: np.ndarray,
-                         order: np.ndarray) -> Optional[_SplitCandidate]:
+    def _best_split_loop(self, node: _NodeEntry) -> Optional[_SplitCandidate]:
         """Reference split search: argsort and scan one feature at a time.
 
         The oracle of :meth:`_best_split` (same signature so tests can swap
-        it in; ``order`` is ignored).  Each feature's column is re-sorted
-        for the node and scanned on its own; a later feature wins only with
-        a strictly lower score.
+        it in; only ``node.rows`` is read).  Each feature's column is
+        re-sorted for the node and scanned on its own; a later feature wins
+        only with a strictly lower score.
         """
+        rows = node.rows
         feature_indices = self._feature_subset(self._columns.shape[0])
         targets = self._targets[rows]
         weights = self._weights[rows]
@@ -326,27 +440,31 @@ class _TreeBuilder:
         return best
 
     # -- recursion ------------------------------------------------------
-    def build(self, features: np.ndarray, targets: np.ndarray,
+    def build(self, presorted: _PresortedColumns, targets: np.ndarray,
               weights: np.ndarray, n_classes: int) -> List[TreeNode]:
-        n_samples, n_features = features.shape
+        if presorted.min_samples_leaf != self.min_samples_leaf:
+            raise ValueError("the presorted columns were built for "
+                             "another min_samples_leaf")
         self.nodes = []
-        self._columns = np.ascontiguousarray(features.T)
+        self._presorted = presorted
+        self._columns = presorted.columns
         self._targets = targets
         self._weights = weights
         self._n_classes = n_classes
-        # ``_order`` holds flat indices f * n_samples + row, which address
-        # (feature, row) in ``_columns`` and in the per-feature tiled
-        # targets/weights, so every per-node gather is a single ``take``.
-        self._tiled_targets = np.tile(targets, n_features)
-        self._tiled_weights = np.tile(weights, n_features)
-        self._rows = np.arange(n_samples)
-        self._order = (np.argsort(self._columns, axis=1, kind="mergesort")
-                       + (np.arange(n_features) * n_samples)[:, None])
-        self._grow(0, n_samples, depth=0)
+        # Per-row summands of the split scores, gathered per node through
+        # its sorted order: the weight of each class for Gini, the weighted
+        # target and squared target for variance.
+        if self.criterion == "gini":
+            self._class_weights = [np.where(targets == k, weights, 0.0)
+                                   for k in range(n_classes)]
+        else:
+            self._weighted = weights * targets
+            self._squared = weights * targets ** 2
+        self._grow(presorted.root, depth=0)
         return self.nodes
 
-    def _grow(self, start: int, end: int, depth: int) -> int:
-        rows = self._rows[start:end]
+    def _grow(self, entry: _NodeEntry, depth: int) -> int:
+        rows = entry.rows
         targets = self._targets[rows]
         weights = self._weights[rows]
         node_index = len(self.nodes)
@@ -364,28 +482,15 @@ class _TreeBuilder:
         )
         if stop:
             return node_index
-        order = self._order[:, start:end]
-        split = self._best_split(rows, order)
+        split = self._best_split(entry)
         if split is None or split.score >= impurity - 1e-12:
             return node_index
-
-        # Stable partition of the node's range: left rows first, each side
-        # keeping its order.  Both sides are copied out before the writes
-        # because ``order.ravel()`` is a view when the range is contiguous.
-        left_mask = self._columns[split.feature, rows] <= split.threshold
-        n_features, n_left = order.shape[0], int(np.count_nonzero(left_mask))
-        goes_left = np.zeros(self._rows.size, dtype=bool)
-        goes_left[rows[left_mask]] = True
-        keep = np.tile(goes_left, n_features).take(order).ravel()
-        left_order = np.compress(keep, order.ravel())
-        right_order = np.compress(~keep, order.ravel())
-        rows[:] = np.concatenate([rows[left_mask], rows[~left_mask]])
-        order[:, :n_left] = left_order.reshape(n_features, n_left)
-        order[:, n_left:] = right_order.reshape(n_features, -1)
+        left, right = self._presorted.children(entry, split.feature,
+                                               split.threshold)
         node.feature = split.feature
         node.threshold = split.threshold
-        node.left = self._grow(start, start + n_left, depth + 1)
-        node.right = self._grow(start + n_left, end, depth + 1)
+        node.left = self._grow(left, depth + 1)
+        node.right = self._grow(right, depth + 1)
         return node_index
 
 
@@ -598,15 +703,22 @@ class DecisionTreeClassifier(BaseClassifier):
 
     def fit(self, features: np.ndarray, labels: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "DecisionTreeClassifier":
-        features = check_features(features)
-        labels = check_labels(labels, features.shape[0])
-        weights = check_sample_weight(sample_weight, features.shape[0])
+        presorted = _PresortedColumns(check_features(features),
+                                      self.min_samples_leaf)
+        return self._fit_presorted(presorted, labels, sample_weight)
+
+    def _fit_presorted(self, presorted: _PresortedColumns, labels: np.ndarray,
+                       sample_weight: Optional[np.ndarray] = None
+                       ) -> "DecisionTreeClassifier":
+        """:meth:`fit` on columns an ensemble presorted for all its trees."""
+        labels = check_labels(labels, presorted.n_samples)
+        weights = check_sample_weight(sample_weight, presorted.n_samples)
         self.classes_, encoded = np.unique(labels, return_inverse=True)
-        self.n_features_ = features.shape[1]
+        self.n_features_ = presorted.n_features
         builder = _TreeBuilder("gini", self.max_depth, self.min_samples_split,
                                self.min_samples_leaf, self.max_features,
                                np.random.default_rng(self.random_state))
-        nodes = builder.build(features, encoded, weights, len(self.classes_))
+        nodes = builder.build(presorted, encoded, weights, len(self.classes_))
         self.tree_ = _FittedTree(nodes, self.n_features_)
         return self
 
@@ -639,16 +751,23 @@ class DecisionTreeRegressor:
 
     def fit(self, features: np.ndarray, targets: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "DecisionTreeRegressor":
-        features = check_features(features)
+        presorted = _PresortedColumns(check_features(features),
+                                      self.min_samples_leaf)
+        return self._fit_presorted(presorted, targets, sample_weight)
+
+    def _fit_presorted(self, presorted: _PresortedColumns, targets: np.ndarray,
+                       sample_weight: Optional[np.ndarray] = None
+                       ) -> "DecisionTreeRegressor":
+        """:meth:`fit` on columns an ensemble presorted for all its trees."""
         targets = np.asarray(targets, dtype=float)
-        if targets.shape != (features.shape[0],):
+        if targets.shape != (presorted.n_samples,):
             raise ValueError("targets must match the number of feature rows")
-        weights = check_sample_weight(sample_weight, features.shape[0])
-        self.n_features_ = features.shape[1]
+        weights = check_sample_weight(sample_weight, presorted.n_samples)
+        self.n_features_ = presorted.n_features
         builder = _TreeBuilder("mse", self.max_depth, self.min_samples_split,
                                self.min_samples_leaf, self.max_features,
                                np.random.default_rng(self.random_state))
-        nodes = builder.build(features, targets, weights, n_classes=1)
+        nodes = builder.build(presorted, targets, weights, n_classes=1)
         self.tree_ = _FittedTree(nodes, self.n_features_)
         return self
 

@@ -223,7 +223,7 @@ class LeakageAssessment:
     @property
     def leaky_gates(self) -> Tuple[str, ...]:
         """Names of the gates that fail TVLA, sorted by decreasing |t|."""
-        order = np.argsort(-np.abs(self.t_values))
+        order = np.argsort(-np.abs(self.t_values), kind="stable")
         return tuple(self.gate_names[i] for i in order if self.leaky_mask[i])
 
     @property

@@ -57,7 +57,7 @@ class Explanation:
             List of ``(feature_name, shap_value, feature_value)`` sorted by
             decreasing absolute contribution.
         """
-        order = np.argsort(-np.abs(self.shap_values))
+        order = np.argsort(-np.abs(self.shap_values), kind="stable")
         result = []
         for index in order[:count]:
             result.append((self.feature_names[index],
@@ -67,7 +67,7 @@ class Explanation:
 
     def waterfall(self, max_features: int = 10) -> "Waterfall":
         """Build the waterfall decomposition shown in the paper's Fig. 3."""
-        order = np.argsort(-np.abs(self.shap_values))
+        order = np.argsort(-np.abs(self.shap_values), kind="stable")
         shown = order[:max_features]
         rest = order[max_features:]
         steps: List[WaterfallStep] = []
@@ -144,7 +144,7 @@ class GlobalImportance:
 
     def ranked(self, count: Optional[int] = None) -> List[Tuple[str, float]]:
         """Features sorted by decreasing importance."""
-        order = np.argsort(-self.mean_abs_shap)
+        order = np.argsort(-self.mean_abs_shap, kind="stable")
         if count is not None:
             order = order[:count]
         return [(self.feature_names[i], float(self.mean_abs_shap[i])) for i in order]

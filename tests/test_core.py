@@ -1,5 +1,7 @@
 """Tests for the POLARIS core: config, cognition, masking, pipeline, reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,26 @@ class TestPipeline:
         assert trained_polaris.training_seconds > 0
         importance = trained_polaris.feature_importance()
         assert importance and importance[0][1] >= importance[-1][1]
+
+    def test_feature_importance_lists_ties_in_feature_order(
+            self, trained_polaris):
+        # Two informative columns among 200: the 198 zero importances tie,
+        # and an unstable (SIMD) argsort would shuffle them.
+        rng = np.random.default_rng(8)
+        features = rng.normal(size=(80, 200))
+        labels = ((features[:, 5] > 0) ^ (features[:, 130] > 1)).astype(int)
+        names = tuple(f"f{i}" for i in range(200))
+        model = build_model(ModelConfig(model_type="adaboost",
+                                        n_estimators=3, max_depth=1))
+        trained = dataclasses.replace(
+            trained_polaris, model=model.fit(features, labels),
+            dataset=Dataset(features, labels, names))
+        ranked = [name for name, _ in trained.feature_importance()]
+        importances = model.feature_importances_
+        used = [f"f{i}" for i in np.flatnonzero(importances)]
+        assert set(ranked[:len(used)]) == set(used)
+        assert ranked[len(used):] == [name for name in names
+                                      if name not in used]
 
     def test_explanations_and_rules(self, trained_polaris):
         explanations = trained_polaris.explain(max_samples=6)

@@ -79,6 +79,20 @@ class TestSmote:
         for got, expected in zip(blocked, reference):
             assert got.tobytes() == expected.tobytes()
 
+    def test_tied_neighbours_taken_in_row_order(self, rng):
+        # Duplicate minority rows on a coarse grid: most neighbour distances
+        # tie, and an unstable (SIMD) argsort orders ties differently.
+        pattern = np.round(rng.normal(size=(60, 3)))
+        members = np.vstack([pattern, pattern[::-1], pattern[:30]])
+        neighbours = smote_module._nearest_neighbours(members, 5)
+        distances = smote_module._pairwise_distances(members)
+        for row, found in enumerate(neighbours):
+            others = [j for j in range(members.shape[0]) if j != row]
+            expected = sorted(others, key=lambda j: (distances[row, j], j))
+            assert found.tolist() == expected[:5]
+        # Row 0's two duplicates come first, the earlier copy first.
+        assert neighbours[0, :2].tolist() == [119, 120]
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             Smote(k_neighbors=0)

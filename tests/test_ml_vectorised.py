@@ -11,7 +11,8 @@ These tests pin the oracle pairs registered in
 - ``tree-shap-explain``: the batched ``explain_matrix`` vs per-sample
   ``explain``.
 - ``tree-split``: the presorted all-features ``_best_split`` vs the
-  per-feature ``_best_split_loop`` (whole fits compared, every family).
+  per-feature ``_best_split_loop`` (whole fits compared, every family,
+  including boosting rounds served from a shared node memo).
 
 Every assertion is *bitwise* (``np.array_equal`` / ``==`` on floats is
 deliberate here): the vectorised paths are required to reproduce the
@@ -19,6 +20,8 @@ oracle exactly, not approximately, so the hybrid per-sample/batched code
 paths can never disagree.
 """
 
+import gc
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -35,7 +38,7 @@ from repro.ml import (
     LEAF,
     RandomForestClassifier,
 )
-from repro.ml.tree import _TreeBuilder
+from repro.ml.tree import _NodeEntry, _PresortedColumns, _TreeBuilder
 from repro.xai.tree_shap import TreeShapExplainer, _extract_trees
 
 SETTINGS = settings(max_examples=15, deadline=None,
@@ -320,10 +323,21 @@ def _split_problem(family, seed, n_samples, n_features, n_classes, values,
     return features, targets, sample_weight
 
 
+def _split_rows_afresh(presorted, node, feature, threshold):
+    """``_PresortedColumns.children`` without the memo: the child rows are
+    the node's rows filtered by the split, and nothing else is derived."""
+    left = presorted.columns[feature, node.rows] <= threshold
+    return (_NodeEntry((), node.rows[left], None),
+            _NodeEntry((), node.rows[~left], None))
+
+
 def _fit_with_split_oracle(model, *args, **kwargs):
-    """Fit ``model`` with every node searched by ``_best_split_loop``."""
+    """Fit ``model`` with every node searched by ``_best_split_loop`` on
+    rows split afresh, so a fault in the node memo cannot reach it."""
     with mock.patch.object(_TreeBuilder, "_best_split",
-                           _TreeBuilder._best_split_loop):
+                           _TreeBuilder._best_split_loop), \
+            mock.patch.object(_PresortedColumns, "children",
+                              _split_rows_afresh):
         return model.fit(*args, **kwargs)
 
 
@@ -337,14 +351,14 @@ def _candidate_bits(candidate):
             np.float64(candidate.score).tobytes())
 
 
-def _paired_split(builder, rows, order):
+def _paired_split(builder, node):
     """``_best_split`` that also searches the same node with the loop
     oracle and asserts both candidates match bit for bit, score included
     (a last-bit score slip rarely changes a tree, so compare it here)."""
     state = builder.rng.bit_generator.state
-    oracle = _TreeBuilder._best_split_loop(builder, rows, order)
+    oracle = _TreeBuilder._best_split_loop(builder, node)
     builder.rng.bit_generator.state = state
-    fast = _PRESORTED_SPLIT(builder, rows, order)
+    fast = _PRESORTED_SPLIT(builder, node)
     assert _candidate_bits(fast) == _candidate_bits(oracle)
     return fast
 
@@ -424,3 +438,89 @@ def test_presorted_split_matches_loop_oracle_on_overflowing_targets():
     fast = _fit_paired(DecisionTreeRegressor(), features, targets)
     oracle = _fit_with_split_oracle(DecisionTreeRegressor(), features, targets)
     _assert_same_fit(fast, oracle)
+
+
+# ----------------------------------------------------------------------
+# tree-split under node-memo reuse: low-learning-rate boosting rounds
+# regrow the same nodes from one shared _PresortedColumns
+# ----------------------------------------------------------------------
+MEMO_FAMILIES = {
+    "adaboost": lambda subsample: AdaBoostClassifier(
+        n_estimators=30, learning_rate=0.01, max_depth=2, random_state=4),
+    "gboost": lambda subsample: GradientBoostingClassifier(
+        n_estimators=30, learning_rate=0.01, max_depth=3,
+        subsample=subsample, min_samples_leaf=2, random_state=4),
+}
+
+
+def _fit_paired_counting_hits(model, *args, **kwargs):
+    """:func:`_fit_paired`, also counting the searches whose node already
+    had its candidate scan cached by an earlier round."""
+    hits = []
+
+    def paired(builder, node):
+        hits.append(node.scan is not None)
+        return _paired_split(builder, node)
+
+    with mock.patch.object(_TreeBuilder, "_best_split", paired):
+        model.fit(*args, **kwargs)
+    return sum(hits)
+
+
+@pytest.mark.parametrize("weights", ["none", "zeros"])
+@pytest.mark.parametrize("family,subsample", [("adaboost", 1.0),
+                                              ("gboost", 1.0),
+                                              ("gboost", 0.7)])
+def test_memo_reuse_matches_loop_oracle(family, subsample, weights):
+    features, targets, sample_weight = _split_problem(
+        "gboost", 21, 240, 8, 2, "grid", weights, bootstrap=False)
+    factory = MEMO_FAMILIES[family]
+    fast = factory(subsample)
+    hits = _fit_paired_counting_hits(fast, features, targets,
+                                     sample_weight=sample_weight)
+    if subsample < 1.0:
+        # Each round presorts its own subsample: nothing is shared.
+        assert hits == 0
+    else:
+        assert hits > 0
+    oracle = _fit_with_split_oracle(factory(subsample), features, targets,
+                                    sample_weight=sample_weight)
+    _assert_same_fit(fast, oracle)
+
+
+def test_shared_memo_serves_feature_subsets():
+    # No ensemble shares a presort across trees that draw feature subsets,
+    # but the memo must still serve its cached all-features scan to
+    # all-features searches only.
+    features, targets, sample_weight = _split_problem(
+        "cart_gini", 23, 150, 9, 3, "grid", "zeros", bootstrap=False)
+
+    def tree(seed):
+        return DecisionTreeClassifier(
+            max_depth=3, max_features=None if seed % 2 else 4,
+            random_state=seed)
+
+    presorted = _PresortedColumns(features, 1, shared=True)
+    with mock.patch.object(_TreeBuilder, "_best_split", _paired_split):
+        fast = [tree(seed)._fit_presorted(presorted, targets, sample_weight)
+                for seed in range(6)]
+    for seed, fitted in enumerate(fast):
+        oracle = _fit_with_split_oracle(tree(seed), features, targets,
+                                        sample_weight=sample_weight)
+        _assert_same_fit(fitted, oracle)
+
+
+@pytest.mark.parametrize("family", sorted(MEMO_FAMILIES))
+def test_fitted_ensemble_keeps_no_presorted_columns(family):
+    features, targets, _ = _split_problem("gboost", 22, 120, 5, 2, "grid",
+                                          "none", bootstrap=False)
+    model = MEMO_FAMILIES[family](1.0).fit(features, targets)
+    blob = pickle.dumps(model)
+    for name in (b"_PresortedColumns", b"_NodeEntry", b"_Scan"):
+        assert name not in blob
+    assert pickle.loads(blob).predict(features).tolist() == \
+        model.predict(features).tolist()
+    # Nothing else keeps the memo alive once ``fit`` has returned.
+    gc.collect()
+    assert not any(isinstance(obj, _PresortedColumns)
+                   for obj in gc.get_objects())

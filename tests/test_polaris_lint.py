@@ -171,7 +171,7 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# PL001 — RNG discipline
+# PL001 — determinism: RNG discipline and stable sorts
 # ----------------------------------------------------------------------
 class TestPL001Rng:
     def test_unseeded_default_rng_is_flagged(self, tmp_path):
@@ -279,6 +279,44 @@ class TestPL001Rng:
              "bg = np.random.Philox(counter=[0, 0, 0, 0])\n"},
             rule_ids=["PL001"])
         assert codes(result) == ["PL001"]
+
+
+    def test_unstable_sorts_are_flagged_in_src_repro(self, tmp_path):
+        result = run_lint(
+            tmp_path,
+            {"src/repro/mod.py":
+             "import numpy as np\n"
+             "a = np.argsort(x)\n"
+             "b = np.sort(x, axis=0)\n"
+             "c = x.argsort(axis=1)\n"
+             "d = np.argsort(x, kind='quicksort')\n"
+             "e = np.argsort(-x, 0, None)\n"},
+            rule_ids=["PL001"])
+        assert codes(result) == ["PL001"] * 5
+        assert 'without kind="stable"' in result.findings[0].message
+
+    def test_stable_sorts_pass(self, tmp_path):
+        result = run_lint(
+            tmp_path,
+            {"src/repro/mod.py":
+             "import numpy as np\n"
+             "a = np.argsort(x, kind='stable')\n"
+             "b = np.sort(x, axis=0, kind='mergesort')\n"
+             "c = x.argsort(axis=1, kind='stable')\n"
+             "d = np.argsort(x, -1, 'stable')\n"
+             "e = x.argsort(0, 'mergesort')\n"
+             "f = np.argsort(x, **options)\n"
+             "names.sort()\n"},
+            rule_ids=["PL001"])
+        assert result.clean
+
+    def test_unstable_sorts_tolerated_outside_src_repro(self, tmp_path):
+        result = run_lint(
+            tmp_path,
+            {"tools/helper.py":
+             "import numpy as np\na = np.argsort(x)\nb = x.argsort()\n"},
+            rule_ids=["PL001"])
+        assert result.clean
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from repro.core.config import paper_configuration
 from repro.masking import apply_masking, maskable_gates
-from repro.power import CounterStream, GatePowerModel, PowerModelConfig
+from repro.netlist import load_benchmark
+from repro.power import (
+    CounterStream,
+    GatePowerModel,
+    PowerModelConfig,
+    PowerTraceGenerator,
+)
 from repro.tvla import (
     OnePassMoments,
     TVLA_THRESHOLD,
@@ -507,6 +514,30 @@ class TestNullCalibration:
         expected = CAL_DELTA * np.sqrt(CAL_TRACES / 2.0)
         assert float(np.mean(-t)) == pytest.approx(
             expected, abs=4.0 / np.sqrt(CAL_GATES))
+
+
+class TestFloat32Drift:
+    """float32 traces vs float64 traces at the paper's 10k traces (ROADMAP
+    item 1).  The trace matrix is float32 by default; moments are folded
+    in float64 either way, so only the per-sample rounding differs.
+    Measured max |dt| ~1.3e-5 over orders 1-3 on both designs, against a
+    nearest distance of 3e-3 between any |t| and the 4.5 threshold."""
+
+    @pytest.mark.parametrize("design", ["md5", "des3"])
+    def test_float32_traces_keep_t_values_and_verdicts(self, design):
+        config = paper_configuration(tvla_order=3).tvla
+        netlist = load_benchmark(design)
+        default = assess_leakage(netlist, config)
+        wide = assess_leakage(netlist, config, generator=PowerTraceGenerator(
+            netlist, config=config.power, seed=config.seed,
+            trace_dtype=np.float64))
+        assert config.n_traces == 10_000
+        for order in (1, 2, 3):
+            narrow_t = default.t_values_for_order(order)
+            wide_t = wide.t_values_for_order(order)
+            assert np.max(np.abs(narrow_t - wide_t)) < 1e-4, order
+            assert np.array_equal(np.abs(narrow_t) > TVLA_THRESHOLD,
+                                  np.abs(wide_t) > TVLA_THRESHOLD), order
 
 
 class TestAssessment:

@@ -1,9 +1,9 @@
 """polaris-lint: AST-based invariant checker for the POLARIS reproduction.
 
 Enforces the repo's load-bearing conventions as static-analysis rules:
-RNG discipline (PL001), oracle pairing (PL002), buffer safety (PL003),
-pickle hygiene at the executor seam (PL004), resource lifecycle (PL005)
-and float equality (PL006).  See ``docs/static-analysis.md`` for the
+determinism, i.e. RNG discipline and stable sorts (PL001), oracle pairing
+(PL002), buffer safety (PL003), pickle hygiene at the executor seam
+(PL004), resource lifecycle (PL005) and float equality (PL006).  See ``docs/static-analysis.md`` for the
 invariant behind each rule.
 
 Programmatic entry points::

@@ -27,6 +27,11 @@ NP_RANDOM_ALLOWED: Tuple[str, ...] = (
     "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64",
 )
 
+#: Sort kinds PL001 accepts inside ``src/repro``: both are the stable
+#: merge/radix/timsort family, whose tie order is the input order on every
+#: CPU.
+STABLE_SORT_KINDS: Tuple[str, ...] = ("stable", "mergesort")
+
 #: Seam functions that mint seeded generators; calling through them (or
 #: accepting an injected ``rng`` parameter) is the sanctioned way to get
 #: randomness inside ``src/repro``.

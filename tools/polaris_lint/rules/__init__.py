@@ -3,7 +3,7 @@
 Rule ids are stable and documented in ``docs/static-analysis.md``:
 
 ========  ========================================================
-PL001     RNG discipline (no unseeded / global randomness)
+PL001     determinism (no unseeded / global randomness, no unstable sorts)
 PL002     oracle pairing (fast paths keep tested bit-identical oracles)
 PL003     buffer safety (frozen shared arrays, no parameter mutation)
 PL004     pickle hygiene (scratch buffers excluded from the seam)

@@ -11,14 +11,19 @@ Therefore:
   unreproducible;
 * the legacy global-state API (``np.random.seed``, ``np.random.rand``,
   ``np.random.RandomState``, ...) is forbidden everywhere the linter runs;
-* the stdlib :mod:`random` module is forbidden inside ``src/repro``.
+* the stdlib :mod:`random` module is forbidden inside ``src/repro``;
+* inside ``src/repro``, ``np.argsort``, ``np.sort`` and ``.argsort()``
+  must pass ``kind="stable"`` (or ``"mergesort"``): the default kind is
+  unstable and, on AVX-512 hosts, dispatches to a SIMD sort, so the order
+  of ties would depend on the CPU.
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..contracts import NP_RANDOM_ALLOWED, RNG_STRICT_PREFIXES
+from ..contracts import (NP_RANDOM_ALLOWED, RNG_STRICT_PREFIXES,
+                         STABLE_SORT_KINDS)
 from ..core import FileRule, Severity, register
 
 
@@ -28,11 +33,13 @@ def _in_strict_scope(rel_path: str) -> bool:
 
 @register
 class RngDisciplineRule(FileRule):
-    """Unseeded/global randomness breaks campaign reproducibility."""
+    """Unseeded/global randomness and unstable sorts break
+    reproducibility."""
 
     rule_id = "PL001"
     severity = Severity.ERROR
-    title = "RNG discipline: injected or SeedSequence-derived generators only"
+    title = ("Determinism: injected or SeedSequence-derived generators, "
+             "stable sorts")
 
     # ------------------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
@@ -59,6 +66,8 @@ class RngDisciplineRule(FileRule):
         dotted = self.file.resolve_dotted(node.func)
         if dotted is not None:
             self._check_call(node, dotted)
+        if _in_strict_scope(self.file.rel_path):
+            self._check_sort_kind(node, dotted)
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -117,6 +126,27 @@ class RngDisciplineRule(FileRule):
             self.report(self.file, node,
                         f"stdlib '{dotted}' is banned in src/repro: use an "
                         f"injected numpy Generator")
+
+    def _check_sort_kind(self, node: ast.Call, dotted) -> None:
+        if dotted in ("numpy.argsort", "numpy.sort"):
+            name, kind_position = "np." + dotted.split(".")[1], 2
+        elif isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "argsort":
+            name, kind_position = ".argsort()", 1
+        else:
+            return
+        if any(kw.arg is None for kw in node.keywords):
+            return  # **kwargs: cannot see the kind statically
+        kind = next((kw.value for kw in node.keywords if kw.arg == "kind"),
+                    None)
+        if kind is None and len(node.args) > kind_position:
+            kind = node.args[kind_position]
+        if isinstance(kind, ast.Constant) and kind.value in STABLE_SORT_KINDS:
+            return
+        self.report(self.file, node,
+                    f'{name} without kind="stable": the default sort is '
+                    f"unstable (a SIMD kernel on AVX-512 hosts), so the "
+                    f"order of ties depends on the CPU")
 
     def _check_global_state(self, node: ast.AST, dotted: str) -> None:
         prefix = "numpy.random."

@@ -43,7 +43,7 @@ from repro.core import ExperimentRecord
 from repro.features import StructuralFeatureExtractor
 from repro.masking import apply_masking, maskable_gates
 from repro.netlist import load_benchmark
-from repro.power import CounterStream, PowerTraceGenerator
+from repro.power import CounterDraws, CounterStream, PowerTraceGenerator
 from repro.simulation import LogicSimulator, fixed_vs_random_campaigns
 from repro.tvla import (
     OnePassMoments,
@@ -293,7 +293,8 @@ def test_moment_update_fused_microbench(recorder):
 def test_power_trace_generation_throughput(benchmark, design):
     generator = PowerTraceGenerator(design, seed=1)
     fixed, _ = fixed_vs_random_campaigns(design, 500, seed=1)
-    traces = benchmark(generator.generate, fixed)
+    traces = benchmark(generator.generate, fixed,
+                       draws=CounterDraws(1, 0, 0, 0))
     assert traces.per_gate.shape == (500, len(design))
 
 
@@ -313,7 +314,8 @@ def test_trace_generation_vectorised_vs_loop(comparison_design, masked_design,
                            ("masked", masked_design)):
         generator = PowerTraceGenerator(netlist, seed=1)
         fixed, _ = fixed_vs_random_campaigns(netlist, PAPER_TRACES, seed=1)
-        vectorised = best_of(lambda: generator.generate(fixed))
+        draws = CounterDraws(1, 0, 0, 0)
+        vectorised = best_of(lambda: generator.generate(fixed, draws=draws))
         loop = best_of(lambda: generator.generate_loop(fixed))
         rows.append({
             "design": netlist.name,
@@ -358,7 +360,6 @@ def test_streaming_assessment_paper_scale(masked_design, recorder):
     start = time.perf_counter()
     assessment = assess_leakage(masked_design, config)
     elapsed = time.perf_counter() - start
-    assert assessment.streamed
     assert len(assessment.gate_names) == len(masked_design)
     recorder.record(ExperimentRecord(
         experiment_id="microbench_streaming_tvla",
@@ -389,7 +390,7 @@ def test_sharded_tvla_scaling(masked_design, recorder):
     are recorded with the host's CPU count but not asserted.
     """
     config = TvlaConfig(n_traces=PAPER_TRACES, n_fixed_classes=1, seed=2,
-                        chunk_traces=1024, streaming=True)
+                        chunk_traces=1024)
     start = time.perf_counter()
     reference = assess_leakage(masked_design, config)
     serial_seconds = time.perf_counter() - start
@@ -449,7 +450,7 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
         submit_campaign
 
     config = TvlaConfig(n_traces=600, n_fixed_classes=2, seed=11,
-                        chunk_traces=150, streaming=True)
+                        chunk_traces=150)
     n_shards = 2
 
     start = time.perf_counter()
@@ -530,14 +531,13 @@ def test_service_streaming_microbench(design, recorder, tmp_path):
     from repro.tvla.sharding import merge_shard_partials
 
     config = TvlaConfig(n_traces=600, n_fixed_classes=2, seed=11,
-                        chunk_traces=150, streaming=True)
+                        chunk_traces=150)
     n_shards = 2
     root = tmp_path / "campaigns"
     reference = run_campaign(root, design, config, n_shards=n_shards,
                              n_workers=n_shards)
     from repro.campaign.spec import CampaignSpec
-    spec = CampaignSpec.from_netlist(design, config, n_shards=n_shards,
-                                     force_streaming=True)
+    spec = CampaignSpec.from_netlist(design, config, n_shards=n_shards)
     paths = CampaignPaths(root, spec.content_hash)
     payloads = [paths.shard_path(k).read_bytes() for k in range(n_shards)]
 
@@ -556,7 +556,7 @@ def test_service_streaming_microbench(design, recorder, tmp_path):
         class_results = merge_shard_partials(partials, config)
         return aggregate_class_results(class_results, design.name,
                                        reference.gate_names, config, 0.0,
-                                       streamed=True, n_shards=n_shards)
+                                       n_shards=n_shards)
 
     fold_seconds = timeit.timeit(fold, number=fold_loops)
     # The fold must reproduce the batch merge bitwise — the property the

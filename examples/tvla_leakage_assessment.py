@@ -5,7 +5,8 @@ Shows the substrate layers below POLARIS: build (or load) a netlist, run a
 fixed-vs-random TVLA campaign, and inspect which gates fail the ±4.5
 threshold — the paper's Fig. 4 viewpoint, before any protection is applied.
 The script also demonstrates the BENCH file round-trip and the one-pass
-moments accumulator (Schneider–Moradi) matching the two-pass statistics.
+moments accumulator (Schneider–Moradi), folded chunk by chunk as the traces
+stream, matching the two-pass statistics.
 
 Run with::
 
@@ -26,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.core import format_table
 from repro.netlist import load_benchmark, parse_bench_file, write_bench_file
-from repro.power import PowerTraceGenerator
+from repro.power import CounterStream, PowerTraceGenerator
 from repro.simulation import fixed_vs_random_campaigns
 from repro.tvla import (
     OnePassMoments,
@@ -72,13 +73,20 @@ def main(name: str = "sin") -> None:
     # One-pass vs two-pass statistics on the design-level trace.
     print("\nOne-pass (Schneider-Moradi) vs two-pass Welch on total power:")
     generator = PowerTraceGenerator(design, seed=5)
-    fixed, random_group = generator.generate_pair(
-        fixed_vs_random_campaigns(design, 600, seed=5))
-    two_pass = welch_t_test(fixed.total, random_group.total)
-    acc_fixed, acc_random = OnePassMoments(), OnePassMoments()
-    acc_fixed.update_batch(fixed.total)
-    acc_random.update_batch(random_group.total)
-    one_pass = welch_from_accumulators(acc_fixed, acc_random)
+    totals, accumulators = [], []
+    for group_index, campaign in enumerate(
+            fixed_vs_random_campaigns(design, 600, seed=5)):
+        # Each group reads its own counter stream, one 256-trace chunk at
+        # a time: fold every chunk on arrival, keep it for the two-pass test.
+        accumulator, chunks = OnePassMoments(), []
+        for traces in generator.generate_stream(
+                campaign, 256, CounterStream(5, 0, group_index)):
+            accumulator.update_batch(traces.total)
+            chunks.append(traces.total)
+        accumulators.append(accumulator)
+        totals.append(np.concatenate(chunks))
+    two_pass = welch_t_test(*totals)
+    one_pass = welch_from_accumulators(*accumulators)
     print(f"  two-pass t = {float(two_pass.t_statistic):8.3f}")
     print(f"  one-pass t = {float(one_pass.t_statistic):8.3f}  "
           f"(difference {abs(float(two_pass.t_statistic) - float(one_pass.t_statistic)):.2e})")

@@ -226,15 +226,19 @@ def _submit(args: argparse.Namespace) -> int:
     if args.follow and args.connect is None:
         print("error: --follow needs --connect HOST:PORT", file=sys.stderr)
         return 2
+    try:
+        config = TvlaConfig(n_traces=args.traces, mode=args.mode,
+                            n_fixed_classes=args.classes, seed=args.seed,
+                            chunk_traces=args.chunk_traces,
+                            tvla_order=args.order)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.benchmark is not None:
         netlist = load_benchmark(args.benchmark, scale=args.scale,
                                  seed=args.design_seed)
     else:
         netlist = parse_bench_file(args.bench_file)
-    config = TvlaConfig(n_traces=args.traces, mode=args.mode,
-                        n_fixed_classes=args.classes, seed=args.seed,
-                        chunk_traces=args.chunk_traces,
-                        tvla_order=args.order)
     if args.follow:
         return _submit_follow(args, netlist, config)
     root, queue, prefix = _tenant_scope(args.root, args.tenant)
@@ -258,8 +262,7 @@ def _submit_follow(args: argparse.Namespace, netlist, config) -> int:
 
     host, port = _parse_endpoint(args.connect)
     tenant = args.tenant or DEFAULT_TENANT
-    spec = CampaignSpec.from_netlist(netlist, config, n_shards=args.shards,
-                                     force_streaming=True)
+    spec = CampaignSpec.from_netlist(netlist, config, n_shards=args.shards)
     with ServiceClient(host, port) as client:
         accepted = client.submit(tenant, spec.to_json(), follow=True)
         print(f"{accepted.status} {accepted.spec_hash} (tenant {tenant})",

@@ -314,9 +314,7 @@ def submit_campaign(root: Union[str, Path],
     """Register a campaign under ``root`` and enqueue its missing shards.
 
     Pass either a pre-built ``spec`` or a ``netlist`` (+ optional
-    ``config``/``n_shards``) to build one; the runner always resolves
-    ``streaming=True`` — shard partials are streamed accumulators, the
-    checkpoint unit.  Safe to call any number of times: completed shards
+    ``config``/``n_shards``) to build one.  Safe to call any number of times: completed shards
     are skipped, queued shards are not duplicated, and a campaign whose
     result is already in the store is reported ``"cached"`` without
     touching the queue.
@@ -330,8 +328,7 @@ def submit_campaign(root: Union[str, Path],
     if spec is None:
         if netlist is None:
             raise ValueError("submit_campaign needs a netlist or a spec")
-        spec = CampaignSpec.from_netlist(netlist, config, n_shards=n_shards,
-                                         force_streaming=True)
+        spec = CampaignSpec.from_netlist(netlist, config, n_shards=n_shards)
     spec_hash = spec.content_hash
     paths = CampaignPaths(root, spec_hash, key_prefix=shard_key_prefix)
     ranges = spec.shard_ranges()
@@ -561,7 +558,6 @@ def _merge_shard_results(shard_results: List[tuple],
     return aggregate_class_results(class_results, spec.design_name,
                                    context.gate_names, spec.tvla,
                                    time.perf_counter() - started_at,
-                                   streamed=True,
                                    n_shards=len(spec.shard_ranges()))
 
 

@@ -136,7 +136,6 @@ def assessment_to_dict(assessment: LeakageAssessment) -> Dict[str, object]:
         "n_traces": assessment.n_traces,
         "elapsed_seconds": assessment.elapsed_seconds,
         "mean_abs_t": _encode_optional(assessment.mean_abs_t),
-        "streamed": assessment.streamed,
         "tvla_order": assessment.tvla_order,
         "order_t_values": {str(order): encode_array(values)
                            for order, values in
@@ -148,7 +147,11 @@ def assessment_to_dict(assessment: LeakageAssessment) -> Dict[str, object]:
 
 def assessment_from_dict(data: Dict[str, object]) -> LeakageAssessment:
     """Rebuild the :class:`LeakageAssessment` serialised by
-    :func:`assessment_to_dict`; every array round-trips bit-identically."""
+    :func:`assessment_to_dict`; every array round-trips bit-identically.
+
+    A ``"streamed"`` key, written by builds that still had a two-pass
+    driver, is ignored: every stored result was folded from moments.
+    """
     return LeakageAssessment(
         design_name=data["design_name"],
         gate_names=tuple(data["gate_names"]),
@@ -158,7 +161,6 @@ def assessment_from_dict(data: Dict[str, object]) -> LeakageAssessment:
         n_traces=data["n_traces"],
         elapsed_seconds=data["elapsed_seconds"],
         mean_abs_t=_decode_optional(data.get("mean_abs_t")),
-        streamed=data["streamed"],
         tvla_order=data["tvla_order"],
         order_t_values={int(order): decode_array(values)
                         for order, values in data["order_t_values"].items()},

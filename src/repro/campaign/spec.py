@@ -16,18 +16,16 @@ payload, which gives the campaign subsystem its two core properties:
   :class:`repro.campaign.store.ResultStore` bit-identically, without
   re-simulating.
 
-The hash covers the *effective* configuration: ``streaming`` is resolved
-to a concrete boolean (sharded and queue-backed drivers always stream
-their accumulators, and a serial two-pass run differs from a streamed one
-at the ~1e-12 level), so a cache hit always reproduces the exact driver
-arithmetic of the run that produced it.
+Every driver folds the same per-chunk moments in the same order, so the
+hash needs no driver selector: a cache hit reproduces the exact arithmetic
+of the run that produced it, serial or sharded.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from ..netlist.netlist import Netlist
@@ -49,12 +47,21 @@ SPEC_FORMAT = 3
 
 #: Hashed ``TvlaConfig`` fields that have since been removed, with the one
 #: value each can still take: every campaign draws through the counter
-#: sampler, and the trace engine now follows the netlist (the fused kernel
-#: with packed extraction whenever the planner can fuse it).  The
-#: serialised config keeps the constant keys so every stored format-3 hash
-#: stays valid.
+#: sampler, the trace engine follows the netlist (the fused kernel with
+#: packed extraction whenever the planner can fuse it), and every
+#: assessment folds one-pass moments.  The serialised config keeps the
+#: constant keys so every stored format-3 hash stays valid.
 _RETIRED_KEYS = {"sampler": "counter", "sim_backend": "compiled",
-                 "power_backend": "packed"}
+                 "power_backend": "packed", "streaming": True}
+
+#: The same for removed ``PowerModelConfig`` fields: every trace draws
+#: popcount noise, which ``"auto"`` selected for every campaign.
+_RETIRED_POWER_KEYS = {"noise_mode": "auto"}
+
+#: JSON value types a stored config field may hold, by its annotation.
+#: ``bool`` is an ``int`` subclass, so it is rejected for numbers apart.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "bool": (bool,)}
 
 
 def tvla_config_to_dict(config: TvlaConfig) -> Dict[str, object]:
@@ -64,26 +71,62 @@ def tvla_config_to_dict(config: TvlaConfig) -> Dict[str, object]:
     data["power"] = {field.name: getattr(config.power, field.name)
                      for field in fields(PowerModelConfig)}
     # Constant, but hashed: format-3 hashes were computed with these keys.
+    data["power"].update(_RETIRED_POWER_KEYS)
     data.update(_RETIRED_KEYS)
     return data
+
+
+def _stored_fields(cls: type, data: object, retired: Dict[str, object],
+                   where: str) -> Dict[str, object]:
+    """Check one stored object and return its dataclass field values.
+
+    The object must hold every field of dataclass ``cls`` with a value of
+    its annotated JSON type, no unknown key, and each ``retired`` key at
+    most with its one supported value.  ``where`` names the object in
+    error messages.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, "
+                         f"got {type(data).__name__}")
+    data = dict(data)
+    for key, supported in retired.items():
+        value = data.pop(key, supported)
+        if value != supported:
+            raise ValueError(
+                f"campaign {key} {value!r} is not supported: every campaign "
+                f"runs with {key}={supported!r}")
+    values = {}
+    for field in fields(cls):
+        if field.name not in data:
+            raise ValueError(f"{where} lacks {field.name!r}")
+        value = data.pop(field.name)
+        expected = _JSON_TYPES.get(field.type)
+        if expected is not None and (
+                not isinstance(value, expected)
+                or (isinstance(value, bool) and bool not in expected)):
+            raise ValueError(f"{where} field {field.name!r} must be "
+                             f"{field.type}, got {value!r}")
+        values[field.name] = value
+    if data:
+        raise ValueError(f"{where} has unknown key(s) {sorted(data)}")
+    return values
 
 
 def tvla_config_from_dict(data: Dict[str, object]) -> TvlaConfig:
     """Rebuild a :class:`TvlaConfig` serialised by :func:`tvla_config_to_dict`.
 
     Raises:
-        ValueError: for a retired key (see :data:`_RETIRED_KEYS`) with any
+        ValueError: for a missing or unknown key, a value of the wrong
+            type or out of range, or a retired key (see
+            :data:`_RETIRED_KEYS`, :data:`_RETIRED_POWER_KEYS`) with any
             value but its one supported value.
     """
-    data = dict(data)
-    for key, supported in _RETIRED_KEYS.items():
-        value = data.pop(key, supported)
-        if value != supported:
-            raise ValueError(
-                f"campaign {key} {value!r} is not supported: every campaign "
-                f"runs with {key}={supported!r}")
-    power = PowerModelConfig(**data.pop("power"))
-    return TvlaConfig(power=power, **data)
+    values = _stored_fields(TvlaConfig, data, _RETIRED_KEYS,
+                            "campaign spec tvla")
+    values["power"] = PowerModelConfig(**_stored_fields(
+        PowerModelConfig, values["power"], _RETIRED_POWER_KEYS,
+        "campaign spec tvla.power"))
+    return TvlaConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -97,8 +140,7 @@ class CampaignSpec:
             :func:`repro.netlist.writer.write_bench`; workers parse it back
             rather than unpickling live objects, so specs are portable
             across processes, machines and library versions.
-        tvla: The effective campaign configuration (``streaming`` already
-            resolved to a concrete boolean, see :meth:`from_netlist`).
+        tvla: The campaign configuration.
         n_shards: Requested shard count; the actual shard layout is the
             chunk-aligned :meth:`shard_ranges` (which caps at the chunk
             count, exactly like the in-process sharded driver).
@@ -111,8 +153,7 @@ class CampaignSpec:
 
     @classmethod
     def from_netlist(cls, netlist: Netlist, config: Optional[TvlaConfig],
-                     n_shards: int = 1,
-                     force_streaming: bool = False) -> "CampaignSpec":
+                     n_shards: int = 1) -> "CampaignSpec":
         """Build the spec of assessing ``netlist`` under ``config``.
 
         Args:
@@ -122,13 +163,6 @@ class CampaignSpec:
                 *effective* count (capped at the chunk count, like the
                 in-process sharded driver), so requesting 8 shards of a
                 5-chunk campaign hashes identically to requesting 5.
-            force_streaming: Resolve ``streaming`` to True regardless of
-                the config's own auto-selection.  Every sharded driver and
-                the queue-backed runner stream their accumulators (partials
-                are the checkpoint unit), so they force this; the serial
-                driver passes the resolved value, keeping two-pass and
-                streamed runs on different hashes — a cache hit always
-                reproduces the exact arithmetic of the run that stored it.
 
         Raises:
             ValueError: for non-positive ``n_shards``.
@@ -138,11 +172,9 @@ class CampaignSpec:
         config = config if config is not None else TvlaConfig()
         n_shards = len(shard_trace_ranges(config.n_traces, n_shards,
                                           config.chunk_traces))
-        streamed = (True if force_streaming or n_shards > 1
-                    else config.resolved_streaming())
         return cls(design_name=netlist.name,
                    bench_text=write_bench(netlist),
-                   tvla=replace(config, streaming=streamed),
+                   tvla=config,
                    n_shards=n_shards)
 
     # ------------------------------------------------------------------
@@ -193,25 +225,36 @@ class CampaignSpec:
         """Rebuild a spec written by :meth:`to_json`.
 
         Raises:
-            ValueError: for a format other than :data:`SPEC_FORMAT` (a
-                format-2 spec drew through a retired sampler), a retired
-                selector other than its one supported value (see
-                :func:`tvla_config_from_dict`), or a stored
+            ValueError: for malformed JSON or a payload of the wrong shape
+                (the message names the bad key), a format other than
+                :data:`SPEC_FORMAT` (a format-2 spec drew through a retired
+                sampler), a retired selector other than its one supported
+                value (see :func:`tvla_config_from_dict`), or a stored
                 ``content_hash`` that no longer matches (corrupt or
                 hand-edited spec files must never be silently trusted).
+                No other exception escapes, whatever the text.
         """
         data = json.loads(text)
-        spec_format = data.get("format")
+        if not isinstance(data, dict):
+            raise ValueError(f"campaign spec must be a JSON object, got "
+                             f"{type(data).__name__}")
+        data = dict(data)
+        spec_format = data.pop("format", None)
         if spec_format != SPEC_FORMAT:
             raise ValueError(
                 f"unsupported campaign spec format {spec_format!r}: this "
                 f"build reads format {SPEC_FORMAT} only (format-2 specs "
                 f"drew through the retired SeedSequence sampler)")
-        spec = cls(design_name=data["design_name"],
-                   bench_text=data["bench_text"],
-                   tvla=tvla_config_from_dict(data["tvla"]),
-                   n_shards=data["n_shards"])
-        stored = data.get("content_hash")
+        stored = data.pop("content_hash", None)
+        if stored is not None and not isinstance(stored, str):
+            raise ValueError(f"campaign spec content_hash must be str, got "
+                             f"{stored!r}")
+        values = _stored_fields(cls, data, {}, "campaign spec")
+        if values["n_shards"] < 1:
+            raise ValueError(f"campaign spec n_shards must be >= 1, got "
+                             f"{values['n_shards']}")
+        values["tvla"] = tvla_config_from_dict(values["tvla"])
+        spec = cls(**values)
         if stored is not None:
             expected = spec.content_hash
             if stored != expected:

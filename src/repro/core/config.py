@@ -15,7 +15,6 @@ in CI-scale time, which is documented in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from ..power.model import PowerModelConfig
 from ..tvla.assessment import TvlaConfig
@@ -140,7 +139,6 @@ class PolarisConfig:
 
 
 def paper_configuration(chunk_traces: int = 2048,
-                        streaming: Optional[bool] = None,
                         tvla_order: int = 1) -> PolarisConfig:
     """The exact parameterisation reported in §V-A of the paper.
 
@@ -148,12 +146,9 @@ def paper_configuration(chunk_traces: int = 2048,
     ``theta_r = 0.7``, AdaBoost with learning rate 0.01.)
 
     Args:
-        chunk_traces: Trace-block size of the chunked TVLA driver.  At the
-            paper's 10,000 traces per group the campaigns exceed one chunk,
-            so assessments run in one-pass streaming mode by default and
-            trace memory stays ``O(chunk_traces × n_gates)``.
-        streaming: Force (True/False) or auto-select (None) the streaming
-            accumulator path; see :class:`repro.tvla.TvlaConfig`.
+        chunk_traces: Trace-block size of the chunked TVLA driver; trace
+            memory stays ``O(chunk_traces × n_gates)`` at the paper's
+            10,000 traces per group.
         tvla_order: Highest TVLA order assessed (1, 2 or 3).  The paper
             reports first-order TVLA; orders 2/3 evaluate the masked
             results against the Schneider & Moradi higher-order tests.
@@ -164,7 +159,6 @@ def paper_configuration(chunk_traces: int = 2048,
         iterations=100,
         theta_r=0.70,
         tvla=TvlaConfig(n_traces=10_000, power=PowerModelConfig(),
-                        chunk_traces=chunk_traces, streaming=streaming,
-                        tvla_order=tvla_order),
+                        chunk_traces=chunk_traces, tvla_order=tvla_order),
         model=ModelConfig(model_type="adaboost", learning_rate=0.01),
     )

@@ -51,7 +51,7 @@ from .bitops import popcount16, words_for_units
 
 #: Lane of the fast-noise popcount words.
 NOISE_LANE = 0
-#: Lane of the exact-Gaussian noise stream (``noise_mode="gaussian"``).
+#: Lane of the exact-Gaussian reference stream (:meth:`CounterDraws.gauss`).
 GAUSS_LANE = 1
 #: First mask lane; masked sub-group ``k`` draws on lane
 #: ``MASK_LANE_BASE + k``.
@@ -237,8 +237,12 @@ class CounterDraws:
 
     def gauss(self, shape: Tuple[int, ...],
               dtype: np.dtype = np.float32) -> np.ndarray:
-        """Exact standard normals (``noise_mode="gaussian"``) on the
-        Gaussian lane."""
+        """Exact standard normals on the Gaussian lane.
+
+        The trace engine draws popcount noise (:meth:`noise_counts`); these
+        normals are the Gaussian reference of the TVLA null-calibration
+        tests.
+        """
         generator = np.random.Generator(philox_bit_generator(
             self.seed, self.class_index, self.group_index,
             self.chunk_index, GAUSS_LANE))

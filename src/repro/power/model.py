@@ -49,8 +49,13 @@ class PowerModelConfig:
     """Configuration of the dynamic power model.
 
     Attributes:
-        noise_sigma: Standard deviation of additive Gaussian measurement
-            noise, expressed as a fraction of a NAND gate's switching energy.
+        noise_sigma: Standard deviation of additive measurement noise,
+            expressed as a fraction of a NAND gate's switching energy.  The
+            noise is a scaled Binomial(16, 1/2) drawn via popcounts of raw
+            random words: it has exactly mean 0 and this standard deviation
+            and is indistinguishable from Gaussian noise for first-order
+            TVLA statistics (excess kurtosis -1/8); see
+            :meth:`GatePowerModel.fast_noise_params`.
         glitch_factor: Multiplier > 1 modelling extra glitch activity on
             gates with large fan-in cones (applied per fan-in beyond 2).
         static_fraction: Fraction of the cell's switching energy added to
@@ -96,15 +101,6 @@ class PowerModelConfig:
             fresh mask, that load switching stops being data-dependent once
             the gate is masked, making high-fan-out gates the most valuable
             masking targets.
-        noise_mode: How measurement noise is synthesised.  ``"gaussian"``
-            draws exact ziggurat normals (the reference behaviour);
-            ``"fast"`` draws a scaled Binomial(16, 1/2) via popcounts of raw
-            generator words, which has exactly the configured mean (0) and
-            standard deviation (``noise_sigma``) and is indistinguishable
-            from Gaussian noise for first-order TVLA statistics (excess
-            kurtosis -1/8) at a fraction of the sampling cost; ``"auto"``
-            (default) uses the fast sampler in the vectorised streaming
-            engine and exact normals in the reference per-gate loop.
     """
 
     noise_sigma: float = 1.8
@@ -116,14 +112,6 @@ class PowerModelConfig:
     masked_glitch_base: float = 0.55
     masked_glitch_xor: float = 1.30
     load_factor: float = 0.70
-    noise_mode: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.noise_mode not in ("auto", "gaussian", "fast"):
-            raise ValueError(
-                f"noise_mode must be 'auto', 'gaussian' or 'fast', "
-                f"got {self.noise_mode!r}"
-            )
 
 
 class GatePowerModel:
@@ -259,21 +247,6 @@ class GatePowerModel:
         """
         fraction = float(np.clip(xor_driver_fraction, 0.0, 1.0))
         return self.config.masked_glitch_base + self.config.masked_glitch_xor * fraction
-
-    def add_noise(self, power: np.ndarray,
-                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Add Gaussian measurement noise to a power sample array.
-
-        Args:
-            power: Noiseless samples.
-            rng: Generator for the noise draws; defaults to the model's own
-                sequential stream.
-        """
-        sigma = self.noise_sigma_abs()
-        if sigma <= 0:
-            return power
-        rng = rng if rng is not None else self._rng
-        return power + rng.normal(0.0, sigma, size=power.shape)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -51,8 +51,9 @@ split one campaign across workers and still produce t-values bitwise equal
 to the serial run.  The masked-composite gather indexes on the raw counter
 byte (``d << 8 | byte`` into a 4096-entry replicated value table), so
 per-trace mask integers never materialise.  :meth:`~PowerTraceGenerator.
-generate` also accepts a plain :class:`numpy.random.Generator` (``rng``)
-for single campaigns outside the TVLA drivers.
+generate` always takes such counter draws; only the
+:meth:`~PowerTraceGenerator.generate_loop` oracle reads a sequential
+:class:`numpy.random.Generator`.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .bitops import (FAST_NOISE_BITS, combine_transition_codes, popcount16,
 from .ctrsample import CounterDraws, CounterStream
 from .model import GatePowerModel, PowerModelConfig
 
-#: Full range of a uint64 word, used to draw raw random bits.
+#: Full range of a uint64 word, used by the loop oracle to draw raw bits.
 _U64_MAX = np.iinfo(np.uint64).max
 #: Bit count of the fast-noise popcount sampler (Binomial(16, 1/2) per
 #: sample, sliced out of raw 64-bit generator words); canonical definition
@@ -175,7 +176,9 @@ class PowerTraceGenerator:
         netlist: Design to trace.
         library: Cell library (defaults to the netlist's).
         config: Power-model configuration.
-        seed: RNG seed for masks and measurement noise.
+        seed: Seed of the sequential mask/noise stream of the
+            :meth:`generate_loop` oracle; :meth:`generate` reads counter
+            draws instead.
         trace_dtype: dtype of the per-gate trace matrix.  ``float32``
             (default) halves memory traffic on the hot path; statistics are
             still computed in float64 downstream.
@@ -342,10 +345,6 @@ class PowerTraceGenerator:
         self._sim_nets: Tuple[str, ...] = tuple(sim_nets)
         #: Column order of every trace matrix; ``_gates`` is final here.
         self._gate_names: Tuple[str, ...] = tuple(g.name for g in self._gates)
-        #: Lazily built per-subgroup trace-dtype value tables (noise offset
-        #: folded in) used by the ``rng`` draw path; see
-        #: :meth:`_value_tables`.
-        self._value_tables_cache: Optional[List[np.ndarray]] = None
         #: Lazily built per-subgroup 4096-entry tables indexed by
         #: ``d << 8 | raw_mask_byte`` for the counter sampler; see
         #: :meth:`_counter_value_tables`.
@@ -361,35 +360,6 @@ class PowerTraceGenerator:
         """Number of gates with a power column."""
         return len(self._gates)
 
-    def _resolved_noise_mode(self, auto_mode: str) -> str:
-        """The configured noise mode, with ``"auto"`` resolved to
-        ``auto_mode`` (each engine's own default)."""
-        if self.config.noise_sigma <= 0:
-            return "none"
-        mode = self.config.noise_mode
-        return auto_mode if mode == "auto" else mode
-
-    def _value_tables(self, noise_offset: float) -> List[np.ndarray]:
-        """Per-subgroup value tables in trace dtype, noise offset folded in.
-
-        The tables are pure functions of the (frozen) power config, so they
-        are computed once per generator instead of re-casting 1 KiB of
-        float64 per subgroup per chunk.  Built with a benign idempotent
-        race (local list, atomic publish), so one generator can be shared
-        by concurrent chunk tasks.
-        """
-        cached = self._value_tables_cache
-        if cached is None:
-            cached = []
-            for sub in self._masked_subgroups:
-                table = sub.value_table.astype(self.trace_dtype)
-                if noise_offset:
-                    table += self.trace_dtype.type(noise_offset)
-                table.setflags(write=False)
-                cached.append(table)
-            self._value_tables_cache = cached
-        return cached
-
     def _counter_value_tables(self, noise_offset: float) -> List[np.ndarray]:
         """Per-subgroup value tables indexed by ``d << 8 | raw_mask_byte``.
 
@@ -397,11 +367,13 @@ class PowerTraceGenerator:
         counter bytes instead of ``byte & (2**mask_bits - 1)`` indices;
         replicating each 16 x 2**mask_bits table along the mask axis to
         16 x 256 entries makes ``table[d << 8 | byte]`` hit the same value
-        for every byte with equal low bits, so the masking ``&`` pass (and
-        the per-trace mask integer it produced) disappears from the hot
-        loop.  Entries are computed exactly as :meth:`_value_tables`
-        computes theirs (same cast, same offset fold).  Built with the same
-        benign idempotent race (atomic publish).
+        for every byte with equal low bits, so no masking ``&`` pass (and
+        no per-trace mask integer) is needed in the hot loop.  Entries are
+        cast to the trace dtype with the noise offset folded in.  The
+        tables are pure functions of the (frozen) power config, so they are
+        built once per generator, with a benign idempotent race (local
+        list, atomic publish): one generator can be shared by concurrent
+        chunk tasks.
         """
         cached = self._counter_tables
         if cached is None:
@@ -421,7 +393,7 @@ class PowerTraceGenerator:
     @staticmethod
     def _fast_noise_counts(rng: np.random.Generator,
                            shape: Tuple[int, ...]) -> np.ndarray:
-        """Raw Binomial(16, 1/2) popcounts for the fast noise sampler."""
+        """Raw Binomial(16, 1/2) popcounts of the loop oracle's noise."""
         count = int(np.prod(shape)) if shape else 1
         words = rng.integers(0, _U64_MAX, size=words_for_units(count, np.uint16),
                              dtype=np.uint64, endpoint=True)
@@ -430,30 +402,6 @@ class PowerTraceGenerator:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def generate(self, campaign: TraceCampaign,
-                 rng: Optional[np.random.Generator] = None,
-                 draws: Optional[CounterDraws] = None) -> PowerTraces:
-        """Simulate ``campaign`` and return its per-gate power traces.
-
-        Args:
-            campaign: The stimulus campaign to trace.
-            rng: Generator for mask and noise draws.  Defaults to the
-                model's own sequential stream.  With an explicit ``rng``
-                (or ``draws``) the engine mutates no generator state, so
-                one :class:`PowerTraceGenerator` can be shared by
-                concurrent chunk tasks.
-            draws: Counter-sampler draws for this campaign's coordinates:
-                mask bytes and noise words come straight off Philox counter
-                blocks instead of ``rng``.  The TVLA drivers always pass
-                these.  Mutually exclusive with ``rng``.
-
-        Raises:
-            ValueError: if both ``rng`` and ``draws`` are passed.
-        """
-        if draws is not None and rng is not None:
-            raise ValueError("pass either rng or draws, not both")
-        return self._generate_vectorised(campaign, rng=rng, draws=draws)
-
     def generate_stream(
         self,
         campaign: TraceCampaign,
@@ -487,13 +435,6 @@ class PowerTraceGenerator:
             yield self.generate(
                 chunk, draws=counter_stream.draws(first_chunk + index))
 
-    def generate_pair(
-        self, campaigns: Tuple[TraceCampaign, TraceCampaign]
-    ) -> Tuple[PowerTraces, PowerTraces]:
-        """Generate traces for a (fixed, random) campaign pair."""
-        first, second = campaigns
-        return self.generate(first), self.generate(second)
-
     # ------------------------------------------------------------------
     def _net_matrix(self, result: SimulationResult) -> np.ndarray:
         """Loop-simulator net values as a compact ``(n_nets, n)`` uint8
@@ -510,10 +451,18 @@ class PowerTraceGenerator:
                 matrix[index] = value
         return matrix.view(np.uint8)
 
-    def _generate_vectorised(self, campaign: TraceCampaign,
-                             rng: Optional[np.random.Generator] = None,
-                             draws: Optional[CounterDraws] = None,
-                             ) -> PowerTraces:
+    def generate(self, campaign: TraceCampaign,
+                 draws: CounterDraws) -> PowerTraces:
+        """Simulate ``campaign`` and return its per-gate power traces.
+
+        Args:
+            campaign: The stimulus campaign to trace.
+            draws: Counter-sampler draws for this campaign's coordinates:
+                mask bytes and noise words come straight off Philox counter
+                blocks.  The engine mutates no generator state, so one
+                :class:`PowerTraceGenerator` can be shared by concurrent
+                chunk tasks.
+        """
         prev_inputs, cur_inputs = campaign.as_dicts()
         previous = self._simulator.evaluate(prev_inputs)
         current = self._simulator.evaluate(cur_inputs)
@@ -538,16 +487,13 @@ class PowerTraceGenerator:
         else:
             net_prev = self._net_matrix(previous)
             net_cur = self._net_matrix(current)
-        if draws is None:
-            rng = rng if rng is not None else self._model._rng
-        noise_mode = self._resolved_noise_mode("fast")
-        sigma = self._model.noise_sigma_abs()
+        noisy = self.config.noise_sigma > 0
         # The popcount sampler's -E[count]*scale centring term is folded
         # into the static offsets (one scalar per masked table, one column
         # add for the unmasked rows).
         noise_scale = 0.0
         noise_offset = 0.0
-        if noise_mode == "fast":
+        if noisy:
             noise_scale, noise_offset = self._model.fast_noise_params()
 
         n_unmasked = len(self._watch_rows)
@@ -570,10 +516,9 @@ class PowerTraceGenerator:
                 self.trace_dtype)
             np.add(power[:n_unmasked], offset_column, out=power[:n_unmasked])
 
-        counter_tables = self._counter_value_tables(noise_offset) \
-            if draws is not None and self._masked_subgroups else None
+        counter_tables = (self._counter_value_tables(noise_offset)
+                          if self._masked_subgroups else None)
         for group_index, sub in enumerate(self._masked_subgroups):
-            shares = None
             if packed:
                 # Assemble the 4-bit data-transition code from the packed
                 # share rows: one stacked gather, one unpack, shifts/ORs.
@@ -582,56 +527,24 @@ class PowerTraceGenerator:
                      packed_cur[sub.a_rows], packed_cur[sub.b_rows]))
                 bits = np.unpackbits(stacked, axis=1, count=n_traces)
                 shares = bits.reshape(4, len(sub.a_rows), n_traces)
-                a_prev, b_prev, a_cur, b_cur = shares
             else:
-                a_prev = net_prev[sub.a_rows]
-                b_prev = net_prev[sub.b_rows]
-                a_cur = net_cur[sub.a_rows]
-                b_cur = net_cur[sub.b_rows]
-            if draws is not None:
-                # Counter path: word-wide code combine, then a gather on
-                # ``d << 8 | raw_byte`` — the raw Philox bytes index the
-                # replicated table directly, so the ``& mask`` pass of the
-                # rng path (and its per-trace mask integers) is gone.
-                if shares is None:
-                    shares = np.stack((a_prev, b_prev, a_cur, b_cur))
-                flat = combine_transition_codes(shares).astype(np.uint16)
-                width = flat.shape[0]
-                raw = draws.mask_bytes(group_index, width, n_traces)
-                np.left_shift(flat, 8, out=flat)
-                np.bitwise_or(flat, raw, out=flat)
-                table = counter_tables[group_index]
-            else:
-                flat = (a_prev | (b_prev << 1) | (a_cur << 2)
-                        | (b_cur << 3)).astype(np.uint16)
-                width = flat.shape[0]
-                count = width * n_traces
-                words = rng.integers(0, _U64_MAX,
-                                     size=words_for_units(count, np.uint8),
-                                     dtype=np.uint64, endpoint=True)
-                mask_index = (words.view(np.uint8)[:count]
-                              .reshape(width, n_traces)
-                              & np.uint8((1 << sub.mask_bits) - 1))
-                np.left_shift(flat, sub.mask_bits, out=flat)
-                np.bitwise_or(flat, mask_index, out=flat)
-                table = self._value_tables(noise_offset)[group_index]
+                shares = np.stack((net_prev[sub.a_rows], net_prev[sub.b_rows],
+                                   net_cur[sub.a_rows], net_cur[sub.b_rows]))
+            # Word-wide code combine, then a gather on ``d << 8 | raw_byte``:
+            # the raw Philox bytes index the replicated table directly.
+            flat = combine_transition_codes(shares).astype(np.uint16)
+            raw = draws.mask_bytes(group_index, flat.shape[0], n_traces)
+            np.left_shift(flat, 8, out=flat)
+            np.bitwise_or(flat, raw, out=flat)
             # Indices are < len(table) by construction; mode="clip" skips
             # the bounds-check buffering of the default mode.
-            np.take(table, flat, out=power[sub.row_slice], mode="clip")
+            np.take(counter_tables[group_index], flat,
+                    out=power[sub.row_slice], mode="clip")
 
-        if noise_mode == "fast":
-            counts = (draws.noise_counts((n_gates, n_traces))
-                      if draws is not None
-                      else self._fast_noise_counts(rng, (n_gates, n_traces)))
+        if noisy:
+            counts = draws.noise_counts((n_gates, n_traces))
             noise = np.multiply(counts, self.trace_dtype.type(noise_scale))
             np.add(power, noise, out=power)
-        elif noise_mode == "gaussian":
-            gauss = (draws.gauss((n_gates, n_traces), dtype=np.float32)
-                     if draws is not None
-                     else rng.standard_normal(size=(n_gates, n_traces),
-                                              dtype=np.float32))
-            np.multiply(gauss, np.float32(sigma), out=gauss)
-            np.add(power, gauss, out=power)
 
         return PowerTraces(campaign.label, self.gate_names, per_gate)
 
@@ -642,16 +555,14 @@ class PowerTraceGenerator:
 
         Kept from the original engine for regression tests and the
         vectorised-vs-loop microbenchmark; ``generate`` is the fast path.
-        With ``noise_mode="auto"`` (or ``"gaussian"``) this path adds exact
-        Gaussian noise, as the original engine did; an explicit ``"fast"``
-        setting is honoured with the popcount sampler.  ``rng`` overrides
-        the model's sequential mask/noise stream (see :meth:`generate`).
+        Masks and the popcount noise are drawn per gate from ``rng``, which
+        defaults to the model's own sequential stream.
         """
         prev_inputs, cur_inputs = campaign.as_dicts()
         previous = self._simulator.evaluate(prev_inputs)
         current = self._simulator.evaluate(cur_inputs)
 
-        noise_mode = self._resolved_noise_mode("gaussian")
+        noisy = self.config.noise_sigma > 0
         noise_scale, _ = self._model.fast_noise_params()
         rng = rng if rng is not None else self._model._rng
 
@@ -681,11 +592,9 @@ class PowerTraceGenerator:
                     )
                 power = self._model.unmasked_power(
                     gate, toggled, fanout=self._fanouts.get(gate.name, 1))
-            if noise_mode == "fast":
+            if noisy:
                 counts = self._fast_noise_counts(rng, (n_traces,))
                 power = power + (counts - _FAST_NOISE_BITS / 2.0) * noise_scale
-                per_gate[:, column] = power
-            else:
-                per_gate[:, column] = self._model.add_noise(power, rng=rng)
+            per_gate[:, column] = power
 
         return PowerTraces(campaign.label, self.gate_names, per_gate)

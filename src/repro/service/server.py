@@ -302,7 +302,7 @@ class AssessmentService:
         tenant = validate_tenant(message.tenant)
         try:
             spec = CampaignSpec.from_json(message.spec_json)
-        except (ValueError, KeyError, TypeError) as error:
+        except ValueError as error:
             connection.send(ServiceError(code="bad-spec",
                                          message=str(error)))
             return
@@ -433,7 +433,7 @@ class AssessmentService:
             class_results, campaign.spec.design_name,
             campaign.gate_names(), config,
             time.perf_counter() - campaign.started_at,
-            streamed=True, n_shards=campaign.n_shards)
+            n_shards=campaign.n_shards)
 
     def _progress_frame(self, campaign: _Campaign,
                         assessment: LeakageAssessment) -> CampaignProgress:

@@ -7,17 +7,16 @@ result exposes both raw t-values and the normalised "leakage value per gate"
 (|t| / 4.5) that the paper's Table II aggregates per design.
 
 The campaign driver is **chunked**: traces are generated in blocks of
-``TvlaConfig.chunk_traces`` and either folded into
-:class:`~repro.tvla.moments.OnePassMoments` accumulators (streaming mode,
-the paper's §II-A acquisition-time moment computation after Schneider &
-Moradi — memory stays ``O(chunk_traces × n_gates)`` regardless of the trace
-count) or stacked into full matrices for the classic two-pass Welch test.
-Both modes consume identical traces, so their t-values agree to floating-
-point merge error (~1e-12); streaming is selected automatically for
-paper-scale campaigns.  A streaming campaign's ``(class, group, chunk)``
-triples are independent tasks: they run on every available CPU (inline when
-there is one) and each group's per-chunk accumulators are left-folded in
-global chunk order, so t-values do not depend on the worker count.
+``TvlaConfig.chunk_traces`` and folded into
+:class:`~repro.tvla.moments.OnePassMoments` accumulators — the paper's §II-A
+acquisition-time moment computation after Schneider & Moradi — so memory
+stays ``O(chunk_traces × n_gates)`` regardless of the trace count.  Every
+assessment takes this one fold; the classic two-pass Welch test
+(:func:`~repro.tvla.welch.welch_t_test` on stacked chunks) is the oracle
+tests compare it with.  A campaign's ``(class, group, chunk)`` triples are
+independent tasks: they run on every available CPU (inline when there is
+one) and each group's per-chunk accumulators are left-folded in global
+chunk order, so t-values do not depend on the worker count.
 
 Every chunk's mask/noise randomness is read off Philox counter blocks
 addressed by its ``(seed, class, group, chunk)`` coordinates
@@ -38,7 +37,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -60,7 +59,6 @@ from .welch import (
     moment_order_for_tvla,
     welch_from_accumulators,
     welch_higher_order,
-    welch_t_test,
 )
 
 #: A (group0, group1) campaign pair, one per fixed class.
@@ -78,9 +76,9 @@ class TvlaConfig:
     """Parameters of one TVLA campaign.
 
     Attributes:
-        n_traces: Traces per group (the paper uses 10,000; the default here
-            is smaller so the full benchmark suite runs quickly, and the
-            benches expose it as a knob).
+        n_traces: Traces per group, at least 2 (the paper uses 10,000; the
+            default here is smaller so the full benchmark suite runs
+            quickly, and the benches expose it as a knob).
         mode: ``"fixed_vs_random"`` (default) or ``"fixed_vs_fixed"``.
         n_fixed_classes: Number of distinct fixed input classes evaluated
             per assessment.  Standard TVLA practice runs the fixed-vs-random
@@ -91,22 +89,22 @@ class TvlaConfig:
         seed: RNG seed for stimulus and noise.
         power: Power-model configuration.
         chunk_traces: Trace-block size of the chunked campaign driver; each
-            group is simulated and folded/stacked ``chunk_traces`` rows at a
-            time.  Bounds peak trace memory in streaming mode and keeps the
-            matrix pipeline cache-resident.  Also the granularity of shard
+            group is simulated and folded ``chunk_traces`` rows at a time.
+            Bounds peak trace memory and keeps the matrix pipeline
+            cache-resident.  Also the granularity of shard
             boundaries and of the per-chunk counter draws, so results
             depend on ``chunk_traces`` but **not** on the shard layout.
-            The chunk is also the parallel task unit: the streaming
-            driver of :func:`assess_leakage` runs one task per ``(class,
-            group, chunk)`` on every available CPU.
-        streaming: ``True`` forces one-pass streaming accumulation,
-            ``False`` forces the two-pass matrix test, ``None`` (default)
-            streams automatically whenever a group exceeds one chunk (i.e.
-            for paper-scale campaigns).
-        tvla_order: Highest TVLA order to evaluate (1, 2 or 3).  Orders
-            above 1 are computed from the moment accumulators (the engine
-            tracks central moments up to ``2 * tvla_order``), so they force
-            the streaming path regardless of ``streaming``.
+            The chunk is also the parallel task unit: :func:`assess_leakage`
+            runs one task per ``(class, group, chunk)`` on every available
+            CPU.
+        tvla_order: Highest TVLA order to evaluate (1, 2 or 3), computed
+            from the moment accumulators (the engine tracks central moments
+            up to ``2 * tvla_order``).
+        streaming: Init-only and not stored.  Every assessment streams, so
+            only ``None`` and ``True`` are accepted; ``False`` (the retired
+            two-pass path) raises :class:`ValueError`.  It survives for one
+            caller, the benchmark's campaign check
+            (``perfbench/suite.py``), and goes when that check drops it.
     """
 
     n_traces: int = 1000
@@ -116,28 +114,23 @@ class TvlaConfig:
     seed: int = 0
     power: PowerModelConfig = field(default_factory=PowerModelConfig)
     chunk_traces: int = 2048
-    streaming: Optional[bool] = None
     tvla_order: int = 1
+    streaming: InitVar[Optional[bool]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, streaming: Optional[bool]) -> None:
+        if streaming is not None and streaming is not True:
+            raise ValueError(
+                f"streaming={streaming!r} is not supported: every "
+                f"assessment folds one-pass moments")
+        if self.n_traces < 2:
+            raise ValueError(
+                f"n_traces must be >= 2, got {self.n_traces!r}")
         if self.chunk_traces < 1:
             raise ValueError("chunk_traces must be >= 1")
         if self.tvla_order not in SUPPORTED_TVLA_ORDERS:
             raise ValueError(
                 f"tvla_order must be one of {SUPPORTED_TVLA_ORDERS}, "
                 f"got {self.tvla_order!r}")
-
-    def resolved_streaming(self) -> bool:
-        """Whether assessments with this config stream their moments.
-
-        Higher-order testing always streams: the order-2/3 statistics are
-        functions of the central-moment accumulators.
-        """
-        if self.tvla_order > 1:
-            return True
-        if self.streaming is not None:
-            return self.streaming
-        return self.n_traces > self.chunk_traces
 
     def moment_order(self) -> int:
         """Accumulator ``max_order`` required by ``tvla_order``."""
@@ -161,7 +154,6 @@ class LeakageAssessment:
         n_traces: Traces per group used for the assessment.
         elapsed_seconds: Wall-clock time of the assessment.
         mean_abs_t: Mean |t| across the fixed classes (None for one class).
-        streamed: Whether the one-pass streaming accumulator path was used.
         tvla_order: Highest TVLA order evaluated.
         order_t_values: Per-gate worst-class t statistic of each evaluated
             higher order (keys 2, 3, ...; empty when ``tvla_order == 1``).
@@ -181,7 +173,6 @@ class LeakageAssessment:
     n_traces: int
     elapsed_seconds: float
     mean_abs_t: Optional[np.ndarray] = None
-    streamed: bool = False
     tvla_order: int = 1
     order_t_values: Dict[int, np.ndarray] = field(default_factory=dict)
     n_shards: int = 1
@@ -288,7 +279,6 @@ class LeakageAssessment:
             "max_abs_t": float(np.abs(self.t_values).max()) if self.t_values.size else 0.0,
             "n_traces": self.n_traces,
             "elapsed_seconds": self.elapsed_seconds,
-            "streamed": self.streamed,
             "tvla_order": self.tvla_order,
             "n_shards": self.n_shards,
         }
@@ -485,31 +475,12 @@ def results_from_accumulators(acc0: OnePassMoments, acc1: OnePassMoments,
     return results
 
 
-def _two_pass_class_results(generator: PowerTraceGenerator,
-                            pair: CampaignPair, config: TvlaConfig,
-                            class_index: int) -> Dict[int, WelchResult]:
-    """Order-1 two-pass Welch's t-test of one fixed class.
-
-    Stacks the same chunks the streaming driver folds, so the result
-    equals the streamed one up to the floating-point error of the moment
-    merge.
-    """
-    blocks = tuple(
-        np.concatenate([
-            traces.per_gate for traces in generator.generate_stream(
-                campaign, config.chunk_traces,
-                CounterStream(config.seed, class_index, group_index))])
-        for group_index, campaign in enumerate(pair))
-    return {1: welch_t_test(*blocks)}
-
-
 def aggregate_class_results(
     class_results: Sequence[Dict[int, WelchResult]],
     netlist_name: str,
     gate_names: Tuple[str, ...],
     config: TvlaConfig,
     elapsed_seconds: float,
-    streamed: bool,
     n_shards: int = 1,
 ) -> LeakageAssessment:
     """Combine per-class per-order Welch results into one assessment.
@@ -549,7 +520,6 @@ def aggregate_class_results(
         n_traces=config.n_traces,
         elapsed_seconds=elapsed_seconds,
         mean_abs_t=abs_sum / len(class_results),
-        streamed=streamed,
         tvla_order=config.tvla_order,
         order_t_values={order: values for order, values in worst_t.items()
                         if order > 1},
@@ -630,19 +600,10 @@ def assess_leakage(netlist: Netlist,
     else:
         validate_campaigns(netlist, config, campaigns)
     generator = resolve_generator(netlist, config, generator)
-    streamed = config.resolved_streaming()
-
-    if streamed:
-        class_results = _streamed_class_results(generator, campaigns, config)
-    else:
-        class_results = [
-            _two_pass_class_results(generator, pair, config, class_index)
-            for class_index, pair in enumerate(campaigns)
-        ]
+    class_results = _streamed_class_results(generator, campaigns, config)
     elapsed = time.perf_counter() - start
     return aggregate_class_results(class_results, netlist.name,
-                                   generator.gate_names, config, elapsed,
-                                   streamed)
+                                   generator.gate_names, config, elapsed)
 
 
 def compare_assessments(before: LeakageAssessment,

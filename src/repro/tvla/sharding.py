@@ -206,8 +206,7 @@ def _finish_design(design: _ShardedDesign,
     elapsed = time.perf_counter() - design.started_at
     return aggregate_class_results(class_results, design.netlist.name,
                                    design.generator.gate_names, config,
-                                   elapsed, streamed=True,
-                                   n_shards=len(design.ranges))
+                                   elapsed, n_shards=len(design.ranges))
 
 
 def _assess_in_process(netlist: Netlist, config: TvlaConfig, n_shards: int,
@@ -366,8 +365,7 @@ def assess_many(
         to_run = []
         for netlist in netlists:
             spec = CampaignSpec.from_netlist(netlist, config,
-                                             n_shards=n_shards,
-                                             force_streaming=True)
+                                             n_shards=n_shards)
             hashes[netlist.name] = spec.content_hash
             hit = store.get(spec.content_hash)
             if hit is not None:

@@ -60,13 +60,11 @@ def suite_campaign_specs(designs: Sequence[Netlist],
     Thin bridge into :mod:`repro.campaign`: the returned mapping (design
     name -> :class:`~repro.campaign.spec.CampaignSpec`) is what a
     scheduler fans out to a worker fleet, and the hashes are the keys the
-    result store answers to.  Specs force streaming (they describe
-    sharded/queued execution).
+    result store answers to.
     """
     from ..campaign.spec import CampaignSpec
     return {design.name: CampaignSpec.from_netlist(design, config,
-                                                   n_shards=n_shards,
-                                                   force_streaming=True)
+                                                   n_shards=n_shards)
             for design in designs}
 
 

@@ -21,9 +21,12 @@ import json
 import pickle
 import time
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignError,
@@ -59,7 +62,7 @@ from repro.tvla import (
 #: Campaign settings shared by the runner tests: 240 traces in 48-trace
 #: chunks -> 5 chunks, so 3 shards give a 2/2/1 split.
 CAMPAIGN_TVLA = dict(n_traces=240, n_fixed_classes=2, seed=7,
-                     chunk_traces=48, streaming=True)
+                     chunk_traces=48)
 
 
 @pytest.fixture
@@ -235,6 +238,49 @@ class TestOrderTwoFastPath:
 # ----------------------------------------------------------------------
 # CampaignSpec hashing
 # ----------------------------------------------------------------------
+#: Arbitrary JSON values: what a client can put in any field of a spec.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+
+def _json_paths(value, prefix=()):
+    """Every key path into the nested objects of a JSON value."""
+    if not isinstance(value, dict):
+        return []
+    paths = []
+    for key, child in value.items():
+        paths.append(prefix + (key,))
+        paths.extend(_json_paths(child, prefix + (key,)))
+    return paths
+
+
+def _mutate_json(payload, data):
+    """Drop a key, swap in an arbitrary value, add a key, or replace the
+    whole document."""
+    action = data.draw(st.sampled_from(["drop", "swap", "swap", "add",
+                                        "replace"]), label="action")
+    paths = _json_paths(payload)
+    if action == "replace" or not paths:
+        return data.draw(JSON_VALUES, label="document")
+    path = data.draw(st.sampled_from(paths), label="path")
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "drop":
+        del parent[path[-1]]
+    elif action == "swap":
+        parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+    else:
+        parent[data.draw(st.text(max_size=8), label="key")] = \
+            data.draw(JSON_VALUES, label="value")
+    return payload
+
+
 class TestCampaignSpec:
     def test_hash_is_stable_and_reproducible(self, small_benchmark,
                                              campaign_config):
@@ -280,15 +326,106 @@ class TestCampaignSpec:
         assert capped.content_hash == exact.content_hash
 
     def test_streaming_resolved_into_hash(self, small_benchmark):
-        # A serial two-pass run and a streamed run must never share a
-        # cache entry: their t-values differ at the ~1e-12 level.
-        auto = TvlaConfig(n_traces=100, n_fixed_classes=1, chunk_traces=2048)
-        two_pass = CampaignSpec.from_netlist(small_benchmark, auto, 1)
-        streamed = CampaignSpec.from_netlist(small_benchmark, auto, 1,
-                                             force_streaming=True)
-        assert two_pass.tvla.streaming is False
-        assert streamed.tvla.streaming is True
-        assert two_pass.content_hash != streamed.content_hash
+        # Every assessment streams, a one-chunk serial config included:
+        # the hashed payload keeps the retired constants stored format-3
+        # hashes were computed with.
+        small = TvlaConfig(n_traces=100, n_fixed_classes=1, chunk_traces=2048)
+        spec = CampaignSpec.from_netlist(small_benchmark, small, 1)
+        tvla = json.loads(spec.canonical_payload())["tvla"]
+        assert tvla["streaming"] is True
+        assert tvla["power"]["noise_mode"] == "auto"
+        assert CampaignSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("path, value", [
+        (("tvla", "streaming"), False),
+        (("tvla", "power", "noise_mode"), "gaussian"),
+        (("tvla", "power", "noise_mode"), "fast"),
+    ])
+    def test_retired_value_rejected(self, small_benchmark, campaign_config,
+                                    path, value):
+        data = json.loads(CampaignSpec.from_netlist(
+            small_benchmark, campaign_config, 3).to_json())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match="is not supported"):
+            CampaignSpec.from_json(json.dumps(data))
+
+    @staticmethod
+    def _without(data, *path):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return data
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda data: [], "must be a JSON object"),
+        (lambda data: TestCampaignSpec._without(data, "design_name"),
+         "design_name"),
+        (lambda data: {**data, "tvla": {**data["tvla"], "bogus": 1}},
+         "bogus"),
+        (lambda data: TestCampaignSpec._without(data, "tvla", "power"),
+         "power"),
+        (lambda data: {**data, "tvla": None}, "tvla must be an object"),
+        (lambda data: {**data, "n_shards": "3"}, "n_shards"),
+        (lambda data: {**data, "n_shards": 0}, "n_shards"),
+        (lambda data: {**data, "content_hash": 7}, "content_hash"),
+        (lambda data: {**data, "tvla": {**data["tvla"], "n_traces": 1}},
+         "n_traces"),
+        (lambda data: {**data, "tvla": {**data["tvla"], "seed": True}},
+         "seed"),
+    ], ids=["list", "no-design-name", "unknown-tvla-key", "no-power",
+            "null-tvla", "string-shards", "zero-shards", "int-hash",
+            "one-trace", "bool-seed"])
+    def test_malformed_spec_raises_value_error(self, small_benchmark,
+                                               campaign_config, mutate,
+                                               match):
+        data = json.loads(CampaignSpec.from_netlist(
+            small_benchmark, campaign_config, 3).to_json())
+        with pytest.raises(ValueError, match=match):
+            CampaignSpec.from_json(json.dumps(mutate(data)))
+
+    def test_wrong_typed_field_raises_value_error(self, small_benchmark,
+                                                  campaign_config):
+        # Every stored config field is type-checked before the dataclass
+        # sees it, so a comparison in __post_init__ cannot raise TypeError.
+        base = json.loads(CampaignSpec.from_netlist(
+            small_benchmark, campaign_config, 3).to_json())
+        del base["content_hash"]
+        tvla_keys = [key for key in base["tvla"] if key != "power"]
+        for section, keys in (("tvla", tvla_keys),
+                              ("power", list(base["tvla"]["power"]))):
+            for key in keys:
+                for value in ("x", None, [1], True, 1.5):
+                    data = json.loads(json.dumps(base))
+                    target = (data["tvla"] if section == "tvla"
+                              else data["tvla"]["power"])
+                    if type(target[key]) is type(value) or (
+                            isinstance(target[key], float)
+                            and type(value) is float):
+                        continue
+                    target[key] = value
+                    with pytest.raises(ValueError):
+                        CampaignSpec.from_json(json.dumps(data))
+
+    @settings(max_examples=300, deadline=timedelta(seconds=2))
+    @given(data=st.data())
+    def test_fuzzed_spec_loads_or_raises_value_error(self, small_benchmark,
+                                                     data):
+        # Whatever a client sends, loading returns a spec or raises
+        # ValueError (the service's bad-spec answer) — never another
+        # exception, and never a hang past the per-example deadline.
+        payload = json.loads(CampaignSpec.from_netlist(
+            small_benchmark, TvlaConfig(**CAMPAIGN_TVLA), 3).to_json())
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            payload = _mutate_json(payload, data)
+        try:
+            spec = CampaignSpec.from_json(json.dumps(payload))
+        except ValueError:
+            return
+        assert isinstance(spec, CampaignSpec)
 
     def test_json_round_trip(self, small_benchmark, campaign_config):
         spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
@@ -1368,6 +1505,17 @@ class TestResultStore:
         assert revived.elapsed_seconds == assessment.elapsed_seconds
         assert revived.t_values.dtype == assessment.t_values.dtype
 
+    def test_stored_streamed_key_is_ignored(self, small_benchmark,
+                                            campaign_config):
+        # Results stored (or in flight) from builds that recorded which
+        # driver ran still load.
+        assessment = assess_leakage(small_benchmark, campaign_config)
+        payload = assessment_to_dict(assessment)
+        assert "streamed" not in payload
+        for streamed in (True, False):
+            revived = assessment_from_dict({**payload, "streamed": streamed})
+            _assert_assessments_equal(assessment, revived)
+
     def test_store_is_write_once(self, small_benchmark, campaign_config,
                                  tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -1494,6 +1642,14 @@ class TestCli:
         reference = assess_leakage(small_benchmark, campaign_config)
         np.testing.assert_allclose(result.t_values, reference.t_values,
                                    rtol=1e-12, atol=1e-12)
+
+    def test_submit_rejects_too_few_traces(self, campaign_root, capsys):
+        args = self._submit_args(campaign_root)
+        args[args.index("--traces") + 1] = "1"
+        assert cli_main(args) != 0
+        assert "n_traces" in capsys.readouterr().err
+        assert list_campaigns(campaign_root) == []
+        assert sum(campaign_queue(campaign_root).counts().values()) == 0
 
     def test_resubmission_reports_cached(self, campaign_root, capsys):
         assert cli_main(self._submit_args(campaign_root)) == 0

@@ -30,7 +30,7 @@ from repro.netlist import (
     load_benchmark,
 )
 from repro.campaign import tvla_config_from_dict, tvla_config_to_dict
-from repro.power import PowerTraceGenerator
+from repro.power import CounterDraws, PowerTraceGenerator
 from repro.simulation import (
     CompilationError,
     CompiledNetlist,
@@ -201,7 +201,7 @@ class TestTvlaEquivalence:
     def test_sharded_compiled_matches_serial_loop(self):
         netlist = load_benchmark("voter", scale=0.2, seed=11)
         config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
-                            chunk_traces=32, streaming=True)
+                            chunk_traces=32)
         serial_loop = assess_leakage(
             netlist, config, generator=_loop_generator(netlist, config))
         sharded = assess_leakage_sharded(netlist, config, n_shards=4)
@@ -216,11 +216,10 @@ class TestTvlaEquivalence:
                                            sim_backend="compiled")
         loop_sim_gen = PowerTraceGenerator(masked, seed=1,
                                            sim_backend="loop")
-        for campaign in (fixed, rnd):
-            fast = compiled_gen.generate(campaign,
-                                         rng=np.random.default_rng(3))
-            slow = loop_sim_gen.generate(campaign,
-                                         rng=np.random.default_rng(3))
+        for group, campaign in enumerate((fixed, rnd)):
+            draws = CounterDraws(3, 0, group, 0)
+            fast = compiled_gen.generate(campaign, draws=draws)
+            slow = loop_sim_gen.generate(campaign, draws=draws)
             assert fast.gate_names == slow.gate_names
             np.testing.assert_array_equal(fast.per_gate, slow.per_gate)
 

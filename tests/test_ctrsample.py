@@ -19,8 +19,8 @@ coordinates.  The stateless-sampling contract lives here:
   (``np.array_equal``, not ~1e-12) across 1/2/4/8 shards and the
   serial/thread/process executors, and across hypothesis-sampled chunk
   partitions.
-* **Frozen rng draws** — ``generate(rng=...)`` and ``generate_loop`` keep
-  byte-frozen golden digests.
+* **Frozen draws** — ``generate(draws=...)`` and the ``generate_loop``
+  oracle keep byte-frozen golden digests.
 * **Statistical sanity** — chi-square smoke tests of the emitted bytes
   and popcounts (``slow``-marked, excluded from tier-1 CI).
 """
@@ -298,10 +298,10 @@ def masked_arbiter():
 
 
 class TestCounterTraceEngine:
-    @pytest.mark.parametrize("noise_mode", ["fast", "gaussian", "none"])
-    def test_packed_equals_unpacked_bitwise(self, masked_arbiter, noise_mode):
-        config = (PowerModelConfig(noise_sigma=0.0) if noise_mode == "none"
-                  else PowerModelConfig(noise_mode=noise_mode))
+    @pytest.mark.parametrize("noise", ["fast", "none"])
+    def test_packed_equals_unpacked_bitwise(self, masked_arbiter, noise):
+        config = (PowerModelConfig(noise_sigma=0.0) if noise == "none"
+                  else PowerModelConfig())
         campaign = fixed_vs_random_campaigns(masked_arbiter, 93, seed=2)[1]
         draws = CounterDraws(17, 0, 1, 0)
         per_backend = []
@@ -313,22 +313,13 @@ class TestCounterTraceEngine:
                                .per_gate)
         assert np.array_equal(per_backend[0], per_backend[1])
 
-    def test_draws_and_rng_are_mutually_exclusive(self, masked_arbiter):
-        generator = PowerTraceGenerator(masked_arbiter,
-                                        config=PowerModelConfig(), seed=1)
-        campaign = fixed_vs_random_campaigns(masked_arbiter, 9, seed=2)[0]
-        with pytest.raises(ValueError):
-            generator.generate(campaign, rng=np.random.default_rng(1),
-                               draws=CounterDraws(1, 0, 0, 0))
-
-
 
 # ----------------------------------------------------------------------
 # Layout invariance: counter t-values are bitwise layout-independent
 # ----------------------------------------------------------------------
 #: 600 traces in 128-trace chunks -> 5 chunks (matches the sharding suite).
 COUNTER_TVLA = dict(n_traces=600, n_fixed_classes=2, seed=9,
-                    chunk_traces=128, streaming=True)
+                    chunk_traces=128)
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +373,7 @@ class TestChunkPartitionProperty:
     @pytest.fixture(scope="class")
     def chunk_partials(self, masked_arbiter):
         config = TvlaConfig(n_traces=384, n_fixed_classes=2, seed=21,
-                            chunk_traces=64, streaming=True)
+                            chunk_traces=64)
         generator = PowerTraceGenerator(masked_arbiter, config=config.power,
                                         seed=config.seed)
         schedule = campaign_schedule(masked_arbiter, config)
@@ -421,28 +412,24 @@ class TestChunkPartitionProperty:
 
 
 # ----------------------------------------------------------------------
-# Frozen rng-driven draws (golden byte-level regression)
+# Frozen draws (golden byte-level regression)
 # ----------------------------------------------------------------------
 class TestSequenceGoldenDraws:
-    """Traces drawn from a sequential ``numpy.random.Generator``
-    (``generate(rng=...)`` and the ``generate_loop`` oracle) are pinned
-    byte-for-byte to the pre-counter implementation: any drift in the
-    draw order, word over-allocation or noise synthesis breaks these
-    hashes."""
+    """Traces are pinned byte-for-byte: the vectorised engine's counter
+    draws (``generate(draws=...)``, the path every assessment takes) and
+    the ``generate_loop`` oracle's sequential ``numpy.random.Generator``
+    draws.  Any drift in the draw order, word over-allocation, table
+    layout or noise synthesis breaks these hashes."""
 
     GOLDEN = {
         "fast/fixed":
-            "16db49e226ea6fcab4175c65b5696a48cf50de94b1f56c8c5de770962804a837",
+            "338ccacd7f11214fd0f33f50f1e92349ee7d1444a865fdc5e3084a00943575bf",
         "fast/random":
-            "33ce16e558043387e58186690bb0b5d8a427a3a76caff495e72c0b6322aeab48",
-        "gaussian/fixed":
-            "322b1b5035b372bc9088f0d9257df88624741000ace054d74328ade01f5e5b2e",
-        "gaussian/random":
-            "dd0fecc1fc913fa4b66159d3bd4a26d4711c6160540b7af2792a5ddc87197643",
+            "9ac1cc90bb261f45cd5272be08dd9e1ab0ec0042a42dc71860852bda138475dc",
         "none/fixed":
-            "065799b97aff60b60579c6a2fb428c8996835e2d535f2b47c43be191802fa126",
+            "02bda3792f2e6b5b82760616543aba13ea59a57c1ee8e60296bf1364e83b5a4c",
         "none/random":
-            "d45ab44748c5778e3eb089f4189aa5a2bbfccfc52175bacddf91a799c2a1f720",
+            "4adca40dede628c9c67269ee00416fc3226509f8dfacaa7bbc8f073bd4712e4e",
         "loop/fast":
             "28055175a82ce6447664b666eb6f88c3983338ee4d13d96e63c75e918a3a77ba",
     }
@@ -452,24 +439,22 @@ class TestSequenceGoldenDraws:
         return hashlib.sha256(
             np.ascontiguousarray(traces.per_gate).tobytes()).hexdigest()
 
-    @pytest.mark.parametrize("noise_mode", ["fast", "gaussian", "none"])
-    def test_vectorised_draws_frozen(self, masked_arbiter, noise_mode):
-        config = (PowerModelConfig(noise_sigma=0.0) if noise_mode == "none"
-                  else PowerModelConfig(noise_mode=noise_mode))
+    @pytest.mark.parametrize("noise", ["fast", "none"])
+    def test_vectorised_draws_frozen(self, masked_arbiter, noise):
+        config = (PowerModelConfig(noise_sigma=0.0) if noise == "none"
+                  else PowerModelConfig())
         generator = PowerTraceGenerator(masked_arbiter, config=config,
                                         seed=1)
         fixed, random = fixed_vs_random_campaigns(masked_arbiter, 93, seed=2)
-        for label, campaign in (("fixed", fixed), ("random", random)):
-            traces = generator.generate(campaign,
-                                        rng=np.random.default_rng(42))
-            assert self._digest(traces) == \
-                self.GOLDEN[f"{noise_mode}/{label}"]
+        for group, (label, campaign) in enumerate((("fixed", fixed),
+                                                   ("random", random))):
+            traces = generator.generate(
+                campaign, draws=CounterDraws(42, 0, group, 0))
+            assert self._digest(traces) == self.GOLDEN[f"{noise}/{label}"]
 
     def test_loop_draws_frozen(self, masked_arbiter):
         generator = PowerTraceGenerator(masked_arbiter,
-                                        config=PowerModelConfig(
-                                            noise_mode="fast"),
-                                        seed=1)
+                                        config=PowerModelConfig(), seed=1)
         campaign = fixed_vs_random_campaigns(masked_arbiter, 17, seed=3)[0]
         traces = generator.generate_loop(campaign,
                                          rng=np.random.default_rng(9))

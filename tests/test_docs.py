@@ -46,3 +46,26 @@ def test_fenced_doctests_pass():
     for path in files:
         errors.extend(checker.check_doctests(path))
     assert not errors, "\n".join(errors)
+
+
+def test_knob_table_matches_the_code():
+    checker = _load_checker()
+    assert checker.check_knob_table() == []
+
+
+def test_knob_table_flags_a_deleted_knob(tmp_path):
+    checker = _load_checker()
+    doc = tmp_path / "performance.md"
+    doc.write_text(
+        "## The knobs at a glance\n\n"
+        "| Knob | Where | Default | What it trades |\n"
+        "|------|-------|---------|----------------|\n"
+        "| `chunk_traces` | `TvlaConfig` | `2048` | memory |\n"
+        "| `streaming` | `TvlaConfig` | `None` | two-pass matrices |\n"
+        "| `noise` | `NoSuchThing` | `1` | nothing |\n")
+    errors = checker.check_knob_table(doc)
+    assert len(errors) == 2, errors
+    assert "performance.md:6: knob `streaming`" in errors[0]
+    assert "NoSuchThing" in errors[1]
+    (tmp_path / "empty.md").write_text("# No table here\n")
+    assert checker.check_knob_table(tmp_path / "empty.md")

@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 from repro.masking import apply_masking, maskable_gates
 from repro.netlist import RandomLogicSpec, generate_random_logic, load_benchmark
 from repro.power import (
+    CounterDraws,
     GatePowerModel,
     PowerModelConfig,
     PowerTraceGenerator,
@@ -58,18 +59,11 @@ SETTINGS = settings(max_examples=20, deadline=None,
 ODD_BATCHES = st.sampled_from([2, 7, 8, 9, 64, 73, 100, 129])
 
 
-def _power_config(noise_mode: str) -> PowerModelConfig:
-    if noise_mode == "none":
-        return PowerModelConfig(noise_sigma=0.0)
-    return PowerModelConfig(noise_mode=noise_mode)
-
-
-def _generators(netlist, noise_mode: str, mask_refresh: bool = True):
-    config = _power_config(noise_mode)
-    if not mask_refresh:
-        config = PowerModelConfig(noise_mode=config.noise_mode,
-                                  noise_sigma=config.noise_sigma,
-                                  mask_refresh=False)
+def _generators(netlist, noise: str, mask_refresh: bool = True):
+    """Packed and unpacked generators with popcount noise (``"fast"``) or
+    none (``"none"``)."""
+    sigma = 0.0 if noise == "none" else PowerModelConfig().noise_sigma
+    config = PowerModelConfig(noise_sigma=sigma, mask_refresh=mask_refresh)
     packed = PowerTraceGenerator(netlist, config=config, seed=1)
     unpacked = PowerTraceGenerator(netlist, config=config, seed=1,
                                    sim_backend="loop")
@@ -97,12 +91,12 @@ class TestPackedTraceEquality:
         profile=st.sampled_from(["crypto", "control", "arithmetic",
                                  "random"]),
         mask=st.booleans(),
-        noise_mode=st.sampled_from(["auto", "fast", "gaussian", "none"]),
+        noise=st.sampled_from(["fast", "none"]),
         n_traces=ODD_BATCHES,
         seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
     )
     def test_random_netlists_bit_identical(self, n_gates, n_inputs, profile,
-                                           mask, noise_mode, n_traces, seed):
+                                           mask, noise, n_traces, seed):
         spec = RandomLogicSpec(n_gates=n_gates, n_inputs=n_inputs,
                                n_outputs=min(4, n_gates), profile=profile,
                                seed=seed)
@@ -111,13 +105,14 @@ class TestPackedTraceEquality:
             targets = maskable_gates(netlist)
             if targets:
                 netlist = apply_masking(netlist, targets).netlist
-        packed, unpacked = _generators(netlist, noise_mode)
+        packed, unpacked = _generators(netlist, noise)
         assert _is_packed(packed)
         assert not _is_packed(unpacked)
         campaigns = fixed_vs_random_campaigns(netlist, n_traces, seed=seed)
-        for campaign in campaigns:
-            fast = packed.generate(campaign, rng=np.random.default_rng(3))
-            slow = unpacked.generate(campaign, rng=np.random.default_rng(3))
+        for group, campaign in enumerate(campaigns):
+            draws = CounterDraws(3, 0, group, 0)
+            fast = packed.generate(campaign, draws=draws)
+            slow = unpacked.generate(campaign, draws=draws)
             assert fast.gate_names == slow.gate_names
             np.testing.assert_array_equal(fast.per_gate, slow.per_gate)
             np.testing.assert_array_equal(fast.total, slow.total)
@@ -128,9 +123,10 @@ class TestPackedTraceEquality:
         masked = apply_masking(netlist, maskable_gates(netlist)).netlist
         packed, unpacked = _generators(masked, "fast", mask_refresh=False)
         fixed, rnd = fixed_vs_random_campaigns(masked, 93, seed=2)
-        for campaign in (fixed, rnd):
-            fast = packed.generate(campaign, rng=np.random.default_rng(5))
-            slow = unpacked.generate(campaign, rng=np.random.default_rng(5))
+        for group, campaign in enumerate((fixed, rnd)):
+            draws = CounterDraws(5, 0, group, 0)
+            fast = packed.generate(campaign, draws=draws)
+            slow = unpacked.generate(campaign, draws=draws)
             np.testing.assert_array_equal(fast.per_gate, slow.per_gate)
 
     @pytest.mark.parametrize("tvla_order", [1, 2, 3])
@@ -141,7 +137,7 @@ class TestPackedTraceEquality:
         netlist = load_benchmark("voter", scale=0.2, seed=11)
         masked = apply_masking(netlist, maskable_gates(netlist)).netlist
         config = TvlaConfig(n_traces=165, n_fixed_classes=2, seed=5,
-                            chunk_traces=52, streaming=True,
+                            chunk_traces=52,
                             tvla_order=tvla_order)
         for design in (netlist, masked):
             fast = assess_leakage(design, config)
@@ -156,7 +152,7 @@ class TestPackedTraceEquality:
     def test_sharded_packed_matches_serial_unpacked(self):
         netlist = load_benchmark("sin", scale=0.2, seed=11)
         config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
-                            chunk_traces=32, streaming=True)
+                            chunk_traces=32)
         serial = assess_leakage(netlist, config,
                                 generator=_loop_generator(netlist, config))
         sharded = assess_leakage_sharded(netlist, config, n_shards=4)
@@ -171,9 +167,10 @@ class TestPackedTraceEquality:
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 50, seed=1)
         reference = PowerTraceGenerator(tiny_netlist)
         assert _is_packed(reference)
+        draws = CounterDraws(1, 0, 0, 0)
         np.testing.assert_array_equal(
-            generator.generate(fixed, rng=np.random.default_rng(1)).per_gate,
-            reference.generate(fixed, rng=np.random.default_rng(1)).per_gate)
+            generator.generate(fixed, draws=draws).per_gate,
+            reference.generate(fixed, draws=draws).per_gate)
 
     def test_invalid_power_backend_rejected(self, tiny_netlist):
         """The netlist picks the extraction: no option selects it, and a

@@ -6,6 +6,7 @@ import pytest
 from repro.masking import apply_masking, maskable_gates
 from repro.netlist import GateType, Netlist
 from repro.power import (
+    CounterDraws,
     CounterStream,
     DesignMetrics,
     GatePowerModel,
@@ -17,6 +18,10 @@ from repro.power import (
     overhead_report,
 )
 from repro.simulation import SimulationError, fixed_vs_random_campaigns
+
+#: Counter draws of one campaign chunk; the vectorised engine reads nothing
+#: else for its masks and noise.
+DRAWS = CounterDraws(1, 0, 0, 0)
 
 
 class TestGatePowerModel:
@@ -76,19 +81,28 @@ class TestGatePowerModel:
         assert model.input_glitch_factor(1.0) > model.input_glitch_factor(0.0)
 
     def test_noise_addition(self):
-        model = GatePowerModel(config=PowerModelConfig(noise_sigma=0.5), seed=1)
-        clean = np.full(1000, 3.0)
-        noisy = model.add_noise(clean)
-        assert noisy.std() > 0.1
-        model_quiet = GatePowerModel(config=PowerModelConfig(noise_sigma=0.0))
-        np.testing.assert_array_equal(model_quiet.add_noise(clean), clean)
+        # The popcount noise law: count * scale + offset over the exact
+        # Binomial(16, 1/2) distribution has mean 0 and the configured
+        # sigma; a zero sigma adds nothing.
+        from math import comb
+        model = GatePowerModel(config=PowerModelConfig(noise_sigma=0.5))
+        scale, offset = model.fast_noise_params()
+        counts = np.arange(17)
+        pmf = np.array([comb(16, k) for k in counts]) / 2.0 ** 16
+        noise = counts * scale + offset
+        assert float(pmf @ noise) == pytest.approx(0.0, abs=1e-12)
+        assert float(np.sqrt(pmf @ noise ** 2)) == pytest.approx(
+            model.noise_sigma_abs(), rel=1e-12)
+        quiet = GatePowerModel(config=PowerModelConfig(noise_sigma=0.0))
+        assert quiet.noise_sigma_abs() == 0.0
+        assert quiet.fast_noise_params() == (0.0, 0.0)
 
 
 class TestPowerTraces:
     def test_trace_matrix_shape(self, tiny_netlist):
         generator = PowerTraceGenerator(tiny_netlist, seed=1)
         fixed, rand = fixed_vs_random_campaigns(tiny_netlist, 50, seed=1)
-        traces = generator.generate(fixed)
+        traces = generator.generate(fixed, draws=DRAWS)
         assert isinstance(traces, PowerTraces)
         assert traces.per_gate.shape == (50, len(tiny_netlist))
         np.testing.assert_allclose(traces.total, traces.per_gate.sum(axis=1))
@@ -96,7 +110,7 @@ class TestPowerTraces:
     def test_gate_column_lookup(self, tiny_netlist):
         generator = PowerTraceGenerator(tiny_netlist, seed=1)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 20, seed=1)
-        traces = generator.generate(fixed)
+        traces = generator.generate(fixed, draws=DRAWS)
         column = traces.gate_column("g_and")
         assert column.shape == (20,)
         with pytest.raises(KeyError):
@@ -106,7 +120,7 @@ class TestPowerTraces:
         masked = apply_masking(tiny_netlist, maskable_gates(tiny_netlist)).netlist
         generator = PowerTraceGenerator(masked, seed=1)
         fixed, _ = fixed_vs_random_campaigns(masked, 30, seed=1)
-        traces = generator.generate(fixed)
+        traces = generator.generate(fixed, draws=DRAWS)
         assert traces.per_gate.shape[1] == len(masked)
         assert (traces.per_gate >= 0).sum() > 0
 
@@ -120,7 +134,7 @@ class TestVectorisedEngine:
         generator = PowerTraceGenerator(random_netlist, config=config, seed=2)
         fixed, rand = fixed_vs_random_campaigns(random_netlist, 400, seed=2)
         for campaign in (fixed, rand):
-            vectorised = generator.generate(campaign)
+            vectorised = generator.generate(campaign, draws=DRAWS)
             loop = generator.generate_loop(campaign)
             assert vectorised.gate_names == loop.gate_names
             np.testing.assert_allclose(
@@ -135,7 +149,7 @@ class TestVectorisedEngine:
         config = PowerModelConfig(noise_sigma=0.0)
         generator = PowerTraceGenerator(masked, config=config, seed=3)
         _, rand = fixed_vs_random_campaigns(masked, 5000, seed=3)
-        vectorised = generator.generate(rand)
+        vectorised = generator.generate(rand, draws=DRAWS)
         loop = generator.generate_loop(rand)
         for name in loop.gate_names:
             column_vec = vectorised.gate_column(name).astype(float)
@@ -145,35 +159,19 @@ class TestVectorisedEngine:
             assert column_vec.std() == pytest.approx(column_loop.std(),
                                                      rel=0.15)
 
-    def test_gaussian_noise_mode_in_vectorised_engine(self, tiny_netlist):
-        config = PowerModelConfig(noise_mode="gaussian")
-        generator = PowerTraceGenerator(tiny_netlist, config=config, seed=4)
-        fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 2000, seed=4)
-        traces = generator.generate(fixed)
-        reference = GatePowerModel(config=config)
-        sigma = reference.noise_sigma_abs()
-        # The fixed campaign keeps each gate's noiseless power constant, so
-        # the column spread is the configured noise sigma.
-        spreads = traces.per_gate.std(axis=0)
-        assert spreads == pytest.approx(np.full(len(tiny_netlist), sigma),
-                                        rel=0.25)
-
     def test_fast_noise_matches_sigma(self, tiny_netlist):
         generator = PowerTraceGenerator(tiny_netlist, seed=4)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 4000, seed=4)
-        traces = generator.generate(fixed)
+        traces = generator.generate(fixed, draws=DRAWS)
         sigma = generator._model.noise_sigma_abs()
         spreads = traces.per_gate.std(axis=0)
         assert spreads == pytest.approx(np.full(len(tiny_netlist), sigma),
                                         rel=0.2)
 
-    def test_invalid_noise_mode_rejected(self):
-        with pytest.raises(ValueError, match="noise_mode"):
-            PowerModelConfig(noise_mode="bogus")
-
     def test_loop_path_honours_explicit_fast_noise(self, tiny_netlist):
-        config = PowerModelConfig(noise_mode="fast")
-        generator = PowerTraceGenerator(tiny_netlist, config=config, seed=6)
+        # The loop oracle draws the same popcount noise law as the
+        # vectorised engine, from its sequential stream.
+        generator = PowerTraceGenerator(tiny_netlist, seed=6)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 4000, seed=6)
         traces = generator.generate_loop(fixed)
         sigma = generator._model.noise_sigma_abs()
@@ -208,7 +206,8 @@ class TestVectorisedEngine:
             masked, config=PowerModelConfig(noise_sigma=0.0,
                                             mask_refresh=False), seed=5)
         fixed, rand = fixed_vs_random_campaigns(masked, 2000, seed=5)
-        fixed_traces, rand_traces = faulty.generate_pair((fixed, rand))
+        fixed_traces = faulty.generate(fixed, draws=DRAWS)
+        rand_traces = faulty.generate(rand, draws=CounterDraws(1, 0, 1, 0))
         # A faulty-masked gate's fixed-input power collapses to (nearly)
         # constant per trace while the random group keeps its spread.
         assert (fixed_traces.per_gate.std(axis=0)

@@ -81,7 +81,7 @@ SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 #: 240 traces in 48-trace chunks -> 5 chunks; 3 shards split 2/2/1.
 RELIABILITY_TVLA = dict(n_traces=240, n_fixed_classes=2, seed=7,
-                        chunk_traces=48, streaming=True)
+                        chunk_traces=48)
 
 
 @pytest.fixture(autouse=True)
@@ -624,8 +624,7 @@ def _drain_until_complete(client, timeout=120.0):
 
 def _service_spec() -> CampaignSpec:
     netlist = load_benchmark("des3", scale=0.25, seed=99)
-    return CampaignSpec.from_netlist(netlist, _config(), n_shards=3,
-                                     force_streaming=True)
+    return CampaignSpec.from_netlist(netlist, _config(), n_shards=3)
 
 
 class TestServiceReliability:

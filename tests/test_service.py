@@ -67,14 +67,13 @@ SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 #: 240 traces in 48-trace chunks -> 5 chunks; 3 shards split 2/2/1.
 SERVICE_TVLA = dict(n_traces=240, n_fixed_classes=2, seed=7,
-                    chunk_traces=48, streaming=True)
+                    chunk_traces=48)
 
 
 def _spec(n_shards: int = 3) -> CampaignSpec:
     netlist = load_benchmark("des3", scale=0.25, seed=99)
     config = TvlaConfig(**SERVICE_TVLA)
-    return CampaignSpec.from_netlist(netlist, config, n_shards=n_shards,
-                                     force_streaming=True)
+    return CampaignSpec.from_netlist(netlist, config, n_shards=n_shards)
 
 
 # ----------------------------------------------------------------------
@@ -250,17 +249,33 @@ class TestServer:
     @pytest.mark.parametrize("key,value", [("format", 2),
                                            ("sampler", "sequence"),
                                            ("power_backend", "unpacked"),
-                                           ("sim_backend", "loop")])
+                                           ("sim_backend", "loop"),
+                                           ("streaming", False),
+                                           ("noise_mode", "gaussian"),
+                                           ("noise_mode", "fast")])
     def test_retired_spec_is_rejected(self, service, key, value):
-        # Format-2 specs, non-counter samplers and non-default trace
-        # engines name retired selectors: the service answers bad-spec
-        # with the reason.
+        # Format-2 specs, non-counter samplers, non-default trace engines,
+        # two-pass assessments and non-popcount noise name retired
+        # selectors: the service answers bad-spec with the reason.
         data = json.loads(_spec().to_json())
-        (data if key == "format" else data["tvla"])[key] = value
+        target = data if key == "format" else data["tvla"]
+        (target["power"] if key == "noise_mode" else target)[key] = value
         with ServiceClient(service.host, service.port) as client:
-            with pytest.raises(ProtocolError,
-                               match="bad-spec.*(format 2|sampler|backend)"):
+            with pytest.raises(
+                    ProtocolError,
+                    match="bad-spec.*(format 2|sampler|backend|streaming"
+                          "|noise_mode)"):
                 client.submit("lab", json.dumps(data))
+
+    @pytest.mark.parametrize("spec_json", [
+        "[]", '{"format": 3}', '{"format": 3, "design_name": "d", '
+        '"bench_text": "", "n_shards": 1, "tvla": null}'])
+    def test_malformed_spec_is_bad_spec(self, service, spec_json):
+        # Shape errors are ValueErrors too: a bad-spec reply, never an
+        # internal error.
+        with ServiceClient(service.host, service.port) as client:
+            with pytest.raises(ProtocolError, match="bad-spec"):
+                client.submit("lab", spec_json)
 
     def test_undecodable_frame_gets_error_reply(self, service):
         with ServiceClient(service.host, service.port) as client:

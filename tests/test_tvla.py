@@ -1,5 +1,8 @@
 """Tests for the TVLA engine: moments, Welch's t-test, gate assessment."""
 
+import pickle
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -26,6 +29,7 @@ from repro.tvla import (
     welch_higher_order,
     welch_t_test,
 )
+from repro.tvla.assessment import aggregate_class_results
 
 
 class TestOnePassMoments:
@@ -413,7 +417,8 @@ def _popcount_noise(draws, shape):
 
 
 def _gauss_noise(draws, shape):
-    """The exact Gaussian noise of the ``noise_mode="gaussian"`` path."""
+    """Exact Gaussian noise, the reference law the popcount sampler
+    stands in for."""
     return draws.gauss(shape) * np.float32(GatePowerModel().noise_sigma_abs())
 
 
@@ -516,6 +521,36 @@ class TestNullCalibration:
             expected, abs=4.0 / np.sqrt(CAL_GATES))
 
 
+class TestEngineNull:
+    """A design whose power does not depend on the data, through the
+    whole engine (ROADMAP item 1).
+
+    Both groups of every class run the *same* fixed campaign, so each
+    trace differs only by its counter-drawn masks and noise.  Each class's
+    order-1 t is then ~N(0, 1) per gate and ``mean_abs_t`` averages
+    ``n_classes`` independent |t| of mean sqrt(2/pi).  If the two groups
+    ever shared a counter stream every t would be exactly 0.
+    """
+
+    @pytest.mark.parametrize("masked", [False, True],
+                             ids=["plain", "masked"])
+    def test_identical_groups_give_null_t(self, masked):
+        config = paper_configuration(tvla_order=2).tvla
+        netlist = load_benchmark("md5")
+        if masked:
+            netlist = apply_masking(netlist, maskable_gates(netlist)).netlist
+        fixed = campaign_schedule(netlist, config)[0][0]
+        assessment = assess_leakage(
+            netlist, config,
+            campaigns=[(fixed, fixed)] * config.n_fixed_classes)
+        n_terms = config.n_fixed_classes * len(assessment.gate_names)
+        standard_error = np.sqrt((1.0 - 2.0 / np.pi) / n_terms)
+        mean_abs_t = float(assessment.mean_abs_t.mean())
+        assert abs(mean_abs_t - np.sqrt(2.0 / np.pi)) < 5 * standard_error
+        assert assessment.n_leaky == 0
+        assert assessment.n_leaky_for_order(2) == 0
+
+
 class TestFloat32Drift:
     """float32 traces vs float64 traces at the paper's 10k traces (ROADMAP
     item 1).  The trace matrix is float32 by default; moments are folded
@@ -603,16 +638,26 @@ class TestAssessment:
 
 class TestStreamingAssessment:
     def test_streaming_equals_two_pass(self, small_benchmark):
-        # The streaming accumulator path must reproduce the classic
-        # two-pass Welch test on identical traces (same seed, same chunk
-        # iteration) to floating-point merge error.
-        common = dict(n_traces=600, n_fixed_classes=2, seed=9,
-                      chunk_traces=128)
-        streamed = assess_leakage(small_benchmark,
-                                  TvlaConfig(streaming=True, **common))
-        two_pass = assess_leakage(small_benchmark,
-                                  TvlaConfig(streaming=False, **common))
-        assert streamed.streamed and not two_pass.streamed
+        # The one-pass moment fold must reproduce the classic two-pass
+        # Welch test on identical traces (the same counter-drawn chunks,
+        # stacked) to floating-point merge error.
+        config = TvlaConfig(n_traces=600, n_fixed_classes=2, seed=9,
+                            chunk_traces=128)
+        streamed = assess_leakage(small_benchmark, config)
+        generator = PowerTraceGenerator(small_benchmark, config=config.power,
+                                        seed=config.seed)
+        class_results = []
+        for class_index, pair in enumerate(
+                campaign_schedule(small_benchmark, config)):
+            blocks = [np.concatenate([
+                traces.per_gate for traces in generator.generate_stream(
+                    campaign, config.chunk_traces,
+                    CounterStream(config.seed, class_index, group_index))])
+                for group_index, campaign in enumerate(pair)]
+            class_results.append({1: welch_t_test(*blocks)})
+        two_pass = aggregate_class_results(
+            class_results, small_benchmark.name, generator.gate_names,
+            config, elapsed_seconds=0.0)
         np.testing.assert_allclose(streamed.t_values, two_pass.t_values,
                                    rtol=0, atol=1e-9)
         np.testing.assert_allclose(streamed.mean_abs_t, two_pass.mean_abs_t,
@@ -621,22 +666,28 @@ class TestStreamingAssessment:
                                    two_pass.degrees_of_freedom,
                                    rtol=1e-9, atol=1e-6)
 
-    def test_streaming_auto_selection(self):
-        assert TvlaConfig(n_traces=10_000, chunk_traces=2048).resolved_streaming()
-        assert not TvlaConfig(n_traces=500, chunk_traces=2048).resolved_streaming()
-        assert TvlaConfig(n_traces=500, chunk_traces=2048,
-                          streaming=True).resolved_streaming()
-
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError):
             TvlaConfig(chunk_traces=0)
 
-    def test_streamed_flag_in_assessment(self, tiny_netlist):
-        config = TvlaConfig(n_traces=300, n_fixed_classes=1, seed=3,
-                            chunk_traces=100)
-        assessment = assess_leakage(tiny_netlist, config)
-        assert assessment.streamed
-        assert assessment.summary()["streamed"]
+    @pytest.mark.parametrize("n_traces", [1, 0, -5])
+    def test_too_few_traces_rejected(self, n_traces):
+        # Welch's test needs two traces per group; reject the config
+        # before any campaign is built or queued.
+        with pytest.raises(ValueError, match="n_traces"):
+            TvlaConfig(n_traces=n_traces)
+
+    def test_streaming_init_var_accepts_only_none_and_true(self):
+        # ``streaming`` is init-only: accepted as None/True, never stored
+        # or hashed, and False (the retired two-pass path) is rejected.
+        config = TvlaConfig(n_traces=64, seed=3)
+        assert TvlaConfig(n_traces=64, seed=3, streaming=True) == config
+        assert hash(replace(config, streaming=True)) == hash(config)
+        assert "streaming" not in {f.name for f in fields(config)}
+        assert pickle.loads(pickle.dumps(config)) == config
+        for value in (False, 0, "yes"):
+            with pytest.raises(ValueError, match="streaming"):
+                TvlaConfig(streaming=value)
 
     def test_schedule_reuse_matches_internal_build(self, tiny_netlist,
                                                    tvla_config):
@@ -674,8 +725,9 @@ class TestHigherOrderAssessment:
             TvlaConfig(tvla_order=0)
 
     def test_higher_order_forces_streaming(self):
+        # Every order is read off the folded moments; order 2 needs them
+        # up to the 4th.
         config = TvlaConfig(n_traces=100, chunk_traces=2048, tvla_order=2)
-        assert config.resolved_streaming()
         assert config.moment_order() == 4
 
     def test_order_results_shape_and_summary(self, tiny_netlist):

@@ -47,7 +47,7 @@ SHARD_TVLA = dict(n_traces=600, n_fixed_classes=2, seed=9, chunk_traces=128)
 
 @pytest.fixture(scope="module")
 def sharded_config() -> TvlaConfig:
-    return TvlaConfig(streaming=True, **SHARD_TVLA)
+    return TvlaConfig(**SHARD_TVLA)
 
 
 class TestShardRanges:
@@ -134,7 +134,7 @@ class TestShardedRegression:
         sharded = assess_leakage_sharded(small_benchmark, sharded_config,
                                          n_shards=3)
         assert _assessment_bits(sharded) == _assessment_bits(reference)
-        assert sharded.streamed and sharded.n_shards == 3
+        assert sharded.n_shards == 3
 
     def test_fixed_seed_reruns_bit_identical(self, small_benchmark,
                                              sharded_config, process_pool):
@@ -278,8 +278,7 @@ def _running_fold(netlist, config):
                                                class_index)
         class_results.append(results_from_accumulators(acc0, acc1, config))
     return aggregate_class_results(class_results, netlist.name,
-                                   generator.gate_names, config, 0.0,
-                                   streamed=True)
+                                   generator.gate_names, config, 0.0)
 
 
 class TestParallelChunkDriver:
@@ -293,7 +292,7 @@ class TestParallelChunkDriver:
             self, small_benchmark, process_pool, monkeypatch, tvla_order,
             n_traces, chunk_traces):
         config = TvlaConfig(n_traces=n_traces, chunk_traces=chunk_traces,
-                            n_fixed_classes=2, seed=9, streaming=True,
+                            n_fixed_classes=2, seed=9,
                             tvla_order=tvla_order)
         references = [_running_fold(small_benchmark, config)] + [
             assess_leakage_sharded(small_benchmark, config, n_shards=n_shards,
@@ -338,8 +337,7 @@ class TestParallelChunkDriver:
 
         monkeypatch.setattr(tvla_assessment, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 1)
-        assessment = assess_leakage(small_benchmark, sharded_config)
-        assert assessment.streamed
+        assess_leakage(small_benchmark, sharded_config)
 
     def test_failing_chunk_propagates_without_leaking_threads(
             self, small_benchmark, sharded_config, monkeypatch):

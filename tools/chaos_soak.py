@@ -74,7 +74,7 @@ DESIGN = dict(name="des3", scale=0.25, seed=99)
 N_SHARDS = 3
 #: The campaign configuration every soak run (and its clean rerun) uses.
 CONFIG = TvlaConfig(n_traces=240, n_fixed_classes=2, seed=9,
-                    chunk_traces=48, streaming=True)
+                    chunk_traces=48)
 
 #: The doomed worker SIGKILLs itself at its first shard's entry point.
 DOOMED_PLAN = "worker.shard:mode=crash,max=1"
@@ -112,8 +112,7 @@ def soak(root: Path, host: str, port: int) -> int:
     netlist = load_benchmark(DESIGN["name"], scale=DESIGN["scale"],
                              seed=DESIGN["seed"])
     spec = CampaignSpec.from_netlist(netlist, CONFIG,
-                                     n_shards=N_SHARDS,
-                                     force_streaming=True)
+                                     n_shards=N_SHARDS)
     queue = campaign_queue(root)
     client = ServiceClient(host, port)
     try:

@@ -435,19 +435,18 @@ def test_sharded_tvla_scaling(masked_design, recorder):
 def test_campaign_overhead_microbench(design, recorder, tmp_path):
     """Queue + store overhead of the campaign subsystem vs in-process shards.
 
-    Runs the same 2-shard campaign three ways — in process
-    (``executor=None``), queue-backed ``QueueExecutor`` (SQLite lease/ack
-    per shard), and the full durable runner (submit → work → checkpoint →
-    merge → store) — plus a store cache hit, and records the wall-clock of
-    each as ``microbench_campaign_overhead`` in ``latest.json``.
-    Correctness is asserted (bitwise for the queue executor, ~1e-12 for
-    the durable runner, bit-identical for the cache hit); the recorded
+    Runs the same 2-shard campaign two ways — in process
+    (``executor=None``) and through the full durable runner (submit →
+    SQLite lease/ack per shard → checkpoint → merge → store) — plus a
+    store cache hit, and records the wall-clock of each as
+    ``microbench_campaign_overhead`` in ``latest.json``.  Correctness is
+    asserted (~1e-12 for the durable runner, bit-identical for the cache
+    hit); the recorded
     overhead documents what durability costs at small scale, where the
     fixed per-task queue round-trips are most visible — at paper scale the
     shard compute dominates.
     """
-    from repro.campaign import QueueExecutor, collect_result, run_campaign, \
-        submit_campaign
+    from repro.campaign import collect_result, run_campaign, submit_campaign
 
     config = TvlaConfig(n_traces=600, n_fixed_classes=2, seed=11,
                         chunk_traces=150)
@@ -456,13 +455,6 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
     start = time.perf_counter()
     in_process = assess_leakage_sharded(design, config, n_shards=n_shards)
     in_process_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    with QueueExecutor(tmp_path / "queue.sqlite", n_workers=n_shards) as pool:
-        queued = assess_leakage_sharded(design, config, n_shards=n_shards,
-                                        executor=pool)
-    queue_seconds = time.perf_counter() - start
-    assert np.array_equal(queued.t_values, in_process.t_values)
 
     root = tmp_path / "campaigns"
     start = time.perf_counter()
@@ -490,7 +482,6 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
         / in_process_seconds * 100.0,
     } for variant, seconds in (
         ("in_process", in_process_seconds),
-        ("queue_executor", queue_seconds),
         ("durable_campaign", durable_seconds),
         ("store_cache_hit", cache_seconds),
     )]
@@ -527,7 +518,6 @@ def test_service_streaming_microbench(design, recorder, tmp_path):
     from repro.campaign.serialize import unpack_shard_moments
     from repro.service.protocol import (ShardPartial, decode_message,
                                         encode_message)
-    from repro.tvla.assessment import aggregate_class_results
     from repro.tvla.sharding import merge_shard_partials
 
     config = TvlaConfig(n_traces=600, n_fixed_classes=2, seed=11,
@@ -553,10 +543,8 @@ def test_service_streaming_microbench(design, recorder, tmp_path):
     fold_loops = 20
 
     def fold():
-        class_results = merge_shard_partials(partials, config)
-        return aggregate_class_results(class_results, design.name,
-                                       reference.gate_names, config, 0.0,
-                                       n_shards=n_shards)
+        return merge_shard_partials(partials, config, design.name,
+                                    reference.gate_names, 0.0, n_shards)
 
     fold_seconds = timeit.timeit(fold, number=fold_loops)
     # The fold must reproduce the batch merge bitwise — the property the

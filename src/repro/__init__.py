@@ -20,8 +20,7 @@ offline, pure-Python substrate:
   XAI-guided masking) and the end-to-end pipeline;
 * :mod:`repro.campaign` -- distributed, resumable TVLA campaign
   orchestration: content-hashed campaign specs, a SQLite task queue with
-  lease/ack/retry (``QueueExecutor`` plugs into the sharded drivers),
-  checkpoint/resume, a content-addressed result store and the
+  lease/ack/retry, checkpoint/resume, a content-addressed result store and the
   ``polaris-campaign`` CLI;
 * :mod:`repro.baselines` -- the VALIANT comparison flow;
 * :mod:`repro.workloads` -- the training / evaluation design suites.

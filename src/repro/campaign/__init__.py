@@ -6,8 +6,7 @@ multi-worker jobs:
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, the content-hashed
   job description (netlist + config + shard layout);
 * :mod:`repro.campaign.queue` — a SQLite task queue with lease/ack/retry
-  semantics and :class:`QueueExecutor`, a drop-in
-  :class:`concurrent.futures.Executor` for the sharded TVLA drivers;
+  semantics and :func:`run_worker`, the claim/execute/ack loop;
 * :mod:`repro.campaign.runner` — submit / work / checkpoint / resume /
   collect orchestration over a shared campaign root;
 * :mod:`repro.campaign.store` — the content-addressed result store
@@ -30,8 +29,6 @@ shard checkpoints.  See ``docs/campaigns.md``.
 
 from .queue import (
     ClaimedTask,
-    QueueExecutor,
-    TaskFailedError,
     TaskQueue,
     run_worker,
 )
@@ -73,10 +70,8 @@ __all__ = [
     "CampaignStatus",
     "ClaimedTask",
     "GcOutcome",
-    "QueueExecutor",
     "ResultStore",
     "SubmitOutcome",
-    "TaskFailedError",
     "TaskQueue",
     "assessment_from_dict",
     "assessment_to_dict",

@@ -1,12 +1,13 @@
 """Filesystem/SQLite-backed task queue with lease/ack/retry semantics.
 
-This is the distributed backend the ROADMAP's executor seam was built for:
 :class:`TaskQueue` is a durable multi-producer/multi-consumer queue living
-in a single SQLite file (WAL mode), and :class:`QueueExecutor` adapts it to
-the :class:`concurrent.futures.Executor` interface — so
-:func:`repro.tvla.sharding.assess_leakage_sharded` / ``assess_many`` gain
-cross-process and cross-machine workers with **zero API change**: pass a
-``QueueExecutor`` as their ``executor``, as any caller-owned executor.
+in a single SQLite file (WAL mode).  Its one client is the campaign runner
+(:mod:`repro.campaign.runner`): ``submit_campaign`` enqueues shard tasks,
+:func:`run_worker` (``polaris-campaign work``, ``run_campaign``, service
+workers) executes them, and ``collect_result`` merges their durable
+checkpoints.  A task's return value is stored with its ack and readable
+through :meth:`TaskQueue.outcome`, but results reach the caller through
+the checkpoints, not the queue.
 
 Queue protocol (also documented in ``docs/campaigns.md``):
 
@@ -47,11 +48,10 @@ import threading
 import time
 import traceback
 import uuid
-from concurrent.futures import Executor, Future
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from ..reliability import faults
 from ..reliability.policy import RetryPolicy
@@ -88,10 +88,6 @@ _MIGRATION_COLUMNS = (
     ("heartbeat_at", "REAL"),
     ("renewals", "INTEGER NOT NULL DEFAULT 0"),
 )
-
-
-class TaskFailedError(RuntimeError):
-    """A queued task exhausted its attempts; carries the worker traceback."""
 
 
 #: How often a draining worker's settle wait re-checks its ``stop_event``.
@@ -463,24 +459,6 @@ class TaskQueue:
                 (key,)).fetchone()
         return None if row is None else (row[0], row[1], row[2])
 
-    def finished(self, task_ids: List[int]) -> Dict[int, Tuple[str, Optional[bytes],
-                                                               Optional[str]]]:
-        """Subset of ``task_ids`` that reached ``done``/``failed``."""
-        if not task_ids:
-            return {}
-        results: Dict[int, Tuple[str, Optional[bytes], Optional[str]]] = {}
-        with self._connect() as conn:
-            for start in range(0, len(task_ids), 500):
-                batch = task_ids[start:start + 500]
-                marks = ",".join("?" for _ in batch)
-                rows = conn.execute(
-                    f"SELECT id, status, result, error FROM tasks"
-                    f" WHERE id IN ({marks})"
-                    f" AND status IN ('done', 'failed')", batch).fetchall()
-                for task_id, status, result, error in rows:
-                    results[int(task_id)] = (status, result, error)
-        return results
-
     def counts(self) -> Dict[str, int]:
         """Tasks per state (an expired lease still counts as ``leased``)."""
         counts = {state: 0 for state in TASK_STATES}
@@ -497,7 +475,7 @@ class TaskQueue:
 
 
 # ----------------------------------------------------------------------
-# Worker loop (used by QueueExecutor threads and the CLI `work` command)
+# Worker loop (the CLI `work` command, run_campaign and the service)
 # ----------------------------------------------------------------------
 class _LeaseRenewer:
     """Background heartbeat that renews one claimed task's lease.
@@ -676,128 +654,3 @@ def _report_outcome(report, task_id: int, lease_token: str,
     """
     _OUTCOME_RETRY.call(lambda: report(task_id, lease_token, payload),
                         retry_on=(sqlite3.Error, OSError), reraise=False)
-
-
-# ----------------------------------------------------------------------
-# Executor adapter
-# ----------------------------------------------------------------------
-class QueueExecutor(Executor):
-    """A :class:`concurrent.futures.Executor` backed by a :class:`TaskQueue`.
-
-    Drop-in for the sharded TVLA drivers::
-
-        executor = QueueExecutor(root / "queue.sqlite", n_workers=2)
-        with executor:
-            assessment = assess_leakage_sharded(netlist, config,
-                                                n_shards=4,
-                                                executor=executor)
-
-    ``submit`` pickles ``(fn, args, kwargs)`` into the queue and returns a
-    normal :class:`~concurrent.futures.Future`; a daemon poller thread
-    resolves futures as acks land.  Work is executed by whoever serves the
-    queue: the executor's own ``n_workers`` in-process worker threads,
-    and/or external ``polaris-campaign work`` processes on any machine
-    sharing the queue file.  Like every caller-owned executor, it receives
-    pickled netlists from the sharded drivers (each task rebuilds its own
-    generator), never in-process state.
-    """
-
-    def __init__(self, queue: Union[TaskQueue, str, Path],
-                 n_workers: int = 0,
-                 poll_interval: float = 0.05,
-                 lease_seconds: Optional[float] = None) -> None:
-        if not isinstance(queue, TaskQueue):
-            queue = TaskQueue(queue)
-        if n_workers < 0:
-            raise ValueError("n_workers must be >= 0")
-        self.queue = queue
-        self._poll_interval = float(poll_interval)
-        self._lease_seconds = lease_seconds
-        self._lock = threading.Lock()
-        self._futures: Dict[int, Future] = {}
-        self._stop = threading.Event()
-        self._poller: Optional[threading.Thread] = None
-        self._workers = [
-            threading.Thread(
-                target=run_worker,
-                kwargs=dict(queue=self.queue, worker=f"inline-{index}",
-                            poll_interval=self._poll_interval,
-                            lease_seconds=self._lease_seconds,
-                            stop_event=self._stop),
-                name=f"queue-worker-{index}", daemon=True)
-            for index in range(n_workers)
-        ]
-        for thread in self._workers:
-            thread.start()
-
-    # ------------------------------------------------------------------
-    def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
-        """Enqueue ``fn(*args, **kwargs)``; resolve the future on ack."""
-        if self._stop.is_set():
-            raise RuntimeError("cannot submit to a shut-down QueueExecutor")
-        payload = pickle.dumps((fn, args, kwargs),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        task_id = self.queue.put(payload).task_id
-        future: Future = Future()
-        with self._lock:
-            self._futures[task_id] = future
-            if self._poller is None:
-                self._poller = threading.Thread(target=self._poll_loop,
-                                                name="queue-poller",
-                                                daemon=True)
-                self._poller.start()
-        return future
-
-    def _poll_loop(self) -> None:
-        while not self._stop.is_set():
-            with self._lock:
-                waiting = [task_id for task_id, future in self._futures.items()
-                           if not future.done()]
-            if waiting:
-                try:
-                    finished = self.queue.finished(waiting)
-                except Exception:
-                    # Transient DB hiccup (e.g. the queue file's filesystem
-                    # stalls): keep the poller alive and retry next tick —
-                    # a dead poller would hang every outstanding future.
-                    finished = {}
-                for task_id, (status, result, error) in finished.items():
-                    with self._lock:
-                        future = self._futures.pop(task_id, None)
-                    if future is None or future.done():
-                        continue  # resolved or cancelled by the caller
-                    try:
-                        if status == "done":
-                            future.set_result(pickle.loads(result))
-                        else:
-                            future.set_exception(TaskFailedError(
-                                error or "task failed"))
-                    except Exception as exc:
-                        # A result that does not unpickle here (foreign
-                        # worker build) must fail its own future, never
-                        # kill the poller for everyone else.
-                        if not future.done():
-                            future.set_exception(TaskFailedError(
-                                f"task {task_id} result could not be "
-                                f"decoded: {exc!r}"))
-            self._stop.wait(self._poll_interval)
-
-    def shutdown(self, wait: bool = True, *,
-                 cancel_futures: bool = False) -> None:
-        """Stop the poller and in-process workers.
-
-        ``cancel_futures=True`` cancels unresolved futures locally; the
-        underlying queue rows are left untouched (another worker may still
-        complete them — the queue, not the executor, owns task state).
-        """
-        if cancel_futures:
-            with self._lock:
-                futures = list(self._futures.values())
-            for future in futures:
-                future.cancel()
-        self._stop.set()
-        if wait:
-            for thread in self._workers:
-                thread.join(timeout=30.0)
-            if self._poller is not None:
-                self._poller.join(timeout=30.0)

@@ -43,6 +43,7 @@ from ..reliability import faults
 from ..reliability.atomic import atomic_write_bytes
 from ..reliability.checkpoint import (
     CheckpointCorruptError,
+    checkpoint_ok,
     load_checkpoint,
     quarantine_checkpoint,
     seal_checkpoint,
@@ -51,12 +52,11 @@ from ..tvla.assessment import (
     CampaignPair,
     LeakageAssessment,
     TvlaConfig,
-    aggregate_class_results,
     campaign_schedule,
     resolve_generator,
 )
 from ..tvla.sharding import _shard_moments, merge_shard_partials
-from .queue import TaskQueue
+from .queue import PutOutcome, TaskQueue
 from .serialize import pack_shard_moments, unpack_shard_moments
 from .spec import CampaignSpec
 from .store import ResultStore
@@ -137,14 +137,29 @@ def verified_checkpoint(paths: CampaignPaths, shard_index: int,
         except FileNotFoundError:
             return None  # another participant quarantined it first
         if queue is not None:
-            task = pickle.dumps(
-                (run_shard_task,
-                 (str(paths.root), paths.spec_hash, shard_index), {}),
-                protocol=pickle.HIGHEST_PROTOCOL)
-            queue.put(task, key=paths.shard_key(shard_index),
-                      requeue_done=True)
+            _enqueue_shard(queue, paths, shard_index)
         return None
     return payload, partials
+
+
+def _enqueue_shard(queue: TaskQueue, paths: CampaignPaths,
+                   shard_index: int) -> PutOutcome:
+    """Put one shard's :func:`run_shard_task` under its idempotent key
+    (mutates ``queue``).
+
+    Only called for a shard whose checkpoint is missing or quarantined, so
+    a ``done`` queue row for its key is a stale completion record (the
+    checkpoint was garbage-collected or corrupt) and is requeued
+    (``requeue_done=True``) instead of blocking the recompute; a
+    ``failed`` row gets a fresh attempt budget, and a pending or leased
+    task is left alone.  One transaction decides the outcome, so
+    concurrent submitters cannot double count.
+    """
+    payload = pickle.dumps(
+        (run_shard_task, (str(paths.root), paths.spec_hash, shard_index), {}),
+        protocol=pickle.HIGHEST_PROTOCOL)
+    return queue.put(payload, key=paths.shard_key(shard_index),
+                     requeue_done=True)
 
 
 def load_spec(root: Union[str, Path], spec_hash: str) -> CampaignSpec:
@@ -350,23 +365,10 @@ def submit_campaign(root: Union[str, Path],
     # enqueue loop below then requeues them like any other absent shard.
     missing = [k for k in range(len(ranges))
                if verified_checkpoint(paths, k) is None]
-    n_enqueued = 0
-    for shard_index in missing:
-        payload = pickle.dumps(
-            (run_shard_task, (str(root), spec_hash, shard_index), {}),
-            protocol=pickle.HIGHEST_PROTOCOL)
-        # One transaction decides inserted/existing/requeued, so
-        # concurrent submitters cannot double count — and a shard that
-        # previously exhausted its retries (transient crash cause) gets a
-        # fresh attempt budget instead of wedging the campaign forever.
-        # requeue_done: this loop only reaches shards whose checkpoint is
-        # missing, so a 'done' queue row here is a stale completion record
-        # (the checkpoint was garbage-collected) and must not block the
-        # recompute.
-        outcome = queue.put(payload, key=paths.shard_key(shard_index),
-                            requeue_done=True)
-        if outcome.action in ("inserted", "requeued"):
-            n_enqueued += 1
+    n_enqueued = sum(
+        1 for shard_index in missing
+        if _enqueue_shard(queue, paths, shard_index).action
+        in ("inserted", "requeued"))
     done = len(ranges) - len(missing)
     return SubmitOutcome(spec=spec, spec_hash=spec_hash,
                          status="resumed" if done else "submitted",
@@ -433,20 +435,11 @@ def run_shard_task(root: str, spec_hash: str,
     published bytes.
     """
     paths = CampaignPaths(Path(root), spec_hash)
-    shard_path = paths.shard_path(shard_index)
-    if shard_path.exists():
-        try:
-            payload = load_checkpoint(shard_path)
-            unpack_shard_moments(payload)
-        except (CheckpointCorruptError, ValueError):
-            try:
-                quarantine_checkpoint(shard_path)
-            except FileNotFoundError:
-                pass  # a concurrent participant quarantined it first
-        else:
-            _notify_partial(root, spec_hash, shard_index, payload)
-            return {"spec_hash": spec_hash, "shard": shard_index,
-                    "skipped": True}
+    found = verified_checkpoint(paths, shard_index)
+    if found is not None:
+        _notify_partial(root, spec_hash, shard_index, found[0])
+        return {"spec_hash": spec_hash, "shard": shard_index,
+                "skipped": True}
     rule = faults.perturb("worker.shard")
     if rule is not None and rule.mode == "error":
         raise CampaignError(
@@ -467,7 +460,7 @@ def run_shard_task(root: str, spec_hash: str,
     # deliveries racing here each use a private temp file and produce
     # identical bytes.  The hook receives the *payload* — the seal trailer
     # is a property of the file, not of the streamed partial.
-    atomic_write_bytes(shard_path, seal_checkpoint(packed),
+    atomic_write_bytes(paths.shard_path(shard_index), seal_checkpoint(packed),
                        fault_site="checkpoint.write")
     _notify_partial(root, spec_hash, shard_index, packed)
     return {"spec_hash": spec_hash, "shard": shard_index, "skipped": False,
@@ -513,7 +506,10 @@ def campaign_status(root: Union[str, Path], spec_hash: str,
     spec = load_spec(root, spec_hash)
     paths = CampaignPaths(root, spec_hash, key_prefix=shard_key_prefix)
     ranges = spec.shard_ranges()
-    done = [k for k in range(len(ranges)) if paths.shard_path(k).exists()]
+    # Read-only: a corrupt checkpoint counts as missing here but is left in
+    # place; the next submit or collect quarantines and requeues it.
+    done = [k for k in range(len(ranges))
+            if checkpoint_ok(paths.shard_path(k))]
     if queue is None:
         queue = campaign_queue(root)
     failed = []
@@ -541,24 +537,6 @@ def list_campaigns(root: Union[str, Path],
                             shard_key_prefix=shard_key_prefix)
             for path in sorted(campaigns_dir.iterdir())
             if (path / "spec.json").exists()]
-
-
-def _merge_shard_results(shard_results: List[tuple],
-                         context: _CampaignContext,
-                         started_at: float) -> LeakageAssessment:
-    """Merge verified shard partials into the final assessment.
-
-    Delegates to :func:`repro.tvla.sharding.merge_shard_partials` — the
-    same merge (same shard-order association) the in-process driver uses,
-    so a resumed or distributed campaign is bit-identical to an
-    uninterrupted one with the same layout.
-    """
-    spec = context.spec
-    class_results = merge_shard_partials(shard_results, spec.tvla)
-    return aggregate_class_results(class_results, spec.design_name,
-                                   context.gate_names, spec.tvla,
-                                   time.perf_counter() - started_at,
-                                   n_shards=len(spec.shard_ranges()))
 
 
 def collect_result(root: Union[str, Path], spec_hash: str,
@@ -611,6 +589,15 @@ def collect_result(root: Union[str, Path], spec_hash: str,
         started_at = time.perf_counter()
         deadline = None if timeout is None else time.monotonic() + timeout
         verified: Dict[int, tuple] = {}
+
+        def merge_verified() -> LeakageAssessment:
+            # Shard order: a resumed or distributed campaign merges
+            # bit-identically to an uninterrupted one with the same layout.
+            return merge_shard_partials(
+                [verified[k] for k in sorted(verified)], spec.tvla,
+                spec.design_name, context.gate_names,
+                time.perf_counter() - started_at, len(ranges))
+
         while True:
             missing = []
             for shard_index in range(len(ranges)):
@@ -633,9 +620,7 @@ def collect_result(root: Union[str, Path], spec_hash: str,
             if failed:
                 if allow_partial and len(failed) == len(missing) and verified:
                     # Every outstanding shard is terminally dead: degrade.
-                    assessment = _merge_shard_results(
-                        [verified[k] for k in sorted(verified)], context,
-                        started_at)
+                    assessment = merge_verified()
                     assessment.failed_shards = tuple(failed)
                     return assessment  # degraded — deliberately not stored
                 if not allow_partial or not verified:
@@ -647,8 +632,7 @@ def collect_result(root: Union[str, Path], spec_hash: str,
                     f"campaign {spec_hash[:12]}… still missing shards "
                     f"{missing} after {timeout:.1f}s")
             time.sleep(poll_interval)
-        assessment = _merge_shard_results(
-            [verified[k] for k in sorted(verified)], context, started_at)
+        assessment = merge_verified()
         store.put(spec_hash, assessment, metadata={
             "design_name": spec.design_name,
             "n_shards": len(ranges),

@@ -4,8 +4,8 @@ The offline environment has no xgboost, so this module implements binary
 gradient boosting with logistic loss over CART regression trees, including
 the features the paper's configuration relies on: a configurable learning
 rate (alpha = 0.01), per-sample weights (used for the weighted training
-that counters the theta_r class imbalance), subsampling, and second-order
-(Newton) leaf estimates in the XGBoost style.
+that counters the theta_r class imbalance) and second-order (Newton) leaf
+estimates in the XGBoost style.  Every round fits on all rows.
 """
 
 from __future__ import annotations
@@ -39,22 +39,18 @@ class GradientBoostingClassifier(BaseClassifier):
         n_estimators: Boosting rounds.
         learning_rate: Shrinkage per round.
         max_depth: Depth of each regression tree.
-        subsample: Row subsampling fraction per round (1.0 = none).
         min_samples_leaf: Minimum samples per leaf in the trees.
-        random_state: Seed for subsampling and tree feature selection.
+        random_state: Seed of the trees' feature selection.
     """
 
     def __init__(self, n_estimators: int = 150, learning_rate: float = 0.01,
-                 max_depth: int = 3, subsample: float = 1.0,
-                 min_samples_leaf: int = 1, random_state: int = 0) -> None:
+                 max_depth: int = 3, min_samples_leaf: int = 1,
+                 random_state: int = 0) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if not 0.0 < subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.subsample = subsample
         self.min_samples_leaf = min_samples_leaf
         self.random_state = random_state
         self.estimators_: List[DecisionTreeRegressor] = []
@@ -85,36 +81,25 @@ class GradientBoostingClassifier(BaseClassifier):
         base_rate = float(np.clip(np.average(targets, weights=weights), 1e-6, 1 - 1e-6))
         self.initial_score_ = float(np.log(base_rate / (1.0 - base_rate)))
 
-        rng = np.random.default_rng(self.random_state)
         scores = np.full(features.shape[0], self.initial_score_)
         self.estimators_ = []
-        # Without subsampling every round searches the same rows, so the
-        # rounds share one presort (and its node memo) for this fit.
-        presorted = None
-        if self.subsample >= 1.0:
-            presorted = _PresortedColumns(features, self.min_samples_leaf,
-                                          shared=True)
+        # Every round searches the same rows, so the rounds share one
+        # presort (and its node memo) for this fit.
+        presorted = _PresortedColumns(features, self.min_samples_leaf,
+                                      shared=True)
         for round_index in range(self.n_estimators):
             probabilities = _sigmoid(scores)
             gradient = targets - probabilities
             hessian = probabilities * (1.0 - probabilities)
-
-            rows = np.arange(features.shape[0])
-            if self.subsample < 1.0:
-                n_rows = max(2, int(round(self.subsample * rows.size)))
-                rows = rng.choice(rows.size, size=n_rows, replace=False)
-                presorted = _PresortedColumns(features[rows],
-                                              self.min_samples_leaf)
 
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 random_state=self.random_state + round_index,
             )
-            tree._fit_presorted(presorted, gradient[rows],
-                                sample_weight=weights[rows])
-            self._newton_adjust_leaves(tree, features[rows], gradient[rows],
-                                       hessian[rows], weights[rows])
+            tree._fit_presorted(presorted, gradient, sample_weight=weights)
+            self._newton_adjust_leaves(tree, features, gradient, hessian,
+                                       weights)
             update = tree.predict(features)
             scores = scores + self.learning_rate * update
             self.estimators_.append(tree)

@@ -12,10 +12,6 @@ blocks.  The raw counter words are consumed directly: a 64-bit block *is*
 eight packed mask bytes (the per-gate table gather indexes on the raw byte,
 so a separate per-trace mask integer never materialises), and noise
 popcounts are taken straight off 16-bit views of the same words.
-:meth:`CounterDraws.mask_planes` additionally emits the mask bits in packed
-bit-sliced form (one ``numpy.packbits`` plane per mask bit) for packed
-consumers, pinned against the byte emission by the property suite in
-``tests/test_ctrsample.py``.
 
 Production bits come from :class:`numpy.random.Philox` (C implementation);
 :func:`philox_blocks_reference` re-implements the full 10-round bumped-key
@@ -211,23 +207,6 @@ class CounterDraws:
         words = self._raw(MASK_LANE_BASE + subgroup_index,
                           words_for_units(count, np.uint8))
         return words.view(np.uint8)[:count].reshape(width, n_traces)
-
-    def mask_planes(self, subgroup_index: int, width: int, n_traces: int,
-                    mask_bits: int) -> np.ndarray:
-        """Mask bits in packed bit-sliced form.
-
-        Plane ``b`` holds bit ``b`` of every trace's mask index, packed
-        MSB-first (``numpy.packbits``): shape ``(mask_bits, width,
-        ceil(n_traces / 8))``, trailing pad bits zero.  Bitwise consistent
-        with :meth:`mask_bytes` by construction — the round-trip equality
-        (including non-multiple-of-8 ``n_traces``) is property-pinned.
-        """
-        if not 1 <= mask_bits <= 8:
-            raise ValueError(f"mask_bits must be in [1, 8], got {mask_bits}")
-        raw = self.mask_bytes(subgroup_index, width, n_traces)
-        planes = [np.packbits((raw >> bit) & np.uint8(1), axis=-1)
-                  for bit in range(mask_bits)]
-        return np.stack(planes)
 
     def noise_counts(self, shape: Tuple[int, ...]) -> np.ndarray:
         """Binomial(16, 1/2) popcounts straight off counter words."""

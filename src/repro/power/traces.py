@@ -19,11 +19,12 @@ Two implementations coexist:
   Python loop as the reference implementation for regression tests and the
   microbenchmark comparison.
 
-The netlist picks the trace engine; no option does:
+Every netlist runs on one production engine; ``sim_backend="loop"``
+selects the oracle:
 
-* a netlist the fused levelised kernel (:mod:`repro.simulation.compiled`)
-  can plan is simulated by it, and toggles are extracted straight from the
-  simulator's **bit-packed** state matrix
+* the fused levelised kernel (:mod:`repro.simulation.compiled`) simulates
+  the netlist, and toggles are extracted straight from the simulator's
+  **bit-packed** state matrix
   (:attr:`SimulationResult.packed_matrix`).  The power plan adopts the
   simulator's row numbering; unmasked gate toggles are one XOR over packed
   bytes followed by a single ``numpy.unpackbits`` of just the watched
@@ -31,12 +32,14 @@ The netlist picks the trace engine; no option does:
   share rows with shifts/ORs.  The full ``(n_signals, batch)`` boolean
   state matrix is **never materialised**, and the whole chunk is
   processed by GIL-releasing numpy calls;
-* a netlist the planner cannot fuse runs on the per-gate loop simulator,
-  and toggles come from a compact bool net-value matrix filled from its
+* ``sim_backend="loop"`` runs the per-gate loop simulator instead, and
+  toggles come from a compact bool net-value matrix filled from its
   net-value mapping.
 
-``sim_backend="loop"`` forces the second engine on any netlist.  That is
-the oracle seam tests use: both engines draw masks and noise identically
+A netlist the planner cannot fuse raises
+:class:`~repro.simulation.compiled.CompilationError` when the generator is
+built; it never degrades to the loop.  The loop is the oracle seam tests
+use: both engines draw masks and noise identically
 and produce bit-identical traces — and therefore exactly equal t-values —
 pinned by ``tests/test_packed_power.py``.
 
@@ -182,16 +185,17 @@ class PowerTraceGenerator:
         trace_dtype: dtype of the per-gate trace matrix.  ``float32``
             (default) halves memory traffic on the hot path; statistics are
             still computed in float64 downstream.
-        sim_backend: ``"compiled"`` (default) lets the netlist pick the
-            engine: the fused kernel with packed toggle extraction when the
-            planner can fuse it, the per-gate loop with bool-matrix
-            extraction otherwise.  ``"loop"`` forces the second engine on
-            any netlist; it is the bit-identical oracle tests compare the
-            default against, not a production setting.
+        sim_backend: ``"compiled"`` (default): the fused kernel with
+            packed toggle extraction.  ``"loop"`` runs the per-gate loop
+            with bool-matrix extraction; it is the bit-identical oracle
+            tests compare the default against, not a production setting.
 
     Raises:
         SimulationError: if a masked gate has fewer than two data inputs
-            (malformed masked composite).
+            (malformed masked composite); checked before the simulator is
+            built.
+        CompilationError: if the fused planner cannot plan the netlist
+            (``sim_backend="compiled"``).
         ValueError: for an unknown ``sim_backend`` selector.
     """
 
@@ -209,8 +213,6 @@ class PowerTraceGenerator:
         self.config = config if config is not None else PowerModelConfig()
         self.seed = seed
         self.trace_dtype = np.dtype(trace_dtype)
-        self._simulator = LogicSimulator(netlist, backend=sim_backend)
-        self._model = GatePowerModel(self.library, self.config, seed=seed)
 
         unmasked: List[Gate] = []
         masked: List[Gate] = []
@@ -227,6 +229,8 @@ class PowerTraceGenerator:
                 masked.append(gate)
             else:
                 unmasked.append(gate)
+        self._simulator = LogicSimulator(netlist, backend=sim_backend)
+        self._model = GatePowerModel(self.library, self.config, seed=seed)
 
         #: Per gate, the number of sinks its output drives (load model).
         self._fanouts: Dict[str, int] = {}

@@ -58,7 +58,7 @@ from ..campaign.serialize import (
     unpack_shard_moments,
 )
 from ..campaign.spec import CampaignSpec
-from ..tvla.assessment import LeakageAssessment, aggregate_class_results
+from ..tvla.assessment import LeakageAssessment
 from ..tvla.sharding import merge_shard_partials
 from .protocol import (
     CampaignAccepted,
@@ -425,15 +425,11 @@ class AssessmentService:
         shards are present this is *exactly* the batch merge and the
         resulting arrays are bitwise equal to ``collect_result``'s.
         """
-        config = campaign.spec.tvla
-        present = sorted(campaign.partials)
-        shard_results = [campaign.partials[k] for k in present]
-        class_results = merge_shard_partials(shard_results, config)
-        return aggregate_class_results(
-            class_results, campaign.spec.design_name,
-            campaign.gate_names(), config,
-            time.perf_counter() - campaign.started_at,
-            n_shards=campaign.n_shards)
+        return merge_shard_partials(
+            [campaign.partials[k] for k in sorted(campaign.partials)],
+            campaign.spec.tvla, campaign.spec.design_name,
+            campaign.gate_names(), time.perf_counter() - campaign.started_at,
+            campaign.n_shards)
 
     def _progress_frame(self, campaign: _Campaign,
                         assessment: LeakageAssessment) -> CampaignProgress:

@@ -45,9 +45,10 @@ This module removes the per-gate loop with a classic plan/execute split:
 The plan is immutable after construction and ``execute`` allocates fresh
 buffers per call, so one plan can be shared by concurrent threads.  Netlists
 the planner cannot fuse (malformed arities, port pseudo-cells instantiated
-as gates) raise :class:`CompilationError`; the simulator then falls back to
-the per-gate loop, which preserves the reference engine's lazy error
-behaviour.  The loop backend remains the oracle: the two backends are
+as gates) raise :class:`CompilationError`, and so does a
+:class:`~repro.simulation.simulator.LogicSimulator` built on them: there
+is no silent fallback to the per-gate loop.  The loop backend
+(``backend="loop"``) remains the oracle: the two backends are
 bit-identical on every net (pinned by ``tests/test_compiled_backend.py``).
 """
 
@@ -108,8 +109,9 @@ _GATE_KERNELS: Dict[GateType, Tuple[int, bool]] = {
 class CompilationError(Exception):
     """Raised when a netlist cannot be fused into levelised segments.
 
-    The simulator treats this as "use the per-gate reference loop", which
-    keeps the loop backend's lazy error semantics for malformed gates.
+    :class:`~repro.simulation.simulator.LogicSimulator` lets it propagate
+    at construction, so a malformed gate fails before any stimulus is
+    evaluated.
     """
 
 
@@ -159,8 +161,8 @@ def _plan_gate(gate: Gate) -> Tuple[int, List[str], bool]:
 
     Mirrors the validity conditions of the reference loop's static compile
     step; anything the loop would defer to the checked (lazily raising)
-    :func:`~repro.simulation.logic.evaluate_gate` path is rejected here so
-    the simulator falls back to the loop wholesale.
+    :func:`~repro.simulation.logic.evaluate_gate` path is rejected here, at
+    plan time.
 
     Raises:
         CompilationError: for gate arities/types the fused kernels do not
@@ -200,8 +202,7 @@ class CompiledNetlist:
             flip-flop outputs are level-0 signals like primary inputs.
 
     Raises:
-        CompilationError: if any combinational gate cannot be fused (the
-            caller should fall back to the per-gate reference loop).
+        CompilationError: if any combinational gate cannot be fused.
         LevelizationError: if the netlist has a combinational loop.
 
     Example (doctest)::

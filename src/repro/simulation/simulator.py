@@ -10,10 +10,13 @@ interchangeable backends implement the sweep:
   handful of large numpy segment kernels over one ``(n_signals, batch)``
   state matrix, releasing the GIL for the bulk of the work;
 * ``"loop"`` — the reference per-gate Python loop (one vectorised evaluator
-  call per gate), kept as the bit-identical oracle for regression tests.
+  call per gate), kept as the bit-identical oracle for regression tests and
+  run only on request.
 
-Netlists the planner cannot fuse fall back to the loop transparently, which
-preserves the reference engine's lazy error behaviour for malformed gates.
+A netlist the planner cannot fuse raises
+:class:`~repro.simulation.compiled.CompilationError` when the compiled
+simulator is built, instead of deferring the error to the first
+:meth:`LogicSimulator.evaluate` on the loop.
 
 Sequential designs are handled by treating flip-flop outputs as additional
 inputs of the combinational core: :meth:`LogicSimulator.evaluate` accepts an
@@ -29,7 +32,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from ..netlist.netlist import Netlist, NetlistError
-from .compiled import CompilationError, CompiledNetlist
+from .compiled import CompiledNetlist
 from .levelize import topological_gate_order
 from .logic import _EVALUATORS, evaluate_gate, supports_static_dispatch
 
@@ -169,8 +172,19 @@ class SimulationResult:
                 f"packed={self._packed is not None})")
 
     def output_values(self, netlist: Netlist) -> Dict[str, np.ndarray]:
-        """Values of the netlist's primary outputs."""
-        return {net: self.net_values[net] for net in netlist.primary_outputs}
+        """Values of the netlist's primary outputs.
+
+        Raises:
+            SimulationError: if a primary output has no driver (such a
+                netlist fails :func:`~repro.netlist.validate_netlist`).
+        """
+        values = self.net_values
+        undriven = [net for net in netlist.primary_outputs
+                    if net not in values]
+        if undriven:
+            raise SimulationError(
+                f"primary output(s) without a driver: {', '.join(undriven)}")
+        return {net: values[net] for net in netlist.primary_outputs}
 
     def gate_output(self, netlist: Netlist, gate_name: str) -> np.ndarray:
         """Value of the output net of ``gate_name``."""
@@ -190,12 +204,12 @@ class LogicSimulator:
     Args:
         netlist: The design to simulate.
         backend: ``"compiled"`` (default, the fused levelised kernel) or
-            ``"loop"`` (the per-gate reference sweep).  A netlist the
-            planner cannot fuse silently falls back to the loop; the
-            backend actually in use is exposed as :attr:`backend`.
+            ``"loop"`` (the per-gate reference sweep, the oracle).
 
     Raises:
         ValueError: for unknown backend selectors.
+        CompilationError: if the compiled backend cannot plan the netlist
+            (malformed arities, port pseudo-cells instantiated as gates).
     """
 
     def __init__(self, netlist: Netlist, backend: str = "compiled") -> None:
@@ -205,23 +219,16 @@ class LogicSimulator:
         self.netlist = netlist
         self._dff_gates = list(netlist.sequential_gates())
 
-        #: The fused levelised plan, or ``None`` when the loop backend is
-        #: active (requested, or forced by an unfusable netlist).
-        self._plan: Optional[CompiledNetlist] = None
-        if backend == "compiled":
-            try:
-                self._plan = CompiledNetlist(netlist)
-            except CompilationError:
-                self._plan = None
+        #: The fused levelised plan, or ``None`` on the loop backend.
+        self._plan: Optional[CompiledNetlist] = (
+            CompiledNetlist(netlist) if backend == "compiled" else None)
 
-        # The loop dispatch plan is only built when it will actually run
-        # (requested loop backend, or compiled fallback): resolve each
-        # gate's evaluator, input tuple and output-inversion flag so the
-        # per-batch loop is a straight run of vectorised ufunc calls.
-        # Gates whose operand counts cannot be validated statically keep
-        # the checked :func:`evaluate_gate` path (and its lazy errors) —
-        # the same predicate the fused planner enforces, so the backends
-        # accept/reject identical netlists.
+        # The loop dispatch plan is only built for the loop backend:
+        # resolve each gate's evaluator, input tuple and output-inversion
+        # flag so the per-batch loop is a straight run of vectorised ufunc
+        # calls.  Gates whose operand counts cannot be validated
+        # statically keep the checked :func:`evaluate_gate` path (and its
+        # lazy errors) — the gates the fused planner rejects up front.
         self._order: List[str] = []
         self._compiled = []
         if self._plan is None:
@@ -240,8 +247,8 @@ class LogicSimulator:
                                 and gate.attributes.get("inverted_output"))
                 self._compiled.append(
                     (evaluator, tuple(gate.inputs), gate.output, inverted))
-        #: The backend actually in use (``"compiled"`` or ``"loop"``).
-        self.backend: str = "compiled" if self._plan is not None else "loop"
+        #: The backend in use (``"compiled"`` or ``"loop"``).
+        self.backend: str = backend
 
     @property
     def plan(self) -> Optional[CompiledNetlist]:

@@ -19,15 +19,15 @@ Three properties make the result trustworthy:
   exact association — so sharded t-values are **bitwise equal** to serial
   ones for any shard count and executor.
 * **One in-process driver** — with ``executor=None`` (the default) a
-  sharded campaign runs through the chunk-task engine of
-  :func:`~repro.tvla.assessment.assess_leakage`, which already spreads its
-  ``(class, group, chunk)`` tasks over every CPU; the shard layout is
-  validated and recorded but does not change the work.  A caller-owned
-  :class:`~concurrent.futures.Executor` (a process pool, a
-  :class:`~repro.campaign.queue.QueueExecutor`, any other) is the only
-  remote path: each shard ships the netlist and its stimulus slice to
-  :func:`_shard_moments_rebuilt`, which rebuilds the trace generator
-  wherever it runs.
+  sharded campaign *is* :func:`~repro.tvla.assessment.assess_leakage`,
+  whose chunk-task engine already spreads its ``(class, group, chunk)``
+  tasks over every CPU; the shard layout is validated and recorded but
+  does not change the work.  A caller-owned
+  :class:`~concurrent.futures.Executor` (a process or thread pool) is the
+  only remote path: each shard ships the netlist and its stimulus slice
+  to :func:`_shard_moments_rebuilt`, which rebuilds the trace generator
+  wherever it runs.  Cross-process work on the durable queue goes through
+  :mod:`repro.campaign.runner` instead.
 
 :func:`assess_many` extends the same machinery to *multiple designs*;
 under a caller executor all (design, shard) tasks are submitted up front,
@@ -47,16 +47,15 @@ from .assessment import (
     CampaignPair,
     LeakageAssessment,
     TvlaConfig,
-    _streamed_class_results,
     accumulate_campaign_chunks,
     aggregate_class_results,
+    assess_leakage,
     campaign_schedule,
     resolve_generator,
     results_from_accumulators,
     validate_campaigns,
 )
 from .moments import OnePassMoments, fold_moments
-from .welch import WelchResult
 
 #: One shard's partials: per fixed class, a (group0, group1) pair of
 #: **per-chunk accumulator lists** in local chunk order, returned unmerged
@@ -143,20 +142,19 @@ class _ShardedDesign:
     netlist: Netlist
     campaigns: Sequence[CampaignPair]
     ranges: Tuple[Tuple[int, int], ...]
-    generator: PowerTraceGenerator
+    gate_names: Tuple[str, ...]
     started_at: float
     futures: List["Future[ShardChunkMoments]"] = field(default_factory=list)
 
 
 def _prepare_design(netlist: Netlist, config: TvlaConfig, n_shards: int,
-                    generator: Optional[PowerTraceGenerator],
                     campaigns: Optional[Sequence[CampaignPair]]
                     ) -> _ShardedDesign:
     """Build (or validate) the schedule and the shard layout of a design.
 
-    The generator is resolved on both paths: remote shards rebuild their
-    own, but the gate order is a pure function of the netlist and power
-    plan, so it is derived locally once.
+    Remote shards rebuild their own generator, but the gate order is a
+    pure function of the netlist and power plan, so it is derived locally
+    once.
     """
     started_at = time.perf_counter()
     if campaigns is None:
@@ -167,25 +165,37 @@ def _prepare_design(netlist: Netlist, config: TvlaConfig, n_shards: int,
                                 config.chunk_traces)
     return _ShardedDesign(netlist=netlist, campaigns=campaigns,
                           ranges=ranges,
-                          generator=resolve_generator(netlist, config,
-                                                      generator),
+                          gate_names=resolve_generator(netlist, config,
+                                                       None).gate_names,
                           started_at=started_at)
 
 
 def merge_shard_partials(shard_results: Sequence[ShardChunkMoments],
-                         config: TvlaConfig) -> List[Dict[int, WelchResult]]:
-    """Merge per-shard accumulator sets into per-class Welch results.
+                         config: TvlaConfig, design_name: str,
+                         gate_names: Tuple[str, ...], elapsed_seconds: float,
+                         n_shards: int) -> LeakageAssessment:
+    """Merge per-shard accumulator sets into one design's assessment.
 
     The single definition of the campaign merge, shared by the
     caller-executor path of :func:`assess_leakage_sharded`, the durable
-    runner (:mod:`repro.campaign.runner`) and the service.  Shard ranges
-    are contiguous and ascending, so concatenating the per-chunk
-    accumulators in shard order lists every chunk in global chunk order,
-    and the left-fold below reproduces the serial run's association
-    exactly — the same :func:`~repro.tvla.moments.fold_moments`
-    the serial driver folds its chunks with — so the merged accumulator
-    (and every t-value) is **bitwise equal** to the serial run's,
-    independent of shard layout.
+    runner (:mod:`repro.campaign.runner`) and the service's interim fold.
+    Shard ranges are contiguous and ascending, so concatenating the
+    per-chunk accumulators in shard order lists every chunk in global chunk
+    order, and the left-fold below reproduces the serial run's association
+    exactly — the same :func:`~repro.tvla.moments.fold_moments` the serial
+    driver folds its chunks with — so the merged accumulator (and every
+    t-value) is **bitwise equal** to the serial run's, independent of shard
+    layout.  The per-class Welch results are then aggregated exactly as the
+    serial driver aggregates them (:func:`aggregate_class_results`).
+
+    Args:
+        shard_results: Each shard's partials, in shard order (a subset of
+            the shards folds the chunks those shards cover).
+        config: The campaign configuration.
+        design_name: Recorded as :attr:`LeakageAssessment.design_name`.
+        gate_names: Column order of the partials' accumulators.
+        elapsed_seconds: Recorded as the assessment's wall-clock time.
+        n_shards: Shards in the campaign's layout (recorded).
     """
     n_classes = len(shard_results[0])
     class_results = []
@@ -196,29 +206,8 @@ def merge_shard_partials(shard_results: Sequence[ShardChunkMoments],
                 stream.extend(part)
         class_results.append(results_from_accumulators(
             fold_moments(streams[0]), fold_moments(streams[1]), config))
-    return class_results
-
-
-def _finish_design(design: _ShardedDesign,
-                   class_results: List[Dict[int, WelchResult]],
-                   config: TvlaConfig) -> LeakageAssessment:
-    """Aggregate one design's per-class results into its assessment."""
-    elapsed = time.perf_counter() - design.started_at
-    return aggregate_class_results(class_results, design.netlist.name,
-                                   design.generator.gate_names, config,
-                                   elapsed, n_shards=len(design.ranges))
-
-
-def _assess_in_process(netlist: Netlist, config: TvlaConfig, n_shards: int,
-                       generator: Optional[PowerTraceGenerator],
-                       campaigns: Optional[Sequence[CampaignPair]]
-                       ) -> LeakageAssessment:
-    """The ``executor=None`` path: the serial driver's chunk-task engine."""
-    design = _prepare_design(netlist, config, n_shards, generator, campaigns)
-    return _finish_design(
-        design,
-        _streamed_class_results(design.generator, design.campaigns, config),
-        config)
+    return aggregate_class_results(class_results, design_name, gate_names,
+                                   config, elapsed_seconds, n_shards=n_shards)
 
 
 def _assess_remote(netlists: Sequence[Netlist], config: TvlaConfig,
@@ -236,8 +225,7 @@ def _assess_remote(netlists: Sequence[Netlist], config: TvlaConfig,
     designs: List[_ShardedDesign] = []
     try:
         for netlist in netlists:
-            design = _prepare_design(netlist, config, n_shards, None,
-                                     campaigns)
+            design = _prepare_design(netlist, config, n_shards, campaigns)
             designs.append(design)
             for start, stop in design.ranges:
                 sliced = tuple(
@@ -247,11 +235,10 @@ def _assess_remote(netlists: Sequence[Netlist], config: TvlaConfig,
                     _shard_moments_rebuilt, netlist, sliced, config,
                     start // config.chunk_traces))
         return {
-            design.netlist.name: _finish_design(
-                design,
-                merge_shard_partials(
-                    [future.result() for future in design.futures], config),
-                config)
+            design.netlist.name: merge_shard_partials(
+                [future.result() for future in design.futures], config,
+                design.netlist.name, design.gate_names,
+                time.perf_counter() - design.started_at, len(design.ranges))
             for design in designs
         }
     except BaseException:
@@ -283,8 +270,8 @@ def assess_leakage_sharded(
             The campaign always streams.
         n_shards: Number of chunk-aligned trace shards (capped at the
             number of chunks).
-        executor: ``None`` (default) runs the in-process chunk-task engine
-            on every CPU.  A caller-owned
+        executor: ``None`` (default) runs :func:`assess_leakage`, the
+            in-process chunk-task engine on every CPU.  A caller-owned
             :class:`~concurrent.futures.Executor` runs one task per shard,
             each rebuilding its generator from the shipped netlist; the
             executor is never shut down here.
@@ -302,8 +289,11 @@ def assess_leakage_sharded(
     """
     config = config if config is not None else TvlaConfig()
     if executor is None:
-        return _assess_in_process(netlist, config, n_shards, generator,
-                                  campaigns)
+        n_ranges = len(shard_trace_ranges(config.n_traces, n_shards,
+                                          config.chunk_traces))
+        assessment = assess_leakage(netlist, config, generator, campaigns)
+        assessment.n_shards = n_ranges
+        return assessment
     if generator is not None:
         raise ValueError(
             "generator= applies only to executor=None: shards shipped to an "
@@ -334,8 +324,7 @@ def assess_many(
         n_shards: Trace shards per design.
         executor: ``None`` or a caller-owned
             :class:`~concurrent.futures.Executor` (for example a
-            :class:`repro.campaign.queue.QueueExecutor` for cross-process
-            workers).
+            :class:`~concurrent.futures.ProcessPoolExecutor`).
         store: Optional :class:`repro.campaign.store.ResultStore` (or its
             root path).  Designs whose
             :class:`~repro.campaign.spec.CampaignSpec` content hash is
@@ -373,8 +362,8 @@ def assess_many(
             else:
                 to_run.append(netlist)
     if executor is None:
-        fresh = {netlist.name: _assess_in_process(netlist, config, n_shards,
-                                                  None, None)
+        fresh = {netlist.name: assess_leakage_sharded(netlist, config,
+                                                      n_shards)
                  for netlist in to_run}
     else:
         fresh = _assess_remote(to_run, config, n_shards, executor)

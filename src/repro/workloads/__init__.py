@@ -3,8 +3,6 @@
 from .suites import (
     WorkloadConfig,
     evaluation_designs,
-    submit_suite,
-    suite_campaign_specs,
     suite_summary,
     training_designs,
 )
@@ -12,8 +10,6 @@ from .suites import (
 __all__ = [
     "WorkloadConfig",
     "evaluation_designs",
-    "submit_suite",
-    "suite_campaign_specs",
     "suite_summary",
     "training_designs",
 ]

@@ -53,40 +53,6 @@ def evaluation_designs(config: Optional[WorkloadConfig] = None) -> List[Netlist]
             for name in names]
 
 
-def suite_campaign_specs(designs: Sequence[Netlist],
-                         config=None, n_shards: int = 1):
-    """Content-hashed campaign specs for every design of a suite.
-
-    Thin bridge into :mod:`repro.campaign`: the returned mapping (design
-    name -> :class:`~repro.campaign.spec.CampaignSpec`) is what a
-    scheduler fans out to a worker fleet, and the hashes are the keys the
-    result store answers to.
-    """
-    from ..campaign.spec import CampaignSpec
-    return {design.name: CampaignSpec.from_netlist(design, config,
-                                                   n_shards=n_shards)
-            for design in designs}
-
-
-def submit_suite(root, designs: Sequence[Netlist], config=None,
-                 n_shards: int = 1):
-    """Submit one campaign per design of a suite under a shared root.
-
-    Idempotent exactly like :func:`repro.campaign.runner.submit_campaign`
-    (cache hits are reported, queued shards are never duplicated), so a
-    nightly suite sweep can simply resubmit everything and only the
-    changed designs cost anything.
-
-    Returns:
-        Mapping design name ->
-        :class:`~repro.campaign.runner.SubmitOutcome`, in input order.
-    """
-    from ..campaign.runner import submit_campaign
-    return {design.name: submit_campaign(root, netlist=design, config=config,
-                                         n_shards=n_shards)
-            for design in designs}
-
-
 def suite_summary(designs: Sequence[Netlist]) -> List[Dict[str, object]]:
     """Per-design summary rows (name, gate counts, maskable gates)."""
     rows = []

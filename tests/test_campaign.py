@@ -6,8 +6,6 @@ The contracts pinned here are what make campaigns trustworthy:
   (not merely close) — the foundation of the content-addressed store;
 * the queue's lease/ack/retry semantics survive dead workers, duplicate
   deliveries and poisoned tasks;
-* `QueueExecutor` is a caller-owned `concurrent.futures.Executor`, so the
-  sharded drivers gain cross-process workers with zero API change;
 * a resumed / fault-injected campaign converges to the serial t-values
   (~1e-12), and cache hits are served bit-identically without simulating;
 * the order-2 `OnePassMoments` fast path equals the general Pébay path
@@ -20,7 +18,6 @@ import contextlib
 import json
 import pickle
 import time
-from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -32,9 +29,7 @@ from repro.campaign import (
     CampaignError,
     CampaignPaths,
     CampaignSpec,
-    QueueExecutor,
     ResultStore,
-    TaskFailedError,
     TaskQueue,
     assessment_from_dict,
     assessment_to_dict,
@@ -726,61 +721,6 @@ def _nap(seconds):
     """Module-level task body that outlasts short leases."""
     time.sleep(seconds)
     return seconds
-
-
-def _explode():
-    """Module-level task body that always fails."""
-    raise RuntimeError("intentional failure")
-
-
-# ----------------------------------------------------------------------
-# QueueExecutor through the unchanged sharding API
-# ----------------------------------------------------------------------
-class TestQueueExecutor:
-    def test_futures_resolve(self, tmp_path):
-        with QueueExecutor(tmp_path / "q.sqlite", n_workers=1) as pool:
-            futures = [pool.submit(_double, value) for value in range(5)]
-            assert [f.result(timeout=30) for f in futures] == \
-                [0, 2, 4, 6, 8]
-
-    def test_failures_propagate_as_exceptions(self, tmp_path):
-        queue = TaskQueue(tmp_path / "q.sqlite", default_max_attempts=1)
-        with QueueExecutor(queue, n_workers=1) as pool:
-            future = pool.submit(_explode)
-            with pytest.raises(TaskFailedError, match="intentional failure"):
-                future.result(timeout=30)
-
-    def test_submit_after_shutdown_rejected(self, tmp_path):
-        pool = QueueExecutor(tmp_path / "q.sqlite", n_workers=1)
-        pool.shutdown()
-        with pytest.raises(RuntimeError, match="shut-down"):
-            pool.submit(_double, 1)
-
-    def test_sharded_assessment_via_queue(self, small_benchmark, tmp_path):
-        # The tentpole seam: zero API change — a queue-backed executor
-        # drops into assess_leakage_sharded, bitwise equal to serial at
-        # every shard count and order.
-        config = TvlaConfig(tvla_order=3, **CAMPAIGN_TVLA)
-        reference = assess_leakage(small_benchmark, config)
-        with QueueExecutor(tmp_path / "q.sqlite", n_workers=2) as pool:
-            for n_shards in (1, 2, 4, 8):
-                sharded = assess_leakage_sharded(small_benchmark, config,
-                                                 n_shards=n_shards,
-                                                 executor=pool)
-                assert sharded.n_shards == min(n_shards, 5)
-                _assert_assessments_equal(replace(sharded, n_shards=1),
-                                          reference)
-
-    def test_assess_many_via_queue(self, small_benchmark, tiny_netlist,
-                                   campaign_config, tmp_path):
-        with QueueExecutor(tmp_path / "q.sqlite", n_workers=2) as pool:
-            results = assess_many([small_benchmark, tiny_netlist],
-                                  campaign_config, n_shards=2, executor=pool)
-        for netlist in (small_benchmark, tiny_netlist):
-            serial = assess_leakage_sharded(netlist, campaign_config,
-                                            n_shards=2)
-            assert np.array_equal(results[netlist.name].t_values,
-                                  serial.t_values)
 
 
 class TestExecutorLifecycle:
@@ -1571,8 +1511,7 @@ class TestStoreWiring:
         def no_simulation(*args, **kwargs):
             raise AssertionError("cache hit must not simulate")
 
-        monkeypatch.setattr(sharding, "_streamed_class_results",
-                            no_simulation)
+        monkeypatch.setattr(sharding, "assess_leakage", no_simulation)
         second = assess_many([small_benchmark, tiny_netlist], campaign_config,
                              n_shards=2, store=store)
         for name in first:

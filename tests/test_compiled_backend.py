@@ -47,7 +47,7 @@ def assert_backends_agree(netlist, n_vectors=256, seed=0, cycles=1):
     """Evaluate ``netlist`` on both backends and require bit-equality."""
     fast = LogicSimulator(netlist, backend="compiled")
     slow = LogicSimulator(netlist, backend="loop")
-    assert fast.backend == "compiled", "planner unexpectedly fell back"
+    assert fast.backend == "compiled"
     assert slow.backend == "loop"
     rng = np.random.default_rng(seed)
     stimulus = [
@@ -269,17 +269,24 @@ class TestPlanStructure:
 
 
 class TestFallback:
-    def test_malformed_mux_falls_back_to_loop(self):
+    def test_malformed_mux_raises_at_construction(self):
         netlist = Netlist("bad_mux")
         for net in ("a", "b"):
             netlist.add_primary_input(net)
         netlist.add_gate("g_mux", GateType.MUX, ["a", "b"], "y")
         netlist.add_primary_output("y")
-        with pytest.raises(CompilationError):
+        with pytest.raises(CompilationError, match="g_mux"):
             CompiledNetlist(netlist)
-        simulator = LogicSimulator(netlist, backend="compiled")
+        # No silent fallback: the compiled simulator (and the trace
+        # generator built on it) fails before any stimulus is evaluated.
+        with pytest.raises(CompilationError, match="g_mux"):
+            LogicSimulator(netlist, backend="compiled")
+        with pytest.raises(CompilationError, match="g_mux"):
+            PowerTraceGenerator(netlist)
+        # The loop oracle runs only on request and keeps the reference
+        # engine's lazy error.
+        simulator = LogicSimulator(netlist, backend="loop")
         assert simulator.backend == "loop"
-        # The loop backend preserves the reference engine's lazy error.
         with pytest.raises(ValueError, match="MUX requires exactly 3"):
             simulator.evaluate({net: np.zeros(4, dtype=bool)
                                 for net in netlist.primary_inputs})

@@ -12,9 +12,6 @@ coordinates.  The stateless-sampling contract lives here:
   emit identical bits (hypothesis-driven).
 * **Stream independence** — distinct coordinates and lanes never share a
   stream.
-* **Packed emission** — ``mask_planes`` (bit-sliced ``packbits`` planes)
-  round-trips against ``mask_bytes`` on every batch size, including
-  non-multiple-of-8 ones.
 * **Layout invariance** — counter-sampler t-values are **bitwise** equal
   (``np.array_equal``, not ~1e-12) across 1/2/4/8 shards and the
   serial/thread/process executors, and across hypothesis-sampled chunk
@@ -212,53 +209,6 @@ class TestStreamIndependence:
 
 
 # ----------------------------------------------------------------------
-# Packed bit-sliced emission (mask_planes vs mask_bytes)
-# ----------------------------------------------------------------------
-class TestPackedEmission:
-    @SETTINGS
-    @given(seed=SEEDS, n_traces=ODD_BATCHES,
-           width=st.integers(min_value=1, max_value=9),
-           mask_bits=st.integers(min_value=1, max_value=8))
-    def test_planes_equal_packed_byte_bits(self, seed, n_traces, width,
-                                           mask_bits):
-        draws = CounterDraws(seed, 2, 1, 3)
-        planes = draws.mask_planes(0, width, n_traces, mask_bits)
-        raw = draws.mask_bytes(0, width, n_traces)
-        assert planes.shape == (mask_bits, width, -(-n_traces // 8))
-        for bit in range(mask_bits):
-            expected = np.packbits((raw >> bit) & np.uint8(1), axis=-1)
-            assert np.array_equal(planes[bit], expected)
-
-    @SETTINGS
-    @given(seed=SEEDS, n_traces=ODD_BATCHES,
-           mask_bits=st.integers(min_value=1, max_value=8))
-    def test_unpack_then_repack_round_trip(self, seed, n_traces, mask_bits):
-        # The packed emission is the bit-sliced transpose of the byte
-        # emission: unpacking every plane and reassembling the integers
-        # recovers exactly the masked-down bytes, even when n_traces is
-        # not a multiple of 8 (trailing pad bits are zero).
-        draws = CounterDraws(seed, 0, 0, 11)
-        planes = draws.mask_planes(1, 4, n_traces, mask_bits)
-        rebuilt = np.zeros((4, n_traces), dtype=np.uint8)
-        for bit in range(mask_bits):
-            unpacked = np.unpackbits(planes[bit], axis=-1,
-                                     count=n_traces)
-            rebuilt |= (unpacked << bit).astype(np.uint8)
-        expected = draws.mask_bytes(1, 4, n_traces) \
-            & np.uint8((1 << mask_bits) - 1)
-        assert np.array_equal(rebuilt, expected)
-        # Pad bits beyond n_traces must be zero in every plane.
-        full = np.unpackbits(planes, axis=-1)
-        assert not full[..., n_traces:].any()
-
-    def test_mask_bits_validated(self):
-        draws = CounterDraws(1, 0, 0, 0)
-        for bad in (0, 9):
-            with pytest.raises(ValueError, match="mask_bits"):
-                draws.mask_planes(0, 1, 8, bad)
-
-
-# ----------------------------------------------------------------------
 # Word-draw over-allocation helper (satellite: one definition)
 # ----------------------------------------------------------------------
 class TestWordsForUnits:
@@ -383,32 +333,34 @@ class TestChunkPartitionProperty:
         serial = [accumulate_campaign_slice(generator, pair, config,
                                             class_index)
                   for class_index, pair in enumerate(schedule)]
-        reference = merge_shard_partials(
-            [[([acc0], [acc1]) for acc0, acc1 in serial]], config)
-        return config, per_class, reference
+        return config, per_class, serial
 
     @SETTINGS
     @given(boundaries=st.lists(st.integers(min_value=1, max_value=5),
                                unique=True, max_size=4))
     def test_any_partition_merges_to_the_serial_fold(self, chunk_partials,
                                                      boundaries):
-        config, per_class, reference = chunk_partials
+        config, per_class, serial = chunk_partials
         cuts = [0] + sorted(boundaries) + [6]   # 6 chunks
-        shard_results = []
-        for start, stop in zip(cuts, cuts[1:]):
-            shard_results.append([
-                (chunks0[start:stop], chunks1[start:stop])
-                for chunks0, chunks1 in per_class
-            ])
-        merged = merge_shard_partials(shard_results, config)
-        for class_merged, class_reference in zip(merged, reference):
-            assert class_merged.keys() == class_reference.keys()
-            for order, result in class_merged.items():
-                expected = class_reference[order]
-                assert np.array_equal(result.t_statistic,
-                                      expected.t_statistic)
-                assert np.array_equal(result.degrees_of_freedom,
-                                      expected.degrees_of_freedom)
+        gate_names = tuple(f"g{i}" for i in range(serial[0][0].shape[0]))
+
+        def merge(shard_results):
+            return merge_shard_partials(shard_results, config, "arbiter",
+                                        gate_names, 0.0, len(shard_results))
+
+        # One class at a time, so every class's statistics are compared
+        # (the aggregate keeps only the worst class per gate).
+        for (chunks0, chunks1), (acc0, acc1) in zip(per_class, serial):
+            merged = merge([[(chunks0[start:stop], chunks1[start:stop])]
+                            for start, stop in zip(cuts, cuts[1:])])
+            expected = merge([[([acc0], [acc1])]])
+            assert merged.order_t_values.keys() \
+                == expected.order_t_values.keys()
+            for order in range(1, config.tvla_order + 1):
+                assert np.array_equal(merged.t_values_for_order(order),
+                                      expected.t_values_for_order(order))
+            assert np.array_equal(merged.degrees_of_freedom,
+                                  expected.degrees_of_freedom)
 
 
 # ----------------------------------------------------------------------
@@ -490,9 +442,8 @@ class TestStatisticalSmoke:
 
     def test_bit_balance_per_plane(self):
         # Every mask bit-plane is individually balanced: |p - 0.5| small.
-        draws = CounterDraws(99, 2, 1, 5)
-        planes = draws.mask_planes(0, 1, 1 << 16, 8)
-        ones = np.unpackbits(planes, axis=-1).reshape(8, -1).mean(axis=1)
+        raw = CounterDraws(99, 2, 1, 5).mask_bytes(0, 1, 1 << 16).reshape(-1)
+        ones = np.array([((raw >> bit) & 1).mean() for bit in range(8)])
         assert np.all(np.abs(ones - 0.5) < 0.01)
 
     def test_gauss_moments(self):

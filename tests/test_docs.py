@@ -69,3 +69,48 @@ def test_knob_table_flags_a_deleted_knob(tmp_path):
     assert "NoSuchThing" in errors[1]
     (tmp_path / "empty.md").write_text("# No table here\n")
     assert checker.check_knob_table(tmp_path / "empty.md")
+
+
+def test_fenced_repro_imports_resolve():
+    checker = _load_checker()
+    files = checker.doc_files()
+    assert sum(len(names) for path in files
+               for _, _, names in checker.repro_imports(path)) >= 10
+    errors = []
+    for path in files:
+        errors.extend(checker.check_imports(path))
+    assert not errors, "\n".join(errors)
+
+
+def test_import_check_flags_a_deleted_name(tmp_path):
+    checker = _load_checker()
+    doc = tmp_path / "guide.md"
+    doc.write_text(
+        "# Guide\n\n"
+        "```python\n"
+        "from repro.campaign import QueueExecutor  # deleted\n"
+        "from repro.tvla import (TvlaConfig,\n"
+        "                        assess_leakage as run)\n"
+        "```\n\n"
+        "```pycon\n"
+        ">>> from repro.simulation import compiled, NoSuchName\n"
+        ">>> from repro.nosuchmodule import anything\n"
+        "```\n\n"
+        "```bash\n"
+        "from repro.campaign import IgnoredOutsidePython\n"
+        "```\n")
+    assert [(line, module, names)
+            for line, module, names in checker.repro_imports(doc)] == [
+        (4, "repro.campaign", ["QueueExecutor"]),
+        (5, "repro.tvla", ["TvlaConfig", "assess_leakage"]),
+        (10, "repro.simulation", ["compiled", "NoSuchName"]),
+        (11, "repro.nosuchmodule", ["anything"]),
+    ]
+    assert checker.check_imports(doc) == [
+        "guide.md:4: `from repro.campaign import QueueExecutor` does not "
+        "resolve",
+        "guide.md:10: `from repro.simulation import NoSuchName` does not "
+        "resolve",
+        "guide.md:11: `from repro.nosuchmodule import anything` does not "
+        "resolve",
+    ]

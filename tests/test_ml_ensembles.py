@@ -149,12 +149,6 @@ class TestGradientBoosting:
         many = GradientBoostingClassifier(n_estimators=80, learning_rate=0.2).fit(Xtr, ytr)
         assert many.score(Xtr, ytr) >= few.score(Xtr, ytr)
 
-    def test_subsampling_still_learns(self, nonlinear_data):
-        Xtr, ytr, Xte, yte = nonlinear_data
-        model = GradientBoostingClassifier(n_estimators=60, learning_rate=0.2,
-                                           subsample=0.7, random_state=2).fit(Xtr, ytr)
-        assert accuracy_score(yte, model.predict(Xte)) > 0.8
-
     def test_multiclass_rejected(self, rng):
         features = rng.normal(size=(30, 2))
         labels = rng.integers(0, 3, 30)
@@ -170,8 +164,6 @@ class TestGradientBoosting:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             GradientBoostingClassifier(n_estimators=0)
-        with pytest.raises(ValueError):
-            GradientBoostingClassifier(subsample=0.0)
 
     def test_unfitted_decision_function_raises(self):
         with pytest.raises(NotFittedError):

@@ -23,6 +23,7 @@ The contracts pinned here:
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import stat
 import subprocess
@@ -556,6 +557,31 @@ class TestCampaignHardening:
         assert verified_checkpoint(paths, 0, queue=queue) is None
         assert queue.counts()["pending"] == 1
         assert verified_checkpoint(paths, 1) is not None
+
+    def test_status_counts_only_verified_checkpoints(self, small_benchmark,
+                                                     tmp_path, capsys):
+        # A finished campaign with one flipped checkpoint byte is not
+        # "merging": status counts the shard as missing, and stays
+        # read-only (no quarantine, no requeue) — collect heals it.
+        root = tmp_path / "runs"
+        outcome = submit_campaign(root, netlist=small_benchmark,
+                                  config=_config(), n_shards=2)
+        queue = campaign_queue(root)
+        run_worker(queue, drain=True)
+        paths = CampaignPaths(root, outcome.spec_hash)
+        shard_path = paths.shard_path(1)
+        data = bytearray(shard_path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        shard_path.write_bytes(bytes(data))
+        status = campaign_status(root, outcome.spec_hash)
+        assert (status.n_shards_done, status.state) == (1, "running")
+        assert shard_path.read_bytes() == bytes(data)
+        assert not list(shard_path.parent.glob("*.corrupt*"))
+        assert queue.counts() == {"pending": 0, "leased": 0, "done": 2,
+                                  "failed": 0}
+        assert cli_main(["status", "--root", str(root), "--json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["n_shards_done"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,10 @@ suite) over ``README.md`` and ``docs/*.md``:
    a glance" table of ``docs/performance.md`` must be a dataclass field or
    a signature parameter of the row's backticked ``Where``, so a deleted
    knob cannot linger in the table.
+4. **Import check** — every ``from repro... import ...`` in a fenced
+   ``python`` / ``pycon`` block, executed or not, must resolve: the module
+   imports and each name is an attribute or submodule of it, so an
+   illustrative snippet cannot keep importing a deleted name.
 
 Exits non-zero with a per-failure report; prints a one-line summary on
 success.  Builds nothing heavy — a full run takes a couple of seconds.
@@ -49,6 +53,11 @@ KNOB_DOC = REPO_ROOT / "docs" / "performance.md"
 _KNOB_HEADING = "## The knobs at a glance"
 #: Inline code spans: the knob and ``Where`` names of a table row.
 _CODE_RE = re.compile(r"`([^`]+)`")
+#: ``from repro... import ...`` after an optional doctest prompt; a
+#: parenthesised name list may span lines.
+_IMPORT_RE = re.compile(
+    r"^[ \t]*(?:(?:>>>|\.\.\.)[ \t]+)?from[ \t]+(repro(?:\.\w+)*)[ \t]+"
+    r"import[ \t]+(\([^)]*\)|[^\n]*)", re.MULTILINE)
 
 
 def doc_files() -> List[Path]:
@@ -101,6 +110,47 @@ def check_doctests(path: Path) -> List[str]:
             errors.append(f"{name}: {result.failed} doctest failure(s) "
                           f"(run `python tools/check_docs.py` for details)")
     return errors
+
+
+def repro_imports(path: Path) -> List[Tuple[int, str, List[str]]]:
+    """(line number, module, names) of every ``from repro... import`` in
+    the fenced ``python`` / ``pycon`` blocks of ``path``."""
+    text = path.read_text()
+    imports = []
+    for fence in _FENCE_RE.finditer(text):
+        if fence.group(1).lower() not in ("python", "pycon"):
+            continue
+        for match in _IMPORT_RE.finditer(fence.group(2)):
+            names = re.sub(r"#[^\n]*|^\s*\.\.\.|[()\\]", "",
+                           match.group(2), flags=re.MULTILINE)
+            line = text.count("\n", 0, fence.start(2) + match.start()) + 1
+            imports.append((line, match.group(1),
+                            [name.split(" as ")[0].strip()
+                             for name in names.split(",") if name.strip()]))
+    return imports
+
+
+def _resolves(module_name: str, name: str) -> bool:
+    """Whether ``from module_name import name`` would succeed."""
+    try:
+        module = importlib.import_module(module_name)
+    except ImportError:
+        return False
+    if name == "*" or hasattr(module, name):
+        return True
+    try:
+        importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def check_imports(path: Path) -> List[str]:
+    """Return one error per fenced ``from repro`` import that fails."""
+    return [f"{path.name}:{line}: `from {module} import {name}` does not "
+            f"resolve"
+            for line, module, names in repro_imports(path)
+            for name in names if not _resolves(module, name)]
 
 
 def knob_rows(text: str) -> List[Tuple[int, List[str], List[str]]]:
@@ -173,17 +223,20 @@ def main() -> int:
     """Check all documentation files; return a process exit code."""
     files = doc_files()
     errors: List[str] = []
-    n_blocks = 0
+    n_blocks = n_imports = 0
     for path in files:
         errors.extend(check_links(path))
         n_blocks += len(doctest_blocks(path))
         errors.extend(check_doctests(path))
+        n_imports += sum(len(names) for _, _, names in repro_imports(path))
+        errors.extend(check_imports(path))
     errors.extend(check_knob_table())
     if errors:
         for error in errors:
             print(f"ERROR: {error}", file=sys.stderr)
         return 1
-    print(f"docs ok: {len(files)} file(s), {n_blocks} doctest block(s)")
+    print(f"docs ok: {len(files)} file(s), {n_blocks} doctest block(s), "
+          f"{n_imports} repro import(s)")
     return 0
 
 

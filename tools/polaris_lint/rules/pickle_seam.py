@@ -1,6 +1,6 @@
 """PL004 — pickle hygiene at the process-executor seam.
 
-Objects crossing the ``ProcessPoolExecutor`` / ``QueueExecutor`` / campaign
+Objects crossing the ``ProcessPoolExecutor`` / campaign queue / campaign
 checkpoint seam are pickled; per-chunk scratch buffers are multi-megabyte
 workspaces that must never ride along (PR 5 dropped them from
 ``OnePassMoments`` pickles — a regression here silently bloats every queue

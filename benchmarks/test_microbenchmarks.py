@@ -31,6 +31,7 @@ or the whole suite with ``pytest -m ""``.
 from __future__ import annotations
 
 import os
+import sys
 import time
 import timeit
 from concurrent.futures import ProcessPoolExecutor
@@ -55,6 +56,9 @@ from repro.tvla import (
 from repro.tvla.welch import welch_from_accumulators
 
 from bench_common import BENCH_SCALE, best_of, interleaved_best_of
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+from forest_oracle import fit_forest_per_tree  # noqa: E402
 
 #: Trace count of the paper-scale generation benchmark (§V-A).
 PAPER_TRACES = 10_000
@@ -697,18 +701,21 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
 
 
 def test_ml_fit_microbench(trained_polaris_bench, recorder):
-    """Presorted all-features CART split search vs the per-feature loop.
+    """Whole ensemble fits vs the per-feature loop split search.
 
     Fits AdaBoost, gradient boosting (the "xgboost" family) and the random
     forest at the paper's family settings, with fewer rounds, on the bench
-    cognition gate-feature matrix two ways: with the builder's presorted
-    ``_best_split`` and with the ``_best_split_loop`` oracle swapped in.
-    The fast side of the boosted families also reuses, round after round,
-    the node orders and candidate scans of the fit's shared
-    ``_PresortedColumns``; the oracle re-sorts every node it searches.
-    Every ``FlatTree`` array and every AdaBoost estimator weight must be
-    bitwise equal; one speedup row per family is recorded as
-    ``microbench_ml_fit`` and gated by ``tools/check_bench_regression.py``.
+    cognition gate-feature matrix two ways.  The boosted families fit with
+    the builder's presorted ``_best_split`` and with the
+    ``_best_split_loop`` oracle swapped in; their fast side also reuses,
+    round after round, the node orders and candidate scans of the fit's
+    shared ``_PresortedColumns``, while the oracle re-sorts every node it
+    searches.  The forest fits with its lockstep builder and with
+    ``fit_forest_per_tree`` (each tree fitted alone on its bootstrap, every
+    node searched by the loop).  Every ``FlatTree`` array, every tree's
+    ``classes_`` and every AdaBoost estimator weight must be bitwise equal;
+    one speedup row per family is recorded as ``microbench_ml_fit`` and
+    gated by ``tools/check_bench_regression.py``.
     """
     from unittest import mock
 
@@ -720,12 +727,17 @@ def test_ml_fit_microbench(trained_polaris_bench, recorder):
     config = paper_configuration()
     rounds = {"adaboost": 20, "xgboost": 20, "random_forest": 10}
 
-    def fit(family):
-        model = build_model(config.with_model(
+    def unfitted(family):
+        return build_model(config.with_model(
             family, n_estimators=rounds[family]).model)
-        return model.fit(dataset.features, dataset.labels)
+
+    def fit(family):
+        return unfitted(family).fit(dataset.features, dataset.labels)
 
     def fit_with_loop(family):
+        if family == "random_forest":
+            return fit_forest_per_tree(unfitted(family), dataset.features,
+                                       dataset.labels)
         with mock.patch.object(_TreeBuilder, "_best_split",
                                _TreeBuilder._best_split_loop):
             return fit(family)
@@ -734,6 +746,8 @@ def test_ml_fit_microbench(trained_polaris_bench, recorder):
         arrays = [getattr(tree.tree_.flat, name) for tree in model.estimators_
                   for name in ("feature", "threshold", "left", "right",
                                "value", "cover")]
+        arrays += [tree.classes_ for tree in model.estimators_
+                   if hasattr(tree, "classes_")]
         arrays.append(np.asarray(getattr(model, "estimator_weights_", [])))
         return [array.tobytes() for array in arrays]
 
@@ -754,17 +768,15 @@ def test_ml_fit_microbench(trained_polaris_bench, recorder):
         })
     recorder.record(ExperimentRecord(
         experiment_id="microbench_ml_fit",
-        description=("Presorted all-features CART split search vs the "
-                     "per-feature argsort-and-scan oracle, whole ensemble "
-                     "fits on the bench cognition matrix; trees bitwise "
-                     "equal"),
+        description=("Presorted all-features CART split search (boosting) "
+                     "and the lockstep forest vs the per-feature "
+                     "argsort-and-scan oracle, whole ensemble fits on the "
+                     "bench cognition matrix; trees bitwise equal"),
         parameters={"scale": BENCH_SCALE, "cpu_count": os.cpu_count()},
         rows=rows,
     ))
     speedups = {row["family"]: row["speedup"] for row in rows}
-    # The forest searches sqrt(n_features) features per node, so per-node
-    # Python overhead bounds its gain; the boosted families score all
-    # features and gain most.  The floors only catch a lost fast path.
+    # The floors only catch a lost fast path.
     assert min(speedups.values()) > 1.3, speedups
 
 

@@ -37,9 +37,17 @@ def check_labels(labels: np.ndarray, n_samples: int) -> np.ndarray:
     return labels
 
 
+def check_fit_rows(n_samples: int) -> None:
+    """Reject fitting on a feature matrix without rows."""
+    if n_samples == 0:
+        raise ValueError("cannot fit on an empty feature matrix (0 rows)")
+
+
 def check_sample_weight(sample_weight: Optional[np.ndarray],
                         n_samples: int) -> np.ndarray:
-    """Return validated sample weights (uniform when ``None``)."""
+    """Return validated sample weights (uniform when ``None``) for fitting
+    on ``n_samples`` rows."""
+    check_fit_rows(n_samples)
     if sample_weight is None:
         return np.full(n_samples, 1.0 / n_samples)
     sample_weight = np.asarray(sample_weight, dtype=float)

@@ -13,7 +13,7 @@ from .base import (
     check_labels,
     check_sample_weight,
 )
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, _check_max_features, _fit_lockstep
 
 
 class RandomForestClassifier(BaseClassifier):
@@ -24,11 +24,21 @@ class RandomForestClassifier(BaseClassifier):
     default ``sqrt(n_features)``), the standard Breiman recipe.  Predicted
     probabilities are the average of the per-tree leaf distributions.
 
+    ``fit`` draws every bootstrap first (the forest's generator draws
+    nothing else), then grows all trees together with the lockstep builder
+    of :mod:`repro.ml.tree`: one step searches one node of every
+    unfinished tree, the class counts at every candidate threshold come
+    from one ``bincount`` over rank-coded features, and each weight sum is
+    looked up by integer count in a ``sequential`` (running-sum) or a
+    ``pairwise`` (numpy ``sum``) table.  Every tree is bitwise the one
+    ``DecisionTreeClassifier.fit`` grows on its bootstrap.
+
     Args:
         n_estimators: Number of trees.
         max_depth: Depth limit per tree.
         min_samples_leaf: Minimum samples per leaf.
-        max_features: Features per split; ``None`` selects ``sqrt``.
+        max_features: Features per split (``>= 1``); ``None`` selects
+            ``sqrt``.
         random_state: Seed controlling bootstraps and feature subsampling.
     """
 
@@ -37,6 +47,7 @@ class RandomForestClassifier(BaseClassifier):
                  random_state: int = 0) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        _check_max_features(max_features)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -50,9 +61,9 @@ class RandomForestClassifier(BaseClassifier):
             sample_weight: Optional[np.ndarray] = None) -> "RandomForestClassifier":
         features = check_features(features)
         labels = check_labels(labels, features.shape[0])
+        n_samples = features.shape[0]
         self.classes_ = np.unique(labels)
         self.n_features_ = features.shape[1]
-        n_samples = features.shape[0]
         rng = np.random.default_rng(self.random_state)
         max_features = self.max_features
         if max_features is None:
@@ -66,18 +77,18 @@ class RandomForestClassifier(BaseClassifier):
         if sample_weight is not None:
             probabilities = check_sample_weight(sample_weight, n_samples)
 
-        self.estimators_ = []
-        for index in range(self.n_estimators):
-            bootstrap = rng.choice(n_samples, size=n_samples, replace=True,
-                                   p=probabilities)
-            tree = DecisionTreeClassifier(
+        bootstraps = np.array([
+            rng.choice(n_samples, size=n_samples, replace=True,
+                       p=probabilities)
+            for _ in range(self.n_estimators)])
+        self.estimators_ = [
+            DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=max_features,
-                random_state=self.random_state + index + 1,
-            )
-            tree.fit(features[bootstrap], labels[bootstrap])
-            self.estimators_.append(tree)
+                random_state=self.random_state + index + 1)
+            for index in range(self.n_estimators)]
+        _fit_lockstep(self.estimators_, features, labels, bootstraps)
         return self
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:

@@ -10,12 +10,27 @@ argsorts every column and memoises, per split path, each node's rows, its
 sorted order (a stable filter of its parent's) and its candidate splits.
 AdaBoost and gradient boosting (without subsampling) share one across their
 rounds, which at a low learning rate regrow nearly the same nodes; a single
-tree and each forest tree build their own.  :class:`_TreeBuilder` grows a
-tree over it, and its split search, :meth:`_TreeBuilder._best_split`,
-scores all features of a node in a few whole-matrix passes.  The
-per-feature argsort-and-scan search it replaced is kept as
-:meth:`_TreeBuilder._best_split_loop`, with the same signature so tests can
-swap it in; the fitted trees are bitwise identical either way.
+tree builds its own.  :class:`_TreeBuilder` grows a tree over it, and its
+split search, :meth:`_TreeBuilder._best_split`, scores all features of a
+node in a few whole-matrix passes.  The per-feature argsort-and-scan search
+it replaced is kept as :meth:`_TreeBuilder._best_split_loop`, with the same
+signature so tests can swap it in; the fitted trees are bitwise identical
+either way.
+
+The random forest does not use :class:`_TreeBuilder`: :func:`_fit_lockstep`
+grows all its trees together (:class:`_LockstepForest`).  Each feature is
+coded once by rank over its distinct values, and at step *s* every
+unfinished tree searches its *s*-th searched node in depth-first order, so
+each tree draws the feature subsets a recursive build would.  One
+``bincount`` over ``(search, scanned feature, code, class)`` bins gives the
+exact class counts at every candidate threshold of every node searched in
+the step.  Forest trees weigh each drawn sample ``1 / n``, so every weight
+sum is looked up by integer count in one of two tables: ``sequential``
+(running ``cumsum`` sums: class weight left of a split and node class
+totals) and ``pairwise`` (numpy ``sum`` sums: node weight, values and
+cover).  The trees are bitwise those of ``DecisionTreeClassifier.fit`` on
+each bootstrap, which stays the single-tree path and the lockstep builder's
+oracle.
 
 A fitted tree carries two synchronised representations:
 
@@ -30,9 +45,9 @@ A fitted tree carries two synchronised representations:
   explainer (:mod:`repro.xai.tree_shap`) traverses.
 
 The batch paths are bit-identical to the per-sample oracles (same float64
-comparisons, same leaf values).  Both pairings (``tree-split`` and
-``tree-predict``) are pinned by ``tests/test_ml_vectorised.py`` and
-enforced by polaris-lint PL002.
+comparisons, same leaf values).  The three pairings (``tree-split``,
+``forest-lockstep`` and ``tree-predict``) are pinned by
+``tests/test_ml_vectorised.py`` and enforced by polaris-lint PL002.
 """
 
 from __future__ import annotations
@@ -46,6 +61,7 @@ from .base import (
     BaseClassifier,
     NotFittedError,
     check_features,
+    check_fit_rows,
     check_labels,
     check_sample_weight,
 )
@@ -96,12 +112,14 @@ def _midpoint(lower: float, upper: float) -> float:
     """Split threshold between two adjacent distinct sorted values.
 
     ``0.5 * (lower + upper)`` can round onto ``upper`` (or overflow) when
-    the two values are adjacent floats; the split would then send every
-    sample left and the node would be split again forever.  Falling back
-    to ``lower`` keeps ``x <= threshold`` separating the two values.
+    the two values are adjacent floats, and is NaN for ``-inf`` and
+    ``inf``; the split would then send every sample to one side and the
+    node would be split again forever.  Falling back to ``lower`` keeps
+    ``x <= threshold`` separating the two values.  (Python floats: the
+    NaN sum raises no numpy warning.)
     """
-    threshold = 0.5 * (lower + upper)
-    return float(lower if threshold >= upper else threshold)
+    threshold = 0.5 * (float(lower) + float(upper))
+    return threshold if threshold < upper else float(lower)
 
 
 def _gini_scores(left_counts: np.ndarray, total_counts: np.ndarray,
@@ -141,6 +159,20 @@ def _mse_scores(cum_weight: np.ndarray, cum_target: np.ndarray,
                      / np.maximum(right_weight, 1e-300))
     score = (var_left + var_right) / total_weight
     return np.where((cum_weight > 0) & (right_weight > 0), score, np.inf)
+
+
+def _feature_subset(rng: np.random.Generator, max_features: Optional[int],
+                    n_features: int) -> np.ndarray:
+    """Features scanned at a node, in scan order (a random forest draws a
+    ``max_features`` subset here, once per searched node)."""
+    if max_features is not None and max_features < n_features:
+        return rng.choice(n_features, size=max_features, replace=False)
+    return np.arange(n_features)
+
+
+def _check_max_features(max_features: Optional[int]) -> None:
+    if max_features is not None and max_features < 1:
+        raise ValueError("max_features must be >= 1 (or None for all)")
 
 
 #: A node's split path: one ``(feature, threshold, side)`` per split from
@@ -192,9 +224,9 @@ class _PresortedColumns:
     AdaBoost shares one across the rounds of a ``fit``, and so does
     gradient boosting without subsampling: a later round that regrows a
     node only gathers its new weights or targets through the cached order
-    and scores the cached candidates.  A single tree (and each forest tree)
-    builds an unshared one, which memoises nothing and lets each node's
-    order go once its children have derived theirs.  No estimator keeps a
+    and scores the cached candidates.  A single tree builds an unshared
+    one, which memoises nothing and lets each node's order go once its
+    children have derived theirs.  No estimator keeps a
     reference to it once ``fit`` returns.
     """
 
@@ -327,12 +359,7 @@ class _TreeBuilder:
 
     # -- split search --------------------------------------------------
     def _feature_subset(self, n_features: int) -> np.ndarray:
-        """Features scanned at a node, in scan order (a random forest draws
-        a ``max_features`` subset here, once per searched node)."""
-        if self.max_features is not None and self.max_features < n_features:
-            return self.rng.choice(n_features, size=self.max_features,
-                                   replace=False)
-        return np.arange(n_features)
+        return _feature_subset(self.rng, self.max_features, n_features)
 
     def _best_split(self, node: _NodeEntry) -> Optional[_SplitCandidate]:
         """All-features split search over the node's presorted columns.
@@ -692,6 +719,7 @@ class DecisionTreeClassifier(BaseClassifier):
     def __init__(self, max_depth: Optional[int] = None, min_samples_split: int = 2,
                  min_samples_leaf: int = 1, max_features: Optional[int] = None,
                  random_state: int = 0) -> None:
+        _check_max_features(max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -741,6 +769,7 @@ class DecisionTreeRegressor:
     def __init__(self, max_depth: Optional[int] = None, min_samples_split: int = 2,
                  min_samples_leaf: int = 1, max_features: Optional[int] = None,
                  random_state: int = 0) -> None:
+        _check_max_features(max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -782,3 +811,329 @@ class DecisionTreeRegressor:
         if self.tree_ is None:
             raise NotFittedError("DecisionTreeRegressor is not fitted")
         return self.tree_.feature_importances()
+
+
+# ----------------------------------------------------------------------
+# Lockstep growth of the trees of a random forest
+# ----------------------------------------------------------------------
+class _Pending:
+    """A created, not yet visited node of a lockstep tree: its distinct
+    rows (ascending), integer class counts (bootstrap duplicates
+    included) and the parent pointer it fills when visited."""
+
+    __slots__ = ("node", "rows", "counts", "n_rows", "parent", "side")
+
+    def __init__(self, node: TreeNode, rows: np.ndarray, counts: np.ndarray,
+                 n_rows: int, parent: Optional[TreeNode], side: int) -> None:
+        self.node = node
+        self.rows = rows
+        self.counts = counts
+        self.n_rows = n_rows
+        self.parent = parent
+        self.side = side
+
+
+class _GrowingTree:
+    """One lockstep tree mid-growth: the classes its bootstrap drew
+    (indices into the forest's), its nodes so far, in the preorder a
+    recursive build appends them, and a stack of pending nodes."""
+
+    __slots__ = ("index", "rng", "classes", "nodes", "stack", "searched",
+                 "features")
+
+    def __init__(self, index: int, rng: np.random.Generator,
+                 classes: Tuple[int, ...]) -> None:
+        self.index = index
+        self.rng = rng
+        self.classes = classes
+        self.nodes: List[TreeNode] = []
+        self.stack: List[_Pending] = []
+        self.searched: Optional[_Pending] = None
+        self.features = np.zeros(0, dtype=np.intp)
+
+
+def _by_classes(trees: List[_GrowingTree]) -> list:
+    """``(classes, positions)`` of the trees that drew the same classes.
+
+    Weight sums are formed over a tree's own classes only.  ``take`` keeps
+    the class columns C-contiguous: numpy sums a row pairwise only along a
+    contiguous axis, as the per-tree build does, and from 8 classes on the
+    two orders round differently.
+    """
+    groups: dict = {}
+    for position, tree in enumerate(trees):
+        groups.setdefault(tree.classes, []).append(position)
+    return [(np.array(classes, dtype=np.intp), positions)
+            for classes, positions in groups.items()]
+
+
+class _LockstepForest:
+    """The trees of a random forest grown together: at step *s* every
+    unfinished tree searches its *s*-th searched node in depth-first order.
+
+    A tree draws a feature subset from its own generator at each node it
+    searches, in that order, so it sees the draws a recursive build would.
+    Every feature column is coded once by rank over its distinct values,
+    which loses nothing; one ``bincount`` over ``(search, scanned feature,
+    code, class)`` bins, laid out ragged by each feature's distinct-value
+    count, then gives exact class counts at every candidate threshold of
+    every node searched in the step.  The trees weigh every drawn sample
+    ``1 / n_drawn``, so each weight sum a tree would form is a lookup by
+    integer count in one of two tables: ``sequential`` holds the running
+    ``cumsum`` sums (class weight left of a split, node class totals) and
+    ``pairwise`` numpy's ``sum`` sums (node weight, values and cover).
+    """
+
+    def __init__(self, features: np.ndarray, encoded: np.ndarray,
+                 n_classes: int, bootstraps: np.ndarray,
+                 max_depth: Optional[int], min_samples_split: int,
+                 min_samples_leaf: int, max_features: Optional[int]) -> None:
+        n_samples, self.n_features = features.shape
+        self.encoded = encoded
+        self.n_classes = n_classes
+        #: How often each sample was drawn for each tree.
+        self.multiplicity = np.array([
+            np.bincount(drawn, minlength=n_samples) for drawn in bootstraps])
+        self.max_depth = max_depth
+        self.min_samples_split = max(2, min_samples_split)
+        self.min_samples_leaf = max(1, min_samples_leaf)
+        self.max_features = max_features
+        self.codes = np.empty((self.n_features, n_samples), dtype=np.intp)
+        distinct = [np.zeros(0)]
+        for feature, column in enumerate(features.T):
+            values, self.codes[feature] = np.unique(column, return_inverse=True)
+            distinct.append(values)
+        #: Distinct values of every feature, concatenated in feature order.
+        self.distinct = np.concatenate(distinct)
+        self.n_codes = np.array([values.size for values in distinct[1:]],
+                                dtype=np.intp)
+        self.first_code = np.cumsum(self.n_codes) - self.n_codes
+        #: Bin of every sample inside its feature's ``(code, class)`` block.
+        self.bins = self.codes * n_classes + encoded
+        n_drawn = bootstraps.shape[1]
+        weight = 1.0 / n_drawn
+        self.sequential = np.concatenate(
+            ([0.0], np.cumsum(np.full(n_drawn, weight))))
+        self.pairwise = np.array([np.full(count, weight).sum()
+                                  for count in range(n_drawn + 1)])
+
+    def grow(self, rngs: List[np.random.Generator]) -> List[_GrowingTree]:
+        """Grow one tree per bootstrap, tree ``i`` drawing its feature
+        subsets from ``rngs[i]``."""
+        counts = np.array([np.bincount(self.encoded, weights=drawn,
+                                       minlength=self.n_classes)
+                           for drawn in self.multiplicity]).astype(np.intp)
+        trees = [_GrowingTree(index, rng,
+                              tuple(np.flatnonzero(tree_counts).tolist()))
+                 for index, (rng, tree_counts) in enumerate(zip(rngs, counts))]
+        roots = self._new_nodes(trees, counts, [0] * len(trees))
+        for tree, root, tree_counts, drawn in zip(trees, roots, counts,
+                                                  self.multiplicity):
+            tree.stack.append(_Pending(root, np.flatnonzero(drawn),
+                                       tree_counts, int(drawn.sum()), None,
+                                       0))
+        active = trees
+        while active:
+            active = [tree for tree in active if self._advance(tree)]
+            if active:
+                self._split(active, self._search(active))
+        return trees
+
+    def _advance(self, tree: _GrowingTree) -> bool:
+        """Visit ``tree``'s pending nodes until one needs a split search;
+        draw its feature subset.  False once the tree is finished."""
+        while tree.stack:
+            pending = tree.stack.pop()
+            node = pending.node
+            if pending.parent is not None:
+                if pending.side == 0:
+                    pending.parent.left = len(tree.nodes)
+                else:
+                    pending.parent.right = len(tree.nodes)
+            tree.nodes.append(node)
+            if (pending.n_rows < self.min_samples_split
+                    or node.impurity <= 1e-12
+                    or (self.max_depth is not None
+                        and node.depth >= self.max_depth)):
+                continue
+            tree.searched = pending
+            tree.features = _feature_subset(tree.rng, self.max_features,
+                                            self.n_features)
+            return True
+        return False
+
+    def _new_nodes(self, trees: List[_GrowingTree], counts: np.ndarray,
+                   depths: List[int]) -> List[TreeNode]:
+        """Leaf nodes (until split) holding class counts ``counts[i]`` in
+        ``trees[i]``; value, impurity and cover as a recursive build forms
+        them over each tree's own classes."""
+        nodes: List[Optional[TreeNode]] = [None] * len(trees)
+        for classes, members in _by_classes(trees):
+            weights = self.pairwise[counts[members].take(classes, axis=1)]
+            cover = self.pairwise[counts[members].sum(axis=1)]
+            value = weights / weights.sum(axis=1)[:, None]
+            impurity = 1.0 - np.sum((weights / cover[:, None]) ** 2, axis=1)
+            for row, position in enumerate(members):
+                nodes[position] = TreeNode(
+                    feature=LEAF, threshold=0.0, left=-1, right=-1,
+                    value=value[row], cover=float(cover[row]),
+                    impurity=float(impurity[row]), depth=depths[position])
+        return nodes
+
+    def _search(self, trees: List[_GrowingTree]) -> list:
+        """Best split of every tree's searched node, or None.
+
+        Returns ``(score, feature, threshold, left_counts, left_rows,
+        right_rows)`` per tree: the first minimum in row-major (scanned
+        feature, code) order of the Gini scores of the candidates, which sit
+        between adjacent present codes more than ``1e-12`` apart with
+        ``min_samples_leaf`` drawn samples on each side, and the node's
+        distinct rows on each side of it.
+        """
+        n_search = len(trees)
+        searched = [tree.searched for tree in trees]
+        scanned = np.array([tree.features for tree in trees], dtype=np.intp)
+        n_scanned = scanned.shape[1]
+        rows = np.concatenate([pending.rows for pending in searched])
+        search_of_row = np.repeat(np.arange(n_search),
+                                  [pending.rows.size for pending in searched])
+        n_samples = self.bins.shape[1]
+        drawn = self.multiplicity.ravel().take(
+            np.array([tree.index for tree in trees])[search_of_row]
+            * n_samples + rows)
+        # Ragged layout: one (code, class) block per (search, scanned
+        # feature) slot, with one code per distinct value of the feature.
+        slot_codes = self.n_codes[scanned].ravel()
+        code_start = np.cumsum(slot_codes) - slot_codes
+        slot_of_code = np.repeat(np.arange(slot_codes.size), slot_codes)
+        bins = ((code_start * self.n_classes).reshape(n_search, n_scanned)
+                [search_of_row] + self.bins.ravel().take(
+                    scanned[search_of_row] * n_samples + rows[:, None]))
+        counts = np.bincount(
+            bins.ravel(), weights=np.repeat(drawn, n_scanned),
+            minlength=int(slot_codes.sum()) * self.n_classes
+        ).reshape(-1, self.n_classes)
+        at_code = counts.sum(axis=1)
+        present = np.flatnonzero(at_code)
+        slot = slot_of_code[present]
+        value = self.distinct[(self.first_code[scanned.ravel()]
+                               - code_start)[slot] + present]
+        # Class and sample counts up to each code, from its slot's start.
+        before = np.cumsum(counts, axis=0)
+        before -= (before - counts)[code_start][slot_of_code]
+        node_counts = np.array([pending.counts for pending in searched])
+        node_rows = node_counts.sum(axis=1)
+        lower = present[:-1]
+        left_rows = before[lower].sum(axis=1)
+        right_rows = node_rows[slot[:-1] // n_scanned] - left_rows
+        with np.errstate(invalid="ignore"):  # inf - inf across slots
+            gap = value[1:] - value[:-1]
+        candidate = np.flatnonzero(
+            (slot[1:] == slot[:-1]) & (gap > 1e-12)
+            & (left_rows >= self.min_samples_leaf)
+            & (right_rows >= self.min_samples_leaf))
+        results: list = [None] * n_search
+        if candidate.size == 0:
+            return results
+        cand_slot = slot[candidate]
+        cand_search = cand_slot // n_scanned
+        left_counts = before[lower[candidate]].astype(np.intp)
+        score = np.empty(candidate.size)
+        for classes, members in _by_classes(trees):
+            mine = np.isin(cand_search, members)
+            owner = cand_search[mine]
+            score[mine] = _gini_scores(
+                self.sequential[left_counts[mine].take(classes, axis=1)],
+                self.sequential[node_counts[owner].take(classes, axis=1)],
+                self.pairwise[node_rows[owner]])
+        # First minimum per search (candidates are grouped by search).
+        starts = np.flatnonzero(np.r_[True, cand_search[1:]
+                                      != cand_search[:-1]])
+        lowest = np.repeat(np.minimum.reduceat(score, starts),
+                           np.diff(np.r_[starts, candidate.size]))
+        best = np.flatnonzero(score == lowest)
+        best = best[np.r_[True, cand_search[best[1:]]
+                          != cand_search[best[:-1]]]]
+        # Every row of a searched node against its best split, at once.
+        split_feature = np.zeros(n_search, dtype=np.intp)
+        split_code = np.full(n_search, -1, dtype=np.intp)
+        split_feature[cand_search[best]] = scanned.ravel()[cand_slot[best]]
+        split_code[cand_search[best]] = (lower[candidate[best]]
+                                         - code_start[cand_slot[best]])
+        goes_left = (self.codes.ravel().take(
+            split_feature[search_of_row] * n_samples + rows)
+                     <= split_code[search_of_row])
+        sides = [np.split(rows[side], np.cumsum(np.bincount(
+            search_of_row[side], minlength=n_search))[:-1])
+                 for side in (goes_left, ~goes_left)]
+        for index in best:
+            search = cand_search[index]
+            results[search] = (
+                float(score[index]),
+                int(scanned.flat[cand_slot[index]]),
+                _midpoint(value[candidate[index]],
+                          value[candidate[index] + 1]),
+                left_counts[index], sides[0][search], sides[1][search])
+        return results
+
+    def _split(self, trees: List[_GrowingTree], results: list) -> None:
+        """Split every searched node whose best split lowers its impurity
+        by more than ``1e-12`` and push its children, right then left."""
+        splits = []
+        for tree, result in zip(trees, results):
+            pending = tree.searched
+            if (result is None or not np.isfinite(result[0])
+                    or result[0] >= pending.node.impurity - 1e-12):
+                continue
+            _, feature, threshold, left_counts, left, right = result
+            pending.node.feature = feature
+            pending.node.threshold = threshold
+            splits.append((tree, pending, left_counts, (left, right)))
+        if not splits:
+            return
+        sides = [tree for tree, *_ in splits for _ in range(2)]
+        counts = np.array([side for _, pending, left_counts, _ in splits
+                           for side in (left_counts,
+                                        pending.counts - left_counts)])
+        depths = [pending.node.depth + 1 for _, pending, *_ in splits
+                  for _ in range(2)]
+        children = self._new_nodes(sides, counts, depths)
+        n_rows = counts.sum(axis=1).tolist()
+        for position, (tree, pending, _, rows) in enumerate(splits):
+            for side in (1, 0):
+                child = 2 * position + side
+                tree.stack.append(_Pending(children[child], rows[side],
+                                           counts[child], n_rows[child],
+                                           pending.node, side))
+
+
+def _fit_lockstep(trees: List[DecisionTreeClassifier], features: np.ndarray,
+                  labels: np.ndarray, bootstraps: np.ndarray) -> None:
+    """Fit every ``trees[i]`` as ``trees[i].fit(features[bootstraps[i]],
+    labels[bootstraps[i]])`` would, growing all of them together.
+
+    ``features`` is a checked float matrix, ``labels`` its label vector
+    and ``bootstraps`` a ``(len(trees), n_drawn)`` integer array.
+
+    The trees must share their growth settings; each draws its feature
+    subsets from its own ``random_state``.  Every ``FlatTree`` array and
+    each tree's ``classes_`` (the classes its bootstrap drew) are bitwise
+    those of the per-tree fits (oracle pair ``forest-lockstep``,
+    polaris-lint PL002).
+    """
+    settings = {(tree.max_depth, tree.min_samples_split,
+                 tree.min_samples_leaf, tree.max_features) for tree in trees}
+    if len(settings) != 1:
+        raise ValueError("lockstep trees must share their growth settings")
+    (max_depth, min_samples_split, min_samples_leaf, max_features), = settings
+    check_fit_rows(bootstraps.shape[1])
+    classes, encoded = np.unique(labels, return_inverse=True)
+    grower = _LockstepForest(features, encoded, classes.size, bootstraps,
+                             max_depth, min_samples_split, min_samples_leaf,
+                             max_features)
+    grown = grower.grow([np.random.default_rng(tree.random_state)
+                         for tree in trees])
+    for tree, growing in zip(trees, grown):
+        tree.classes_ = classes[list(growing.classes)]
+        tree.n_features_ = features.shape[1]
+        tree.tree_ = _FittedTree(growing.nodes, tree.n_features_)

@@ -71,6 +71,25 @@ class TestRandomForest:
             RandomForestClassifier(n_estimators=3).fit(
                 Xtr, ytr, sample_weight=weights)
 
+    @pytest.mark.parametrize("max_features", [0, -1])
+    def test_max_features_below_one_rejected(self, max_features):
+        # Regression: 0 fitted root-only trees (accuracy 0.5 on a separable
+        # set); -1 failed inside fit with numpy's "negative dimensions".
+        with pytest.raises(ValueError, match="max_features"):
+            RandomForestClassifier(max_features=max_features)
+
+    def test_fit_on_empty_matrix_raises_value_error(self):
+        # Regression: a bare ZeroDivisionError from the uniform weights.
+        with pytest.raises(ValueError, match="empty feature matrix"):
+            RandomForestClassifier(n_estimators=2).fit(
+                np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+    def test_predict_proba_on_zero_rows(self, nonlinear_data):
+        Xtr, ytr, _, _ = nonlinear_data
+        model = RandomForestClassifier(n_estimators=3, max_depth=3).fit(
+            Xtr, ytr)
+        assert model.predict_proba(np.zeros((0, Xtr.shape[1]))).shape == (0, 2)
+
 
 class TestAdaBoost:
     def test_boosting_improves_over_single_stump(self, nonlinear_data):

@@ -145,3 +145,45 @@ def test_adjacent_float_split_keeps_the_threshold_below_upper(model):
     assert tree.tree_.nodes[0].threshold == lower
     np.testing.assert_array_equal(
         tree.predict(np.array([[lower], [upper]])).ravel(), [0, 1])
+
+
+@pytest.mark.parametrize("model", [DecisionTreeClassifier,
+                                   DecisionTreeRegressor])
+@pytest.mark.parametrize("max_features", [0, -1])
+def test_max_features_below_one_rejected(model, max_features):
+    # Regression: 0 scanned no feature and fitted a root-only tree; -1
+    # failed inside fit with numpy's "negative dimensions are not allowed".
+    with pytest.raises(ValueError, match="max_features"):
+        model(max_features=max_features)
+
+
+@pytest.mark.parametrize("model", [DecisionTreeClassifier,
+                                   DecisionTreeRegressor])
+def test_fit_on_empty_matrix_raises_value_error(model):
+    # Regression: the uniform sample weights divided by zero rows and
+    # raised a bare ZeroDivisionError.
+    with pytest.raises(ValueError, match="empty feature matrix"):
+        model().fit(np.zeros((0, 3)), np.zeros(0))
+
+
+def test_predict_on_zero_rows_keeps_the_output_width(rng):
+    features = rng.normal(size=(40, 3))
+    labels = np.digitize(features[:, 0], [-0.5, 0.5])
+    tree = DecisionTreeClassifier(max_depth=3).fit(features, labels)
+    assert tree.predict_proba(np.zeros((0, 3))).shape == (0, 3)
+    reg = DecisionTreeRegressor(max_depth=3).fit(features, features[:, 1])
+    assert reg.predict(np.zeros((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("model", [DecisionTreeClassifier,
+                                   DecisionTreeRegressor])
+def test_infinite_split_keeps_both_sides(model):
+    # Regression: the midpoint of -inf and inf is NaN, so ``x <= NaN``
+    # sent every sample right, leaving an empty left leaf and a right
+    # child that repeated its parent.  The threshold falls back to -inf.
+    features = np.array([[-np.inf], [-np.inf], [np.inf], [np.inf]])
+    tree = model().fit(features, np.array([0, 0, 1, 1]))
+    assert tree.tree_.n_nodes == 3
+    assert tree.tree_.nodes[0].threshold == -np.inf
+    np.testing.assert_array_equal(
+        tree.predict(np.array([[-np.inf], [np.inf]])).ravel(), [0, 1])

@@ -13,6 +13,10 @@ These tests pin the oracle pairs registered in
 - ``tree-split``: the presorted all-features ``_best_split`` vs the
   per-feature ``_best_split_loop`` (whole fits compared, every family,
   including boosting rounds served from a shared node memo).
+- ``forest-lockstep``: the random forest's ``_fit_lockstep``, which grows
+  all trees together over rank-coded features, vs the per-tree
+  ``DecisionTreeClassifier.fit`` on each bootstrap with the loop split
+  search (``forest_oracle.fit_forest_per_tree``).
 
 Every assertion is *bitwise* (``np.array_equal`` / ``==`` on floats is
 deliberate here): the vectorised paths are required to reproduce the
@@ -38,8 +42,17 @@ from repro.ml import (
     LEAF,
     RandomForestClassifier,
 )
-from repro.ml.tree import _NodeEntry, _PresortedColumns, _TreeBuilder
+from repro.ml.tree import (
+    _LockstepForest,
+    _NodeEntry,
+    _PresortedColumns,
+    _SplitCandidate,
+    _TreeBuilder,
+    _fit_lockstep,
+)
 from repro.xai.tree_shap import TreeShapExplainer, _extract_trees
+
+from forest_oracle import fit_forest_per_tree
 
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -332,7 +345,11 @@ def _split_rows_afresh(presorted, node, feature, threshold):
 
 def _fit_with_split_oracle(model, *args, **kwargs):
     """Fit ``model`` with every node searched by ``_best_split_loop`` on
-    rows split afresh, so a fault in the node memo cannot reach it."""
+    rows split afresh, so a fault in the node memo cannot reach it.  A
+    forest, which grows its trees in lockstep without ``_TreeBuilder``, is
+    fitted one tree at a time by :func:`fit_forest_per_tree`."""
+    if isinstance(model, RandomForestClassifier):
+        return fit_forest_per_tree(model, *args, **kwargs)
     with mock.patch.object(_TreeBuilder, "_best_split",
                            _TreeBuilder._best_split_loop), \
             mock.patch.object(_PresortedColumns, "children",
@@ -363,6 +380,8 @@ def _paired_split(builder, node):
 
 
 def _fit_paired(model, *args, **kwargs):
+    if isinstance(model, RandomForestClassifier):
+        return _fit_paired_lockstep(model, *args, **kwargs)
     with mock.patch.object(_TreeBuilder, "_best_split", _paired_split):
         return model.fit(*args, **kwargs)
 
@@ -437,6 +456,176 @@ def test_presorted_split_matches_loop_oracle_on_overflowing_targets():
     fast = _fit_paired(DecisionTreeRegressor(), features, targets)
     oracle = _fit_with_split_oracle(DecisionTreeRegressor(), features, targets)
     _assert_same_fit(fast, oracle)
+
+
+# ----------------------------------------------------------------------
+# Oracle pair forest-lockstep: _fit_lockstep vs the per-tree
+# DecisionTreeClassifier.fit with the loop split search
+# ----------------------------------------------------------------------
+def _tied_column(rng, kind, n_samples):
+    """One feature column built to tie in the way ``kind`` names."""
+    if kind == "grid":
+        # An integer grid with negatives and both signed zeros.
+        column = rng.integers(-2, 3, size=n_samples) * 1.0
+        zeros = column == 0
+        column[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    elif kind == "adjacent":
+        # Adjacent floats whose midpoint rounds onto the upper value.
+        lower = 636965317.7045811
+        column = np.where(rng.random(n_samples) < 0.5, lower,
+                          np.nextafter(lower, np.inf))
+    elif kind == "tolerance":
+        # Gaps of 1e-13 to 2e-12 on both sides of the 1e-12 tie tolerance
+        # (from 0.0 the first gap is exact).
+        gaps = rng.choice([1e-13, 5e-13, 9.9e-13, 1e-12, 1.01e-12, 1.5e-12,
+                           2e-12], size=4)
+        levels = rng.choice([0.0, 0.25]) + np.concatenate(
+            ([0.0], np.cumsum(gaps)))
+        column = levels[rng.integers(0, levels.size, size=n_samples)]
+    else:
+        # NaN and both infinities among a few finite values.
+        column = rng.integers(-1, 2, size=n_samples) * 1.0
+        draw = rng.random(n_samples)
+        column[draw < 0.15] = np.nan
+        column[(draw >= 0.15) & (draw < 0.25)] = np.inf
+        column[(draw >= 0.25) & (draw < 0.35)] = -np.inf
+    return column
+
+
+def _lockstep_problem(seed, n_samples, n_features, n_classes, minority,
+                      weighted):
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(["grid", "adjacent", "tolerance", "nonfinite"],
+                       size=n_features)
+    features = np.column_stack([_tied_column(rng, kind, n_samples)
+                                for kind in kinds])
+    if minority:
+        # One row of class 1 (and one of class 2): many bootstraps miss it.
+        codes = np.zeros(n_samples, dtype=int)
+        codes[rng.integers(n_samples)] = 1
+        if n_classes > 2 and n_samples > 1:
+            codes[rng.integers(n_samples)] = 2
+    else:
+        codes = rng.integers(0, n_classes, size=n_samples)
+    # Unsorted, non-contiguous label values exercise classes_.
+    labels = np.array([7, -1, 3, 10, 2, 5, 0, 8, 4])[codes]
+    sample_weight = None
+    if weighted:
+        sample_weight = rng.uniform(0.1, 2.0, size=n_samples)
+        sample_weight[rng.random(n_samples) < 0.3] = 0.0
+        sample_weight[0] = 1.0
+    return features, labels, sample_weight
+
+
+_LOCKSTEP_SEARCH = _LockstepForest._search
+
+
+def _fit_paired_lockstep(model, features, labels, sample_weight=None):
+    """Fit ``model`` with every lockstep node search also run by
+    ``_best_split_loop`` on the node's drawn rows; feature, threshold and
+    score must match bit for bit (a last-bit score slip rarely changes a
+    tree, so compare it here)."""
+    columns = np.ascontiguousarray(np.asarray(features, dtype=float).T)
+    encoded = np.unique(labels, return_inverse=True)[1]
+
+    def paired(grower, trees):
+        results = _LOCKSTEP_SEARCH(grower, trees)
+        for tree, result in zip(trees, results):
+            pending = tree.searched
+            drawn = grower.multiplicity[tree.index, pending.rows]
+            classes = np.array(tree.classes)
+            builder = _TreeBuilder("gini", None, 2, grower.min_samples_leaf,
+                                   None, None)
+            builder._columns = columns
+            builder._targets = np.searchsorted(classes, encoded)
+            builder._weights = np.full(encoded.size, grower.pairwise[1])
+            builder._n_classes = classes.size
+            node = _NodeEntry((), np.repeat(pending.rows, drawn), None)
+            with mock.patch.object(builder, "_feature_subset",
+                                   return_value=tree.features):
+                oracle = builder._best_split_loop(node)
+            fast = None if result is None else _SplitCandidate(
+                result[1], result[2], result[0])
+            assert _candidate_bits(fast) == _candidate_bits(oracle)
+        return results
+
+    with mock.patch.object(_LockstepForest, "_search", paired):
+        return model.fit(features, labels, sample_weight=sample_weight)
+
+
+def _assert_same_forest(fast, oracle, features):
+    _assert_same_fit(fast, oracle)
+    assert _same_bits(fast.classes_, oracle.classes_)
+    for fast_tree, oracle_tree in zip(fast.estimators_, oracle.estimators_):
+        assert _same_bits(fast_tree.classes_, oracle_tree.classes_)
+        assert fast_tree.n_features_ == oracle_tree.n_features_
+    queries = np.vstack([features, np.random.default_rng(0).normal(
+        size=features.shape)])
+    assert _same_bits(fast.predict_proba(queries),
+                      oracle.predict_proba(queries))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n_samples=st.integers(1, 40),
+       n_features=st.integers(1, 6), n_classes=st.sampled_from([2, 3, 9]),
+       minority=st.booleans(), weighted=st.booleans(),
+       leaf=st.integers(1, 3), depth=st.sampled_from([None, 2, 5]),
+       n_trees=st.integers(1, 8),
+       max_features=st.sampled_from(["sqrt", "some", "all"]))
+def test_lockstep_forest_matches_per_tree_oracle(seed, n_samples, n_features,
+                                                 n_classes, minority,
+                                                 weighted, leaf, depth,
+                                                 n_trees, max_features):
+    features, labels, sample_weight = _lockstep_problem(
+        seed, n_samples, n_features, n_classes, minority, weighted)
+    subset = {"sqrt": None, "some": 1 + seed % n_features,
+              "all": n_features}[max_features]
+
+    def forest():
+        return RandomForestClassifier(
+            n_estimators=n_trees, max_depth=depth, min_samples_leaf=leaf,
+            max_features=subset, random_state=seed)
+
+    fast = _fit_paired_lockstep(forest(), features, labels,
+                                sample_weight=sample_weight)
+    oracle = fit_forest_per_tree(forest(), features, labels,
+                                 sample_weight=sample_weight)
+    _assert_same_forest(fast, oracle, features)
+
+
+def test_lockstep_forest_matches_oracle_when_bootstraps_miss_a_class():
+    features, labels, _ = _lockstep_problem(31, 24, 4, 3, minority=True,
+                                            weighted=False)
+
+    def forest():
+        return RandomForestClassifier(n_estimators=8, max_depth=5,
+                                      max_features=2, random_state=4)
+
+    fast = _fit_paired_lockstep(forest(), features, labels)
+    widths = {tree.classes_.size for tree in fast.estimators_}
+    assert min(widths) < fast.classes_.size == max(widths)
+    _assert_same_forest(fast, fit_forest_per_tree(forest(), features, labels),
+                        features)
+
+
+def test_forest_fits_through_lockstep_only():
+    features, labels, _ = _dataset(5, 60, 4)
+    with mock.patch("repro.ml.forest._fit_lockstep",
+                    wraps=_fit_lockstep) as lockstep, \
+            mock.patch.object(_TreeBuilder, "build",
+                              side_effect=AssertionError("per-tree build")):
+        RandomForestClassifier(n_estimators=3, random_state=0).fit(
+            features, labels)
+    assert lockstep.call_count == 1
+
+
+def test_lockstep_rejects_trees_with_different_settings():
+    features, labels, _ = _dataset(6, 20, 3)
+    trees = [DecisionTreeClassifier(max_depth=depth) for depth in (2, 3)]
+    with pytest.raises(ValueError, match="share their growth settings"):
+        _fit_lockstep(trees, features, labels,
+                      np.zeros((2, 20), dtype=int))
 
 
 # ----------------------------------------------------------------------

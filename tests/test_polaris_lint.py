@@ -349,7 +349,12 @@ def _oracle_repo_files(tmp_path):
             "    def predict_batch(self):\n"
             "        pass\n"
             "    def predict_value(self):\n"
-            "        pass\n",
+            "        pass\n"
+            "class Classifier:\n"
+            "    def fit(self):\n"
+            "        pass\n"
+            "def _fit_lockstep():\n"
+            "    pass\n",
         "src/repro/xai/tree_shap.py":
             "class TreeShapExplainer:\n"
             "    def expectation_batch(self):\n"
@@ -368,7 +373,7 @@ def _oracle_repo_files(tmp_path):
         "tests/test_oracles.py":
             "# references: update_batch update_batch_naive\n"
             "# compiled loop generate generate_loop\n"
-            "# _best_split _best_split_loop\n"
+            "# _best_split _best_split_loop _fit_lockstep fit\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
             "# philox_raw philox_blocks_reference\n",
@@ -412,7 +417,7 @@ class TestPL002Oracle:
         files["tests/test_oracles.py"] = (
             "# references: update_batch update_batch_naive\n"
             "# compiled loop generate\n"  # generate_loop dropped
-            "# _best_split _best_split_loop\n"
+            "# _best_split _best_split_loop _fit_lockstep fit\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
             "# philox_raw philox_blocks_reference counter sequence\n")
@@ -426,7 +431,7 @@ class TestPL002Oracle:
         files["tests/test_oracles.py"] = (
             "# references: update_batch update_batch_naive\n"
             "# compiled loop generate_loop\n"
-            "# _best_split _best_split_loop\n"
+            "# _best_split _best_split_loop _fit_lockstep fit\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
             "# philox_raw philox_blocks_reference counter sequence\n")

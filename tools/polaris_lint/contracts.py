@@ -92,6 +92,11 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # argsort-and-scan loop.
     OraclePair("tree-split", "src/repro/ml/tree.py",
                "_best_split", "_best_split_loop"),
+    # Lockstep random forest (all trees grown together over rank-coded
+    # features) vs the per-tree DecisionTreeClassifier.fit on each
+    # bootstrap.
+    OraclePair("forest-lockstep", "src/repro/ml/tree.py",
+               "_fit_lockstep", "fit"),
     # PR 8: native Philox word production vs the pure-numpy 10-round
     # reference implementation of the 4x64 block function.
     OraclePair("ctr-philox", "src/repro/power/ctrsample.py",

@@ -18,6 +18,7 @@ from .base import (
     NotFittedError,
     check_features,
     check_labels,
+    check_learning_rate,
     check_sample_weight,
 )
 from .tree import DecisionTreeClassifier, _PresortedColumns
@@ -37,8 +38,7 @@ class AdaBoostClassifier(BaseClassifier):
                  max_depth: int = 2, random_state: int = 0) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_learning_rate(learning_rate)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -46,6 +46,7 @@ class AdaBoostClassifier(BaseClassifier):
         self.estimators_: List[DecisionTreeClassifier] = []
         self.estimator_weights_: List[float] = []
         self.classes_: np.ndarray = np.array([])
+        self.n_features_: int = 0
 
     def fit(self, features: np.ndarray, labels: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "AdaBoostClassifier":
@@ -53,6 +54,7 @@ class AdaBoostClassifier(BaseClassifier):
         labels = check_labels(labels, features.shape[0])
         weights = check_sample_weight(sample_weight, features.shape[0]).copy()
         self.classes_ = np.unique(labels)
+        self.n_features_ = features.shape[1]
         n_classes = len(self.classes_)
         if n_classes < 2:
             # Degenerate training set: always predict the single class.
@@ -125,9 +127,12 @@ class AdaBoostClassifier(BaseClassifier):
 
     @property
     def feature_importances_(self) -> np.ndarray:
-        """Weight-averaged importances of the weak learners."""
-        if not self.estimators_:
+        """Weight-averaged importances of the weak learners (zeros after a
+        single-class fit, which grows no tree)."""
+        if self.classes_.size == 0:
             raise NotFittedError("AdaBoostClassifier is not fitted")
+        if not self.estimators_:
+            return np.zeros(self.n_features_)
         weights = np.asarray(self.estimator_weights_, dtype=float)
         weights = weights / weights.sum() if weights.sum() > 0 else weights
         stacked = np.vstack([tree.feature_importances_ for tree in self.estimators_])

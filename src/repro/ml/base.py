@@ -43,6 +43,12 @@ def check_fit_rows(n_samples: int) -> None:
         raise ValueError("cannot fit on an empty feature matrix (0 rows)")
 
 
+def check_learning_rate(learning_rate: float) -> None:
+    """Reject a boosting learning rate that is not finite or is <= 0."""
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError("learning_rate must be finite and positive")
+
+
 def check_sample_weight(sample_weight: Optional[np.ndarray],
                         n_samples: int) -> np.ndarray:
     """Return validated sample weights (uniform when ``None``) for fitting

@@ -5,7 +5,16 @@ gradient boosting with logistic loss over CART regression trees, including
 the features the paper's configuration relies on: a configurable learning
 rate (alpha = 0.01), per-sample weights (used for the weighted training
 that counters the theta_r class imbalance) and second-order (Newton) leaf
-estimates in the XGBoost style.  Every round fits on all rows.
+estimates in the XGBoost style.
+
+Every round fits on all rows with the same sample weights, so the rounds
+share one presort (``_PresortedColumns`` in :mod:`repro.ml.tree`) that
+holds those weights: its split-path memo caches each node's rows, sorted
+order and candidate splits, and also its weight state (the node's row
+weights and their total, and the weight prefix sums and totals at its
+candidates).  A round that regrows a node gathers and sums only its
+gradient.  The trees are bitwise those of ``DecisionTreeRegressor.fit``
+on each round's gradient and the same weights.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .base import (
     NotFittedError,
     check_features,
     check_labels,
+    check_learning_rate,
     check_sample_weight,
 )
 from .tree import DecisionTreeRegressor, _PresortedColumns
@@ -48,6 +58,7 @@ class GradientBoostingClassifier(BaseClassifier):
                  random_state: int = 0) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        check_learning_rate(learning_rate)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -60,6 +71,7 @@ class GradientBoostingClassifier(BaseClassifier):
         #: sentinel.
         self.fitted_: bool = False
         self.classes_: np.ndarray = np.array([])
+        self.n_features_: int = 0
 
     def fit(self, features: np.ndarray, labels: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "GradientBoostingClassifier":
@@ -67,6 +79,7 @@ class GradientBoostingClassifier(BaseClassifier):
         labels = check_labels(labels, features.shape[0])
         weights = check_sample_weight(sample_weight, features.shape[0])
         self.classes_ = np.unique(labels)
+        self.n_features_ = features.shape[1]
         if len(self.classes_) > 2:
             raise ValueError("GradientBoostingClassifier supports binary labels only")
         if len(self.classes_) == 1:
@@ -83,10 +96,12 @@ class GradientBoostingClassifier(BaseClassifier):
 
         scores = np.full(features.shape[0], self.initial_score_)
         self.estimators_ = []
-        # Every round searches the same rows, so the rounds share one
-        # presort (and its node memo) for this fit.
+        # Every round searches the same rows with the same weights, so the
+        # rounds share one presort, its node memo and the memo's weight
+        # cache for this fit.  The presort re-validates the weights as
+        # ``DecisionTreeRegressor.fit`` would.
         presorted = _PresortedColumns(features, self.min_samples_leaf,
-                                      shared=True)
+                                      shared=True, weights=weights)
         for round_index in range(self.n_estimators):
             probabilities = _sigmoid(scores)
             gradient = targets - probabilities
@@ -97,7 +112,7 @@ class GradientBoostingClassifier(BaseClassifier):
                 min_samples_leaf=self.min_samples_leaf,
                 random_state=self.random_state + round_index,
             )
-            tree._fit_presorted(presorted, gradient, sample_weight=weights)
+            tree._fit_fixed_weights(presorted, gradient)
             self._newton_adjust_leaves(tree, features, gradient, hessian,
                                        weights)
             update = tree.predict(features)
@@ -138,7 +153,10 @@ class GradientBoostingClassifier(BaseClassifier):
 
     @property
     def feature_importances_(self) -> np.ndarray:
-        """Mean impurity-based importances over all boosting rounds."""
-        if not self.estimators_:
+        """Mean impurity-based importances over all boosting rounds (zeros
+        after a single-class fit, which grows no tree)."""
+        if not self.fitted_:
             raise NotFittedError("GradientBoostingClassifier is not fitted")
+        if not self.estimators_:
+            return np.zeros(self.n_features_)
         return np.mean([tree.feature_importances_ for tree in self.estimators_], axis=0)

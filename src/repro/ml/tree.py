@@ -8,9 +8,15 @@ thresholds, scoring candidate splits with the weighted Gini impurity
 Fitting sorts once per ensemble fit: :class:`_PresortedColumns` stable-
 argsorts every column and memoises, per split path, each node's rows, its
 sorted order (a stable filter of its parent's) and its candidate splits.
-AdaBoost and gradient boosting (without subsampling) share one across their
-rounds, which at a low learning rate regrow nearly the same nodes; a single
-tree builds its own.  :class:`_TreeBuilder` grows a tree over it, and its
+AdaBoost and gradient boosting share one across their rounds, which at a
+low learning rate regrow nearly the same nodes; a single tree builds its
+own.  Gradient boosting's sample weights are the same in every round, so
+its presort holds them, and the memo also caches each node's weight state:
+the node's row weights and their total, and the weight prefix sums and
+weight totals at its candidates.  Only a tree fitted on exactly those
+weights (:meth:`DecisionTreeRegressor._fit_fixed_weights`) reads that
+cache; its trees are bitwise those of ``DecisionTreeRegressor.fit`` on
+the same weights.  :class:`_TreeBuilder` grows a tree over it, and its
 split search, :meth:`_TreeBuilder._best_split`, scores all features of a
 node in a few whole-matrix passes.  The per-feature argsort-and-scan search
 it replaced is kept as :meth:`_TreeBuilder._best_split_loop`, with the same
@@ -45,9 +51,10 @@ A fitted tree carries two synchronised representations:
   explainer (:mod:`repro.xai.tree_shap`) traverses.
 
 The batch paths are bit-identical to the per-sample oracles (same float64
-comparisons, same leaf values).  The three pairings (``tree-split``,
-``forest-lockstep`` and ``tree-predict``) are pinned by
-``tests/test_ml_vectorised.py`` and enforced by polaris-lint PL002.
+comparisons, same leaf values).  The four pairings (``tree-split``,
+``forest-lockstep``, ``boosting-fixed-weights`` and ``tree-predict``) are
+pinned by ``tests/test_ml_vectorised.py`` and enforced by polaris-lint
+PL002.
 """
 
 from __future__ import annotations
@@ -204,6 +211,13 @@ class _NodeEntry:
     rows in stable sorted order, ``int32``) is derived from the parent's
     order the first time the node is searched, and ``scan`` caches the
     all-features candidate scan.
+
+    In a fit whose weights are fixed (the presort's ``weights``), the
+    weight state is a function of the split path too: ``weights`` holds
+    the node rows' weights and ``total_weight`` their sum, and
+    ``candidate_weights`` the weight prefix sums at the cached scan's
+    candidates and the candidates' weight totals.  Every cached array is
+    rows- or candidate-sized; none is ``(features, rows)``.
     """
 
     def __init__(self, path: _SplitPath, rows: np.ndarray,
@@ -213,6 +227,9 @@ class _NodeEntry:
         self.parent_order = parent_order
         self.order: Optional[np.ndarray] = None
         self.scan: Optional[_Scan] = None
+        self.weights: Optional[np.ndarray] = None
+        self.total_weight: Optional[np.floating] = None
+        self.candidate_weights: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 class _PresortedColumns:
@@ -222,22 +239,33 @@ class _PresortedColumns:
     argsort of every column as an ``int32`` row order (the root's), and,
     when ``shared``, a memo of :class:`_NodeEntry` keyed by split path.
     AdaBoost shares one across the rounds of a ``fit``, and so does
-    gradient boosting without subsampling: a later round that regrows a
-    node only gathers its new weights or targets through the cached order
-    and scores the cached candidates.  A single tree builds an unshared
-    one, which memoises nothing and lets each node's order go once its
-    children have derived theirs.  No estimator keeps a
-    reference to it once ``fit`` returns.
+    gradient boosting: a later round that regrows a node only gathers its
+    new weights or targets through the cached order and scores the cached
+    candidates.  A single tree builds an unshared one, which memoises
+    nothing and lets each node's order go once its children have derived
+    theirs.  No estimator keeps a reference to it once ``fit`` returns.
+
+    ``weights`` are the sample weights of a fit that uses the same weights
+    in every round (gradient boosting), validated here as ``fit`` validates
+    them and frozen.  The memo then also caches each node's weight state
+    (see :class:`_NodeEntry`), which only a tree fitted on this very array
+    reads: the cache belongs to the fit, never to array contents.
+    AdaBoost, whose weights change every round, passes none.
     """
 
     def __init__(self, features: np.ndarray, min_samples_leaf: int,
-                 shared: bool = False) -> None:
+                 shared: bool = False,
+                 weights: Optional[np.ndarray] = None) -> None:
         self.columns = np.ascontiguousarray(features.T)
         self.min_samples_leaf = max(1, min_samples_leaf)
         self.root = _NodeEntry((), np.arange(self.n_samples), None)
         self.root.order = np.argsort(self.columns, axis=1,
                                      kind="stable").astype(np.int32)
         self.memo: Optional[dict] = {} if shared else None
+        self.weights: Optional[np.ndarray] = None
+        if weights is not None:
+            self.weights = check_sample_weight(weights, self.n_samples)
+            self.weights.setflags(write=False)
 
     @property
     def n_features(self) -> int:
@@ -307,7 +335,9 @@ class _TreeBuilder:
     is a :class:`_NodeEntry` searched through its presorted order, and a
     split asks the presort for the two child entries (memo lookups when it
     is shared).  The order and candidates belong to the split path; only
-    the weights and targets are the tree's own.
+    the weights and targets are the tree's own, except in a tree built on
+    the shared presort's fixed ``weights``, whose node weight state is
+    cached on the entries too.
     """
 
     def __init__(self, criterion: str, max_depth: Optional[int],
@@ -327,35 +357,50 @@ class _TreeBuilder:
         self._columns = np.zeros((0, 0))
         self._targets = np.zeros(0)
         self._weights = np.zeros(0)
+        self._fixed_weights = False
         self._n_classes = 0
         self._class_weights: List[np.ndarray] = []
         self._weighted = np.zeros(0)
         self._squared = np.zeros(0)
 
     # -- impurity ------------------------------------------------------
-    def _node_value(self, targets: np.ndarray, weights: np.ndarray,
-                    n_classes: int) -> np.ndarray:
-        if self.criterion == "gini":
-            value = np.zeros(n_classes)
-            for k in range(n_classes):
-                value[k] = weights[targets == k].sum()
-            total = value.sum()
-            return value / total if total > 0 else np.full(n_classes, 1.0 / n_classes)
+    def _node_weights(self, entry: _NodeEntry
+                      ) -> Tuple[np.ndarray, np.floating]:
+        """The node rows' weights and their total, cached on the entry in
+        a fixed-weight fit."""
+        if self._fixed_weights and entry.weights is not None:
+            return entry.weights, entry.total_weight
+        weights = self._weights[entry.rows]
         total = weights.sum()
-        mean = float(np.average(targets, weights=weights)) if total > 0 else 0.0
-        return np.array([mean])
+        if self._fixed_weights:
+            entry.weights, entry.total_weight = weights, total
+        return weights, total
 
-    def _impurity(self, targets: np.ndarray, weights: np.ndarray,
-                  n_classes: int) -> float:
-        total = weights.sum()
-        if total <= 0:
-            return 0.0
+    def _node_stats(self, targets: np.ndarray, weights: np.ndarray,
+                    total) -> Tuple[np.ndarray, float]:
+        """Value and impurity of a node from its rows' targets and weights
+        and ``total = weights.sum()``.
+
+        The variance criterion writes out what ``np.average`` evaluates,
+        ``np.multiply(a, weights).sum() / weights.sum()``, over the given
+        total, so the bits are those of ``np.average``.
+        """
+        n_classes = self._n_classes
         if self.criterion == "gini":
-            probabilities = np.array(
-                [weights[targets == k].sum() for k in range(n_classes)]) / total
-            return float(1.0 - np.sum(probabilities ** 2))
-        mean = np.average(targets, weights=weights)
-        return float(np.average((targets - mean) ** 2, weights=weights))
+            class_weights = np.array([weights[targets == k].sum()
+                                      for k in range(n_classes)])
+            class_total = class_weights.sum()
+            value = (class_weights / class_total if class_total > 0
+                     else np.full(n_classes, 1.0 / n_classes))
+            if total <= 0:
+                return value, 0.0
+            return value, float(1.0 - np.sum((class_weights / total) ** 2))
+        if total <= 0:
+            return np.array([0.0]), 0.0
+        mean = np.multiply(targets, weights).sum() / total
+        impurity = np.multiply((targets - mean) ** 2, weights).sum() / total
+        # ``total > 0`` is not ``not total <= 0`` for a NaN total.
+        return np.array([float(mean) if total > 0 else 0.0]), float(impurity)
 
     # -- split search --------------------------------------------------
     def _feature_subset(self, n_features: int) -> np.ndarray:
@@ -382,9 +427,8 @@ class _TreeBuilder:
             return None
         cand_row, cand_split = scan.cand_row, scan.cand_split
         order = node.order[scan.features].astype(np.intp)
-        sorted_weights = self._weights.take(order)
-        total_weight = sorted_weights.sum(axis=1)[cand_row]
         if self.criterion == "gini":
+            total_weight = self._weights.take(order).sum(axis=1)[cand_row]
             left_counts = np.empty((cand_row.size, self._n_classes))
             total_counts = np.empty_like(left_counts)
             for k, class_weights in enumerate(self._class_weights):
@@ -393,10 +437,12 @@ class _TreeBuilder:
                 total_counts[:, k] = cumulative[:, -1][cand_row]
             score = _gini_scores(left_counts, total_counts, total_weight)
         else:
+            cum_weight, total_weight = self._candidate_weights(node, scan,
+                                                               order)
             weighted = self._weighted.take(order)
             squared = self._squared.take(order)
             score = _mse_scores(
-                np.cumsum(sorted_weights, axis=1)[cand_row, cand_split],
+                cum_weight,
                 np.cumsum(weighted, axis=1)[cand_row, cand_split],
                 np.cumsum(squared, axis=1)[cand_row, cand_split],
                 total_weight, weighted.sum(axis=1)[cand_row],
@@ -412,6 +458,26 @@ class _TreeBuilder:
                                      node.order[feature, position:position + 2]]
         return _SplitCandidate(int(feature), _midpoint(lower, upper),
                                float(score[best]))
+
+    def _candidate_weights(self, node: _NodeEntry, scan: _Scan,
+                           order: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Weight prefix sums at the scan's candidates and the candidates'
+        weight totals.
+
+        ``order`` is the node's order for the scanned features.  A fixed-
+        weight fit caches both on the entry when the scan is the entry's
+        cached one, so a regrown node gathers and sums no weights.
+        """
+        cached = self._fixed_weights and scan is node.scan
+        if cached and node.candidate_weights is not None:
+            return node.candidate_weights
+        sorted_weights = self._weights.take(order)
+        result = (np.cumsum(sorted_weights, axis=1)[scan.cand_row,
+                                                    scan.cand_split],
+                  sorted_weights.sum(axis=1)[scan.cand_row])
+        if cached:
+            node.candidate_weights = result
+        return result
 
     def _best_split_loop(self, node: _NodeEntry) -> Optional[_SplitCandidate]:
         """Reference split search: argsort and scan one feature at a time.
@@ -477,6 +543,9 @@ class _TreeBuilder:
         self._columns = presorted.columns
         self._targets = targets
         self._weights = weights
+        # The memo's weight state belongs to the presort's own weights.
+        self._fixed_weights = (presorted.memo is not None
+                               and weights is presorted.weights)
         self._n_classes = n_classes
         # Per-row summands of the split scores, gathered per node through
         # its sorted order: the weight of each class for Gini, the weighted
@@ -492,13 +561,11 @@ class _TreeBuilder:
 
     def _grow(self, entry: _NodeEntry, depth: int) -> int:
         rows = entry.rows
-        targets = self._targets[rows]
-        weights = self._weights[rows]
+        weights, total = self._node_weights(entry)
         node_index = len(self.nodes)
-        value = self._node_value(targets, weights, self._n_classes)
-        impurity = self._impurity(targets, weights, self._n_classes)
+        value, impurity = self._node_stats(self._targets[rows], weights, total)
         node = TreeNode(feature=LEAF, threshold=0.0, left=-1, right=-1,
-                        value=value, cover=float(weights.sum()),
+                        value=value, cover=float(total),
                         impurity=impurity, depth=depth)
         self.nodes.append(node)
 
@@ -788,10 +855,35 @@ class DecisionTreeRegressor:
                        sample_weight: Optional[np.ndarray] = None
                        ) -> "DecisionTreeRegressor":
         """:meth:`fit` on columns an ensemble presorted for all its trees."""
+        targets = self._check_targets(presorted, targets)
+        weights = check_sample_weight(sample_weight, presorted.n_samples)
+        return self._build(presorted, targets, weights)
+
+    def _fit_fixed_weights(self, presorted: _PresortedColumns,
+                           targets: np.ndarray) -> "DecisionTreeRegressor":
+        """:meth:`fit` with the fixed ``weights`` of a shared presort.
+
+        The tree reads and fills the memo's weight cache, so a gradient-
+        boosting round that regrows a node gathers and sums only its
+        targets.  Its nodes are bitwise those of ``fit(features, targets,
+        sample_weight)`` with the weights the presort was given (oracle
+        pair ``boosting-fixed-weights``, polaris-lint PL002).
+        """
+        if presorted.weights is None:
+            raise ValueError("the presorted columns hold no fixed weights")
+        return self._build(presorted, self._check_targets(presorted, targets),
+                           presorted.weights)
+
+    @staticmethod
+    def _check_targets(presorted: _PresortedColumns,
+                       targets: np.ndarray) -> np.ndarray:
         targets = np.asarray(targets, dtype=float)
         if targets.shape != (presorted.n_samples,):
             raise ValueError("targets must match the number of feature rows")
-        weights = check_sample_weight(sample_weight, presorted.n_samples)
+        return targets
+
+    def _build(self, presorted: _PresortedColumns, targets: np.ndarray,
+               weights: np.ndarray) -> "DecisionTreeRegressor":
         self.n_features_ = presorted.n_features
         builder = _TreeBuilder("mse", self.max_depth, self.min_samples_split,
                                self.min_samples_leaf, self.max_features,

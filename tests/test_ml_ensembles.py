@@ -51,6 +51,12 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForestClassifier(n_estimators=0)
 
+    def test_single_class_fit_has_zero_importances(self, rng):
+        features = rng.normal(size=(20, 3))
+        model = RandomForestClassifier(n_estimators=3).fit(
+            features, np.ones(20, dtype=int))
+        assert np.array_equal(model.feature_importances_, np.zeros(3))
+
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
             RandomForestClassifier().predict(np.zeros((1, 3)))
@@ -118,6 +124,18 @@ class TestAdaBoost:
         model = AdaBoostClassifier(n_estimators=5).fit(features, np.ones(20, dtype=int))
         assert (model.predict(features) == 1).all()
 
+    def test_single_class_fit_has_zero_importances(self, rng):
+        # Regression: a single-class fit predicts, yet its importances
+        # raised NotFittedError.
+        features = rng.normal(size=(20, 3))
+        model = AdaBoostClassifier(n_estimators=5).fit(
+            features, np.ones(20, dtype=int))
+        assert np.array_equal(model.feature_importances_, np.zeros(3))
+
+    def test_unfitted_importances_raise(self):
+        with pytest.raises(NotFittedError):
+            AdaBoostClassifier().feature_importances_
+
     def test_sample_weight_influences_model(self, rng):
         features = rng.normal(size=(200, 3))
         labels = (features[:, 0] > 0).astype(int)
@@ -184,6 +202,18 @@ class TestGradientBoosting:
         with pytest.raises(ValueError):
             GradientBoostingClassifier(n_estimators=0)
 
+    def test_single_class_fit_has_zero_importances(self, rng):
+        # Regression: a single-class fit predicts, yet its importances
+        # raised NotFittedError.
+        features = rng.normal(size=(20, 2))
+        model = GradientBoostingClassifier(n_estimators=5).fit(
+            features, np.zeros(20, dtype=int))
+        assert np.array_equal(model.feature_importances_, np.zeros(2))
+
+    def test_unfitted_importances_raise(self):
+        with pytest.raises(NotFittedError):
+            GradientBoostingClassifier().feature_importances_
+
     def test_unfitted_decision_function_raises(self):
         with pytest.raises(NotFittedError):
             GradientBoostingClassifier().decision_function(np.zeros((1, 2)))
@@ -199,3 +229,16 @@ class TestGradientBoosting:
         assert model.initial_score_ == 0.0
         assert model.fitted_
         assert model.decision_function(features).shape == (4,)
+
+
+@pytest.mark.parametrize("learning_rate",
+                         [0.0, -1.0, float("nan"), float("inf"),
+                          float("-inf")])
+@pytest.mark.parametrize("family",
+                         [AdaBoostClassifier, GradientBoostingClassifier])
+def test_boosting_rejects_a_learning_rate_that_is_not_finite_and_positive(
+        family, learning_rate):
+    # Regression: gradient boosting accepted 0, -1 and NaN, and AdaBoost
+    # NaN and inf.
+    with pytest.raises(ValueError, match="learning_rate"):
+        family(learning_rate=learning_rate)

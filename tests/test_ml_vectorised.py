@@ -17,6 +17,11 @@ These tests pin the oracle pairs registered in
   all trees together over rank-coded features, vs the per-tree
   ``DecisionTreeClassifier.fit`` on each bootstrap with the loop split
   search (``forest_oracle.fit_forest_per_tree``).
+- ``boosting-fixed-weights``: gradient-boosting rounds grown by
+  ``DecisionTreeRegressor._fit_fixed_weights`` on the fit's shared,
+  fixed-weight presort (node weight state cached on the split-path memo)
+  vs every round fitted alone by ``DecisionTreeRegressor.fit`` on the
+  same gradient and weights.
 
 Every assertion is *bitwise* (``np.array_equal`` / ``==`` on floats is
 deliberate here): the vectorised paths are required to reproduce the
@@ -26,6 +31,7 @@ paths can never disagree.
 
 import gc
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -709,3 +715,226 @@ def test_fitted_ensemble_keeps_no_presorted_columns(family):
     gc.collect()
     assert not any(isinstance(obj, _PresortedColumns)
                    for obj in gc.get_objects())
+
+
+# ----------------------------------------------------------------------
+# Oracle pair boosting-fixed-weights: rounds on the fit's fixed-weight
+# presort (_fit_fixed_weights) vs DecisionTreeRegressor.fit per round
+# ----------------------------------------------------------------------
+class _RoundInputs:
+    """Stands in for gradient boosting's presort: keeps the matrix and the
+    weights the fit hands it, and presorts nothing."""
+
+    def __init__(self, features, min_samples_leaf, shared=False,
+                 weights=None):
+        self.features = features
+        self.sample_weight = weights
+
+
+def _fit_round_alone(tree, presorted, targets):
+    return tree.fit(presorted.features, targets,
+                    sample_weight=presorted.sample_weight)
+
+
+def _fit_boosting_per_round(model, *args, **kwargs):
+    """Fit ``model`` with every round's tree fitted by
+    ``DecisionTreeRegressor.fit`` on the round's gradient and the fit's
+    weights: no presort, memo or weight cache outlives a round."""
+    with mock.patch("repro.ml.gradient_boosting._PresortedColumns",
+                    _RoundInputs), \
+            mock.patch.object(DecisionTreeRegressor, "_fit_fixed_weights",
+                              _fit_round_alone):
+        return model.fit(*args, **kwargs)
+
+
+def _assert_same_boosting(fast, oracle):
+    """Every ``FlatTree`` array, every node's impurity, cover and value,
+    and ``initial_score_`` bitwise equal."""
+    assert _same_bits(np.float64(fast.initial_score_),
+                      np.float64(oracle.initial_score_))
+    _assert_same_fit(fast, oracle)
+    for fast_tree, oracle_tree in zip(_fitted_trees(fast),
+                                      _fitted_trees(oracle)):
+        for a, b in zip(fast_tree.nodes, oracle_tree.nodes):
+            assert _same_bits(np.float64(a.impurity), np.float64(b.impurity))
+            assert _same_bits(np.float64(a.cover), np.float64(b.cover))
+            assert _same_bits(a.value, b.value)
+
+
+def _weight_cache_hits(model, *args, **kwargs):
+    """Fit ``model``, counting the searches served cached candidate
+    weights by an earlier round."""
+    hits = []
+    original = _TreeBuilder._candidate_weights
+
+    def counting(builder, node, scan, order):
+        hits.append(node.candidate_weights is not None)
+        return original(builder, node, scan, order)
+
+    with mock.patch.object(_TreeBuilder, "_candidate_weights", counting):
+        model.fit(*args, **kwargs)
+    return sum(hits)
+
+
+def _paper_cognition(seed):
+    """The train flow's config, cognition matrix, labels and class
+    weights at ``seed``."""
+    from dataclasses import replace
+
+    from repro.core import generate_cognition, paper_configuration
+    from repro.core.cognition import _class_weights
+    from repro.workloads import WorkloadConfig, training_designs
+
+    config = paper_configuration()
+    config = replace(config, tvla=replace(config.tvla, seed=seed))
+    dataset, _ = generate_cognition(
+        training_designs(WorkloadConfig(scale=1.0, seed=seed)), config)
+    return (config, dataset.features, dataset.labels,
+            _class_weights(dataset.labels))
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_fixed_weight_boosting_matches_per_round_fit_on_paper_cognition(
+        seed):
+    from repro.core.cognition import build_model
+
+    config, features, labels, weights = _paper_cognition(seed)
+
+    def model():
+        return build_model(config.with_model("xgboost").model)
+
+    fast = model()
+    assert _weight_cache_hits(fast, features, labels,
+                              sample_weight=weights) > 0
+    oracle = _fit_boosting_per_round(model(), features, labels,
+                                     sample_weight=weights)
+    _assert_same_boosting(fast, oracle)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n_samples=st.integers(2, 60),
+       n_features=st.integers(1, 6), leaf=st.integers(1, 3),
+       depth=st.integers(1, 4), weights=st.sampled_from(["zeros", "none"]),
+       learning_rate=st.sampled_from([0.01, 0.3]))
+def test_fixed_weight_boosting_matches_per_round_fit(
+        seed, n_samples, n_features, leaf, depth, weights, learning_rate):
+    features, labels, sample_weight = _split_problem(
+        "gboost", seed, n_samples, n_features, 2, "grid", weights,
+        bootstrap=False)
+
+    def model():
+        return GradientBoostingClassifier(
+            n_estimators=6, learning_rate=learning_rate, max_depth=depth,
+            min_samples_leaf=leaf, random_state=seed)
+
+    fast = model().fit(features, labels, sample_weight=sample_weight)
+    oracle = _fit_boosting_per_round(model(), features, labels,
+                                     sample_weight=sample_weight)
+    _assert_same_boosting(fast, oracle)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10_000), n_samples=st.integers(1, 3000),
+       zeros=st.booleans())
+def test_node_stats_match_np_average(seed, n_samples, zeros):
+    rng = np.random.default_rng(seed)
+    targets = rng.normal(size=n_samples) * 10.0 ** rng.integers(-3, 4)
+    weights = rng.uniform(0.0, 2.0, size=n_samples)
+    if zeros:
+        weights[rng.random(n_samples) < 0.5] = 0.0
+        weights[0] = 0.25
+    builder = _TreeBuilder("mse", None, 2, 1, None, None)
+    builder._n_classes = 1
+    value, impurity = builder._node_stats(targets, weights, weights.sum())
+    mean = np.average(targets, weights=weights)
+    assert _same_bits(value, np.array([float(mean)]))
+    assert _same_bits(np.float64(impurity), np.float64(
+        np.average((targets - mean) ** 2, weights=weights)))
+
+
+def test_weight_cache_belongs_to_the_presort_weights():
+    # A shared presort that served one weight vector must not hand its
+    # cached weight state to a tree fitted with another.
+    features, targets, first = _split_problem(
+        "cart_mse", 31, 150, 6, 2, "grid", "zeros", bootstrap=False)
+    second = np.roll(first, 37) + np.linspace(0.0, 3.0, first.size)
+
+    def tree():
+        return DecisionTreeRegressor(max_depth=3, min_samples_leaf=2)
+
+    presorted = _PresortedColumns(features, 2, shared=True, weights=first)
+    assert not presorted.weights.flags.writeable
+    cached = tree()._fit_fixed_weights(presorted, targets)
+    assert presorted.root.candidate_weights is not None
+    other = tree()._fit_presorted(presorted, targets, sample_weight=second)
+    # Equal contents, another array: validated anew, so no cache either.
+    copy = presorted.weights.copy()
+    copied = tree()._fit_presorted(presorted, targets, sample_weight=copy)
+    again = tree()._fit_fixed_weights(presorted, targets)
+    oracle_first = tree().fit(features, targets, sample_weight=first)
+    for fitted, oracle in (
+            (cached, oracle_first), (again, oracle_first),
+            (other, tree().fit(features, targets, sample_weight=second)),
+            (copied, tree().fit(features, targets, sample_weight=copy))):
+        _assert_same_fit(fitted, oracle)
+        for a, b in zip(fitted.tree_.nodes, oracle.tree_.nodes):
+            assert _same_bits(np.float64(a.impurity), np.float64(b.impurity))
+    # The second vector really grows another tree, from the root on.
+    assert not _same_bits(other.tree_.flat.value[:1],
+                          cached.tree_.flat.value[:1])
+    # Trees that draw feature subsets search their own candidates, never
+    # the cached ones of the all-features scan.
+    for seed in range(6):
+        def subset_tree():
+            return DecisionTreeRegressor(
+                max_depth=3, min_samples_leaf=2,
+                max_features=None if seed % 2 else 3, random_state=seed)
+
+        _assert_same_fit(
+            subset_tree()._fit_fixed_weights(presorted, targets),
+            subset_tree().fit(features, targets, sample_weight=first))
+    with pytest.raises(ValueError, match="no fixed weights"):
+        tree()._fit_fixed_weights(_PresortedColumns(features, 2, shared=True),
+                                  targets)
+
+
+def test_weight_cache_holds_no_feature_by_row_array():
+    features, labels, sample_weight = _split_problem(
+        "gboost", 32, 400, 60, 2, "grid", "zeros", bootstrap=False)
+    kept = []
+
+    class Keeping(_PresortedColumns):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            kept.append(self)
+
+    model = GradientBoostingClassifier(n_estimators=30, learning_rate=0.01,
+                                       max_depth=3, random_state=5)
+    with mock.patch("repro.ml.gradient_boosting._PresortedColumns",
+                    Keeping):
+        tracemalloc.start()
+        try:
+            model.fit(features, labels, sample_weight=sample_weight)
+            held = tracemalloc.get_traced_memory()[0]
+            entries = [kept[0].root, *kept[0].memo.values()]
+            for entry in entries:
+                # Only the int32 orders are (features, rows).
+                for name, value in vars(entry).items():
+                    for array in (value if isinstance(value, tuple)
+                                  else (value,)):
+                        if name not in ("order", "parent_order") \
+                                and isinstance(array, np.ndarray):
+                            assert array.ndim == 1, name
+                entry.weights = entry.total_weight = None
+                entry.candidate_weights = None
+            gc.collect()
+            cache_bytes = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    # Caching each searched node's sorted weights, a (features, rows)
+    # float matrix, would take eight bytes per entry of its int32 order.
+    sorted_weight_bytes = sum(entry.order.size * 8 for entry in entries
+                              if entry.order is not None)
+    assert 0 < cache_bytes < sorted_weight_bytes / 4, (cache_bytes,
+                                                        sorted_weight_bytes)

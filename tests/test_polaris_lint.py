@@ -353,6 +353,9 @@ def _oracle_repo_files(tmp_path):
             "class Classifier:\n"
             "    def fit(self):\n"
             "        pass\n"
+            "class Regressor:\n"
+            "    def _fit_fixed_weights(self):\n"
+            "        pass\n"
             "def _fit_lockstep():\n"
             "    pass\n",
         "src/repro/xai/tree_shap.py":
@@ -374,6 +377,7 @@ def _oracle_repo_files(tmp_path):
             "# references: update_batch update_batch_naive\n"
             "# compiled loop generate generate_loop\n"
             "# _best_split _best_split_loop _fit_lockstep fit\n"
+            "# _fit_fixed_weights\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
             "# philox_raw philox_blocks_reference\n",
@@ -418,6 +422,7 @@ class TestPL002Oracle:
             "# references: update_batch update_batch_naive\n"
             "# compiled loop generate\n"  # generate_loop dropped
             "# _best_split _best_split_loop _fit_lockstep fit\n"
+            "# _fit_fixed_weights\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
             "# philox_raw philox_blocks_reference counter sequence\n")
@@ -432,6 +437,7 @@ class TestPL002Oracle:
             "# references: update_batch update_batch_naive\n"
             "# compiled loop generate_loop\n"
             "# _best_split _best_split_loop _fit_lockstep fit\n"
+            "# _fit_fixed_weights\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
             "# philox_raw philox_blocks_reference counter sequence\n")

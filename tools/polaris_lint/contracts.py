@@ -97,6 +97,11 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # bootstrap.
     OraclePair("forest-lockstep", "src/repro/ml/tree.py",
                "_fit_lockstep", "fit"),
+    # Gradient-boosting rounds on the fit's fixed-weight presort, whose
+    # split-path memo caches each node's weight state, vs
+    # DecisionTreeRegressor.fit on each round's gradient and weights.
+    OraclePair("boosting-fixed-weights", "src/repro/ml/tree.py",
+               "_fit_fixed_weights", "fit"),
     # PR 8: native Philox word production vs the pure-numpy 10-round
     # reference implementation of the 4x64 block function.
     OraclePair("ctr-philox", "src/repro/power/ctrsample.py",

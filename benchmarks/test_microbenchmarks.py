@@ -505,22 +505,21 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
 
 
 def test_service_streaming_microbench(design, recorder, tmp_path):
-    """Per-frame cost of the live service's streaming path (informational).
+    """Per-shard cost of the live service's streaming path (informational).
 
-    Measures the two things the server does per streamed shard — the wire
-    codec round-trip of a real ``ShardPartial`` frame (the exact checkpoint
-    bytes, base64 in canonical JSON) and the interim fold (unpack + merge
-    present shards + aggregate into t-values) — and records them as
-    ``microbench_service`` in ``latest.json``.  Not gated: the numbers
-    document what live streaming costs per shard next to the shard's own
-    compute, they are not a regression anchor.
+    Measures the two things the server does per folded shard — the
+    interim fold (merge present shards + aggregate into t-values) and the
+    wire codec round-trip of the ``CampaignProgress`` frame it then sends
+    to every watcher (t-value arrays base64 in canonical JSON) — and
+    records them as ``microbench_service`` in ``latest.json``.  Not gated:
+    the numbers document what live streaming costs per shard next to the
+    shard's own compute, they are not a regression anchor.
     """
-    import base64
-
     from repro.campaign import run_campaign
-    from repro.campaign.runner import CampaignPaths
-    from repro.campaign.serialize import unpack_shard_moments
-    from repro.service.protocol import (ShardPartial, decode_message,
+    from repro.campaign.runner import CampaignPaths, verified_checkpoint
+    from repro.campaign.serialize import encode_array
+    from repro.campaign.spec import CampaignSpec
+    from repro.service.protocol import (CampaignProgress, decode_message,
                                         encode_message)
     from repro.tvla.sharding import merge_shard_partials
 
@@ -530,20 +529,9 @@ def test_service_streaming_microbench(design, recorder, tmp_path):
     root = tmp_path / "campaigns"
     reference = run_campaign(root, design, config, n_shards=n_shards,
                              n_workers=n_shards)
-    from repro.campaign.spec import CampaignSpec
     spec = CampaignSpec.from_netlist(design, config, n_shards=n_shards)
     paths = CampaignPaths(root, spec.content_hash)
-    payloads = [paths.shard_path(k).read_bytes() for k in range(n_shards)]
-
-    frame = ShardPartial(tenant="bench", spec_hash=spec.content_hash,
-                         shard_index=0,
-                         payload_b64=base64.b64encode(payloads[0]).decode(),
-                         worker="bench")
-    codec_loops = 200
-    codec_seconds = timeit.timeit(
-        lambda: decode_message(encode_message(frame)), number=codec_loops)
-
-    partials = [unpack_shard_moments(payload) for payload in payloads]
+    partials = [verified_checkpoint(paths, k)[1] for k in range(n_shards)]
     fold_loops = 20
 
     def fold():
@@ -553,10 +541,23 @@ def test_service_streaming_microbench(design, recorder, tmp_path):
     fold_seconds = timeit.timeit(fold, number=fold_loops)
     # The fold must reproduce the batch merge bitwise — the property the
     # whole streaming design rests on.
-    assert np.array_equal(fold().t_values, reference.t_values)
+    assessment = fold()
+    assert np.array_equal(assessment.t_values, reference.t_values)
+
+    frame = CampaignProgress(
+        tenant="bench", spec_hash=spec.content_hash,
+        n_shards_total=n_shards, shards_done=tuple(range(n_shards)),
+        t_values=encode_array(assessment.t_values),
+        order_t_values={str(order): encode_array(values) for order, values
+                        in sorted(assessment.order_t_values.items())},
+        max_abs_t=float(assessment.summary()["max_abs_t"]),
+        leaking_gates=assessment.leaky_gates)
+    codec_loops = 200
+    codec_seconds = timeit.timeit(
+        lambda: decode_message(encode_message(frame)), number=codec_loops)
 
     rows = [
-        {"metric": "shard_partial_codec_roundtrip",
+        {"metric": "progress_frame_codec_roundtrip",
          "frame_bytes": len(encode_message(frame)),
          "seconds_per_op": codec_seconds / codec_loops},
         {"metric": "interim_fold_all_shards",
@@ -565,10 +566,10 @@ def test_service_streaming_microbench(design, recorder, tmp_path):
     ]
     recorder.record(ExperimentRecord(
         experiment_id="microbench_service",
-        description=("Per-shard streaming cost of repro.service: wire "
-                     "codec round-trip of a real ShardPartial frame and "
-                     "the server's interim fold (merge + aggregate), on a "
-                     "2-shard 600-trace campaign"),
+        description=("Per-shard streaming cost of repro.service: the "
+                     "server's interim fold (merge + aggregate) and the "
+                     "wire codec round-trip of the CampaignProgress frame "
+                     "it sends, on a 2-shard 600-trace campaign"),
         parameters={"scale": BENCH_SCALE, "n_traces": config.n_traces,
                     "chunk_traces": config.chunk_traces,
                     "n_shards": n_shards},

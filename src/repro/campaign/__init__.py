@@ -47,7 +47,6 @@ from .runner import (
     load_spec,
     run_campaign,
     run_shard_task,
-    set_shard_partial_hook,
     submit_campaign,
 )
 from .serialize import (
@@ -86,7 +85,6 @@ __all__ = [
     "run_campaign",
     "run_shard_task",
     "run_worker",
-    "set_shard_partial_hook",
     "submit_campaign",
     "tvla_config_from_dict",
     "tvla_config_to_dict",

@@ -22,15 +22,14 @@ objects and redundant shard checkpoints.
 The live-service verbs (see ``docs/service.md``)::
 
     polaris-campaign serve  --root RUNS --port 7611
-    polaris-campaign work   --root RUNS --connect HOST:PORT --forever
     polaris-campaign submit --root RUNS ... --follow --connect HOST:PORT
     polaris-campaign watch  --connect HOST:PORT --tenant lab <spec-hash>
 
-``serve`` runs the asyncio front-end, ``work --connect`` attaches a
-worker that streams shard partials + heartbeats, ``submit --follow``
+``serve`` runs the asyncio front-end over the root, ``submit --follow``
 submits through the service and renders the live interim t-value stream,
-and ``watch`` subscribes to an already-running campaign.  See
-``docs/campaigns.md`` for the batch walkthrough.
+and ``watch`` subscribes to an already-running campaign.  Plain ``work``
+processes on the same root compute the shards; the service folds their
+sealed checkpoints.  See ``docs/campaigns.md`` for the batch walkthrough.
 """
 
 from __future__ import annotations
@@ -124,10 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     work.add_argument("--max-idle", type=float, default=None,
                       help="exit after this many seconds without claiming "
                            "a task (CI cutoff for daemon workers)")
-    work.add_argument("--connect", default=None, metavar="HOST:PORT",
-                      help="attach to a running service: stream shard "
-                           "partials and heartbeats while draining the "
-                           "shared queue")
     work.add_argument("--no-renew", action="store_true",
                       help="disable half-lease heartbeat renewal "
                            "(simulates pre-renewal workers; leases must "
@@ -311,23 +306,16 @@ def _work(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"error: bad --fault-plan: {error}", file=sys.stderr)
             return 2
-    worker_kwargs = dict(worker=args.worker,
-                         max_tasks=args.max_tasks,
-                         poll_interval=args.poll_interval,
-                         lease_seconds=args.lease_seconds,
-                         drain=args.drain,
-                         forever=args.forever,
-                         max_poll_interval=args.max_poll_interval,
-                         max_idle=args.max_idle,
-                         renew_leases=not args.no_renew)
-    if args.connect is not None:
-        from ..service.worker import run_service_worker
-        host, port = _parse_endpoint(args.connect)
-        executed = run_service_worker(args.root, host, port,
-                                      **worker_kwargs)
-    else:
-        queue = campaign_queue(args.root)
-        executed = run_worker(queue, **worker_kwargs)
+    executed = run_worker(campaign_queue(args.root),
+                          worker=args.worker,
+                          max_tasks=args.max_tasks,
+                          poll_interval=args.poll_interval,
+                          lease_seconds=args.lease_seconds,
+                          drain=args.drain,
+                          forever=args.forever,
+                          max_poll_interval=args.max_poll_interval,
+                          max_idle=args.max_idle,
+                          renew_leases=not args.no_renew)
     print(f"worker exit: {executed} task(s) executed")
     return 0
 

@@ -35,7 +35,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..netlist.netlist import Netlist
 from ..power.traces import PowerTraceGenerator
@@ -160,6 +160,25 @@ def _enqueue_shard(queue: TaskQueue, paths: CampaignPaths,
         protocol=pickle.HIGHEST_PROTOCOL)
     return queue.put(payload, key=paths.shard_key(shard_index),
                      requeue_done=True)
+
+
+def requeue_stale_shard(queue: TaskQueue, paths: CampaignPaths,
+                        shard_index: int) -> bool:
+    """Requeue a shard whose task is ``done`` but whose checkpoint is gone
+    (mutates ``queue``); returns whether it did.
+
+    A worker publishes its checkpoint before it acks, so a ``done`` row
+    without a checkpoint file is a stale completion record.  The race that
+    leaves one: a reader quarantines a corrupt publish while the task is
+    still leased — :func:`verified_checkpoint`'s requeue is then a no-op —
+    and the worker's ack marks the task done.
+    """
+    outcome = queue.outcome_by_key(paths.shard_key(shard_index))
+    if outcome is None or outcome[0] != "done" \
+            or paths.shard_path(shard_index).exists():
+        return False
+    _enqueue_shard(queue, paths, shard_index)
+    return True
 
 
 def load_spec(root: Union[str, Path], spec_hash: str) -> CampaignSpec:
@@ -379,42 +398,6 @@ def submit_campaign(root: Union[str, Path],
 # ----------------------------------------------------------------------
 # The worker-side task (module-level: queue payloads must be picklable)
 # ----------------------------------------------------------------------
-# Per-process streaming seam: a service worker installs a hook that
-# forwards every published shard checkpoint to the server as a
-# ShardPartial frame.  The hook lives in the worker *process* (queue
-# payloads are pickled at submit time, so they cannot carry callbacks)
-# and is pure observation: the durable checkpoint is already on disk
-# before the hook runs, and hook failures are swallowed — a flaky
-# streaming socket must never fail or retry a finished shard.
-ShardPartialHook = Callable[[str, str, int, bytes], None]
-_shard_partial_hook: Optional[ShardPartialHook] = None
-
-
-def set_shard_partial_hook(hook: Optional[ShardPartialHook]) -> None:
-    """Install (or clear, with ``None``) this process's shard-partial hook.
-
-    The hook is called as ``hook(root, spec_hash, shard_index,
-    packed_bytes)`` after every shard checkpoint publish — including the
-    skip path of a duplicate delivery, whose already-published bytes are
-    re-announced so a server that missed the first announcement still
-    converges.  ``root`` is the campaign root the task ran against (the
-    service derives the tenant from it).
-    """
-    global _shard_partial_hook
-    _shard_partial_hook = hook
-
-
-def _notify_partial(root: str, spec_hash: str, shard_index: int,
-                    packed: bytes) -> None:
-    hook = _shard_partial_hook
-    if hook is None:
-        return
-    try:
-        hook(root, spec_hash, shard_index, packed)
-    except Exception:
-        pass  # observation only — never fail a checkpointed shard
-
-
 def run_shard_task(root: str, spec_hash: str,
                    shard_index: int) -> Dict[str, object]:
     """Compute one shard's partial accumulators and checkpoint them.
@@ -437,7 +420,6 @@ def run_shard_task(root: str, spec_hash: str,
     paths = CampaignPaths(Path(root), spec_hash)
     found = verified_checkpoint(paths, shard_index)
     if found is not None:
-        _notify_partial(root, spec_hash, shard_index, found[0])
         return {"spec_hash": spec_hash, "shard": shard_index,
                 "skipped": True}
     rule = faults.perturb("worker.shard")
@@ -458,11 +440,9 @@ def run_shard_task(root: str, spec_hash: str,
     packed = pack_shard_moments(partials)
     # Durable all-or-nothing publish (fsync before rename); duplicate
     # deliveries racing here each use a private temp file and produce
-    # identical bytes.  The hook receives the *payload* — the seal trailer
-    # is a property of the file, not of the streamed partial.
+    # identical bytes.
     atomic_write_bytes(paths.shard_path(shard_index), seal_checkpoint(packed),
                        fault_site="checkpoint.write")
-    _notify_partial(root, spec_hash, shard_index, packed)
     return {"spec_hash": spec_hash, "shard": shard_index, "skipped": False,
             "traces": stop - start, "seconds": time.perf_counter() - started}
 
@@ -617,6 +597,8 @@ def collect_result(root: Union[str, Path], spec_hash: str,
                     failed.append(shard_index)
                     if failure is None:
                         failure = (shard_index, outcome[2])
+                elif outcome is not None and outcome[0] == "done":
+                    requeue_stale_shard(queue, paths, shard_index)
             if failed:
                 if allow_partial and len(failed) == len(missing) and verified:
                     # Every outstanding shard is terminally dead: degrade.

@@ -1,7 +1,7 @@
 """Shared retry policy: bounded exponential backoff, deterministic jitter.
 
 Every retry loop in the campaign/service stack (queue outcome reporting,
-service-client reconnects, worker partial streaming) routes through one
+service-client reconnects) routes through one
 :class:`RetryPolicy` so backoff behaviour is uniform, bounded, and — like
 everything else in this repo — reproducible: the jitter fraction for
 attempt *k* is a pure Philox function of ``(policy seed, k)``, not a

@@ -7,14 +7,11 @@ submit/poll; this package adds the long-lived interactive layer on top:
   canonical newline-delimited-JSON wire codec and tenant namespacing;
 * :mod:`repro.service.server` — :class:`AssessmentService`, an asyncio
   TCP server that accepts submissions, fans shards into the shared
-  queue, folds streamed :class:`ShardPartial` frames in global shard
-  order, and pushes live interim t-values to subscribers;
-* :mod:`repro.service.worker` — :func:`run_service_worker`, the
-  claim/execute loop with lease-renewal heartbeats plus partial/beacon
-  streams back to the server;
+  queue, folds the sealed shard checkpoints plain ``polaris-campaign
+  work`` processes publish in global shard order, and pushes live
+  interim t-values to subscribers;
 * :mod:`repro.service.client` — the synchronous :class:`ServiceClient`
-  used by workers, CLI verbs (``polaris-campaign serve`` / ``submit
-  --follow`` / ``watch``) and tests.
+  used by the CLI verbs (``submit --follow`` / ``watch``) and tests.
 
 Everything is stdlib + numpy: the wire format is JSON lines over TCP,
 and all durability still lives in the campaign layer — the service can
@@ -31,10 +28,8 @@ from .protocol import (
     Message,
     ProtocolError,
     ServiceError,
-    ShardPartial,
     SubmitCampaign,
     WatchCampaign,
-    WorkerHeartbeat,
     decode_message,
     encode_message,
     read_frames,
@@ -43,7 +38,6 @@ from .protocol import (
     validate_tenant,
 )
 from .server import AssessmentService, serve
-from .worker import run_service_worker, tenant_of_root
 
 __all__ = [
     "AssessmentService",
@@ -57,17 +51,13 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceUnavailableError",
-    "ShardPartial",
     "SubmitCampaign",
     "WatchCampaign",
-    "WorkerHeartbeat",
     "decode_message",
     "encode_message",
     "read_frames",
-    "run_service_worker",
     "serve",
     "tenant_key_prefix",
-    "tenant_of_root",
     "tenant_root",
     "validate_tenant",
 ]

@@ -1,10 +1,10 @@
-"""Synchronous service client (used by workers, the CLI, and tests).
+"""Synchronous service client (used by the CLI and tests).
 
 A thin, thread-safe wrapper over one TCP connection: sends are serialised
 by a lock, receives run a buffered newline scan through
 :func:`repro.service.protocol.read_frames`.  The client is deliberately
-synchronous — workers and CLI verbs are plain processes; only the server
-is an asyncio program.
+synchronous — CLI verbs are plain processes; only the server is an
+asyncio program.
 
 Connection loss is **not** terminal while a watch is active: the client
 redials through the shared :class:`~repro.reliability.policy.RetryPolicy`,

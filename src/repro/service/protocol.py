@@ -3,21 +3,24 @@
 Every frame on the wire is one line of canonical JSON (sorted keys,
 compact separators, UTF-8) wrapped in a versioned envelope::
 
-    {"body": {...}, "type": "SubmitCampaign", "v": 1}\n
+    {"body": {...}, "type": "SubmitCampaign", "v": 2}\n
 
 The body is a frozen dataclass — construction *is* validation, and the
 codec round-trips each message through its declared fields only: unknown
 message types, version mismatches, missing fields and stray fields are
 all hard :class:`ProtocolError`\\ s rather than silently-ignored keys, so
-a version-2 peer cannot half-work against a version-1 server.  Canonical
-encoding also makes frames byte-stable: encoding the same message twice
-yields identical bytes, which the tests use to pin the wire format.
+a peer speaking another version cannot half-work against this one.
+Whatever the bytes, :func:`decode_message` returns a message or raises
+:class:`ProtocolError`, never another exception.  Canonical encoding also
+makes frames byte-stable: encoding the same message twice yields
+identical bytes, which the tests use to pin the wire format.
 
-Numeric payloads (shard accumulators, t-value arrays) ride inside bodies
-using the campaign layer's lossless encodings — base64 raw little-endian
-buffers via :mod:`repro.campaign.serialize` — so a t-value streamed
-through the service is *bitwise* the t-value the batch ``collect`` path
-produces.
+Clients only submit and watch; shard results never travel the wire
+inbound — the server reads them from sealed checkpoints on disk.  The
+t-value arrays it sends out ride inside bodies using the campaign layer's
+lossless encodings — base64 raw little-endian buffers via
+:mod:`repro.campaign.serialize` — so a t-value streamed through the
+service is *bitwise* the t-value the batch ``collect`` path produces.
 
 Tenant namespacing: every campaign-scoped message carries a validated
 ``tenant`` id.  On the server a tenant maps to a private sub-root
@@ -34,9 +37,9 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Dict, Tuple, Type, Union
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Tenant ids are path- and key-safe by construction: they appear in
 #: directory names and queue keys verbatim.
@@ -111,22 +114,6 @@ class WatchCampaign:
 
 
 @dataclass(frozen=True)
-class ShardPartial:
-    """Worker → server: one shard's packed partial accumulators.
-
-    ``payload_b64`` is the base64 of the exact checkpoint bytes published
-    to ``shards/shard_NNNN.moments`` — the server folds the *same* bytes
-    the batch merge would read from disk.
-    """
-
-    tenant: str
-    spec_hash: str
-    shard_index: int
-    payload_b64: str
-    worker: str = ""
-
-
-@dataclass(frozen=True)
 class CampaignProgress:
     """Server → subscribers: live progress with interim t-values.
 
@@ -151,23 +138,6 @@ class CampaignProgress:
                            tuple(int(k) for k in self.shards_done))
         object.__setattr__(self, "leaking_gates",
                            tuple(str(g) for g in self.leaking_gates))
-
-
-@dataclass(frozen=True)
-class WorkerHeartbeat:
-    """Worker → server: liveness beacon with lease bookkeeping.
-
-    ``task_id`` is -1 between claims; ``renewals`` counts successful
-    :meth:`TaskQueue.renew` calls on the current lease.  The server uses
-    the beacon stream to surface flatlined workers (last beat older than
-    its flatline window) without touching the queue.
-    """
-
-    worker: str
-    tenant: str = ""
-    task_id: int = -1
-    renewals: int = 0
-    busy: bool = False
 
 
 @dataclass(frozen=True)
@@ -197,14 +167,12 @@ class ServiceError:
 
 
 Message = Union[SubmitCampaign, CampaignAccepted, WatchCampaign,
-                ShardPartial, CampaignProgress, WorkerHeartbeat,
-                CampaignComplete, ServiceError]
+                CampaignProgress, CampaignComplete, ServiceError]
 
 MESSAGE_TYPES: Dict[str, Type[Message]] = {
     cls.__name__: cls
     for cls in (SubmitCampaign, CampaignAccepted, WatchCampaign,
-                ShardPartial, CampaignProgress, WorkerHeartbeat,
-                CampaignComplete, ServiceError)
+                CampaignProgress, CampaignComplete, ServiceError)
 }
 
 
@@ -226,15 +194,17 @@ def decode_message(line: Union[str, bytes]) -> Message:
     """Parse one wire frame back into its typed message.
 
     Raises:
-        ProtocolError: for malformed JSON, a non-object envelope, an
-            unsupported version, an unknown type, or a body whose keys do
-            not exactly match the message's declared fields.
+        ProtocolError: for malformed JSON (nesting too deep and integer
+            literals too long included), a non-object envelope, an
+            unsupported version, an unknown type, a body whose keys do not
+            exactly match the message's declared fields, or field values
+            its constructor rejects (``1e400`` in an integer field too).
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
         envelope = json.loads(line)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
         raise ProtocolError(f"frame is not valid JSON: {error}") from error
     if not isinstance(envelope, dict):
         raise ProtocolError(
@@ -245,7 +215,7 @@ def decode_message(line: Union[str, bytes]) -> Message:
             f"unsupported protocol version {version!r} "
             f"(this peer speaks {PROTOCOL_VERSION})")
     type_name = envelope.get("type")
-    cls = MESSAGE_TYPES.get(type_name)
+    cls = MESSAGE_TYPES.get(type_name) if isinstance(type_name, str) else None
     if cls is None:
         raise ProtocolError(f"unknown message type {type_name!r}")
     body = envelope.get("body")
@@ -263,7 +233,7 @@ def decode_message(line: Union[str, bytes]) -> Message:
             f"missing={sorted(missing)} unexpected={sorted(extra)}")
     try:
         return cls(**body)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError, RecursionError) as error:
         raise ProtocolError(f"bad {type_name} body: {error}") from error
 
 
@@ -282,11 +252,6 @@ def read_frames(buffer: bytes) -> Tuple[Tuple[Message, ...], bytes]:
     return tuple(messages), buffer
 
 
-def heartbeat_key(beat: WorkerHeartbeat) -> str:
-    """Stable identity of a beacon stream (one per worker process)."""
-    return beat.worker
-
-
 __all__ = [
     "PROTOCOL_VERSION",
     "DEFAULT_TENANT",
@@ -296,15 +261,12 @@ __all__ = [
     "SubmitCampaign",
     "CampaignAccepted",
     "WatchCampaign",
-    "ShardPartial",
     "CampaignProgress",
-    "WorkerHeartbeat",
     "CampaignComplete",
     "ServiceError",
     "encode_message",
     "decode_message",
     "read_frames",
-    "heartbeat_key",
     "validate_tenant",
     "tenant_root",
     "tenant_key_prefix",

@@ -8,18 +8,20 @@ replacing any of it:
 * submissions go through :func:`repro.campaign.runner.submit_campaign`
   into the root's SQLite :class:`TaskQueue` — the server never computes
   shards itself;
-* every :class:`ShardPartial` a worker streams in carries the *exact
-  bytes* of the shard's durable checkpoint, so the server's incremental
-  fold reads the same inputs the batch ``collect`` merge would read from
-  disk.  Folding is delegated to
-  :func:`repro.tvla.sharding.merge_shard_partials` over the present
-  shards in shard-index order — the global-chunk-order association that
-  makes the counter sampler's results bitwise independent of shard
-  layout — so the progress frame emitted after the final shard is
-  bitwise equal to the collected assessment;
-* a monitor task rescans checkpoint directories (catching shards
-  computed by plain ``polaris-campaign work`` processes that do not
-  stream) and watches heartbeat beacons for flatlined workers.
+* shard results have one way in: a monitor task rescans the checkpoint
+  directories every ``monitor_interval`` and folds each shard's sealed
+  checkpoint once :func:`repro.campaign.runner.verified_checkpoint` has
+  checked it (a corrupt file is quarantined and its shard requeued).
+  No frame a client sends can carry shard data, so nothing but a
+  verified checkpoint reaches the write-once result store; the cost is
+  that progress arrives up to one ``monitor_interval`` after a
+  checkpoint lands.  Worker liveness is the queue's business: lease rows
+  carry ``heartbeat_at`` / ``renewals`` and fence dead workers;
+* folding is delegated to :func:`repro.tvla.sharding.merge_shard_partials`
+  over the present shards in shard-index order — the global-chunk-order
+  association that makes the counter sampler's results bitwise
+  independent of shard layout — so the progress frame emitted after the
+  final shard is bitwise equal to the collected assessment.
 
 Tenancy: each tenant's campaigns live under ``<root>/tenants/<tenant>``
 with a private result store, while shard tasks from every tenant share
@@ -34,13 +36,11 @@ frames are emitted in fold order.
 from __future__ import annotations
 
 import asyncio
-import base64
-import binascii
 import contextlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from ..campaign.queue import TaskQueue
 from ..campaign.runner import (
@@ -49,14 +49,11 @@ from ..campaign.runner import (
     campaign_status,
     campaign_store,
     load_spec,
+    requeue_stale_shard,
     submit_campaign,
     verified_checkpoint,
 )
-from ..campaign.serialize import (
-    assessment_to_dict,
-    encode_array,
-    unpack_shard_moments,
-)
+from ..campaign.serialize import assessment_to_dict, encode_array
 from ..campaign.spec import CampaignSpec
 from ..tvla.assessment import LeakageAssessment
 from ..tvla.sharding import merge_shard_partials
@@ -67,16 +64,20 @@ from .protocol import (
     Message,
     ProtocolError,
     ServiceError,
-    ShardPartial,
     SubmitCampaign,
     WatchCampaign,
-    WorkerHeartbeat,
     decode_message,
     encode_message,
     tenant_key_prefix,
     tenant_root,
     validate_tenant,
 )
+
+#: Longest inbound line (bytes) the server reads — asyncio's default
+#: stream limit.  A client frame is a few hundred bytes plus the spec's
+#: netlist text: submitting the largest bundled design (log2, 879 gates)
+#: takes 34 KB.
+FRAME_LIMIT = 2 ** 16
 
 
 @dataclass
@@ -87,11 +88,18 @@ class _Campaign:
     spec: CampaignSpec
     paths: CampaignPaths
     partials: Dict[int, object] = field(default_factory=dict)
+    #: Missing shards whose checkpoint a scan found corrupt (see
+    #: ``_scan_shard``).
+    quarantined: Set[int] = field(default_factory=set)
     watchers: Set["_Connection"] = field(default_factory=set)
     fold_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     complete: bool = False
     last_progress: Optional[CampaignProgress] = None
     final_frame: Optional[CampaignComplete] = None
+    #: The error frame of each terminally failed shard, sent once per
+    #: watcher: broadcast when the failure is first seen, replayed to
+    #: later subscribers by ``_push_state``.
+    failures: Dict[int, ServiceError] = field(default_factory=dict)
     _gate_names: Optional[Tuple[str, ...]] = None
     started_at: float = field(default_factory=time.perf_counter)
 
@@ -164,23 +172,19 @@ class AssessmentService:
         root: The shared campaign root (created on demand).
         host: Bind address (default loopback).
         port: Bind port; 0 picks a free port, reported by :meth:`start`.
-        monitor_interval: Seconds between checkpoint-directory rescans.
-        flatline_after: A worker whose last heartbeat is older than this
-            many seconds is listed by :meth:`flatlined_workers`.
+        monitor_interval: Seconds between checkpoint-directory rescans —
+            the only way shard results reach the server.
     """
 
     def __init__(self, root: Union[str, Path], host: str = "127.0.0.1",
-                 port: int = 0, monitor_interval: float = 0.25,
-                 flatline_after: float = 5.0) -> None:
+                 port: int = 0, monitor_interval: float = 0.25) -> None:
         self.root = Path(root)
         self.host = host
         self.port = port
         self.monitor_interval = monitor_interval
-        self.flatline_after = flatline_after
         self.queue = TaskQueue(self.root / "queue.sqlite")
         self._campaigns: Dict[Tuple[str, str], _Campaign] = {}
         self._connections: Set[_Connection] = set()
-        self._heartbeats: Dict[str, Tuple[float, WorkerHeartbeat]] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._monitor: Optional[asyncio.Task] = None
         self._handler_tasks: Set[asyncio.Task] = set()
@@ -192,7 +196,7 @@ class AssessmentService:
         """Bind and start serving; returns the bound ``(host, port)``."""
         self.root.mkdir(parents=True, exist_ok=True)
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._handle_connection, self.host, self.port, limit=FRAME_LIMIT)
         bound = self._server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
         self._monitor = asyncio.get_running_loop().create_task(
@@ -231,13 +235,6 @@ class AssessmentService:
         finally:
             await self.stop()
 
-    def flatlined_workers(self) -> Tuple[str, ...]:
-        """Workers whose heartbeat stream went quiet (sorted ids)."""
-        now = time.monotonic()
-        return tuple(sorted(
-            worker for worker, (seen, _beat) in self._heartbeats.items()
-            if now - seen > self.flatline_after))
-
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
@@ -253,7 +250,16 @@ class AssessmentService:
         self._connections.add(connection)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The rest of an over-long line cannot be told apart
+                    # from the next frame: answer once, then hang up.
+                    connection.send(ServiceError(
+                        code="bad-frame",
+                        message=f"frame exceeds the {FRAME_LIMIT}-byte "
+                                f"line limit"))
+                    break
                 if not line:
                     break
                 try:
@@ -278,10 +284,6 @@ class AssessmentService:
                 await self._handle_submit(connection, message)
             elif isinstance(message, WatchCampaign):
                 await self._handle_watch(connection, message)
-            elif isinstance(message, ShardPartial):
-                await self._handle_partial(message)
-            elif isinstance(message, WorkerHeartbeat):
-                self._heartbeats[message.worker] = (time.monotonic(), message)
             else:
                 connection.send(ServiceError(
                     code="bad-frame",
@@ -302,7 +304,7 @@ class AssessmentService:
         tenant = validate_tenant(message.tenant)
         try:
             spec = CampaignSpec.from_json(message.spec_json)
-        except ValueError as error:
+        except (TypeError, ValueError) as error:  # TypeError: not a string
             connection.send(ServiceError(code="bad-spec",
                                          message=str(error)))
             return
@@ -344,21 +346,6 @@ class AssessmentService:
         await self._absorb_disk_partials(campaign)
         self._push_state(campaign, connection)
 
-    async def _handle_partial(self, message: ShardPartial) -> None:
-        tenant = validate_tenant(message.tenant)
-        key = (tenant, message.spec_hash)
-        campaign = self._campaigns.get(key)
-        if campaign is None:
-            root = tenant_root(self.root, tenant)
-            spec = await asyncio.to_thread(load_spec, root,
-                                           message.spec_hash)
-            campaign = self._ensure_campaign(tenant, spec)
-        try:
-            packed = base64.b64decode(message.payload_b64, validate=True)
-        except (binascii.Error, ValueError) as error:
-            raise ProtocolError(f"undecodable shard payload: {error}")
-        await self._fold_partial(campaign, message.shard_index, packed)
-
     # ------------------------------------------------------------------
     # Campaign state / folding
     # ------------------------------------------------------------------
@@ -374,40 +361,51 @@ class AssessmentService:
         return campaign
 
     async def _absorb_disk_partials(self, campaign: _Campaign) -> None:
-        """Fold checkpoints that reached disk without being streamed.
+        """Fold the shard checkpoints that reached disk since the last scan.
 
-        Disk reads go through :func:`verified_checkpoint`: a corrupt
-        checkpoint (torn write, tampering) is quarantined and its shard
-        requeued on the shared queue instead of being folded or crashing
-        the monitor — the campaign heals by recomputation.
+        This is the server's only input for shard results.  Disk reads go
+        through :func:`verified_checkpoint`: a corrupt checkpoint (torn
+        write, tampering) is quarantined and its shard requeued on the
+        shared queue instead of being folded or crashing the monitor — the
+        campaign heals by recomputation.
         """
         if campaign.complete:
             return
         for shard_index in range(campaign.n_shards):
             if shard_index in campaign.partials:
                 continue
-            packed = await asyncio.to_thread(self._read_verified,
-                                             campaign, shard_index)
-            if packed is not None:
-                await self._fold_partial(campaign, shard_index, packed)
+            partials = await asyncio.to_thread(self._scan_shard, campaign,
+                                               shard_index)
+            if partials is not None:
+                await self._fold_partial(campaign, shard_index, partials)
 
-    def _read_verified(self, campaign: _Campaign,
-                       shard_index: int) -> Optional[bytes]:
-        found = verified_checkpoint(campaign.paths, shard_index,
-                                    queue=self.queue)
-        return None if found is None else found[0]
+    def _scan_shard(self, campaign: _Campaign,
+                    shard_index: int) -> Optional[tuple]:
+        """One shard's verified partials, or None (blocking).
+
+        A shard once found corrupt is also checked for a stale ``done``
+        row (:func:`requeue_stale_shard`): the scan may have quarantined
+        the publish while its task was still leased, and the ack that
+        followed would otherwise leave the shard done and never rerun.
+        """
+        paths = campaign.paths
+        if shard_index in campaign.quarantined:
+            requeue_stale_shard(self.queue, paths, shard_index)
+        existed = paths.shard_path(shard_index).exists()
+        found = verified_checkpoint(paths, shard_index, queue=self.queue)
+        if found is None:
+            if existed:
+                campaign.quarantined.add(shard_index)
+            return None
+        campaign.quarantined.discard(shard_index)
+        return found[1]
 
     async def _fold_partial(self, campaign: _Campaign, shard_index: int,
-                            packed: bytes) -> None:
-        if not 0 <= shard_index < campaign.n_shards:
-            raise ProtocolError(
-                f"shard {shard_index} out of range "
-                f"(campaign has {campaign.n_shards})")
+                            partials: tuple) -> None:
         async with campaign.fold_lock:
             if campaign.complete or shard_index in campaign.partials:
                 return
-            campaign.partials[shard_index] = await asyncio.to_thread(
-                unpack_shard_moments, packed)
+            campaign.partials[shard_index] = partials
             assessment = await asyncio.to_thread(self._interim_fold,
                                                  campaign)
             progress = self._progress_frame(campaign, assessment)
@@ -493,6 +491,8 @@ class AssessmentService:
             return
         if campaign.last_progress is not None:
             connection.send(campaign.last_progress)
+        for error in campaign.failures.values():
+            connection.send(error)
         if campaign.final_frame is not None:
             connection.send(campaign.final_frame)
 
@@ -528,12 +528,18 @@ class AssessmentService:
             campaign_status, campaign.paths.root,
             campaign.spec.content_hash, queue=self.queue,
             shard_key_prefix=tenant_key_prefix(campaign.tenant))
+        failures = {}
         for shard_index in status.failed_shards:
-            self._broadcast(campaign, ServiceError(
-                code="internal",
-                message=f"shard {shard_index} of "
-                        f"{campaign.spec.content_hash[:12]}… exhausted "
-                        f"its retries"))
+            error = campaign.failures.get(shard_index)
+            if error is None:  # first seen: announce it once
+                error = ServiceError(
+                    code="internal",
+                    message=f"shard {shard_index} of "
+                            f"{campaign.spec.content_hash[:12]}… exhausted "
+                            f"its retries")
+                self._broadcast(campaign, error)
+            failures[shard_index] = error
+        campaign.failures = failures
         # Graceful degradation: once every shard is accounted for (folded
         # or terminally failed) and at least one succeeded, a poisoned
         # campaign completes with a *partial* CampaignComplete naming its

@@ -72,7 +72,6 @@ from repro.service import (
     CampaignProgress,
     ServiceClient,
     ServiceError,
-    run_service_worker,
     tenant_key_prefix,
     tenant_root,
 )
@@ -558,6 +557,33 @@ class TestCampaignHardening:
         assert queue.counts()["pending"] == 1
         assert verified_checkpoint(paths, 1) is not None
 
+    def test_quarantine_during_lease_still_reruns_the_shard(
+            self, small_benchmark, tmp_path):
+        # A reader quarantines a corrupt publish while its task is still
+        # leased, so the requeue is a no-op and the ack then marks the
+        # task done.  Collection spots the stale done row (no checkpoint
+        # behind it), requeues the shard, and a worker heals it.
+        config = _config()
+        root = tmp_path / "runs"
+        outcome = submit_campaign(root, netlist=small_benchmark,
+                                  config=config, n_shards=2)
+        queue = campaign_queue(root)
+        paths = CampaignPaths(root, outcome.spec_hash)
+        task = queue.claim(worker="slow-acker")
+        shard = [paths.shard_key(k) for k in range(2)].index(task.key)
+        paths.shard_path(shard).write_bytes(b"torn publish")
+        assert verified_checkpoint(paths, shard, queue=queue) is None
+        assert queue.ack(task.task_id, task.lease_token, b"")
+        assert queue.outcome_by_key(paths.shard_key(shard))[0] == "done"
+        with pytest.raises(TimeoutError):
+            collect_result(root, outcome.spec_hash, timeout=0.3)
+        assert queue.outcome_by_key(paths.shard_key(shard))[0] == "pending"
+        run_worker(queue, drain=True)
+        healed = collect_result(root, outcome.spec_hash, timeout=60)
+        clean = run_campaign(tmp_path / "clean", small_benchmark, config,
+                             n_shards=2, n_workers=1)
+        _assert_bitwise_equal(healed, clean)
+
     def test_status_counts_only_verified_checkpoints(self, small_benchmark,
                                                      tmp_path, capsys):
         # A finished campaign with one flipped checkpoint byte is not
@@ -605,8 +631,7 @@ class _ServiceHandle:
         def run():
             async def main():
                 server = AssessmentService(self.root, port=self.port,
-                                           monitor_interval=0.1,
-                                           flatline_after=0.5)
+                                           monitor_interval=0.1)
                 await server.start()
                 holder["server"] = server
                 holder["stop"] = asyncio.Event()
@@ -735,37 +760,43 @@ class TestServiceReliability:
                 "seed=42;checkpoint.write:mode=corrupt,max=1;"
                 "queue.ack:mode=error,max=2;"
                 "service.recv:mode=sever,max=1"))
-            executed = run_service_worker(
-                shared_root, handle.server.host, handle.port,
-                worker="survivor", drain=True, lease_seconds=2.0)
+            queue = TaskQueue(shared_root / "queue.sqlite")
+            executed = run_worker(queue, worker="survivor", drain=True,
+                                  lease_seconds=2.0)
             assert executed >= 3  # all shards, incl. the reclaimed one
+
+            # The server folds only verified checkpoints: its rescan
+            # quarantines the corrupted one and requeues the shard, and a
+            # healer recomputes it (the corruption budget is spent) —
+            # unless the survivor already picked the requeue up.
+            troot = tenant_root(shared_root, tenant)
+            prefix = tenant_key_prefix(tenant)
+            paths = CampaignPaths(troot, spec.content_hash,
+                                  key_prefix=prefix)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and not any(
+                    ".corrupt" in p.name for p in paths.shards_dir.iterdir()):
+                time.sleep(0.05)
+            run_worker(queue, worker="healer", drain=True)
 
             progress, complete = _drain_until_complete(client, timeout=60)
         finally:
             client.close()
             handle.stop()
         assert complete.spec_hash == spec.content_hash
+        seen = [frame.shards_done for frame in progress]
+        assert len(seen) == len(set(seen)), \
+            "reconnect replayed a progress frame the dedupe should drop"
         streamed_t = decode_array(complete.assessment["t_values"])
 
-        # The streamed partial was the clean payload and the server stored
-        # the final assessment, so the campaign *completed* — but the
-        # corrupted checkpoint is still on disk.  Verification quarantines
-        # it and requeues the shard; a healer worker recomputes it (the
-        # plan's corruption budget is spent) and everything agrees bitwise.
-        troot = tenant_root(shared_root, tenant)
-        queue = TaskQueue(shared_root / "queue.sqlite")
-        prefix = tenant_key_prefix(tenant)
-        paths = CampaignPaths(troot, spec.content_hash, key_prefix=prefix)
-        bad = [k for k in range(spec.n_shards)
-               if not checkpoint_ok(paths.shard_path(k))]
-        assert len(bad) == 1
-        assert verified_checkpoint(paths, bad[0], queue=queue) is None
+        # Exactly one checkpoint was corrupted and quarantined before the
+        # campaign completed; every shard now holds a sound checkpoint.
         corrupt = [p.name for p in paths.shards_dir.iterdir()
                    if ".corrupt" in p.name]
         assert len(corrupt) == 1
-        assert queue.counts()["pending"] == 1
-        run_worker(queue, worker="healer", drain=True)
-        assert checkpoint_ok(paths.shard_path(bad[0]))
+        assert all(checkpoint_ok(paths.shard_path(k))
+                   for k in range(spec.n_shards))
+        assert queue.counts()["pending"] == 0
         collected = collect_result(troot, spec.content_hash, timeout=60,
                                    queue=queue, shard_key_prefix=prefix)
         assert np.array_equal(streamed_t, collected.t_values)

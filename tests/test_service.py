@@ -5,23 +5,31 @@ The contracts pinned here:
 * the wire codec is canonical (same message -> same bytes), versioned,
   and **strict**: unknown types, version skew, missing and stray body
   fields are all hard protocol errors — no silently-ignored keys;
+* whatever bytes arrive, decoding returns a message or raises
+  :class:`ProtocolError`, and the live server answers with a
+  :class:`ServiceError` and keeps serving (hypothesis-fuzzed);
 * tenant ids are path/key-safe by construction, and two tenants
   submitting the *same* spec into the shared queue get disjoint tasks;
-* the server folds streamed shard partials in global shard order, so the
-  progress frame emitted after the final partial carries t-values
-  **bitwise equal** to the batch ``collect_result`` — also under faults
-  (a worker SIGKILLed
-  mid-shard, completion via lease expiry, a worker renewing its lease
-  past the original expiry).
+* shard results have one way in — sealed checkpoints on disk: a forged
+  version-1 ``ShardPartial`` frame is a bad frame and never reaches the
+  result store;
+* the server folds the checkpoints of plain queue workers in global shard
+  order, so the progress frame emitted after the final shard carries
+  t-values **bitwise equal** to the batch ``collect_result`` — also under
+  faults (a worker SIGKILLed mid-shard, completion via lease expiry, a
+  worker renewing its lease past the original expiry);
+* a terminally failed shard is reported once per watcher.
 """
 
 from __future__ import annotations
 
 import asyncio
 import base64
+import functools
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -30,14 +38,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
-    TaskQueue,
+    CampaignPaths,
     campaign_queue,
+    campaign_store,
     collect_result,
     run_campaign,
-    submit_campaign,
+    run_worker,
 )
+from repro.campaign.runner import verified_checkpoint
 from repro.campaign.serialize import decode_array
 from repro.campaign.spec import CampaignSpec
 from repro.netlist.benchmarks import load_benchmark
@@ -49,18 +61,17 @@ from repro.service import (
     ProtocolError,
     ServiceClient,
     ServiceError,
-    ShardPartial,
+    ServiceUnavailableError,
     SubmitCampaign,
-    WorkerHeartbeat,
+    WatchCampaign,
     decode_message,
     encode_message,
     read_frames,
-    run_service_worker,
     tenant_key_prefix,
-    tenant_of_root,
     tenant_root,
     validate_tenant,
 )
+from repro.service.server import FRAME_LIMIT
 from repro.tvla import TvlaConfig
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -86,15 +97,10 @@ class TestProtocol:
             CampaignAccepted(tenant="t", spec_hash="h", status="submitted",
                              n_shards_total=3, n_shards_done=0,
                              n_enqueued=3),
-            ShardPartial(tenant="t", spec_hash="h", shard_index=1,
-                         payload_b64=base64.b64encode(b"xyz").decode(),
-                         worker="w1"),
             CampaignProgress(tenant="t", spec_hash="h", n_shards_total=3,
                              shards_done=(0, 2), t_values={},
                              order_t_values={}, max_abs_t=1.25,
                              leaking_gates=("g1",)),
-            WorkerHeartbeat(worker="w1", tenant="t", task_id=7,
-                            renewals=2, busy=True),
             CampaignComplete(tenant="t", spec_hash="h",
                              assessment={"design_name": "d"}),
             ServiceError(code="bad-spec", message="nope"),
@@ -103,31 +109,33 @@ class TestProtocol:
             assert decode_message(encode_message(message)) == message
 
     def test_encoding_is_canonical(self):
-        message = WorkerHeartbeat(worker="w", tenant="t")
+        message = WatchCampaign(tenant="t", spec_hash="h")
         assert encode_message(message) == encode_message(message)
         # Sorted keys + compact separators: the byte layout is pinned.
         frame = encode_message(ServiceError(code="c", message="m"))
         assert frame == (b'{"body":{"code":"c","message":"m"},'
-                         b'"type":"ServiceError","v":1}\n')
+                         b'"type":"ServiceError","v":2}\n')
 
     def test_version_skew_is_rejected(self):
-        frame = json.dumps({"v": 2, "type": "ServiceError",
-                            "body": {"code": "c", "message": "m"}})
-        with pytest.raises(ProtocolError, match="version"):
-            decode_message(frame)
+        for version in (1, 3):
+            frame = json.dumps({"v": version, "type": "ServiceError",
+                                "body": {"code": "c", "message": "m"}})
+            with pytest.raises(ProtocolError, match="version"):
+                decode_message(frame)
 
     def test_unknown_type_is_rejected(self):
-        frame = json.dumps({"v": 1, "type": "Nope", "body": {}})
-        with pytest.raises(ProtocolError, match="unknown message type"):
-            decode_message(frame)
+        for type_name in ("Nope", "ShardPartial", "WorkerHeartbeat", [1]):
+            frame = json.dumps({"v": 2, "type": type_name, "body": {}})
+            with pytest.raises(ProtocolError, match="unknown message type"):
+                decode_message(frame)
 
     def test_missing_and_stray_fields_are_rejected(self):
         with pytest.raises(ProtocolError, match="missing=\\['message'\\]"):
             decode_message(json.dumps(
-                {"v": 1, "type": "ServiceError", "body": {"code": "c"}}))
+                {"v": 2, "type": "ServiceError", "body": {"code": "c"}}))
         with pytest.raises(ProtocolError, match="unexpected=\\['extra'\\]"):
             decode_message(json.dumps(
-                {"v": 1, "type": "ServiceError",
+                {"v": 2, "type": "ServiceError",
                  "body": {"code": "c", "message": "m", "extra": 1}}))
 
     def test_malformed_json_is_rejected(self):
@@ -156,8 +164,6 @@ class TestProtocol:
         root = tenant_root(tmp_path, "lab")
         assert root == tmp_path / "tenants" / "lab"
         assert tenant_key_prefix("lab") == "tenant:lab:"
-        assert tenant_of_root(root) == "lab"
-        assert tenant_of_root(tmp_path / "plain") == "default"
 
 
 # ----------------------------------------------------------------------
@@ -172,8 +178,7 @@ def service(tmp_path):
     def run():
         async def main():
             server = AssessmentService(tmp_path / "svc",
-                                       monitor_interval=0.1,
-                                       flatline_after=0.5)
+                                       monitor_interval=0.1)
             await server.start()
             holder["server"] = server
             holder["stop"] = asyncio.Event()
@@ -193,6 +198,49 @@ def service(tmp_path):
     yield holder["server"]
     holder["loop"].call_soon_threadsafe(holder["stop"].set)
     thread.join(10)
+
+
+def _frames_within(client, seconds):
+    """Every frame ``client`` receives in the next ``seconds``."""
+    frames, end = [], time.monotonic() + seconds
+    while (left := end - time.monotonic()) > 0:
+        try:
+            frames.append(client.recv(timeout=left))
+        except ServiceUnavailableError:
+            break
+    return frames
+
+
+def _exchange(service, line, deadline=2.0, until_closed=False):
+    """Send one raw line on a fresh connection; return ``(frames, closed)``.
+
+    Reads until the first reply frame arrives (with ``until_closed``:
+    until the server hangs up) or ``deadline`` seconds pass.
+    """
+    frames, buffer = [], b""
+    end = time.monotonic() + deadline
+    with socket.create_connection((service.host, service.port),
+                                  timeout=deadline) as sock:
+        try:
+            sock.sendall(line)
+        except OSError:
+            pass  # the server may hang up mid-line; its reply is queued
+        while (left := end - time.monotonic()) > 0:
+            sock.settimeout(left)
+            try:
+                chunk = sock.recv(65536)
+            except socket.timeout:
+                break
+            except OSError:
+                chunk = b""
+            if not chunk:
+                return frames, True
+            buffer += chunk
+            decoded, buffer = read_frames(buffer)
+            frames.extend(decoded)
+            if frames and not until_closed:
+                break
+    return frames, False
 
 
 def _drain_until_complete(client, timeout=120.0):
@@ -277,6 +325,11 @@ class TestServer:
             with pytest.raises(ProtocolError, match="bad-spec"):
                 client.submit("lab", spec_json)
 
+    def test_non_string_spec_is_bad_spec(self, service):
+        line = encode_message(SubmitCampaign(tenant="lab", spec_json=5))
+        frames, _closed = _exchange(service, line)
+        assert [frame.code for frame in frames] == ["bad-spec"]
+
     def test_undecodable_frame_gets_error_reply(self, service):
         with ServiceClient(service.host, service.port) as client:
             client._sock.sendall(b"this is not json\n")
@@ -291,29 +344,13 @@ class TestServer:
         assert isinstance(reply, ServiceError)
         assert reply.code == "unknown-campaign"
 
-    def test_heartbeats_feed_flatline_tracking(self, service):
-        with ServiceClient(service.host, service.port) as client:
-            client.send(WorkerHeartbeat(worker="w-alive"))
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                if "w-alive" in service._heartbeats:
-                    break
-                time.sleep(0.02)
-        assert "w-alive" in service._heartbeats
-        assert service.flatlined_workers() == ()
-        time.sleep(0.6)  # > flatline_after=0.5
-        assert service.flatlined_workers() == ("w-alive",)
-
     def test_monitor_absorbs_disk_only_partials(self, service):
-        # A plain (non-streaming) worker writes checkpoints straight to
-        # disk; the monitor rescan must fold them and complete the
-        # campaign without a single ShardPartial frame.
+        # A plain queue worker writes checkpoints straight to disk; the
+        # monitor rescan folds them and completes the campaign.
         spec = _spec()
         with ServiceClient(service.host, service.port) as client:
             client.submit("lab", spec.to_json(), follow=True)
-            queue = service.queue
-            from repro.campaign import run_worker
-            run_worker(queue, worker="plain", drain=True)
+            run_worker(service.queue, worker="plain", drain=True)
             progress, complete = _drain_until_complete(client)
         assert complete.spec_hash == spec.content_hash
         assert progress[-1].shards_done == (0, 1, 2)
@@ -359,11 +396,10 @@ class TestEndToEndStreaming:
             doomed.kill()
             doomed.wait(10)
 
-            # Survivor: a service worker on a 0.5s lease — shorter than
-            # one shard, so it *must* renew past the original expiry.
-            executed = run_service_worker(
-                shared_root, service.host, service.port,
-                worker="survivor", drain=True, lease_seconds=0.5)
+            # Survivor: a plain queue worker on a 0.5s lease — shorter
+            # than one shard, so it *must* renew past the original expiry.
+            executed = run_worker(service.queue, worker="survivor",
+                                  drain=True, lease_seconds=0.5)
             assert executed >= 3  # all shards (incl. the reclaimed one)
 
             progress, complete = _drain_until_complete(client)
@@ -407,35 +443,210 @@ class TestEndToEndStreaming:
 
 
 # ----------------------------------------------------------------------
-# Service worker plumbing
+# One door for shard results
 # ----------------------------------------------------------------------
-class TestServiceWorker:
-    def test_worker_streams_partials_and_heartbeats(self, service):
-        spec = _spec(n_shards=2)
+def _v1_shard_partial(tenant, spec_hash, shard_index, payload):
+    """A shard-partial frame as protocol version 1 encoded it."""
+    envelope = {"v": 1, "type": "ShardPartial",
+                "body": {"tenant": tenant, "spec_hash": spec_hash,
+                         "shard_index": shard_index,
+                         "payload_b64": base64.b64encode(payload).decode(),
+                         "worker": "forger"}}
+    return json.dumps(envelope, sort_keys=True,
+                      separators=(",", ":")).encode() + b"\n"
+
+
+class TestSingleDoor:
+    def test_forged_partials_never_reach_the_store(self, service, tmp_path):
+        # Campaign B (same design, TVLA seed 8) computes honest
+        # checkpoints elsewhere; their payloads are then sent as A's
+        # shards.  Only sealed checkpoints in A's own directory count, so
+        # every frame is a bad frame and A stays pending.
+        spec_a = _spec()
+        spec_b = CampaignSpec.from_netlist(
+            spec_a.netlist(), TvlaConfig(**{**SERVICE_TVLA, "seed": 8}),
+            n_shards=3)
+        run_campaign(tmp_path / "b", spec_b.netlist(), spec_b.tvla,
+                     n_shards=3)
+        paths_b = CampaignPaths(tmp_path / "b", spec_b.content_hash)
+        forged = [_v1_shard_partial("lab", spec_a.content_hash, k,
+                                    verified_checkpoint(paths_b, k)[0])
+                  for k in range(3)]
+        with ServiceClient(service.host, service.port) as client:
+            client.submit("lab", spec_a.to_json(), follow=True)
+            for line in forged:
+                client._sock.sendall(line)
+                reply = client.recv(timeout=10)
+                assert isinstance(reply, ServiceError), reply
+                assert reply.code == "bad-frame"
+                assert "version" in reply.message
+            # Ten monitor intervals: no progress, no completion.
+            assert _frames_within(client, 1.0) == []
+        store = campaign_store(tenant_root(service.root, "lab"))
+        assert store.get(spec_a.content_hash) is None
+        assert service.queue.counts()["pending"] == 3
+
+    def test_over_limit_line_is_answered_then_closed(self, service):
+        frames, closed = _exchange(
+            service, b'{"v":2,' + b" " * FRAME_LIMIT + b"}\n",
+            deadline=10, until_closed=True)
+        assert [(f.code, str(FRAME_LIMIT) in f.message)
+                for f in frames] == [("bad-frame", True)]
+        assert closed
+
+    def test_quarantine_during_lease_still_reruns_the_shard(self,
+                                                             service):
+        # The rescan quarantines a corrupt publish while the task is still
+        # leased (its requeue is a no-op); once the worker acks, the
+        # server finds the done row stale and requeues the shard.
+        spec = _spec()
+        with ServiceClient(service.host, service.port) as client:
+            client.submit("lab", spec.to_json(), follow=False)
+        queue = service.queue
+        paths = CampaignPaths(tenant_root(service.root, "lab"),
+                              spec.content_hash,
+                              key_prefix=tenant_key_prefix("lab"))
+        task = queue.claim(worker="slow-acker")
+        shard = [paths.shard_key(k) for k in range(3)].index(task.key)
+        paths.shard_path(shard).write_bytes(b"torn publish")
+
+        def wait_for(condition):
+            deadline = time.monotonic() + 10
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            return condition()
+
+        assert wait_for(lambda: not paths.shard_path(shard).exists())
+        assert queue.ack(task.task_id, task.lease_token, b"")
+        assert wait_for(lambda: queue.outcome_by_key(
+            paths.shard_key(shard))[0] == "pending")
+
+    def test_failed_shard_is_reported_once_per_watcher(self, service):
+        spec = _spec()
+        queue = service.queue
         with ServiceClient(service.host, service.port) as client:
             client.submit("lab", spec.to_json(), follow=True)
-            executed = run_service_worker(
-                service.root, service.host, service.port,
-                worker="streamer", drain=True, heartbeat_interval=0.05)
-            assert executed == 2
-            progress, complete = _drain_until_complete(client)
-        # Partials were *streamed* (progress preceded the disk rescan
-        # interval) and the beacon registered the worker.
-        assert [len(frame.shards_done) for frame in progress][-1] == 2
-        assert "streamer" in service._heartbeats
+            # Spend one shard's whole attempt budget; the other two stay
+            # pending, so the campaign cannot finish degraded either.
+            while True:
+                task = queue.claim(worker="poison")
+                if queue.fail(task.task_id, task.lease_token,
+                              "boom") == "failed":
+                    break
+            errors = _frames_within(client, 1.0)  # ten monitor intervals
+            assert len(errors) == 1
+            assert isinstance(errors[0], ServiceError)
+            assert "exhausted its retries" in errors[0].message
+            # A later subscriber gets the same error once, too.
+            with ServiceClient(service.host, service.port) as late:
+                late.watch("lab", spec.content_hash)
+                assert _frames_within(late, 1.0) == errors
+        assert queue.counts()["pending"] == 2
 
-    def test_worker_survives_dead_server(self, tmp_path, service):
-        # Killing the service must not take the fleet down: with the
-        # endpoint gone the client raises on connect, which the CLI
-        # would surface — but an already-connected worker keeps draining
-        # (sends are swallowed as observational).
-        spec = _spec(n_shards=2)
-        troot = tenant_root(service.root, "lab")
-        submit_campaign(troot, spec=spec, queue=service.queue,
-                        shard_key_prefix=tenant_key_prefix("lab"))
-        client = ServiceClient(service.host, service.port)
-        client.close()  # worker-side connection loss, not server death
-        executed = run_service_worker(
-            service.root, service.host, service.port,
-            worker="stoic", drain=True)
-        assert executed == 2
+
+# ----------------------------------------------------------------------
+# Fuzzed frames: a message or ProtocolError, and the server keeps serving
+# ----------------------------------------------------------------------
+#: One valid frame of every message type; mutations start from these.
+#: The submission's spec is not a campaign, so no mutant is accepted.
+_VALID_FRAMES = tuple(encode_message(message) for message in (
+    SubmitCampaign(tenant="fuzz", spec_json="{}", follow=True),
+    CampaignAccepted(tenant="fuzz", spec_hash="h", status="submitted",
+                     n_shards_total=3, n_shards_done=0, n_enqueued=3),
+    WatchCampaign(tenant="fuzz", spec_hash="f" * 64),
+    CampaignProgress(tenant="fuzz", spec_hash="h", n_shards_total=3,
+                     shards_done=(0, 2), t_values={}, order_t_values={},
+                     max_abs_t=1.25, leaking_gates=("g1",)),
+    CampaignComplete(tenant="fuzz", spec_hash="h",
+                     assessment={"design_name": "d"}),
+    ServiceError(code="bad-spec", message="nope"),
+))
+
+#: Frames that once escaped as non-protocol errors or are retired.
+_SEED_FRAMES = (
+    # int(inf) in CampaignProgress.__post_init__ (OverflowError).
+    b'{"body":{"leaking_gates":[],"max_abs_t":0,"n_shards_total":1,'
+    b'"order_t_values":{},"shards_done":[1e400],"spec_hash":"h",'
+    b'"t_values":{},"tenant":"t"},"type":"CampaignProgress","v":2}\n',
+    # Deep nesting inside a body (RecursionError in the JSON parser).
+    b'{"body":{"tenant":' + b"[" * 20000 + b"]" * 20000
+    + b',"spec_hash":"h"},"type":"WatchCampaign","v":2}\n',
+    # A line over the server's read limit.
+    b"[" + b"0," * (FRAME_LIMIT // 2) + b"0]\n",
+    # A version-1 shard-partial frame.
+    _v1_shard_partial("fuzz", "f" * 64, 0, b"\x00" * 64),
+)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10)
+
+
+@st.composite
+def _mutated_frames(draw):
+    envelope = json.loads(draw(st.sampled_from(_VALID_FRAMES)))
+    body = envelope["body"]
+    action = draw(st.sampled_from(("set", "drop", "add", "envelope")))
+    if action == "set":
+        body[draw(st.sampled_from(sorted(body)))] = draw(_json_values)
+    elif action == "drop":
+        del body[draw(st.sampled_from(sorted(body)))]
+    elif action == "add":
+        body[draw(st.text(max_size=8))] = draw(_json_values)
+    else:
+        envelope[draw(st.sampled_from(("v", "type", "body")))] = \
+            draw(_json_values)
+    return json.dumps(envelope).encode() + b"\n"
+
+
+_frames = st.one_of(
+    st.sampled_from(_SEED_FRAMES),
+    _mutated_frames(),
+    st.binary(max_size=256).map(
+        lambda raw: raw.replace(b"\n", b"") + b"\n"))
+
+
+@functools.lru_cache(maxsize=None)
+def _liveness_spec_json():
+    return _spec(n_shards=1).to_json()
+
+
+class TestFrameFuzz:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @example(line=_SEED_FRAMES[0])
+    @example(line=_SEED_FRAMES[1])
+    @example(line=_SEED_FRAMES[2])
+    @example(line=_SEED_FRAMES[3])
+    @given(line=st.one_of(_frames, st.text(max_size=64)))
+    def test_decode_returns_a_message_or_protocol_error(self, line):
+        try:
+            message = decode_message(line)
+        except ProtocolError:
+            return
+        assert type(message).__name__ in {
+            "SubmitCampaign", "CampaignAccepted", "WatchCampaign",
+            "CampaignProgress", "CampaignComplete", "ServiceError"}
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @example(line=_SEED_FRAMES[0])
+    @example(line=_SEED_FRAMES[1])
+    @example(line=_SEED_FRAMES[2])
+    @example(line=_SEED_FRAMES[3])
+    @given(line=_frames)
+    def test_server_answers_every_frame_and_keeps_serving(self, service,
+                                                          line):
+        # One reply within the 2 s deadline, and it is an error frame.
+        frames, _closed = _exchange(service, line, deadline=2.0)
+        assert len(frames) == 1, frames
+        assert isinstance(frames[0], ServiceError), frames
+        # The same server still takes a valid submission.
+        with ServiceClient(service.host, service.port) as client:
+            accepted = client.submit("fuzz", _liveness_spec_json(),
+                                     follow=False, timeout=10)
+        assert isinstance(accepted, CampaignAccepted)

@@ -11,18 +11,20 @@ to an uninjected run:
 2. **worker kill** — a doomed ``polaris-campaign work`` process whose
    fault plan SIGKILLs it mid-shard (``worker.shard:mode=crash``); its
    lease expires and the shard is redelivered;
-3. **checkpoint corruption + queue faults** — a surviving
-   ``work --connect`` process runs under
+3. **checkpoint corruption + queue faults** — a surviving plain
+   ``polaris-campaign work`` process runs under
    ``checkpoint.write:mode=corrupt`` (one shard's on-disk seal is
    silently flipped) and ``queue.ack:mode=error`` (transient ack
-   failures absorbed by the shared retry policy);
+   failures absorbed by the shared retry policy).  The server folds only
+   verified checkpoints, so its rescan quarantines the corrupt one
+   (``.corrupt`` kept for post-mortem) and requeues the shard, and a
+   healer worker recomputes it *before* the campaign can complete;
 4. **severed watch connection** — the soak's own client drops its
    socket mid-stream (``service.recv:mode=sever``) and must redial,
    re-subscribe and dedupe the server's replay;
-5. afterwards the corrupt checkpoint is quarantined (``.corrupt``
-   kept for post-mortem), its shard requeued and healed by a fresh
-   worker, and the streamed, collected and clean-rerun t-values are
-   asserted bitwise equal.
+5. afterwards exactly one checkpoint sits in quarantine, every shard's
+   checkpoint verifies, and the streamed, collected and clean-rerun
+   t-values are asserted bitwise equal.
 
 Exits non-zero with a diagnostic on any violation.
 """
@@ -50,7 +52,6 @@ from repro.campaign import (  # noqa: E402
     run_campaign,
     run_worker,
 )
-from repro.campaign.runner import verified_checkpoint  # noqa: E402
 from repro.campaign.serialize import decode_array  # noqa: E402
 from repro.campaign.spec import CampaignSpec  # noqa: E402
 from repro.netlist import load_benchmark  # noqa: E402
@@ -107,6 +108,11 @@ def start_server(root: Path) -> tuple:
     return process, host, int(port)
 
 
+def _quarantined(paths: CampaignPaths) -> list:
+    return [p.name for p in paths.shards_dir.iterdir()
+            if ".corrupt" in p.name]
+
+
 def soak(root: Path, host: str, port: int) -> int:
     tenant = "soak"
     netlist = load_benchmark(DESIGN["name"], scale=DESIGN["scale"],
@@ -114,6 +120,9 @@ def soak(root: Path, host: str, port: int) -> int:
     spec = CampaignSpec.from_netlist(netlist, CONFIG,
                                      n_shards=N_SHARDS)
     queue = campaign_queue(root)
+    troot = tenant_root(root, tenant)
+    prefix = tenant_key_prefix(tenant)
+    paths = CampaignPaths(troot, spec.content_hash, key_prefix=prefix)
     client = ServiceClient(host, port)
     try:
         accepted = client.submit(tenant, spec.to_json(), follow=True)
@@ -136,17 +145,24 @@ def soak(root: Path, host: str, port: int) -> int:
               f"mid-shard; lease will expire")
 
         # Fault domains 2+3: the survivor corrupts one on-disk
-        # checkpoint (its *streamed* partial stays clean) and retries
-        # through injected ack errors; --drain waits out the dead lease.
+        # checkpoint and retries through injected ack errors; --drain
+        # waits out the dead lease.
         survivor = subprocess.Popen(
             [sys.executable, "-m", "repro.campaign.cli", "work",
              "--root", str(root), "--drain",
-             "--connect", f"{host}:{port}",
              "--lease-seconds", "2", "--fault-plan", SURVIVOR_PLAN],
             env=_env())
         if survivor.wait(timeout=300) != 0:
             print("FAIL: surviving worker exited non-zero")
             return 1
+
+        # The server's rescan quarantines the corrupt checkpoint and
+        # requeues its shard; a healer recomputes it (a no-op if the
+        # survivor already picked the requeue up).
+        deadline = time.monotonic() + 60
+        while not _quarantined(paths) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        run_worker(queue, worker="healer", drain=True)
 
         # Fault domain 4: our own watch connection is severed on the
         # next receive; the client must redial, re-subscribe, and dedupe
@@ -176,28 +192,20 @@ def soak(root: Path, host: str, port: int) -> int:
         client.close()
         set_fault_plan(None)
 
-    # Post-mortem + healing: exactly one checkpoint fails its seal; it
-    # is quarantined (bytes kept aside), requeued and recomputed.
-    troot = tenant_root(root, tenant)
-    prefix = tenant_key_prefix(tenant)
-    paths = CampaignPaths(troot, spec.content_hash, key_prefix=prefix)
+    # Post-mortem: exactly one checkpoint was quarantined (bytes kept
+    # aside) and every shard's checkpoint now verifies.
+    corpses = _quarantined(paths)
+    if len(corpses) != 1:
+        print(f"FAIL: expected exactly 1 quarantined checkpoint, got "
+              f"{corpses}")
+        return 1
     bad = [k for k in range(N_SHARDS)
            if not checkpoint_ok(paths.shard_path(k))]
-    if len(bad) != 1:
-        print(f"FAIL: expected exactly 1 corrupt checkpoint, got {bad}")
+    if bad:
+        print(f"FAIL: shards {bad} still corrupt after healing")
         return 1
-    verified_checkpoint(paths, bad[0], queue=queue)
-    corpses = [p.name for p in paths.shards_dir.iterdir()
-               if ".corrupt" in p.name]
-    if len(corpses) != 1:
-        print(f"FAIL: quarantine left {corpses}")
-        return 1
-    run_worker(queue, worker="healer", drain=True)
-    if not checkpoint_ok(paths.shard_path(bad[0])):
-        print(f"FAIL: shard {bad[0]} still corrupt after healing")
-        return 1
-    print(f"shard {bad[0]} quarantined ({corpses[0]}) and "
-          f"healed")
+    print(f"{corpses[0]} quarantined by the server and healed before "
+          f"completion")
 
     # Convergence: streamed == collected == a clean uninjected rerun.
     streamed = decode_array(complete.assessment["t_values"])

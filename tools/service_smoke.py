@@ -8,8 +8,8 @@ service story:
 1. start ``polaris-campaign serve`` as a real subprocess (port 0 — the
    bound port is read off its stdout);
 2. submit a campaign *through the service* with a following client;
-3. attach **two** ``polaris-campaign work --connect`` worker processes
-   that stream shard partials and heartbeats;
+3. attach **two** plain ``polaris-campaign work`` processes on the
+   server's root — the server folds the sealed checkpoints they publish;
 4. SIGKILL one of them mid-shard (shards are stretched by a
    ``worker.shard`` delay fault plan so "mid-shard" is deterministic) — the
    campaign must complete anyway, via lease expiry + redelivery;
@@ -85,11 +85,10 @@ def start_server(root: Path) -> tuple:
     return process, host, int(port)
 
 
-def start_worker(root: Path, host: str, port: int) -> subprocess.Popen:
+def start_worker(root: Path) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro.campaign.cli", "work",
          "--root", str(root), "--drain",
-         "--connect", f"{host}:{port}",
          "--lease-seconds", str(LEASE_SECONDS)],
         env=_env())
 
@@ -113,8 +112,8 @@ def main() -> int:
             print(f"FAIL: fresh submission reported {accepted.status!r}")
             return 1
 
-        workers.append(start_worker(root, host, port))
-        workers.append(start_worker(root, host, port))
+        workers.append(start_worker(root))
+        workers.append(start_worker(root))
         victim, survivor = workers
 
         # Wait until both workers hold a shard lease, then kill the victim

@@ -16,9 +16,8 @@ moment update as ``microbench_moment_update``, the flat-array batch
 model scoring + batched TreeSHAP vs their per-sample oracles as
 ``microbench_ml_scoring``, the presorted CART split search vs the
 per-feature loop over whole ensemble fits as ``microbench_ml_fit``, and
-the shard-count scaling of the
-sharded TVLA driver (in process vs a caller's process pool) as
-``microbench_sharded_tvla_scaling``.  The speedup metrics of the non-slow
+the durable campaign's queue and store overhead over in-process TVLA as
+``microbench_campaign_overhead``.  The speedup metrics of the non-slow
 benches are anchored in ``benchmarks/results/baseline.json`` and gated
 against >25% regressions by ``tools/check_bench_regression.py`` (the CI
 ``bench-regression`` job).
@@ -34,8 +33,6 @@ import os
 import sys
 import time
 import timeit
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -50,7 +47,6 @@ from repro.tvla import (
     OnePassMoments,
     TvlaConfig,
     assess_leakage,
-    assess_leakage_sharded,
     welch_t_test,
 )
 from repro.tvla.welch import welch_from_accumulators
@@ -379,73 +375,16 @@ def test_streaming_assessment_paper_scale(masked_design, recorder):
     ))
 
 
-@pytest.mark.slow
-def test_sharded_tvla_scaling(masked_design, recorder):
-    """Shard-count scaling of a 10,000-trace sharded TVLA campaign.
-
-    Times ``assess_leakage_sharded`` at 1/2/4 shards on its two paths:
-    ``executor=None`` (the serial driver's chunk-task engine, which runs
-    on every CPU whatever the shard count) and a caller-owned
-    :class:`~concurrent.futures.ProcessPoolExecutor` with one worker per
-    shard (spawned workers; each shard rebuilds its generator from the
-    shipped netlist; the pool start-up is inside the timing).  Chunk size 1024 gives 10
-    chunks, so 4 shards still get a balanced 3/3/2/2 split.  t-values are
-    asserted bitwise equal to the serial ``assess_leakage``; the timings
-    are recorded with the host's CPU count but not asserted.
-    """
-    config = TvlaConfig(n_traces=PAPER_TRACES, n_fixed_classes=1, seed=2,
-                        chunk_traces=1024)
-    start = time.perf_counter()
-    reference = assess_leakage(masked_design, config)
-    serial_seconds = time.perf_counter() - start
-
-    def timed_row(executor, n_shards, pool):
-        start = time.perf_counter()
-        sharded = assess_leakage_sharded(masked_design, config,
-                                         n_shards=n_shards, executor=pool)
-        elapsed = time.perf_counter() - start
-        assert np.array_equal(sharded.t_values, reference.t_values)
-        return {
-            "design": masked_design.name,
-            "executor": executor,
-            "n_shards": n_shards,
-            "n_gates": len(masked_design),
-            "seconds": elapsed,
-            "speedup_vs_serial": serial_seconds / elapsed,
-            "traces_per_second": 2 * PAPER_TRACES / elapsed,
-        }
-
-    rows = [timed_row("in_process", n_shards, None)
-            for n_shards in (1, 2, 4)]
-    for n_shards in (1, 2, 4):
-        with ProcessPoolExecutor(max_workers=n_shards,
-                                 mp_context=get_context("spawn")) as pool:
-            rows.append(timed_row("process_pool", n_shards, pool))
-
-    recorder.record(ExperimentRecord(
-        experiment_id="microbench_sharded_tvla_scaling",
-        description=("Sharded streaming TVLA campaign at 10,000 traces: "
-                     "1/2/4 shards in process (executor=None) vs a "
-                     "caller-owned process pool, one worker per shard"),
-        parameters={"scale": max(BENCH_SCALE, 0.35),
-                    "n_traces": PAPER_TRACES,
-                    "chunk_traces": 1024,
-                    "serial_seconds": serial_seconds,
-                    "cpu_count": os.cpu_count()},
-        rows=rows,
-    ))
-
-
 def test_campaign_overhead_microbench(design, recorder, tmp_path):
-    """Queue + store overhead of the campaign subsystem vs in-process shards.
+    """Queue + store overhead of the campaign subsystem vs in-process TVLA.
 
-    Runs the same 2-shard campaign two ways — in process
-    (``executor=None``) and through the full durable runner (submit →
-    SQLite lease/ack per shard → checkpoint → merge → store) — plus a
-    store cache hit, and records the wall-clock of each as
+    Runs the same campaign two ways — in process (``assess_leakage``) and
+    through the full durable runner with 2 shards (submit → SQLite
+    lease/ack per shard → checkpoint → merge → store) — plus a store cache
+    hit, and records the wall-clock of each as
     ``microbench_campaign_overhead`` in ``latest.json``.  Correctness is
-    asserted (~1e-12 for the durable runner, bit-identical for the cache
-    hit); the recorded
+    asserted (bitwise for the durable runner and the cache hit); the
+    recorded
     overhead documents what durability costs at small scale, where the
     fixed per-task queue round-trips are most visible — at paper scale the
     shard compute dominates.
@@ -457,7 +396,7 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
     n_shards = 2
 
     start = time.perf_counter()
-    in_process = assess_leakage_sharded(design, config, n_shards=n_shards)
+    in_process = assess_leakage(design, config)
     in_process_seconds = time.perf_counter() - start
 
     root = tmp_path / "campaigns"
@@ -465,8 +404,7 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
     durable = run_campaign(root, design, config, n_shards=n_shards,
                            n_workers=n_shards)
     durable_seconds = time.perf_counter() - start
-    np.testing.assert_allclose(durable.t_values, in_process.t_values,
-                               rtol=1e-12, atol=1e-12)
+    assert np.array_equal(durable.t_values, in_process.t_values)
 
     start = time.perf_counter()
     outcome = submit_campaign(root, netlist=design, config=config,
@@ -491,9 +429,9 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
     )]
     recorder.record(ExperimentRecord(
         experiment_id="microbench_campaign_overhead",
-        description=("Queue+store overhead of repro.campaign vs in-process "
-                     "sharding (2 shards, 600 traces x 2 classes), plus the "
-                     "content-addressed cache hit"),
+        description=("Queue+store overhead of repro.campaign (2 shards) vs "
+                     "in-process assess_leakage (600 traces x 2 classes), "
+                     "plus the content-addressed cache hit"),
         parameters={"scale": BENCH_SCALE, "n_traces": config.n_traces,
                     "chunk_traces": config.chunk_traces,
                     "n_shards": n_shards, "cpu_count": os.cpu_count()},

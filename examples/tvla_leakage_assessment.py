@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
+from repro.campaign import run_campaign
 from repro.core import format_table
 from repro.netlist import load_benchmark, parse_bench_file, write_bench_file
 from repro.power import CounterStream, PowerTraceGenerator
@@ -33,7 +32,6 @@ from repro.tvla import (
     OnePassMoments,
     TvlaConfig,
     assess_leakage,
-    assess_leakage_sharded,
     welch_from_accumulators,
     welch_t_test,
 )
@@ -91,18 +89,17 @@ def main(name: str = "sin") -> None:
     print(f"  one-pass t = {float(one_pass.t_statistic):8.3f}  "
           f"(difference {abs(float(two_pass.t_statistic) - float(one_pass.t_statistic)):.2e})")
 
-    # Sharded campaign + higher-order TVLA: ship the trace range in shards
-    # to a process pool, merge the partial accumulators, and read the
-    # order-2 (centered-variance) verdict next to the order-1 one.  For a
-    # given seed the t-values equal the serial run's bit for bit, whatever
-    # the shard count.
-    print("\nSharded campaign (4 shards, process pool) with order-2 TVLA:")
+    # Sharded campaign + higher-order TVLA: a durable campaign on a
+    # temporary root splits the trace range into shards, workers fold and
+    # checkpoint them, and the partial accumulators merge into the order-1
+    # and order-2 (centered-variance) verdicts.  For a given seed the
+    # t-values equal the serial run's bit for bit, whatever the shard count.
+    print("\nSharded campaign (4 shards, campaign queue) with order-2 TVLA:")
     sharded_config = TvlaConfig(n_traces=600, n_fixed_classes=4, seed=5,
                                 chunk_traces=128, tvla_order=2)
-    with ProcessPoolExecutor(max_workers=2,
-                             mp_context=get_context("spawn")) as pool:
-        sharded = assess_leakage_sharded(design, sharded_config, n_shards=4,
-                                         executor=pool)
+    with tempfile.TemporaryDirectory() as root:
+        sharded = run_campaign(root, design, sharded_config, n_shards=4,
+                               n_workers=2)
     serial = assess_leakage(design, sharded_config)
     identical = np.array_equal(sharded.t_values, serial.t_values)
     print(f"  shards           : {sharded.n_shards}")

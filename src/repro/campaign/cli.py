@@ -333,11 +333,15 @@ def _serve(args: argparse.Namespace) -> int:
 
 def _watch(args: argparse.Namespace) -> int:
     from ..service.client import ServiceClient
-    from ..service.protocol import DEFAULT_TENANT
+    from ..service.protocol import DEFAULT_TENANT, ProtocolError
 
     host, port = _parse_endpoint(args.connect)
     with ServiceClient(host, port) as client:
-        client.watch(args.tenant or DEFAULT_TENANT, args.spec_hash)
+        try:
+            client.watch(args.tenant or DEFAULT_TENANT, args.spec_hash)
+        except ProtocolError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
         return _render_stream(client)
 
 

@@ -256,8 +256,9 @@ class ServiceClient:
     def watch(self, tenant: str, spec_hash: str) -> None:
         """Subscribe this connection to a campaign's stream (resumed
         automatically across reconnects)."""
+        message = WatchCampaign(tenant=tenant, spec_hash=spec_hash)
         self._subscription = (tenant, spec_hash)
-        self.send(WatchCampaign(tenant=tenant, spec_hash=spec_hash))
+        self.send(message)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -45,6 +45,9 @@ PROTOCOL_VERSION = 2
 #: directory names and queue keys verbatim.
 _TENANT_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]{0,63}\Z")
 
+#: A campaign spec hash: the SHA-256 hex digest of the canonical spec.
+_SPEC_HASH_PATTERN = re.compile(r"^[0-9a-f]{64}\Z")
+
 DEFAULT_TENANT = "default"
 
 
@@ -107,10 +110,21 @@ class CampaignAccepted:
 
 @dataclass(frozen=True)
 class WatchCampaign:
-    """Client → server: subscribe to an existing campaign's stream."""
+    """Client → server: subscribe to an existing campaign's stream.
+
+    ``spec_hash`` must be a SHA-256 hex digest: the server uses it as a
+    dict key and a directory name.
+    """
 
     tenant: str
     spec_hash: str
+
+    def __post_init__(self):
+        if not (isinstance(self.spec_hash, str)
+                and _SPEC_HASH_PATTERN.match(self.spec_hash)):
+            raise ProtocolError(
+                f"invalid spec_hash {self.spec_hash!r}: expected 64 "
+                f"lowercase hex characters")
 
 
 @dataclass(frozen=True)

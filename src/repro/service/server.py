@@ -40,13 +40,12 @@ import contextlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..campaign.queue import TaskQueue
 from ..campaign.runner import (
     CampaignPaths,
     campaign_gate_names,
-    campaign_status,
     campaign_store,
     load_spec,
     requeue_stale_shard,
@@ -290,6 +289,8 @@ class AssessmentService:
                     message=f"unexpected {type(message).__name__} "
                             f"from a client"))
         except ProtocolError as error:
+            # Only validate_tenant raises ProtocolError past decoding: every
+            # other field is checked when its frame is decoded (bad-frame).
             connection.send(ServiceError(code="bad-tenant",
                                          message=str(error)))
         except Exception as error:  # noqa: BLE001 — connection must survive
@@ -524,12 +525,12 @@ class AssessmentService:
     async def _report_failures(self, campaign: _Campaign) -> None:
         if not campaign.watchers:
             return
-        status = await asyncio.to_thread(
-            campaign_status, campaign.paths.root,
-            campaign.spec.content_hash, queue=self.queue,
-            shard_key_prefix=tenant_key_prefix(campaign.tenant))
+        unfolded = [shard_index for shard_index in range(campaign.n_shards)
+                    if shard_index not in campaign.partials]
+        failed_shards = await asyncio.to_thread(
+            self._failed_shards, campaign.paths, unfolded)
         failures = {}
-        for shard_index in status.failed_shards:
+        for shard_index in failed_shards:
             error = campaign.failures.get(shard_index)
             if error is None:  # first seen: announce it once
                 error = ServiceError(
@@ -546,10 +547,25 @@ class AssessmentService:
         # failed_shards — watchers get an answer instead of an error loop
         # that never ends.  The degraded assessment is not stored: a
         # resubmission after the fault is fixed recomputes in full.
-        if status.failed_shards and campaign.partials and \
-                len(campaign.partials) + len(status.failed_shards) \
+        if failed_shards and campaign.partials and \
+                len(campaign.partials) + len(failed_shards) \
                 >= campaign.n_shards:
-            await self._finalise_partial(campaign, status.failed_shards)
+            await self._finalise_partial(campaign, failed_shards)
+
+    def _failed_shards(self, paths: CampaignPaths,
+                       shard_indices: List[int]) -> Tuple[int, ...]:
+        """The shards among ``shard_indices`` whose task exhausted its
+        retries (blocking).
+
+        Only the queue is read: the server already holds the spec, and the
+        monitor's scan has just folded every verified checkpoint.
+        """
+        failed = []
+        for shard_index in shard_indices:
+            outcome = self.queue.outcome_by_key(paths.shard_key(shard_index))
+            if outcome is not None and outcome[0] == "failed":
+                failed.append(shard_index)
+        return tuple(failed)
 
     async def _finalise_partial(self, campaign: _Campaign,
                                 failed_shards: Tuple[int, ...]) -> None:

@@ -18,12 +18,7 @@ from .assessment import (
     campaign_schedule,
     compare_assessments,
 )
-from .sharding import (
-    assess_leakage_sharded,
-    assess_many,
-    merge_shard_partials,
-    shard_trace_ranges,
-)
+from .sharding import merge_shard_partials, shard_trace_ranges
 
 __all__ = [
     "OnePassMoments",
@@ -40,8 +35,6 @@ __all__ = [
     "assess_leakage",
     "campaign_schedule",
     "compare_assessments",
-    "assess_leakage_sharded",
-    "assess_many",
     "merge_shard_partials",
     "shard_trace_ranges",
 ]

@@ -23,9 +23,9 @@ addressed by its ``(seed, class, group, chunk)`` coordinates
 (:mod:`repro.power.ctrsample`), so for a given ``TvlaConfig.seed`` and
 ``chunk_traces`` the generated traces — and therefore the t-values — are
 identical no matter how the campaign is chunked across workers.  That is
-the property :mod:`repro.tvla.sharding` builds on to ship shards to a
-caller's executor (a process pool, the campaign queue) and merge the
-partial accumulators bitwise-exactly.
+the property :mod:`repro.tvla.sharding` builds on to fold shards on the
+campaign queue's workers and merge the partial accumulators
+bitwise-exactly.
 
 With ``TvlaConfig.tvla_order > 1`` the driver additionally evaluates the
 higher-order (centered-variance / standardised-skewness) t-tests from the

@@ -1,4 +1,8 @@
-"""Explainable-AI substrate: SHAP explainers, explanations and rules."""
+"""Explainable-AI substrate: SHAP explanations and rules.
+
+:class:`TreeShapExplainer` is the explainer; its model-agnostic oracle,
+``KernelShapExplainer``, stays importable from :mod:`repro.xai.kernel_shap`.
+"""
 
 from .explain import (
     Explanation,
@@ -7,7 +11,6 @@ from .explain import (
     WaterfallStep,
     summarize_explanations,
 )
-from .kernel_shap import KernelShapExplainer
 from .tree_shap import TreeShapExplainer
 from .rules import MaskingRule, RuleCondition, RuleExtractor, RuleSet
 
@@ -17,7 +20,6 @@ __all__ = [
     "Waterfall",
     "WaterfallStep",
     "summarize_explanations",
-    "KernelShapExplainer",
     "TreeShapExplainer",
     "MaskingRule",
     "RuleCondition",

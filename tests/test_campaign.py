@@ -50,8 +50,6 @@ from repro.tvla import (
     OnePassMoments,
     TvlaConfig,
     assess_leakage,
-    assess_leakage_sharded,
-    assess_many,
 )
 
 #: Campaign settings shared by the runner tests: 240 traces in 48-trace
@@ -721,65 +719,6 @@ def _nap(seconds):
     """Module-level task body that outlasts short leases."""
     time.sleep(seconds)
     return seconds
-
-
-class TestExecutorLifecycle:
-    def test_caller_supplied_pool_left_running(self, small_benchmark,
-                                               campaign_config, monkeypatch):
-        from concurrent.futures import ThreadPoolExecutor
-        from repro.tvla import sharding
-
-        def poisoned(*args, **kwargs):
-            raise RuntimeError("shard worker exploded")
-
-        monkeypatch.setattr(sharding, "_shard_moments_rebuilt", poisoned)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            with pytest.raises(RuntimeError, match="exploded"):
-                assess_leakage_sharded(small_benchmark, campaign_config,
-                                       n_shards=2, executor=pool)
-            assert not pool._shutdown  # caller owns its lifecycle
-            assert pool.submit(int, "7").result(timeout=30) == 7
-
-    def test_failing_shard_cancels_pending_futures(self, small_benchmark,
-                                                   campaign_config,
-                                                   monkeypatch):
-        # A raising shard leaves no sibling burning CPU: this call's
-        # queued shards are cancelled, the caller's pool keeps running.
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-        from repro.tvla import sharding
-
-        release = threading.Event()
-        ran = []
-
-        def shard(netlist, sliced, config, first_chunk):
-            ran.append(first_chunk)
-            if first_chunk == 0:
-                raise RuntimeError("shard worker exploded")
-            release.wait(30)  # hold the only worker thread
-
-        submitted = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                submitted.append(super().submit(fn, *args, **kwargs))
-                return submitted[-1]
-
-        monkeypatch.setattr(sharding, "_shard_moments_rebuilt", shard)
-        with RecordingPool(max_workers=1) as pool:
-            try:
-                with pytest.raises(RuntimeError, match="exploded"):
-                    assess_leakage_sharded(small_benchmark, campaign_config,
-                                           n_shards=5, executor=pool)
-                assert len(submitted) == 5
-                # The one worker thread is held by at most one sibling
-                # shard; every other sibling was still queued, so it was
-                # cancelled and never runs.
-                assert sum(future.cancelled() for future in submitted) >= 3
-                assert not pool._shutdown
-            finally:
-                release.set()
-        assert len(ran) <= 2
 
 
 # ----------------------------------------------------------------------
@@ -1496,38 +1435,9 @@ class TestResultStore:
 
 
 # ----------------------------------------------------------------------
-# Store wiring: assess_many and protect_design
+# Store wiring: protect_design
 # ----------------------------------------------------------------------
 class TestStoreWiring:
-    def test_assess_many_serves_cache_without_simulating(
-            self, small_benchmark, tiny_netlist, campaign_config, tmp_path,
-            monkeypatch):
-        store = tmp_path / "store"
-        first = assess_many([small_benchmark, tiny_netlist], campaign_config,
-                            n_shards=2, store=store)
-
-        from repro.tvla import sharding
-
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("cache hit must not simulate")
-
-        monkeypatch.setattr(sharding, "assess_leakage", no_simulation)
-        second = assess_many([small_benchmark, tiny_netlist], campaign_config,
-                             n_shards=2, store=store)
-        for name in first:
-            _assert_assessments_equal(first[name], second[name])
-
-    def test_assess_many_partial_cache(self, small_benchmark, tiny_netlist,
-                                       campaign_config, tmp_path):
-        store = tmp_path / "store"
-        only_tiny = assess_many([tiny_netlist], campaign_config, n_shards=2,
-                                store=store)
-        both = assess_many([small_benchmark, tiny_netlist], campaign_config,
-                           n_shards=2, store=store)
-        assert np.array_equal(both[tiny_netlist.name].t_values,
-                              only_tiny[tiny_netlist.name].t_values)
-        assert set(both) == {small_benchmark.name, tiny_netlist.name}
-
     def test_protect_design_before_after_cached(self, trained_polaris,
                                                 tiny_netlist, tmp_path,
                                                 monkeypatch):

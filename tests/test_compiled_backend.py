@@ -37,7 +37,8 @@ from repro.simulation import (
     LogicSimulator,
     fixed_vs_random_campaigns,
 )
-from repro.tvla import TvlaConfig, assess_leakage, assess_leakage_sharded
+from repro.campaign import run_campaign
+from repro.tvla import TvlaConfig, assess_leakage
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -198,13 +199,13 @@ class TestTvlaEquivalence:
             np.testing.assert_array_equal(compiled.order_t_values[2],
                                           loop.order_t_values[2])
 
-    def test_sharded_compiled_matches_serial_loop(self):
+    def test_sharded_compiled_matches_serial_loop(self, tmp_path):
         netlist = load_benchmark("voter", scale=0.2, seed=11)
         config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
                             chunk_traces=32)
         serial_loop = assess_leakage(
             netlist, config, generator=_loop_generator(netlist, config))
-        sharded = assess_leakage_sharded(netlist, config, n_shards=4)
+        sharded = run_campaign(tmp_path / "runs", netlist, config, n_shards=4)
         np.testing.assert_allclose(sharded.t_values, serial_loop.t_values,
                                    rtol=1e-12, atol=1e-12)
 

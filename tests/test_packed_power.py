@@ -46,9 +46,12 @@ from repro.simulation import (
     fixed_vs_random_campaigns,
     toggle_counts,
 )
-from repro.campaign import tvla_config_from_dict, tvla_config_to_dict
-from repro.tvla import OnePassMoments, TvlaConfig, assess_leakage, \
-    assess_leakage_sharded
+from repro.campaign import (
+    run_campaign,
+    tvla_config_from_dict,
+    tvla_config_to_dict,
+)
+from repro.tvla import OnePassMoments, TvlaConfig, assess_leakage
 from repro.tvla.moments import _FOLD_BLOCK_COLUMNS
 
 SETTINGS = settings(max_examples=20, deadline=None,
@@ -149,13 +152,13 @@ class TestPackedTraceEquality:
                 np.testing.assert_array_equal(fast.order_t_values[order],
                                               slow.order_t_values[order])
 
-    def test_sharded_packed_matches_serial_unpacked(self):
+    def test_sharded_packed_matches_serial_unpacked(self, tmp_path):
         netlist = load_benchmark("sin", scale=0.2, seed=11)
         config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
                             chunk_traces=32)
         serial = assess_leakage(netlist, config,
                                 generator=_loop_generator(netlist, config))
-        sharded = assess_leakage_sharded(netlist, config, n_shards=4)
+        sharded = run_campaign(tmp_path / "runs", netlist, config, n_shards=4)
         np.testing.assert_allclose(sharded.t_values, serial.t_values,
                                    rtol=1e-12, atol=1e-12)
 

@@ -22,7 +22,8 @@ from repro.netlist import (
 )
 from repro.simulation import evaluate_gate, functional_equivalent, simulate
 from repro.tvla import OnePassMoments, welch_t_test
-from repro.xai import KernelShapExplainer, TreeShapExplainer
+from repro.xai import TreeShapExplainer
+from repro.xai.kernel_shap import KernelShapExplainer
 from repro.ml import DecisionTreeClassifier
 
 SETTINGS = settings(max_examples=25, deadline=None,

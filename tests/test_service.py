@@ -109,7 +109,7 @@ class TestProtocol:
             assert decode_message(encode_message(message)) == message
 
     def test_encoding_is_canonical(self):
-        message = WatchCampaign(tenant="t", spec_hash="h")
+        message = WatchCampaign(tenant="t", spec_hash="f" * 64)
         assert encode_message(message) == encode_message(message)
         # Sorted keys + compact separators: the byte layout is pinned.
         frame = encode_message(ServiceError(code="c", message="m"))
@@ -344,6 +344,27 @@ class TestServer:
         assert isinstance(reply, ServiceError)
         assert reply.code == "unknown-campaign"
 
+    @pytest.mark.parametrize("spec_hash", [
+        [1], {"a": 1}, 7, "h", "F" * 64, "f" * 63, "../" * 21 + "f"],
+        ids=["list", "dict", "int", "short", "upper", "63-hex", "path"])
+    def test_watch_malformed_spec_hash_is_bad_frame(self, service,
+                                                    spec_hash):
+        # Checked on decode, before the hash is a dict key or a path.
+        line = json.dumps({"v": 2, "type": "WatchCampaign",
+                           "body": {"tenant": "lab",
+                                    "spec_hash": spec_hash}}).encode()
+        frames, _closed = _exchange(service, line + b"\n")
+        assert [(type(frame), frame.code) for frame in frames] == \
+            [(ServiceError, "bad-frame")]
+        assert "spec_hash" in frames[0].message
+
+    def test_cli_watch_rejects_a_malformed_hash(self, service, capsys):
+        from repro.campaign.cli import main as cli_main
+
+        endpoint = f"{service.host}:{service.port}"
+        assert cli_main(["watch", "--connect", endpoint, "abc123"]) == 1
+        assert "invalid spec_hash" in capsys.readouterr().err
+
     def test_monitor_absorbs_disk_only_partials(self, service):
         # A plain queue worker writes checkpoints straight to disk; the
         # monitor rescan folds them and completes the campaign.
@@ -543,6 +564,61 @@ class TestSingleDoor:
                 assert _frames_within(late, 1.0) == errors
         assert queue.counts()["pending"] == 2
 
+    def test_monitor_reads_only_the_queue_for_unfolded_shards(
+            self, service, monkeypatch):
+        # One shard folded, one pending: each tick asks the queue about
+        # the pending shard only, and neither reloads the spec nor
+        # re-verifies the folded shard's checkpoint.
+        from repro.campaign import runner
+
+        spec = _spec(n_shards=2)
+        queue = service.queue
+        with ServiceClient(service.host, service.port) as client:
+            client.submit("lab", spec.to_json(), follow=True)
+            assert run_worker(queue, worker="one", max_tasks=1) == 1
+            progress = client.recv(timeout=10)
+            assert isinstance(progress, CampaignProgress)
+            assert len(progress.shards_done) == 1
+            calls = []
+
+            def counting(name, real):
+                def call(*args, **kwargs):
+                    calls.append(name)
+                    return real(*args, **kwargs)
+                return call
+
+            for name in ("checkpoint_ok", "load_spec"):
+                monkeypatch.setattr(runner, name,
+                                    counting(name, getattr(runner, name)))
+            monkeypatch.setattr(queue, "outcome_by_key", counting(
+                "outcome_by_key", queue.outcome_by_key))
+            assert _frames_within(client, 0.8) == []  # eight intervals
+        assert calls.count("outcome_by_key") >= 4
+        assert set(calls) == {"outcome_by_key"}
+
+    def test_failed_and_folded_shards_complete_partially(self, service):
+        # Every shard accounted for (one folded, one out of retries): the
+        # watcher gets the failure once, then a partial CampaignComplete.
+        spec = _spec(n_shards=2)
+        queue = service.queue
+        with ServiceClient(service.host, service.port) as client:
+            client.submit("lab", spec.to_json(), follow=True)
+            assert run_worker(queue, worker="one", max_tasks=1) == 1
+            while True:
+                task = queue.claim(worker="poison")
+                if queue.fail(task.task_id, task.lease_token,
+                              "boom") == "failed":
+                    break
+            frames = []
+            for frame in client.events(timeout=30):
+                frames.append(frame)
+                if isinstance(frame, CampaignComplete):
+                    break
+        assert [type(frame) for frame in frames] == \
+            [CampaignProgress, ServiceError, CampaignComplete]
+        assert frames[-1].assessment["failed_shards"] == \
+            [1 - frames[0].shards_done[0]]
+
 
 # ----------------------------------------------------------------------
 # Fuzzed frames: a message or ProtocolError, and the server keeps serving
@@ -575,6 +651,10 @@ _SEED_FRAMES = (
     b"[" + b"0," * (FRAME_LIMIT // 2) + b"0]\n",
     # A version-1 shard-partial frame.
     _v1_shard_partial("fuzz", "f" * 64, 0, b"\x00" * 64),
+    # An unhashable spec_hash once reached the server's campaign dict
+    # (TypeError -> an "internal" reply instead of bad-frame).
+    b'{"body":{"spec_hash":[1],"tenant":"fuzz"},"type":"WatchCampaign",'
+    b'"v":2}\n',
 )
 
 _json_values = st.recursive(
@@ -621,6 +701,7 @@ class TestFrameFuzz:
     @example(line=_SEED_FRAMES[1])
     @example(line=_SEED_FRAMES[2])
     @example(line=_SEED_FRAMES[3])
+    @example(line=_SEED_FRAMES[4])
     @given(line=st.one_of(_frames, st.text(max_size=64)))
     def test_decode_returns_a_message_or_protocol_error(self, line):
         try:
@@ -638,13 +719,16 @@ class TestFrameFuzz:
     @example(line=_SEED_FRAMES[1])
     @example(line=_SEED_FRAMES[2])
     @example(line=_SEED_FRAMES[3])
+    @example(line=_SEED_FRAMES[4])
     @given(line=_frames)
     def test_server_answers_every_frame_and_keeps_serving(self, service,
                                                           line):
-        # One reply within the 2 s deadline, and it is an error frame.
+        # One reply within the 2 s deadline, and it is a typed error frame:
+        # no client frame reaches the server's catch-all "internal" reply.
         frames, _closed = _exchange(service, line, deadline=2.0)
         assert len(frames) == 1, frames
         assert isinstance(frames[0], ServiceError), frames
+        assert frames[0].code != "internal", frames
         # The same server still takes a valid submission.
         with ServiceClient(service.host, service.port) as client:
             accepted = client.submit("fuzz", _liveness_spec_json(),

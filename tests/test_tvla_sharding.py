@@ -2,13 +2,12 @@
 
 The contract pinned down here is what makes sharding trustworthy:
 
-* sharded assessments (any shard count; in process with ``executor=None``
-  or shipped to a caller's thread or process pool) are bitwise equal to the
-  unsharded streaming path, for every configured TVLA order;
-* fixed seeds give bit-identical reruns, independent of the executor;
+* the campaign runner's shard path — every shard folded by
+  ``_shard_moments``, round-tripped through its checkpoint bytes and merged
+  by ``merge_shard_partials`` — is bitwise equal to ``assess_leakage`` at
+  any shard count, for every configured TVLA order;
+* fixed seeds give bit-identical reruns;
 * shard ranges are chunk-aligned, disjoint and cover the campaign;
-* ``assess_many`` returns exactly what per-design sharded assessments
-  return;
 * the serial counter driver, which runs one task per ``(class, group,
   chunk)`` on every CPU, is bitwise equal to the running fold and to every
   shard layout whatever its worker count, creates no pool on one CPU and
@@ -22,15 +21,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.masking import apply_masking, maskable_gates
+from repro.campaign import (
+    CampaignSpec,
+    pack_shard_moments,
+    unpack_shard_moments,
+)
 from repro.power import CounterStream
 from repro.tvla import assessment as tvla_assessment
 from repro.tvla import (
     TvlaConfig,
     assess_leakage,
-    assess_leakage_sharded,
-    assess_many,
     campaign_schedule,
+    merge_shard_partials,
     shard_trace_ranges,
 )
 from repro.tvla.assessment import (
@@ -40,6 +42,7 @@ from repro.tvla.assessment import (
     resolve_generator,
     results_from_accumulators,
 )
+from repro.tvla.sharding import _shard_moments
 
 #: Small-but-chunked campaign: 600 traces in 128-trace chunks -> 5 chunks.
 SHARD_TVLA = dict(n_traces=600, n_fixed_classes=2, seed=9, chunk_traces=128)
@@ -113,36 +116,46 @@ def _assessment_bits(assessment):
              for order, values in assessment.order_t_values.items()})
 
 
+def _shard_path(netlist, config, n_shards):
+    """The durable runner's shard path, in one process: every shard of the
+    layout folded by ``_shard_moments`` (the worker's shard entry), sealed
+    into checkpoint bytes and read back, then merged by
+    ``merge_shard_partials`` as the collector and the service merge."""
+    generator = resolve_generator(netlist, config, None)
+    campaigns = campaign_schedule(netlist, config)
+    ranges = shard_trace_ranges(config.n_traces, n_shards,
+                                config.chunk_traces)
+    partials = [
+        unpack_shard_moments(pack_shard_moments(
+            _shard_moments(generator, campaigns, config, start, stop)))
+        for start, stop in ranges
+    ]
+    return merge_shard_partials(partials, config, netlist.name,
+                                generator.gate_names, 0.0, len(ranges))
+
+
 class TestShardedRegression:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_matches_unsharded_streaming(self, small_benchmark, sharded_config,
-                                         executors, n_shards, executor):
-        # The headline regression: sharded == unsharded bitwise, in
-        # process, through a caller's thread pool and through the pickle
-        # seam, at every shard count.
-        reference = assess_leakage(small_benchmark, sharded_config)
-        sharded = assess_leakage_sharded(small_benchmark, sharded_config,
-                                         n_shards=n_shards,
-                                         executor=executors[executor])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8], ids="shards{}".format)
+    @pytest.mark.parametrize("tvla_order", [1, 2, 3], ids="order{}".format)
+    def test_matches_unsharded_streaming(self, small_benchmark, tvla_order,
+                                         n_shards):
+        # The headline regression: the shard path the campaign runner runs,
+        # checkpoint bytes included, is bitwise equal to assess_leakage at
+        # every shard count and every TVLA order.
+        config = TvlaConfig(tvla_order=tvla_order, **SHARD_TVLA)
+        reference = assess_leakage(small_benchmark, config)
+        sharded = _shard_path(small_benchmark, config, n_shards)
         assert _assessment_bits(sharded) == _assessment_bits(reference)
+        assert set(sharded.order_t_values) == set(range(2, tvla_order + 1))
         assert sharded.gate_names == reference.gate_names
         assert sharded.n_shards == min(n_shards, 5)
 
-    def test_serial_executor_matches(self, small_benchmark, sharded_config):
-        reference = assess_leakage(small_benchmark, sharded_config)
-        sharded = assess_leakage_sharded(small_benchmark, sharded_config,
-                                         n_shards=3)
-        assert _assessment_bits(sharded) == _assessment_bits(reference)
-        assert sharded.n_shards == 3
-
     def test_fixed_seed_reruns_bit_identical(self, small_benchmark,
-                                             sharded_config, process_pool):
-        runs = [
-            assess_leakage_sharded(small_benchmark, sharded_config,
-                                   n_shards=4, executor=executor)
-            for executor in (None, None, process_pool, process_pool)
-        ]
+                                             sharded_config):
+        runs = [_shard_path(small_benchmark, sharded_config, 4),
+                _shard_path(small_benchmark, sharded_config, 4),
+                assess_leakage(small_benchmark, sharded_config),
+                assess_leakage(small_benchmark, sharded_config)]
         for other in runs[1:]:
             assert _assessment_bits(other) == _assessment_bits(runs[0])
 
@@ -150,26 +163,11 @@ class TestShardedRegression:
                                                  sharded_config):
         # Documented contract: for a given seed the verdict is independent
         # of the shard layout (chunk_traces fixed).
-        by_shards = {
-            n: assess_leakage_sharded(small_benchmark, sharded_config,
-                                      n_shards=n)
-            for n in (1, 2, 5)
-        }
+        by_shards = {n: _shard_path(small_benchmark, sharded_config, n)
+                     for n in (1, 2, 5)}
         for n in (2, 5):
             assert np.array_equal(by_shards[n].t_values,
                                   by_shards[1].t_values)
-
-    def test_higher_orders_through_shards(self, small_benchmark,
-                                          process_pool):
-        config = TvlaConfig(tvla_order=3, **SHARD_TVLA)
-        expected = _assessment_bits(assess_leakage(small_benchmark, config))
-        for executor in (None, process_pool):
-            for n_shards in (1, 2, 4, 8):
-                sharded = assess_leakage_sharded(small_benchmark, config,
-                                                 n_shards=n_shards,
-                                                 executor=executor)
-                assert _assessment_bits(sharded) == expected
-                assert set(sharded.order_t_values) == {2, 3}
 
     def test_numpy_integer_order_accepted(self, tiny_netlist):
         config = TvlaConfig(n_traces=100, n_fixed_classes=1, seed=1,
@@ -178,94 +176,32 @@ class TestShardedRegression:
         from repro.tvla import moment_order_for_tvla
         assert moment_order_for_tvla(np.int64(3)) == 6
 
-    def test_executor_instance_is_pluggable(self, small_benchmark,
-                                            sharded_config, monkeypatch):
-        # Any caller executor, even a thread pool, takes the shipped path:
-        # one _shard_moments_rebuilt task per shard.
-        from repro.tvla import sharding
-
-        rebuilt = sharding._shard_moments_rebuilt
-        calls = []
-
-        def spy(*args):
-            calls.append(args[-1])
-            return rebuilt(*args)
-
-        monkeypatch.setattr(sharding, "_shard_moments_rebuilt", spy)
-        reference = assess_leakage(small_benchmark, sharded_config)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            sharded = assess_leakage_sharded(small_benchmark, sharded_config,
-                                             n_shards=2, executor=pool)
-            assert not pool._shutdown  # the caller owns its lifecycle
-        assert _assessment_bits(sharded) == _assessment_bits(reference)
-        assert sorted(calls) == [0, 3]  # first chunk of each 3/2 shard
-
-    def test_generator_with_executor_rejected(self, small_benchmark,
-                                              sharded_config):
-        # Shipped shards rebuild their own generator; a caller's would be
-        # silently ignored, so the combination fails before any work.
-        generator = resolve_generator(small_benchmark, sharded_config, None)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            with pytest.raises(ValueError, match="generator="):
-                assess_leakage_sharded(small_benchmark, sharded_config,
-                                       executor=pool, generator=generator)
-
     def test_in_process_path_honours_generator(self, small_benchmark,
                                                tiny_netlist, sharded_config):
         foreign = resolve_generator(tiny_netlist, sharded_config, None)
         with pytest.raises(ValueError, match="generator was built"):
-            assess_leakage_sharded(small_benchmark, sharded_config,
-                                   generator=foreign)
+            assess_leakage(small_benchmark, sharded_config,
+                           generator=foreign)
 
     def test_invalid_shard_count_rejected(self, small_benchmark,
                                           sharded_config):
-        # executor=None validates the layout it records, like the
-        # shipped path.
+        # A campaign validates the shard layout it records in its spec.
         with pytest.raises(ValueError, match="n_shards"):
-            assess_leakage_sharded(small_benchmark, sharded_config,
-                                   n_shards=0)
+            CampaignSpec.from_netlist(small_benchmark, sharded_config,
+                                      n_shards=0)
 
     def test_schedule_reuse(self, small_benchmark, sharded_config):
         schedule = campaign_schedule(small_benchmark, sharded_config)
-        direct = assess_leakage_sharded(small_benchmark, sharded_config,
-                                        n_shards=2)
-        reused = assess_leakage_sharded(small_benchmark, sharded_config,
-                                        n_shards=2, campaigns=schedule)
+        direct = assess_leakage(small_benchmark, sharded_config)
+        reused = assess_leakage(small_benchmark, sharded_config,
+                                campaigns=schedule)
         assert np.array_equal(direct.t_values, reused.t_values)
 
     def test_invalid_schedule_rejected(self, tiny_netlist, small_benchmark,
                                        sharded_config):
         foreign = campaign_schedule(small_benchmark, sharded_config)
         with pytest.raises(ValueError, match="primary inputs"):
-            assess_leakage_sharded(tiny_netlist, sharded_config,
-                                   campaigns=foreign)
-
-
-class TestAssessMany:
-    def test_matches_per_design_sharded(self, small_benchmark, sharded_config,
-                                        process_pool):
-        masked = apply_masking(small_benchmark,
-                               maskable_gates(small_benchmark)).netlist
-        results = assess_many([small_benchmark, masked], sharded_config,
-                              n_shards=2, executor=process_pool)
-        assert list(results) == [small_benchmark.name, masked.name]
-        for netlist in (small_benchmark, masked):
-            single = assess_leakage_sharded(netlist, sharded_config,
-                                            n_shards=2)
-            assert _assessment_bits(results[netlist.name]) == \
-                _assessment_bits(single)
-
-    def test_masked_design_improves(self, small_benchmark, sharded_config):
-        masked = apply_masking(small_benchmark,
-                               maskable_gates(small_benchmark)).netlist
-        results = assess_many([small_benchmark, masked], sharded_config,
-                              n_shards=2)
-        assert results[masked.name].mean_leakage < \
-            results[small_benchmark.name].mean_leakage
-
-    def test_duplicate_names_rejected(self, small_benchmark, sharded_config):
-        with pytest.raises(ValueError, match="duplicate"):
-            assess_many([small_benchmark, small_benchmark], sharded_config)
+            assess_leakage(tiny_netlist, sharded_config, campaigns=foreign)
 
 
 def _running_fold(netlist, config):
@@ -289,14 +225,13 @@ class TestParallelChunkDriver:
     @pytest.mark.parametrize("n_traces,chunk_traces", LAYOUTS)
     @pytest.mark.parametrize("tvla_order", [1, 2, 3])
     def test_any_worker_count_bitwise_equals_fold_and_shards(
-            self, small_benchmark, process_pool, monkeypatch, tvla_order,
-            n_traces, chunk_traces):
+            self, small_benchmark, monkeypatch, tvla_order, n_traces,
+            chunk_traces):
         config = TvlaConfig(n_traces=n_traces, chunk_traces=chunk_traces,
                             n_fixed_classes=2, seed=9,
                             tvla_order=tvla_order)
         references = [_running_fold(small_benchmark, config)] + [
-            assess_leakage_sharded(small_benchmark, config, n_shards=n_shards,
-                                   executor=process_pool)
+            _shard_path(small_benchmark, config, n_shards)
             for n_shards in (1, 2, 4)]
         expected = _assessment_bits(references[0])
         assert all(_assessment_bits(reference) == expected

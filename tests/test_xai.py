@@ -11,7 +11,6 @@ from repro.ml import (
 )
 from repro.xai import (
     Explanation,
-    KernelShapExplainer,
     MaskingRule,
     RuleCondition,
     RuleExtractor,
@@ -19,6 +18,7 @@ from repro.xai import (
     TreeShapExplainer,
     summarize_explanations,
 )
+from repro.xai.kernel_shap import KernelShapExplainer
 
 
 @pytest.fixture

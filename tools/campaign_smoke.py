@@ -16,12 +16,15 @@ story that unit tests only simulate:
 5. resubmit the identical campaign and assert it is served from the
    content-addressed store bit-identically, without re-simulating.
 
-Exits non-zero with a diagnostic on any violation.
+Exits non-zero with a diagnostic on any violation.  The temporary campaign
+root is deleted when the run passes and kept, its path printed, when it
+fails.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -63,14 +66,13 @@ def start_worker(root: Path) -> subprocess.Popen:
         env=env)
 
 
-def main() -> int:
+def smoke(root: Path) -> int:
     netlist = load_benchmark(DESIGN["name"], scale=DESIGN["scale"],
                              seed=DESIGN["seed"])
     print(f"serial reference: {netlist.name}, {len(netlist)} gates, "
           f"{CONFIG.n_traces} traces x {CONFIG.n_fixed_classes} classes")
     reference = assess_leakage(netlist, CONFIG)
 
-    root = Path(tempfile.mkdtemp(prefix="campaign-smoke-"))
     outcome = submit_campaign(root, netlist=netlist, config=CONFIG,
                               n_shards=N_SHARDS)
     print(f"submitted {outcome.spec_hash[:12]}… "
@@ -116,6 +118,19 @@ def main() -> int:
         return 1
     print("resubmission served from the store bit-identically; smoke ok")
     return 0
+
+
+def main() -> int:
+    root = Path(tempfile.mkdtemp(prefix="campaign-smoke-"))
+    code = 1
+    try:
+        code = smoke(root)
+    finally:
+        if code == 0:
+            shutil.rmtree(root)
+        else:
+            print(f"campaign root kept for post-mortem: {root}")
+    return code
 
 
 if __name__ == "__main__":

@@ -26,12 +26,15 @@ to an uninjected run:
    checkpoint verifies, and the streamed, collected and clean-rerun
    t-values are asserted bitwise equal.
 
-Exits non-zero with a diagnostic on any violation.
+Exits non-zero with a diagnostic on any violation.  The temporary campaign
+root is deleted when the run passes and kept, its path printed, when it
+fails.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -228,18 +231,24 @@ def soak(root: Path, host: str, port: int) -> int:
 def main() -> int:
     started = time.monotonic()
     root = Path(tempfile.mkdtemp(prefix="chaos-soak-"))
-    server, host, port = start_server(root)
-    print(f"service pid {server.pid} on {host}:{port}, root {root}")
+    code = 1
     try:
-        code = soak(root, host, port)
-        if code != 0:
-            return code
+        server, host, port = start_server(root)
+        print(f"service pid {server.pid} on {host}:{port}, root {root}")
+        try:
+            code = soak(root, host, port)
+        finally:
+            server.terminate()
+            server.wait(timeout=30)
     finally:
-        server.terminate()
-        server.wait(timeout=30)
-    print("chaos soak ok: 4 fault domains in "
-          f"{time.monotonic() - started:.1f}s")
-    return 0
+        if code == 0:
+            shutil.rmtree(root)
+        else:
+            print(f"campaign root kept for post-mortem: {root}")
+    if code == 0:
+        print("chaos soak ok: 4 fault domains in "
+              f"{time.monotonic() - started:.1f}s")
+    return code
 
 
 if __name__ == "__main__":

@@ -17,12 +17,15 @@ service story:
    batch ``collect_result`` for the same spec, and that the final
    ``CampaignComplete`` assessment round-trips bit-identically.
 
-Exits non-zero with a diagnostic on any violation.
+Exits non-zero with a diagnostic on any violation.  The temporary campaign
+root is deleted when the run passes and kept, its path printed, when it
+fails.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -93,11 +96,10 @@ def start_worker(root: Path) -> subprocess.Popen:
         env=_env())
 
 
-def main() -> int:
+def smoke(root: Path) -> int:
     netlist = load_benchmark(DESIGN["name"], scale=DESIGN["scale"],
                              seed=DESIGN["seed"])
     spec = CampaignSpec.from_netlist(netlist, CONFIG, n_shards=N_SHARDS)
-    root = Path(tempfile.mkdtemp(prefix="service-smoke-"))
     server, host, port = start_server(root)
     print(f"service pid {server.pid} on {host}:{port}, root {root}")
 
@@ -181,6 +183,19 @@ def main() -> int:
                 process.wait()
         server.terminate()
         server.wait(timeout=30)
+
+
+def main() -> int:
+    root = Path(tempfile.mkdtemp(prefix="service-smoke-"))
+    code = 1
+    try:
+        code = smoke(root)
+    finally:
+        if code == 0:
+            shutil.rmtree(root)
+        else:
+            print(f"campaign root kept for post-mortem: {root}")
+    return code
 
 
 if __name__ == "__main__":

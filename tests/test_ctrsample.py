@@ -12,10 +12,9 @@ coordinates.  The stateless-sampling contract lives here:
   emit identical bits (hypothesis-driven).
 * **Stream independence** — distinct coordinates and lanes never share a
   stream.
-* **Layout invariance** — counter-sampler accumulators merge **bitwise**
-  equal (``np.array_equal``, not ~1e-12) across hypothesis-sampled chunk
-  partitions; the shard path itself is pinned in
-  ``tests/test_tvla_sharding.py``.
+* **Layout invariance** — counter-sampler t-values are **bitwise** equal
+  (``np.array_equal``, not ~1e-12) across 1/2/4/8 shards of the campaign
+  runner's shard path, and across hypothesis-sampled chunk partitions.
 * **Frozen draws** — ``generate(draws=...)`` and the ``generate_loop``
   oracle keep byte-frozen golden digests.
 * **Statistical sanity** — chi-square smoke tests of the emitted bytes
@@ -47,13 +46,14 @@ from repro.power.ctrsample import (
     philox_raw,
 )
 from repro.simulation import fixed_vs_random_campaigns
-from repro.tvla import TvlaConfig
+from repro.tvla import TvlaConfig, assess_leakage
 from repro.tvla.assessment import (
     accumulate_campaign_chunks,
     accumulate_campaign_slice,
     campaign_schedule,
 )
 from repro.tvla.sharding import merge_shard_partials
+from runner_shards import runner_shard_path
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -266,9 +266,37 @@ class TestCounterTraceEngine:
 
 # ----------------------------------------------------------------------
 # Layout invariance: counter t-values are bitwise layout-independent
-# (the runner's shard path at 1/2/4/8 shards is pinned end to end by
-# tests/test_tvla_sharding.py::TestShardedRegression)
 # ----------------------------------------------------------------------
+#: 600 traces in 128-trace chunks -> 5 chunks (matches the sharding suite).
+COUNTER_TVLA = dict(n_traces=600, n_fixed_classes=2, seed=9,
+                    chunk_traces=128)
+
+
+@pytest.fixture(scope="module")
+def counter_config() -> TvlaConfig:
+    return TvlaConfig(**COUNTER_TVLA)
+
+
+@pytest.fixture(scope="module")
+def counter_reference(small_benchmark, counter_config):
+    return assess_leakage(small_benchmark, counter_config)
+
+
+class TestLayoutInvariance:
+    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8], ids="serial-{}".format)
+    def test_sharded_is_bitwise_equal(self, small_benchmark, counter_config,
+                                      counter_reference, n_shards):
+        # The contract: *exact* equality, not ~1e-12 closeness, through
+        # the runner's shard path (checkpoint bytes included).
+        sharded = runner_shard_path(small_benchmark, counter_config,
+                                    n_shards)
+        assert np.array_equal(sharded.t_values, counter_reference.t_values)
+        assert np.array_equal(sharded.mean_abs_t,
+                              counter_reference.mean_abs_t)
+        assert np.array_equal(sharded.degrees_of_freedom,
+                              counter_reference.degrees_of_freedom)
+
+
 class TestChunkPartitionProperty:
     """Hypothesis-driven layout invariance at the accumulator level.
 

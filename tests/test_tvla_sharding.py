@@ -21,18 +21,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.campaign import (
-    CampaignSpec,
-    pack_shard_moments,
-    unpack_shard_moments,
-)
+from repro.campaign import CampaignSpec
 from repro.power import CounterStream
 from repro.tvla import assessment as tvla_assessment
 from repro.tvla import (
     TvlaConfig,
     assess_leakage,
     campaign_schedule,
-    merge_shard_partials,
     shard_trace_ranges,
 )
 from repro.tvla.assessment import (
@@ -42,7 +37,7 @@ from repro.tvla.assessment import (
     resolve_generator,
     results_from_accumulators,
 )
-from repro.tvla.sharding import _shard_moments
+from runner_shards import runner_shard_path
 
 #: Small-but-chunked campaign: 600 traces in 128-trace chunks -> 5 chunks.
 SHARD_TVLA = dict(n_traces=600, n_fixed_classes=2, seed=9, chunk_traces=128)
@@ -116,44 +111,41 @@ def _assessment_bits(assessment):
              for order, values in assessment.order_t_values.items()})
 
 
-def _shard_path(netlist, config, n_shards):
-    """The durable runner's shard path, in one process: every shard of the
-    layout folded by ``_shard_moments`` (the worker's shard entry), sealed
-    into checkpoint bytes and read back, then merged by
-    ``merge_shard_partials`` as the collector and the service merge."""
-    generator = resolve_generator(netlist, config, None)
-    campaigns = campaign_schedule(netlist, config)
-    ranges = shard_trace_ranges(config.n_traces, n_shards,
-                                config.chunk_traces)
-    partials = [
-        unpack_shard_moments(pack_shard_moments(
-            _shard_moments(generator, campaigns, config, start, stop)))
-        for start, stop in ranges
-    ]
-    return merge_shard_partials(partials, config, netlist.name,
-                                generator.gate_names, 0.0, len(ranges))
-
-
 class TestShardedRegression:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8], ids="shards{}".format)
-    @pytest.mark.parametrize("tvla_order", [1, 2, 3], ids="order{}".format)
-    def test_matches_unsharded_streaming(self, small_benchmark, tvla_order,
+    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8], ids="serial-{}".format)
+    def test_matches_unsharded_streaming(self, small_benchmark, sharded_config,
                                          n_shards):
         # The headline regression: the shard path the campaign runner runs,
         # checkpoint bytes included, is bitwise equal to assess_leakage at
-        # every shard count and every TVLA order.
-        config = TvlaConfig(tvla_order=tvla_order, **SHARD_TVLA)
-        reference = assess_leakage(small_benchmark, config)
-        sharded = _shard_path(small_benchmark, config, n_shards)
+        # every shard count.
+        reference = assess_leakage(small_benchmark, sharded_config)
+        sharded = runner_shard_path(small_benchmark, sharded_config, n_shards)
         assert _assessment_bits(sharded) == _assessment_bits(reference)
-        assert set(sharded.order_t_values) == set(range(2, tvla_order + 1))
         assert sharded.gate_names == reference.gate_names
         assert sharded.n_shards == min(n_shards, 5)
 
+    def test_serial_executor_matches(self, small_benchmark, sharded_config):
+        # A shard count that does not divide the five chunks evenly.
+        reference = assess_leakage(small_benchmark, sharded_config)
+        sharded = runner_shard_path(small_benchmark, sharded_config, 3)
+        assert _assessment_bits(sharded) == _assessment_bits(reference)
+        assert sharded.n_shards == 3
+
+    def test_higher_orders_through_shards(self, small_benchmark):
+        for tvla_order in (2, 3):
+            config = TvlaConfig(tvla_order=tvla_order, **SHARD_TVLA)
+            expected = _assessment_bits(assess_leakage(small_benchmark,
+                                                       config))
+            for n_shards in (1, 2, 4, 8):
+                sharded = runner_shard_path(small_benchmark, config, n_shards)
+                assert _assessment_bits(sharded) == expected
+                assert set(sharded.order_t_values) == \
+                    set(range(2, tvla_order + 1))
+
     def test_fixed_seed_reruns_bit_identical(self, small_benchmark,
                                              sharded_config):
-        runs = [_shard_path(small_benchmark, sharded_config, 4),
-                _shard_path(small_benchmark, sharded_config, 4),
+        runs = [runner_shard_path(small_benchmark, sharded_config, 4),
+                runner_shard_path(small_benchmark, sharded_config, 4),
                 assess_leakage(small_benchmark, sharded_config),
                 assess_leakage(small_benchmark, sharded_config)]
         for other in runs[1:]:
@@ -163,7 +155,7 @@ class TestShardedRegression:
                                                  sharded_config):
         # Documented contract: for a given seed the verdict is independent
         # of the shard layout (chunk_traces fixed).
-        by_shards = {n: _shard_path(small_benchmark, sharded_config, n)
+        by_shards = {n: runner_shard_path(small_benchmark, sharded_config, n)
                      for n in (1, 2, 5)}
         for n in (2, 5):
             assert np.array_equal(by_shards[n].t_values,
@@ -231,7 +223,7 @@ class TestParallelChunkDriver:
                             n_fixed_classes=2, seed=9,
                             tvla_order=tvla_order)
         references = [_running_fold(small_benchmark, config)] + [
-            _shard_path(small_benchmark, config, n_shards)
+            runner_shard_path(small_benchmark, config, n_shards)
             for n_shards in (1, 2, 4)]
         expected = _assessment_bits(references[0])
         assert all(_assessment_bits(reference) == expected

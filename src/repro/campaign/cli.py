@@ -252,14 +252,18 @@ def _submit(args: argparse.Namespace) -> int:
 
 def _submit_follow(args: argparse.Namespace, netlist, config) -> int:
     from ..service.client import ServiceClient
-    from ..service.protocol import DEFAULT_TENANT
+    from ..service.protocol import DEFAULT_TENANT, ProtocolError
     from .spec import CampaignSpec
 
     host, port = _parse_endpoint(args.connect)
     tenant = args.tenant or DEFAULT_TENANT
     spec = CampaignSpec.from_netlist(netlist, config, n_shards=args.shards)
     with ServiceClient(host, port) as client:
-        accepted = client.submit(tenant, spec.to_json(), follow=True)
+        try:
+            accepted = client.submit(tenant, spec.to_json(), follow=True)
+        except ProtocolError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         print(f"{accepted.status} {accepted.spec_hash} (tenant {tenant})",
               flush=True)
         return _render_stream(client)

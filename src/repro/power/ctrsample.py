@@ -43,7 +43,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .bitops import popcount16, words_for_units
+from .bitops import popcount16_inplace, words_for_units
 
 #: Lane of the fast-noise popcount words.
 NOISE_LANE = 0
@@ -209,10 +209,15 @@ class CounterDraws:
         return words.view(np.uint8)[:count].reshape(width, n_traces)
 
     def noise_counts(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """Binomial(16, 1/2) popcounts straight off counter words."""
+        """Binomial(16, 1/2) popcounts straight off counter words.
+
+        On NumPy >= 2 the counts overwrite the freshly drawn word buffer
+        (:func:`~repro.power.bitops.popcount16_inplace`), so no second
+        buffer of the chunk's size is allocated.
+        """
         count = int(np.prod(shape)) if shape else 1
         words = self._raw(NOISE_LANE, words_for_units(count, np.uint16))
-        return popcount16(words.view(np.uint16)[:count].reshape(shape))
+        return popcount16_inplace(words)[:count].reshape(shape)
 
     def gauss(self, shape: Tuple[int, ...],
               dtype: np.dtype = np.float32) -> np.ndarray:

@@ -36,6 +36,18 @@ selects the oracle:
   toggles come from a compact bool net-value matrix filled from its
   net-value mapping.
 
+Each chunk is **one simulator sweep**: :meth:`PowerTraceGenerator.generate`
+stacks the previous rows, padded with copies of row 0 to a multiple of 8,
+and then the current rows into one batch, so previous and current are two
+byte-column ranges of one packed matrix (two column ranges of the loop
+simulator's bool net matrix).  A chunk whose previous rows are all equal
+and whose current rows are all equal — the fixed group of every
+fixed-precharge campaign — simulates row 0 only; broadcasting spreads its
+noiseless values and masked data codes over the chunk.  Masks and noise
+are drawn per trace either way, so the traces are bitwise those of a
+per-trace simulation.  :meth:`~PowerTraceGenerator.generate_loop` keeps
+two sweeps per campaign as the independent oracle.
+
 A netlist the planner cannot fuse raises
 :class:`~repro.simulation.compiled.CompilationError` when the generator is
 built; it never degrades to the loop.  The loop is the oracle seam tests
@@ -133,6 +145,23 @@ class PowerTraces:
         if index is None:
             raise KeyError(f"no power column for gate {gate_name!r}")
         return self.per_gate[:, index]
+
+
+def _constant_rows(campaign: TraceCampaign) -> bool:
+    """Whether every previous row and every current row equal row 0."""
+    return all(bool((matrix[1:] == matrix[0]).all())
+               for matrix in (campaign.previous, campaign.current))
+
+
+def _sweep_inputs(campaign: TraceCampaign, n_sim: int,
+                  split: int) -> Dict[str, np.ndarray]:
+    """Stimulus of one sweep: previous rows ``[0, n_sim)``, copies of row
+    0 up to ``split``, then current rows ``[0, n_sim)``, per input net."""
+    batch = np.empty((len(campaign.input_names), split + n_sim), dtype=bool)
+    batch[:, :n_sim] = campaign.previous[:n_sim].T
+    batch[:, n_sim:split] = campaign.previous[:1].T
+    batch[:, split:] = campaign.current[:n_sim].T
+    return dict(zip(campaign.input_names, batch))
 
 
 class _MaskedSubgroup:
@@ -459,6 +488,17 @@ class PowerTraceGenerator:
                  draws: CounterDraws) -> PowerTraces:
         """Simulate ``campaign`` and return its per-gate power traces.
 
+        One simulator sweep covers the whole chunk: the batch is the
+        previous rows, padded with copies of row 0 to a multiple of 8,
+        followed by the current rows, so the two halves are byte-aligned
+        column ranges of one packed matrix (of one bool net matrix on the
+        loop simulator).  When every previous row and every current row
+        are equal — the fixed group of a fixed-precharge campaign — only
+        row 0 is simulated, and broadcasting fills the noiseless values
+        and masked data codes across the chunk.  Masks and noise are
+        drawn for every trace either way, so the traces are bitwise those
+        of a per-trace simulation.
+
         Args:
             campaign: The stimulus campaign to trace.
             draws: Counter-sampler draws for this campaign's coordinates:
@@ -467,10 +507,12 @@ class PowerTraceGenerator:
                 :class:`PowerTraceGenerator` can be shared by concurrent
                 chunk tasks.
         """
-        prev_inputs, cur_inputs = campaign.as_dicts()
-        previous = self._simulator.evaluate(prev_inputs)
-        current = self._simulator.evaluate(cur_inputs)
         n_traces = campaign.n_traces
+        n_sim = 1 if n_traces > 1 and _constant_rows(campaign) else n_traces
+        # The current half starts at vector ``split`` = byte ``split // 8``.
+        split = -(-n_sim // 8) * 8
+        result = self._simulator.evaluate(
+            _sweep_inputs(campaign, n_sim, split))
         n_gates = self.n_gates
         # Gate-major accumulation: every sub-group's rows are C-contiguous,
         # so fills, gathers and table lookups run at memcpy speed.  The
@@ -486,11 +528,13 @@ class PowerTraceGenerator:
         # and the lazy SimulationResult never unpacks it either.
         packed = self._simulator.plan is not None
         if packed:
-            packed_prev = previous.packed_matrix
-            packed_cur = current.packed_matrix
+            matrix = result.packed_matrix
+            packed_prev = matrix[:, :split // 8]
+            packed_cur = matrix[:, split // 8:]
         else:
-            net_prev = self._net_matrix(previous)
-            net_cur = self._net_matrix(current)
+            matrix = self._net_matrix(result)
+            net_prev = matrix[:, :n_sim]
+            net_cur = matrix[:, split:]
         noisy = self.config.noise_sigma > 0
         # The popcount sampler's -E[count]*scale centring term is folded
         # into the static offsets (one scalar per masked table, one column
@@ -510,15 +554,21 @@ class PowerTraceGenerator:
                 toggled = np.unpackbits(
                     packed_prev[self._watch_rows]
                     ^ packed_cur[self._watch_rows],
-                    axis=1, count=n_traces)
+                    axis=1, count=n_sim)
             else:
                 toggled = (net_prev[self._watch_rows]
                            != net_cur[self._watch_rows])
+            # Values of the n_sim simulated columns, then a broadcast copy
+            # of column 0 over the rest (an empty slice unless constant):
+            # a plain copy is several times faster than an arithmetic
+            # ufunc whose inputs both broadcast along the trace axis.
+            head = power[:n_unmasked, :n_sim]
             np.multiply(toggled, self._unmasked_dynamic.astype(self.trace_dtype),
-                        out=power[:n_unmasked])
+                        out=head)
             offset_column = (self._unmasked_static + noise_offset).astype(
                 self.trace_dtype)
-            np.add(power[:n_unmasked], offset_column, out=power[:n_unmasked])
+            np.add(head, offset_column, out=head)
+            power[:n_unmasked, n_sim:] = power[:n_unmasked, :1]
 
         counter_tables = (self._counter_value_tables(noise_offset)
                           if self._masked_subgroups else None)
@@ -529,20 +579,23 @@ class PowerTraceGenerator:
                 stacked = np.concatenate(
                     (packed_prev[sub.a_rows], packed_prev[sub.b_rows],
                      packed_cur[sub.a_rows], packed_cur[sub.b_rows]))
-                bits = np.unpackbits(stacked, axis=1, count=n_traces)
-                shares = bits.reshape(4, len(sub.a_rows), n_traces)
+                bits = np.unpackbits(stacked, axis=1, count=n_sim)
+                shares = bits.reshape(4, len(sub.a_rows), n_sim)
             else:
                 shares = np.stack((net_prev[sub.a_rows], net_prev[sub.b_rows],
                                    net_cur[sub.a_rows], net_cur[sub.b_rows]))
             # Word-wide code combine, then a gather on ``d << 8 | raw_byte``:
             # the raw Philox bytes index the replicated table directly.
-            flat = combine_transition_codes(shares).astype(np.uint16)
-            raw = draws.mask_bytes(group_index, flat.shape[0], n_traces)
-            np.left_shift(flat, 8, out=flat)
-            np.bitwise_or(flat, raw, out=flat)
+            # A constant chunk's (width, 1) codes broadcast against the
+            # per-trace bytes; otherwise the OR runs in place.
+            codes = combine_transition_codes(shares).astype(np.uint16)
+            raw = draws.mask_bytes(group_index, codes.shape[0], n_traces)
+            np.left_shift(codes, 8, out=codes)
+            index = np.bitwise_or(
+                codes, raw, out=codes if codes.shape == raw.shape else None)
             # Indices are < len(table) by construction; mode="clip" skips
             # the bounds-check buffering of the default mode.
-            np.take(counter_tables[group_index], flat,
+            np.take(counter_tables[group_index], index,
                     out=power[sub.row_slice], mode="clip")
 
         if noisy:

@@ -21,6 +21,7 @@ die and restart without losing a shard.  See ``docs/service.md``.
 from .client import ServiceClient, ServiceUnavailableError
 from .protocol import (
     DEFAULT_TENANT,
+    FRAME_LIMIT,
     PROTOCOL_VERSION,
     CampaignAccepted,
     CampaignComplete,
@@ -45,6 +46,7 @@ __all__ = [
     "CampaignComplete",
     "CampaignProgress",
     "DEFAULT_TENANT",
+    "FRAME_LIMIT",
     "Message",
     "PROTOCOL_VERSION",
     "ProtocolError",

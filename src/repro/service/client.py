@@ -24,6 +24,7 @@ from typing import Iterator, Optional, Set, Tuple
 from ..reliability import faults
 from ..reliability.policy import RetryPolicy
 from .protocol import (
+    FRAME_LIMIT,
     CampaignAccepted,
     CampaignProgress,
     Message,
@@ -140,8 +141,20 @@ class ServiceClient:
         The ``service.send`` fault site models lossy frame I/O: ``drop``
         swallows the frame, ``sever`` kills the connection first, and
         ``delay`` stalls it.
+
+        Raises:
+            ProtocolError: if the frame is longer than the server reads
+                (:data:`~repro.service.protocol.FRAME_LIMIT`); nothing is
+                written.
         """
         frame = encode_message(message)
+        size = len(frame) - 1  # the limit excludes the newline
+        if size > FRAME_LIMIT:
+            raise ProtocolError(
+                f"{type(message).__name__} frame is {size} bytes, over the "
+                f"service's {FRAME_LIMIT}-byte frame limit; submit a "
+                f"netlist this large with submit_campaign on the shared "
+                f"campaign root (polaris-campaign submit without --follow)")
         with self._send_lock:
             rule = faults.perturb("service.send")
             if rule is not None:

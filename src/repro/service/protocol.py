@@ -41,6 +41,15 @@ from typing import Dict, Tuple, Type, Union
 
 PROTOCOL_VERSION = 2
 
+#: Longest frame line (bytes, newline excluded) the server reads —
+#: asyncio's default stream limit.  A client frame is a few hundred bytes
+#: plus the spec's netlist text: submitting the largest bundled design
+#: (log2, 879 gates) takes 34 KB, so a netlist much past ~1,700 gates does
+#: not fit and goes through ``submit_campaign`` on the shared root instead.
+#: :meth:`~repro.service.client.ServiceClient.send` refuses longer frames
+#: before writing them.
+FRAME_LIMIT = 2 ** 16
+
 #: Tenant ids are path- and key-safe by construction: they appear in
 #: directory names and queue keys verbatim.
 _TENANT_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]{0,63}\Z")

@@ -57,6 +57,7 @@ from ..campaign.spec import CampaignSpec
 from ..tvla.assessment import LeakageAssessment
 from ..tvla.sharding import merge_shard_partials
 from .protocol import (
+    FRAME_LIMIT,
     CampaignAccepted,
     CampaignComplete,
     CampaignProgress,
@@ -71,12 +72,6 @@ from .protocol import (
     tenant_root,
     validate_tenant,
 )
-
-#: Longest inbound line (bytes) the server reads — asyncio's default
-#: stream limit.  A client frame is a few hundred bytes plus the spec's
-#: netlist text: submitting the largest bundled design (log2, 879 gates)
-#: takes 34 KB.
-FRAME_LIMIT = 2 ** 16
 
 
 @dataclass

@@ -33,12 +33,28 @@ class TraceCampaign:
         current: Boolean matrix ``(n_traces, n_inputs)`` applied second; the
             power of a trace is derived from the transition previous→current.
         input_names: Primary-input order corresponding to the columns.
+
+    Raises:
+        ValueError: unless ``previous`` and ``current`` are 2-D matrices of
+            one shape with ``len(input_names)`` columns.
     """
 
     label: str
     previous: np.ndarray
     current: np.ndarray
     input_names: Tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        previous = np.shape(self.previous)
+        current = np.shape(self.current)
+        if len(previous) != 2 or previous != current:
+            raise ValueError(
+                f"campaign {self.label!r}: previous and current must be 2-D "
+                f"matrices of one shape, got {previous} and {current}")
+        if previous[1] != len(self.input_names):
+            raise ValueError(
+                f"campaign {self.label!r}: stimulus has {previous[1]} "
+                f"column(s) for {len(self.input_names)} input name(s)")
 
     @property
     def n_traces(self) -> int:

@@ -20,12 +20,21 @@ moment update safe defaults:
   as well as plain and strided arrays, at every width around the block
   size.
 
+* **One sweep per chunk.**  ``generate`` simulates the previous and
+  current rows of a chunk in one ``evaluate`` call, and a chunk whose
+  rows are all equal (the fixed group of a fixed-precharge campaign)
+  simulates row 0 only.  That constant path must give the bytes of the
+  same chunk with the row check switched off, on both simulators.
+
 Plus the packed substrate itself: popcount on packed rows with padding
-masking, the lazy packed ``SimulationResult``, and the process-wide
-masked-toggle-table cache.
+masking, the in-place byte-fold popcount of the noise words, the lazy
+packed ``SimulationResult``, and the process-wide masked-toggle-table
+cache.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +45,7 @@ from repro.masking import apply_masking, maskable_gates
 from repro.netlist import RandomLogicSpec, generate_random_logic, load_benchmark
 from repro.power import (
     CounterDraws,
+    CounterStream,
     GatePowerModel,
     PowerModelConfig,
     PowerTraceGenerator,
@@ -51,6 +61,10 @@ from repro.campaign import (
     tvla_config_from_dict,
     tvla_config_to_dict,
 )
+from repro.power import traces as traces_module
+from repro.power.bitops import popcount16, popcount16_inplace
+from repro.power.ctrsample import NOISE_LANE, philox_raw
+from repro.simulation.simulator import LogicSimulator
 from repro.tvla import OnePassMoments, TvlaConfig, assess_leakage
 from repro.tvla.moments import _FOLD_BLOCK_COLUMNS
 
@@ -187,6 +201,96 @@ class TestPackedTraceEquality:
                         power_backend=value)
             with pytest.raises(ValueError, match="power_backend"):
                 tvla_config_from_dict(data)
+
+
+#: Chunk sizes of the constant-path pins: a single trace, a partial byte,
+#: and the paper-scale chunks (10,000 traces = 4 x 2048 + 1808).
+CONSTANT_CHUNKS = (1, 5, 1000, 1808, 2048)
+
+
+@pytest.fixture(scope="module")
+def paper_generators():
+    """Generators for md5 and log2, plain and fully masked, on both
+    simulators, with each design's fixed-precharge fixed group."""
+    built = {}
+    for name in ("md5", "log2"):
+        plain = load_benchmark(name)
+        masked = apply_masking(plain, maskable_gates(plain)).netlist
+        for tag, design in (("plain", plain), ("masked", masked)):
+            fixed, _ = fixed_vs_random_campaigns(design, max(CONSTANT_CHUNKS),
+                                                 seed=4)
+            for backend in ("compiled", "loop"):
+                built[name, tag, backend] = (
+                    PowerTraceGenerator(design, sim_backend=backend), fixed)
+    return built
+
+
+def _evaluated_batches(generator, run):
+    """Return ``run()`` and the batch size of every ``evaluate`` call
+    ``generator``'s simulator made meanwhile."""
+    batches = []
+    original = LogicSimulator.evaluate
+
+    def spy(simulator, *args, **kwargs):
+        result = original(simulator, *args, **kwargs)
+        if simulator is generator._simulator:
+            batches.append(result.n_vectors)
+        return result
+
+    with mock.patch.object(LogicSimulator, "evaluate", autospec=True,
+                           side_effect=spy):
+        outcome = run()
+    return outcome, batches
+
+
+def _sweep_width(n_traces):
+    """Vectors of one non-constant sweep: previous rows padded to whole
+    bytes, then the current rows."""
+    return -(-n_traces // 8) * 8 + n_traces
+
+
+class TestOneSweepPerChunk:
+    @pytest.mark.parametrize("backend", ["compiled", "loop"])
+    @pytest.mark.parametrize("tag", ["plain", "masked"])
+    @pytest.mark.parametrize("name", ["md5", "log2"])
+    def test_constant_chunks_bitwise_equal_full_simulation(
+            self, paper_generators, name, tag, backend):
+        generator, fixed = paper_generators[name, tag, backend]
+        for index, n_traces in enumerate(CONSTANT_CHUNKS):
+            chunk = fixed.slice(0, n_traces)
+            draws = CounterDraws(11, 1, 0, index)
+            constant, batches = _evaluated_batches(
+                generator, lambda: generator.generate(chunk, draws=draws))
+            assert batches == [9]
+            with mock.patch.object(traces_module, "_constant_rows",
+                                   return_value=False):
+                full, batches = _evaluated_batches(
+                    generator, lambda: generator.generate(chunk, draws=draws))
+            assert batches == [_sweep_width(n_traces)]
+            assert constant.gate_names == full.gate_names
+            assert constant.per_gate.tobytes() == full.per_gate.tobytes(), (
+                name, tag, backend, n_traces)
+
+    def test_random_precharge_never_takes_constant_path(self, tiny_netlist):
+        generator = PowerTraceGenerator(tiny_netlist)
+        campaigns = fixed_vs_random_campaigns(tiny_netlist, 100, seed=3,
+                                              fixed_precharge=False)
+        for group, campaign in enumerate(campaigns):
+            stream = CounterStream(2, 0, group)
+            _, batches = _evaluated_batches(generator, lambda: list(
+                generator.generate_stream(campaign, 32, stream)))
+            assert batches == [_sweep_width(n) for n in (32, 32, 32, 4)]
+
+    def test_one_evaluate_per_chunk(self, tiny_netlist):
+        generator = PowerTraceGenerator(tiny_netlist)
+        fixed, rnd = fixed_vs_random_campaigns(tiny_netlist, 100, seed=3)
+        widths = {"fixed": [9] * 4,
+                  "random": [_sweep_width(n) for n in (32, 32, 32, 4)]}
+        for group, campaign in enumerate((fixed, rnd)):
+            stream = CounterStream(2, 0, group)
+            _, batches = _evaluated_batches(generator, lambda: list(
+                generator.generate_stream(campaign, 32, stream)))
+            assert batches == widths[campaign.label]
 
 
 class TestFusedMoments:
@@ -329,6 +433,34 @@ class TestPackedSubstrate:
             packed = poison
         counts = popcount_rows(packed, n_vectors)
         np.testing.assert_array_equal(counts, bits.sum(axis=1))
+
+    @SETTINGS
+    @given(words=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
+                          max_size=70000 // 8))
+    @example(words=[2 ** 64 - 1] * (2 ** 14 + 3))
+    def test_popcount16_inplace_matches_popcount16(self, words):
+        buffer = np.array(words, dtype=np.uint64)
+        expected = popcount16(buffer.view(np.uint16))
+        counts = popcount16_inplace(buffer.copy())
+        assert counts.shape == expected.shape
+        np.testing.assert_array_equal(counts, expected)
+
+    @SETTINGS
+    @given(shape=st.one_of(
+        st.just(()),
+        st.tuples(st.integers(min_value=0, max_value=41)),
+        st.tuples(st.integers(min_value=1, max_value=9),
+                  st.integers(min_value=1, max_value=37))),
+        chunk=st.integers(min_value=0, max_value=2 ** 20))
+    @example(shape=(), chunk=0)
+    @example(shape=(7,), chunk=0)  # partial last word
+    def test_noise_counts_match_uint16_popcount(self, shape, chunk):
+        count = int(np.prod(shape)) if shape else 1
+        words = philox_raw(3, 1, 0, chunk, NOISE_LANE, -(-count // 4))
+        expected = popcount16(words.view(np.uint16)[:count].reshape(shape))
+        counts = CounterDraws(3, 1, 0, chunk).noise_counts(shape)
+        assert counts.shape == tuple(shape)
+        np.testing.assert_array_equal(counts, expected)
 
     def test_popcount_rows_rejects_short_rows(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -373,6 +373,11 @@ def _oracle_repo_files(tmp_path):
             "    pass\n"
             "def philox_blocks_reference():\n"
             "    pass\n",
+        "src/repro/power/bitops.py":
+            "def popcount16_inplace():\n"
+            "    pass\n"
+            "def popcount16():\n"
+            "    pass\n",
         "tests/test_oracles.py":
             "# references: update_batch update_batch_naive\n"
             "# compiled loop generate generate_loop\n"
@@ -380,7 +385,8 @@ def _oracle_repo_files(tmp_path):
             "# _fit_fixed_weights\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
-            "# philox_raw philox_blocks_reference\n",
+            "# philox_raw philox_blocks_reference\n"
+            "# popcount16_inplace popcount16\n",
     }
 
 
@@ -425,7 +431,8 @@ class TestPL002Oracle:
             "# _fit_fixed_weights\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
-            "# philox_raw philox_blocks_reference counter sequence\n")
+            "# philox_raw philox_blocks_reference counter sequence\n"
+            "# popcount16_inplace popcount16\n")
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
         assert "untested" in result.findings[0].message
@@ -440,7 +447,8 @@ class TestPL002Oracle:
             "# _fit_fixed_weights\n"
             "# predict_batch predict_value expectation_batch expectation\n"
             "# explain_matrix explain\n"
-            "# philox_raw philox_blocks_reference counter sequence\n")
+            "# philox_raw philox_blocks_reference counter sequence\n"
+            "# popcount16_inplace popcount16\n")
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import contextlib
 import functools
 import json
 import os
@@ -52,7 +53,9 @@ from repro.campaign import (
 from repro.campaign.runner import verified_checkpoint
 from repro.campaign.serialize import decode_array
 from repro.campaign.spec import CampaignSpec
+from repro.netlist import RandomLogicSpec, generate_random_logic
 from repro.netlist.benchmarks import load_benchmark
+from repro.netlist.writer import write_bench, write_bench_file
 from repro.service import (
     AssessmentService,
     CampaignAccepted,
@@ -71,7 +74,7 @@ from repro.service import (
     tenant_root,
     validate_tenant,
 )
-from repro.service.server import FRAME_LIMIT
+from repro.service.protocol import FRAME_LIMIT
 from repro.tvla import TvlaConfig
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -466,6 +469,78 @@ class TestEndToEndStreaming:
 # ----------------------------------------------------------------------
 # One door for shard results
 # ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _recording_listener():
+    """A bare TCP listener that records every byte its one connection
+    receives; yields ``(host, port, received)``."""
+    received = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def serve_one():
+            connection, _ = listener.accept()
+            with connection:
+                while chunk := connection.recv(65536):
+                    received.append(chunk)
+
+        thread = threading.Thread(target=serve_one, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()[:2]
+        yield host, port, received
+        thread.join(10)
+        assert not thread.is_alive()
+
+
+def _oversized_netlist():
+    """A synthetic netlist whose BENCH text alone exceeds the frame
+    limit (the bundled designs all fit)."""
+    netlist = generate_random_logic(RandomLogicSpec(
+        n_gates=2600, n_inputs=32, n_outputs=16, seed=5))
+    assert len(write_bench(netlist).encode()) > FRAME_LIMIT
+    return netlist
+
+
+class TestFrameLimit:
+    def test_oversized_submit_never_reaches_the_server(self):
+        spec = CampaignSpec.from_netlist(_oversized_netlist(),
+                                         TvlaConfig(**SERVICE_TVLA))
+        with _recording_listener() as (host, port, received):
+            with ServiceClient(host, port) as client:
+                with pytest.raises(ProtocolError) as error:
+                    client.submit("lab", spec.to_json())
+        size = len(encode_message(SubmitCampaign(
+            tenant="lab", spec_json=spec.to_json(), follow=True))) - 1
+        assert f"{size} bytes" in str(error.value)
+        assert f"{FRAME_LIMIT}-byte" in str(error.value)
+        assert received == []
+
+    def test_cli_submit_connect_exits_2(self, tmp_path, capsys):
+        from repro.campaign.cli import main as cli_main
+
+        bench = write_bench_file(_oversized_netlist(),
+                                 tmp_path / "big.bench")
+        with _recording_listener() as (host, port, received):
+            code = cli_main(["submit", "--root", str(tmp_path / "runs"),
+                             "--bench-file", str(bench), "--follow",
+                             "--connect", f"{host}:{port}"])
+        assert code == 2
+        assert f"{FRAME_LIMIT}-byte frame limit" in capsys.readouterr().err
+        assert received == []
+
+    def test_client_limit_is_the_server_limit(self, service):
+        """A frame of exactly FRAME_LIMIT bytes (newline excluded) is
+        read and answered; one byte more is refused by the client."""
+        def frame(pad):
+            return SubmitCampaign(tenant="lab", spec_json="x" * pad,
+                                  follow=False)
+        base = len(encode_message(frame(0))) - 1
+        with ServiceClient(service.host, service.port) as client:
+            client.send(frame(FRAME_LIMIT - base))
+            reply = client.recv(timeout=10)
+            assert (type(reply), reply.code) == (ServiceError, "bad-spec")
+            with pytest.raises(ProtocolError, match=f"{FRAME_LIMIT + 1} "
+                                                    f"bytes"):
+                client.send(frame(FRAME_LIMIT - base + 1))
+
+
 def _v1_shard_partial(tenant, spec_hash, shard_index, payload):
     """A shard-partial frame as protocol version 1 encoded it."""
     envelope = {"v": 1, "type": "ShardPartial",

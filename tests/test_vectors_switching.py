@@ -5,6 +5,7 @@ import pytest
 
 from repro.simulation import (
     LogicSimulator,
+    TraceCampaign,
     design_switching_summary,
     fixed_vector,
     fixed_vs_fixed_campaigns,
@@ -90,6 +91,56 @@ class TestCampaigns:
         previous, current = fixed.as_dicts()
         assert set(previous) == set(tiny_netlist.primary_inputs)
         np.testing.assert_array_equal(current["a"], fixed.current[:, 0])
+
+
+class TestCampaignShape:
+    """A campaign whose stimulus shape disagrees with itself or its input
+    names is rejected when built, not truncated when traced."""
+
+    NAMES = ("a", "b", "c")
+
+    def _matrix(self, rows, columns=3):
+        return np.zeros((rows, columns), dtype=bool)
+
+    def test_well_formed_campaign_accepted(self):
+        campaign = TraceCampaign("random", self._matrix(10), self._matrix(10),
+                                 self.NAMES)
+        assert campaign.n_traces == 10
+
+    def test_row_count_mismatch_rejected(self):
+        # Built this way, 10 traces used to be generated for 12 current
+        # rows.
+        with pytest.raises(ValueError, match="one shape"):
+            TraceCampaign("random", self._matrix(10), self._matrix(12),
+                          self.NAMES)
+
+    def test_column_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one shape"):
+            TraceCampaign("random", self._matrix(10), self._matrix(10, 4),
+                          self.NAMES)
+
+    def test_extra_stimulus_column_rejected(self):
+        # An input with no name used to be silently ignored.
+        with pytest.raises(ValueError, match="4 column"):
+            TraceCampaign("random", self._matrix(10, 4), self._matrix(10, 4),
+                          self.NAMES)
+
+    def test_missing_stimulus_column_rejected(self):
+        with pytest.raises(ValueError, match="2 column"):
+            TraceCampaign("random", self._matrix(10, 2), self._matrix(10, 2),
+                          self.NAMES)
+
+    @pytest.mark.parametrize("shape", [(10,), (2, 10, 3), ()])
+    def test_non_matrix_stimulus_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            TraceCampaign("random", np.zeros(shape, dtype=bool),
+                          np.zeros(shape, dtype=bool), self.NAMES)
+
+    def test_builders_and_slices_stay_valid(self, tiny_netlist):
+        for group in (fixed_vs_random_campaigns(tiny_netlist, 12, seed=1)
+                      + fixed_vs_fixed_campaigns(tiny_netlist, 12, seed=1)):
+            assert group.slice(3, 9).n_traces == 6
+            assert group.slice(4, 4).n_traces == 0
 
 
 class TestSwitching:

@@ -106,6 +106,10 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # reference implementation of the 4x64 block function.
     OraclePair("ctr-philox", "src/repro/power/ctrsample.py",
                "philox_raw", "philox_blocks_reference"),
+    # In-place noise-word popcount (SIMD uint8 counts folded into 16-bit
+    # lanes) vs the per-element uint16 popcount.
+    OraclePair("popcount-fold", "src/repro/power/bitops.py",
+               "popcount16_inplace", "popcount16"),
 )
 
 

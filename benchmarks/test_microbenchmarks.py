@@ -54,7 +54,10 @@ from repro.tvla.welch import welch_from_accumulators
 from bench_common import BENCH_SCALE, best_of, interleaved_best_of
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
-from forest_oracle import fit_forest_per_tree  # noqa: E402
+from oracles.forest import fit_forest_per_tree  # noqa: E402
+from oracles.power import generate_loop  # noqa: E402
+from oracles.simulation import LoopSimulator, LoopTraceGenerator  # noqa: E402
+from oracles.tree import best_split_loop, predict_value  # noqa: E402
 
 #: Trace count of the paper-scale generation benchmark (§V-A).
 PAPER_TRACES = 10_000
@@ -97,7 +100,8 @@ def test_compiled_sweep_microbench(recorder):
 
     Evaluates several paper benchmark netlists at full (paper) scale with a
     TVLA-representative batch (`chunk_traces` default of 2048 vectors) on
-    both simulation backends, checks bit-identical outputs, and records the
+    the compiled simulator and its loop oracle, checks bit-identical
+    outputs, and records the
     per-trace kernel times as ``microbench_compiled_sweep``.  The fused
     kernel must at least halve the per-trace sweep time on the widest
     designs (the designs whose levels fuse into large segments); the deep
@@ -107,9 +111,8 @@ def test_compiled_sweep_microbench(recorder):
     rows = []
     for name in ("md5", "des3", "log2", "memctrl"):
         netlist = load_benchmark(name, scale=1.0, seed=3)
-        compiled = LogicSimulator(netlist, backend="compiled")
-        loop = LogicSimulator(netlist, backend="loop")
-        assert compiled.backend == "compiled"
+        compiled = LogicSimulator(netlist)
+        loop = LoopSimulator(netlist)
         rng = np.random.default_rng(0)
         stimulus = {net: rng.integers(0, 2, batch).astype(bool)
                     for net in netlist.primary_inputs}
@@ -154,19 +157,18 @@ def test_compiled_sweep_microbench(recorder):
         f"fused kernel regressed below the loop on some designs: {speedups}")
 
 
-def _tvla_end_to_end(design, sim_backend, fused_moments,
+def _tvla_end_to_end(design, generator_class, fused_moments,
                      n_traces=PAPER_TRACES, chunk=2048, seed=2):
     """One full trace-generation + streaming-TVLA pass (order 1, 1 class).
 
     Mirrors the chunked driver (per-chunk counter draws, one-pass
     accumulators, Welch from merged moments) but lets the caller pick the
-    trace engine (``sim_backend="loop"`` is the loop-simulation +
-    bool-matrix oracle seam) and the moment-update implementation, so the
+    trace engine (``LoopTraceGenerator`` is the loop-simulation +
+    bool-matrix oracle) and the moment-update implementation, so the
     bench can time the packed fast path against its oracle on identical
     work.
     """
-    generator = PowerTraceGenerator(design, seed=seed,
-                                    sim_backend=sim_backend)
+    generator = generator_class(design)
     campaigns = fixed_vs_random_campaigns(design, n_traces, seed=seed)
     accumulators = []
     for group_index, campaign in enumerate(campaigns):
@@ -185,9 +187,9 @@ def test_packed_power_microbench(comparison_design, masked_design, recorder):
     Runs 10,000-trace trace-generation + streaming TVLA per group on the
     bench designs two ways: the fast path (the default generator — fused
     simulation, packed toggle extraction — plus the gate-blocked
-    ``update_batch``) and the bit-identical oracle (the
-    ``sim_backend="loop"`` generator — loop simulation, bool-matrix
-    extraction — plus naive per-order moment updates).  T-values must be
+    ``update_batch``) and the bit-identical oracle (``LoopTraceGenerator``
+    — loop simulation, bool-matrix extraction — plus naive per-order
+    moment updates).  T-values must be
     **exactly** equal; the fast path must be >= 1.3x faster end to end.
 
     The fast path and the oracle are timed alternately (best of 7 each),
@@ -202,10 +204,11 @@ def test_packed_power_microbench(comparison_design, masked_design, recorder):
     for label, design in (("unmasked", comparison_design),
                           ("masked", masked_design)):
         fast, oracle = interleaved_best_of(
-            lambda: _tvla_end_to_end(design, "compiled", True),
-            lambda: _tvla_end_to_end(design, "loop", False), repeats=7)
-        fast_result = _tvla_end_to_end(design, "compiled", True)
-        oracle_result = _tvla_end_to_end(design, "loop", False)
+            lambda: _tvla_end_to_end(design, PowerTraceGenerator, True),
+            lambda: _tvla_end_to_end(design, LoopTraceGenerator, False),
+            repeats=7)
+        fast_result = _tvla_end_to_end(design, PowerTraceGenerator, True)
+        oracle_result = _tvla_end_to_end(design, LoopTraceGenerator, False)
         np.testing.assert_array_equal(fast_result.t_statistic,
                                       oracle_result.t_statistic)
         speedups[label] = oracle / fast
@@ -291,7 +294,7 @@ def test_moment_update_fused_microbench(recorder):
 
 
 def test_power_trace_generation_throughput(benchmark, design):
-    generator = PowerTraceGenerator(design, seed=1)
+    generator = PowerTraceGenerator(design)
     fixed, _ = fixed_vs_random_campaigns(design, 500, seed=1)
     traces = benchmark(generator.generate, fixed,
                        draws=CounterDraws(1, 0, 0, 0))
@@ -312,11 +315,12 @@ def test_trace_generation_vectorised_vs_loop(comparison_design, masked_design,
     rows = []
     for label, netlist in (("unmasked", comparison_design),
                            ("masked", masked_design)):
-        generator = PowerTraceGenerator(netlist, seed=1)
+        generator = PowerTraceGenerator(netlist)
         fixed, _ = fixed_vs_random_campaigns(netlist, PAPER_TRACES, seed=1)
         draws = CounterDraws(1, 0, 0, 0)
         vectorised = best_of(lambda: generator.generate(fixed, draws=draws))
-        loop = best_of(lambda: generator.generate_loop(fixed))
+        loop = best_of(lambda: generate_loop(generator, fixed,
+                                             np.random.default_rng(1)))
         rows.append({
             "design": netlist.name,
             "variant": label,
@@ -566,7 +570,7 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
     def per_sample_scores():
         votes = np.zeros((matrix.shape[0], len(model.classes_)))
         for tree, alpha in zip(model.estimators_, model.estimator_weights_):
-            proba = tree.tree_.predict_value(matrix)
+            proba = predict_value(tree.tree_, matrix)
             predictions = tree.classes_[np.argmax(proba, axis=1)]
             for column, cls in enumerate(model.classes_):
                 votes[:, column] += alpha * (predictions == cls)
@@ -646,7 +650,7 @@ def test_ml_fit_microbench(trained_polaris_bench, recorder):
     forest at the paper's family settings, with fewer rounds, on the bench
     cognition gate-feature matrix two ways.  The boosted families fit with
     the builder's presorted ``_best_split`` and with the
-    ``_best_split_loop`` oracle swapped in; their fast side also reuses,
+    ``best_split_loop`` oracle swapped in; their fast side also reuses,
     round after round, the node orders and candidate scans of the fit's
     shared ``_PresortedColumns``, while the oracle re-sorts every node it
     searches.  The forest fits with its lockstep builder and with
@@ -677,8 +681,7 @@ def test_ml_fit_microbench(trained_polaris_bench, recorder):
         if family == "random_forest":
             return fit_forest_per_tree(unfitted(family), dataset.features,
                                        dataset.labels)
-        with mock.patch.object(_TreeBuilder, "_best_split",
-                               _TreeBuilder._best_split_loop):
+        with mock.patch.object(_TreeBuilder, "_best_split", best_split_loop):
             return fit(family)
 
     def fitted_bytes(model):

@@ -70,7 +70,7 @@ def main(name: str = "sin") -> None:
 
     # One-pass vs two-pass statistics on the design-level trace.
     print("\nOne-pass (Schneider-Moradi) vs two-pass Welch on total power:")
-    generator = PowerTraceGenerator(design, seed=5)
+    generator = PowerTraceGenerator(design)
     totals, accumulators = [], []
     for group_index, campaign in enumerate(
             fixed_vs_random_campaigns(design, 600, seed=5)):

@@ -19,9 +19,9 @@ cache; its trees are bitwise those of ``DecisionTreeRegressor.fit`` on
 the same weights.  :class:`_TreeBuilder` grows a tree over it, and its
 split search, :meth:`_TreeBuilder._best_split`, scores all features of a
 node in a few whole-matrix passes.  The per-feature argsort-and-scan search
-it replaced is kept as :meth:`_TreeBuilder._best_split_loop`, with the same
-signature so tests can swap it in; the fitted trees are bitwise identical
-either way.
+it replaced is the tests' ``best_split_loop`` (``tests/oracles/tree.py``),
+with the same signature so tests can swap it in; the fitted trees are
+bitwise identical either way.
 
 The random forest does not use :class:`_TreeBuilder`: :func:`_fit_lockstep`
 grows all its trees together (:class:`_LockstepForest`).  Each feature is
@@ -35,14 +35,15 @@ sum is looked up by integer count in one of two tables: ``sequential``
 (running ``cumsum`` sums: class weight left of a split and node class
 totals) and ``pairwise`` (numpy ``sum`` sums: node weight, values and
 cover).  The trees are bitwise those of ``DecisionTreeClassifier.fit`` on
-each bootstrap, which stays the single-tree path and the lockstep builder's
-oracle.
+each bootstrap, which stays the single-tree path; the tests'
+``fit_forest_per_tree`` fits the forest that way as the lockstep
+forest's oracle.
 
 A fitted tree carries two synchronised representations:
 
 * a ``List[TreeNode]`` of dataclasses — the builder's output and the
-  structure the *per-sample oracles* (:meth:`_FittedTree.predict_value`,
-  :meth:`_FittedTree.decision_path`) walk one row at a time, and
+  structure the *per-sample* walks (:meth:`_FittedTree.decision_path`,
+  and the tests' ``predict_value`` oracle) follow one row at a time, and
 * a :class:`FlatTree` — parallel ``feature``/``threshold``/``left``/
   ``right``/``value``/``cover`` numpy node arrays built once at the end of
   ``fit``, which the vectorised batch paths (:meth:`_FittedTree.predict_batch`,
@@ -414,12 +415,12 @@ class _TreeBuilder:
         summand, and evaluates impurity only at the candidate ``(feature,
         position)`` pairs (a distinct-value boundary whose children satisfy
         ``min_samples_leaf``; cached per node for all-features scans).
-        Bit-identical to :meth:`_best_split_loop` (oracle pair
-        ``tree-split``, polaris-lint PL002): the running sums are the same
-        sequential ``cumsum`` over each full sorted column, the per-feature
-        totals reduce along the contiguous axis as the 1-D scan does, and a
-        row-major ``argmin`` over the candidates picks the loop's winner
-        (first feature in scan order, then first position).
+        Bit-identical to the tests' per-feature ``best_split_loop``
+        (oracle pair ``tree-split``, polaris-lint PL002): the running sums
+        are the same sequential ``cumsum`` over each full sorted column,
+        the per-feature totals reduce along the contiguous axis as the 1-D
+        scan does, and a row-major ``argmin`` over the candidates picks the
+        loop's winner (first feature in scan order, then first position).
         """
         scan = self._presorted.scan(
             node, self._feature_subset(self._columns.shape[0]))
@@ -478,59 +479,6 @@ class _TreeBuilder:
         if cached:
             node.candidate_weights = result
         return result
-
-    def _best_split_loop(self, node: _NodeEntry) -> Optional[_SplitCandidate]:
-        """Reference split search: argsort and scan one feature at a time.
-
-        The oracle of :meth:`_best_split` (same signature so tests can swap
-        it in; only ``node.rows`` is read).  Each feature's column is
-        re-sorted for the node and scanned on its own; a later feature wins
-        only with a strictly lower score.
-        """
-        rows = node.rows
-        feature_indices = self._feature_subset(self._columns.shape[0])
-        targets = self._targets[rows]
-        weights = self._weights[rows]
-        n_samples = rows.size
-        best: Optional[_SplitCandidate] = None
-        for feature in feature_indices:
-            column = self._columns[feature, rows]
-            column_order = np.argsort(column, kind="mergesort")
-            sorted_values = column[column_order]
-            sorted_weights = weights[column_order]
-            sorted_targets = targets[column_order]
-            # Candidate split positions: between distinct consecutive values.
-            positions = np.nonzero(np.diff(sorted_values) > 1e-12)[0]
-            if positions.size == 0:
-                continue
-            leaf_ok = ((positions + 1 >= self.min_samples_leaf)
-                       & (n_samples - positions - 1 >= self.min_samples_leaf))
-            total_weight = sorted_weights.sum()
-            if self.criterion == "gini":
-                one_hot = np.zeros((n_samples, self._n_classes))
-                one_hot[np.arange(n_samples), sorted_targets] = sorted_weights
-                score = _gini_scores(np.cumsum(one_hot, axis=0)[positions],
-                                     one_hot.sum(axis=0), total_weight)
-            else:
-                weighted = sorted_weights * sorted_targets
-                squared = sorted_weights * sorted_targets ** 2
-                score = _mse_scores(
-                    np.cumsum(sorted_weights)[positions],
-                    np.cumsum(weighted)[positions],
-                    np.cumsum(squared)[positions], total_weight,
-                    float(np.sum(weighted)), float(np.sum(squared)))
-            score = np.where(leaf_ok, score, np.inf)
-            index = int(np.argmin(score))
-            if not np.isfinite(score[index]):
-                continue
-            if best is None or score[index] < best.score:
-                position = positions[index]
-                best = _SplitCandidate(
-                    int(feature),
-                    _midpoint(sorted_values[position],
-                              sorted_values[position + 1]),
-                    float(score[index]))
-        return best
 
     # -- recursion ------------------------------------------------------
     def build(self, presorted: _PresortedColumns, targets: np.ndarray,
@@ -677,24 +625,6 @@ class _FittedTree:
         self.nodes[index].value = value
         self.flat.value[index] = value
 
-    def predict_value(self, features: np.ndarray) -> np.ndarray:
-        """Per-sample oracle: walk the node list one row at a time.
-
-        Bit-identical to :meth:`predict_batch`, which replaces it on the
-        hot path (oracle pair ``tree-predict``, polaris-lint PL002).
-        """
-        features = check_features(features)
-        outputs = np.zeros((features.shape[0], self.nodes[0].value.shape[0]))
-        for row in range(features.shape[0]):
-            node = self.nodes[0]
-            while not node.is_leaf:
-                if features[row, node.feature] <= node.threshold:
-                    node = self.nodes[node.left]
-                else:
-                    node = self.nodes[node.right]
-            outputs[row] = node.value
-        return outputs
-
     def _descend(self, features: np.ndarray) -> np.ndarray:
         """Level-synchronous descent: leaf index reached by every row.
 
@@ -717,7 +647,8 @@ class _FittedTree:
         """Leaf value per sample via iterative descent over the flat arrays.
 
         One ``(n_samples,)``-wide comparison per tree level instead of a
-        Python loop per row; bit-identical to :meth:`predict_value`.
+        Python loop per row; bit-identical to the per-sample node walk
+        (the tests' ``predict_value``, oracle pair ``tree-predict``).
         """
         features = check_features(features)
         return self.flat.value[self._descend(features)]

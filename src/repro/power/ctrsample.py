@@ -13,11 +13,12 @@ eight packed mask bytes (the per-gate table gather indexes on the raw byte,
 so a separate per-trace mask integer never materialises), and noise
 popcounts are taken straight off 16-bit views of the same words.
 
-Production bits come from :class:`numpy.random.Philox` (C implementation);
-:func:`philox_blocks_reference` re-implements the full 10-round bumped-key
-Philox network in pure vectorised numpy and is pinned bitwise against the
-native generator — the ``ctr-philox`` oracle pair — so the counter mapping
-cannot silently drift from the published Philox function.
+Production bits come from :class:`numpy.random.Philox` (C implementation).
+The tests' ``philox_blocks_reference`` (``tests/oracles/ctrsample.py``)
+re-implements the full 10-round bumped-key Philox network in pure
+vectorised numpy and is pinned bitwise against the native generator — the
+``ctr-philox`` oracle pair — so the counter mapping cannot silently drift
+from the published Philox function.
 
 Coordinate packing
 ------------------
@@ -57,17 +58,6 @@ MASK_LANE_BASE = 2
 #: fractional expansions of sqrt(5) and sqrt(7), same provenance as the
 #: Philox Weyl constants).
 _KEY_DOMAIN = (0x3C6EF372FE94F82B, 0xA54FF53A5F1D36F1)
-
-_U64 = np.uint64
-#: Philox-4x64 round multipliers and Weyl key increments (Salmon et al.,
-#: "Parallel random numbers: as easy as 1, 2, 3", SC'11) — shared by the
-#: native generator and the reference network below.
-_PHILOX_M0 = _U64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = _U64(0xCA5A826395121157)
-_PHILOX_W0 = _U64(0x9E3779B97F4A7C15)
-_PHILOX_W1 = _U64(0xBB67AE8584CAA73B)
-_LO32 = _U64(0xFFFFFFFF)
-_S32 = _U64(32)
 
 
 def counter_key(seed: int) -> np.ndarray:
@@ -120,57 +110,11 @@ def philox_raw(seed: int, class_index: int, group_index: int,
     """First ``n_words`` raw uint64 words of a coordinate's Philox stream.
 
     Pure function of its arguments (a fresh native generator per call);
-    pinned bitwise against :func:`philox_blocks_reference` — the
-    ``ctr-philox`` oracle pair.
+    pinned bitwise against the pure-numpy ``philox_blocks_reference`` of
+    the tests — the ``ctr-philox`` oracle pair.
     """
     return philox_bit_generator(
         seed, class_index, group_index, chunk_index, lane).random_raw(n_words)
-
-
-def _mulhilo64(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(high, low) 64-bit halves of the 128-bit product ``a * b``."""
-    low = a * b
-    a_hi, a_lo = a >> _S32, a & _LO32
-    b_hi, b_lo = b >> _S32, b & _LO32
-    mid = a_hi * b_lo + ((a_lo * b_lo) >> _S32)
-    high = (a_hi * b_hi + (mid >> _S32)
-            + ((a_lo * b_hi + (mid & _LO32)) >> _S32))
-    return high, low
-
-
-def philox_blocks_reference(key: np.ndarray, counter: np.ndarray,
-                            n_blocks: int) -> np.ndarray:
-    """Pure-numpy Philox-4x64-10 oracle for the native ``random_raw``.
-
-    Emits ``4 * n_blocks`` uint64 words bit-identical to
-    ``numpy.random.Philox(counter=counter, key=key).random_raw(4 * n_blocks)``.
-    The native generator **pre-increments**: emitted block ``j`` encrypts
-    ``counter + j + 1`` (with 256-bit carry), which this oracle reproduces
-    with an explicit carry chain.  Ten S-box rounds, the key bumped by the
-    Weyl constants before every round after the first.
-    """
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be >= 1")
-    key = np.asarray(key, dtype=np.uint64)
-    counter = np.asarray(counter, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        index = np.arange(1, n_blocks + 1, dtype=np.uint64)
-        x0 = counter[0] + index
-        carry = (x0 < index).astype(np.uint64)
-        x1 = counter[1] + carry
-        carry = (x1 < carry).astype(np.uint64)
-        x2 = counter[2] + carry
-        carry = (x2 < carry).astype(np.uint64)
-        x3 = counter[3] + carry
-        k0, k1 = key[0], key[1]
-        for round_index in range(10):
-            if round_index:
-                k0 = k0 + _PHILOX_W0
-                k1 = k1 + _PHILOX_W1
-            hi0, lo0 = _mulhilo64(_PHILOX_M0, x0)
-            hi1, lo1 = _mulhilo64(_PHILOX_M1, x2)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return np.stack([x0, x1, x2, x3], axis=1).reshape(-1)
 
 
 class CounterDraws:

@@ -117,16 +117,16 @@ class PowerModelConfig:
 class GatePowerModel:
     """Computes per-trace power for a single gate.
 
-    The model is deliberately stateless across gates; the trace generator
-    (:mod:`repro.power.traces`) instantiates it once and reuses it.
+    The model holds no random state: it turns a gate into power
+    coefficients and exact lookup tables, and the trace generator
+    (:mod:`repro.power.traces`) draws masks and noise itself.  The
+    generator instantiates one model and reuses it.
     """
 
     def __init__(self, library: Optional[CellLibrary] = None,
-                 config: Optional[PowerModelConfig] = None,
-                 seed: int = 0) -> None:
+                 config: Optional[PowerModelConfig] = None) -> None:
         self.library = library if library is not None else DEFAULT_LIBRARY
         self.config = config if config is not None else PowerModelConfig()
-        self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
     def unmasked_coefficients(self, gate: Gate,
@@ -140,82 +140,6 @@ class GatePowerModel:
         glitch = 1.0 + self.config.glitch_factor * max(0, gate.fanin - 2)
         load = 1.0 + self.config.load_factor * max(0, fanout - 1)
         return energy * glitch * load, self.config.static_fraction * energy
-
-    def unmasked_power(self, gate: Gate, toggled: np.ndarray,
-                       fanout: int = 1) -> np.ndarray:
-        """Power of an ordinary cell: energy on toggle plus static floor.
-
-        Args:
-            gate: The gate instance.
-            toggled: Boolean array (n_traces,) of output toggles.
-            fanout: Number of sinks the gate drives; every extra load adds
-                ``load_factor`` times the cell energy to each output toggle.
-
-        Returns:
-            Float array (n_traces,) of noiseless power samples.
-        """
-        dynamic, static = self.unmasked_coefficients(gate, fanout)
-        return dynamic * toggled.astype(float) + static
-
-    def masked_power(
-        self,
-        gate: Gate,
-        data_prev: Tuple[np.ndarray, np.ndarray],
-        data_cur: Tuple[np.ndarray, np.ndarray],
-        glitch_input_factor: float = 1.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Power of a masked composite cell from its internal share toggles.
-
-        Args:
-            gate: The masked gate instance.
-            data_prev: Tuple of the two data inputs' values in the previous
-                stimulus (boolean arrays of shape (n_traces,)).
-            data_cur: Same for the current stimulus.
-            glitch_input_factor: Multiplier on the residual data-dependent
-                leakage reflecting how glitchy the gate's fan-in cone is
-                (computed by the trace generator from the driver gate types
-                via :meth:`input_glitch_factor`).
-            rng: Generator for the fresh mask bits; defaults to the model's
-                own stream.
-
-        Returns:
-            Float array (n_traces,) of noiseless power samples.
-        """
-        a_prev, b_prev = data_prev
-        a_cur, b_cur = data_cur
-        n_traces = a_cur.shape[0]
-        nodes_prev = self._masked_internal_nodes(gate.gate_type, a_prev, b_prev,
-                                                 rng=rng)
-        if self.config.mask_refresh:
-            nodes_cur = self._masked_internal_nodes(gate.gate_type, a_cur, b_cur,
-                                                    rng=rng)
-        else:
-            # Faulty masking: reuse the previous masks, so the shares track
-            # the data and leakage persists (used by negative tests).
-            nodes_cur = self._masked_internal_nodes(
-                gate.gate_type, a_cur, b_cur, reuse_last_masks=True, rng=rng)
-        toggles = np.zeros(n_traces, dtype=float)
-        for name in nodes_cur:
-            toggles += np.logical_xor(nodes_prev[name], nodes_cur[name]).astype(float)
-        total_energy = self.library.switching_energy(gate.gate_type, gate.fanin)
-        per_node_energy = total_energy / max(1, len(nodes_cur))
-        static = self.config.static_fraction * total_energy
-
-        # Residual first-order leakage: the composite's data input pins carry
-        # unmasked values, so their transitions (and the glitches they feed
-        # into the masked core) remain data dependent.
-        residual_coeff = self.masked_residual_coefficient(
-            gate, glitch_input_factor)
-        residual = np.zeros(n_traces, dtype=float)
-        if residual_coeff > 0:
-            input_toggles = (
-                np.logical_xor(a_prev, a_cur).astype(float)
-                + np.logical_xor(b_prev, b_cur).astype(float)
-            ) / 2.0
-            residual = residual_coeff * input_toggles
-
-        return per_node_energy * toggles + residual + static
 
     def masked_residual_coefficient(self, gate: Gate,
                                     glitch_input_factor: float = 1.0) -> float:
@@ -272,9 +196,9 @@ class GatePowerModel:
         OR is computed via De Morgan on the masked AND; XOR is share-wise.
         DOM uses the same share structure plus a register stage (modelled as
         two additional internal nodes).  This is a pure function of the data
-        and mask bits; it is used both per-trace (with freshly drawn mask
-        arrays) and to enumerate the exact toggle-count lookup tables of the
-        vectorised trace engine.
+        and mask bits; it enumerates the exact toggle-count lookup tables of
+        the vectorised trace engine (and, with freshly drawn mask arrays,
+        drives the per-gate reference loop of the tests).
         """
         if gate_type is GateType.MASKED_XOR:
             a_hat = np.logical_xor(a, x)
@@ -309,26 +233,6 @@ class GatePowerModel:
             nodes["reg_t2"] = t2.copy()
             nodes["reg_t7"] = t7.copy()
         return nodes
-
-    def _masked_internal_nodes(
-        self,
-        gate_type: GateType,
-        a: np.ndarray,
-        b: np.ndarray,
-        reuse_last_masks: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Masked-composite node values for one stimulus with drawn masks."""
-        if reuse_last_masks and hasattr(self, "_last_masks"):
-            x, y, z = self._last_masks  # type: ignore[attr-defined]
-        else:
-            rng = rng if rng is not None else self._rng
-            size = a.shape
-            x = rng.integers(0, 2, size=size, dtype=np.uint8).astype(bool)
-            y = rng.integers(0, 2, size=size, dtype=np.uint8).astype(bool)
-            z = rng.integers(0, 2, size=size, dtype=np.uint8).astype(bool)
-            self._last_masks = (x, y, z)
-        return self._masked_nodes_for(gate_type, a, b, x, y, z)
 
     def masked_node_count(self, gate_type: GateType) -> int:
         """Number of internal nodes of a masked composite cell."""
@@ -425,8 +329,8 @@ class GatePowerModel:
         has mean 0 and standard deviation :meth:`noise_sigma_abs` — the
         offset is the ``-E[count] * scale`` centring term the trace engine
         folds into its static offsets and value tables.  Defined once here
-        so the vectorised engine, the reference loop and any future
-        backend apply bit-identical constants.
+        so the vectorised engine and the per-gate reference loop apply
+        bit-identical constants.
         """
         scale = self.noise_sigma_abs() / np.sqrt(FAST_NOISE_BITS / 4.0)
         return scale, -(FAST_NOISE_BITS / 2.0) * scale

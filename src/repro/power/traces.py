@@ -6,54 +6,39 @@ given :class:`~repro.simulation.vectors.TraceCampaign`, every trace yields
 one power sample per gate (plus an aggregated design-level sample), which is
 exactly what the TVLA engine consumes.
 
-Two implementations coexist:
+:meth:`PowerTraceGenerator.generate` evaluates a whole campaign with
+one-shot matrix operations in a gate-major layout: per-gate power
+coefficients are applied by broadcasting, and masked composites are
+handled as per-type sub-groups through exact fused power-value lookup
+tables derived from
+:meth:`~repro.power.model.GatePowerModel.masked_toggle_table`.
 
-* the **vectorised engine** (:meth:`PowerTraceGenerator.generate`)
-  evaluates the whole campaign with one-shot matrix operations in a
-  gate-major layout — net values are stacked into one value matrix via
-  precomputed row indices, per-gate power coefficients are applied by
-  broadcasting, and masked composites are handled as per-type sub-groups
-  through exact fused power-value lookup tables derived from
-  :meth:`~repro.power.model.GatePowerModel.masked_toggle_table`;
-* :meth:`PowerTraceGenerator.generate_loop` keeps the original per-gate
-  Python loop as the reference implementation for regression tests and the
-  microbenchmark comparison.
-
-Every netlist runs on one production engine; ``sim_backend="loop"``
-selects the oracle:
-
-* the fused levelised kernel (:mod:`repro.simulation.compiled`) simulates
-  the netlist, and toggles are extracted straight from the simulator's
-  **bit-packed** state matrix
-  (:attr:`SimulationResult.packed_matrix`).  The power plan adopts the
-  simulator's row numbering; unmasked gate toggles are one XOR over packed
-  bytes followed by a single ``numpy.unpackbits`` of just the watched
-  rows, and masked-composite data codes are assembled from the packed
-  share rows with shifts/ORs.  The full ``(n_signals, batch)`` boolean
-  state matrix is **never materialised**, and the whole chunk is
-  processed by GIL-releasing numpy calls;
-* ``sim_backend="loop"`` runs the per-gate loop simulator instead, and
-  toggles come from a compact bool net-value matrix filled from its
-  net-value mapping.
+The fused levelised kernel (:mod:`repro.simulation.compiled`) simulates the
+netlist, and toggles are extracted straight from the simulator's
+**bit-packed** state matrix (:attr:`SimulationResult.packed_matrix`).  The
+power plan adopts the simulator's row numbering; unmasked gate toggles are
+one XOR over packed bytes followed by a single ``numpy.unpackbits`` of just
+the watched rows, and masked-composite data codes are assembled from the
+packed share rows with shifts/ORs.  The full ``(n_signals, batch)`` boolean
+state matrix is **never materialised**, and the whole chunk is processed by
+GIL-releasing numpy calls.
 
 Each chunk is **one simulator sweep**: :meth:`PowerTraceGenerator.generate`
 stacks the previous rows, padded with copies of row 0 to a multiple of 8,
 and then the current rows into one batch, so previous and current are two
-byte-column ranges of one packed matrix (two column ranges of the loop
-simulator's bool net matrix).  A chunk whose previous rows are all equal
-and whose current rows are all equal — the fixed group of every
+byte-column ranges of one packed matrix.  A chunk whose previous rows are
+all equal and whose current rows are all equal — the fixed group of every
 fixed-precharge campaign — simulates row 0 only; broadcasting spreads its
 noiseless values and masked data codes over the chunk.  Masks and noise
 are drawn per trace either way, so the traces are bitwise those of a
-per-trace simulation.  :meth:`~PowerTraceGenerator.generate_loop` keeps
-two sweeps per campaign as the independent oracle.
+per-trace simulation.
 
 A netlist the planner cannot fuse raises
 :class:`~repro.simulation.compiled.CompilationError` when the generator is
-built; it never degrades to the loop.  The loop is the oracle seam tests
-use: both engines draw masks and noise identically
-and produce bit-identical traces — and therefore exactly equal t-values —
-pinned by ``tests/test_packed_power.py``.
+built.  The engine's oracles live with the tests (``tests/oracles/``): the
+per-gate loop simulator with bool-matrix extraction produces bit-identical
+traces (pinned by ``tests/test_packed_power.py``), and ``generate_loop``
+is the per-gate reference loop of the whole engine.
 
 :meth:`PowerTraceGenerator.generate_stream` slices a campaign into chunks so
 the TVLA drivers (:mod:`repro.tvla.assessment`) never materialise the full
@@ -65,10 +50,7 @@ global chunk coordinates — which is what lets :mod:`repro.tvla.sharding`
 split one campaign across workers and still produce t-values bitwise equal
 to the serial run.  The masked-composite gather indexes on the raw counter
 byte (``d << 8 | byte`` into a 4096-entry replicated value table), so
-per-trace mask integers never materialise.  :meth:`~PowerTraceGenerator.
-generate` always takes such counter draws; only the
-:meth:`~PowerTraceGenerator.generate_loop` oracle reads a sequential
-:class:`numpy.random.Generator`.
+per-trace mask integers never materialise.
 """
 
 from __future__ import annotations
@@ -81,19 +63,11 @@ import numpy as np
 
 from ..netlist.cell_library import CellLibrary, GateType
 from ..netlist.netlist import Gate, Netlist
-from ..simulation.simulator import LogicSimulator, SimulationError, SimulationResult
+from ..simulation.simulator import LogicSimulator, SimulationError
 from ..simulation.vectors import TraceCampaign
-from .bitops import (FAST_NOISE_BITS, combine_transition_codes, popcount16,
-                     words_for_units)
+from .bitops import combine_transition_codes
 from .ctrsample import CounterDraws, CounterStream
 from .model import GatePowerModel, PowerModelConfig
-
-#: Full range of a uint64 word, used by the loop oracle to draw raw bits.
-_U64_MAX = np.iinfo(np.uint64).max
-#: Bit count of the fast-noise popcount sampler (Binomial(16, 1/2) per
-#: sample, sliced out of raw 64-bit generator words); canonical definition
-#: lives in :mod:`repro.power.bitops`.
-_FAST_NOISE_BITS = FAST_NOISE_BITS
 
 
 @dataclass
@@ -188,8 +162,8 @@ class _MaskedSubgroup:
         self.gate_type = gate_type
         #: Row range of this sub-group in the gate-major trace matrix.
         self.row_slice = row_slice
-        #: Row indices of the two data-input nets in the net-value matrix
-        #: built once per campaign evaluation.
+        #: Rows of the two data-input nets in the simulator's state
+        #: matrix.
         self.a_rows = a_rows
         self.b_rows = b_rows
         #: Flattened ``(16 << mask_bits,)`` fused power-value table.
@@ -208,40 +182,28 @@ class PowerTraceGenerator:
         netlist: Design to trace.
         library: Cell library (defaults to the netlist's).
         config: Power-model configuration.
-        seed: Seed of the sequential mask/noise stream of the
-            :meth:`generate_loop` oracle; :meth:`generate` reads counter
-            draws instead.
-        trace_dtype: dtype of the per-gate trace matrix.  ``float32``
-            (default) halves memory traffic on the hot path; statistics are
-            still computed in float64 downstream.
-        sim_backend: ``"compiled"`` (default): the fused kernel with
-            packed toggle extraction.  ``"loop"`` runs the per-gate loop
-            with bool-matrix extraction; it is the bit-identical oracle
-            tests compare the default against, not a production setting.
 
     Raises:
         SimulationError: if a masked gate has fewer than two data inputs
             (malformed masked composite); checked before the simulator is
             built.
-        CompilationError: if the fused planner cannot plan the netlist
-            (``sim_backend="compiled"``).
-        ValueError: for an unknown ``sim_backend`` selector.
+        CompilationError: if the fused planner cannot plan the netlist.
     """
+
+    #: dtype of the per-gate trace matrix.  float32 halves memory traffic
+    #: on the hot path; statistics are still computed in float64
+    #: downstream.
+    trace_dtype = np.dtype(np.float32)
 
     def __init__(
         self,
         netlist: Netlist,
         library: Optional[CellLibrary] = None,
         config: Optional[PowerModelConfig] = None,
-        seed: int = 0,
-        trace_dtype: np.dtype = np.float32,
-        sim_backend: str = "compiled",
     ) -> None:
         self.netlist = netlist
         self.library = library if library is not None else netlist.library
         self.config = config if config is not None else PowerModelConfig()
-        self.seed = seed
-        self.trace_dtype = np.dtype(trace_dtype)
 
         unmasked: List[Gate] = []
         masked: List[Gate] = []
@@ -258,8 +220,8 @@ class PowerTraceGenerator:
                 masked.append(gate)
             else:
                 unmasked.append(gate)
-        self._simulator = LogicSimulator(netlist, backend=sim_backend)
-        self._model = GatePowerModel(self.library, self.config, seed=seed)
+        self._simulator = LogicSimulator(netlist)
+        self._model = GatePowerModel(self.library, self.config)
 
         #: Per gate, the number of sinks its output drives (load model).
         self._fanouts: Dict[str, int] = {}
@@ -287,29 +249,13 @@ class PowerTraceGenerator:
     # ------------------------------------------------------------------
     def _build_plan(self, unmasked: List[Gate], masked: List[Gate]) -> None:
         config = self.config
-        # Unique nets whose values feed the engine; both the unmasked watch
-        # rows and the masked data inputs index one net-value matrix.  With
-        # a compiled plan that matrix is the simulator's packed state
-        # matrix (rows adopt the plan's signal numbering, undriven nets
-        # share its constant-zero row); on the loop simulator a compact
-        # bool matrix is filled from the net-value dict per evaluation.
-        sim_plan = self._simulator.plan
-        net_positions: Dict[str, int] = {}
-        sim_nets: List[str] = []
+        # Both the unmasked watch rows and the masked data inputs index the
+        # simulator's packed state matrix: rows adopt the plan's signal
+        # numbering, and undriven nets share its constant-zero row.
+        plan_index = self._simulator.plan.signal_index
 
-        if sim_plan is not None:
-            plan_index = sim_plan.signal_index
-
-            def net_row(net: str) -> int:
-                return plan_index.get(net, 0)
-        else:
-            def net_row(net: str) -> int:
-                position = net_positions.get(net)
-                if position is None:
-                    position = len(sim_nets)
-                    net_positions[net] = position
-                    sim_nets.append(net)
-                return position
+        def net_row(net: str) -> int:
+            return plan_index.get(net, 0)
 
         # Unmasked gates: one watch net per gate (the output for
         # combinational cells, the data input for registers) and broadcast
@@ -375,7 +321,6 @@ class PowerTraceGenerator:
             ))
             self._gates.extend(gates)
             row += len(gates)
-        self._sim_nets: Tuple[str, ...] = tuple(sim_nets)
         #: Column order of every trace matrix; ``_gates`` is final here.
         self._gate_names: Tuple[str, ...] = tuple(g.name for g in self._gates)
         #: Lazily built per-subgroup 4096-entry tables indexed by
@@ -423,15 +368,6 @@ class PowerTraceGenerator:
             self._counter_tables = cached
         return cached
 
-    @staticmethod
-    def _fast_noise_counts(rng: np.random.Generator,
-                           shape: Tuple[int, ...]) -> np.ndarray:
-        """Raw Binomial(16, 1/2) popcounts of the loop oracle's noise."""
-        count = int(np.prod(shape)) if shape else 1
-        words = rng.integers(0, _U64_MAX, size=words_for_units(count, np.uint16),
-                             dtype=np.uint64, endpoint=True)
-        return popcount16(words.view(np.uint16)[:count].reshape(shape))
-
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
@@ -468,22 +404,6 @@ class PowerTraceGenerator:
             yield self.generate(
                 chunk, draws=counter_stream.draws(first_chunk + index))
 
-    # ------------------------------------------------------------------
-    def _net_matrix(self, result: SimulationResult) -> np.ndarray:
-        """Loop-simulator net values as a compact ``(n_nets, n)`` uint8
-        matrix indexed by the plan's net rows."""
-        n = result.n_vectors
-        matrix = np.empty((len(self._sim_nets), n), dtype=bool)
-        for index, net in enumerate(self._sim_nets):
-            value = result.net_values.get(net)
-            if value is None:
-                # Undriven net that no gate reads: constant 0, matching the
-                # simulator's semantics for floating inputs.
-                matrix[index] = False
-            else:
-                matrix[index] = value
-        return matrix.view(np.uint8)
-
     def generate(self, campaign: TraceCampaign,
                  draws: CounterDraws) -> PowerTraces:
         """Simulate ``campaign`` and return its per-gate power traces.
@@ -491,11 +411,11 @@ class PowerTraceGenerator:
         One simulator sweep covers the whole chunk: the batch is the
         previous rows, padded with copies of row 0 to a multiple of 8,
         followed by the current rows, so the two halves are byte-aligned
-        column ranges of one packed matrix (of one bool net matrix on the
-        loop simulator).  When every previous row and every current row
-        are equal — the fixed group of a fixed-precharge campaign — only
-        row 0 is simulated, and broadcasting fills the noiseless values
-        and masked data codes across the chunk.  Masks and noise are
+        column ranges of one packed matrix.  When every previous row and
+        every current row are equal — the fixed group of a
+        fixed-precharge campaign — only row 0 is simulated, and
+        broadcasting fills the noiseless values and masked data codes
+        across the chunk.  Masks and noise are
         drawn for every trace either way, so the traces are bitwise those
         of a per-trace simulation.
 
@@ -522,19 +442,13 @@ class PowerTraceGenerator:
         if n_gates == 0:
             return PowerTraces(campaign.label, self.gate_names, per_gate)
 
-        # A compiled plan keeps the simulation results bit-packed: unpack
-        # only the rows the power model actually reads (watched outputs and
-        # masked data inputs).  The bool state matrix never materialises,
-        # and the lazy SimulationResult never unpacks it either.
-        packed = self._simulator.plan is not None
-        if packed:
-            matrix = result.packed_matrix
-            packed_prev = matrix[:, :split // 8]
-            packed_cur = matrix[:, split // 8:]
-        else:
-            matrix = self._net_matrix(result)
-            net_prev = matrix[:, :n_sim]
-            net_cur = matrix[:, split:]
+        # The simulation results stay bit-packed: unpack only the rows the
+        # power model actually reads (watched outputs and masked data
+        # inputs).  The bool state matrix never materialises, and the lazy
+        # SimulationResult never unpacks it either.
+        matrix = result.packed_matrix
+        packed_prev = matrix[:, :split // 8]
+        packed_cur = matrix[:, split // 8:]
         noisy = self.config.noise_sigma > 0
         # The popcount sampler's -E[count]*scale centring term is folded
         # into the static offsets (one scalar per masked table, one column
@@ -546,18 +460,13 @@ class PowerTraceGenerator:
 
         n_unmasked = len(self._watch_rows)
         if n_unmasked:
-            if packed:
-                # One XOR over packed bytes (8x less data than the bool
-                # comparison), then a single unpack of just the watched
-                # rows.  unpackbits drops the padding bits of the last
-                # byte, and a 0/1 uint8 multiplies exactly like a bool.
-                toggled = np.unpackbits(
-                    packed_prev[self._watch_rows]
-                    ^ packed_cur[self._watch_rows],
-                    axis=1, count=n_sim)
-            else:
-                toggled = (net_prev[self._watch_rows]
-                           != net_cur[self._watch_rows])
+            # One XOR over packed bytes (8x less data than a bool
+            # comparison), then a single unpack of just the watched rows.
+            # unpackbits drops the padding bits of the last byte, and a
+            # 0/1 uint8 multiplies exactly like a bool.
+            toggled = np.unpackbits(
+                packed_prev[self._watch_rows] ^ packed_cur[self._watch_rows],
+                axis=1, count=n_sim)
             # Values of the n_sim simulated columns, then a broadcast copy
             # of column 0 over the rest (an empty slice unless constant):
             # a plain copy is several times faster than an arithmetic
@@ -573,17 +482,13 @@ class PowerTraceGenerator:
         counter_tables = (self._counter_value_tables(noise_offset)
                           if self._masked_subgroups else None)
         for group_index, sub in enumerate(self._masked_subgroups):
-            if packed:
-                # Assemble the 4-bit data-transition code from the packed
-                # share rows: one stacked gather, one unpack, shifts/ORs.
-                stacked = np.concatenate(
-                    (packed_prev[sub.a_rows], packed_prev[sub.b_rows],
-                     packed_cur[sub.a_rows], packed_cur[sub.b_rows]))
-                bits = np.unpackbits(stacked, axis=1, count=n_sim)
-                shares = bits.reshape(4, len(sub.a_rows), n_sim)
-            else:
-                shares = np.stack((net_prev[sub.a_rows], net_prev[sub.b_rows],
-                                   net_cur[sub.a_rows], net_cur[sub.b_rows]))
+            # Assemble the 4-bit data-transition code from the packed
+            # share rows: one stacked gather, one unpack, shifts/ORs.
+            stacked = np.concatenate(
+                (packed_prev[sub.a_rows], packed_prev[sub.b_rows],
+                 packed_cur[sub.a_rows], packed_cur[sub.b_rows]))
+            bits = np.unpackbits(stacked, axis=1, count=n_sim)
+            shares = bits.reshape(4, len(sub.a_rows), n_sim)
             # Word-wide code combine, then a gather on ``d << 8 | raw_byte``:
             # the raw Philox bytes index the replicated table directly.
             # A constant chunk's (width, 1) codes broadcast against the
@@ -602,56 +507,5 @@ class PowerTraceGenerator:
             counts = draws.noise_counts((n_gates, n_traces))
             noise = np.multiply(counts, self.trace_dtype.type(noise_scale))
             np.add(power, noise, out=power)
-
-        return PowerTraces(campaign.label, self.gate_names, per_gate)
-
-    # ------------------------------------------------------------------
-    def generate_loop(self, campaign: TraceCampaign,
-                      rng: Optional[np.random.Generator] = None) -> PowerTraces:
-        """Reference per-gate loop implementation.
-
-        Kept from the original engine for regression tests and the
-        vectorised-vs-loop microbenchmark; ``generate`` is the fast path.
-        Masks and the popcount noise are drawn per gate from ``rng``, which
-        defaults to the model's own sequential stream.
-        """
-        prev_inputs, cur_inputs = campaign.as_dicts()
-        previous = self._simulator.evaluate(prev_inputs)
-        current = self._simulator.evaluate(cur_inputs)
-
-        noisy = self.config.noise_sigma > 0
-        noise_scale, _ = self._model.fast_noise_params()
-        rng = rng if rng is not None else self._model._rng
-
-        n_traces = campaign.n_traces
-        per_gate = np.zeros((n_traces, len(self._gates)), dtype=float)
-        for column, gate in enumerate(self._gates):
-            if gate.gate_type.is_masked:
-                a_net, b_net = gate.inputs[0], gate.inputs[1]
-                power = self._model.masked_power(
-                    gate,
-                    (previous.net_values[a_net], previous.net_values[b_net]),
-                    (current.net_values[a_net], current.net_values[b_net]),
-                    glitch_input_factor=self._glitch_factors.get(gate.name, 1.0),
-                    rng=rng,
-                )
-            else:
-                if gate.gate_type.is_sequential:
-                    # A register toggles when its captured value changes.
-                    toggled = np.logical_xor(
-                        previous.net_values[gate.inputs[0]],
-                        current.net_values[gate.inputs[0]],
-                    )
-                else:
-                    toggled = np.logical_xor(
-                        previous.net_values[gate.output],
-                        current.net_values[gate.output],
-                    )
-                power = self._model.unmasked_power(
-                    gate, toggled, fanout=self._fanouts.get(gate.name, 1))
-            if noisy:
-                counts = self._fast_noise_counts(rng, (n_traces,))
-                power = power + (counts - _FAST_NOISE_BITS / 2.0) * noise_scale
-            per_gate[:, column] = power
 
         return PowerTraces(campaign.label, self.gate_names, per_gate)

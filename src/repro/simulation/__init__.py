@@ -9,7 +9,6 @@ from .levelize import (
 )
 from .compiled import CompilationError, CompiledNetlist, GateSegment
 from .simulator import (
-    SIM_BACKENDS,
     LogicSimulator,
     SimulationError,
     SimulationResult,
@@ -42,7 +41,6 @@ __all__ = [
     "CompilationError",
     "CompiledNetlist",
     "GateSegment",
-    "SIM_BACKENDS",
     "LogicSimulator",
     "SimulationError",
     "SimulationResult",

@@ -1,7 +1,7 @@
 """Fused levelised simulation kernel: the plan/execute split.
 
-The reference simulator (:class:`~repro.simulation.simulator.LogicSimulator`
-with ``backend="loop"``) evaluates one gate per Python iteration.  Each
+The reference simulator (``LoopSimulator``, the test-side oracle in
+``tests/oracles/simulation.py``) evaluates one gate per Python iteration.  Each
 iteration is a vectorised numpy call, but the loop itself — operand list
 construction, evaluator dispatch, dictionary stores — runs under the GIL and
 dominates once designs reach a few hundred gates.  That loop is what capped
@@ -47,8 +47,7 @@ buffers per call, so one plan can be shared by concurrent threads.  Netlists
 the planner cannot fuse (malformed arities, port pseudo-cells instantiated
 as gates) raise :class:`CompilationError`, and so does a
 :class:`~repro.simulation.simulator.LogicSimulator` built on them: there
-is no silent fallback to the per-gate loop.  The loop backend
-(``backend="loop"``) remains the oracle: the two backends are
+is no fallback to a per-gate loop.  The loop oracle and the plan are
 bit-identical on every net (pinned by ``tests/test_compiled_backend.py``).
 """
 
@@ -523,7 +522,7 @@ class CompiledNetlist:
             The ``(n_signals, n_vectors)`` boolean state matrix, marked
             read-only: every exported net value is a view of this matrix,
             so an in-place mutation by a caller raises instead of silently
-            corrupting other nets (same contract as the loop backend's
+            corrupting other nets (same contract as the loop oracle's
             shared zero buffer, extended to all signals).
         """
         matrix = np.unpackbits(packed, axis=1, count=n_vectors).view(bool)
@@ -534,7 +533,7 @@ class CompiledNetlist:
         """Extract the register next-state from an executed state matrix.
 
         Returns private copies (callers may mutate the returned state
-        without aliasing the read-only matrix), mirroring the loop backend.
+        without aliasing the read-only matrix), mirroring the loop oracle.
         """
         return {net: state_matrix[data_row].copy()
                 for net, _, data_row in self._dff_next_items}

@@ -86,12 +86,12 @@ MASKED_DATA_INPUTS: Dict[GateType, int] = {
 def supports_static_dispatch(gate_type: GateType, n_inputs: int) -> bool:
     """Whether ``(gate_type, n_inputs)`` can skip the checked evaluate path.
 
-    Shared by both simulator backends: the loop backend resolves such gates
-    to bare evaluators at compile time and keeps the lazily raising
-    :func:`evaluate_gate` path for anything else, while the fused planner
-    (:mod:`repro.simulation.compiled`) rejects anything else up front with
-    a ``CompilationError``.  Keeping the condition in one place keeps the
-    two backends agreeing on which gates are malformed.
+    Shared by the fused planner (:mod:`repro.simulation.compiled`), which
+    rejects anything else up front with a ``CompilationError``, and the
+    per-gate loop oracle of the tests, which resolves such gates to bare
+    evaluators and keeps the lazily raising :func:`evaluate_gate` path for
+    anything else.  Keeping the condition in one place keeps the two
+    agreeing on which gates are malformed.
     """
     return (gate_type in _EVALUATORS and n_inputs >= 1
             and not (gate_type is GateType.MUX and n_inputs != 3)

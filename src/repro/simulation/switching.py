@@ -43,15 +43,13 @@ def toggle_counts(netlist: Netlist, previous: SimulationResult,
                   current: SimulationResult) -> Dict[str, int]:
     """Total number of toggles per gate across the batch.
 
-    When both results carry a packed state matrix from the same compiled
-    plan, the counts come straight from ``popcount(prev_row ^ cur_row)``
-    on the packed bytes (:func:`repro.power.bitops.popcount_rows`) — no
-    boolean unpack, 8x less memory touched, bit-identical totals.
+    When both results come from the same compiled plan, the counts come
+    straight from ``popcount(prev_row ^ cur_row)`` on the packed bytes
+    (:func:`repro.power.bitops.popcount_rows`) — no boolean unpack, 8x
+    less memory touched, bit-identical totals.
     """
     plan = previous.plan
-    if (plan is not None and plan is current.plan
-            and previous.packed_matrix is not None
-            and current.packed_matrix is not None):
+    if plan is current.plan:
         if previous.n_vectors != current.n_vectors:
             raise ValueError(
                 "previous and current batches have different sizes")

@@ -382,32 +382,6 @@ def accumulate_campaign_chunks(
     return per_chunk
 
 
-def accumulate_campaign_slice(
-    generator: PowerTraceGenerator,
-    pair: CampaignPair,
-    config: TvlaConfig,
-    class_index: int,
-    first_chunk: int = 0,
-) -> Tuple[OnePassMoments, OnePassMoments]:
-    """Running-fold reference of :func:`accumulate_campaign_chunks`.
-
-    Folds every chunk of :meth:`PowerTraceGenerator.generate_stream` into
-    one running accumulator pair.  The drivers left-fold per-chunk
-    accumulators instead; tests compare the two, which associate the
-    same chunk moments in the same order.
-    """
-    shape = (generator.n_gates,)
-    max_order = config.moment_order()
-    accumulators = (OnePassMoments(max_order=max_order, shape=shape),
-                    OnePassMoments(max_order=max_order, shape=shape))
-    for group_index, campaign in enumerate(pair):
-        stream = CounterStream(config.seed, class_index, group_index)
-        for traces in generator.generate_stream(campaign, config.chunk_traces,
-                                                stream, first_chunk):
-            accumulators[group_index].update_batch(traces.per_gate)
-    return accumulators
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on: the worker count of the chunk driver."""
     try:
@@ -446,7 +420,8 @@ def _streamed_class_results(generator: PowerTraceGenerator,
     them over the CPUs); each task folds its chunk into a fresh
     accumulator.  Each ``(class, group)`` stream is then left-folded in
     global chunk order by :func:`~repro.tvla.moments.fold_moments` — the
-    association of :func:`accumulate_campaign_slice`'s running fold and of
+    association of the tests' running-fold oracle
+    (``accumulate_campaign_slice``) and of
     :func:`repro.tvla.sharding.merge_shard_partials` — so t-values are
     bitwise equal to both, whatever the worker count.
     """
@@ -559,8 +534,7 @@ def resolve_generator(netlist: Netlist, config: TvlaConfig,
                       ) -> PowerTraceGenerator:
     """Return a generator for ``netlist``, validating a caller-supplied one."""
     if generator is None:
-        return PowerTraceGenerator(netlist, config=config.power,
-                                   seed=config.seed)
+        return PowerTraceGenerator(netlist, config=config.power)
     if generator.netlist is not netlist:
         raise ValueError(
             f"generator was built for netlist {generator.netlist.name!r}, "

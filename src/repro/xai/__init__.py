@@ -1,7 +1,8 @@
 """Explainable-AI substrate: SHAP explanations and rules.
 
 :class:`TreeShapExplainer` is the explainer; its model-agnostic oracle,
-``KernelShapExplainer``, stays importable from :mod:`repro.xai.kernel_shap`.
+``KernelShapExplainer``, lives with the tests
+(``tests/oracles/kernel_shap.py``).
 """
 
 from .explain import (

@@ -1,9 +1,9 @@
 """Explanation containers: per-sample SHAP attributions and summaries.
 
-The SHAP explainers (:mod:`repro.xai.kernel_shap`, :mod:`repro.xai.tree_shap`)
-return :class:`Explanation` objects.  An explanation holds the base value
-``E[f(x)]``, the per-feature Shapley values ``phi_f`` and the feature values
-of the explained sample — enough to reproduce the waterfall plots of the
+The SHAP explainer (:mod:`repro.xai.tree_shap`, and the tests' Kernel
+SHAP oracle) returns :class:`Explanation` objects.  An explanation holds
+the base value ``E[f(x)]``, the per-feature Shapley values ``phi_f`` and
+the feature values of the explained sample — enough to reproduce the waterfall plots of the
 paper's Fig. 3 (in text form) and the global feature-importance summaries
 used for rule extraction.
 """

@@ -5,8 +5,9 @@
 same forest the way it was fitted before that: it redraws the bootstraps
 from the forest's seed and fits each tree on its own with
 ``DecisionTreeClassifier.fit(features[bootstrap], labels[bootstrap])``,
-every node searched by ``_TreeBuilder._best_split_loop``.  The fitted
-trees must match the lockstep ones bit for bit.
+every node searched by :func:`~oracles.tree.best_split_loop`.  The
+fitted trees must match the lockstep ones bit for bit (PL002 pair
+``forest-lockstep``).
 
 Used by ``tests/test_ml_vectorised.py`` and by the ``random_forest`` row of
 ``microbench_ml_fit`` (``benchmarks/test_microbenchmarks.py``).
@@ -22,6 +23,8 @@ import numpy as np
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 from repro.ml.base import check_sample_weight
 from repro.ml.tree import _TreeBuilder
+
+from .tree import best_split_loop
 
 
 def fit_forest_per_tree(forest: RandomForestClassifier, features: np.ndarray,
@@ -43,8 +46,7 @@ def fit_forest_per_tree(forest: RandomForestClassifier, features: np.ndarray,
                              p=probabilities)
                   for _ in range(forest.n_estimators)]
     trees = []
-    with mock.patch.object(_TreeBuilder, "_best_split",
-                           _TreeBuilder._best_split_loop):
+    with mock.patch.object(_TreeBuilder, "_best_split", best_split_loop):
         for index, bootstrap in enumerate(bootstraps):
             tree = DecisionTreeClassifier(
                 max_depth=forest.max_depth,

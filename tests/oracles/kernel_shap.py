@@ -11,6 +11,9 @@ This implementation enumerates all coalitions exactly when the number of
 features is small and falls back to paired (antithetic) sampling otherwise,
 always including the empty and full coalitions so the efficiency property
 ``sum(phi) = f(x) - E[f]`` holds by construction.
+
+It is the model-agnostic oracle of :class:`repro.xai.TreeShapExplainer`:
+on a single tree both must give the same Shapley values.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .explain import Explanation
+from repro.xai.explain import Explanation
 
 ModelFunction = Callable[[np.ndarray], np.ndarray]
 

@@ -3,8 +3,10 @@
 The compiled backend (``repro.simulation.compiled``) must be **bit-identical**
 to the per-gate reference loop on every net of every design — that is the
 contract that lets every fusable netlist run on the compiled kernel
-without perturbing any published t-value; ``PowerTraceGenerator(...,
-sim_backend="loop")`` is the oracle seam the TVLA comparisons use.  This module pins it down over
+without perturbing any published t-value.  The loop oracle is
+``oracles.simulation.LoopSimulator``, and ``LoopTraceGenerator`` runs the
+trace engine on it for the TVLA comparisons.  This module pins it down
+over
 
 * a hand-built netlist covering every combinational cell-library gate type
   (including wide fan-ins, MUX, masked composites and the
@@ -40,16 +42,17 @@ from repro.simulation import (
 from repro.campaign import run_campaign
 from repro.tvla import TvlaConfig, assess_leakage
 
+from oracles.simulation import LoopSimulator, LoopTraceGenerator
+
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
 def assert_backends_agree(netlist, n_vectors=256, seed=0, cycles=1):
-    """Evaluate ``netlist`` on both backends and require bit-equality."""
-    fast = LogicSimulator(netlist, backend="compiled")
-    slow = LogicSimulator(netlist, backend="loop")
-    assert fast.backend == "compiled"
-    assert slow.backend == "loop"
+    """Evaluate ``netlist`` on the compiled simulator and the loop oracle
+    and require bit-equality."""
+    fast = LogicSimulator(netlist)
+    slow = LoopSimulator(netlist)
     rng = np.random.default_rng(seed)
     stimulus = [
         {net: rng.integers(0, 2, n_vectors).astype(bool)
@@ -174,10 +177,9 @@ class TestHypothesisProperty:
                               cycles=2 if register_fraction else 1)
 
 
-def _loop_generator(netlist, config: TvlaConfig) -> PowerTraceGenerator:
+def _loop_generator(netlist, config: TvlaConfig) -> LoopTraceGenerator:
     """The loop-simulator generator ``assess_leakage`` is compared with."""
-    return PowerTraceGenerator(netlist, config=config.power,
-                               seed=config.seed, sim_backend="loop")
+    return LoopTraceGenerator(netlist, config=config.power)
 
 
 class TestTvlaEquivalence:
@@ -213,10 +215,8 @@ class TestTvlaEquivalence:
         netlist = load_benchmark("sin", scale=0.2, seed=11)
         masked = apply_masking(netlist, maskable_gates(netlist)).netlist
         fixed, rnd = fixed_vs_random_campaigns(masked, 200, seed=1)
-        compiled_gen = PowerTraceGenerator(masked, seed=1,
-                                           sim_backend="compiled")
-        loop_sim_gen = PowerTraceGenerator(masked, seed=1,
-                                           sim_backend="loop")
+        compiled_gen = PowerTraceGenerator(masked)
+        loop_sim_gen = LoopTraceGenerator(masked)
         for group, campaign in enumerate((fixed, rnd)):
             draws = CounterDraws(3, 0, group, 0)
             fast = compiled_gen.generate(campaign, draws=draws)
@@ -259,7 +259,6 @@ class TestPlanStructure:
 
     def test_compiled_net_values_are_read_only(self, tiny_netlist):
         simulator = LogicSimulator(tiny_netlist)
-        assert simulator.backend == "compiled"
         stimulus = {net: np.ones(8, dtype=bool)
                     for net in tiny_netlist.primary_inputs}
         result = simulator.evaluate(stimulus)
@@ -281,20 +280,14 @@ class TestFallback:
         # No silent fallback: the compiled simulator (and the trace
         # generator built on it) fails before any stimulus is evaluated.
         with pytest.raises(CompilationError, match="g_mux"):
-            LogicSimulator(netlist, backend="compiled")
+            LogicSimulator(netlist)
         with pytest.raises(CompilationError, match="g_mux"):
             PowerTraceGenerator(netlist)
-        # The loop oracle runs only on request and keeps the reference
-        # engine's lazy error.
-        simulator = LogicSimulator(netlist, backend="loop")
-        assert simulator.backend == "loop"
+        # The loop oracle keeps the reference engine's lazy error.
+        simulator = LoopSimulator(netlist)
         with pytest.raises(ValueError, match="MUX requires exactly 3"):
             simulator.evaluate({net: np.zeros(4, dtype=bool)
                                 for net in netlist.primary_inputs})
-
-    def test_unknown_backend_rejected(self, tiny_netlist):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            LogicSimulator(tiny_netlist, backend="turbo")
 
     def test_unknown_sim_backend_rejected_in_config(self):
         """``TvlaConfig`` has no engine selector, and a stored config

@@ -42,18 +42,18 @@ from repro.power.ctrsample import (
     CounterStream,
     counter_block,
     counter_key,
-    philox_blocks_reference,
     philox_raw,
 )
 from repro.simulation import fixed_vs_random_campaigns
 from repro.tvla import TvlaConfig, assess_leakage
-from repro.tvla.assessment import (
-    accumulate_campaign_chunks,
-    accumulate_campaign_slice,
-    campaign_schedule,
-)
+from repro.tvla.assessment import accumulate_campaign_chunks, campaign_schedule
 from repro.tvla.sharding import merge_shard_partials
 from runner_shards import runner_shard_path
+
+from oracles.assessment import accumulate_campaign_slice
+from oracles.ctrsample import philox_blocks_reference
+from oracles.power import generate_loop
+from oracles.simulation import LoopTraceGenerator
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -255,10 +255,9 @@ class TestCounterTraceEngine:
         campaign = fixed_vs_random_campaigns(masked_arbiter, 93, seed=2)[1]
         draws = CounterDraws(17, 0, 1, 0)
         per_backend = []
-        # The default engine extracts packed; the loop seam, unpacked.
-        for backend in ("compiled", "loop"):
-            generator = PowerTraceGenerator(masked_arbiter, config=config,
-                                            seed=1, sim_backend=backend)
+        # The engine extracts packed; its loop oracle, unpacked.
+        for cls in (PowerTraceGenerator, LoopTraceGenerator):
+            generator = cls(masked_arbiter, config=config)
             per_backend.append(generator.generate(campaign, draws=draws)
                                .per_gate)
         assert np.array_equal(per_backend[0], per_backend[1])
@@ -309,8 +308,7 @@ class TestChunkPartitionProperty:
     def chunk_partials(self, masked_arbiter):
         config = TvlaConfig(n_traces=384, n_fixed_classes=2, seed=21,
                             chunk_traces=64)
-        generator = PowerTraceGenerator(masked_arbiter, config=config.power,
-                                        seed=config.seed)
+        generator = PowerTraceGenerator(masked_arbiter, config=config.power)
         schedule = campaign_schedule(masked_arbiter, config)
         per_class = [accumulate_campaign_chunks(generator, pair, config,
                                                 class_index)
@@ -380,8 +378,7 @@ class TestSequenceGoldenDraws:
     def test_vectorised_draws_frozen(self, masked_arbiter, noise):
         config = (PowerModelConfig(noise_sigma=0.0) if noise == "none"
                   else PowerModelConfig())
-        generator = PowerTraceGenerator(masked_arbiter, config=config,
-                                        seed=1)
+        generator = PowerTraceGenerator(masked_arbiter, config=config)
         fixed, random = fixed_vs_random_campaigns(masked_arbiter, 93, seed=2)
         for group, (label, campaign) in enumerate((("fixed", fixed),
                                                    ("random", random))):
@@ -391,10 +388,10 @@ class TestSequenceGoldenDraws:
 
     def test_loop_draws_frozen(self, masked_arbiter):
         generator = PowerTraceGenerator(masked_arbiter,
-                                        config=PowerModelConfig(), seed=1)
+                                        config=PowerModelConfig())
         campaign = fixed_vs_random_campaigns(masked_arbiter, 17, seed=3)[0]
-        traces = generator.generate_loop(campaign,
-                                         rng=np.random.default_rng(9))
+        traces = generate_loop(generator, campaign,
+                               rng=np.random.default_rng(9))
         assert self._digest(traces) == self.GOLDEN["loop/fast"]
 
 

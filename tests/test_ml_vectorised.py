@@ -11,12 +11,12 @@ These tests pin the oracle pairs registered in
 - ``tree-shap-explain``: the batched ``explain_matrix`` vs per-sample
   ``explain``.
 - ``tree-split``: the presorted all-features ``_best_split`` vs the
-  per-feature ``_best_split_loop`` (whole fits compared, every family,
+  per-feature ``best_split_loop`` (whole fits compared, every family,
   including boosting rounds served from a shared node memo).
 - ``forest-lockstep``: the random forest's ``_fit_lockstep``, which grows
   all trees together over rank-coded features, vs the per-tree
   ``DecisionTreeClassifier.fit`` on each bootstrap with the loop split
-  search (``forest_oracle.fit_forest_per_tree``).
+  search (``oracles.forest.fit_forest_per_tree``).
 - ``boosting-fixed-weights``: gradient-boosting rounds grown by
   ``DecisionTreeRegressor._fit_fixed_weights`` on the fit's shared,
   fixed-weight presort (node weight state cached on the split-path memo)
@@ -58,7 +58,8 @@ from repro.ml.tree import (
 )
 from repro.xai.tree_shap import TreeShapExplainer, _extract_trees
 
-from forest_oracle import fit_forest_per_tree
+from oracles.forest import fit_forest_per_tree
+from oracles.tree import best_split_loop, predict_value
 
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -120,7 +121,7 @@ def test_predict_batch_matches_predict_value(family, seed, n_samples,
         size=(n_samples, n_features))
     for fitted in _fitted_trees(model):
         batch = fitted.predict_batch(queries)
-        oracle = np.vstack([fitted.predict_value(row) for row in queries])
+        oracle = np.vstack([predict_value(fitted, row) for row in queries])
         assert np.array_equal(batch, oracle)
 
 
@@ -136,7 +137,7 @@ def test_regressor_predict_batch_matches_predict_value(seed, n_samples,
     model.fit(features, targets)
     queries = rng.normal(size=(n_samples, n_features))
     batch = model.tree_.predict_batch(queries)
-    oracle = np.vstack([model.tree_.predict_value(row) for row in queries])
+    oracle = np.vstack([predict_value(model.tree_, row) for row in queries])
     assert np.array_equal(batch, oracle)
     assert np.array_equal(model.predict(queries), oracle[:, 0])
 
@@ -166,7 +167,7 @@ def test_predict_batch_degenerate_corners(degenerate):
         model.fit(features, labels)
         for fitted in _fitted_trees(model):
             batch = fitted.predict_batch(features)
-            oracle = np.vstack([fitted.predict_value(row) for row in features])
+            oracle = np.vstack([predict_value(fitted, row) for row in features])
             assert np.array_equal(batch, oracle), family
 
 
@@ -280,7 +281,7 @@ def test_explain_matrix_rejects_wrong_width():
 
 # ----------------------------------------------------------------------
 # Oracle pair tree-split: presorted _best_split vs per-feature
-# _best_split_loop
+# best_split_loop
 # ----------------------------------------------------------------------
 FLAT_ARRAYS = ("feature", "threshold", "left", "right", "value", "cover")
 
@@ -350,14 +351,13 @@ def _split_rows_afresh(presorted, node, feature, threshold):
 
 
 def _fit_with_split_oracle(model, *args, **kwargs):
-    """Fit ``model`` with every node searched by ``_best_split_loop`` on
+    """Fit ``model`` with every node searched by ``best_split_loop`` on
     rows split afresh, so a fault in the node memo cannot reach it.  A
     forest, which grows its trees in lockstep without ``_TreeBuilder``, is
     fitted one tree at a time by :func:`fit_forest_per_tree`."""
     if isinstance(model, RandomForestClassifier):
         return fit_forest_per_tree(model, *args, **kwargs)
-    with mock.patch.object(_TreeBuilder, "_best_split",
-                           _TreeBuilder._best_split_loop), \
+    with mock.patch.object(_TreeBuilder, "_best_split", best_split_loop), \
             mock.patch.object(_PresortedColumns, "children",
                               _split_rows_afresh):
         return model.fit(*args, **kwargs)
@@ -378,7 +378,7 @@ def _paired_split(builder, node):
     oracle and asserts both candidates match bit for bit, score included
     (a last-bit score slip rarely changes a tree, so compare it here)."""
     state = builder.rng.bit_generator.state
-    oracle = _TreeBuilder._best_split_loop(builder, node)
+    oracle = best_split_loop(builder, node)
     builder.rng.bit_generator.state = state
     fast = _PRESORTED_SPLIT(builder, node)
     assert _candidate_bits(fast) == _candidate_bits(oracle)
@@ -528,7 +528,7 @@ _LOCKSTEP_SEARCH = _LockstepForest._search
 
 def _fit_paired_lockstep(model, features, labels, sample_weight=None):
     """Fit ``model`` with every lockstep node search also run by
-    ``_best_split_loop`` on the node's drawn rows; feature, threshold and
+    ``best_split_loop`` on the node's drawn rows; feature, threshold and
     score must match bit for bit (a last-bit score slip rarely changes a
     tree, so compare it here)."""
     columns = np.ascontiguousarray(np.asarray(features, dtype=float).T)
@@ -549,7 +549,7 @@ def _fit_paired_lockstep(model, features, labels, sample_weight=None):
             node = _NodeEntry((), np.repeat(pending.rows, drawn), None)
             with mock.patch.object(builder, "_feature_subset",
                                    return_value=tree.features):
-                oracle = builder._best_split_loop(node)
+                oracle = best_split_loop(builder, node)
             fast = None if result is None else _SplitCandidate(
                 result[1], result[2], result[0])
             assert _candidate_bits(fast) == _candidate_bits(oracle)

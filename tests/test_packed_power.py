@@ -5,10 +5,9 @@ moment update safe defaults:
 
 * **Packed == unpacked traces.**  The packed toggle extraction (XOR over
   packed state bytes + single unpack of the watched rows; masked data
-  codes assembled from packed share rows), which runs whenever the
-  simulator has a compiled plan, must produce the same bytes as the
-  oracle seam ``PowerTraceGenerator(..., sim_backend="loop")`` (loop
-  simulation + bool-matrix extraction) — for every netlist, every noise
+  codes assembled from packed share rows) must produce the same bytes as
+  the oracle ``oracles.simulation.LoopTraceGenerator`` (loop simulation +
+  bool-matrix extraction) — for every netlist, every noise
   mode and every batch size, including batches that do not fill the last
   packed byte.  Identical traces then make t-values *exactly* equal, not
   merely close.
@@ -24,7 +23,8 @@ moment update safe defaults:
   current rows of a chunk in one ``evaluate`` call, and a chunk whose
   rows are all equal (the fixed group of a fixed-precharge campaign)
   simulates row 0 only.  That constant path must give the bytes of the
-  same chunk with the row check switched off, on both simulators.
+  same chunk with the row check switched off, on the engine and on the
+  loop oracle.
 
 Plus the packed substrate itself: popcount on packed rows with padding
 masking, the in-place byte-fold popcount of the noise words, the lazy
@@ -55,6 +55,7 @@ from repro.simulation import (
     LogicSimulator,
     fixed_vs_random_campaigns,
     toggle_counts,
+    toggle_matrix,
 )
 from repro.campaign import (
     run_campaign,
@@ -67,6 +68,8 @@ from repro.power.ctrsample import NOISE_LANE, philox_raw
 from repro.simulation.simulator import LogicSimulator
 from repro.tvla import OnePassMoments, TvlaConfig, assess_leakage
 from repro.tvla.moments import _FOLD_BLOCK_COLUMNS
+
+from oracles.simulation import LoopSimulator, LoopTraceGenerator
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -81,23 +84,14 @@ def _generators(netlist, noise: str, mask_refresh: bool = True):
     none (``"none"``)."""
     sigma = 0.0 if noise == "none" else PowerModelConfig().noise_sigma
     config = PowerModelConfig(noise_sigma=sigma, mask_refresh=mask_refresh)
-    packed = PowerTraceGenerator(netlist, config=config, seed=1)
-    unpacked = PowerTraceGenerator(netlist, config=config, seed=1,
-                                   sim_backend="loop")
-    return packed, unpacked
+    return (PowerTraceGenerator(netlist, config=config),
+            LoopTraceGenerator(netlist, config=config))
 
 
-def _is_packed(generator: PowerTraceGenerator) -> bool:
-    """Whether ``generator`` extracts toggles from packed state bytes
-    (exactly when its simulator holds a compiled plan)."""
-    return generator._simulator.plan is not None
-
-
-def _loop_generator(netlist, config: TvlaConfig) -> PowerTraceGenerator:
-    """The oracle generator ``assess_leakage`` would build for ``config``,
-    on the loop simulator and bool-matrix extraction."""
-    return PowerTraceGenerator(netlist, config=config.power,
-                               seed=config.seed, sim_backend="loop")
+def _loop_generator(netlist, config: TvlaConfig) -> LoopTraceGenerator:
+    """The oracle of the generator ``assess_leakage`` would build for
+    ``config``: loop simulation and bool-matrix extraction."""
+    return LoopTraceGenerator(netlist, config=config.power)
 
 
 class TestPackedTraceEquality:
@@ -123,8 +117,6 @@ class TestPackedTraceEquality:
             if targets:
                 netlist = apply_masking(netlist, targets).netlist
         packed, unpacked = _generators(netlist, noise)
-        assert _is_packed(packed)
-        assert not _is_packed(unpacked)
         campaigns = fixed_vs_random_campaigns(netlist, n_traces, seed=seed)
         for group, campaign in enumerate(campaigns):
             draws = CounterDraws(3, 0, group, 0)
@@ -176,19 +168,6 @@ class TestPackedTraceEquality:
         np.testing.assert_allclose(sharded.t_values, serial.t_values,
                                    rtol=1e-12, atol=1e-12)
 
-    def test_loop_sim_backend_degrades_to_unpacked(self, tiny_netlist):
-        """The loop simulator has no packed matrix, so the loop seam runs
-        the bool-matrix extraction, bit-identical to the packed default."""
-        generator = PowerTraceGenerator(tiny_netlist, sim_backend="loop")
-        assert not _is_packed(generator)
-        fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 50, seed=1)
-        reference = PowerTraceGenerator(tiny_netlist)
-        assert _is_packed(reference)
-        draws = CounterDraws(1, 0, 0, 0)
-        np.testing.assert_array_equal(
-            generator.generate(fixed, draws=draws).per_gate,
-            reference.generate(fixed, draws=draws).per_gate)
-
     def test_invalid_power_backend_rejected(self, tiny_netlist):
         """The netlist picks the extraction: no option selects it, and a
         stored config naming any extraction but packed is refused."""
@@ -210,8 +189,8 @@ CONSTANT_CHUNKS = (1, 5, 1000, 1808, 2048)
 
 @pytest.fixture(scope="module")
 def paper_generators():
-    """Generators for md5 and log2, plain and fully masked, on both
-    simulators, with each design's fixed-precharge fixed group."""
+    """Generators for md5 and log2, plain and fully masked, the engine
+    and its loop oracle, with each design's fixed-precharge fixed group."""
     built = {}
     for name in ("md5", "log2"):
         plain = load_benchmark(name)
@@ -219,9 +198,9 @@ def paper_generators():
         for tag, design in (("plain", plain), ("masked", masked)):
             fixed, _ = fixed_vs_random_campaigns(design, max(CONSTANT_CHUNKS),
                                                  seed=4)
-            for backend in ("compiled", "loop"):
-                built[name, tag, backend] = (
-                    PowerTraceGenerator(design, sim_backend=backend), fixed)
+            for backend, cls in (("compiled", PowerTraceGenerator),
+                                 ("loop", LoopTraceGenerator)):
+                built[name, tag, backend] = (cls(design), fixed)
     return built
 
 
@@ -229,7 +208,8 @@ def _evaluated_batches(generator, run):
     """Return ``run()`` and the batch size of every ``evaluate`` call
     ``generator``'s simulator made meanwhile."""
     batches = []
-    original = LogicSimulator.evaluate
+    simulator_class = type(generator._simulator)
+    original = simulator_class.evaluate
 
     def spy(simulator, *args, **kwargs):
         result = original(simulator, *args, **kwargs)
@@ -237,7 +217,7 @@ def _evaluated_batches(generator, run):
             batches.append(result.n_vectors)
         return result
 
-    with mock.patch.object(LogicSimulator, "evaluate", autospec=True,
+    with mock.patch.object(simulator_class, "evaluate", autospec=True,
                            side_effect=spy):
         outcome = run()
     return outcome, batches
@@ -469,20 +449,21 @@ class TestPackedSubstrate:
     def test_toggle_counts_packed_fast_path(self, rng):
         """popcount(prev ^ cur) on packed bytes == the bool-path counts."""
         netlist = load_benchmark("des3", scale=0.2, seed=11)
-        compiled = LogicSimulator(netlist, backend="compiled")
-        loop = LogicSimulator(netlist, backend="loop")
+        compiled = LogicSimulator(netlist)
+        loop = LoopSimulator(netlist)
         stimulus_a = {net: rng.integers(0, 2, 77).astype(bool)
                       for net in netlist.primary_inputs}
         stimulus_b = {net: rng.integers(0, 2, 77).astype(bool)
                       for net in netlist.primary_inputs}
         fast = toggle_counts(netlist, compiled.evaluate(stimulus_a),
                              compiled.evaluate(stimulus_b))
-        slow = toggle_counts(netlist, loop.evaluate(stimulus_a),
-                             loop.evaluate(stimulus_b))
+        slow = {name: int(toggles.sum()) for name, toggles in toggle_matrix(
+            netlist, loop.evaluate(stimulus_a),
+            loop.evaluate(stimulus_b)).items()}
         assert fast == slow
 
     def test_simulation_result_is_lazy_and_consistent(self, tiny_netlist):
-        simulator = LogicSimulator(tiny_netlist, backend="compiled")
+        simulator = LogicSimulator(tiny_netlist)
         stimulus = {net: np.array([True, False, True])
                     for net in tiny_netlist.primary_inputs}
         result = simulator.evaluate(stimulus)
@@ -504,8 +485,8 @@ class TestPackedSubstrate:
     def test_masked_toggle_table_cached_and_read_only(self):
         from repro.netlist import GateType
 
-        model_a = GatePowerModel(seed=1)
-        model_b = GatePowerModel(seed=99)
+        model_a = GatePowerModel()
+        model_b = GatePowerModel(config=PowerModelConfig(noise_sigma=0.5))
         table_a = model_a.masked_toggle_table(GateType.MASKED_AND)
         table_b = model_b.masked_toggle_table(GateType.MASKED_AND)
         assert table_a is table_b  # rebuilt generators share the table
@@ -532,7 +513,7 @@ class TestPackedSubstrate:
         def fill():
             barrier.wait()
             tables.append(
-                GatePowerModel(seed=7).masked_toggle_table(GateType.MASKED_XOR))
+                GatePowerModel().masked_toggle_table(GateType.MASKED_XOR))
 
         threads = [threading.Thread(target=fill) for _ in range(8)]
         for thread in threads:
@@ -546,7 +527,7 @@ class TestPackedSubstrate:
     def test_masked_toggle_table_detects_corrupted_cache(self):
         from repro.netlist import GateType
 
-        model = GatePowerModel(seed=3)
+        model = GatePowerModel()
         table = model.masked_toggle_table(GateType.MASKED_AND)
         table.setflags(write=True)
         try:

@@ -295,6 +295,18 @@ class TestPL001Rng:
         assert codes(result) == ["PL001"] * 5
         assert 'without kind="stable"' in result.findings[0].message
 
+    def test_test_oracles_keep_the_src_discipline(self, tmp_path):
+        # Oracles moved out of src/repro keep its seeded-RNG and
+        # stable-sort rules; other test modules do not.
+        source = ("import random\n"
+                  "import numpy as np\n"
+                  "order = np.argsort(x)\n")
+        result = run_lint(tmp_path, {"tests/oracles/mod.py": source,
+                                     "tests/test_mod.py": source},
+                          rule_ids=["PL001"])
+        assert [(f.rule, f.path) for f in result.findings] == [
+            ("PL001", "tests/oracles/mod.py")] * 2
+
     def test_stable_sorts_pass(self, tmp_path):
         result = run_lint(
             tmp_path,
@@ -334,21 +346,16 @@ def _oracle_repo_files(tmp_path):
         "src/repro/power/traces.py":
             "class TraceEngine:\n"
             "    def generate(self):\n"
-            "        pass\n"
-            "    def generate_loop(self):\n"
             "        pass\n",
         "src/repro/simulation/simulator.py":
-            "SIM_BACKENDS = ('compiled', 'loop')\n",
+            "class LogicSimulator:\n"
+            "    pass\n",
         "src/repro/ml/tree.py":
             "class TreeBuilder:\n"
             "    def _best_split(self):\n"
             "        pass\n"
-            "    def _best_split_loop(self):\n"
-            "        pass\n"
             "class FittedTree:\n"
             "    def predict_batch(self):\n"
-            "        pass\n"
-            "    def predict_value(self):\n"
             "        pass\n"
             "class Classifier:\n"
             "    def fit(self):\n"
@@ -370,24 +377,43 @@ def _oracle_repo_files(tmp_path):
             "        pass\n",
         "src/repro/power/ctrsample.py":
             "def philox_raw():\n"
-            "    pass\n"
-            "def philox_blocks_reference():\n"
             "    pass\n",
         "src/repro/power/bitops.py":
             "def popcount16_inplace():\n"
             "    pass\n"
             "def popcount16():\n"
             "    pass\n",
-        "tests/test_oracles.py":
-            "# references: update_batch update_batch_naive\n"
-            "# compiled loop generate generate_loop\n"
-            "# _best_split _best_split_loop _fit_lockstep fit\n"
-            "# _fit_fixed_weights\n"
-            "# predict_batch predict_value expectation_batch expectation\n"
-            "# explain_matrix explain\n"
-            "# philox_raw philox_blocks_reference\n"
-            "# popcount16_inplace popcount16\n",
+        "tests/oracles/simulation.py":
+            "class LoopSimulator:\n"
+            "    pass\n",
+        "tests/oracles/power.py":
+            "def generate_loop():\n"
+            "    pass\n",
+        "tests/oracles/tree.py":
+            "def best_split_loop():\n"
+            "    pass\n"
+            "def predict_value():\n"
+            "    pass\n",
+        "tests/oracles/forest.py":
+            "def fit_forest_per_tree():\n"
+            "    pass\n",
+        "tests/oracles/ctrsample.py":
+            "def philox_blocks_reference():\n"
+            "    pass\n",
+        "tests/test_oracles.py": _ORACLE_REFERENCES,
     }
+
+
+#: A test module naming both sides of every registered pair.
+_ORACLE_REFERENCES = (
+    "# references: update_batch update_batch_naive\n"
+    "# LogicSimulator LoopSimulator generate generate_loop\n"
+    "# _best_split best_split_loop _fit_lockstep fit_forest_per_tree fit\n"
+    "# _fit_fixed_weights\n"
+    "# predict_batch predict_value expectation_batch expectation\n"
+    "# explain_matrix explain\n"
+    "# philox_raw philox_blocks_reference\n"
+    "# popcount16_inplace popcount16\n")
 
 
 class TestPL002Oracle:
@@ -414,25 +440,55 @@ class TestPL002Oracle:
         assert "'update_batch_naive' no longer exists" \
             in result.findings[0].message
 
-    def test_dropped_selector_string_is_flagged(self, tmp_path):
+    def test_dropped_fast_side_is_flagged(self, tmp_path):
         files = _oracle_repo_files(tmp_path)
-        files["src/repro/simulation/simulator.py"] = (
-            "SIM_BACKENDS = ('compiled',)\n")
+        files["src/repro/simulation/simulator.py"] = "class Simulator:\n    pass\n"
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
-        assert "selector string 'loop'" in result.findings[0].message
+        finding = result.findings[0]
+        assert finding.path == "src/repro/simulation/simulator.py"
+        assert "fast-path 'LogicSimulator' no longer exists" in finding.message
+
+    def test_dropped_oracle_side_under_tests_is_flagged(self, tmp_path):
+        files = _oracle_repo_files(tmp_path)
+        files["tests/oracles/power.py"] = "def generate_slowly():\n    pass\n"
+        result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
+        assert codes(result) == ["PL002"]
+        finding = result.findings[0]
+        assert finding.path == "tests/oracles/power.py"
+        assert "oracle 'generate_loop' no longer exists" in finding.message
+
+    def test_missing_oracle_module_under_tests_is_flagged(self, tmp_path):
+        files = _oracle_repo_files(tmp_path)
+        del files["tests/oracles/ctrsample.py"]
+        result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
+        assert codes(result) == ["PL002"]
+        assert result.findings[0].path == "tests/oracles/ctrsample.py"
+        assert "missing or unparsable" in result.findings[0].message
+
+    def test_oracle_module_naming_both_sides_is_not_a_test(self, tmp_path):
+        # The oracle's docstring names its fast path; that pins nothing.
+        files = _oracle_repo_files(tmp_path)
+        files["tests/oracles/power.py"] = (
+            '"""Reference loop of generate."""\n'
+            "def generate_loop():\n"
+            "    pass\n")
+        files["tests/test_oracles.py"] = _ORACLE_REFERENCES.replace(
+            " generate generate_loop", "")
+        result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
+        assert codes(result) == ["PL002"]
+        assert "'trace-engine'" in result.findings[0].message
+        assert "untested" in result.findings[0].message
+        # Another oracle module naming both sides still counts as a test.
+        files["tests/oracles/simulation.py"] += "# generate generate_loop\n"
+        result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
+        assert result.clean
 
     def test_untested_pair_is_flagged(self, tmp_path):
         files = _oracle_repo_files(tmp_path)
-        files["tests/test_oracles.py"] = (
-            "# references: update_batch update_batch_naive\n"
-            "# compiled loop generate\n"  # generate_loop dropped
-            "# _best_split _best_split_loop _fit_lockstep fit\n"
-            "# _fit_fixed_weights\n"
-            "# predict_batch predict_value expectation_batch expectation\n"
-            "# explain_matrix explain\n"
-            "# philox_raw philox_blocks_reference counter sequence\n"
-            "# popcount16_inplace popcount16\n")
+        # generate_loop dropped.
+        files["tests/test_oracles.py"] = _ORACLE_REFERENCES.replace(
+            "generate generate_loop", "generate")
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
         assert "untested" in result.findings[0].message
@@ -440,15 +496,8 @@ class TestPL002Oracle:
     def test_word_boundary_no_substring_credit(self, tmp_path):
         # 'generate_loop' alone must not satisfy the 'generate' side.
         files = _oracle_repo_files(tmp_path)
-        files["tests/test_oracles.py"] = (
-            "# references: update_batch update_batch_naive\n"
-            "# compiled loop generate_loop\n"
-            "# _best_split _best_split_loop _fit_lockstep fit\n"
-            "# _fit_fixed_weights\n"
-            "# predict_batch predict_value expectation_batch expectation\n"
-            "# explain_matrix explain\n"
-            "# philox_raw philox_blocks_reference counter sequence\n"
-            "# popcount16_inplace popcount16\n")
+        files["tests/test_oracles.py"] = _ORACLE_REFERENCES.replace(
+            "generate generate_loop", "generate_loop")
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
 

@@ -19,6 +19,8 @@ from repro.power import (
 )
 from repro.simulation import SimulationError, fixed_vs_random_campaigns
 
+from oracles.power import generate_loop, masked_power, unmasked_power
+
 #: Counter draws of one campaign chunk; the vectorised engine reads nothing
 #: else for its masks and noise.
 DRAWS = CounterDraws(1, 0, 0, 0)
@@ -28,8 +30,8 @@ class TestGatePowerModel:
     def test_unmasked_power_scales_with_toggles(self, tiny_netlist):
         model = GatePowerModel(config=PowerModelConfig(noise_sigma=0.0))
         gate = tiny_netlist.gate("g_and")
-        quiet = model.unmasked_power(gate, np.zeros(10, dtype=bool))
-        busy = model.unmasked_power(gate, np.ones(10, dtype=bool))
+        quiet = unmasked_power(model, gate, np.zeros(10, dtype=bool))
+        busy = unmasked_power(model, gate, np.ones(10, dtype=bool))
         assert (busy > quiet).all()
         assert quiet.min() > 0  # static floor
 
@@ -37,12 +39,12 @@ class TestGatePowerModel:
         model = GatePowerModel(config=PowerModelConfig(noise_sigma=0.0))
         gate = tiny_netlist.gate("g_and")
         toggles = np.ones(5, dtype=bool)
-        low = model.unmasked_power(gate, toggles, fanout=1)
-        high = model.unmasked_power(gate, toggles, fanout=4)
+        low = unmasked_power(model, gate, toggles, fanout=1)
+        high = unmasked_power(model, gate, toggles, fanout=4)
         assert (high > low).all()
 
     def test_masked_power_positive_and_noisy_free(self, rng):
-        model = GatePowerModel(config=PowerModelConfig(noise_sigma=0.0), seed=2)
+        model = GatePowerModel(config=PowerModelConfig(noise_sigma=0.0))
         from repro.netlist.netlist import Gate
         masked_gate = Gate("m", GateType.MASKED_AND, ["a", "b"], "y",
                            {"masked_from": "AND"})
@@ -50,14 +52,16 @@ class TestGatePowerModel:
         b_prev = rng.integers(0, 2, 200).astype(bool)
         a_cur = rng.integers(0, 2, 200).astype(bool)
         b_cur = rng.integers(0, 2, 200).astype(bool)
-        power = model.masked_power(masked_gate, (a_prev, b_prev), (a_cur, b_cur))
+        power = masked_power(model, masked_gate, (a_prev, b_prev),
+                             (a_cur, b_cur), rng=np.random.default_rng(2))
         assert power.shape == (200,)
         assert (power >= 0).all()
         assert power.std() > 0  # fresh masks randomise the consumption
 
     def test_valiant_style_retains_more_data_dependence(self, rng):
         config = PowerModelConfig(noise_sigma=0.0)
-        model = GatePowerModel(config=config, seed=3)
+        model = GatePowerModel(config=config)
+        mask_rng = np.random.default_rng(3)
         from repro.netlist.netlist import Gate
         n = 4000
         a_prev = rng.integers(0, 2, n).astype(bool)
@@ -70,8 +74,10 @@ class TestGatePowerModel:
                         {"masked_from": "AND", "protection_style": "trichina"})
         valiant = Gate("m", GateType.MASKED_AND, ["a", "b"], "y",
                        {"masked_from": "AND", "protection_style": "valiant"})
-        p_tri = model.masked_power(trichina, (a_prev, b_prev), (a_cur, b_cur))
-        p_val = model.masked_power(valiant, (a_prev, b_prev), (a_cur, b_cur))
+        p_tri = masked_power(model, trichina, (a_prev, b_prev),
+                             (a_cur, b_cur), rng=mask_rng)
+        p_val = masked_power(model, valiant, (a_prev, b_prev),
+                             (a_cur, b_cur), rng=mask_rng)
         corr_tri = np.corrcoef(p_tri, toggles)[0, 1]
         corr_val = np.corrcoef(p_val, toggles)[0, 1]
         assert corr_val > corr_tri  # VALIANT cells leak more of the input activity
@@ -100,7 +106,7 @@ class TestGatePowerModel:
 
 class TestPowerTraces:
     def test_trace_matrix_shape(self, tiny_netlist):
-        generator = PowerTraceGenerator(tiny_netlist, seed=1)
+        generator = PowerTraceGenerator(tiny_netlist)
         fixed, rand = fixed_vs_random_campaigns(tiny_netlist, 50, seed=1)
         traces = generator.generate(fixed, draws=DRAWS)
         assert isinstance(traces, PowerTraces)
@@ -108,7 +114,7 @@ class TestPowerTraces:
         np.testing.assert_allclose(traces.total, traces.per_gate.sum(axis=1))
 
     def test_gate_column_lookup(self, tiny_netlist):
-        generator = PowerTraceGenerator(tiny_netlist, seed=1)
+        generator = PowerTraceGenerator(tiny_netlist)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 20, seed=1)
         traces = generator.generate(fixed, draws=DRAWS)
         column = traces.gate_column("g_and")
@@ -118,7 +124,7 @@ class TestPowerTraces:
 
     def test_masked_gates_get_power_columns(self, tiny_netlist):
         masked = apply_masking(tiny_netlist, maskable_gates(tiny_netlist)).netlist
-        generator = PowerTraceGenerator(masked, seed=1)
+        generator = PowerTraceGenerator(masked)
         fixed, _ = fixed_vs_random_campaigns(masked, 30, seed=1)
         traces = generator.generate(fixed, draws=DRAWS)
         assert traces.per_gate.shape[1] == len(masked)
@@ -131,11 +137,12 @@ class TestVectorisedEngine:
         # deterministic; the vectorised engine must reproduce the per-gate
         # loop to float32 rounding.
         config = PowerModelConfig(noise_sigma=0.0)
-        generator = PowerTraceGenerator(random_netlist, config=config, seed=2)
+        generator = PowerTraceGenerator(random_netlist, config=config)
         fixed, rand = fixed_vs_random_campaigns(random_netlist, 400, seed=2)
+        rng = np.random.default_rng(2)
         for campaign in (fixed, rand):
             vectorised = generator.generate(campaign, draws=DRAWS)
-            loop = generator.generate_loop(campaign)
+            loop = generate_loop(generator, campaign, rng)
             assert vectorised.gate_names == loop.gate_names
             np.testing.assert_allclose(
                 vectorised.per_gate.astype(float), loop.per_gate,
@@ -147,10 +154,10 @@ class TestVectorisedEngine:
         # so compare their first two moments instead of raw samples.
         masked = apply_masking(tiny_netlist, maskable_gates(tiny_netlist)).netlist
         config = PowerModelConfig(noise_sigma=0.0)
-        generator = PowerTraceGenerator(masked, config=config, seed=3)
+        generator = PowerTraceGenerator(masked, config=config)
         _, rand = fixed_vs_random_campaigns(masked, 5000, seed=3)
         vectorised = generator.generate(rand, draws=DRAWS)
-        loop = generator.generate_loop(rand)
+        loop = generate_loop(generator, rand, np.random.default_rng(3))
         for name in loop.gate_names:
             column_vec = vectorised.gate_column(name).astype(float)
             column_loop = loop.gate_column(name)
@@ -160,7 +167,7 @@ class TestVectorisedEngine:
                                                      rel=0.15)
 
     def test_fast_noise_matches_sigma(self, tiny_netlist):
-        generator = PowerTraceGenerator(tiny_netlist, seed=4)
+        generator = PowerTraceGenerator(tiny_netlist)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 4000, seed=4)
         traces = generator.generate(fixed, draws=DRAWS)
         sigma = generator._model.noise_sigma_abs()
@@ -171,9 +178,9 @@ class TestVectorisedEngine:
     def test_loop_path_honours_explicit_fast_noise(self, tiny_netlist):
         # The loop oracle draws the same popcount noise law as the
         # vectorised engine, from its sequential stream.
-        generator = PowerTraceGenerator(tiny_netlist, seed=6)
+        generator = PowerTraceGenerator(tiny_netlist)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 4000, seed=6)
-        traces = generator.generate_loop(fixed)
+        traces = generate_loop(generator, fixed, np.random.default_rng(6))
         sigma = generator._model.noise_sigma_abs()
         # The popcount sampler yields a 17-point lattice per column (the
         # fixed campaign keeps the noiseless power constant), with the
@@ -184,7 +191,7 @@ class TestVectorisedEngine:
         assert len(np.unique(np.round(column, 9))) <= 17
 
     def test_stream_chunks_cover_campaign(self, tiny_netlist):
-        generator = PowerTraceGenerator(tiny_netlist, seed=1)
+        generator = PowerTraceGenerator(tiny_netlist)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 250, seed=1)
         stream = CounterStream(1, 0, 0)
         chunks = list(generator.generate_stream(fixed, 64, stream))
@@ -204,7 +211,7 @@ class TestVectorisedEngine:
         masked = apply_masking(tiny_netlist, maskable_gates(tiny_netlist)).netlist
         faulty = PowerTraceGenerator(
             masked, config=PowerModelConfig(noise_sigma=0.0,
-                                            mask_refresh=False), seed=5)
+                                            mask_refresh=False))
         fixed, rand = fixed_vs_random_campaigns(masked, 2000, seed=5)
         fixed_traces = faulty.generate(fixed, draws=DRAWS)
         rand_traces = faulty.generate(rand, draws=CounterDraws(1, 0, 1, 0))

@@ -23,8 +23,9 @@ from repro.netlist import (
 from repro.simulation import evaluate_gate, functional_equivalent, simulate
 from repro.tvla import OnePassMoments, welch_t_test
 from repro.xai import TreeShapExplainer
-from repro.xai.kernel_shap import KernelShapExplainer
 from repro.ml import DecisionTreeClassifier
+
+from oracles.kernel_shap import KernelShapExplainer
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])

@@ -106,6 +106,17 @@ class TestSimulation:
         with pytest.raises(SimulationError, match="scalar stimulus"):
             simulate(tiny_netlist, stimulus)
 
+    def test_two_dimensional_stimulus_gets_clear_error(self, tiny_netlist):
+        # A 2-D array used to reach the packed sweep and die on a bare
+        # numpy broadcast ValueError.
+        stimulus = {net: np.zeros(4, dtype=bool)
+                    for net in tiny_netlist.primary_inputs}
+        net = tiny_netlist.primary_inputs[0]
+        stimulus[net] = np.zeros((4, 2), dtype=bool)
+        with pytest.raises(SimulationError,
+                           match=rf"stimulus for input '{net}' has shape"):
+            simulate(tiny_netlist, stimulus)
+
     def test_list_stimulus_accepted(self, tiny_netlist):
         stimulus = {net: [True, False, True]
                     for net in tiny_netlist.primary_inputs}

@@ -551,6 +551,12 @@ class TestEngineNull:
         assert assessment.n_leaky_for_order(2) == 0
 
 
+class Float64TraceGenerator(PowerTraceGenerator):
+    """The trace engine with a float64 trace matrix."""
+
+    trace_dtype = np.dtype(np.float64)
+
+
 class TestFloat32Drift:
     """float32 traces vs float64 traces at the paper's 10k traces (ROADMAP
     item 1).  The trace matrix is float32 by default; moments are folded
@@ -563,9 +569,8 @@ class TestFloat32Drift:
         config = paper_configuration(tvla_order=3).tvla
         netlist = load_benchmark(design)
         default = assess_leakage(netlist, config)
-        wide = assess_leakage(netlist, config, generator=PowerTraceGenerator(
-            netlist, config=config.power, seed=config.seed,
-            trace_dtype=np.float64))
+        wide = assess_leakage(netlist, config, generator=Float64TraceGenerator(
+            netlist, config=config.power))
         assert config.n_traces == 10_000
         for order in (1, 2, 3):
             narrow_t = default.t_values_for_order(order)
@@ -644,8 +649,7 @@ class TestStreamingAssessment:
         config = TvlaConfig(n_traces=600, n_fixed_classes=2, seed=9,
                             chunk_traces=128)
         streamed = assess_leakage(small_benchmark, config)
-        generator = PowerTraceGenerator(small_benchmark, config=config.power,
-                                        seed=config.seed)
+        generator = PowerTraceGenerator(small_benchmark, config=config.power)
         class_results = []
         for class_index, pair in enumerate(
                 campaign_schedule(small_benchmark, config)):
@@ -711,8 +715,7 @@ class TestStreamingAssessment:
                                         tvla_config):
         from repro.power import PowerTraceGenerator
         foreign = PowerTraceGenerator(small_benchmark,
-                                      config=tvla_config.power,
-                                      seed=tvla_config.seed)
+                                      config=tvla_config.power)
         with pytest.raises(ValueError, match="generator was built"):
             assess_leakage(tiny_netlist, tvla_config, generator=foreign)
 

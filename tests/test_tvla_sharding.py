@@ -32,12 +32,13 @@ from repro.tvla import (
 )
 from repro.tvla.assessment import (
     accumulate_campaign_chunks,
-    accumulate_campaign_slice,
     aggregate_class_results,
     resolve_generator,
     results_from_accumulators,
 )
 from runner_shards import runner_shard_path
+
+from oracles.assessment import accumulate_campaign_slice
 
 #: Small-but-chunked campaign: 600 traces in 128-trace chunks -> 5 chunks.
 SHARD_TVLA = dict(n_traces=600, n_fixed_classes=2, seed=9, chunk_traces=128)

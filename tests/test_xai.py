@@ -18,7 +18,8 @@ from repro.xai import (
     TreeShapExplainer,
     summarize_explanations,
 )
-from repro.xai.kernel_shap import KernelShapExplainer
+
+from oracles.kernel_shap import KernelShapExplainer
 
 
 @pytest.fixture

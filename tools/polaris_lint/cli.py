@@ -6,7 +6,7 @@ Usage::
                  [--rules PL001,PL003] [--list-rules]
 
 With no paths, lints the repo's default surface (``src``, ``tools``,
-``benchmarks``) relative to ``--root``.  Exits 0 only when no
+``benchmarks``, ``tests/oracles``) relative to ``--root``.  Exits 0 only when no
 non-suppressed finding remains — the contract the CI ``static-analysis``
 job and ``tests/test_lint_clean.py`` both gate on.
 """
@@ -23,7 +23,7 @@ from . import rules as _rules  # noqa: F401  (imports register every rule)
 from .core import RULES, LintResult, lint_paths
 
 #: Default lint surface, relative to the project root.
-DEFAULT_PATHS = ("src", "tools", "benchmarks")
+DEFAULT_PATHS = ("src", "tools", "benchmarks", "tests/oracles")
 
 
 def find_project_root(start: Path) -> Path:

@@ -9,13 +9,15 @@ pickle-seam class or RNG seam lands, extend the matching registry here (and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Paths (relative, posix) under which PL001's strict RNG discipline
 #: applies: every generator must be injected, seeded explicitly or derived
-#: from a coordinate-keyed seam.  Tools and benchmarks may construct their
-#: own seeded generators but are still barred from global RNG state.
-RNG_STRICT_PREFIXES: Tuple[str, ...] = ("src/repro/",)
+#: from a coordinate-keyed seam.  The test oracles keep the discipline of
+#: the library code they were moved out of.  Tools and benchmarks may
+#: construct their own seeded generators but are still barred from global
+#: RNG state.
+RNG_STRICT_PREFIXES: Tuple[str, ...] = ("src/repro/", "tests/oracles/")
 
 #: ``numpy.random`` attributes that are part of the sanctioned Generator
 #: API.  Everything else (``np.random.seed``, ``np.random.rand``,
@@ -46,42 +48,52 @@ RNG_SEAM_FUNCTIONS: Tuple[str, ...] = (
 class OraclePair:
     """A fast path and the bit-identical oracle it must stay pinned to.
 
+    Both sides are names of functions, methods or classes.
+
     Attributes:
         pair_id: Short identifier used in findings.
-        module: Repo-relative path of the module defining both sides.
-        fast: Fast-path symbol (``kind="symbol"``) or selector string
-            (``kind="string"``).
-        oracle: The reference implementation's symbol or selector string.
-        kind: ``"symbol"`` — both names must be defined functions/methods
-            in ``module``; ``"string"`` — both must appear as string
-            constants in ``module`` (backend selector tuples).
+        module: Repo-relative path of the module defining the fast path.
+        fast: The fast path's name.
+        oracle: The reference implementation's name.
+        oracle_module: Repo-relative path of the module defining the
+            oracle, usually under ``tests/oracles/``; ``None`` when
+            ``module`` defines both sides.
     """
 
     pair_id: str
     module: str
     fast: str
     oracle: str
-    kind: str = "symbol"
+    oracle_module: Optional[str] = None
+
+    @property
+    def oracle_path(self) -> str:
+        """The module that defines the oracle."""
+        return self.oracle_module or self.module
 
 
-#: Every fast path introduced by PRs 1-5 and the oracle that pins it.
-#: PL002 verifies both sides still exist and that at least one test module
-#: references the pair together.
+#: Every fast path and the oracle that pins it.  PL002 verifies both sides
+#: still exist and that at least one test module other than the oracle's
+#: own references the pair together.
 ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # Gate-blocked moment fold vs the naive power-chain reference.
     OraclePair("moments-update", "src/repro/tvla/moments.py",
                "update_batch", "update_batch_naive"),
     # Fused levelised simulation kernel vs the per-gate loop.  The
-    # loop simulator also selects the bool-matrix toggle extraction, so
-    # this pair pins packed extraction against its oracle as well.
+    # oracle module also runs the trace engine on the loop simulator with
+    # bool-matrix toggle extraction, so this pair pins packed extraction
+    # against its oracle as well.
     OraclePair("sim-backend", "src/repro/simulation/simulator.py",
-               "compiled", "loop", kind="string"),
+               "LogicSimulator", "LoopSimulator",
+               oracle_module="tests/oracles/simulation.py"),
     # PR 1: vectorised trace engine vs the per-gate reference loop.
     OraclePair("trace-engine", "src/repro/power/traces.py",
-               "generate", "generate_loop"),
+               "generate", "generate_loop",
+               oracle_module="tests/oracles/power.py"),
     # PR 7: flat-array batch tree descent vs the per-sample node walk.
     OraclePair("tree-predict", "src/repro/ml/tree.py",
-               "predict_batch", "predict_value"),
+               "predict_batch", "predict_value",
+               oracle_module="tests/oracles/tree.py"),
     # PR 7: bottom-up batched conditional expectation vs the recursive walk.
     OraclePair("tree-shap-expectation", "src/repro/xai/tree_shap.py",
                "expectation_batch", "expectation"),
@@ -91,12 +103,14 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # Presorted all-features CART split search vs the per-feature
     # argsort-and-scan loop.
     OraclePair("tree-split", "src/repro/ml/tree.py",
-               "_best_split", "_best_split_loop"),
+               "_best_split", "best_split_loop",
+               oracle_module="tests/oracles/tree.py"),
     # Lockstep random forest (all trees grown together over rank-coded
     # features) vs the per-tree DecisionTreeClassifier.fit on each
-    # bootstrap.
+    # bootstrap with the per-feature split search.
     OraclePair("forest-lockstep", "src/repro/ml/tree.py",
-               "_fit_lockstep", "fit"),
+               "_fit_lockstep", "fit_forest_per_tree",
+               oracle_module="tests/oracles/forest.py"),
     # Gradient-boosting rounds on the fit's fixed-weight presort, whose
     # split-path memo caches each node's weight state, vs
     # DecisionTreeRegressor.fit on each round's gradient and weights.
@@ -105,7 +119,8 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # PR 8: native Philox word production vs the pure-numpy 10-round
     # reference implementation of the 4x64 block function.
     OraclePair("ctr-philox", "src/repro/power/ctrsample.py",
-               "philox_raw", "philox_blocks_reference"),
+               "philox_raw", "philox_blocks_reference",
+               oracle_module="tests/oracles/ctrsample.py"),
     # In-place noise-word popcount (SIMD uint8 counts folded into 16-bit
     # lanes) vs the per-element uint16 popcount.
     OraclePair("popcount-fold", "src/repro/power/bitops.py",

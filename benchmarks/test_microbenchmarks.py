@@ -58,6 +58,7 @@ from oracles.forest import fit_forest_per_tree  # noqa: E402
 from oracles.power import generate_loop  # noqa: E402
 from oracles.simulation import LoopSimulator, LoopTraceGenerator  # noqa: E402
 from oracles.tree import best_split_loop, predict_value  # noqa: E402
+from oracles.tree_shap import explain_per_sample  # noqa: E402
 
 #: Trace count of the paper-scale generation benchmark (§V-A).
 PAPER_TRACES = 10_000
@@ -556,9 +557,11 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
     inference loop (one recursive ``predict_value`` node walk per row per
     weak learner, one vote comparison pass per class).  Scores must be
     **exactly** equal and the batch path must clear a 10x floor.  A second
-    row times ``explain_matrix`` against per-row ``explain`` calls on the
-    same model (the SHAP path shares one coalition-expectation sweep
-    across all rows); recorded as ``microbench_ml_scoring`` and gated by
+    row times ``explain_matrix`` against the per-sample engine
+    (``oracles.tree_shap.explain_per_sample``, one recursive walk per
+    coalition per row) on the same model (the SHAP path shares one
+    coalition-expectation sweep across all rows); recorded as
+    ``microbench_ml_scoring`` and gated by
     ``tools/check_bench_regression.py``.
     """
     model = trained_polaris_bench.model
@@ -591,7 +594,7 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
     shap_rows = matrix[:8]
     for fast_expl, oracle_expl in zip(
             explainer.explain_matrix(shap_rows),
-            [explainer.explain(row) for row in shap_rows]):
+            [explain_per_sample(explainer, row) for row in shap_rows]):
         np.testing.assert_array_equal(fast_expl.shap_values,
                                       oracle_expl.shap_values)
         assert fast_expl.prediction == oracle_expl.prediction
@@ -600,7 +603,8 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
     # host must not land on one side only.
     shap_fast, shap_oracle = interleaved_best_of(
         lambda: explainer.explain_matrix(shap_rows),
-        lambda: [explainer.explain(row) for row in shap_rows], repeats=9)
+        lambda: [explain_per_sample(explainer, row) for row in shap_rows],
+        repeats=9)
 
     rows = [
         {
@@ -640,7 +644,8 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
     assert speedups["batch_scoring_vs_per_sample"] >= 10.0, (
         f"flat-array batch scoring below the 10x floor: {speedups}")
     assert speedups["shap_matrix_vs_per_sample"] > 1.2, (
-        f"batched TreeSHAP lost its margin over per-row explain: {speedups}")
+        f"batched TreeSHAP lost its margin over the per-sample engine: "
+        f"{speedups}")
 
 
 def test_ml_fit_microbench(trained_polaris_bench, recorder):

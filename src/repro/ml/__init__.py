@@ -6,7 +6,6 @@ from .tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     FlatTree,
-    TreeNode,
 )
 from .forest import RandomForestClassifier
 from .adaboost import AdaBoostClassifier
@@ -31,7 +30,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
     "FlatTree",
-    "TreeNode",
     "RandomForestClassifier",
     "AdaBoostClassifier",
     "GradientBoostingClassifier",

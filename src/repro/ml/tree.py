@@ -39,28 +39,24 @@ each bootstrap, which stays the single-tree path; the tests'
 ``fit_forest_per_tree`` fits the forest that way as the lockstep
 forest's oracle.
 
-A fitted tree carries two synchronised representations:
-
-* a ``List[TreeNode]`` of dataclasses — the builder's output and the
-  structure the *per-sample* walks (:meth:`_FittedTree.decision_path`,
-  and the tests' ``predict_value`` oracle) follow one row at a time, and
-* a :class:`FlatTree` — parallel ``feature``/``threshold``/``left``/
-  ``right``/``value``/``cover`` numpy node arrays built once at the end of
-  ``fit``, which the vectorised batch paths (:meth:`_FittedTree.predict_batch`,
-  :meth:`_FittedTree.leaf_indices`) descend frontier-by-frontier over the
-  whole ``(n_samples, n_features)`` matrix, and which the Tree SHAP
-  explainer (:mod:`repro.xai.tree_shap`) traverses.
-
-The batch paths are bit-identical to the per-sample oracles (same float64
-comparisons, same leaf values).  The four pairings (``tree-split``,
-``forest-lockstep``, ``boosting-fixed-weights`` and ``tree-predict``) are
-pinned by ``tests/test_ml_vectorised.py`` and enforced by polaris-lint
-PL002.
+A fitted tree is one :class:`FlatTree`: parallel ``feature``/``threshold``/
+``left``/``right``/``value``/``cover``/``impurity`` numpy node arrays,
+flattened once from the builder's :class:`TreeNode` records at the end of
+``fit``.  The vectorised batch paths (:meth:`_FittedTree.predict_batch`,
+:meth:`_FittedTree.leaf_indices`) descend them frontier-by-frontier over
+the whole ``(n_samples, n_features)`` matrix, and the Tree SHAP explainer
+(:mod:`repro.xai.tree_shap`) sweeps them bottom-up.  The tests' per-sample
+oracles (``predict_value`` and ``decision_path`` in
+``tests/oracles/tree.py``) walk the same arrays one row at a time, and the
+batch paths are bit-identical to them (same float64 comparisons, same leaf
+values).  The four pairings (``tree-split``, ``forest-lockstep``,
+``boosting-fixed-weights`` and ``tree-predict``) are pinned by
+``tests/test_ml_vectorised.py`` and enforced by polaris-lint PL002.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -80,7 +76,9 @@ LEAF = -1
 
 @dataclass
 class TreeNode:
-    """One node of a fitted tree.
+    """One node as a builder grows it (:class:`_TreeBuilder`,
+    :class:`_LockstepForest`); :meth:`FlatTree.from_nodes` flattens the
+    finished list into the fitted tree.
 
     Attributes:
         feature: Split feature index, or :data:`LEAF` for leaves.
@@ -102,11 +100,6 @@ class TreeNode:
     cover: float
     impurity: float
     depth: int
-
-    @property
-    def is_leaf(self) -> bool:
-        """Whether the node is a leaf."""
-        return self.feature == LEAF
 
 
 @dataclass
@@ -538,7 +531,7 @@ class _TreeBuilder:
 
 @dataclass
 class FlatTree:
-    """Structure-of-arrays form of a fitted tree (one entry per node).
+    """A fitted tree: structure-of-arrays form, one entry per node.
 
     Attributes:
         feature: Split feature per node (:data:`LEAF` for leaves).
@@ -547,6 +540,7 @@ class FlatTree:
         right: Right-child index per node (-1 for leaves).
         value: ``(n_nodes, n_outputs)`` node predictions.
         cover: Total sample weight that reached each node.
+        impurity: Node impurity (Gini or variance).
         step_feature: Like ``feature`` but 0 at leaves — safe to gather.
         step_threshold: Like ``threshold`` but ``+inf`` at leaves.
         step_left: Like ``left`` but leaves point back at themselves.
@@ -558,9 +552,10 @@ class FlatTree:
     descent can sweep all rows level-synchronously for ``max_depth``
     iterations with no per-level active-set bookkeeping.
 
-    Children always have larger indices than their parent (the builder
-    appends parents before recursing), so index order is a topological
-    order — the vectorised Tree SHAP expectation relies on this.
+    Children always have larger indices than their parent (the builders
+    append parents before their children), so index order is a
+    topological order — the vectorised Tree SHAP expectation relies on
+    this.
     """
 
     feature: np.ndarray
@@ -569,6 +564,7 @@ class FlatTree:
     right: np.ndarray
     value: np.ndarray
     cover: np.ndarray
+    impurity: np.ndarray
     step_feature: np.ndarray
     step_threshold: np.ndarray
     step_left: np.ndarray
@@ -591,6 +587,7 @@ class FlatTree:
             right=right,
             value=np.vstack([node.value for node in nodes]).astype(float),
             cover=np.array([node.cover for node in nodes], dtype=float),
+            impurity=np.array([node.impurity for node in nodes], dtype=float),
             step_feature=np.where(leaf, 0, feature),
             step_threshold=np.where(leaf, np.inf, threshold),
             step_left=np.where(leaf, self_index, left),
@@ -605,25 +602,19 @@ class FlatTree:
 
 
 class _FittedTree:
-    """Prediction and introspection over a fitted tree.
+    """Prediction and introspection over a fitted tree's :class:`FlatTree`.
 
-    Holds both representations: the :class:`TreeNode` list walked by the
-    per-sample oracles and the :class:`FlatTree` arrays descended by the
-    vectorised batch paths.  :meth:`set_node_value` keeps the two in sync
-    (gradient boosting rewrites leaf values with Newton steps after
-    fitting).
+    Gradient boosting rewrites leaf values with Newton steps after fitting
+    (:meth:`set_node_value`).
     """
 
     def __init__(self, nodes: List[TreeNode], n_features: int) -> None:
-        self.nodes = nodes
         self.n_features = n_features
         self.flat = FlatTree.from_nodes(nodes)
 
     def set_node_value(self, index: int, value: np.ndarray) -> None:
-        """Replace one node's prediction in both representations."""
-        value = np.asarray(value, dtype=float)
-        self.nodes[index].value = value
-        self.flat.value[index] = value
+        """Replace one node's prediction."""
+        self.flat.value[index] = np.asarray(value, dtype=float)
 
     def _descend(self, features: np.ndarray) -> np.ndarray:
         """Level-synchronous descent: leaf index reached by every row.
@@ -647,59 +638,44 @@ class _FittedTree:
         """Leaf value per sample via iterative descent over the flat arrays.
 
         One ``(n_samples,)``-wide comparison per tree level instead of a
-        Python loop per row; bit-identical to the per-sample node walk
-        (the tests' ``predict_value``, oracle pair ``tree-predict``).
+        Python loop per row; bit-identical to the per-sample walk (the
+        tests' ``predict_value``, oracle pair ``tree-predict``).
         """
         features = check_features(features)
         return self.flat.value[self._descend(features)]
 
     def leaf_indices(self, features: np.ndarray) -> np.ndarray:
-        """Leaf node index reached by every row (batched
-        ``decision_path(row)[-1]``)."""
+        """Leaf node index reached by every row (the last node of the
+        tests' per-sample ``decision_path``)."""
         return self._descend(check_features(features))
 
-    def decision_path(self, sample: np.ndarray) -> List[int]:
-        """Indices of the nodes visited by ``sample`` (root to leaf).
-
-        Per-sample oracle for :meth:`leaf_indices` (its last element is the
-        leaf the batch descent returns for the same row).
-        """
-        sample = np.asarray(sample, dtype=float).ravel()
-        path = [0]
-        node = self.nodes[0]
-        while not node.is_leaf:
-            if sample[node.feature] <= node.threshold:
-                next_index = node.left
-            else:
-                next_index = node.right
-            path.append(next_index)
-            node = self.nodes[next_index]
-        return path
-
     def feature_importances(self) -> np.ndarray:
-        """Impurity-decrease feature importances (normalised to sum to 1)."""
-        importances = np.zeros(self.n_features)
-        for node in self.nodes:
-            if node.is_leaf:
-                continue
-            left = self.nodes[node.left]
-            right = self.nodes[node.right]
-            decrease = (node.cover * node.impurity
-                        - left.cover * left.impurity
-                        - right.cover * right.impurity)
-            importances[node.feature] += max(0.0, decrease)
+        """Impurity-decrease feature importances (normalised to sum to 1).
+
+        Each split's gain, clipped at 0, is added to its feature in node
+        index order.
+        """
+        flat = self.flat
+        split = np.flatnonzero(flat.feature != LEAF)
+        weighted = flat.cover * flat.impurity
+        decrease = (weighted[split] - weighted[flat.left[split]]
+                    - weighted[flat.right[split]])
+        # ``decrease > 0`` keeps ``max(0.0, decrease)``'s 0.0 for NaN and -0.0.
+        gains = np.where(decrease > 0.0, decrease, 0.0)
+        importances = np.bincount(flat.feature[split], weights=gains,
+                                  minlength=self.n_features)
         total = importances.sum()
         return importances / total if total > 0 else importances
 
     @property
     def n_nodes(self) -> int:
         """Number of nodes in the tree."""
-        return len(self.nodes)
+        return self.flat.n_nodes
 
     @property
     def max_depth(self) -> int:
         """Depth of the deepest node."""
-        return max(node.depth for node in self.nodes)
+        return self.flat.max_depth
 
 
 class DecisionTreeClassifier(BaseClassifier):

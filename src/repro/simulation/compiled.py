@@ -34,18 +34,17 @@ This module removes the per-gate loop with a classic plan/execute split:
   ``(n_signals, ceil(n_vectors / 8))`` byte matrix directly — consumers
   that can work on packed bits (the power engine's packed toggle
   extraction) never pay an unpack at
-  all, while :meth:`CompiledNetlist.unpack` (or the convenience
-  :meth:`CompiledNetlist.execute`) materialises the boolean
+  all, while :meth:`CompiledNetlist.unpack` materialises the boolean
   ``(n_signals, n_vectors)`` state matrix for everyone else.  Every call
   operates on whole segments, so numpy releases the GIL for the bulk of
   each chunk's work and the chunk tasks of
   :func:`~repro.tvla.assessment.assess_leakage` genuinely overlap on its
   thread pool.
 
-The plan is immutable after construction and ``execute`` allocates fresh
-buffers per call, so one plan can be shared by concurrent threads.  Netlists
-the planner cannot fuse (malformed arities, port pseudo-cells instantiated
-as gates) raise :class:`CompilationError`, and so does a
+The plan is immutable after construction and ``execute_packed`` allocates
+fresh buffers per call, so one plan can be shared by concurrent threads.
+Netlists the planner cannot fuse (malformed arities, port pseudo-cells
+instantiated as gates) raise :class:`CompilationError`, and so does a
 :class:`~repro.simulation.simulator.LogicSimulator` built on them: there
 is no fallback to a per-gate loop.  The loop oracle and the plan are
 bit-identical on every net (pinned by ``tests/test_compiled_backend.py``).
@@ -397,45 +396,11 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        input_values: Mapping[str, np.ndarray],
-        state: Optional[Mapping[str, np.ndarray]] = None,
-        n_vectors: Optional[int] = None,
-    ) -> np.ndarray:
-        """Run the levelised sweep and unpack the boolean state matrix.
-
-        Convenience wrapper: :meth:`execute_packed` followed by
-        :meth:`unpack`.  Consumers that can work on packed bits (the power
-        engine's packed toggle extraction) call ``execute_packed`` directly
-        and skip the unpack entirely.
-
-        Args:
-            input_values: Boolean array per primary input, shape
-                ``(n_vectors,)`` each (the caller validates completeness
-                and shape consistency).
-            state: Optional register values (output net -> boolean array);
-                missing registers default to 0.
-            n_vectors: Batch size; inferred from the first input when
-                omitted.
-
-        Returns:
-            The filled ``(n_signals, n_vectors)`` boolean state matrix,
-            marked read-only.  Fresh buffers are allocated per call, so
-            results from successive calls never alias and the plan is safe
-            to share across threads.
-        """
-        if n_vectors is None:
-            first = next(iter(input_values.values()))
-            n_vectors = int(np.asarray(first).shape[0])
-        packed = self.execute_packed(input_values, state, n_vectors)
-        return self.unpack(packed, n_vectors)
-
     def execute_packed(
         self,
         input_values: Mapping[str, np.ndarray],
-        state: Optional[Mapping[str, np.ndarray]] = None,
-        n_vectors: Optional[int] = None,
+        state: Optional[Mapping[str, np.ndarray]],
+        n_vectors: int,
     ) -> np.ndarray:
         """Run the bit-parallel sweep and return the **packed** state matrix.
 
@@ -448,15 +413,21 @@ class CompiledNetlist:
         drop them — :meth:`unpack` and
         :func:`repro.power.bitops.popcount_rows` both do.
 
-        Args/threading contract: as :meth:`execute`.
+        Args:
+            input_values: Boolean array per primary input, shape
+                ``(n_vectors,)`` each (the caller validates completeness
+                and shape consistency).
+            state: Register values (output net -> boolean array), or
+                ``None``; missing registers default to 0.
+            n_vectors: Batch size.
 
         Returns:
             The ``(n_signals, ceil(n_vectors / 8))`` uint8 matrix, marked
             read-only (row views of it are shared with lazy consumers).
+            Fresh buffers are allocated per call, so results from
+            successive calls never alias and the plan is safe to share
+            across threads.
         """
-        if n_vectors is None:
-            first = next(iter(input_values.values()))
-            n_vectors = int(np.asarray(first).shape[0])
         n_bytes = (n_vectors + 7) // 8
         # calloc'd: row 0 (constant zero), register defaults and undriven
         # rows are already correct.  Padding bits beyond n_vectors in the
@@ -529,22 +500,13 @@ class CompiledNetlist:
         matrix.setflags(write=False)
         return matrix
 
-    def next_state(self, state_matrix: np.ndarray) -> Dict[str, np.ndarray]:
-        """Extract the register next-state from an executed state matrix.
-
-        Returns private copies (callers may mutate the returned state
-        without aliasing the read-only matrix), mirroring the loop oracle.
-        """
-        return {net: state_matrix[data_row].copy()
-                for net, _, data_row in self._dff_next_items}
-
     def next_state_packed(self, packed: np.ndarray,
                           n_vectors: int) -> Dict[str, np.ndarray]:
         """Register next-state straight from a packed state matrix.
 
         Unpacks only the register data rows, so multi-cycle runs on the
         packed path never force a full-matrix unpack just to advance the
-        clock.  Returns fresh writable arrays, like :meth:`next_state`.
+        clock.  Returns fresh writable arrays.
         """
         if not self._dff_next_items:
             return {}

@@ -14,6 +14,13 @@ tree actually splits on (for POLARIS's shallow AdaBoost learners that is at
 most a handful per tree); when a single tree uses more features than
 ``max_exact_features`` the explainer falls back to an unbiased permutation-
 sampling estimate for that tree.
+
+There is one engine: each coalition expectation is one bottom-up sweep
+over a tree's :class:`~repro.ml.tree.FlatTree` arrays for a whole sample
+matrix (:meth:`TreeShapExplainer.explain_matrix`), and
+:meth:`TreeShapExplainer.explain` is its one-row case.  The recursive
+per-sample engine it replaced is the tests' oracle
+(``tests/oracles/tree_shap.py``).
 """
 
 from __future__ import annotations
@@ -27,106 +34,78 @@ import numpy as np
 from ..ml.adaboost import AdaBoostClassifier
 from ..ml.forest import RandomForestClassifier
 from ..ml.gradient_boosting import GradientBoostingClassifier
-from ..ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, TreeNode
+from ..ml.tree import (LEAF, DecisionTreeClassifier, DecisionTreeRegressor,
+                       FlatTree)
 from .explain import Explanation
 
 
 class _WeightedTree:
-    """A single tree plus its weight and output convention.
+    """A single tree's :class:`FlatTree`, its weight and its output.
 
-    Alongside the :class:`TreeNode` list (walked by the per-sample
-    :meth:`expectation` oracle) the constructor flattens the tree into
-    parallel node arrays — feature/threshold/children/cover plus the
-    scalar output per node in the explainer's output convention — which
-    :meth:`expectation_batch` sweeps bottom-up for a whole sample matrix
-    at once.  Node indices are topologically ordered (children after
-    parents), so one reverse pass visits every child before its parent.
+    ``output`` holds the tree's scalar output per node in the explainer's
+    output convention, which :meth:`expectation_batch` sweeps bottom-up
+    for a whole sample matrix at once.  Node indices are topologically
+    ordered (children after parents), so one reverse pass visits every
+    child before its parent.
     """
 
-    def __init__(self, nodes: Sequence[TreeNode], weight: float,
-                 output_index: Optional[int]) -> None:
-        self.nodes = list(nodes)
+    def __init__(self, flat: FlatTree, weight: float,
+                 output: np.ndarray) -> None:
+        self.flat = flat
         self.weight = weight
-        #: Column of the node value used as output (class-probability index
-        #: for classification trees, ``None`` for scalar regression values).
-        self.output_index = output_index
-        self.feature = np.array([node.feature for node in self.nodes],
-                                dtype=np.intp)
-        self.threshold = np.array([node.threshold for node in self.nodes],
-                                  dtype=float)
-        self.left = np.array([node.left for node in self.nodes], dtype=np.intp)
-        self.right = np.array([node.right for node in self.nodes], dtype=np.intp)
-        self.cover = np.array([node.cover for node in self.nodes], dtype=float)
-        self.output = np.array([self.node_output(node) for node in self.nodes],
-                               dtype=float)
-
-    def node_output(self, node: TreeNode) -> float:
-        if self.output_index is None:
-            return float(node.value[0])
-        if self.output_index >= node.value.shape[0]:
-            return 0.0
-        return float(node.value[self.output_index])
+        self.output = output
 
     def used_features(self) -> Tuple[int, ...]:
-        return tuple(sorted({node.feature for node in self.nodes
-                             if not node.is_leaf}))
-
-    def expectation(self, sample: np.ndarray, known: frozenset) -> float:
-        """E[tree(x)] when features in ``known`` follow ``sample``.
-
-        Unknown split features are marginalised with the per-branch training
-        cover, which is the path-dependent Tree SHAP convention.  This is
-        the per-sample oracle for :meth:`expectation_batch` (oracle pair
-        ``tree-shap-expectation``, polaris-lint PL002).
-        """
-        def recurse(index: int) -> float:
-            node = self.nodes[index]
-            if node.is_leaf:
-                return self.node_output(node)
-            if node.feature in known:
-                if sample[node.feature] <= node.threshold:
-                    return recurse(node.left)
-                return recurse(node.right)
-            left = self.nodes[node.left]
-            right = self.nodes[node.right]
-            total = left.cover + right.cover
-            if total <= 0:
-                return 0.5 * (recurse(node.left) + recurse(node.right))
-            return (left.cover / total * recurse(node.left)
-                    + right.cover / total * recurse(node.right))
-
-        return recurse(0)
+        """The features the tree splits on, ascending."""
+        return tuple(np.unique(self.flat.feature[self.flat.feature != LEAF])
+                     .tolist())
 
     def expectation_batch(self, samples: np.ndarray,
                           known: frozenset) -> np.ndarray:
-        """Vectorised :meth:`expectation` for every row of ``samples``.
+        """E[tree(x)] for every row ``x`` of ``samples`` when the features
+        in ``known`` follow the row.
 
+        Unknown split features are marginalised with the per-branch
+        training cover, which is the path-dependent Tree SHAP convention.
         One bottom-up pass over the flat node arrays: each node's
         conditional expectation is an ``(n_samples,)`` vector computed from
-        its children's vectors with exactly the oracle's arithmetic (same
-        cover ratios, same operation order), so the result is bit-identical
-        per row.
+        its children's vectors.  Bit-identical per row to the tests'
+        recursive ``expectation`` (oracle pair ``tree-shap-expectation``,
+        polaris-lint PL002): same cover ratios, same operation order.
+        The node loop reads the arrays as Python lists (float64 values
+        either way), which spares a numpy scalar per read.
         """
-        n_nodes = len(self.nodes)
-        values = np.empty((n_nodes, samples.shape[0]))
-        for index in range(n_nodes - 1, -1, -1):
-            feature = self.feature[index]
+        flat = self.flat
+        features, thresholds = flat.feature.tolist(), flat.threshold.tolist()
+        lefts, rights = flat.left.tolist(), flat.right.tolist()
+        cover, output = flat.cover.tolist(), self.output.tolist()
+        values = np.empty((flat.n_nodes, samples.shape[0]))
+        for index in range(flat.n_nodes - 1, -1, -1):
+            feature = features[index]
             if feature < 0:
-                values[index] = self.output[index]
+                values[index] = output[index]
                 continue
-            left = self.left[index]
-            right = self.right[index]
+            left = lefts[index]
+            right = rights[index]
             if feature in known:
-                go_left = samples[:, feature] <= self.threshold[index]
+                go_left = samples[:, feature] <= thresholds[index]
                 values[index] = np.where(go_left, values[left], values[right])
                 continue
-            total = self.cover[left] + self.cover[right]
+            total = cover[left] + cover[right]
             if total <= 0:
                 values[index] = 0.5 * (values[left] + values[right])
             else:
-                values[index] = (self.cover[left] / total * values[left]
-                                 + self.cover[right] / total * values[right])
+                values[index] = (cover[left] / total * values[left]
+                                 + cover[right] / total * values[right])
         return values[0]
+
+
+def _column_output(flat: FlatTree, column: int) -> np.ndarray:
+    """Node outputs of a classification tree: its ``column`` of class
+    probabilities, 0.0 where the tree has no such column."""
+    if column >= flat.value.shape[1]:
+        return np.zeros(flat.n_nodes)
+    return flat.value[:, column]
 
 
 def _extract_trees(model: object, positive_class: int = 1) -> Tuple[List[_WeightedTree], float, str]:
@@ -139,40 +118,39 @@ def _extract_trees(model: object, positive_class: int = 1) -> Tuple[List[_Weight
     """
     trees: List[_WeightedTree] = []
     if isinstance(model, DecisionTreeClassifier):
+        flat = model.tree_.flat
         column = _class_column(model, positive_class)
-        trees.append(_WeightedTree(model.tree_.nodes, 1.0, column))
+        trees.append(_WeightedTree(flat, 1.0, _column_output(flat, column)))
         return trees, 0.0, "probability"
     if isinstance(model, DecisionTreeRegressor):
-        trees.append(_WeightedTree(model.tree_.nodes, 1.0, None))
+        flat = model.tree_.flat
+        trees.append(_WeightedTree(flat, 1.0, flat.value[:, 0]))
         return trees, 0.0, "identity"
     if isinstance(model, RandomForestClassifier):
         weight = 1.0 / len(model.estimators_)
         for tree in model.estimators_:
-            trees.append(_WeightedTree(tree.tree_.nodes, weight,
-                                       _class_column(tree, positive_class)))
+            flat = tree.tree_.flat
+            column = _class_column(tree, positive_class)
+            trees.append(_WeightedTree(flat, weight,
+                                       _column_output(flat, column)))
         return trees, 0.0, "probability"
     if isinstance(model, AdaBoostClassifier):
         # AdaBoost's probability is the normalised weighted *hard* vote, so
-        # each weak learner is converted to a 0/1-valued tree; the weighted
-        # sum of those trees then equals ``predict_proba`` exactly.
+        # each weak learner's node outputs are its 0/1 vote for the class;
+        # the weighted sum of those trees then equals ``predict_proba``
+        # exactly.
         total_alpha = float(sum(model.estimator_weights_)) or 1.0
         for tree, alpha in zip(model.estimators_, model.estimator_weights_):
+            flat = tree.tree_.flat
             column = _class_column(tree, positive_class)
-            hardened = [
-                TreeNode(
-                    feature=node.feature, threshold=node.threshold,
-                    left=node.left, right=node.right,
-                    value=np.array([1.0 if int(np.argmax(node.value)) == column
-                                    else 0.0]),
-                    cover=node.cover, impurity=node.impurity, depth=node.depth,
-                )
-                for node in tree.tree_.nodes
-            ]
-            trees.append(_WeightedTree(hardened, alpha / total_alpha, None))
+            hardened = (np.argmax(flat.value, axis=1) == column).astype(float)
+            trees.append(_WeightedTree(flat, alpha / total_alpha, hardened))
         return trees, 0.0, "probability"
     if isinstance(model, GradientBoostingClassifier):
         for tree in model.estimators_:
-            trees.append(_WeightedTree(tree.tree_.nodes, model.learning_rate, None))
+            flat = tree.tree_.flat
+            trees.append(_WeightedTree(flat, model.learning_rate,
+                                       flat.value[:, 0]))
         return trees, model.initial_score_, "logit"
     raise TypeError(f"unsupported model type {type(model).__name__} for Tree SHAP")
 
@@ -207,6 +185,10 @@ class TreeShapExplainer:
                  n_permutations: int = 128,
                  positive_class: int = 1,
                  seed: int = 0) -> None:
+        if max_exact_features < 0:
+            raise ValueError("max_exact_features must be >= 0")
+        if n_permutations < 1:
+            raise ValueError("n_permutations must be >= 1")
         self.model = model
         self.max_exact_features = max_exact_features
         self.n_permutations = n_permutations
@@ -238,35 +220,23 @@ class TreeShapExplainer:
         raise ValueError("cannot determine the model's feature count")
 
     def _compute_base_value(self) -> float:
+        # ``total = offset; total += ...`` per tree: summing the trees
+        # first and adding the offset last rounds differently.
         total = self._offset
         empty = frozenset()
-        dummy = np.zeros(self._n_features)
+        dummy = np.zeros((1, self._n_features))
         for tree in self._trees:
-            total += tree.weight * tree.expectation(dummy, empty)
+            total += tree.weight * tree.expectation_batch(dummy, empty)[0]
         return float(total)
 
     # ------------------------------------------------------------------
     def explain(self, sample: np.ndarray) -> Explanation:
-        """Compute Shapley values for one sample.
-
-        Per-sample oracle for :meth:`explain_matrix` (oracle pair
-        ``tree-shap-explain``, polaris-lint PL002): the batched path must
-        reproduce this method bit-for-bit on every row.
-        """
+        """Compute Shapley values for one sample (one row of
+        :meth:`explain_matrix`)."""
         sample = np.asarray(sample, dtype=float).ravel()
         if sample.shape[0] != self._n_features:
             raise ValueError("sample length does not match the model")
-        phi = np.zeros(self._n_features)
-        for tree in self._trees:
-            phi += tree.weight * self._tree_shapley(tree, sample)
-        prediction = self._predict_output(sample)
-        return Explanation(
-            base_value=self._base_value,
-            shap_values=phi,
-            data=sample,
-            feature_names=self.feature_names,
-            prediction=prediction,
-        )
+        return self.explain_matrix(sample[None])[0]
 
     def explain_matrix(self, samples: np.ndarray) -> List[Explanation]:
         """Explain every row of ``samples`` in one batched pass.
@@ -274,8 +244,9 @@ class TreeShapExplainer:
         Coalition expectations are evaluated once per (tree, coalition)
         for the whole matrix via :meth:`_WeightedTree.expectation_batch`
         instead of once per row, which collapses the dominant cost of
-        explaining a gate-feature matrix.  Results are bit-identical to
-        calling :meth:`explain` row by row.
+        explaining a gate-feature matrix.  Every row is bit-identical to
+        the tests' per-sample engine, ``explain_per_sample`` (oracle pair
+        ``tree-shap-explain``, polaris-lint PL002).
         """
         samples = np.asarray(samples, dtype=float)
         if samples.ndim == 1:
@@ -297,21 +268,8 @@ class TreeShapExplainer:
             for index in range(samples.shape[0])
         ]
 
-    def _predict_output(self, sample: np.ndarray) -> float:
-        """Model output in the explainer's output space."""
-        row = sample.reshape(1, -1)
-        if self.link == "logit":
-            return float(self.model.decision_function(row)[0])
-        if self.link == "identity":
-            return float(self.model.predict(row)[0])
-        total = self._offset
-        known = frozenset(range(self._n_features))
-        for tree in self._trees:
-            total += tree.weight * tree.expectation(sample, known)
-        return float(total)
-
     def _predict_output_batch(self, samples: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_predict_output` for every row of ``samples``."""
+        """Model output in the explainer's output space, per row."""
         if self.link == "logit":
             return np.asarray(self.model.decision_function(samples), dtype=float)
         if self.link == "identity":
@@ -323,67 +281,11 @@ class TreeShapExplainer:
         return total
 
     # ------------------------------------------------------------------
-    def _tree_shapley(self, tree: _WeightedTree, sample: np.ndarray) -> np.ndarray:
-        used = tree.used_features()
-        phi = np.zeros(self._n_features)
-        if not used:
-            return phi
-        if len(used) <= self.max_exact_features:
-            contributions = self._exact_shapley(tree, sample, used)
-        else:
-            contributions = self._sampled_shapley(tree, sample, used)
-        for feature, value in contributions.items():
-            phi[feature] = value
-        return phi
-
-    def _exact_shapley(self, tree: _WeightedTree, sample: np.ndarray,
-                       used: Tuple[int, ...]) -> Dict[int, float]:
-        n_used = len(used)
-        cache: Dict[frozenset, float] = {}
-
-        def value(subset: frozenset) -> float:
-            if subset not in cache:
-                cache[subset] = tree.expectation(sample, subset)
-            return cache[subset]
-
-        contributions = {feature: 0.0 for feature in used}
-        others: Dict[int, Tuple[int, ...]] = {
-            feature: tuple(f for f in used if f != feature) for feature in used
-        }
-        factorials = [factorial(k) for k in range(n_used + 1)]
-        denominator = factorials[n_used]
-        for feature in used:
-            for size in range(n_used):
-                weight = factorials[size] * factorials[n_used - size - 1] / denominator
-                for subset in combinations(others[feature], size):
-                    base = frozenset(subset)
-                    contributions[feature] += weight * (
-                        value(base | {feature}) - value(base))
-        return contributions
-
-    def _sampled_shapley(self, tree: _WeightedTree, sample: np.ndarray,
-                         used: Tuple[int, ...]) -> Dict[int, float]:
-        rng = np.random.default_rng(self.seed)
-        contributions = {feature: 0.0 for feature in used}
-        used_array = np.array(used)
-        for _ in range(self.n_permutations):
-            order = rng.permutation(used_array)
-            current: frozenset = frozenset()
-            previous_value = tree.expectation(sample, current)
-            for feature in order:
-                current = current | {int(feature)}
-                new_value = tree.expectation(sample, current)
-                contributions[int(feature)] += new_value - previous_value
-                previous_value = new_value
-        for feature in used:
-            contributions[feature] /= self.n_permutations
-        return contributions
-
-    # ------------------------------------------------------------------
     def _tree_shapley_batch(self, tree: _WeightedTree,
                             samples: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_tree_shapley`: one ``(n_samples, n_features)``
-        matrix with the same per-row values."""
+        """One tree's Shapley values, an ``(n_samples, n_features)``
+        matrix: exact when the tree splits on at most
+        ``max_exact_features`` features, sampled otherwise."""
         used = tree.used_features()
         phi = np.zeros((samples.shape[0], self._n_features))
         if not used:
@@ -398,11 +300,11 @@ class TreeShapExplainer:
 
     def _exact_shapley_batch(self, tree: _WeightedTree, samples: np.ndarray,
                              used: Tuple[int, ...]) -> Dict[int, np.ndarray]:
-        """:meth:`_exact_shapley` over a sample matrix.
+        """Exact Shapley values by coalition enumeration.
 
-        Mirrors the scalar loops exactly — same subset iteration order,
-        same factorial weights, same coalition cache keyed by frozenset —
-        with each cached expectation an ``(n_samples,)`` vector.
+        Each coalition's expectation is cached, keyed by frozenset, as an
+        ``(n_samples,)`` vector; the per-sample oracle runs the same
+        subset order and factorial weights on one row's scalars.
         """
         n_used = len(used)
         cache: Dict[frozenset, np.ndarray] = {}
@@ -429,12 +331,11 @@ class TreeShapExplainer:
 
     def _sampled_shapley_batch(self, tree: _WeightedTree, samples: np.ndarray,
                                used: Tuple[int, ...]) -> Dict[int, np.ndarray]:
-        """:meth:`_sampled_shapley` over a sample matrix.
+        """Permutation-sampling estimate of the Shapley values.
 
-        The scalar path seeds a fresh ``default_rng(self.seed)`` per tree
-        per sample, so every row sees the same permutation sequence; one
-        generator drawn here once per tree therefore reproduces each row's
-        estimate bit-for-bit.
+        A fresh ``default_rng(self.seed)`` per tree draws the permutations,
+        so every row sees the same sequence and a row's estimate does not
+        depend on the other rows of ``samples``.
         """
         rng = np.random.default_rng(self.seed)
         contributions = {feature: np.zeros(samples.shape[0]) for feature in used}

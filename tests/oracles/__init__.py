@@ -28,7 +28,17 @@ Oracle -> fast path [PL002 pair]:
   [``tree-split``].  Argsort and scan one feature at a time; patched in as
   ``_TreeBuilder._best_split``, it grows bitwise equal trees.
 * ``tree.predict_value`` -> ``_FittedTree.predict_batch``
-  [``tree-predict``].  Walks the node list one row at a time.
+  [``tree-predict``].  Walks the ``FlatTree`` node arrays one row at a
+  time; ``tree.decision_path`` lists the nodes one row visits, the oracle
+  of ``_FittedTree.leaf_indices`` [no pair].
+* ``tree_shap.expectation`` -> ``repro.xai.tree_shap._WeightedTree
+  .expectation_batch`` [``tree-shap-expectation``].  Recursive walk of one
+  tree for one sample, coalition by coalition.
+* ``tree_shap.explain_per_sample`` -> ``TreeShapExplainer.explain_matrix``
+  [``tree-shap-explain``].  The per-sample Tree SHAP engine (exact
+  enumeration or permutation sampling per tree) on that walk; every row of
+  the batched sweep is bitwise equal to it.  ``tree_shap.base_value``
+  rebuilds the explainer's base value the same way.
 * ``forest.fit_forest_per_tree`` -> ``repro.ml.tree._fit_lockstep``
   [``forest-lockstep``].  Fits each random-forest tree alone on its
   bootstrap with ``best_split_loop``; bitwise equal to the lockstep

@@ -1,23 +1,26 @@
-"""Per-feature split search and per-sample node walk of the CART trees.
+"""Per-feature split search and per-sample node walks of the CART trees.
 
 * :func:`best_split_loop` argsorts and scans one feature at a time: the
   oracle of the presorted all-features search
   ``repro.ml.tree._TreeBuilder._best_split`` (PL002 pair ``tree-split``).
   Tests patch it in as ``_TreeBuilder._best_split``, and the fitted trees
   must match bit for bit.
-* :func:`predict_value` walks a fitted tree's node list one row at a time:
-  the oracle of ``_FittedTree.predict_batch`` (PL002 pair
-  ``tree-predict``).
+* :func:`predict_value` walks a fitted tree's node arrays one row at a
+  time: the oracle of ``_FittedTree.predict_batch`` (PL002 pair
+  ``tree-predict``).  :func:`decision_path` lists the nodes one row
+  visits: the oracle of ``_FittedTree.leaf_indices``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.ml.base import check_features
 from repro.ml.tree import (
+    LEAF,
+    FlatTree,
     _FittedTree,
     _gini_scores,
     _midpoint,
@@ -83,20 +86,50 @@ def best_split_loop(builder: _TreeBuilder,
     return best
 
 
+class NodeLists:
+    """A :class:`~repro.ml.tree.FlatTree`'s structure as Python lists,
+    made once, so a walk reads list items rather than numpy scalars."""
+
+    def __init__(self, flat: FlatTree) -> None:
+        self.feature = flat.feature.tolist()
+        self.threshold = flat.threshold.tolist()
+        self.left = flat.left.tolist()
+        self.right = flat.right.tolist()
+
+
+def decision_path(tree: _FittedTree, sample: np.ndarray) -> List[int]:
+    """Indices of the nodes ``sample`` visits, root to leaf.
+
+    Per-sample oracle for :meth:`_FittedTree.leaf_indices`: its last
+    element is the leaf the batch descent returns for the same row.
+    """
+    nodes = NodeLists(tree.flat)
+    sample = np.asarray(sample, dtype=float).ravel()
+    path = [0]
+    while nodes.feature[path[-1]] != LEAF:
+        index = path[-1]
+        if sample[nodes.feature[index]] <= nodes.threshold[index]:
+            path.append(nodes.left[index])
+        else:
+            path.append(nodes.right[index])
+    return path
+
+
 def predict_value(tree: _FittedTree, features: np.ndarray) -> np.ndarray:
-    """Per-sample oracle: walk the node list one row at a time.
+    """Per-sample oracle: walk the node arrays one row at a time.
 
     Bit-identical to :meth:`_FittedTree.predict_batch`, which replaces it
     on the hot path (oracle pair ``tree-predict``, polaris-lint PL002).
     """
     features = check_features(features)
-    outputs = np.zeros((features.shape[0], tree.nodes[0].value.shape[0]))
+    nodes = NodeLists(tree.flat)
+    outputs = np.zeros((features.shape[0], tree.flat.value.shape[1]))
     for row in range(features.shape[0]):
-        node = tree.nodes[0]
-        while not node.is_leaf:
-            if features[row, node.feature] <= node.threshold:
-                node = tree.nodes[node.left]
+        index = 0
+        while nodes.feature[index] != LEAF:
+            if features[row, nodes.feature[index]] <= nodes.threshold[index]:
+                index = nodes.left[index]
             else:
-                node = tree.nodes[node.right]
-        outputs[row] = node.value
+                index = nodes.right[index]
+        outputs[row] = tree.flat.value[index]
     return outputs

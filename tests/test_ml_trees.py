@@ -1,13 +1,19 @@
 """Tests for the CART decision trees (classifier and regressor)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from oracles.tree import decision_path
 from repro.ml import (
+    AdaBoostClassifier,
     DecisionTreeClassifier,
     DecisionTreeRegressor,
+    GradientBoostingClassifier,
     LEAF,
     NotFittedError,
+    RandomForestClassifier,
 )
 
 
@@ -41,7 +47,8 @@ class TestDecisionTreeClassifier:
         features = rng.normal(size=(100, 3))
         labels = (features[:, 0] > 0).astype(int)
         tree = DecisionTreeClassifier(min_samples_leaf=20).fit(features, labels)
-        leaf_covers = [node.cover for node in tree.tree_.nodes if node.is_leaf]
+        flat = tree.tree_.flat
+        leaf_covers = flat.cover[flat.feature == LEAF]
         assert min(leaf_covers) * 100 >= 20 - 1e-9  # weights are normalised
 
     def test_min_samples_leaf_does_not_discard_feature(self):
@@ -53,15 +60,15 @@ class TestDecisionTreeClassifier:
         features = np.arange(8, dtype=float).reshape(-1, 1)
         labels = np.array([1, 0, 0, 0, 0, 0, 0, 0])
         tree = DecisionTreeClassifier(min_samples_leaf=2).fit(features, labels)
-        assert len(tree.tree_.nodes) == 3
-        assert tree.tree_.nodes[0].threshold == pytest.approx(1.5)
+        assert tree.tree_.n_nodes == 3
+        assert tree.tree_.flat.threshold[0] == pytest.approx(1.5)
 
     def test_pure_node_becomes_leaf(self):
         features = np.array([[0.0], [1.0], [2.0], [3.0]])
         labels = np.array([1, 1, 1, 1])
         tree = DecisionTreeClassifier().fit(features, labels)
-        assert len(tree.tree_.nodes) == 1
-        assert tree.tree_.nodes[0].feature == LEAF
+        assert tree.tree_.n_nodes == 1
+        assert tree.tree_.flat.feature[0] == LEAF
 
     def test_sample_weight_changes_decision(self):
         features = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -94,9 +101,9 @@ class TestDecisionTreeClassifier:
     def test_decision_path_starts_at_root_ends_at_leaf(self, rng):
         features, labels = _xor_dataset(rng)
         tree = DecisionTreeClassifier(max_depth=3).fit(features, labels)
-        path = tree.tree_.decision_path(features[0])
+        path = decision_path(tree.tree_, features[0])
         assert path[0] == 0
-        assert tree.tree_.nodes[path[-1]].is_leaf
+        assert tree.tree_.flat.feature[path[-1]] == LEAF
 
 
 class TestDecisionTreeRegressor:
@@ -142,7 +149,7 @@ def test_adjacent_float_split_keeps_the_threshold_below_upper(model):
     features = np.array([[lower], [lower], [upper], [upper]])
     tree = model().fit(features, np.array([0, 0, 1, 1]))
     assert tree.tree_.n_nodes == 3
-    assert tree.tree_.nodes[0].threshold == lower
+    assert tree.tree_.flat.threshold[0] == lower
     np.testing.assert_array_equal(
         tree.predict(np.array([[lower], [upper]])).ravel(), [0, 1])
 
@@ -184,6 +191,45 @@ def test_infinite_split_keeps_both_sides(model):
     features = np.array([[-np.inf], [-np.inf], [np.inf], [np.inf]])
     tree = model().fit(features, np.array([0, 0, 1, 1]))
     assert tree.tree_.n_nodes == 3
-    assert tree.tree_.nodes[0].threshold == -np.inf
+    assert tree.tree_.flat.threshold[0] == -np.inf
     np.testing.assert_array_equal(
         tree.predict(np.array([[-np.inf], [np.inf]])).ravel(), [0, 1])
+
+
+#: sha256 prefixes of ``feature_importances_.tobytes()`` for the fits in
+#: :func:`test_feature_importances_are_pinned`.
+PINNED_IMPORTANCES = {
+    "tree": "b75df38e35726a2f",
+    "regressor": "86ead44cfb96e9a7",
+    "random_forest": "830f2349d6cba985",
+    "adaboost": "5e03dcd44fcc550a",
+    "gradient_boosting": "f06334554a5a9a87",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_IMPORTANCES))
+def test_feature_importances_are_pinned(family):
+    # The importances sum each split's gain into its feature in node
+    # index order; any reordering of those float additions changes bits.
+    rng = np.random.default_rng(2024)
+    features = rng.normal(size=(160, 6))
+    features[:, 5] = np.round(features[:, 5])
+    labels = (features[:, 0] + 0.5 * features[:, 1] * features[:, 2]
+              + 0.3 * rng.normal(size=160) > 0).astype(int)
+    model, target = {
+        "tree": (DecisionTreeClassifier(max_depth=6, random_state=1), labels),
+        "regressor": (DecisionTreeRegressor(max_depth=5, random_state=1),
+                      features[:, 0] * 2 - features[:, 3]),
+        "random_forest": (RandomForestClassifier(
+            n_estimators=12, max_depth=5, max_features=3, random_state=3),
+            labels),
+        "adaboost": (AdaBoostClassifier(n_estimators=20, learning_rate=0.5,
+                                        max_depth=2, random_state=3), labels),
+        "gradient_boosting": (GradientBoostingClassifier(
+            n_estimators=20, learning_rate=0.1, max_depth=3, random_state=3),
+            labels),
+    }[family]
+    importances = model.fit(features, target).feature_importances_
+    assert np.count_nonzero(importances) >= 2
+    digest = hashlib.sha256(importances.tobytes()).hexdigest()[:16]
+    assert digest == PINNED_IMPORTANCES[family]

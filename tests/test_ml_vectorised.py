@@ -4,12 +4,12 @@ These tests pin the oracle pairs registered in
 ``tools/polaris_lint/contracts.py`` (rule PL002):
 
 - ``tree-predict``: ``FlatTree``-based ``predict_batch`` /
-  ``leaf_indices`` vs the recursive ``predict_value`` / ``decision_path``
-  node walk.
+  ``leaf_indices`` vs the per-row ``predict_value`` / ``decision_path``
+  node walks (``oracles.tree``).
 - ``tree-shap-expectation``: the bottom-up ``expectation_batch`` sweep vs
-  the recursive ``expectation`` oracle.
-- ``tree-shap-explain``: the batched ``explain_matrix`` vs per-sample
-  ``explain``.
+  the recursive ``expectation`` oracle (``oracles.tree_shap``).
+- ``tree-shap-explain``: the batched ``explain_matrix`` vs the per-sample
+  engine ``explain_per_sample`` (``oracles.tree_shap``).
 - ``tree-split``: the presorted all-features ``_best_split`` vs the
   per-feature ``best_split_loop`` (whole fits compared, every family,
   including boosting rounds served from a shared node memo).
@@ -59,7 +59,8 @@ from repro.ml.tree import (
 from repro.xai.tree_shap import TreeShapExplainer, _extract_trees
 
 from oracles.forest import fit_forest_per_tree
-from oracles.tree import best_split_loop, predict_value
+from oracles.tree import best_split_loop, decision_path, predict_value
+from oracles.tree_shap import base_value, expectation, explain_per_sample
 
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -153,7 +154,7 @@ def test_leaf_indices_match_decision_path(seed, n_samples, n_features, depth):
         size=(n_samples, n_features))
     leaves = model.tree_.leaf_indices(queries)
     for index, row in enumerate(queries):
-        assert leaves[index] == model.tree_.decision_path(row)[-1]
+        assert leaves[index] == decision_path(model.tree_, row)[-1]
 
 
 @pytest.mark.parametrize("degenerate", ["single_class", "constant_feature"])
@@ -176,18 +177,21 @@ def test_flat_tree_mirrors_nodes_topologically():
     model = DecisionTreeClassifier(max_depth=4, random_state=0)
     model.fit(features, labels)
     flat = model.tree_.flat
-    nodes = model.tree_.nodes
     assert isinstance(flat, FlatTree)
-    assert flat.n_nodes == len(nodes)
-    for index, node in enumerate(nodes):
-        assert flat.feature[index] == node.feature
-        assert np.array_equal(flat.value[index], node.value)
-        if node.feature != LEAF:
-            # Children always sit at larger indices (topological order);
-            # the vectorised SHAP sweep relies on this.
-            assert node.left > index and node.right > index
-            assert flat.left[index] == node.left
-            assert flat.right[index] == node.right
+    assert not hasattr(model.tree_, "nodes")
+    assert model.tree_.n_nodes == flat.n_nodes > 1
+    for name in FLAT_ARRAYS:
+        assert getattr(flat, name).shape[0] == flat.n_nodes, name
+    split = flat.feature != LEAF
+    index = np.arange(flat.n_nodes)
+    # Children always sit at larger indices (topological order); the
+    # vectorised SHAP sweep relies on this.
+    assert np.all(flat.left[split] > index[split])
+    assert np.all(flat.right[split] > index[split])
+    assert np.all(flat.left[~split] == -1) and np.all(flat.right[~split] == -1)
+    # Every node but the root is the child of exactly one split.
+    children = np.sort(np.concatenate([flat.left[split], flat.right[split]]))
+    assert np.array_equal(children, index[1:])
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +216,7 @@ def test_expectation_batch_matches_expectation(seed, n_samples, n_features,
                                              replace=False))
         batch = tree.expectation_batch(queries, known)
         for index, row in enumerate(queries):
-            assert batch[index] == tree.expectation(row, known)
+            assert batch[index] == expectation(tree, row, known)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +242,8 @@ def test_explain_matrix_matches_explain(family, seed, n_samples, n_features):
     batch = explainer.explain_matrix(queries)
     assert len(batch) == n_samples
     for index, row in enumerate(queries):
-        _assert_explanations_identical(batch[index], explainer.explain(row))
+        _assert_explanations_identical(batch[index],
+                                       explain_per_sample(explainer, row))
 
 
 @SETTINGS
@@ -254,7 +259,8 @@ def test_explain_matrix_matches_explain_sampled_fallback(seed, n_features):
     queries = np.random.default_rng(seed + 1).normal(size=(6, n_features))
     batch = explainer.explain_matrix(queries)
     for index, row in enumerate(queries):
-        _assert_explanations_identical(batch[index], explainer.explain(row))
+        _assert_explanations_identical(batch[index],
+                                       explain_per_sample(explainer, row))
 
 
 def test_explain_matrix_regressor_and_1d_input():
@@ -267,7 +273,26 @@ def test_explain_matrix_regressor_and_1d_input():
     row = rng.normal(size=4)
     batch = explainer.explain_matrix(row)
     assert len(batch) == 1
-    _assert_explanations_identical(batch[0], explainer.explain(row))
+    _assert_explanations_identical(batch[0],
+                                   explain_per_sample(explainer, row))
+
+
+@pytest.mark.parametrize("family", sorted(MODEL_FACTORIES))
+@pytest.mark.parametrize("sampled", [False, True])
+def test_explain_is_one_row_of_explain_matrix(family, sampled):
+    features, labels, _ = _dataset(11, 40, 4)
+    model = MODEL_FACTORIES[family](3).fit(features, labels)
+    options = {"max_exact_features": 1, "n_permutations": 5} if sampled else {}
+    explainer = TreeShapExplainer(model, **options)
+    # The base value adds each tree's root expectation onto the offset in
+    # turn, as the recursive oracle does.
+    assert explainer.base_value == base_value(explainer)
+    for row in features[:4]:
+        explanation = explainer.explain(row)
+        _assert_explanations_identical(
+            explanation, explainer.explain_matrix(row[None])[0])
+        _assert_explanations_identical(
+            explanation, explain_per_sample(explainer, row))
 
 
 def test_explain_matrix_rejects_wrong_width():
@@ -283,7 +308,8 @@ def test_explain_matrix_rejects_wrong_width():
 # Oracle pair tree-split: presorted _best_split vs per-feature
 # best_split_loop
 # ----------------------------------------------------------------------
-FLAT_ARRAYS = ("feature", "threshold", "left", "right", "value", "cover")
+FLAT_ARRAYS = ("feature", "threshold", "left", "right", "value", "cover",
+               "impurity")
 
 SPLIT_FAMILIES = {
     "cart_gini": lambda depth, leaf, max_features, seed: DecisionTreeClassifier(
@@ -748,17 +774,11 @@ def _fit_boosting_per_round(model, *args, **kwargs):
 
 
 def _assert_same_boosting(fast, oracle):
-    """Every ``FlatTree`` array, every node's impurity, cover and value,
+    """Every ``FlatTree`` array (node impurity, cover and value included)
     and ``initial_score_`` bitwise equal."""
     assert _same_bits(np.float64(fast.initial_score_),
                       np.float64(oracle.initial_score_))
     _assert_same_fit(fast, oracle)
-    for fast_tree, oracle_tree in zip(_fitted_trees(fast),
-                                      _fitted_trees(oracle)):
-        for a, b in zip(fast_tree.nodes, oracle_tree.nodes):
-            assert _same_bits(np.float64(a.impurity), np.float64(b.impurity))
-            assert _same_bits(np.float64(a.cover), np.float64(b.cover))
-            assert _same_bits(a.value, b.value)
 
 
 def _weight_cache_hits(model, *args, **kwargs):
@@ -878,8 +898,6 @@ def test_weight_cache_belongs_to_the_presort_weights():
             (other, tree().fit(features, targets, sample_weight=second)),
             (copied, tree().fit(features, targets, sample_weight=copy))):
         _assert_same_fit(fitted, oracle)
-        for a, b in zip(fitted.tree_.nodes, oracle.tree_.nodes):
-            assert _same_bits(np.float64(a.impurity), np.float64(b.impurity))
     # The second vector really grows another tree, from the root on.
     assert not _same_bits(other.tree_.flat.value[:1],
                           cached.tree_.flat.value[:1])

@@ -369,11 +369,7 @@ def _oracle_repo_files(tmp_path):
             "class TreeShapExplainer:\n"
             "    def expectation_batch(self):\n"
             "        pass\n"
-            "    def expectation(self):\n"
-            "        pass\n"
             "    def explain_matrix(self):\n"
-            "        pass\n"
-            "    def explain(self):\n"
             "        pass\n",
         "src/repro/power/ctrsample.py":
             "def philox_raw():\n"
@@ -397,6 +393,11 @@ def _oracle_repo_files(tmp_path):
         "tests/oracles/forest.py":
             "def fit_forest_per_tree():\n"
             "    pass\n",
+        "tests/oracles/tree_shap.py":
+            "def expectation():\n"
+            "    pass\n"
+            "def explain_per_sample():\n"
+            "    pass\n",
         "tests/oracles/ctrsample.py":
             "def philox_blocks_reference():\n"
             "    pass\n",
@@ -411,7 +412,7 @@ _ORACLE_REFERENCES = (
     "# _best_split best_split_loop _fit_lockstep fit_forest_per_tree fit\n"
     "# _fit_fixed_weights\n"
     "# predict_batch predict_value expectation_batch expectation\n"
-    "# explain_matrix explain\n"
+    "# explain_matrix explain_per_sample\n"
     "# philox_raw philox_blocks_reference\n"
     "# popcount16_inplace popcount16\n")
 

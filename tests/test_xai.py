@@ -141,6 +141,27 @@ class TestTreeShap:
         with pytest.raises(TypeError):
             TreeShapExplainer(object())
 
+    @pytest.mark.parametrize("n_permutations", [0, -3])
+    def test_n_permutations_below_one_rejected(self, fitted_tree,
+                                               n_permutations):
+        # Regression: 0 reached explain and raised a bare ZeroDivisionError;
+        # -3 returned all-zero SHAP values, breaking additivity.
+        with pytest.raises(ValueError, match="n_permutations"):
+            TreeShapExplainer(fitted_tree, n_permutations=n_permutations)
+
+    def test_negative_max_exact_features_rejected(self, fitted_tree):
+        with pytest.raises(ValueError, match="max_exact_features"):
+            TreeShapExplainer(fitted_tree, max_exact_features=-1)
+
+    def test_zero_exact_features_samples_every_tree(self, binary_data,
+                                                    fitted_tree):
+        features, _ = binary_data
+        explainer = TreeShapExplainer(fitted_tree, max_exact_features=0,
+                                      n_permutations=1, seed=2)
+        explanation = explainer.explain(features[0])
+        assert explanation.additivity_gap < 1e-8
+        assert np.any(explanation.shap_values != 0.0)
+
 
 class TestExplanationObjects:
     def _explanation(self):

@@ -96,10 +96,12 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
                oracle_module="tests/oracles/tree.py"),
     # PR 7: bottom-up batched conditional expectation vs the recursive walk.
     OraclePair("tree-shap-expectation", "src/repro/xai/tree_shap.py",
-               "expectation_batch", "expectation"),
-    # PR 7: batched SHAP matrix vs the per-sample explainer.
+               "expectation_batch", "expectation",
+               oracle_module="tests/oracles/tree_shap.py"),
+    # PR 7: batched SHAP matrix vs the per-sample engine.
     OraclePair("tree-shap-explain", "src/repro/xai/tree_shap.py",
-               "explain_matrix", "explain"),
+               "explain_matrix", "explain_per_sample",
+               oracle_module="tests/oracles/tree_shap.py"),
     # Presorted all-features CART split search vs the per-feature
     # argsort-and-scan loop.
     OraclePair("tree-split", "src/repro/ml/tree.py",

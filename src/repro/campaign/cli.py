@@ -123,10 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     work.add_argument("--max-idle", type=float, default=None,
                       help="exit after this many seconds without claiming "
                            "a task (CI cutoff for daemon workers)")
-    work.add_argument("--no-renew", action="store_true",
-                      help="disable half-lease heartbeat renewal "
-                           "(simulates pre-renewal workers; leases must "
-                           "then outlast one shard)")
     work.add_argument("--fault-plan", default=None, metavar="PLAN",
                       help="deterministic fault-injection plan for this "
                            "worker process (grammar in "
@@ -318,8 +314,7 @@ def _work(args: argparse.Namespace) -> int:
                           drain=args.drain,
                           forever=args.forever,
                           max_poll_interval=args.max_poll_interval,
-                          max_idle=args.max_idle,
-                          renew_leases=not args.no_renew)
+                          max_idle=args.max_idle)
     print(f"worker exit: {executed} task(s) executed")
     return 0
 

@@ -19,8 +19,8 @@ Queue protocol (also documented in ``docs/campaigns.md``):
   ``leased`` with an **expired** lease (the worker died mid-shard); each
   claim increments the attempt counter and mints a fresh lease token.
 * ``renew`` extends the current lease — the worker heartbeat.  A live
-  worker whose task outlasts its lease keeps renewing (by default
-  :func:`run_worker` renews at half-lease intervals while executing), so
+  worker whose task outlasts its lease keeps renewing
+  (:func:`run_worker` renews at half-lease intervals while executing), so
   an expired lease really does mean "the worker died or froze": a
   SIGSTOPped or crashed worker stops renewing, its lease lapses, and the
   task is redelivered.  Renewal is token-checked exactly like ``ack``, so
@@ -189,7 +189,7 @@ class TaskQueue:
         default_lease_seconds: Lease length handed out by :meth:`claim`
             when the caller does not override it.  Leases do **not** need
             to exceed one task's compute time: a live worker renews its
-            lease at half-lease intervals (:meth:`renew`, on by default in
+            lease at half-lease intervals (:meth:`renew`, called by
             :func:`run_worker`), so the lease only has to outlast one
             renewal gap.  Short leases mean dead workers are detected —
             and their shards redelivered — quickly.
@@ -525,8 +525,7 @@ def run_worker(queue: TaskQueue,
                stop_event: Optional[threading.Event] = None,
                forever: bool = False,
                max_poll_interval: float = 5.0,
-               max_idle: Optional[float] = None,
-               renew_leases: bool = True) -> int:
+               max_idle: Optional[float] = None) -> int:
     """Claim/execute/ack tasks until stopped; returns the executed count.
 
     Args:
@@ -555,12 +554,11 @@ def run_worker(queue: TaskQueue,
             (measured from startup or the last claim).  The CI-friendly
             cutoff for daemon workers: ``forever=True, max_idle=60`` keeps
             serving bursts but cannot outlive its pipeline job.
-        renew_leases: Heartbeat while executing (default on): a daemon
-            thread renews the claimed lease at half-lease intervals, so
-            leases no longer need to exceed one task's compute time — an
-            expired lease means the worker died or froze, not that the
-            shard was slow.  Disable only to *simulate* pre-renewal
-            workers in tests.
+
+    While a task executes, a daemon thread renews its lease at half-lease
+    intervals, so leases need not exceed one task's compute time: an
+    expired lease means the worker died or froze, not that the shard was
+    slow.
 
     Neither a raising task (reported via :meth:`TaskQueue.fail` and
     retried until its attempt budget runs out) nor transient queue I/O
@@ -612,24 +610,20 @@ def run_worker(queue: TaskQueue,
             continue
         sleep_for = poll_interval
         last_claim = time.monotonic()
-        renewer = None
-        if renew_leases:
-            lease = (queue.default_lease_seconds if lease_seconds is None
-                     else float(lease_seconds))
-            renewer = _LeaseRenewer(queue, task.task_id, task.lease_token,
-                                    lease).start()
+        lease = (queue.default_lease_seconds if lease_seconds is None
+                 else float(lease_seconds))
+        renewer = _LeaseRenewer(queue, task.task_id, task.lease_token,
+                                lease).start()
         try:
             fn, args, kwargs = pickle.loads(task.payload)
             result = fn(*args, **kwargs)
             payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            if renewer is not None:
-                renewer.stop()
+            renewer.stop()
             _report_outcome(queue.fail, task.task_id, task.lease_token,
                             traceback.format_exc())
         else:
-            if renewer is not None:
-                renewer.stop()
+            renewer.stop()
             _report_outcome(queue.ack, task.task_id, task.lease_token,
                             payload)
         executed += 1

@@ -53,9 +53,10 @@ from ..tvla.assessment import (
     LeakageAssessment,
     TvlaConfig,
     campaign_schedule,
+    fold_trace_range,
+    merge_shard_partials,
     resolve_generator,
 )
-from ..tvla.sharding import _shard_moments, merge_shard_partials
 from .queue import PutOutcome, TaskQueue
 from .serialize import pack_shard_moments, unpack_shard_moments
 from .spec import CampaignSpec
@@ -162,23 +163,29 @@ def _enqueue_shard(queue: TaskQueue, paths: CampaignPaths,
                      requeue_done=True)
 
 
-def requeue_stale_shard(queue: TaskQueue, paths: CampaignPaths,
-                        shard_index: int) -> bool:
-    """Requeue a shard whose task is ``done`` but whose checkpoint is gone
-    (mutates ``queue``); returns whether it did.
+def settle_missing_shard(queue: TaskQueue, paths: CampaignPaths,
+                         shard_index: int) -> Optional[str]:
+    """Act on the queue row of a shard that has no verified checkpoint
+    (mutates ``queue``); returns the error of a terminally failed task.
 
-    A worker publishes its checkpoint before it acks, so a ``done`` row
-    without a checkpoint file is a stale completion record.  The race that
-    leaves one: a reader quarantines a corrupt publish while the task is
-    still leased — :func:`verified_checkpoint`'s requeue is then a no-op —
-    and the worker's ack marks the task done.
+    Reads the row once.  A worker publishes its checkpoint before it acks,
+    so a ``done`` row without a checkpoint file is a stale completion
+    record and is requeued: the file was quarantined (by any participant,
+    possibly while the task was still leased, so that
+    :func:`verified_checkpoint`'s requeue was a no-op) or the task was
+    acked without one.  A ``failed`` row returns its error (the worker's
+    traceback); pending and leased rows are left alone.  ``collect_result``
+    and the service monitor both call this for every missing shard.
     """
     outcome = queue.outcome_by_key(paths.shard_key(shard_index))
-    if outcome is None or outcome[0] != "done" \
-            or paths.shard_path(shard_index).exists():
-        return False
-    _enqueue_shard(queue, paths, shard_index)
-    return True
+    if outcome is None:
+        return None
+    status, _, error = outcome
+    if status == "failed":
+        return error or ""
+    if status == "done" and not paths.shard_path(shard_index).exists():
+        _enqueue_shard(queue, paths, shard_index)
+    return None
 
 
 def load_spec(root: Union[str, Path], spec_hash: str) -> CampaignSpec:
@@ -435,8 +442,10 @@ def run_shard_task(root: str, spec_hash: str,
             f"{spec_hash[:12]}… with {len(ranges)} shard(s)")
     start, stop = ranges[shard_index]
     started = time.perf_counter()
-    partials = _shard_moments(context.generator, context.campaigns,
-                              context.spec.tvla, start, stop)
+    # Inline on this worker thread: the campaign's parallelism is its
+    # workers, and a chunk pool per shard measured slower and larger.
+    partials = fold_trace_range(context.generator, context.campaigns,
+                                context.spec.tvla, start, stop)
     packed = pack_shard_moments(partials)
     # Durable all-or-nothing publish (fsync before rename); duplicate
     # deliveries racing here each use a private temp file and produce
@@ -592,13 +601,11 @@ def collect_result(root: Union[str, Path], spec_hash: str,
                 break
             failed, failure = [], None
             for shard_index in missing:
-                outcome = queue.outcome_by_key(paths.shard_key(shard_index))
-                if outcome is not None and outcome[0] == "failed":
+                error = settle_missing_shard(queue, paths, shard_index)
+                if error is not None:
                     failed.append(shard_index)
                     if failure is None:
-                        failure = (shard_index, outcome[2])
-                elif outcome is not None and outcome[0] == "done":
-                    requeue_stale_shard(queue, paths, shard_index)
+                        failure = (shard_index, error)
             if failed:
                 if allow_partial and len(failed) == len(missing) and verified:
                     # Every outstanding shard is terminally dead: degrade.

@@ -3,7 +3,7 @@
 Two wire formats live here:
 
 * **Shard partials** — a shard's
-  :data:`~repro.tvla.sharding.ShardChunkMoments` packed as ``SHM2``:
+  :data:`~repro.tvla.assessment.ShardChunkMoments` packed as ``SHM2``:
   length-prefixed :meth:`OnePassMoments.to_bytes` blobs, per class and
   group a **list** of per-chunk accumulators, kept unmerged so the
   campaign merge can left-fold them in global chunk order.  This is the
@@ -24,9 +24,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..tvla.assessment import LeakageAssessment
+from ..tvla.assessment import LeakageAssessment, ShardChunkMoments
 from ..tvla.moments import OnePassMoments
-from ..tvla.sharding import ShardChunkMoments
 
 #: Magic + version prefix of the packed shard-partial format (unmerged
 #: per-chunk accumulator lists per class and group).

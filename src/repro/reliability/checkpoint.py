@@ -8,9 +8,9 @@ corruption is *detected* at read time and handled by policy: the file is
 renamed aside (``.corrupt``) and the shard requeued, never silently
 merged and never fatal.
 
-Unsealed files whose payload starts with the shard-moments magic
-(``SHM2``) are still accepted, so checkpoints written before sealing
-existed remain readable mid-campaign.
+Only sealed checkpoints load.  A file without a valid trailer — foreign
+bytes, a truncated seal, or a payload whose trailer was stripped and which
+may then have been edited — is corrupt and is recomputed.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from typing import Union
 TRAILER_MAGIC = b"SHSEAL\x01\n"
 _DIGEST_LEN = 32
 _TRAILER_LEN = len(TRAILER_MAGIC) + _DIGEST_LEN
-
-#: Payload magic of the packed shard-moments format — the
-#: legacy-acceptance allowlist for unsealed checkpoints.
-_PAYLOAD_MAGIC = b"SHM2"
 
 
 class CheckpointCorruptError(ValueError):
@@ -43,10 +39,8 @@ def seal_checkpoint(payload: bytes) -> bytes:
 def unseal_checkpoint(data: bytes) -> bytes:
     """Verify a checkpoint file's bytes and return the packed payload.
 
-    Raises :class:`CheckpointCorruptError` on digest mismatch or
-    unrecognised bytes.  A truncated *sealed* file loses its trailer and
-    is caught either here (foreign bytes) or downstream when the payload
-    itself fails to unpack — callers treat both as corruption.
+    Raises :class:`CheckpointCorruptError` on digest mismatch or a
+    missing trailer (unsealed or truncated bytes).
     """
     if len(data) >= _TRAILER_LEN \
             and data[-_TRAILER_LEN:-_DIGEST_LEN] == TRAILER_MAGIC:
@@ -56,11 +50,9 @@ def unseal_checkpoint(data: bytes) -> bytes:
                 "checkpoint digest mismatch: file was truncated or "
                 "tampered with after sealing")
         return payload
-    if data.startswith(_PAYLOAD_MAGIC):
-        return data  # legacy pre-seal checkpoint
     raise CheckpointCorruptError(
-        "checkpoint carries neither a valid seal trailer nor a known "
-        "shard-moments magic")
+        "checkpoint carries no seal trailer: it is unsealed, truncated or "
+        "foreign bytes")
 
 
 def load_checkpoint(path: Union[str, Path]) -> bytes:

@@ -17,7 +17,7 @@ replacing any of it:
   that progress arrives up to one ``monitor_interval`` after a
   checkpoint lands.  Worker liveness is the queue's business: lease rows
   carry ``heartbeat_at`` / ``renewals`` and fence dead workers;
-* folding is delegated to :func:`repro.tvla.sharding.merge_shard_partials`
+* folding is delegated to :func:`repro.tvla.assessment.merge_shard_partials`
   over the present shards in shard-index order — the global-chunk-order
   association that makes the counter sampler's results bitwise
   independent of shard layout — so the progress frame emitted after the
@@ -40,7 +40,7 @@ import contextlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from ..campaign.queue import TaskQueue
 from ..campaign.runner import (
@@ -48,14 +48,13 @@ from ..campaign.runner import (
     campaign_gate_names,
     campaign_store,
     load_spec,
-    requeue_stale_shard,
+    settle_missing_shard,
     submit_campaign,
     verified_checkpoint,
 )
 from ..campaign.serialize import assessment_to_dict, encode_array
 from ..campaign.spec import CampaignSpec
-from ..tvla.assessment import LeakageAssessment
-from ..tvla.sharding import merge_shard_partials
+from ..tvla.assessment import LeakageAssessment, merge_shard_partials
 from .protocol import (
     FRAME_LIMIT,
     CampaignAccepted,
@@ -82,9 +81,6 @@ class _Campaign:
     spec: CampaignSpec
     paths: CampaignPaths
     partials: Dict[int, object] = field(default_factory=dict)
-    #: Missing shards whose checkpoint a scan found corrupt (see
-    #: ``_scan_shard``).
-    quarantined: Set[int] = field(default_factory=set)
     watchers: Set["_Connection"] = field(default_factory=set)
     fold_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     complete: bool = False
@@ -356,8 +352,10 @@ class AssessmentService:
             self._campaigns[key] = campaign
         return campaign
 
-    async def _absorb_disk_partials(self, campaign: _Campaign) -> None:
-        """Fold the shard checkpoints that reached disk since the last scan.
+    async def _absorb_disk_partials(self, campaign: _Campaign
+                                    ) -> Tuple[int, ...]:
+        """Fold the shard checkpoints that reached disk since the last scan;
+        returns the missing shards whose task terminally failed.
 
         This is the server's only input for shard results.  Disk reads go
         through :func:`verified_checkpoint`: a corrupt checkpoint (torn
@@ -366,35 +364,35 @@ class AssessmentService:
         campaign heals by recomputation.
         """
         if campaign.complete:
-            return
+            return ()
+        failed = []
         for shard_index in range(campaign.n_shards):
             if shard_index in campaign.partials:
                 continue
-            partials = await asyncio.to_thread(self._scan_shard, campaign,
-                                               shard_index)
+            partials, error = await asyncio.to_thread(
+                self._scan_shard, campaign, shard_index)
             if partials is not None:
                 await self._fold_partial(campaign, shard_index, partials)
+            elif error is not None:
+                failed.append(shard_index)
+        return tuple(failed)
 
-    def _scan_shard(self, campaign: _Campaign,
-                    shard_index: int) -> Optional[tuple]:
-        """One shard's verified partials, or None (blocking).
+    def _scan_shard(self, campaign: _Campaign, shard_index: int
+                    ) -> Tuple[Optional[tuple], Optional[str]]:
+        """One shard's ``(verified partials, None)``, or ``(None, error)``
+        with the error of a terminally failed task (blocking).
 
-        A shard once found corrupt is also checked for a stale ``done``
-        row (:func:`requeue_stale_shard`): the scan may have quarantined
-        the publish while its task was still leased, and the ack that
-        followed would otherwise leave the shard done and never rerun.
+        A shard without a verified checkpoint goes through
+        :func:`settle_missing_shard`, as in ``collect_result``: a stale
+        ``done`` row — its checkpoint quarantined by any participant, or
+        acked without one — is requeued instead of leaving the shard done
+        and never rerun.
         """
         paths = campaign.paths
-        if shard_index in campaign.quarantined:
-            requeue_stale_shard(self.queue, paths, shard_index)
-        existed = paths.shard_path(shard_index).exists()
         found = verified_checkpoint(paths, shard_index, queue=self.queue)
-        if found is None:
-            if existed:
-                campaign.quarantined.add(shard_index)
-            return None
-        campaign.quarantined.discard(shard_index)
-        return found[1]
+        if found is not None:
+            return found[1], None
+        return None, settle_missing_shard(self.queue, paths, shard_index)
 
     async def _fold_partial(self, campaign: _Campaign, shard_index: int,
                             partials: tuple) -> None:
@@ -510,20 +508,17 @@ class AssessmentService:
                 if campaign.complete:
                     continue
                 try:
-                    await self._absorb_disk_partials(campaign)
-                    await self._report_failures(campaign)
+                    failed_shards = await self._absorb_disk_partials(campaign)
+                    await self._report_failures(campaign, failed_shards)
                 except asyncio.CancelledError:
                     raise
                 except Exception:  # noqa: BLE001 — monitor must survive
                     continue
 
-    async def _report_failures(self, campaign: _Campaign) -> None:
+    async def _report_failures(self, campaign: _Campaign,
+                               failed_shards: Tuple[int, ...]) -> None:
         if not campaign.watchers:
             return
-        unfolded = [shard_index for shard_index in range(campaign.n_shards)
-                    if shard_index not in campaign.partials]
-        failed_shards = await asyncio.to_thread(
-            self._failed_shards, campaign.paths, unfolded)
         failures = {}
         for shard_index in failed_shards:
             error = campaign.failures.get(shard_index)
@@ -546,21 +541,6 @@ class AssessmentService:
                 len(campaign.partials) + len(failed_shards) \
                 >= campaign.n_shards:
             await self._finalise_partial(campaign, failed_shards)
-
-    def _failed_shards(self, paths: CampaignPaths,
-                       shard_indices: List[int]) -> Tuple[int, ...]:
-        """The shards among ``shard_indices`` whose task exhausted its
-        retries (blocking).
-
-        Only the queue is read: the server already holds the spec, and the
-        monitor's scan has just folded every verified checkpoint.
-        """
-        failed = []
-        for shard_index in shard_indices:
-            outcome = self.queue.outcome_by_key(paths.shard_key(shard_index))
-            if outcome is not None and outcome[0] == "failed":
-                failed.append(shard_index)
-        return tuple(failed)
 
     async def _finalise_partial(self, campaign: _Campaign,
                                 failed_shards: Tuple[int, ...]) -> None:

@@ -17,8 +17,9 @@ from .assessment import (
     assess_leakage,
     campaign_schedule,
     compare_assessments,
+    merge_shard_partials,
 )
-from .sharding import merge_shard_partials, shard_trace_ranges
+from .sharding import shard_trace_ranges
 
 __all__ = [
     "OnePassMoments",

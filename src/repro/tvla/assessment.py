@@ -13,19 +13,24 @@ acquisition-time moment computation after Schneider & Moradi — so memory
 stays ``O(chunk_traces × n_gates)`` regardless of the trace count.  Every
 assessment takes this one fold; the classic two-pass Welch test
 (:func:`~repro.tvla.welch.welch_t_test` on stacked chunks) is the oracle
-tests compare it with.  A campaign's ``(class, group, chunk)`` triples are
-independent tasks: they run on every available CPU (inline when there is
-one) and each group's per-chunk accumulators are left-folded in global
-chunk order, so t-values do not depend on the worker count.
+tests compare it with.
+
+There is one fold path.  :func:`fold_trace_range` enumerates the ``(class,
+group, chunk)`` tasks of a trace range and folds each chunk into a fresh
+accumulator; :func:`merge_shard_partials` left-folds those per-chunk
+accumulators in global chunk order.  :func:`assess_leakage` folds
+``[0, n_traces)`` on every available CPU (inline when there is one) and
+merges it as a one-shard campaign; a durable campaign shard
+(:mod:`repro.campaign.runner`) folds its chunk-aligned range inline on its
+worker thread, and the collector merges all shards.
 
 Every chunk's mask/noise randomness is read off Philox counter blocks
 addressed by its ``(seed, class, group, chunk)`` coordinates
 (:mod:`repro.power.ctrsample`), so for a given ``TvlaConfig.seed`` and
-``chunk_traces`` the generated traces — and therefore the t-values — are
-identical no matter how the campaign is chunked across workers.  That is
-the property :mod:`repro.tvla.sharding` builds on to fold shards on the
-campaign queue's workers and merge the partial accumulators
-bitwise-exactly.
+``chunk_traces`` the generated traces — and therefore the t-values — do
+not depend on the worker count or on the shard layout
+(:func:`repro.tvla.sharding.shard_trace_ranges`): every layout merges
+bitwise-exactly to the serial assessment.
 
 With ``TvlaConfig.tvla_order > 1`` the driver additionally evaluates the
 higher-order (centered-variance / standardised-skewness) t-tests from the
@@ -69,6 +74,13 @@ CampaignPair = Tuple[TraceCampaign, TraceCampaign]
 SUPPORTED_TVLA_ORDERS = (1, 2, 3)
 
 _T = TypeVar("_T")
+
+#: One trace range's partials: per fixed class, a (group0, group1) pair of
+#: **per-chunk accumulator lists** in chunk order, returned unmerged so
+#: :func:`merge_shard_partials` can left-fold all chunks of a campaign in
+#: global chunk order (the association that makes t-values independent of
+#: the shard layout).
+ShardChunkMoments = List[Tuple[List[OnePassMoments], List[OnePassMoments]]]
 
 
 @dataclass(frozen=True)
@@ -317,7 +329,7 @@ def campaign_schedule(netlist: Netlist,
 
 
 # ----------------------------------------------------------------------
-# Per-chunk accumulation (shared with repro.tvla.sharding)
+# The chunk fold and its merge (shared with repro.campaign.runner)
 # ----------------------------------------------------------------------
 def _fold_chunk(generator: PowerTraceGenerator, campaign: TraceCampaign,
                 config: TvlaConfig, stream: CounterStream, chunk_index: int,
@@ -342,46 +354,6 @@ def _fold_chunk(generator: PowerTraceGenerator, campaign: TraceCampaign,
     return accumulator
 
 
-def accumulate_campaign_chunks(
-    generator: PowerTraceGenerator,
-    pair: CampaignPair,
-    config: TvlaConfig,
-    class_index: int,
-    first_chunk: int = 0,
-) -> Tuple[List[OnePassMoments], List[OnePassMoments]]:
-    """Fold one class's (sliced) campaign pair into per-chunk accumulators.
-
-    Every chunk gets its **own** fresh accumulator (:func:`_fold_chunk`).
-    Shards return these unmerged so the merge step can left-fold all
-    chunks in global chunk order — the exact association of the serial
-    run — which is what makes sharded t-values bitwise equal to serial
-    ones.
-
-    Args:
-        generator: Trace generator of the assessed netlist.
-        pair: The class's ``(group0, group1)`` campaigns — either the full
-            campaigns or a chunk-aligned shard slice of both.
-        config: Campaign configuration (defines chunk size and seed).
-        class_index: Index of the fixed class (selects the counter stream).
-        first_chunk: Global index of the slice's first chunk; shards pass
-            their offset so every chunk reads the counter blocks it reads
-            in the serial run.
-
-    Returns:
-        ``(chunks0, chunks1)`` — one accumulator per chunk per group, in
-        local chunk order.
-    """
-    per_chunk: Tuple[List[OnePassMoments], List[OnePassMoments]] = ([], [])
-    for group_index, campaign in enumerate(pair):
-        stream = CounterStream(config.seed, class_index, group_index)
-        n_local = (campaign.n_traces + config.chunk_traces - 1) // config.chunk_traces
-        per_chunk[group_index].extend(
-            _fold_chunk(generator, campaign, config, stream, index,
-                        first_chunk)
-            for index in range(n_local))
-    return per_chunk
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on: the worker count of the chunk driver."""
     try:
@@ -390,15 +362,16 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> List[_T]:
-    """Run ``tasks`` on every available CPU; results come in task order.
+def _run_tasks(tasks: Sequence[Callable[[], _T]], workers: int) -> List[_T]:
+    """Run ``tasks`` on up to ``workers`` threads; results come in task
+    order.
 
-    With one CPU (or one task) the tasks run inline and no pool is
+    With one worker (or one task) the tasks run inline and no pool is
     created.  Otherwise a per-call thread pool runs them; if one raises,
     the queued tasks are cancelled and the running ones drained before the
     exception propagates, so no pool thread outlives the call.
     """
-    workers = min(_cpu_count(), len(tasks))
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [task() for task in tasks]
     with ThreadPoolExecutor(max_workers=workers,
@@ -411,34 +384,38 @@ def _run_tasks(tasks: Sequence[Callable[[], _T]]) -> List[_T]:
             raise
 
 
-def _streamed_class_results(generator: PowerTraceGenerator,
-                            campaigns: Sequence[CampaignPair],
-                            config: TvlaConfig) -> List[Dict[int, WelchResult]]:
-    """Per-class Welch results of a streaming campaign.
+def fold_trace_range(generator: PowerTraceGenerator,
+                     campaigns: Sequence[CampaignPair], config: TvlaConfig,
+                     start: int, stop: int,
+                     workers: int = 1) -> ShardChunkMoments:
+    """Fold traces ``[start, stop)`` of every class into per-chunk
+    accumulators.
 
-    Every ``(class, group, chunk)`` is one task (:func:`_run_tasks` spreads
-    them over the CPUs); each task folds its chunk into a fresh
-    accumulator.  Each ``(class, group)`` stream is then left-folded in
-    global chunk order by :func:`~repro.tvla.moments.fold_moments` — the
-    association of the tests' running-fold oracle
-    (``accumulate_campaign_slice``) and of
-    :func:`repro.tvla.sharding.merge_shard_partials` — so t-values are
-    bitwise equal to both, whatever the worker count.
+    The one enumerator of a campaign's chunk tasks: every ``(class, group,
+    chunk)`` of the range is one :func:`_fold_chunk` call, and
+    :func:`_run_tasks` runs them on ``workers`` threads (inline for one).
+    :func:`assess_leakage` folds ``[0, n_traces)`` on every CPU; a campaign
+    shard (:func:`repro.campaign.runner.run_shard_task`) folds its
+    chunk-aligned range inline on its worker thread.  Either way the
+    partials go to :func:`merge_shard_partials`.
+
+    ``start`` must be a multiple of ``config.chunk_traces``, so every chunk
+    reads the counter blocks of its global chunk index.
     """
-    n_chunks = config.n_chunks()
+    first_chunk = start // config.chunk_traces
+    n_local = -(-(stop - start) // config.chunk_traces)
     tasks = [
-        partial(_fold_chunk, generator, campaign, config,
+        partial(_fold_chunk, generator, campaign.slice(start, stop), config,
                 CounterStream(config.seed, class_index, group_index),
-                chunk_index)
+                chunk_index, first_chunk)
         for class_index, pair in enumerate(campaigns)
         for group_index, campaign in enumerate(pair)
-        for chunk_index in range(n_chunks)
+        for chunk_index in range(n_local)
     ]
-    chunks = _run_tasks(tasks)
-    folded = [fold_moments(chunks[start:start + n_chunks])
-              for start in range(0, len(chunks), n_chunks)]
-    return [results_from_accumulators(acc0, acc1, config)
-            for acc0, acc1 in zip(folded[0::2], folded[1::2])]
+    chunks = _run_tasks(tasks, workers)
+    groups = [chunks[index:index + n_local]
+              for index in range(0, len(chunks), n_local)]
+    return list(zip(groups[0::2], groups[1::2]))
 
 
 def results_from_accumulators(acc0: OnePassMoments, acc1: OnePassMoments,
@@ -462,8 +439,8 @@ def aggregate_class_results(
 
     For every order the reported per-gate statistic is the worst-case
     (largest |t|) class; the order-1 mean |t| across classes additionally
-    feeds the normalised leakage value.  Shared by the serial driver and
-    :mod:`repro.tvla.sharding`, so both produce identical aggregation.
+    feeds the normalised leakage value.  The last step of
+    :func:`merge_shard_partials`.
     """
     worst_t: Dict[int, np.ndarray] = {}
     worst_dof: Optional[np.ndarray] = None
@@ -500,6 +477,45 @@ def aggregate_class_results(
                         if order > 1},
         n_shards=n_shards,
     )
+
+
+def merge_shard_partials(shard_results: Sequence[ShardChunkMoments],
+                         config: TvlaConfig, design_name: str,
+                         gate_names: Tuple[str, ...], elapsed_seconds: float,
+                         n_shards: int) -> LeakageAssessment:
+    """Merge per-shard accumulator sets into one design's assessment.
+
+    The single merge of every assessment: :func:`assess_leakage` merges its
+    one range, the durable runner (:mod:`repro.campaign.runner`) and the
+    service's interim fold merge the shards present.  Shard ranges are
+    contiguous and ascending, so concatenating the per-chunk accumulators
+    in shard order lists every chunk in global chunk order, and the
+    left-fold below (:func:`~repro.tvla.moments.fold_moments`) associates
+    them the same way whatever the shard layout — so the merged
+    accumulator, and every t-value, is **bitwise equal** to the serial
+    run's.  The per-class Welch results are then aggregated by
+    :func:`aggregate_class_results`.
+
+    Args:
+        shard_results: Each shard's partials, in shard order (a subset of
+            the shards folds the chunks those shards cover).
+        config: The campaign configuration.
+        design_name: Recorded as :attr:`LeakageAssessment.design_name`.
+        gate_names: Column order of the partials' accumulators.
+        elapsed_seconds: Recorded as the assessment's wall-clock time.
+        n_shards: Shards in the campaign's layout (recorded).
+    """
+    n_classes = len(shard_results[0])
+    class_results = []
+    for class_index in range(n_classes):
+        streams: Tuple[List[OnePassMoments], List[OnePassMoments]] = ([], [])
+        for partials in shard_results:
+            for stream, part in zip(streams, partials[class_index]):
+                stream.extend(part)
+        class_results.append(results_from_accumulators(
+            fold_moments(streams[0]), fold_moments(streams[1]), config))
+    return aggregate_class_results(class_results, design_name, gate_names,
+                                   config, elapsed_seconds, n_shards=n_shards)
 
 
 def validate_campaigns(netlist: Netlist, config: TvlaConfig,
@@ -574,10 +590,12 @@ def assess_leakage(netlist: Netlist,
     else:
         validate_campaigns(netlist, config, campaigns)
     generator = resolve_generator(netlist, config, generator)
-    class_results = _streamed_class_results(generator, campaigns, config)
-    elapsed = time.perf_counter() - start
-    return aggregate_class_results(class_results, netlist.name,
-                                   generator.gate_names, config, elapsed)
+    partials = fold_trace_range(generator, campaigns, config, 0,
+                                config.n_traces, workers=_cpu_count())
+    assessment = merge_shard_partials([partials], config, netlist.name,
+                                      generator.gate_names, 0.0, n_shards=1)
+    assessment.elapsed_seconds = time.perf_counter() - start
+    return assessment
 
 
 def compare_assessments(before: LeakageAssessment,

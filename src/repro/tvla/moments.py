@@ -121,8 +121,7 @@ class OnePassMoments:
 
         Accumulators configured for ``max_order == 2`` (first-order TVLA
         campaigns) never build odd-order central sums: the batch reduction
-        stops at the squared deviations and the merge dispatches to the
-        specialised :meth:`_combine_order2` Chan update.
+        stops at the squared deviations.
         """
         samples = np.asarray(samples)
         if samples.ndim < 1 or samples.shape[1:] != self.shape:
@@ -209,6 +208,7 @@ class OnePassMoments:
 
         with ``d = mean_B - mean_A``; at p = 2, 3, 4 this reduces to the
         familiar Chan et al. merge used by streaming variance computations.
+        Every order, 2 included, takes this one loop.
         """
         n_a = self.count
         if n_b == 0:
@@ -219,23 +219,6 @@ class OnePassMoments:
             self._mean = np.array(mean_b, dtype=float)
             self._sums = [np.array(s, dtype=float) for s in sums_b]
             return
-        if self.max_order == 2:
-            # Specialised order-2 path (the order-1 TVLA hot path, and the
-            # bulk of every cognition campaign): no odd-order central sums
-            # exist, so the general Pébay machinery (per-order list builds,
-            # binomial coefficients, power chains) collapses to the classic
-            # Chan et al. variance merge.  The arithmetic mirrors
-            # :meth:`_combine_general` at p = 2 operation for operation, so
-            # both paths are bit-identical (pinned by
-            # tests/test_campaign.py).
-            self._combine_order2(n_a, n_b, n, mean_b, sums_b[0])
-            return
-        self._combine_general(n_a, n_b, n, mean_b, sums_b)
-
-    def _combine_general(self, n_a: int, n_b: int, n: int,
-                         mean_b: np.ndarray,
-                         sums_b: Sequence[np.ndarray]) -> None:
-        """Arbitrary-order Pébay merge (the general path of :meth:`_combine`)."""
         delta = mean_b - self._mean
         sums_a = self._sums
         step_a = -n_b * delta / n
@@ -253,26 +236,6 @@ class OnePassMoments:
                                           - (-1.0 / n_a) ** (p - 1))
             new_sums.append(value)
         self._sums = new_sums
-        self._mean = self._mean + delta * (n_b / n)
-        self.count = n
-
-    def _combine_order2(self, n_a: int, n_b: int, n: int,
-                        mean_b: np.ndarray, m2_b: np.ndarray) -> None:
-        """Order-2-only merge: the Chan et al. update, nothing else.
-
-        Closes the ROADMAP follow-up on skipping odd-order central sums:
-        the *exact* pairwise merge of an order-``p`` central sum needs the
-        order-``p - 1`` (odd) sums of both parts, so accumulators tracking
-        order 4 or 6 cannot soundly drop their odd orders — but the
-        campaigns that only need order 2 (first-order TVLA, i.e. the
-        default everywhere) never allocate or touch them at all on this
-        path.  Expressions match the general loop at ``p = 2`` exactly
-        (``cross ** 2 * (1/n_b - (-1/n_a))``) so results are bit-identical.
-        """
-        delta = mean_b - self._mean
-        cross = n_a * n_b * delta / n
-        self._sums[0] = (self._sums[0] + m2_b
-                         + cross ** 2 * (1.0 / n_b - (-1.0 / n_a)))
         self._mean = self._mean + delta * (n_b / n)
         self.count = n
 

@@ -1,14 +1,14 @@
-"""Chunk-aligned shards of a TVLA campaign and their exact merge.
+"""Chunk-aligned shards of a TVLA campaign.
 
-:func:`repro.tvla.assessment.assess_leakage` streams chunked traces into
-:class:`~repro.tvla.moments.OnePassMoments` accumulators that merge
-losslessly.  The durable campaign runner (:mod:`repro.campaign.runner`)
-builds on that: a campaign's trace range is split into **chunk-aligned
-shards** (:func:`shard_trace_ranges`), each worker folds one shard's
-chunks into per-chunk accumulators (:func:`_shard_moments`) and seals
-them in a checkpoint, and the partials are merged back into the final
-Welch verdict for all configured TVLA orders
-(:func:`merge_shard_partials`).
+The durable campaign runner (:mod:`repro.campaign.runner`) splits a
+campaign's trace range into **chunk-aligned shards**
+(:func:`shard_trace_ranges`).  Each worker folds one shard's range into
+per-chunk accumulators with
+:func:`~repro.tvla.assessment.fold_trace_range` and seals them in a
+checkpoint; the collector merges the partials with
+:func:`~repro.tvla.assessment.merge_shard_partials` (re-exported here).
+Both are the functions :func:`~repro.tvla.assessment.assess_leakage`
+runs, which is a one-shard campaign.
 
 Two properties make the result trustworthy:
 
@@ -22,32 +22,17 @@ Two properties make the result trustworthy:
   exact association — so sharded t-values are **bitwise equal** to
   :func:`~repro.tvla.assessment.assess_leakage`'s for any shard count.
 
-In process, :func:`~repro.tvla.assessment.assess_leakage` is the one
-driver (its chunk-task engine already uses every CPU); shards leave the
-process only through the campaign queue (``run_campaign``, or
-``submit_campaign`` plus ``polaris-campaign work``).
+Shards leave the process only through the campaign queue
+(``run_campaign``, or ``submit_campaign`` plus ``polaris-campaign work``).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from ..power.traces import PowerTraceGenerator
-from .assessment import (
-    CampaignPair,
-    LeakageAssessment,
-    TvlaConfig,
-    accumulate_campaign_chunks,
-    aggregate_class_results,
-    results_from_accumulators,
-)
-from .moments import OnePassMoments, fold_moments
+from .assessment import merge_shard_partials
 
-#: One shard's partials: per fixed class, a (group0, group1) pair of
-#: **per-chunk accumulator lists** in local chunk order, returned unmerged
-#: so the campaign merge can left-fold all chunks in global chunk order
-#: (the serial association — bitwise-equal results).
-ShardChunkMoments = List[Tuple[List[OnePassMoments], List[OnePassMoments]]]
+__all__ = ["merge_shard_partials", "shard_trace_ranges"]
 
 
 def shard_trace_ranges(n_traces: int, n_shards: int,
@@ -84,56 +69,3 @@ def shard_trace_ranges(n_traces: int, n_shards: int,
         ranges.append((start, stop))
     return tuple(ranges)
 
-
-def _shard_moments(generator: PowerTraceGenerator,
-                   campaigns: Sequence[CampaignPair], config: TvlaConfig,
-                   start: int, stop: int) -> ShardChunkMoments:
-    """Fold traces ``[start, stop)`` of every class into per-chunk
-    accumulators (see :func:`merge_shard_partials`); the durable runner's
-    shard entry, sharing the worker's generator."""
-    first_chunk = start // config.chunk_traces
-    return [
-        accumulate_campaign_chunks(
-            generator, (pair[0].slice(start, stop), pair[1].slice(start, stop)),
-            config, class_index, first_chunk=first_chunk)
-        for class_index, pair in enumerate(campaigns)
-    ]
-
-
-def merge_shard_partials(shard_results: Sequence[ShardChunkMoments],
-                         config: TvlaConfig, design_name: str,
-                         gate_names: Tuple[str, ...], elapsed_seconds: float,
-                         n_shards: int) -> LeakageAssessment:
-    """Merge per-shard accumulator sets into one design's assessment.
-
-    The single definition of the campaign merge, shared by the durable
-    runner (:mod:`repro.campaign.runner`) and the service's interim fold.
-    Shard ranges are contiguous and ascending, so concatenating the
-    per-chunk accumulators in shard order lists every chunk in global chunk
-    order, and the left-fold below reproduces the serial run's association
-    exactly — the same :func:`~repro.tvla.moments.fold_moments` the serial
-    driver folds its chunks with — so the merged accumulator (and every
-    t-value) is **bitwise equal** to the serial run's, independent of shard
-    layout.  The per-class Welch results are then aggregated exactly as the
-    serial driver aggregates them (:func:`aggregate_class_results`).
-
-    Args:
-        shard_results: Each shard's partials, in shard order (a subset of
-            the shards folds the chunks those shards cover).
-        config: The campaign configuration.
-        design_name: Recorded as :attr:`LeakageAssessment.design_name`.
-        gate_names: Column order of the partials' accumulators.
-        elapsed_seconds: Recorded as the assessment's wall-clock time.
-        n_shards: Shards in the campaign's layout (recorded).
-    """
-    n_classes = len(shard_results[0])
-    class_results = []
-    for class_index in range(n_classes):
-        streams: Tuple[List[OnePassMoments], List[OnePassMoments]] = ([], [])
-        for partials in shard_results:
-            for stream, part in zip(streams, partials[class_index]):
-                stream.extend(part)
-        class_results.append(results_from_accumulators(
-            fold_moments(streams[0]), fold_moments(streams[1]), config))
-    return aggregate_class_results(class_results, design_name, gate_names,
-                                   config, elapsed_seconds, n_shards=n_shards)

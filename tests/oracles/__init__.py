@@ -44,9 +44,9 @@ Oracle -> fast path [PL002 pair]:
   bootstrap with ``best_split_loop``; bitwise equal to the lockstep
   forest.
 * ``assessment.accumulate_campaign_slice`` ->
-  ``repro.tvla.assessment.accumulate_campaign_chunks`` [no pair].  One
-  running accumulator per group; t-values bitwise equal to the per-chunk
-  folds.
+  ``repro.tvla.assessment.fold_trace_range`` [no pair].  One running
+  accumulator per group; t-values bitwise equal to the per-chunk folds
+  that ``merge_shard_partials`` left-folds.
 * ``kernel_shap.KernelShapExplainer`` -> ``repro.xai.TreeShapExplainer``
   [no pair].  Weighted regression over feature coalitions; agrees with
   Tree SHAP on a single tree.

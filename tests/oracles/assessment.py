@@ -2,10 +2,12 @@
 
 :func:`accumulate_campaign_slice` folds every chunk of one class's campaign
 pair into one running accumulator per group.
-:func:`repro.tvla.assessment.accumulate_campaign_chunks` and the chunk
-tasks of :func:`repro.tvla.assess_leakage` fold each chunk into a fresh
-accumulator and left-fold those instead; tests compare the two, which
-associate the same chunk moments in the same order.
+:func:`repro.tvla.assessment.fold_trace_range` — the chunk fold of both
+:func:`repro.tvla.assess_leakage` and a campaign shard — folds each chunk
+into a fresh accumulator, and
+:func:`repro.tvla.assessment.merge_shard_partials` left-folds those
+instead; tests compare the two, which associate the same chunk moments in
+the same order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def accumulate_campaign_slice(
     class_index: int,
     first_chunk: int = 0,
 ) -> Tuple[OnePassMoments, OnePassMoments]:
-    """Running-fold reference of ``accumulate_campaign_chunks``.
+    """Running-fold reference of ``fold_trace_range``.
 
     Folds every chunk of :meth:`PowerTraceGenerator.generate_stream` into
     one running accumulator pair.  ``assess_leakage`` left-folds per-chunk

@@ -1,8 +1,8 @@
 """The campaign runner's shard path, run in one process.
 
 :func:`runner_shard_path` folds every shard of a layout with
-``_shard_moments`` (the worker's shard entry), seals each into checkpoint
-bytes and reads it back, then merges the shards with
+``fold_trace_range`` (as the worker's shard task does), seals each into
+checkpoint bytes and reads it back, then merges the shards with
 ``merge_shard_partials`` as the collector and the service merge.  Its
 assessment must be bitwise equal to ``assess_leakage``.
 
@@ -15,8 +15,7 @@ from repro.tvla import (
     merge_shard_partials,
     shard_trace_ranges,
 )
-from repro.tvla.assessment import resolve_generator
-from repro.tvla.sharding import _shard_moments
+from repro.tvla.assessment import fold_trace_range, resolve_generator
 
 
 def runner_shard_path(netlist, config, n_shards):
@@ -27,7 +26,7 @@ def runner_shard_path(netlist, config, n_shards):
                                 config.chunk_traces)
     partials = [
         unpack_shard_moments(pack_shard_moments(
-            _shard_moments(generator, campaigns, config, start, stop)))
+            fold_trace_range(generator, campaigns, config, start, stop)))
         for start, stop in ranges
     ]
     return merge_shard_partials(partials, config, netlist.name,

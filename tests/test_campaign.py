@@ -7,9 +7,7 @@ The contracts pinned here are what make campaigns trustworthy:
 * the queue's lease/ack/retry semantics survive dead workers, duplicate
   deliveries and poisoned tasks;
 * a resumed / fault-injected campaign converges to the serial t-values
-  (~1e-12), and cache hits are served bit-identically without simulating;
-* the order-2 `OnePassMoments` fast path equals the general Pébay path
-  bit for bit (ROADMAP follow-up).
+  (~1e-12), and cache hits are served bit-identically without simulating.
 """
 
 from __future__ import annotations
@@ -83,7 +81,7 @@ def _assert_assessments_equal(left, right):
 
 
 # ----------------------------------------------------------------------
-# OnePassMoments wire format + order-2 specialisation
+# OnePassMoments wire format
 # ----------------------------------------------------------------------
 class TestMomentsSerialisation:
     @pytest.mark.parametrize("max_order", [2, 4, 6])
@@ -187,45 +185,6 @@ class TestMomentsSerialisation:
         assert payload.startswith(b"SHM2")
         with pytest.raises(ValueError, match="truncated"):
             unpack_shard_moments(payload[:-4])
-
-
-class TestOrderTwoFastPath:
-    def test_bit_identical_to_general_path(self, rng):
-        """ROADMAP follow-up pin: the specialised max_order == 2 combine
-        (no odd-order machinery) equals the general Pébay path exactly —
-        same stream of batch and single-sample updates, bitwise-equal
-        state throughout, bitwise-equal merges."""
-        fast = OnePassMoments(max_order=2, shape=(11,))
-        general = OnePassMoments(max_order=2, shape=(11,))
-        # Shadow the dispatching method so every combine of `general`
-        # walks the arbitrary-order code path instead.
-        general._combine_order2 = (
-            lambda n_a, n_b, n, mean_b, m2_b:
-            general._combine_general(n_a, n_b, n, mean_b, [m2_b]))
-        for size in (1, 7, 64, 129):
-            batch = rng.normal(size=(size, 11))
-            fast.update_batch(batch)
-            general.update_batch(batch)
-        single = rng.normal(size=11)
-        fast.update(single)
-        general.update(single)
-        assert fast.count == general.count
-        assert np.array_equal(fast.mean, general.mean)
-        assert np.array_equal(fast.central_moment(2),
-                              general.central_moment(2))
-        merged_fast = fast.merge(fast)
-        merged_general = general.merge(general)
-        assert np.array_equal(merged_fast.central_moment(2),
-                              merged_general.central_moment(2))
-
-    def test_higher_orders_still_track_odd_sums(self, rng):
-        # Exactness guard: order-4/6 accumulators must keep their odd
-        # central sums (the pairwise merge needs them), so the skip is
-        # strictly limited to max_order == 2.
-        acc = OnePassMoments(max_order=4, shape=(3,))
-        acc.update_batch(rng.normal(size=(50, 3)))
-        assert len(acc._sums) == 3  # orders 2, 3, 4
-        assert np.abs(acc.central_moment(3)).max() > 0
 
 
 # ----------------------------------------------------------------------
@@ -635,27 +594,24 @@ class TestTaskQueue:
         assert info["renewals"] >= 1
 
     def test_run_worker_without_renewal_loses_long_tasks(self, tmp_path):
-        # The inverse documents why renewal is the default: without it a
-        # short lease expires mid-task, a competitor reclaims the task,
-        # and the legacy worker's late ack is fenced out as stale.
-        import threading
+        # The inverse documents why run_worker renews: a lease held
+        # without renewal expires mid-task, a competitor reclaims the task,
+        # and the first holder's late ack is fenced out as stale.
         queue = TaskQueue(tmp_path / "q.sqlite",
                           default_lease_seconds=0.15)
         task_id = queue.put(pickle.dumps((_nap, (0.5,), {}))).task_id
-        legacy = threading.Thread(
-            target=run_worker,
-            kwargs=dict(queue=queue, worker="legacy", max_tasks=1,
-                        renew_leases=False))
-        legacy.start()
-        time.sleep(0.3)  # legacy is mid-task, its lease already expired
+        first = queue.claim(worker="first")
+        assert first is not None and first.task_id == task_id
+        time.sleep(0.3)  # first is "mid-task"; its lease already expired
         redelivered = queue.claim(worker="second")
         assert redelivered is not None
         assert redelivered.task_id == task_id
         assert redelivered.attempts == 2
         assert queue.ack(redelivered.task_id, redelivered.lease_token,
                          b"second-result")
-        legacy.join(10)
-        # The legacy worker's ack (0.2s later) changed nothing.
+        # The first holder's late renew and ack change nothing.
+        assert not queue.renew(task_id, first.lease_token)
+        assert not queue.ack(task_id, first.lease_token, b"first-result")
         assert queue.outcome(task_id) == ("done", b"second-result", None)
         assert queue.lease_info(task_id)["worker"] == "second"
 
@@ -1310,13 +1266,13 @@ class TestSlowButAliveWorker:
         queue = campaign_queue(root)
         src_dir = str(Path(__file__).resolve().parents[1] / "src")
 
-        # A pre-renewal worker (--no-renew) on a lease shorter than one
-        # 1.1s shard: it can only survive by finishing fast — and we
-        # freeze it instead.
+        # A worker on a lease shorter than one 1.1s shard: it survives
+        # only by renewing every 0.5s — and we freeze it before its first
+        # renewal, so no queue write of it is in flight when it stops.
         frozen = subprocess.Popen(
             [sys.executable, "-m", "repro.campaign.cli", "work",
              "--root", str(root), "--max-tasks", "1",
-             "--lease-seconds", "0.6", "--no-renew"],
+             "--lease-seconds", "1.0"],
             env={**os.environ, "PYTHONPATH": src_dir,
                  "POLARIS_FAULT_PLAN": "worker.shard:mode=delay,delay=1.1"},
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)

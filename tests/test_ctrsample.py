@@ -46,7 +46,7 @@ from repro.power.ctrsample import (
 )
 from repro.simulation import fixed_vs_random_campaigns
 from repro.tvla import TvlaConfig, assess_leakage
-from repro.tvla.assessment import accumulate_campaign_chunks, campaign_schedule
+from repro.tvla.assessment import campaign_schedule, fold_trace_range
 from repro.tvla.sharding import merge_shard_partials
 from runner_shards import runner_shard_path
 
@@ -310,9 +310,8 @@ class TestChunkPartitionProperty:
                             chunk_traces=64)
         generator = PowerTraceGenerator(masked_arbiter, config=config.power)
         schedule = campaign_schedule(masked_arbiter, config)
-        per_class = [accumulate_campaign_chunks(generator, pair, config,
-                                                class_index)
-                     for class_index, pair in enumerate(schedule)]
+        per_class = fold_trace_range(generator, schedule, config, 0,
+                                     config.n_traces)
         serial = [accumulate_campaign_slice(generator, pair, config,
                                             class_index)
                   for class_index, pair in enumerate(schedule)]

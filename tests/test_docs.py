@@ -114,3 +114,37 @@ def test_import_check_flags_a_deleted_name(tmp_path):
         "guide.md:11: `from repro.nosuchmodule import anything` does not "
         "resolve",
     ]
+
+
+def test_documented_names_occur_in_the_code():
+    checker = _load_checker()
+    words = checker.code_words()
+    files = checker.doc_files()
+    assert sum(len(checker.documented_names(path)) for path in files) >= 100
+    errors = []
+    for path in files:
+        errors.extend(checker.check_names(path, words))
+    assert not errors, "\n".join(errors)
+
+
+def test_name_check_flags_a_planted_name(tmp_path):
+    checker = _load_checker()
+    doc = tmp_path / "guide.md"
+    doc.write_text(
+        "# Guide\n\n"
+        "`assess_leakage` folds with `repro.tvla._fold_stale_chunks()`;\n"
+        "``PlantedRemovedClass`` and `TvlaConfig.n_traces` are spans,\n"
+        "`short`, `Tiny`, `--flag` and `a b_c` are not checked.\n\n"
+        "```\n"
+        "`Fenced_missing_name` is inside a fence\n"
+        "```\n")
+    assert [name for _, name in checker.documented_names(doc)] == [
+        "assess_leakage", "_fold_stale_chunks", "PlantedRemovedClass",
+        "TvlaConfig", "n_traces"]
+    known = {"assess_leakage", "TvlaConfig", "n_traces"}
+    assert checker.check_names(doc, known) == [
+        "guide.md:3: `_fold_stale_chunks` occurs in no file under src, "
+        "tests, tools, perfbench, benchmarks, examples",
+        "guide.md:4: `PlantedRemovedClass` occurs in no file under src, "
+        "tests, tools, perfbench, benchmarks, examples",
+    ]

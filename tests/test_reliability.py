@@ -407,12 +407,14 @@ class TestCheckpointSeal:
         with pytest.raises(CheckpointCorruptError, match="digest"):
             unseal_checkpoint(bytes(sealed))
 
-    def test_legacy_unsealed_payloads_still_load(self):
-        payload = b"SHM2" + bytes(32)
-        assert unseal_checkpoint(payload) == payload
+    def test_unsealed_payloads_are_rejected(self):
+        # A payload that starts with the shard-moments magic but carries
+        # no seal is not trusted: only sealed checkpoints load.
+        with pytest.raises(CheckpointCorruptError, match="no seal trailer"):
+            unseal_checkpoint(b"SHM2" + bytes(32))
 
     def test_foreign_bytes_are_rejected(self):
-        with pytest.raises(CheckpointCorruptError, match="neither"):
+        with pytest.raises(CheckpointCorruptError, match="no seal trailer"):
             unseal_checkpoint(b"random junk that is not a checkpoint")
 
     def test_quarantine_renames_and_never_clobbers(self, tmp_path):
@@ -465,6 +467,38 @@ class TestCampaignHardening:
         clean = run_campaign(tmp_path / "clean", small_benchmark, config,
                              n_shards=3, n_workers=1)
         _assert_bitwise_equal(healed, clean)
+
+    def test_stripped_and_edited_checkpoint_is_recomputed(
+            self, small_benchmark, tmp_path):
+        """A checkpoint whose seal was stripped and whose payload was then
+        edited (one float byte flipped) is quarantined, not merged:
+        collection requeues the shard, a worker recomputes it, and the
+        result is bitwise equal to an undisturbed campaign."""
+        config = _config()
+        root = tmp_path / "runs"
+        outcome = submit_campaign(root, netlist=small_benchmark,
+                                  config=config, n_shards=2)
+        run_worker(campaign_queue(root), drain=True)
+        shard_path = CampaignPaths(root, outcome.spec_hash).shard_path(0)
+        payload = bytearray(load_checkpoint(shard_path))
+        payload[-1] ^= 0x40  # exponent byte of the payload's last float64
+        shard_path.write_bytes(bytes(payload))
+        stop = threading.Event()
+        healer = threading.Thread(
+            target=run_worker,
+            kwargs=dict(queue=campaign_queue(root), worker="healer",
+                        stop_event=stop))
+        healer.start()
+        try:
+            healed = collect_result(root, outcome.spec_hash, timeout=60)
+        finally:
+            stop.set()
+            healer.join(30)
+        clean = run_campaign(tmp_path / "clean", small_benchmark, config,
+                             n_shards=2)
+        _assert_bitwise_equal(healed, clean)
+        assert np.array_equal(healed.mean_abs_t, clean.mean_abs_t)
+        assert (shard_path.parent / "shard_0000.moments.corrupt").exists()
 
     def test_skip_path_quarantines_and_recomputes(self, small_benchmark,
                                                   tmp_path):
@@ -746,7 +780,7 @@ class TestServiceReliability:
             doomed = subprocess.Popen(
                 [sys.executable, "-m", "repro.campaign.cli", "work",
                  "--root", str(shared_root), "--max-tasks", "1",
-                 "--lease-seconds", "0.7", "--no-renew"],
+                 "--lease-seconds", "0.7"],
                 env={**os.environ, "PYTHONPATH": SRC_DIR,
                      "POLARIS_FAULT_PLAN": "worker.shard:mode=crash,max=1"},
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -766,18 +800,21 @@ class TestServiceReliability:
             assert executed >= 3  # all shards, incl. the reclaimed one
 
             # The server folds only verified checkpoints: its rescan
-            # quarantines the corrupted one and requeues the shard, and a
-            # healer recomputes it (the corruption budget is spent) —
-            # unless the survivor already picked the requeue up.
+            # quarantines the corrupted one and requeues the shard — a
+            # rescan later if the survivor acked after the quarantine —
+            # and a healer drains until every checkpoint verifies (the
+            # corruption budget is spent), unless the survivor already
+            # picked the requeue up.
             troot = tenant_root(shared_root, tenant)
             prefix = tenant_key_prefix(tenant)
             paths = CampaignPaths(troot, spec.content_hash,
                                   key_prefix=prefix)
             deadline = time.monotonic() + 30
-            while time.monotonic() < deadline and not any(
-                    ".corrupt" in p.name for p in paths.shards_dir.iterdir()):
+            while time.monotonic() < deadline and not all(
+                    checkpoint_ok(paths.shard_path(k))
+                    for k in range(spec.n_shards)):
+                run_worker(queue, worker="healer", drain=True)
                 time.sleep(0.05)
-            run_worker(queue, worker="healer", drain=True)
 
             progress, complete = _drain_until_complete(client, timeout=60)
         finally:

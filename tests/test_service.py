@@ -400,12 +400,12 @@ class TestEndToEndStreaming:
             assert accepted.n_enqueued == 3
 
             # Doomed worker: claims one shard (lease 0.7s, shard takes
-            # ~0.9s, no renewal) and is SIGKILLed mid-shard; its lease
-            # expires and the shard is redelivered.
+            # ~0.9s) and is SIGKILLed mid-shard; its renewals stop, its
+            # lease expires and the shard is redelivered.
             doomed = subprocess.Popen(
                 [sys.executable, "-m", "repro.campaign.cli", "work",
                  "--root", str(shared_root), "--max-tasks", "1",
-                 "--lease-seconds", "0.7", "--no-renew"],
+                 "--lease-seconds", "0.7"],
                 env={**os.environ, "PYTHONPATH": SRC_DIR,
                      "POLARIS_FAULT_PLAN": "worker.shard:mode=delay,delay=0.9"},
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -616,6 +616,28 @@ class TestSingleDoor:
         assert queue.ack(task.task_id, task.lease_token, b"")
         assert wait_for(lambda: queue.outcome_by_key(
             paths.shard_key(shard))[0] == "pending")
+
+    @pytest.mark.parametrize("follow", [True, False])
+    def test_done_shard_without_checkpoint_is_rerun(self, service, follow):
+        # A task acked without a checkpoint file — or whose checkpoint
+        # another participant quarantined — leaves a stale done row.  The
+        # monitor requeues it whether or not anyone watches, so a followed
+        # campaign still completes instead of hanging.
+        spec = _spec()
+        queue = service.queue
+        with ServiceClient(service.host, service.port) as client:
+            client.submit("lab", spec.to_json(), follow=follow)
+            task = queue.claim(worker="no-publish")
+            assert queue.ack(task.task_id, task.lease_token, b"")
+            deadline = time.monotonic() + 3.0  # thirty monitor intervals
+            while queue.outcome_by_key(task.key)[0] != "pending" \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert queue.outcome_by_key(task.key)[0] == "pending"
+            assert run_worker(queue, worker="healer", drain=True) == 3
+            if follow:
+                progress, _ = _drain_until_complete(client, timeout=60)
+                assert progress[-1].shards_done == (0, 1, 2)
 
     def test_failed_shard_is_reported_once_per_watcher(self, service):
         spec = _spec()

@@ -110,6 +110,15 @@ class TestOnePassMoments:
         np.testing.assert_allclose(merged.central_moment(4),
                                    combined.central_moment(4), rtol=1e-9)
 
+    def test_higher_orders_still_track_odd_sums(self, rng):
+        # Exactness guard: order-4/6 accumulators must keep their odd
+        # central sums (the pairwise merge needs them); only max_order == 2
+        # accumulators skip them.
+        acc = OnePassMoments(max_order=4, shape=(3,))
+        acc.update_batch(rng.normal(size=(50, 3)))
+        assert len(acc._sums) == 3  # orders 2, 3, 4
+        assert np.abs(acc.central_moment(3)).max() > 0
+
     def test_empty_batch_is_a_no_op(self):
         acc = OnePassMoments(shape=(2,))
         acc.update_batch(np.empty((0, 2)))

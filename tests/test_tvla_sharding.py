@@ -3,9 +3,9 @@
 The contract pinned down here is what makes sharding trustworthy:
 
 * the campaign runner's shard path — every shard folded by
-  ``_shard_moments``, round-tripped through its checkpoint bytes and merged
-  by ``merge_shard_partials`` — is bitwise equal to ``assess_leakage`` at
-  any shard count, for every configured TVLA order;
+  ``fold_trace_range``, round-tripped through its checkpoint bytes and
+  merged by ``merge_shard_partials`` — is bitwise equal to
+  ``assess_leakage`` at any shard count, for every configured TVLA order;
 * fixed seeds give bit-identical reruns;
 * shard ranges are chunk-aligned, disjoint and cover the campaign;
 * the serial counter driver, which runs one task per ``(class, group,
@@ -31,8 +31,8 @@ from repro.tvla import (
     shard_trace_ranges,
 )
 from repro.tvla.assessment import (
-    accumulate_campaign_chunks,
     aggregate_class_results,
+    fold_trace_range,
     resolve_generator,
     results_from_accumulators,
 )
@@ -271,10 +271,12 @@ class TestParallelChunkDriver:
             self, small_benchmark, sharded_config, monkeypatch):
         fold_chunk = tvla_assessment._fold_chunk
 
-        def failing(generator, campaign, config, stream, chunk_index):
+        def failing(generator, campaign, config, stream, chunk_index,
+                    first_chunk):
             if stream.class_index == 1 and chunk_index == 2:
                 raise RuntimeError("chunk failed")
-            return fold_chunk(generator, campaign, config, stream, chunk_index)
+            return fold_chunk(generator, campaign, config, stream, chunk_index,
+                              first_chunk)
 
         monkeypatch.setattr(tvla_assessment, "_fold_chunk", failing)
         monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 2)
@@ -294,6 +296,33 @@ class TestParallelChunkDriver:
         assert not [thread for thread in threading.enumerate()
                     if thread.name.startswith("tvla-chunk")]
 
+    def test_shard_task_folds_inline(self, small_benchmark, sharded_config,
+                                     monkeypatch, tmp_path):
+        """A campaign shard folds its range on its worker thread: with
+        several CPUs, ``assess_leakage`` starts ``tvla-chunk`` threads but
+        ``run_shard_task`` starts none (a chunk pool per shard measured
+        slower and larger on the campaign benchmark)."""
+        from repro.campaign.runner import run_shard_task, submit_campaign
+
+        started = []
+        start_thread = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            return start_thread(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 4)
+        assess_leakage(small_benchmark, sharded_config)
+        assert any(name.startswith("tvla-chunk") for name in started)
+        started.clear()
+        outcome = submit_campaign(tmp_path, netlist=small_benchmark,
+                                  config=sharded_config, n_shards=2)
+        result = run_shard_task(str(tmp_path), outcome.spec_hash, 0)
+        assert result["skipped"] is False
+        assert not [name for name in started
+                    if name.startswith("tvla-chunk")]
+
 
 class TestChunkAccumulatorFootprint:
     def test_per_chunk_accumulators_hold_no_scratch(self, small_benchmark):
@@ -302,9 +331,9 @@ class TestChunkAccumulatorFootprint:
         config = TvlaConfig(n_traces=600, chunk_traces=128, n_fixed_classes=1,
                             seed=9, tvla_order=3)
         generator = resolve_generator(small_benchmark, config, None)
-        pair = campaign_schedule(small_benchmark, config)[0]
-        chunks0, chunks1 = accumulate_campaign_chunks(generator, pair, config,
-                                                      0)
+        schedule = campaign_schedule(small_benchmark, config)
+        [(chunks0, chunks1)] = fold_trace_range(generator, schedule, config,
+                                                0, config.n_traces)
         limit = (config.moment_order() + 1) * generator.n_gates * 8
         for accumulator in chunks0 + chunks1:
             held = 0

@@ -133,11 +133,12 @@ def soak(root: Path, host: str, port: int) -> int:
               f"({accepted.n_enqueued} shards enqueued)")
 
         # Fault domain 1: the doomed worker SIGKILLs mid-shard; its
-        # short, unrenewed lease expires and the shard is redelivered.
+        # renewals stop, its short lease expires and the shard is
+        # redelivered.
         doomed = subprocess.Popen(
             [sys.executable, "-m", "repro.campaign.cli", "work",
              "--root", str(root), "--max-tasks", "1",
-             "--lease-seconds", "0.7", "--no-renew"],
+             "--lease-seconds", "0.7"],
             env=_env(DOOMED_PLAN))
         doomed.wait(timeout=120)
         if doomed.returncode != -9:
@@ -160,12 +161,14 @@ def soak(root: Path, host: str, port: int) -> int:
             return 1
 
         # The server's rescan quarantines the corrupt checkpoint and
-        # requeues its shard; a healer recomputes it (a no-op if the
-        # survivor already picked the requeue up).
+        # requeues its shard — a rescan later if the survivor acked after
+        # the quarantine.  A healer drains until every shard's checkpoint
+        # verifies (no work if the survivor picked the requeue up).
         deadline = time.monotonic() + 60
-        while not _quarantined(paths) and time.monotonic() < deadline:
+        while time.monotonic() < deadline and not all(
+                checkpoint_ok(paths.shard_path(k)) for k in range(N_SHARDS)):
+            run_worker(queue, worker="healer", drain=True)
             time.sleep(0.05)
-        run_worker(queue, worker="healer", drain=True)
 
         # Fault domain 4: our own watch connection is severed on the
         # next receive; the client must redial, re-subscribe, and dedupe

@@ -19,6 +19,13 @@ suite) over ``README.md`` and ``docs/*.md``:
    ``python`` / ``pycon`` block, executed or not, must resolve: the module
    imports and each name is an attribute or submodule of it, so an
    illustrative snippet cannot keep importing a deleted name.
+5. **Name check** — every backticked identifier outside fenced blocks
+   (a name or dotted path, optionally called: ``fold_trace_range``,
+   ``TvlaConfig.n_traces``, ``run_worker()``) whose dotted parts are
+   longer than five characters and contain ``_`` or start with a capital
+   letter must occur in a file under ``src/``, ``tests/``, ``tools/``,
+   ``perfbench/``, ``benchmarks/`` or ``examples/``, so prose cannot keep
+   naming a deleted function, class or module constant.
 
 Exits non-zero with a per-failure report; prints a one-line summary on
 success.  Builds nothing heavy — a full run takes a couple of seconds.
@@ -58,6 +65,16 @@ _CODE_RE = re.compile(r"`([^`]+)`")
 _IMPORT_RE = re.compile(
     r"^[ \t]*(?:(?:>>>|\.\.\.)[ \t]+)?from[ \t]+(repro(?:\.\w+)*)[ \t]+"
     r"import[ \t]+(\([^)]*\)|[^\n]*)", re.MULTILINE)
+
+#: Every fenced block, with or without a language tag.
+_ANY_FENCE_RE = re.compile(r"^[ \t]*```.*?^[ \t]*```[^\n]*$",
+                           re.DOTALL | re.MULTILINE)
+#: An inline code span delimited by a run of one or more backticks.
+_SPAN_RE = re.compile(r"(`+)(.+?)\1", re.DOTALL)
+#: A backticked identifier: a dotted name, optionally called.
+_NAME_SPAN_RE = re.compile(r"([A-Za-z_][\w.]*)(?:\([^`]*\))?")
+#: Where a documented name must occur.
+CODE_DIRS = ("src", "tests", "tools", "perfbench", "benchmarks", "examples")
 
 
 def doc_files() -> List[Path]:
@@ -219,24 +236,67 @@ def check_knob_table(path: Path = KNOB_DOC) -> List[str]:
     return errors
 
 
+def _checked_name(part: str) -> bool:
+    """Whether the name check covers one dotted part of a span."""
+    return len(part) > 5 and ("_" in part or part[0].isupper())
+
+
+def documented_names(path: Path) -> List[Tuple[int, str]]:
+    """(line number, name) of every checked part of a backticked
+    identifier outside the fenced blocks of ``path``."""
+    text = _ANY_FENCE_RE.sub(
+        lambda fence: "\n" * fence.group(0).count("\n"), path.read_text())
+    names = []
+    for span in _SPAN_RE.finditer(text):
+        match = _NAME_SPAN_RE.fullmatch(span.group(2).strip())
+        if match is None:
+            continue
+        line = text.count("\n", 0, span.start()) + 1
+        names.extend((line, part) for part in match.group(1).split(".")
+                     if _checked_name(part))
+    return names
+
+
+def code_words(root: Path = REPO_ROOT) -> Set[str]:
+    """Every word of every file under :data:`CODE_DIRS`."""
+    words: Set[str] = set()
+    for directory in CODE_DIRS:
+        for path in (root / directory).rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                words.update(re.findall(
+                    r"\w+", path.read_text(errors="ignore")))
+    return words
+
+
+def check_names(path: Path, words: Set[str]) -> List[str]:
+    """Return one error per backticked name of ``path`` that no code file
+    contains."""
+    return [f"{path.name}:{line}: `{name}` occurs in no file under "
+            f"{', '.join(CODE_DIRS)}"
+            for line, name in documented_names(path) if name not in words]
+
+
 def main() -> int:
     """Check all documentation files; return a process exit code."""
     files = doc_files()
     errors: List[str] = []
-    n_blocks = n_imports = 0
+    n_blocks = n_imports = n_names = 0
+    words = code_words()
     for path in files:
         errors.extend(check_links(path))
         n_blocks += len(doctest_blocks(path))
         errors.extend(check_doctests(path))
         n_imports += sum(len(names) for _, _, names in repro_imports(path))
         errors.extend(check_imports(path))
+        n_names += len(documented_names(path))
+        errors.extend(check_names(path, words))
     errors.extend(check_knob_table())
     if errors:
         for error in errors:
             print(f"ERROR: {error}", file=sys.stderr)
         return 1
     print(f"docs ok: {len(files)} file(s), {n_blocks} doctest block(s), "
-          f"{n_imports} repro import(s)")
+          f"{n_imports} repro import(s), {n_names} documented name(s)")
     return 0
 
 

@@ -17,7 +17,7 @@ long an idle worker lives, the CI-friendly cutoff), ``status`` shows shard
 progress (``--json`` emits the stable machine-readable form), ``result``
 waits for completion, merges the shard checkpoints, stores the assessment
 content-addressed, and prints the verdict, and ``gc`` evicts old store
-objects and redundant shard checkpoints.
+objects and redundant shard checkpoints (tenant sub-roots included).
 
 The live-service verbs (see ``docs/service.md``)::
 
@@ -146,7 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
     watch.add_argument("spec_hash")
 
     gc = commands.add_parser(
-        "gc", help="evict old store results and redundant shard checkpoints")
+        "gc", help="evict old store results and redundant shard "
+                   "checkpoints, in the root and every tenant sub-root")
     gc.add_argument("--root", required=True, type=Path)
     age = gc.add_mutually_exclusive_group(required=True)
     age.add_argument("--max-age", type=float, default=None,
@@ -204,15 +205,6 @@ def _parse_endpoint(value: str) -> tuple:
     return host, int(port)
 
 
-def _tenant_scope(root: Path, tenant: Optional[str]):
-    """(campaign_root, queue, key_prefix) of one tenant under ``root``."""
-    if tenant is None:
-        return root, None, ""
-    from ..service.protocol import tenant_key_prefix, tenant_root
-    return (tenant_root(root, tenant), campaign_queue(root),
-            tenant_key_prefix(tenant))
-
-
 def _submit(args: argparse.Namespace) -> int:
     if args.follow and args.connect is None:
         print("error: --follow needs --connect HOST:PORT", file=sys.stderr)
@@ -232,10 +224,8 @@ def _submit(args: argparse.Namespace) -> int:
         netlist = parse_bench_file(args.bench_file)
     if args.follow:
         return _submit_follow(args, netlist, config)
-    root, queue, prefix = _tenant_scope(args.root, args.tenant)
-    outcome = submit_campaign(root, netlist=netlist, config=config,
-                              n_shards=args.shards, queue=queue,
-                              shard_key_prefix=prefix)
+    outcome = submit_campaign(args.root, netlist=netlist, config=config,
+                              n_shards=args.shards, tenant=args.tenant)
     print(f"{outcome.status} {outcome.spec_hash}")
     print(f"  design       {outcome.spec.design_name}")
     print(f"  shards       {outcome.n_shards_done}/{outcome.n_shards_total} "
@@ -359,22 +349,26 @@ def _gc(args: argparse.Namespace) -> int:
     print(f"{verb} {len(outcome.pruned_results)} result(s), "
           f"kept {outcome.kept_results}")
     for key in outcome.pruned_results:
-        print(f"  result {key[:12]}…")
+        print(f"  result {_short(key)}")
     for key in outcome.pruned_shard_dirs:
-        print(f"  shards {key[:12]}… "
+        print(f"  shards {_short(key)} "
               f"({'would be ' if outcome.dry_run else ''}removed: "
               f"merged result is stored)")
     return 0
 
 
+def _short(key: str) -> str:
+    """A gc entry (``hash`` or ``tenant/hash``) with the hash shortened."""
+    tenant, slash, spec_hash = key.rpartition("/")
+    return f"{tenant}{slash}{spec_hash[:12]}…"
+
+
 def _status(args: argparse.Namespace) -> int:
-    root, queue, prefix = _tenant_scope(args.root, args.tenant)
     if args.spec_hash is not None:
-        statuses = [campaign_status(root, args.spec_hash, queue=queue,
-                                    shard_key_prefix=prefix)]
+        statuses = [campaign_status(args.root, args.spec_hash,
+                                    tenant=args.tenant)]
     else:
-        statuses = list_campaigns(root, queue=queue,
-                                  shard_key_prefix=prefix)
+        statuses = list_campaigns(args.root, tenant=args.tenant)
     if args.as_json:
         # The stable machine-readable form (documented in
         # docs/campaigns.md): a JSON array, one object per campaign,
@@ -404,11 +398,9 @@ def _status(args: argparse.Namespace) -> int:
 
 
 def _result(args: argparse.Namespace) -> int:
-    root, queue, prefix = _tenant_scope(args.root, args.tenant)
     try:
-        assessment = collect_result(root, args.spec_hash,
-                                    timeout=args.timeout, queue=queue,
-                                    shard_key_prefix=prefix,
+        assessment = collect_result(args.root, args.spec_hash,
+                                    timeout=args.timeout, tenant=args.tenant,
                                     allow_partial=args.allow_partial)
     except (CampaignError, TimeoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ work was re-attempted or where it ran.
 from __future__ import annotations
 
 import pickle
+import re
 import shutil
 import threading
 import time
@@ -67,23 +68,66 @@ class CampaignError(RuntimeError):
     """A campaign cannot make progress (e.g. a shard exhausted retries)."""
 
 
+#: Tenant ids are path- and key-safe by construction: they appear in
+#: directory names and queue keys verbatim.
+_TENANT_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]{0,63}\Z")
+#: The directory of a shared root that holds the tenant sub-roots.
+_TENANTS_DIR = "tenants"
+
+
+def validate_tenant(tenant: str) -> str:
+    """Return ``tenant`` if it is a legal tenant id, else raise.
+
+    Raises:
+        ValueError: for ids that are empty, too long (> 64 chars), or
+            contain characters unsafe in paths/queue keys.
+    """
+    if not isinstance(tenant, str) or not _TENANT_PATTERN.match(tenant):
+        raise ValueError(
+            f"invalid tenant id {tenant!r}: expected 1-64 chars of "
+            f"[A-Za-z0-9_-], starting alphanumeric")
+    return tenant
+
+
 @dataclass(frozen=True)
 class CampaignPaths:
-    """On-disk layout of one campaign under a shared root.
+    """On-disk layout and queue keys of one campaign under a shared root.
 
-    ``key_prefix`` namespaces the campaign's *queue* keys without moving
-    any files — the service layer sets it to ``tenant:<tenant>:`` so two
-    tenants submitting the same spec into one shared queue get disjoint
-    idempotency keys, while a given tenant's resubmissions still dedupe.
+    ``root`` is the shared root; its ``queue.sqlite`` serves every
+    campaign under it.  Without a ``tenant`` the campaign's store and
+    checkpoint tree live right under ``root``.  A tenant owns the private
+    sub-root ``<root>/tenants/<tenant>`` (own store, own checkpoint tree)
+    and its shard tasks go into the shared queue under keys prefixed
+    ``tenant:<tenant>:``, so two tenants submitting the same spec get
+    disjoint idempotency keys while a given tenant's resubmissions still
+    dedupe.  This class is the one place that layout is written down.
     """
 
     root: Path
     spec_hash: str
-    key_prefix: str = ""
+    tenant: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.tenant is not None:
+            validate_tenant(self.tenant)
+
+    @staticmethod
+    def scope_root(root: Union[str, Path],
+                   tenant: Optional[str] = None) -> Path:
+        """The directory holding one tenant's store and campaigns
+        (``root`` itself without a tenant)."""
+        if tenant is None:
+            return Path(root)
+        return Path(root) / _TENANTS_DIR / validate_tenant(tenant)
+
+    @property
+    def campaign_root(self) -> Path:
+        """The root the campaign's store and ``campaigns/`` live under."""
+        return self.scope_root(self.root, self.tenant)
 
     @property
     def campaign_dir(self) -> Path:
-        return self.root / "campaigns" / self.spec_hash
+        return self.campaign_root / "campaigns" / self.spec_hash
 
     @property
     def spec_path(self) -> Path:
@@ -98,7 +142,8 @@ class CampaignPaths:
 
     def shard_key(self, shard_index: int) -> str:
         """Idempotency key of one shard's queue task."""
-        return f"{self.key_prefix}{self.spec_hash}:shard:{shard_index}"
+        prefix = "" if self.tenant is None else f"tenant:{self.tenant}:"
+        return f"{prefix}{self.spec_hash}:shard:{shard_index}"
 
 
 def campaign_queue(root: Union[str, Path], **kwargs) -> TaskQueue:
@@ -157,35 +202,11 @@ def _enqueue_shard(queue: TaskQueue, paths: CampaignPaths,
     concurrent submitters cannot double count.
     """
     payload = pickle.dumps(
-        (run_shard_task, (str(paths.root), paths.spec_hash, shard_index), {}),
+        (run_shard_task,
+         (str(paths.campaign_root), paths.spec_hash, shard_index), {}),
         protocol=pickle.HIGHEST_PROTOCOL)
     return queue.put(payload, key=paths.shard_key(shard_index),
                      requeue_done=True)
-
-
-def settle_missing_shard(queue: TaskQueue, paths: CampaignPaths,
-                         shard_index: int) -> Optional[str]:
-    """Act on the queue row of a shard that has no verified checkpoint
-    (mutates ``queue``); returns the error of a terminally failed task.
-
-    Reads the row once.  A worker publishes its checkpoint before it acks,
-    so a ``done`` row without a checkpoint file is a stale completion
-    record and is requeued: the file was quarantined (by any participant,
-    possibly while the task was still leased, so that
-    :func:`verified_checkpoint`'s requeue was a no-op) or the task was
-    acked without one.  A ``failed`` row returns its error (the worker's
-    traceback); pending and leased rows are left alone.  ``collect_result``
-    and the service monitor both call this for every missing shard.
-    """
-    outcome = queue.outcome_by_key(paths.shard_key(shard_index))
-    if outcome is None:
-        return None
-    status, _, error = outcome
-    if status == "failed":
-        return error or ""
-    if status == "done" and not paths.shard_path(shard_index).exists():
-        _enqueue_shard(queue, paths, shard_index)
-    return None
 
 
 def load_spec(root: Union[str, Path], spec_hash: str) -> CampaignSpec:
@@ -350,31 +371,28 @@ def submit_campaign(root: Union[str, Path],
                     config: Optional[TvlaConfig] = None,
                     n_shards: int = 2,
                     spec: Optional[CampaignSpec] = None,
-                    queue: Optional[TaskQueue] = None,
-                    shard_key_prefix: str = "") -> SubmitOutcome:
+                    tenant: Optional[str] = None) -> SubmitOutcome:
     """Register a campaign under ``root`` and enqueue its missing shards.
 
     Pass either a pre-built ``spec`` or a ``netlist`` (+ optional
-    ``config``/``n_shards``) to build one.  Safe to call any number of times: completed shards
-    are skipped, queued shards are not duplicated, and a campaign whose
-    result is already in the store is reported ``"cached"`` without
-    touching the queue.
+    ``config``/``n_shards``) to build one.  Safe to call any number of
+    times: completed shards are skipped, queued shards are not
+    duplicated, and a campaign whose result is already in the store is
+    reported ``"cached"`` without touching the queue.
 
-    ``queue``/``shard_key_prefix`` let a caller route the shard tasks into
-    a queue *other* than ``root/queue.sqlite`` under namespaced keys — the
-    multi-tenant service keeps per-tenant roots but one shared fleet-wide
-    queue.
+    With a ``tenant`` the campaign lives in that tenant's sub-root and
+    its shard tasks go into ``root``'s queue under the tenant's keys
+    (:class:`CampaignPaths`) — the multi-tenant service's layout.
     """
-    root = Path(root)
     if spec is None:
         if netlist is None:
             raise ValueError("submit_campaign needs a netlist or a spec")
         spec = CampaignSpec.from_netlist(netlist, config, n_shards=n_shards)
     spec_hash = spec.content_hash
-    paths = CampaignPaths(root, spec_hash, key_prefix=shard_key_prefix)
+    paths = CampaignPaths(Path(root), spec_hash, tenant)
     ranges = spec.shard_ranges()
 
-    if campaign_store(root).has(spec_hash):
+    if campaign_store(paths.campaign_root).has(spec_hash):
         done = sum(1 for k in range(len(ranges))
                    if paths.shard_path(k).exists())
         return SubmitOutcome(spec=spec, spec_hash=spec_hash, status="cached",
@@ -385,8 +403,7 @@ def submit_campaign(root: Union[str, Path],
     if not paths.spec_path.exists():
         atomic_write_bytes(paths.spec_path, spec.to_json().encode("utf-8"))
 
-    if queue is None:
-        queue = campaign_queue(root)
+    queue = campaign_queue(root)
     # Corrupt checkpoints are quarantined here and count as missing; the
     # enqueue loop below then requeues them like any other absent shard.
     missing = [k for k in range(len(ranges))
@@ -483,24 +500,20 @@ class CampaignStatus:
 
 
 def campaign_status(root: Union[str, Path], spec_hash: str,
-                    queue: Optional[TaskQueue] = None,
-                    shard_key_prefix: str = "") -> CampaignStatus:
+                    tenant: Optional[str] = None) -> CampaignStatus:
     """Inspect one campaign's checkpoints, queue outcomes and store entry.
 
-    ``queue``/``shard_key_prefix`` mirror :func:`submit_campaign` — pass
-    the same pair the campaign was submitted with so failed-shard lookups
-    hit the right queue rows.
+    ``tenant`` mirrors :func:`submit_campaign`: pass the tenant the
+    campaign was submitted under.
     """
-    root = Path(root)
-    spec = load_spec(root, spec_hash)
-    paths = CampaignPaths(root, spec_hash, key_prefix=shard_key_prefix)
+    paths = CampaignPaths(Path(root), spec_hash, tenant)
+    spec = load_spec(paths.campaign_root, spec_hash)
     ranges = spec.shard_ranges()
     # Read-only: a corrupt checkpoint counts as missing here but is left in
     # place; the next submit or collect quarantines and requeues it.
     done = [k for k in range(len(ranges))
             if checkpoint_ok(paths.shard_path(k))]
-    if queue is None:
-        queue = campaign_queue(root)
+    queue = campaign_queue(root)
     failed = []
     for k in range(len(ranges)):
         if k in done:
@@ -508,49 +521,153 @@ def campaign_status(root: Union[str, Path], spec_hash: str,
         outcome = queue.outcome_by_key(paths.shard_key(k))
         if outcome is not None and outcome[0] == "failed":
             failed.append(k)
-    return CampaignStatus(spec_hash=spec_hash, design_name=spec.design_name,
-                          n_traces=spec.tvla.n_traces,
-                          n_shards_total=len(ranges), n_shards_done=len(done),
-                          complete=campaign_store(root).has(spec_hash),
-                          failed_shards=tuple(failed))
+    return CampaignStatus(
+        spec_hash=spec_hash, design_name=spec.design_name,
+        n_traces=spec.tvla.n_traces, n_shards_total=len(ranges),
+        n_shards_done=len(done),
+        complete=campaign_store(paths.campaign_root).has(spec_hash),
+        failed_shards=tuple(failed))
 
 
 def list_campaigns(root: Union[str, Path],
-                   queue: Optional[TaskQueue] = None,
-                   shard_key_prefix: str = "") -> List[CampaignStatus]:
-    """Status of every campaign submitted under ``root``."""
-    campaigns_dir = Path(root) / "campaigns"
+                   tenant: Optional[str] = None) -> List[CampaignStatus]:
+    """Status of every campaign submitted under ``root`` (for ``tenant``)."""
+    campaigns_dir = CampaignPaths.scope_root(root, tenant) / "campaigns"
     if not campaigns_dir.exists():
         return []
-    return [campaign_status(root, path.name, queue=queue,
-                            shard_key_prefix=shard_key_prefix)
+    return [campaign_status(root, path.name, tenant)
             for path in sorted(campaigns_dir.iterdir())
             if (path / "spec.json").exists()]
+
+
+class ShardCollector:
+    """Collects one campaign's shards: scan, merge, degrade, store.
+
+    The one collector behind both ways a result leaves the campaign
+    layer: :func:`collect_result` polls one until the campaign is done,
+    and the service keeps one per open campaign, reads it on every
+    monitor tick and streams a progress frame per newly folded shard.
+    Partials come only from verified checkpoints, which are immutable, so
+    a folded shard is never read again.  Merges take the folded shards in
+    shard-index order: the merge of all of them is bitwise the same
+    whoever collects it and in whatever order the shards landed.
+    """
+
+    def __init__(self, paths: CampaignPaths, spec: CampaignSpec,
+                 queue: TaskQueue) -> None:
+        self.paths = paths
+        self.spec = spec
+        self.queue = queue
+        self.n_shards = len(spec.shard_ranges())
+        #: Verified partials by shard index.
+        self.partials: Dict[int, tuple] = {}
+        self._gate_names: Optional[Tuple[str, ...]] = None
+        self._started_at = time.perf_counter()
+
+    @property
+    def done(self) -> bool:
+        return len(self.partials) == self.n_shards
+
+    def missing(self) -> List[int]:
+        return [k for k in range(self.n_shards) if k not in self.partials]
+
+    def read(self, shard_index: int
+             ) -> Tuple[Optional[tuple], Optional[str]]:
+        """One shard's ``(partials, None)`` from its verified checkpoint,
+        else ``(None, error)``, the error being that of a terminally
+        failed task and ``None`` while the task is pending or leased.
+
+        Blocking; mutates the queue.  A corrupt checkpoint is quarantined
+        and its shard requeued (:func:`verified_checkpoint`).  A worker
+        publishes its checkpoint before it acks, so a ``done`` row without
+        a checkpoint file is a stale completion record and is requeued
+        too: the file was quarantined (by any participant, possibly while
+        the task was still leased, so that the quarantine's requeue was a
+        no-op) or the task was acked without one.
+        """
+        paths, queue = self.paths, self.queue
+        found = verified_checkpoint(paths, shard_index, queue=queue)
+        if found is not None:
+            return found[1], None
+        outcome = queue.outcome_by_key(paths.shard_key(shard_index))
+        if outcome is None:
+            return None, None
+        status, _, error = outcome
+        if status == "failed":
+            return None, error or ""
+        if status == "done" and not paths.shard_path(shard_index).exists():
+            _enqueue_shard(queue, paths, shard_index)
+        return None, None
+
+    def scan(self) -> Dict[int, str]:
+        """Read and fold every missing shard; returns the errors of the
+        terminally failed ones by shard index."""
+        failed = {}
+        for shard_index in self.missing():
+            partials, error = self.read(shard_index)
+            if partials is not None:
+                self.partials[shard_index] = partials
+            elif error is not None:
+                failed[shard_index] = error
+        return failed
+
+    def merge(self) -> LeakageAssessment:
+        """Merge the folded shards in shard-index order (blocking)."""
+        if self._gate_names is None:
+            self._gate_names = campaign_gate_names(self.paths.campaign_root,
+                                                   self.paths.spec_hash)
+        return merge_shard_partials(
+            [self.partials[k] for k in sorted(self.partials)],
+            self.spec.tvla, self.spec.design_name, self._gate_names,
+            time.perf_counter() - self._started_at, self.n_shards)
+
+    def degraded(self, failed: Iterable[int]
+                 ) -> Optional[LeakageAssessment]:
+        """The merge of the folded shards naming ``failed`` as
+        ``failed_shards`` once every other shard is folded and at least
+        one is; ``None`` before that.  Never stored: a resubmission after
+        the fault is fixed recomputes in full."""
+        failed = tuple(sorted(failed))
+        if not failed or not self.partials \
+                or len(self.partials) + len(failed) < self.n_shards:
+            return None
+        assessment = self.merge()
+        assessment.failed_shards = failed
+        return assessment
+
+    def store(self, assessment: LeakageAssessment) -> LeakageAssessment:
+        """Publish the full merge and return the stored copy (the store is
+        write-once first-wins, so every collector returns the same)."""
+        store = campaign_store(self.paths.campaign_root)
+        store.put(self.paths.spec_hash, assessment, metadata={
+            "design_name": self.spec.design_name,
+            "n_shards": self.n_shards,
+            "n_traces": self.spec.tvla.n_traces,
+        })
+        return store.get(self.paths.spec_hash)
 
 
 def collect_result(root: Union[str, Path], spec_hash: str,
                    timeout: Optional[float] = None,
                    poll_interval: float = 0.1,
-                   queue: Optional[TaskQueue] = None,
-                   shard_key_prefix: str = "",
+                   tenant: Optional[str] = None,
                    allow_partial: bool = False) -> LeakageAssessment:
     """Wait for a campaign's shards, merge them, and store the result.
 
     Serves straight from the store when the campaign already completed
-    (bit-identical to the original run).  Otherwise polls the checkpoint
-    directory until every shard holds a *verified* partial — corrupt
-    checkpoints are quarantined and their shards requeued
-    (:func:`verified_checkpoint`), so a torn or tampered file delays the
-    collect rather than poisoning it — then merges in shard order,
-    publishes the assessment to the content-addressed store and returns
-    the stored copy.
+    (bit-identical to the original run).  Otherwise polls a
+    :class:`ShardCollector` until every shard holds a *verified* partial
+    — corrupt checkpoints are quarantined and their shards requeued, so a
+    torn or tampered file delays the collect rather than poisoning it —
+    then merges in shard order, publishes the assessment to the
+    content-addressed store and returns the stored copy.  ``tenant``
+    mirrors :func:`submit_campaign`.
 
     With ``allow_partial=True`` a poisoned campaign degrades instead of
     raising: once every still-missing shard has terminally failed (retries
     exhausted) and at least one shard succeeded, the completed shards are
     merged and returned with :attr:`LeakageAssessment.failed_shards`
-    naming the casualties.  The degraded result is **not** stored — a
-    resubmission after the fault is fixed recomputes the full campaign.
+    naming the casualties (:meth:`ShardCollector.degraded`; not stored).
 
     The merge takes its gate order from the campaign's context (shared
     with any shard this process ran); the context is evicted when this
@@ -563,77 +680,37 @@ def collect_result(root: Union[str, Path], spec_hash: str,
             completed.
         TimeoutError: when ``timeout`` elapses first.
     """
-    root = Path(root)
-    store = campaign_store(root)
-    cached = store.get(spec_hash)
+    paths = CampaignPaths(Path(root), spec_hash, tenant)
+    cached = campaign_store(paths.campaign_root).get(spec_hash)
     if cached is not None:
         return cached
     try:
-        context = _campaign_context(root, spec_hash)
-        spec = context.spec
-        paths = CampaignPaths(root, spec_hash, key_prefix=shard_key_prefix)
-        ranges = spec.shard_ranges()
-        if queue is None:
-            queue = campaign_queue(root)
-        started_at = time.perf_counter()
+        collector = ShardCollector(
+            paths, _campaign_context(paths.campaign_root, spec_hash).spec,
+            campaign_queue(root))
         deadline = None if timeout is None else time.monotonic() + timeout
-        verified: Dict[int, tuple] = {}
-
-        def merge_verified() -> LeakageAssessment:
-            # Shard order: a resumed or distributed campaign merges
-            # bit-identically to an uninterrupted one with the same layout.
-            return merge_shard_partials(
-                [verified[k] for k in sorted(verified)], spec.tvla,
-                spec.design_name, context.gate_names,
-                time.perf_counter() - started_at, len(ranges))
-
         while True:
-            missing = []
-            for shard_index in range(len(ranges)):
-                if shard_index in verified:
-                    continue  # checkpoints are immutable once verified
-                found = verified_checkpoint(paths, shard_index, queue=queue)
-                if found is None:
-                    missing.append(shard_index)
-                else:
-                    verified[shard_index] = found[1]
-            if not missing:
-                break
-            failed, failure = [], None
-            for shard_index in missing:
-                error = settle_missing_shard(queue, paths, shard_index)
-                if error is not None:
-                    failed.append(shard_index)
-                    if failure is None:
-                        failure = (shard_index, error)
+            failed = collector.scan()
+            if collector.done:
+                return collector.store(collector.merge())
             if failed:
-                if allow_partial and len(failed) == len(missing) and verified:
-                    # Every outstanding shard is terminally dead: degrade.
-                    assessment = merge_verified()
-                    assessment.failed_shards = tuple(failed)
-                    return assessment  # degraded — deliberately not stored
-                if not allow_partial or not verified:
+                if not (allow_partial and collector.partials):
+                    shard_index = min(failed)
                     raise CampaignError(
-                        f"shard {failure[0]} of campaign {spec_hash[:12]}… "
-                        f"exhausted its retries:\n{failure[1]}")
+                        f"shard {shard_index} of campaign {spec_hash[:12]}… "
+                        f"exhausted its retries:\n{failed[shard_index]}")
+                degraded = collector.degraded(failed)
+                if degraded is not None:
+                    return degraded
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError(
                     f"campaign {spec_hash[:12]}… still missing shards "
-                    f"{missing} after {timeout:.1f}s")
+                    f"{collector.missing()} after {timeout:.1f}s")
             time.sleep(poll_interval)
-        assessment = merge_verified()
-        store.put(spec_hash, assessment, metadata={
-            "design_name": spec.design_name,
-            "n_shards": len(ranges),
-            "n_traces": spec.tvla.n_traces,
-        })
-        # Return the stored copy: later cache hits are bit-identical to it by
-        # construction (the round-trip itself is lossless).
-        return store.get(spec_hash)
     finally:
         # Merged, degraded or given up on: this process is done with
         # the campaign, so its context goes.
-        _evict_campaign_context(root, spec_hash)
+        _evict_campaign_context(paths.campaign_root, spec_hash)
 
 
 # ----------------------------------------------------------------------
@@ -643,12 +720,15 @@ def collect_result(root: Union[str, Path], spec_hash: str,
 class GcOutcome:
     """What :func:`gc_campaign_root` removed (or would remove).
 
+    Entries from a tenant's sub-root read ``<tenant>/<hash>``; entries
+    from the root itself are the bare hash.
+
     Attributes:
-        pruned_results: Content hashes evicted from the result store.
+        pruned_results: Content hashes evicted from the result stores.
         pruned_shard_dirs: Campaign hashes whose shard-checkpoint
             directories were removed (their merged result is stored, so
             the per-shard partials were redundant).
-        kept_results: Objects still in the store afterwards.
+        kept_results: Objects still in the stores afterwards.
         dry_run: Whether this was a report-only pass.
     """
 
@@ -663,20 +743,23 @@ def gc_campaign_root(root: Union[str, Path],
                      keep_hashes: Iterable[str] = (),
                      prune_shards: bool = False,
                      dry_run: bool = False) -> GcOutcome:
-    """Evict old results (and redundant shard checkpoints) under ``root``.
+    """Evict old results (and redundant shard checkpoints) under ``root``
+    and every tenant sub-root in it.
 
     The content-addressed store is write-once, so it only ever grows;
     long-lived roots (CI fleets, shared lab servers) need an eviction
-    policy.  Everything removed here is re-derivable — re-submitting the
-    same campaign recomputes the identical result — so gc can never lose
-    information, only cache warmth.
+    policy.  Everything removed here is
+    re-derivable — re-submitting the same campaign recomputes the
+    identical result — so gc can never lose information, only cache
+    warmth.
 
     Args:
         root: The campaign root directory.
         max_age: Evict stored results older than this many seconds
             (``None`` = no age filter: evict everything not in
             ``keep_hashes``).
-        keep_hashes: Campaign hashes to retain regardless of age.
+        keep_hashes: Campaign hashes to retain regardless of age, in
+            every tenant.
         prune_shards: Additionally delete the ``campaigns/<hash>/shards``
             checkpoint directories of campaigns whose merged result is in
             the store *before* this call's eviction runs — once merged and
@@ -689,28 +772,38 @@ def gc_campaign_root(root: Union[str, Path],
         A :class:`GcOutcome`; with ``dry_run`` the outcome lists the
         candidates and the filesystem is unchanged.
     """
-    root = Path(root)
-    store = campaign_store(root)
-    shard_candidates: List[str] = []
-    if prune_shards:
-        campaigns_dir = root / "campaigns"
-        if campaigns_dir.exists():
+    keep_hashes = tuple(keep_hashes)
+    tenants_dir = Path(root) / _TENANTS_DIR
+    tenants = sorted(path.name for path in tenants_dir.iterdir()
+                     if _TENANT_PATTERN.match(path.name)) \
+        if tenants_dir.is_dir() else []
+    pruned: List[str] = []
+    pruned_shard_dirs: List[str] = []
+    kept = 0
+    for tenant in [None] + tenants:
+        label = "" if tenant is None else f"{tenant}/"
+        scope = CampaignPaths.scope_root(root, tenant)
+        store = campaign_store(scope)
+        campaigns_dir = scope / "campaigns"
+        if prune_shards and campaigns_dir.exists():
+            candidates = []
             for path in sorted(campaigns_dir.iterdir()):
-                if not (path / "spec.json").exists():
-                    continue  # not a campaign directory
                 shards_dir = path / "shards"
-                if shards_dir.exists() and any(shards_dir.iterdir()) \
+                if (path / "spec.json").exists() and shards_dir.exists() \
+                        and any(shards_dir.iterdir()) \
                         and store.has(path.name):
-                    shard_candidates.append(path.name)
-        if not dry_run:
-            for spec_hash in shard_candidates:
-                shutil.rmtree(root / "campaigns" / spec_hash / "shards",
-                              ignore_errors=True)
-    pruned = store.prune(max_age=max_age, keep_hashes=keep_hashes,
-                         dry_run=dry_run)
-    kept = len(store) - (len(pruned) if dry_run else 0)
+                    candidates.append(path.name)
+            if not dry_run:
+                for spec_hash in candidates:
+                    shutil.rmtree(campaigns_dir / spec_hash / "shards",
+                                  ignore_errors=True)
+            pruned_shard_dirs += [label + key for key in candidates]
+        evicted = store.prune(max_age=max_age, keep_hashes=keep_hashes,
+                              dry_run=dry_run)
+        kept += len(store) - (len(evicted) if dry_run else 0)
+        pruned += [label + key for key in evicted]
     return GcOutcome(pruned_results=tuple(pruned),
-                     pruned_shard_dirs=tuple(shard_candidates),
+                     pruned_shard_dirs=tuple(pruned_shard_dirs),
                      kept_results=kept, dry_run=dry_run)
 
 

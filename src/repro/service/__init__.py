@@ -34,8 +34,6 @@ from .protocol import (
     decode_message,
     encode_message,
     read_frames,
-    tenant_key_prefix,
-    tenant_root,
     validate_tenant,
 )
 from .server import AssessmentService, serve
@@ -59,7 +57,5 @@ __all__ = [
     "encode_message",
     "read_frames",
     "serve",
-    "tenant_key_prefix",
-    "tenant_root",
     "validate_tenant",
 ]

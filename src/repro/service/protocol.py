@@ -23,11 +23,11 @@ lossless encodings — base64 raw little-endian buffers via
 service is *bitwise* the t-value the batch ``collect`` path produces.
 
 Tenant namespacing: every campaign-scoped message carries a validated
-``tenant`` id.  On the server a tenant maps to a private sub-root
-(``<root>/tenants/<tenant>`` — own store, own checkpoint tree) while all
-tenants share one fleet-wide task queue whose idempotency keys are
-prefixed ``tenant:<tenant>:`` (see :func:`tenant_key_prefix`), keeping
-cross-tenant specs with equal hashes from deduplicating into one task.
+``tenant`` id.  On the server a tenant maps to a private sub-root (own
+store, own checkpoint tree) while all tenants share one fleet-wide task
+queue under tenant-prefixed idempotency keys, keeping cross-tenant specs
+with equal hashes from deduplicating into one task; the layout is
+:class:`repro.campaign.runner.CampaignPaths`'s.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ import dataclasses
 import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Tuple, Type, Union
+
+from ..campaign import runner
 
 PROTOCOL_VERSION = 2
 
@@ -49,10 +50,6 @@ PROTOCOL_VERSION = 2
 #: :meth:`~repro.service.client.ServiceClient.send` refuses longer frames
 #: before writing them.
 FRAME_LIMIT = 2 ** 16
-
-#: Tenant ids are path- and key-safe by construction: they appear in
-#: directory names and queue keys verbatim.
-_TENANT_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]{0,63}\Z")
 
 #: A campaign spec hash: the SHA-256 hex digest of the canonical spec.
 _SPEC_HASH_PATTERN = re.compile(r"^[0-9a-f]{64}\Z")
@@ -67,25 +64,18 @@ class ProtocolError(ValueError):
 def validate_tenant(tenant: str) -> str:
     """Return ``tenant`` if it is a legal tenant id, else raise.
 
+    The rule is the campaign layer's
+    (:func:`repro.campaign.runner.validate_tenant`); on the wire a bad id
+    is a protocol error, which the server answers with ``bad-tenant``.
+
     Raises:
         ProtocolError: for ids that are empty, too long (> 64 chars), or
             contain characters unsafe in paths/queue keys.
     """
-    if not isinstance(tenant, str) or not _TENANT_PATTERN.match(tenant):
-        raise ProtocolError(
-            f"invalid tenant id {tenant!r}: expected 1-64 chars of "
-            f"[A-Za-z0-9_-], starting alphanumeric")
-    return tenant
-
-
-def tenant_root(root: Union[str, Path], tenant: str) -> Path:
-    """The private campaign sub-root of one tenant (store + checkpoints)."""
-    return Path(root) / "tenants" / validate_tenant(tenant)
-
-
-def tenant_key_prefix(tenant: str) -> str:
-    """Queue-key namespace of one tenant in the shared fleet queue."""
-    return f"tenant:{validate_tenant(tenant)}:"
+    try:
+        return runner.validate_tenant(tenant)
+    except ValueError as error:
+        raise ProtocolError(str(error)) from None
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +281,4 @@ __all__ = [
     "decode_message",
     "read_frames",
     "validate_tenant",
-    "tenant_root",
-    "tenant_key_prefix",
 ]

@@ -8,25 +8,22 @@ replacing any of it:
 * submissions go through :func:`repro.campaign.runner.submit_campaign`
   into the root's SQLite :class:`TaskQueue` — the server never computes
   shards itself;
-* shard results have one way in: a monitor task rescans the checkpoint
-  directories every ``monitor_interval`` and folds each shard's sealed
-  checkpoint once :func:`repro.campaign.runner.verified_checkpoint` has
-  checked it (a corrupt file is quarantined and its shard requeued).
-  No frame a client sends can carry shard data, so nothing but a
-  verified checkpoint reaches the write-once result store; the cost is
-  that progress arrives up to one ``monitor_interval`` after a
-  checkpoint lands.  Worker liveness is the queue's business: lease rows
-  carry ``heartbeat_at`` / ``renewals`` and fence dead workers;
-* folding is delegated to :func:`repro.tvla.assessment.merge_shard_partials`
-  over the present shards in shard-index order — the global-chunk-order
-  association that makes the counter sampler's results bitwise
-  independent of shard layout — so the progress frame emitted after the
-  final shard is bitwise equal to the collected assessment.
+* shard results have one way in: each open campaign holds the
+  :class:`repro.campaign.runner.ShardCollector` that ``collect_result``
+  polls, and a monitor task reads it every ``monitor_interval``, folding
+  each sealed checkpoint once it verifies.  No frame a client sends can
+  carry shard data, so nothing but a verified checkpoint reaches the
+  write-once result store; the cost is that progress arrives up to one
+  ``monitor_interval`` after a checkpoint lands.  Worker liveness is the
+  queue's business: lease rows carry ``heartbeat_at`` / ``renewals``;
+* the collector merges the present shards in shard-index order, so the
+  progress frame emitted after the final shard is bitwise equal to the
+  collected assessment, and a degraded campaign completes exactly as
+  ``collect_result(allow_partial=True)`` returns it.
 
-Tenancy: each tenant's campaigns live under ``<root>/tenants/<tenant>``
-with a private result store, while shard tasks from every tenant share
-the single fleet queue at ``<root>/queue.sqlite`` under
-``tenant:<t>:``-prefixed keys.
+Tenancy (:class:`repro.campaign.runner.CampaignPaths`): each tenant's
+campaigns live in a private sub-root with its own result store, while
+shard tasks from every tenant share the root's queue.
 
 Blocking work (SQLite, file I/O, numpy folds) runs in worker threads via
 ``asyncio.to_thread``; per-campaign folds are serialised by a lock so
@@ -37,24 +34,21 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Set, Tuple, Union
 
-from ..campaign.queue import TaskQueue
 from ..campaign.runner import (
     CampaignPaths,
-    campaign_gate_names,
+    ShardCollector,
+    campaign_queue,
     campaign_store,
     load_spec,
-    settle_missing_shard,
     submit_campaign,
-    verified_checkpoint,
 )
 from ..campaign.serialize import assessment_to_dict, encode_array
 from ..campaign.spec import CampaignSpec
-from ..tvla.assessment import LeakageAssessment, merge_shard_partials
+from ..tvla.assessment import LeakageAssessment
 from .protocol import (
     FRAME_LIMIT,
     CampaignAccepted,
@@ -67,41 +61,41 @@ from .protocol import (
     WatchCampaign,
     decode_message,
     encode_message,
-    tenant_key_prefix,
-    tenant_root,
     validate_tenant,
 )
 
 
 @dataclass
 class _Campaign:
-    """Server-side state of one (tenant, spec_hash) campaign."""
+    """Server-side state of one (tenant, spec_hash) campaign.
+
+    A finished campaign (complete or degraded) drops its ``collector``,
+    and with it the shard partials, keeping only the replayed frames.
+    """
 
     tenant: str
-    spec: CampaignSpec
-    paths: CampaignPaths
-    partials: Dict[int, object] = field(default_factory=dict)
+    spec_hash: str
+    collector: Optional[ShardCollector]
     watchers: Set["_Connection"] = field(default_factory=set)
     fold_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    complete: bool = False
     last_progress: Optional[CampaignProgress] = None
     final_frame: Optional[CampaignComplete] = None
     #: The error frame of each terminally failed shard, sent once per
     #: watcher: broadcast when the failure is first seen, replayed to
     #: later subscribers by ``_push_state``.
     failures: Dict[int, ServiceError] = field(default_factory=dict)
-    _gate_names: Optional[Tuple[str, ...]] = None
-    started_at: float = field(default_factory=time.perf_counter)
 
     @property
-    def n_shards(self) -> int:
-        return len(self.spec.shard_ranges())
+    def complete(self) -> bool:
+        return self.final_frame is not None
 
-    def gate_names(self) -> Tuple[str, ...]:
-        if self._gate_names is None:
-            self._gate_names = campaign_gate_names(self.paths.root,
-                                                   self.spec.content_hash)
-        return self._gate_names
+    def finish(self, assessment: LeakageAssessment) -> CampaignComplete:
+        """Record the final frame and drop the shard partials."""
+        self.final_frame = CampaignComplete(
+            tenant=self.tenant, spec_hash=self.spec_hash,
+            assessment=assessment_to_dict(assessment))
+        self.collector = None
+        return self.final_frame
 
 
 class _Connection:
@@ -172,7 +166,7 @@ class AssessmentService:
         self.host = host
         self.port = port
         self.monitor_interval = monitor_interval
-        self.queue = TaskQueue(self.root / "queue.sqlite")
+        self.queue = campaign_queue(self.root)
         self._campaigns: Dict[Tuple[str, str], _Campaign] = {}
         self._connections: Set[_Connection] = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -300,10 +294,8 @@ class AssessmentService:
             connection.send(ServiceError(code="bad-spec",
                                          message=str(error)))
             return
-        root = tenant_root(self.root, tenant)
         outcome = await asyncio.to_thread(
-            submit_campaign, root, spec=spec, queue=self.queue,
-            shard_key_prefix=tenant_key_prefix(tenant))
+            submit_campaign, self.root, spec=spec, tenant=tenant)
         campaign = self._ensure_campaign(tenant, spec)
         connection.send(CampaignAccepted(
             tenant=tenant, spec_hash=outcome.spec_hash,
@@ -312,9 +304,8 @@ class AssessmentService:
             n_enqueued=outcome.n_enqueued))
         if message.follow:
             campaign.watchers.add(connection)
+        await self._finalise_from_store(campaign)
         await self._absorb_disk_partials(campaign)
-        if outcome.status == "cached" and not campaign.complete:
-            await self._finalise_from_store(campaign)
         self._push_state(campaign, connection if message.follow else None)
 
     async def _handle_watch(self, connection: _Connection,
@@ -323,10 +314,10 @@ class AssessmentService:
         key = (tenant, message.spec_hash)
         campaign = self._campaigns.get(key)
         if campaign is None:
-            root = tenant_root(self.root, tenant)
+            paths = CampaignPaths(self.root, message.spec_hash, tenant)
             try:
-                spec = await asyncio.to_thread(load_spec, root,
-                                               message.spec_hash)
+                spec = await asyncio.to_thread(
+                    load_spec, paths.campaign_root, message.spec_hash)
             except (FileNotFoundError, ValueError):
                 connection.send(ServiceError(
                     code="unknown-campaign",
@@ -335,6 +326,7 @@ class AssessmentService:
                 return
             campaign = self._ensure_campaign(tenant, spec)
         campaign.watchers.add(connection)
+        await self._finalise_from_store(campaign)
         await self._absorb_disk_partials(campaign)
         self._push_state(campaign, connection)
 
@@ -345,10 +337,10 @@ class AssessmentService:
         key = (tenant, spec.content_hash)
         campaign = self._campaigns.get(key)
         if campaign is None:
-            paths = CampaignPaths(tenant_root(self.root, tenant),
-                                  spec.content_hash,
-                                  key_prefix=tenant_key_prefix(tenant))
-            campaign = _Campaign(tenant=tenant, spec=spec, paths=paths)
+            paths = CampaignPaths(self.root, spec.content_hash, tenant)
+            campaign = _Campaign(
+                tenant=tenant, spec_hash=spec.content_hash,
+                collector=ShardCollector(paths, spec, self.queue))
             self._campaigns[key] = campaign
         return campaign
 
@@ -357,126 +349,67 @@ class AssessmentService:
         """Fold the shard checkpoints that reached disk since the last scan;
         returns the missing shards whose task terminally failed.
 
-        This is the server's only input for shard results.  Disk reads go
-        through :func:`verified_checkpoint`: a corrupt checkpoint (torn
-        write, tampering) is quarantined and its shard requeued on the
-        shared queue instead of being folded or crashing the monitor — the
-        campaign heals by recomputation.
+        This is the server's only input for shard results: each missing
+        shard goes through :meth:`ShardCollector.read`, the same read as
+        ``collect_result``'s, and every newly folded shard gets its own
+        progress frame.
         """
         if campaign.complete:
             return ()
-        failed = []
-        for shard_index in range(campaign.n_shards):
-            if shard_index in campaign.partials:
-                continue
-            partials, error = await asyncio.to_thread(
-                self._scan_shard, campaign, shard_index)
+        collector, failed = campaign.collector, []
+        for shard_index in collector.missing():
+            if campaign.complete or shard_index in collector.partials:
+                continue  # folded meanwhile by a concurrent scan
+            partials, error = await asyncio.to_thread(collector.read,
+                                                      shard_index)
             if partials is not None:
                 await self._fold_partial(campaign, shard_index, partials)
             elif error is not None:
                 failed.append(shard_index)
         return tuple(failed)
 
-    def _scan_shard(self, campaign: _Campaign, shard_index: int
-                    ) -> Tuple[Optional[tuple], Optional[str]]:
-        """One shard's ``(verified partials, None)``, or ``(None, error)``
-        with the error of a terminally failed task (blocking).
-
-        A shard without a verified checkpoint goes through
-        :func:`settle_missing_shard`, as in ``collect_result``: a stale
-        ``done`` row — its checkpoint quarantined by any participant, or
-        acked without one — is requeued instead of leaving the shard done
-        and never rerun.
-        """
-        paths = campaign.paths
-        found = verified_checkpoint(paths, shard_index, queue=self.queue)
-        if found is not None:
-            return found[1], None
-        return None, settle_missing_shard(self.queue, paths, shard_index)
-
     async def _fold_partial(self, campaign: _Campaign, shard_index: int,
                             partials: tuple) -> None:
+        """Fold one shard, broadcast the interim merge and, after the last
+        shard, store the result and announce completion."""
         async with campaign.fold_lock:
-            if campaign.complete or shard_index in campaign.partials:
+            collector = campaign.collector
+            if campaign.complete or shard_index in collector.partials:
                 return
-            campaign.partials[shard_index] = partials
-            assessment = await asyncio.to_thread(self._interim_fold,
-                                                 campaign)
-            progress = self._progress_frame(campaign, assessment)
+            collector.partials[shard_index] = partials
+            assessment = await asyncio.to_thread(collector.merge)
+            progress = CampaignProgress(
+                tenant=campaign.tenant, spec_hash=campaign.spec_hash,
+                n_shards_total=collector.n_shards,
+                shards_done=tuple(sorted(collector.partials)),
+                t_values=encode_array(assessment.t_values),
+                order_t_values={
+                    str(order): encode_array(values)
+                    for order, values in
+                    sorted(assessment.order_t_values.items())},
+                max_abs_t=float(assessment.summary()["max_abs_t"]),
+                leaking_gates=assessment.leaky_gates)
             campaign.last_progress = progress
             self._broadcast(campaign, progress)
-            if len(campaign.partials) == campaign.n_shards:
-                await self._finalise(campaign, assessment)
-
-    def _interim_fold(self, campaign: _Campaign) -> LeakageAssessment:
-        """Merge the present shards in shard-index order (blocking).
-
-        The fold order is the global shard order restricted to the
-        present subset — for the counter sampler every chunk's
-        accumulators are keyed to global chunk coordinates, so once all
-        shards are present this is *exactly* the batch merge and the
-        resulting arrays are bitwise equal to ``collect_result``'s.
-        """
-        return merge_shard_partials(
-            [campaign.partials[k] for k in sorted(campaign.partials)],
-            campaign.spec.tvla, campaign.spec.design_name,
-            campaign.gate_names(), time.perf_counter() - campaign.started_at,
-            campaign.n_shards)
-
-    def _progress_frame(self, campaign: _Campaign,
-                        assessment: LeakageAssessment) -> CampaignProgress:
-        return CampaignProgress(
-            tenant=campaign.tenant,
-            spec_hash=campaign.spec.content_hash,
-            n_shards_total=campaign.n_shards,
-            shards_done=tuple(sorted(campaign.partials)),
-            t_values=encode_array(assessment.t_values),
-            order_t_values={
-                str(order): encode_array(values)
-                for order, values in
-                sorted(assessment.order_t_values.items())},
-            max_abs_t=float(assessment.summary()["max_abs_t"]),
-            leaking_gates=assessment.leaky_gates)
-
-    async def _finalise(self, campaign: _Campaign,
-                        assessment: LeakageAssessment) -> None:
-        """Store the merged result and announce completion.
-
-        The store is write-once first-wins: if a concurrent batch
-        ``collect_result`` already stored the (identical) assessment the
-        put is a no-op, and the announced frame serves the stored copy so
-        streamed and collected views are bitwise equal by construction.
-        """
-        store = campaign_store(campaign.paths.root)
-        spec = campaign.spec
-
-        def _store_and_get():
-            store.put(spec.content_hash, assessment, metadata={
-                "design_name": spec.design_name,
-                "n_shards": len(spec.shard_ranges()),
-                "n_traces": spec.tvla.n_traces,
-            })
-            return store.get(spec.content_hash)
-
-        stored = await asyncio.to_thread(_store_and_get)
-        campaign.complete = True
-        campaign.final_frame = CampaignComplete(
-            tenant=campaign.tenant, spec_hash=spec.content_hash,
-            assessment=assessment_to_dict(stored))
-        self._broadcast(campaign, campaign.final_frame)
+            if collector.done:
+                # Announce the stored copy: if a batch collect stored the
+                # (identical) result first, streamed and collected views
+                # are still bitwise equal by construction.
+                stored = await asyncio.to_thread(collector.store, assessment)
+                self._broadcast(campaign, campaign.finish(stored))
 
     async def _finalise_from_store(self, campaign: _Campaign) -> None:
-        """Announce completion of a campaign whose result is already stored."""
-        store = campaign_store(campaign.paths.root)
-        stored = await asyncio.to_thread(store.get,
-                                         campaign.spec.content_hash)
-        if stored is None:
-            return
-        campaign.complete = True
-        campaign.final_frame = CampaignComplete(
-            tenant=campaign.tenant,
-            spec_hash=campaign.spec.content_hash,
-            assessment=assessment_to_dict(stored))
+        """Complete a campaign whose result is already stored — checked
+        before any checkpoint is read, since ``gc --shards`` deletes those
+        and a missing one's ``done`` row would be requeued."""
+        async with campaign.fold_lock:
+            if campaign.complete:
+                return
+            paths = campaign.collector.paths
+            stored = await asyncio.to_thread(
+                campaign_store(paths.campaign_root).get, paths.spec_hash)
+            if stored is not None:
+                campaign.finish(stored)
 
     def _push_state(self, campaign: _Campaign,
                     connection: Optional[_Connection]) -> None:
@@ -526,36 +459,24 @@ class AssessmentService:
                 error = ServiceError(
                     code="internal",
                     message=f"shard {shard_index} of "
-                            f"{campaign.spec.content_hash[:12]}… exhausted "
+                            f"{campaign.spec_hash[:12]}… exhausted "
                             f"its retries")
                 self._broadcast(campaign, error)
             failures[shard_index] = error
         campaign.failures = failures
-        # Graceful degradation: once every shard is accounted for (folded
-        # or terminally failed) and at least one succeeded, a poisoned
-        # campaign completes with a *partial* CampaignComplete naming its
-        # failed_shards — watchers get an answer instead of an error loop
-        # that never ends.  The degraded assessment is not stored: a
-        # resubmission after the fault is fixed recomputes in full.
-        if failed_shards and campaign.partials and \
-                len(campaign.partials) + len(failed_shards) \
-                >= campaign.n_shards:
-            await self._finalise_partial(campaign, failed_shards)
-
-    async def _finalise_partial(self, campaign: _Campaign,
-                                failed_shards: Tuple[int, ...]) -> None:
-        async with campaign.fold_lock:
-            if campaign.complete or not campaign.partials:
-                return
-            assessment = await asyncio.to_thread(self._interim_fold,
-                                                 campaign)
-            assessment.failed_shards = tuple(sorted(failed_shards))
-            campaign.complete = True
-            campaign.final_frame = CampaignComplete(
-                tenant=campaign.tenant,
-                spec_hash=campaign.spec.content_hash,
-                assessment=assessment_to_dict(assessment))
-            self._broadcast(campaign, campaign.final_frame)
+        # Graceful degradation, by the collector's rule: once every shard
+        # is folded or terminally failed, a poisoned campaign completes
+        # with the partial CampaignComplete ``collect_result(...,
+        # allow_partial=True)`` returns — watchers get an answer instead
+        # of an error loop that never ends.
+        if failed_shards:
+            async with campaign.fold_lock:
+                if campaign.complete:
+                    return
+                assessment = await asyncio.to_thread(
+                    campaign.collector.degraded, failed_shards)
+                if assessment is not None:
+                    self._broadcast(campaign, campaign.finish(assessment))
 
 
 async def _serve(root: Union[str, Path], host: str, port: int,

@@ -1765,3 +1765,38 @@ class TestRootGc:
         assert cli_main(["gc", "--root", str(campaign_root), "--all"]) == 0
         assert "evicted 1 result(s)" in capsys.readouterr().out
         assert not campaign_status(campaign_root, spec_hash).complete
+
+    def test_gc_reaches_tenant_sub_roots(self, campaign_root, capsys,
+                                         small_benchmark, campaign_config):
+        from repro.campaign import gc_campaign_root
+
+        spec_hash, _ = self._completed_campaign(campaign_root,
+                                                small_benchmark,
+                                                campaign_config)
+        # The same spec once more, as tenant "lab" on the same root.
+        submit_campaign(campaign_root, netlist=small_benchmark,
+                        config=campaign_config, n_shards=2, tenant="lab")
+        run_worker(campaign_queue(campaign_root), drain=True)
+        collect_result(campaign_root, spec_hash, tenant="lab")
+        lab = CampaignPaths(campaign_root, spec_hash, "lab")
+        capsys.readouterr()
+        assert cli_main(["gc", "--root", str(campaign_root), "--all",
+                         "--shards", "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert "would evict 2 result(s), kept 0" in out
+        assert f"result lab/{spec_hash[:12]}…" in out
+        assert f"shards lab/{spec_hash[:12]}…" in out
+        assert lab.shards_dir.exists()
+        # --keep holds in every tenant; --shards prunes each sub-root.
+        outcome = gc_campaign_root(campaign_root, keep_hashes=[spec_hash],
+                                   prune_shards=True)
+        assert outcome.pruned_results == ()
+        assert outcome.pruned_shard_dirs == (spec_hash, f"lab/{spec_hash}")
+        assert outcome.kept_results == 2
+        assert not lab.shards_dir.exists()
+        assert campaign_status(campaign_root, spec_hash,
+                               tenant="lab").complete
+        assert cli_main(["gc", "--root", str(campaign_root), "--all"]) == 0
+        assert "evicted 2 result(s)" in capsys.readouterr().out
+        assert not campaign_status(campaign_root, spec_hash,
+                                   tenant="lab").complete

@@ -72,8 +72,6 @@ from repro.service import (
     CampaignProgress,
     ServiceClient,
     ServiceError,
-    tenant_key_prefix,
-    tenant_root,
 )
 from repro.tvla import TvlaConfig
 
@@ -537,7 +535,7 @@ class TestCampaignHardening:
                                   config=config, n_shards=2)
         queue = campaign_queue(root)
         run_worker(queue, drain=True)
-        status = campaign_status(root, outcome.spec_hash, queue=queue)
+        status = campaign_status(root, outcome.spec_hash)
         assert status.failed_shards == (0,)
         assert status.n_shards_done == 1
         with pytest.raises(CampaignError, match="exhausted its retries"):
@@ -754,10 +752,8 @@ class TestServiceReliability:
         assert complete.spec_hash == spec.content_hash
         final = progress[-1] if progress else first
         assert final.shards_done == (0, 1, 2)
-        collected = collect_result(
-            tenant_root(shared_root, tenant), spec.content_hash,
-            timeout=30, queue=queue,
-            shard_key_prefix=tenant_key_prefix(tenant))
+        collected = collect_result(shared_root, spec.content_hash,
+                                   timeout=30, tenant=tenant)
         assert np.array_equal(decode_array(final.t_values),
                               collected.t_values)
 
@@ -805,10 +801,7 @@ class TestServiceReliability:
             # and a healer drains until every checkpoint verifies (the
             # corruption budget is spent), unless the survivor already
             # picked the requeue up.
-            troot = tenant_root(shared_root, tenant)
-            prefix = tenant_key_prefix(tenant)
-            paths = CampaignPaths(troot, spec.content_hash,
-                                  key_prefix=prefix)
+            paths = CampaignPaths(shared_root, spec.content_hash, tenant)
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline and not all(
                     checkpoint_ok(paths.shard_path(k))
@@ -834,8 +827,8 @@ class TestServiceReliability:
         assert all(checkpoint_ok(paths.shard_path(k))
                    for k in range(spec.n_shards))
         assert queue.counts()["pending"] == 0
-        collected = collect_result(troot, spec.content_hash, timeout=60,
-                                   queue=queue, shard_key_prefix=prefix)
+        collected = collect_result(shared_root, spec.content_hash,
+                                   timeout=60, tenant=tenant)
         assert np.array_equal(streamed_t, collected.t_values)
         clean = run_campaign(tmp_path / "clean", spec.netlist(), spec.tvla,
                              n_shards=3, n_workers=1)

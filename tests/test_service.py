@@ -44,14 +44,13 @@ from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignPaths,
-    campaign_queue,
     campaign_store,
     collect_result,
     run_campaign,
     run_worker,
 )
 from repro.campaign.runner import verified_checkpoint
-from repro.campaign.serialize import decode_array
+from repro.campaign.serialize import assessment_from_dict, decode_array
 from repro.campaign.spec import CampaignSpec
 from repro.netlist import RandomLogicSpec, generate_random_logic
 from repro.netlist.benchmarks import load_benchmark
@@ -70,8 +69,6 @@ from repro.service import (
     decode_message,
     encode_message,
     read_frames,
-    tenant_key_prefix,
-    tenant_root,
     validate_tenant,
 )
 from repro.service.protocol import FRAME_LIMIT
@@ -164,9 +161,12 @@ class TestProtocol:
                 validate_tenant(bad)
 
     def test_tenant_paths_and_prefixes(self, tmp_path):
-        root = tenant_root(tmp_path, "lab")
-        assert root == tmp_path / "tenants" / "lab"
-        assert tenant_key_prefix("lab") == "tenant:lab:"
+        paths = CampaignPaths(tmp_path, "f" * 64, "lab")
+        assert paths.campaign_root == tmp_path / "tenants" / "lab"
+        assert paths.shard_key(2) == f"tenant:lab:{'f' * 64}:shard:2"
+        plain = CampaignPaths(tmp_path, "f" * 64)
+        assert plain.campaign_root == tmp_path
+        assert plain.shard_key(2) == f"{'f' * 64}:shard:2"
 
 
 # ----------------------------------------------------------------------
@@ -444,16 +444,12 @@ class TestEndToEndStreaming:
 
         # Streamed == collected, bitwise, and cross-checked against an
         # undisturbed single-process campaign of the same layout.
-        troot = tenant_root(shared_root, tenant)
-        collected = collect_result(
-            troot, spec.content_hash, timeout=30,
-            queue=campaign_queue(shared_root),
-            shard_key_prefix=tenant_key_prefix(tenant))
+        collected = collect_result(shared_root, spec.content_hash,
+                                   timeout=30, tenant=tenant)
         streamed_t = decode_array(final.t_values)
         assert np.array_equal(streamed_t, collected.t_values)
         assert streamed_t.dtype == collected.t_values.dtype
 
-        from repro.campaign.serialize import assessment_from_dict
         complete_assessment = assessment_from_dict(complete.assessment)
         assert np.array_equal(complete_assessment.t_values,
                               collected.t_values)
@@ -578,7 +574,9 @@ class TestSingleDoor:
                 assert "version" in reply.message
             # Ten monitor intervals: no progress, no completion.
             assert _frames_within(client, 1.0) == []
-        store = campaign_store(tenant_root(service.root, "lab"))
+        store = campaign_store(
+            CampaignPaths(service.root, spec_a.content_hash,
+                          "lab").campaign_root)
         assert store.get(spec_a.content_hash) is None
         assert service.queue.counts()["pending"] == 3
 
@@ -599,9 +597,7 @@ class TestSingleDoor:
         with ServiceClient(service.host, service.port) as client:
             client.submit("lab", spec.to_json(), follow=False)
         queue = service.queue
-        paths = CampaignPaths(tenant_root(service.root, "lab"),
-                              spec.content_hash,
-                              key_prefix=tenant_key_prefix("lab"))
+        paths = CampaignPaths(service.root, spec.content_hash, "lab")
         task = queue.claim(worker="slow-acker")
         shard = [paths.shard_key(k) for k in range(3)].index(task.key)
         paths.shard_path(shard).write_bytes(b"torn publish")
@@ -715,6 +711,84 @@ class TestSingleDoor:
             [CampaignProgress, ServiceError, CampaignComplete]
         assert frames[-1].assessment["failed_shards"] == \
             [1 - frames[0].shards_done[0]]
+
+
+# ----------------------------------------------------------------------
+# One collector: the server and collect_result finish campaigns alike
+# ----------------------------------------------------------------------
+def _poison_one_shard(queue):
+    """Fail claims until one task has spent its whole attempt budget."""
+    while True:
+        task = queue.claim(worker="poison")
+        if queue.fail(task.task_id, task.lease_token, "boom") == "failed":
+            return
+
+
+class TestCollector:
+    def test_finished_campaign_drops_its_partials(self, service):
+        spec = _spec()
+        with ServiceClient(service.host, service.port) as client:
+            client.submit("lab", spec.to_json(), follow=True)
+            run_worker(service.queue, worker="plain", drain=True)
+            _, complete = _drain_until_complete(client)
+        campaign = service._campaigns[("lab", spec.content_hash)]
+        assert campaign.complete and campaign.collector is None
+        # A later watcher is still replayed the final frame.
+        with ServiceClient(service.host, service.port) as late:
+            late.watch("lab", spec.content_hash)
+            _, replayed = _drain_until_complete(late, timeout=10)
+        assert replayed == complete
+
+    def test_watch_of_a_stored_campaign_reruns_no_shard(self, service):
+        # Collected offline, then its checkpoints pruned by gc --shards:
+        # a watch replays the stored result and enqueues nothing.
+        from repro.campaign import gc_campaign_root, submit_campaign
+
+        spec = _spec()
+        submit_campaign(service.root, spec=spec, tenant="lab")
+        run_worker(service.queue, worker="offline", drain=True)
+        stored = collect_result(service.root, spec.content_hash,
+                                tenant="lab")
+        gc_campaign_root(service.root, max_age=10 ** 9, prune_shards=True)
+        assert not CampaignPaths(service.root, spec.content_hash,
+                                 "lab").shards_dir.exists()
+        with ServiceClient(service.host, service.port) as client:
+            client.watch("lab", spec.content_hash)
+            _, complete = _drain_until_complete(client, timeout=10)
+            assert _frames_within(client, 0.5) == []  # five intervals
+        assert np.array_equal(
+            assessment_from_dict(complete.assessment).t_values,
+            stored.t_values)
+        assert service.queue.counts()["pending"] == 0
+
+    def test_degraded_complete_equals_collect_allow_partial(self, service):
+        # One shard folded, one out of retries: the partial
+        # CampaignComplete is bitwise the degraded collect_result.
+        spec = _spec(n_shards=2)
+        queue = service.queue
+        with ServiceClient(service.host, service.port) as client:
+            client.submit("lab", spec.to_json(), follow=True)
+            assert run_worker(queue, worker="one", max_tasks=1) == 1
+            _poison_one_shard(queue)
+            complete = next(frame for frame in client.events(timeout=30)
+                            if isinstance(frame, CampaignComplete))
+        served = assessment_from_dict(complete.assessment)
+        collected = collect_result(service.root, spec.content_hash,
+                                   timeout=10, tenant="lab",
+                                   allow_partial=True)
+        assert served.failed_shards == collected.failed_shards
+        assert len(served.failed_shards) == 1
+        pairs = [(served.t_values, collected.t_values),
+                 (served.degrees_of_freedom, collected.degrees_of_freedom)]
+        assert sorted(served.order_t_values) == \
+            sorted(collected.order_t_values)
+        pairs += [(served.order_t_values[k], collected.order_t_values[k])
+                  for k in served.order_t_values]
+        for left, right in pairs:
+            assert left.dtype == right.dtype
+            assert left.tobytes() == right.tobytes()
+        assert service._campaigns[("lab", spec.content_hash)] \
+            .collector is None
 
 
 # ----------------------------------------------------------------------

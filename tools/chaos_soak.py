@@ -68,8 +68,6 @@ from repro.service import (  # noqa: E402
     CampaignProgress,
     ServiceClient,
     ServiceError,
-    tenant_key_prefix,
-    tenant_root,
 )
 from repro.tvla import TvlaConfig  # noqa: E402
 
@@ -123,9 +121,7 @@ def soak(root: Path, host: str, port: int) -> int:
     spec = CampaignSpec.from_netlist(netlist, CONFIG,
                                      n_shards=N_SHARDS)
     queue = campaign_queue(root)
-    troot = tenant_root(root, tenant)
-    prefix = tenant_key_prefix(tenant)
-    paths = CampaignPaths(troot, spec.content_hash, key_prefix=prefix)
+    paths = CampaignPaths(root, spec.content_hash, tenant)
     client = ServiceClient(host, port)
     try:
         accepted = client.submit(tenant, spec.to_json(), follow=True)
@@ -215,8 +211,8 @@ def soak(root: Path, host: str, port: int) -> int:
 
     # Convergence: streamed == collected == a clean uninjected rerun.
     streamed = decode_array(complete.assessment["t_values"])
-    collected = collect_result(troot, spec.content_hash, timeout=60,
-                               queue=queue, shard_key_prefix=prefix)
+    collected = collect_result(root, spec.content_hash, timeout=60,
+                               tenant=tenant)
     if not np.array_equal(streamed, collected.t_values):
         print("FAIL: streamed final t-values != collect result (bitwise)")
         return 1

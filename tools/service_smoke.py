@@ -15,7 +15,10 @@ service story:
    campaign must complete anyway, via lease expiry + redelivery;
 5. assert the streamed interim t-values converge **bitwise** to the
    batch ``collect_result`` for the same spec, and that the final
-   ``CampaignComplete`` assessment round-trips bit-identically.
+   ``CampaignComplete`` assessment round-trips bit-identically;
+6. run ``polaris-campaign status --tenant T --json`` and ``polaris-campaign
+   gc --all --dry-run`` on the root as subprocesses: the status must show
+   the campaign complete, and gc must list the tenant's stored result.
 
 Exits non-zero with a diagnostic on any violation.  The temporary campaign
 root is deleted when the run passes and kept, its path printed, when it
@@ -24,6 +27,7 @@ fails.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import signal
@@ -52,8 +56,6 @@ from repro.service import (  # noqa: E402
     CampaignProgress,
     ServiceClient,
     ServiceError,
-    tenant_key_prefix,
-    tenant_root,
 )
 from repro.tvla import TvlaConfig  # noqa: E402
 
@@ -158,11 +160,8 @@ def smoke(root: Path) -> int:
             print(f"FAIL: final frame saw shards {final.shards_done}")
             return 1
 
-        troot = tenant_root(root, TENANT)
-        collected = collect_result(troot, spec.content_hash, timeout=60,
-                                   queue=queue,
-                                   shard_key_prefix=tenant_key_prefix(
-                                       TENANT))
+        collected = collect_result(root, spec.content_hash, timeout=60,
+                                   tenant=TENANT)
         streamed = decode_array(final.t_values)
         if not np.array_equal(streamed, collected.t_values):
             print("FAIL: streamed interim t-values != collect result "
@@ -174,8 +173,8 @@ def smoke(root: Path) -> int:
             return 1
         print(f"streamed t-values converge bitwise to collect "
               f"({len(collected.gate_names)} gates, "
-              f"{len(progress)} progress frames); smoke ok")
-        return 0
+              f"{len(progress)} progress frames)")
+        return check_cli(root, spec.content_hash)
     finally:
         for process in workers:
             if process.poll() is None:
@@ -183,6 +182,31 @@ def smoke(root: Path) -> int:
                 process.wait()
         server.terminate()
         server.wait(timeout=30)
+
+
+def _cli(*args: str) -> str:
+    """Run one ``polaris-campaign`` command; its stdout (raises on failure)."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.campaign.cli", *args], env=_env(),
+        check=True, stdout=subprocess.PIPE, text=True).stdout
+
+
+def check_cli(root: Path, spec_hash: str) -> int:
+    """The tenant's campaign as ``status`` and ``gc`` see it on the root."""
+    statuses = json.loads(_cli("status", "--root", str(root),
+                               "--tenant", TENANT, "--json"))
+    if [(s["spec_hash"], s["state"], s["complete"]) for s in statuses] \
+            != [(spec_hash, "complete", True)]:
+        print(f"FAIL: status --tenant {TENANT} --json reported {statuses}")
+        return 1
+    gc = _cli("gc", "--root", str(root), "--all", "--dry-run")
+    if f"result {TENANT}/{spec_hash[:12]}" not in gc:
+        print(f"FAIL: gc --all --dry-run does not list the tenant's "
+              f"result:\n{gc}")
+        return 1
+    print(f"status shows the campaign complete and gc lists "
+          f"{TENANT}/{spec_hash[:12]}…; smoke ok")
+    return 0
 
 
 def main() -> int:

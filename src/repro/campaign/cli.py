@@ -52,7 +52,16 @@ from .runner import (
     gc_campaign_root,
     list_campaigns,
     submit_campaign,
+    validate_tenant,
 )
+
+
+def _tenant(value: str) -> str:
+    """``--tenant`` values: a bad id is a usage error (exit 2)."""
+    try:
+        return validate_tenant(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="highest TVLA order to evaluate")
     submit.add_argument("--mode", default="fixed_vs_random",
                         choices=("fixed_vs_random", "fixed_vs_fixed"))
-    submit.add_argument("--tenant", default=None,
+    submit.add_argument("--tenant", default=None, type=_tenant,
                         help="tenant id: campaign lives under "
                              "<root>/tenants/<tenant> with namespaced "
                              "queue keys (default: the plain root)")
@@ -141,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     watch = commands.add_parser(
         "watch", help="stream a running campaign's live progress")
     watch.add_argument("--connect", required=True, metavar="HOST:PORT")
-    watch.add_argument("--tenant", default=None,
+    watch.add_argument("--tenant", default=None, type=_tenant,
                        help="tenant id (default: the shared default tenant)")
     watch.add_argument("spec_hash")
 
@@ -176,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "n_shards_done, n_shards_total, complete, "
                              "failed_shards} objects (stable keys, see "
                              "docs/campaigns.md)")
-    status.add_argument("--tenant", default=None,
+    status.add_argument("--tenant", default=None, type=_tenant,
                         help="inspect one tenant's sub-root")
 
     result = commands.add_parser(
@@ -187,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="give up after this many seconds")
     result.add_argument("--json", action="store_true", dest="as_json",
                         help="print the full result as JSON")
-    result.add_argument("--tenant", default=None,
+    result.add_argument("--tenant", default=None, type=_tenant,
                         help="collect from one tenant's sub-root")
     result.add_argument("--allow-partial", action="store_true",
                         help="degrade instead of failing once every "

@@ -260,6 +260,28 @@ class _PresortedColumns:
         if weights is not None:
             self.weights = check_sample_weight(weights, self.n_samples)
             self.weights.setflags(write=False)
+        self._scratch: Optional[Tuple[np.ndarray, ...]] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_scratch"] = None  # the fit's gather buffers never travel
+        return state
+
+    def gini_scratch(self) -> Tuple[np.ndarray, ...]:
+        """The Gini split scan's gather buffers: the node order as
+        ``intp``, gathered weights and running sums, each as long as the
+        root's ``(features, rows)``.
+
+        Allocated on first use and shared by every tree of the fit, so an
+        AdaBoost fit allocates them once rather than once per round or
+        per node: a fresh 1 MB buffer per allocation can cost page faults
+        whenever glibc serves it from new mmapped pages.
+        """
+        if self._scratch is None:
+            size = self.n_features * self.n_samples
+            self._scratch = (np.empty(size, dtype=np.intp),
+                             np.empty(size), np.empty(size))
+        return self._scratch
 
     @property
     def n_features(self) -> int:
@@ -420,17 +442,30 @@ class _TreeBuilder:
         if scan.cand_row.size == 0:
             return None
         cand_row, cand_split = scan.cand_row, scan.cand_split
-        order = node.order[scan.features].astype(np.intp)
         if self.criterion == "gini":
-            total_weight = self._weights.take(order).sum(axis=1)[cand_row]
+            # The (features, rows) gathers go through the fit's buffers:
+            # views of them have the layout of fresh arrays, so the sums
+            # associate as they would.  Indices are valid by construction,
+            # so mode="clip" skips the buffered copy of mode="raise".
+            size = scan.features.size * node.rows.size
+            order, gathered, cumulative = (
+                buffer[:size].reshape(scan.features.size, node.rows.size)
+                for buffer in self._presorted.gini_scratch())
+            np.copyto(order, node.order
+                      if scan.features.size == self._columns.shape[0]
+                      else node.order[scan.features])
+            np.take(self._weights, order, out=gathered, mode="clip")
+            total_weight = gathered.sum(axis=1)[cand_row]
             left_counts = np.empty((cand_row.size, self._n_classes))
             total_counts = np.empty_like(left_counts)
             for k, class_weights in enumerate(self._class_weights):
-                cumulative = np.cumsum(class_weights.take(order), axis=1)
+                np.take(class_weights, order, out=gathered, mode="clip")
+                np.cumsum(gathered, axis=1, out=cumulative)
                 left_counts[:, k] = cumulative[cand_row, cand_split]
                 total_counts[:, k] = cumulative[:, -1][cand_row]
             score = _gini_scores(left_counts, total_counts, total_weight)
         else:
+            order = node.order[scan.features].astype(np.intp)
             cum_weight, total_weight = self._candidate_weights(node, scan,
                                                                order)
             weighted = self._weighted.take(order)

@@ -13,6 +13,11 @@ and padding-aware per-row reductions — live here, shared by
   per gate, no unpack), and
 * anything else that reduces packed rows.
 
+:func:`column_blocks` is the gate-block partition shared by the trace
+engine's block producer and the gate-blocked moment fold
+(:mod:`repro.tvla.moments`): both walk a chunk's gates in the same blocks,
+so a block can be filled and folded while it is cache-resident.
+
 On NumPy >= 2.0 the counts come from ``numpy.bitwise_count``; older
 NumPy falls back to one shared 16-bit lookup table (:data:`POPCOUNT16`,
 64 KiB, built once per process), which also serves 8-bit inputs — a uint8
@@ -25,6 +30,8 @@ one in-place fold of each byte pair.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 
 #: Bit count of the fast measurement-noise sampler: one Binomial(16, 1/2)
@@ -33,6 +40,37 @@ import numpy as np
 #: power model's sampler parameters (:meth:`.model.GatePowerModel.
 #: fast_noise_params`).
 FAST_NOISE_BITS = 16
+
+
+#: Bytes of one float64 block of the gate-blocked fold: 1 MiB, so a
+#: block's two fold buffers stay L2-resident through every order's pass.
+FOLD_BLOCK_BYTES = 1 << 20
+#: Fewest gates (columns of a ``(n_traces, n_gates)`` batch) per block of
+#: :func:`column_blocks`: the 1 MiB width of a 2048-trace chunk.
+FOLD_BLOCK_COLUMNS = 64
+
+
+def column_blocks(width: int, n_rows: int) -> List[Tuple[int, int]]:
+    """``[start, stop)`` column ranges of the gate-blocked fold over
+    ``width`` columns of ``n_rows`` rows.
+
+    A block holds as many columns as fill :data:`FOLD_BLOCK_BYTES` of
+    float64 rows, and at least :data:`FOLD_BLOCK_COLUMNS`: 64 for a
+    2048-trace chunk, 131 for a 1000-trace one.  Every block costs a fixed
+    number of numpy calls, each a GIL hand-off when threads fold at once,
+    so short chunks take wider blocks.  The partition does not change the
+    result as long as no block is a single column: a column's sum
+    associates the same way in any block of two or more columns, but a
+    one-column block of a C-order batch is contiguous, so numpy would sum
+    it pairwise, while the same column of the whole batch is summed row
+    by row.  A trailing single column is therefore joined to the block
+    before it.
+    """
+    step = max(FOLD_BLOCK_COLUMNS, FOLD_BLOCK_BYTES // (8 * max(1, n_rows)))
+    edges = list(range(0, width, step)) + [width]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges, edges[1:]))
 
 
 def words_for_units(n_units: int, dtype: np.dtype) -> int:

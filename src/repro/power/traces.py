@@ -40,10 +40,20 @@ per-gate loop simulator with bool-matrix extraction produces bit-identical
 traces (pinned by ``tests/test_packed_power.py``), and ``generate_loop``
 is the per-gate reference loop of the whole engine.
 
-:meth:`PowerTraceGenerator.generate_stream` slices a campaign into chunks so
-the TVLA drivers (:mod:`repro.tvla.assessment`) never materialise the full
-``(n_traces, n_gates)`` matrix.  Each chunk's mask bytes and noise popcount
-words come straight off the Philox counter blocks of a
+Each chunk is produced **gate block by gate block**: the private
+:meth:`PowerTraceGenerator._fill_blocks` runs the chunk-wide steps (the
+sweep, the unpack of the watched rows, the masked gather indices and the
+noise draw), then fills each gate block of
+:func:`~repro.power.bitops.column_blocks` (64 gates of a 2048-trace chunk)
+into one reused float32 buffer.
+:meth:`PowerTraceGenerator.generate` copies the blocks into its matrix;
+the TVLA chunk fold (:mod:`repro.tvla.assessment`) folds each block while
+it is cache-resident, so on the assessment path no chunk-sized float
+trace matrix or scaled-noise temporary is ever allocated.
+
+:meth:`PowerTraceGenerator.generate_stream` slices a campaign into chunks,
+so memory stays bounded by one chunk.  Each chunk's mask bytes and noise
+popcount words come straight off the Philox counter blocks of a
 :class:`~repro.power.ctrsample.CounterStream`, addressed by ``(seed, class,
 group, chunk, lane)``, so every chunk's draws are a pure function of its
 global chunk coordinates — which is what lets :mod:`repro.tvla.sharding`
@@ -57,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +75,7 @@ from ..netlist.cell_library import CellLibrary, GateType
 from ..netlist.netlist import Gate, Netlist
 from ..simulation.simulator import LogicSimulator, SimulationError
 from ..simulation.vectors import TraceCampaign
-from .bitops import combine_transition_codes
+from .bitops import column_blocks, combine_transition_codes
 from .ctrsample import CounterDraws, CounterStream
 from .model import GatePowerModel, PowerModelConfig
 
@@ -419,6 +429,10 @@ class PowerTraceGenerator:
         drawn for every trace either way, so the traces are bitwise those
         of a per-trace simulation.
 
+        The values are those of :meth:`_fill_blocks`, copied block by
+        block into the returned matrix; the TVLA chunk fold folds the same
+        blocks without ever assembling the matrix.
+
         Args:
             campaign: The stimulus campaign to trace.
             draws: Counter-sampler draws for this campaign's coordinates:
@@ -427,20 +441,51 @@ class PowerTraceGenerator:
                 :class:`PowerTraceGenerator` can be shared by concurrent
                 chunk tasks.
         """
+        blocks = column_blocks(self.n_gates, campaign.n_traces)
+        width = max((stop - start for start, stop in blocks), default=0)
+        fill = np.empty((width, campaign.n_traces), dtype=self.trace_dtype)
+        # Gate-major: every block is a run of whole rows.  The public
+        # trace matrix is the (n_traces, n_gates) transpose view.
+        power = np.empty((self.n_gates, campaign.n_traces),
+                         dtype=self.trace_dtype)
+        for start, stop, block in self._fill_blocks(
+                campaign, draws, blocks, fill, np.empty_like(fill)):
+            power[start:stop] = block
+        return PowerTraces(campaign.label, self.gate_names, power.T)
+
+    def _fill_blocks(self, campaign: TraceCampaign, draws: CounterDraws,
+                     blocks: Sequence[Tuple[int, int]], fill: np.ndarray,
+                     scratch: np.ndarray
+                     ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """Yield the gate-major trace rows of ``campaign`` block by block.
+
+        The chunk-wide steps run first: the simulator sweep, the unpack of
+        the watched rows, each masked subgroup's ``d << 8 | raw_byte``
+        gather index and the noise draw.  Then, for each ``[start, stop)``
+        gate range of ``blocks`` (in order), the rows ``start..stop`` of
+        the ``(n_gates, n_traces)`` trace matrix are filled into
+        ``fill[:stop - start]`` and yielded as ``(start, stop, block)``:
+        the unmasked multiply/add (a broadcast copy of column 0 for a
+        constant chunk), the masked table gathers, then the scaled noise
+        added through ``scratch``.  The next block overwrites the block,
+        so a consumer copies or folds it before asking for the next.
+
+        Args:
+            campaign: The stimulus campaign to trace.
+            draws: Counter-sampler draws for this campaign's coordinates.
+            blocks: Gate ranges covering ``[0, n_gates)`` in order, as
+                :func:`~repro.power.bitops.column_blocks` gives them.
+            fill: C-order ``(>= widest block, n_traces)`` buffer of
+                :attr:`trace_dtype` that receives each block.
+            scratch: A buffer like ``fill`` for the noise multiply.
+        """
         n_traces = campaign.n_traces
         n_sim = 1 if n_traces > 1 and _constant_rows(campaign) else n_traces
         # The current half starts at vector ``split`` = byte ``split // 8``.
         split = -(-n_sim // 8) * 8
         result = self._simulator.evaluate(
             _sweep_inputs(campaign, n_sim, split))
-        n_gates = self.n_gates
-        # Gate-major accumulation: every sub-group's rows are C-contiguous,
-        # so fills, gathers and table lookups run at memcpy speed.  The
-        # public trace matrix is the (n_traces, n_gates) transpose view.
-        power = np.empty((n_gates, n_traces), dtype=self.trace_dtype)
-        per_gate = power.T
-        if n_gates == 0:
-            return PowerTraces(campaign.label, self.gate_names, per_gate)
+        dtype = self.trace_dtype
 
         # The simulation results stay bit-packed: unpack only the rows the
         # power model actually reads (watched outputs and masked data
@@ -467,20 +512,12 @@ class PowerTraceGenerator:
             toggled = np.unpackbits(
                 packed_prev[self._watch_rows] ^ packed_cur[self._watch_rows],
                 axis=1, count=n_sim)
-            # Values of the n_sim simulated columns, then a broadcast copy
-            # of column 0 over the rest (an empty slice unless constant):
-            # a plain copy is several times faster than an arithmetic
-            # ufunc whose inputs both broadcast along the trace axis.
-            head = power[:n_unmasked, :n_sim]
-            np.multiply(toggled, self._unmasked_dynamic.astype(self.trace_dtype),
-                        out=head)
-            offset_column = (self._unmasked_static + noise_offset).astype(
-                self.trace_dtype)
-            np.add(head, offset_column, out=head)
-            power[:n_unmasked, n_sim:] = power[:n_unmasked, :1]
+            dynamic = self._unmasked_dynamic.astype(dtype)
+            offset = (self._unmasked_static + noise_offset).astype(dtype)
 
         counter_tables = (self._counter_value_tables(noise_offset)
-                          if self._masked_subgroups else None)
+                          if self._masked_subgroups else [])
+        indices = []
         for group_index, sub in enumerate(self._masked_subgroups):
             # Assemble the 4-bit data-transition code from the packed
             # share rows: one stacked gather, one unpack, shifts/ORs.
@@ -489,23 +526,46 @@ class PowerTraceGenerator:
                  packed_cur[sub.a_rows], packed_cur[sub.b_rows]))
             bits = np.unpackbits(stacked, axis=1, count=n_sim)
             shares = bits.reshape(4, len(sub.a_rows), n_sim)
-            # Word-wide code combine, then a gather on ``d << 8 | raw_byte``:
-            # the raw Philox bytes index the replicated table directly.
-            # A constant chunk's (width, 1) codes broadcast against the
-            # per-trace bytes; otherwise the OR runs in place.
+            # Word-wide code combine, then a gather index ``d << 8 |
+            # raw_byte``: the raw Philox bytes index the replicated table
+            # directly.  A constant chunk's (width, 1) codes broadcast
+            # against the per-trace bytes; otherwise the OR runs in place.
             codes = combine_transition_codes(shares).astype(np.uint16)
             raw = draws.mask_bytes(group_index, codes.shape[0], n_traces)
             np.left_shift(codes, 8, out=codes)
-            index = np.bitwise_or(
-                codes, raw, out=codes if codes.shape == raw.shape else None)
-            # Indices are < len(table) by construction; mode="clip" skips
-            # the bounds-check buffering of the default mode.
-            np.take(counter_tables[group_index], index,
-                    out=power[sub.row_slice], mode="clip")
+            indices.append(np.bitwise_or(
+                codes, raw, out=codes if codes.shape == raw.shape else None))
 
         if noisy:
-            counts = draws.noise_counts((n_gates, n_traces))
-            noise = np.multiply(counts, self.trace_dtype.type(noise_scale))
-            np.add(power, noise, out=power)
+            counts = draws.noise_counts((self.n_gates, n_traces))
+            scale = dtype.type(noise_scale)
 
-        return PowerTraces(campaign.label, self.gate_names, per_gate)
+        for start, stop in blocks:
+            block = fill[:stop - start]
+            # Unmasked rows: values of the n_sim simulated columns, then a
+            # broadcast copy of column 0 over the rest (an empty slice
+            # unless constant): a plain copy is several times faster than
+            # an arithmetic ufunc whose inputs both broadcast along the
+            # trace axis.
+            rows = slice(start, min(stop, n_unmasked))
+            if rows.start < rows.stop:
+                unmasked = block[:rows.stop - start]
+                values = unmasked[:, :n_sim]
+                np.multiply(toggled[rows], dynamic[rows], out=values)
+                np.add(values, offset[rows], out=values)
+                unmasked[:, n_sim:] = unmasked[:, :1]
+            for sub, table, index in zip(self._masked_subgroups,
+                                         counter_tables, indices):
+                first = sub.row_slice.start
+                low = max(start, first)
+                high = min(stop, sub.row_slice.stop)
+                if low < high:
+                    # Indices are < len(table) by construction; mode="clip"
+                    # skips the bounds-check buffering of the default mode.
+                    np.take(table, index[low - first:high - first],
+                            out=block[low - start:high - start], mode="clip")
+            if noisy:
+                noise = scratch[:stop - start]
+                np.multiply(counts[start:stop], scale, out=noise)
+                np.add(block, noise, out=block)
+            yield start, stop, block

@@ -40,6 +40,7 @@ same accumulators; see :func:`repro.tvla.welch.welch_higher_order`.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
@@ -49,6 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 import numpy as np
 
 from ..netlist.netlist import Netlist
+from ..power.bitops import column_blocks
 from ..power.ctrsample import CounterStream
 from ..power.model import PowerModelConfig
 from ..power.traces import PowerTraceGenerator
@@ -331,6 +333,24 @@ def campaign_schedule(netlist: Netlist,
 # ----------------------------------------------------------------------
 # The chunk fold and its merge (shared with repro.campaign.runner)
 # ----------------------------------------------------------------------
+#: Per-thread block buffers of :func:`_fold_chunk`, grown to the largest
+#: chunk and block the thread has folded and reused for every later chunk.
+_BLOCK_BUFFERS = threading.local()
+
+
+def _thread_buffer(role: str, dtype: np.dtype, rows: int,
+                   columns: int) -> np.ndarray:
+    """This thread's C-order ``(rows, columns)`` buffer for ``role``."""
+    buffers = getattr(_BLOCK_BUFFERS, "by_role", None)
+    if buffers is None:
+        buffers = _BLOCK_BUFFERS.by_role = {}
+    size = rows * columns
+    flat = buffers.get((role, dtype))
+    if flat is None or flat.size < size:
+        flat = buffers[(role, dtype)] = np.empty(size, dtype=dtype)
+    return flat[:size].reshape(rows, columns)
+
+
 def _fold_chunk(generator: PowerTraceGenerator, campaign: TraceCampaign,
                 config: TvlaConfig, stream: CounterStream, chunk_index: int,
                 first_chunk: int = 0) -> OnePassMoments:
@@ -340,17 +360,35 @@ def _fold_chunk(generator: PowerTraceGenerator, campaign: TraceCampaign,
     ``campaign`` may be a chunk-aligned shard slice whose first chunk is
     global chunk ``first_chunk``; the draws are those of the global chunk,
     so the traces are the ones :meth:`PowerTraceGenerator.generate_stream`
-    yields for it.  ``update_batch`` on an empty accumulator stores the
-    batch moments directly, so the single-update accumulator is bit-exact.
+    yields for it.  The chunk never materialises: each gate block of
+    :meth:`PowerTraceGenerator._fill_blocks` is folded while it is still
+    cache-resident, through this thread's reused block buffers.  The
+    blocks, their layout and the fold are those ``update_batch`` applies to
+    ``generate``'s matrix, and ``update_batch`` on an empty accumulator
+    stores the batch moments directly, so the accumulator is bitwise that
+    of ``update_batch(generate(...).per_gate)``.
     """
-    start = chunk_index * config.chunk_traces
-    chunk = campaign.slice(start, min(campaign.n_traces,
-                                      start + config.chunk_traces))
-    traces = generator.generate(
-        chunk, draws=stream.draws(first_chunk + chunk_index))
+    first_trace = chunk_index * config.chunk_traces
+    chunk = campaign.slice(first_trace, min(campaign.n_traces,
+                                            first_trace + config.chunk_traces))
+    n_traces = chunk.n_traces
+    blocks = column_blocks(generator.n_gates, n_traces)
+    width = max((stop - start for start, stop in blocks), default=0)
+    dtype = generator.trace_dtype
+    fill = _thread_buffer("fill", dtype, width, n_traces)
+    scratch = _thread_buffer("noise", dtype, width, n_traces)
+    # Transposes of C-order gate-major buffers: the (n_traces, width)
+    # F-order layout of generate's per_gate blocks.
+    work = _thread_buffer("work", np.float64, width, n_traces).T
+    chain = (_thread_buffer("chain", np.float64, width, n_traces).T
+             if config.moment_order() > 2 else None)
     accumulator = OnePassMoments(max_order=config.moment_order(),
                                  shape=(generator.n_gates,))
-    accumulator.update_batch(traces.per_gate)
+    filled = generator._fill_blocks(
+        chunk, stream.draws(first_chunk + chunk_index), blocks, fill, scratch)
+    accumulator._update_blocks(
+        n_traces, ((start, stop, block.T) for start, stop, block in filled),
+        work, chain)
     return accumulator
 
 

@@ -24,9 +24,11 @@ from __future__ import annotations
 import json
 import struct
 from math import comb
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from ..power.bitops import column_blocks
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -35,23 +37,11 @@ _WIRE_MAGIC = b"OPM1"
 #: On-the-wire array dtype: explicit little-endian float64, so blobs written
 #: on any host deserialise bit-identically everywhere.
 _WIRE_DTYPE = "<f8"
-#: Columns per block of the gate-blocked :meth:`OnePassMoments.update_batch`:
-#: 64 float64 columns of a 2048-trace chunk are 1 MiB, so a block's two
-#: work buffers stay L2-resident through every order's pass.
-_FOLD_BLOCK_COLUMNS = 64
 
-
-def _column_blocks(width: int) -> List[Tuple[int, int]]:
-    """``[start, stop)`` column ranges of the blocked fold over ``width``.
-
-    A trailing single column is joined to the block before it: a one-column
-    block of a C-order batch is contiguous, so numpy would sum it pairwise,
-    while the same column of the whole batch is summed row by row.
-    """
-    edges = list(range(0, width, _FOLD_BLOCK_COLUMNS)) + [width]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return list(zip(edges, edges[1:]))
+#: One column block of a batch: ``(start, stop, block)`` with ``block`` the
+#: batch's columns ``[start, stop)`` as an ``(n_samples, stop - start)``
+#: array.
+ColumnBlock = Tuple[int, int, np.ndarray]
 
 
 class OnePassMoments:
@@ -103,15 +93,15 @@ class OnePassMoments:
         batch instead of one Python-level Welford step per sample, which is
         what makes chunked streaming TVLA practical at paper scale.
 
-        The fold is **gate-blocked**: a 2-D batch is processed
-        ``_FOLD_BLOCK_COLUMNS`` columns at a time.  Each block is
-        converted into one float64 work buffer in the batch's own memory
-        layout, reduced to its mean, centred in place, and every order's
-        power is one in-place multiply into a second block buffer followed
-        by a column sum.  Both buffers stay L2-resident through all the
-        passes, and no full-chunk float64 temporary is ever allocated, so
-        concurrent folds on several threads do not contend for multi-MB
-        allocations.  Per column the operand order, dtype and summation
+        The fold is **gate-blocked**: a 2-D batch is processed in the
+        :func:`~repro.power.bitops.column_blocks` of its shape (1 MiB of
+        float64 rows, at least 64 columns) by :meth:`_update_blocks`.  Each block is converted into
+        one float64 work buffer in the batch's own memory layout, reduced
+        to its mean, centred in place, and every order's power is one
+        in-place multiply into a second block buffer followed by a column
+        sum.  Both buffers stay L2-resident through all the passes, and no
+        full-chunk float64 temporary is ever allocated, so concurrent
+        folds on several threads do not contend for multi-MB allocations.  Per column the operand order, dtype and summation
         association (sequential row adds for C-order batches, contiguous
         pairwise sums for F-order ones) are those of
         :meth:`update_batch_naive`, so results are **bit-identical** to it
@@ -140,31 +130,46 @@ class OnePassMoments:
         # path's temporaries inherit the batch's layout, so the block
         # buffers must share it.
         order = "C" if samples.flags.c_contiguous else "F"
-        blocks = _column_blocks(samples.shape[1])
+        blocks = column_blocks(samples.shape[1], n_b)
         block_width = max((stop - start for start, stop in blocks), default=0)
         work = np.empty((n_b, block_width), dtype=np.float64, order=order)
-        power = np.empty_like(work) if self.max_order > 2 else None
+        chain = np.empty_like(work) if self.max_order > 2 else None
+        self._update_blocks(n_b, ((start, stop, samples[:, start:stop])
+                                  for start, stop in blocks), work, chain)
+
+    def _update_blocks(self, n_b: int, blocks: Iterable[ColumnBlock],
+                       work: np.ndarray, chain: Optional[np.ndarray]) -> None:
+        """Fold a batch of ``n_b`` samples given as column blocks.
+
+        The one blocked fold: :meth:`update_batch` hands it the column
+        blocks of a batch in memory, and the TVLA chunk fold
+        (:func:`repro.tvla.assessment._fold_chunk`) the blocks of
+        :meth:`~repro.power.PowerTraceGenerator._fill_blocks` as they are
+        produced.  ``blocks`` must cover the accumulator's columns in
+        order.  ``work`` and ``chain`` (``None`` when ``max_order == 2``)
+        are ``(n_b, >= widest block)`` float64 buffers in the blocks'
+        memory layout; each block folds through their leading columns.
+        """
         mean_b = np.empty(self.shape)
         sums_b = [np.empty(self.shape) for _ in self._sums]
-        for start, stop in blocks:
+        for start, stop, block in blocks:
             delta = work[:, :stop - start]
-            block = samples[:, start:stop]
             if block.dtype != np.float64:
                 delta[...] = block
                 block = delta
             mean = np.mean(block, axis=0, out=mean_b[start:stop])
             np.subtract(block, mean, out=delta)
-            if power is None:
+            if chain is None:
                 # Order-2 needs no preserved delta: square it in place.
                 np.multiply(delta, delta, out=delta)
                 np.sum(delta, axis=0, out=sums_b[0][start:stop])
                 continue
-            chain = power[:, :stop - start]
-            np.multiply(delta, delta, out=chain)
-            np.sum(chain, axis=0, out=sums_b[0][start:stop])
+            power = chain[:, :stop - start]
+            np.multiply(delta, delta, out=power)
+            np.sum(power, axis=0, out=sums_b[0][start:stop])
             for sums in sums_b[1:]:
-                np.multiply(chain, delta, out=chain)
-                np.sum(chain, axis=0, out=sums[start:stop])
+                np.multiply(power, delta, out=power)
+                np.sum(power, axis=0, out=sums[start:stop])
         self._combine(n_b, mean_b, sums_b)
 
     def update_batch_naive(self, samples: np.ndarray) -> None:

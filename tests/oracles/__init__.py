@@ -14,12 +14,19 @@ Oracle -> fast path [PL002 pair]:
 * ``simulation.LoopTraceGenerator`` -> ``repro.power.PowerTraceGenerator``
   (packed toggle extraction) [``sim-backend``].  The trace engine on
   ``LoopSimulator``, with toggles and masked data codes taken from a bool
-  net matrix; traces and t-values are bitwise those of the packed engine.
+  net matrix and copied out in the engine's gate blocks
+  (``_fill_blocks``); traces and t-values are bitwise those of the packed
+  engine.
 * ``power.generate_loop`` -> ``PowerTraceGenerator.generate``
   [``trace-engine``].  Each gate's power evaluated on its own
   (``unmasked_power``, ``masked_power``), masks and noise drawn from a
   sequential generator; exact on unmasked designs without noise, equal
   in distribution on masked ones.
+* ``power.generate_loop`` -> ``repro.tvla.assessment._fold_chunk``
+  [``chunk-fold``].  The TVLA chunk fold fills and folds each gate block
+  of ``PowerTraceGenerator._fill_blocks`` without the chunk matrix; it is
+  bitwise ``update_batch`` on ``generate``'s matrix, and close to the
+  loop's traces folded the same way where the loop is exact.
 * ``ctrsample.philox_blocks_reference`` ->
   ``repro.power.ctrsample.philox_raw`` [``ctr-philox``].  The 10-round
   Philox-4x64 network in pure numpy; bitwise equal to the native

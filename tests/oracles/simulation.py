@@ -25,7 +25,7 @@ from repro.netlist.netlist import Netlist
 from repro.power import traces
 from repro.power.bitops import combine_transition_codes
 from repro.power.ctrsample import CounterDraws
-from repro.power.traces import PowerTraceGenerator, PowerTraces
+from repro.power.traces import PowerTraceGenerator
 from repro.simulation.levelize import topological_gate_order
 from repro.simulation.logic import (_EVALUATORS, evaluate_gate,
                                     supports_static_dispatch)
@@ -163,9 +163,23 @@ class LoopTraceGenerator(PowerTraceGenerator):
                 matrix[index] = value
         return matrix.view(np.uint8)
 
-    def generate(self, campaign: TraceCampaign,
-                 draws: CounterDraws) -> PowerTraces:
-        """:meth:`PowerTraceGenerator.generate` on bool net values.
+    def _fill_blocks(self, campaign: TraceCampaign, draws: CounterDraws,
+                     blocks, fill: np.ndarray, scratch: np.ndarray):
+        """:meth:`PowerTraceGenerator._fill_blocks` on bool net values.
+
+        The whole gate-major matrix is built first (:meth:`_loop_matrix`),
+        then copied out block by block, so ``generate`` and the TVLA
+        chunk fold both run on this engine.
+        """
+        power = self._loop_matrix(campaign, draws)
+        for start, stop in blocks:
+            block = fill[:stop - start]
+            block[...] = power[start:stop]
+            yield start, stop, block
+
+    def _loop_matrix(self, campaign: TraceCampaign,
+                     draws: CounterDraws) -> np.ndarray:
+        """The ``(n_gates, n_traces)`` trace matrix on bool net values.
 
         One loop sweep covers the chunk (previous rows padded to a
         multiple of 8, then the current rows), and a constant chunk
@@ -179,9 +193,8 @@ class LoopTraceGenerator(PowerTraceGenerator):
             traces._sweep_inputs(campaign, n_sim, split))
         n_gates = self.n_gates
         power = np.empty((n_gates, n_traces), dtype=self.trace_dtype)
-        per_gate = power.T
         if n_gates == 0:
-            return PowerTraces(campaign.label, self.gate_names, per_gate)
+            return power
 
         matrix = self._net_matrix(result)
         net_prev = matrix[:, :n_sim]
@@ -222,4 +235,4 @@ class LoopTraceGenerator(PowerTraceGenerator):
             noise = np.multiply(counts, self.trace_dtype.type(noise_scale))
             np.add(power, noise, out=power)
 
-        return PowerTraces(campaign.label, self.gate_names, per_gate)
+        return power

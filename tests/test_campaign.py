@@ -1519,6 +1519,22 @@ class TestCli:
                          "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == []
 
+    @pytest.mark.parametrize("command", [
+        ["status"],
+        ["result", "0" * 64],
+        ["submit", "--benchmark", "des3", "--scale", "0.25"],
+    ], ids=["status", "result", "submit"])
+    def test_bad_tenant_is_a_usage_error(self, campaign_root, capsys,
+                                         command):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command[0], "--root", str(campaign_root),
+                      *command[1:], "--tenant", "a/b"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tenant: invalid tenant id 'a/b'" in err
+        assert "Traceback" not in err
+        assert list_campaigns(campaign_root) == []
+
     def test_result_timeout_is_an_error(self, campaign_root, capsys):
         assert cli_main(self._submit_args(campaign_root)) == 0
         spec_hash = capsys.readouterr().out.split()[1]

@@ -19,6 +19,15 @@ moment update safe defaults:
   as well as plain and strided arrays, at every width around the block
   size.
 
+* **Fused chunk fold == fold of generated chunks.**  The TVLA chunk fold
+  (``_fold_chunk``) fills each 64-gate block of a chunk in reused buffers
+  and folds it at once, so the chunk matrix never exists.  Its
+  accumulator must be bitwise ``update_batch`` on ``generate``'s matrix
+  for every block edge (0, 1, 63, 64, 65 and 130 gates), plain and masked
+  designs, constant and per-trace chunks, partial chunks, orders 1-3 and
+  with and without noise; and close to ``generate_loop`` where that
+  oracle is exact (unmasked, noiseless).
+
 * **One sweep per chunk.**  ``generate`` simulates the previous and
   current rows of a chunk in one ``evaluate`` call, and a chunk whose
   rows are all equal (the fixed group of a fixed-precharge campaign)
@@ -63,12 +72,19 @@ from repro.campaign import (
     tvla_config_to_dict,
 )
 from repro.power import traces as traces_module
-from repro.power.bitops import popcount16, popcount16_inplace
+from repro.netlist import Netlist
+from repro.power.bitops import (
+    FOLD_BLOCK_COLUMNS,
+    popcount16,
+    popcount16_inplace,
+)
 from repro.power.ctrsample import NOISE_LANE, philox_raw
 from repro.simulation.simulator import LogicSimulator
 from repro.tvla import OnePassMoments, TvlaConfig, assess_leakage
-from repro.tvla.moments import _FOLD_BLOCK_COLUMNS
+from repro.tvla import assessment as tvla_assessment
+from repro.tvla.assessment import _fold_chunk, merge_shard_partials
 
+from oracles.power import generate_loop
 from oracles.simulation import LoopSimulator, LoopTraceGenerator
 
 SETTINGS = settings(max_examples=20, deadline=None,
@@ -311,10 +327,12 @@ class TestFusedMoments:
 
     @SETTINGS
     @given(
-        width=st.sampled_from([1, _FOLD_BLOCK_COLUMNS - 1, _FOLD_BLOCK_COLUMNS,
-                               _FOLD_BLOCK_COLUMNS + 1,
-                               3 * _FOLD_BLOCK_COLUMNS + 5]),
-        n=st.sampled_from([1, 2, 33, 130]),
+        width=st.sampled_from([1, FOLD_BLOCK_COLUMNS - 1, FOLD_BLOCK_COLUMNS,
+                               FOLD_BLOCK_COLUMNS + 1,
+                               3 * FOLD_BLOCK_COLUMNS + 5]),
+        # 2048 rows take the narrowest blocks, so the widths above fall
+        # on block edges; shorter batches take wider blocks.
+        n=st.sampled_from([1, 2, 33, 130, 2048]),
         max_order=st.sampled_from([2, 4, 6]),
         dtype=st.sampled_from([np.float32, np.float64]),
         layout=st.sampled_from(["C", "F", "strided"]),
@@ -323,9 +341,13 @@ class TestFusedMoments:
     )
     # A one-column tail block of a C-order batch would be summed pairwise
     # while the naive column sum adds row by row: always cover it.
-    @example(width=_FOLD_BLOCK_COLUMNS + 1, n=130, max_order=2,
+    @example(width=FOLD_BLOCK_COLUMNS + 1, n=2048, max_order=2,
              dtype=np.float64, layout="C", populated=False, seed=0)
-    @example(width=_FOLD_BLOCK_COLUMNS + 1, n=33, max_order=6,
+    @example(width=FOLD_BLOCK_COLUMNS + 1, n=2048, max_order=6,
+             dtype=np.float32, layout="C", populated=True, seed=1)
+    # 33 rows take 3971-column blocks: this batch's one-column tail joins
+    # the block before it.
+    @example(width=3972, n=33, max_order=6,
              dtype=np.float32, layout="C", populated=True, seed=1)
     def test_blocked_fold_equals_naive_bitwise(self, width, n, max_order,
                                                dtype, layout, populated,
@@ -392,6 +414,127 @@ class TestFusedMoments:
         np.testing.assert_allclose(single_acc.central_moment(4),
                                    batch_acc.central_moment(4),
                                    rtol=1e-9, atol=1e-12)
+
+
+#: Power-column counts around the fold's gate blocks: none, one, a
+#: 64-gate block (a 2048-trace chunk's) less one, one block, a block plus
+#: the trailing single column (joined to the block before it), two blocks
+#: plus two columns, and a 131-gate block (a 1000-trace chunk's) plus its
+#: trailing single column.
+FUSED_GATE_COUNTS = (0, 1, 63, 64, 65, 130, 132)
+
+
+def _design(n_gates: int, masked: bool) -> Netlist:
+    """A design with ``n_gates`` power columns, optionally fully masked
+    (masking keeps the column count)."""
+    if n_gates == 0:
+        design = Netlist("ports_only")
+        for net in ("a", "b"):
+            design.add_primary_input(net)
+        design.add_primary_output("a")
+        return design
+    design = generate_random_logic(RandomLogicSpec(
+        n_gates=n_gates, n_inputs=8, n_outputs=4, seed=n_gates))
+    if masked:
+        design = apply_masking(design, maskable_gates(design)).netlist
+    return design
+
+
+def _moment_bytes(accumulator: OnePassMoments) -> tuple:
+    return (accumulator.count, accumulator.mean.tobytes(),
+            tuple(accumulator.central_moment(order).tobytes()
+                  for order in range(2, accumulator.max_order + 1)))
+
+
+class TestFusedChunkFold:
+    """``_fold_chunk`` fills and folds each gate block of a chunk without
+    assembling the chunk: bitwise ``update_batch`` on ``generate``'s
+    matrix, and close to the per-gate ``generate_loop`` oracle where that
+    oracle is exact."""
+
+    @pytest.mark.parametrize("tvla_order", [1, 2, 3])
+    @pytest.mark.parametrize("noise_sigma", [0.0, None])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n_gates", FUSED_GATE_COUNTS)
+    # A full chunk and a partial one, whose blocks are wider.
+    @pytest.mark.parametrize("n_traces,chunk_traces",
+                             [(2348, 2048), (1300, 1000)])
+    def test_fused_fold_is_update_batch_of_generate(
+            self, n_traces, chunk_traces, n_gates, masked, noise_sigma,
+            tvla_order):
+        power = (PowerModelConfig() if noise_sigma is None
+                 else PowerModelConfig(noise_sigma=noise_sigma))
+        config = TvlaConfig(n_traces=n_traces, chunk_traces=chunk_traces,
+                            seed=5, tvla_order=tvla_order, power=power)
+        design = _design(n_gates, masked)
+        generator = PowerTraceGenerator(design, config=power)
+        assert generator.n_gates == n_gates
+        assert bool(generator._masked_subgroups) == (masked and n_gates > 0)
+        # Fixed group: constant chunks; random group: per-trace sweeps.
+        campaigns = fixed_vs_random_campaigns(design, config.n_traces, seed=3)
+        for group_index, campaign in enumerate(campaigns):
+            stream = CounterStream(config.seed, 0, group_index)
+            for chunk_index in range(config.n_chunks()):
+                fused = _fold_chunk(generator, campaign, config, stream,
+                                    chunk_index)
+                start = chunk_index * config.chunk_traces
+                chunk = campaign.slice(start, min(config.n_traces,
+                                                  start + config.chunk_traces))
+                traces = generator.generate(chunk,
+                                            draws=stream.draws(chunk_index))
+                reference = OnePassMoments(config.moment_order(), (n_gates,))
+                reference.update_batch(traces.per_gate)
+                assert _moment_bytes(fused) == _moment_bytes(reference), (
+                    campaign.label, chunk_index)
+                if masked or noise_sigma is None:
+                    continue
+                # Unmasked and noiseless, the loop oracle draws nothing and
+                # matches the engine to float32 rounding.
+                loop = generate_loop(generator, chunk,
+                                     np.random.default_rng(0))
+                oracle = OnePassMoments(config.moment_order(), (n_gates,))
+                oracle.update_batch(loop.per_gate)
+                np.testing.assert_allclose(fused.mean, oracle.mean,
+                                           rtol=1e-6, atol=1e-6)
+                for order in range(2, config.moment_order() + 1):
+                    np.testing.assert_allclose(
+                        fused.central_moment(order),
+                        oracle.central_moment(order), rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("tvla_order", [1, 3])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_assessment_is_the_fold_of_generate(self, masked, tvla_order):
+        # Under ``taskset -c 0`` assess_leakage folds inline, otherwise on a
+        # pool; either way its t-values are those of update_batch on every
+        # generated chunk, merged by the one merge.
+        design = _design(130, masked)
+        config = TvlaConfig(n_traces=2348, chunk_traces=2048, seed=9,
+                            n_fixed_classes=2, tvla_order=tvla_order)
+        generator = PowerTraceGenerator(design, config=config.power)
+        assessment = assess_leakage(design, config, generator=generator)
+        partials = []
+        for class_index, pair in enumerate(
+                tvla_assessment.campaign_schedule(design, config)):
+            groups = []
+            for group_index, campaign in enumerate(pair):
+                stream = CounterStream(config.seed, class_index, group_index)
+                chunks = []
+                for traces in generator.generate_stream(
+                        campaign, config.chunk_traces, stream):
+                    accumulator = OnePassMoments(config.moment_order(),
+                                                 (generator.n_gates,))
+                    accumulator.update_batch(traces.per_gate)
+                    chunks.append(accumulator)
+                groups.append(chunks)
+            partials.append(tuple(groups))
+        reference = merge_shard_partials([partials], config, design.name,
+                                         generator.gate_names, 0.0, 1)
+        assert assessment.t_values.tobytes() == reference.t_values.tobytes()
+        assert (assessment.degrees_of_freedom.tobytes()
+                == reference.degrees_of_freedom.tobytes())
+        for order, values in reference.order_t_values.items():
+            assert assessment.order_t_values[order].tobytes() \
+                == values.tobytes()
 
 
 class TestPackedSubstrate:

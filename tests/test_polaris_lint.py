@@ -347,6 +347,9 @@ def _oracle_repo_files(tmp_path):
             "class TraceEngine:\n"
             "    def generate(self):\n"
             "        pass\n",
+        "src/repro/tvla/assessment.py":
+            "def _fold_chunk():\n"
+            "    pass\n",
         "src/repro/simulation/simulator.py":
             "class LogicSimulator:\n"
             "    pass\n",
@@ -402,6 +405,10 @@ def _oracle_repo_files(tmp_path):
             "def philox_blocks_reference():\n"
             "    pass\n",
         "tests/test_oracles.py": _ORACLE_REFERENCES,
+        # The chunk-fold pair shares its oracle with trace-engine, so it
+        # is referenced from its own module: edits to the trace-engine
+        # line above leave it satisfied.
+        "tests/test_chunk_fold.py": "# _fold_chunk generate_loop\n",
     }
 
 
@@ -454,10 +461,14 @@ class TestPL002Oracle:
         files = _oracle_repo_files(tmp_path)
         files["tests/oracles/power.py"] = "def generate_slowly():\n    pass\n"
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
-        assert codes(result) == ["PL002"]
-        finding = result.findings[0]
-        assert finding.path == "tests/oracles/power.py"
-        assert "oracle 'generate_loop' no longer exists" in finding.message
+        # Both pairs whose oracle is generate_loop lose it.
+        assert codes(result) == ["PL002", "PL002"]
+        pairs = set()
+        for finding in result.findings:
+            assert finding.path == "tests/oracles/power.py"
+            assert "oracle 'generate_loop' no longer exists" in finding.message
+            pairs.add(finding.message.split("'")[1])
+        assert pairs == {"trace-engine", "chunk-fold"}
 
     def test_missing_oracle_module_under_tests_is_flagged(self, tmp_path):
         files = _oracle_repo_files(tmp_path)
@@ -493,6 +504,14 @@ class TestPL002Oracle:
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
         assert "untested" in result.findings[0].message
+
+    def test_untested_chunk_fold_is_flagged(self, tmp_path):
+        files = _oracle_repo_files(tmp_path)
+        files["tests/test_chunk_fold.py"] = "# _fold_chunk\n"
+        result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
+        assert codes(result) == ["PL002"]
+        assert "'chunk-fold'" in result.findings[0].message
+        assert result.findings[0].path == "src/repro/tvla/assessment.py"
 
     def test_word_boundary_no_substring_credit(self, tmp_path):
         # 'generate_loop' alone must not satisfy the 'generate' side.

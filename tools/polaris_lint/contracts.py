@@ -90,6 +90,12 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     OraclePair("trace-engine", "src/repro/power/traces.py",
                "generate", "generate_loop",
                oracle_module="tests/oracles/power.py"),
+    # The TVLA chunk fold, which fills and folds each gate block of a
+    # chunk in reused buffers, vs the per-gate reference loop's traces
+    # folded by update_batch.
+    OraclePair("chunk-fold", "src/repro/tvla/assessment.py",
+               "_fold_chunk", "generate_loop",
+               oracle_module="tests/oracles/power.py"),
     # PR 7: flat-array batch tree descent vs the per-sample node walk.
     OraclePair("tree-predict", "src/repro/ml/tree.py",
                "predict_batch", "predict_value",

@@ -559,8 +559,9 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
     **exactly** equal and the batch path must clear a 10x floor.  A second
     row times ``explain_matrix`` against the per-sample engine
     (``oracles.tree_shap.explain_per_sample``, one recursive walk per
-    coalition per row) on the same model (the SHAP path shares one
-    coalition-expectation sweep across all rows); recorded as
+    coalition per row) on the same model (the SHAP path evaluates every
+    leaf of the ensemble for a block of rows at once; its values agree
+    with the oracle to round-off, within 1e-10); recorded as
     ``microbench_ml_scoring`` and gated by
     ``tools/check_bench_regression.py``.
     """
@@ -595,9 +596,10 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
     for fast_expl, oracle_expl in zip(
             explainer.explain_matrix(shap_rows),
             [explain_per_sample(explainer, row) for row in shap_rows]):
-        np.testing.assert_array_equal(fast_expl.shap_values,
-                                      oracle_expl.shap_values)
-        assert fast_expl.prediction == oracle_expl.prediction
+        np.testing.assert_allclose(fast_expl.shap_values,
+                                   oracle_expl.shap_values, rtol=0, atol=1e-10)
+        assert fast_expl.prediction == pytest.approx(oracle_expl.prediction,
+                                                     rel=0, abs=1e-10)
     # Timed alternately over more repeats than the scoring row: its 1.2x
     # floor sits close to the measured ratio, so a load burst on a shared
     # host must not land on one side only.
@@ -625,14 +627,15 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
             "oracle_seconds": shap_oracle,
             "fast_seconds": shap_fast,
             "speedup": shap_oracle / shap_fast,
-            "bitwise_equal": True,
+            "bitwise_equal": False,
         },
     ]
     recorder.record(ExperimentRecord(
         experiment_id="microbench_ml_scoring",
         description=("Flat-array batch model scoring and batched TreeSHAP "
                      "vs the per-sample oracle walks on a benchmark-netlist "
-                     "gate-feature matrix; outputs exactly equal"),
+                     "gate-feature matrix; scores exactly equal, SHAP "
+                     "values within 1e-10"),
         parameters={"scale": BENCH_SCALE, "locality": 7,
                     "model": "adaboost", "cpu_count": os.cpu_count()},
         rows=rows,

@@ -68,9 +68,9 @@ class TrainedPolaris:
                 max_samples: int = 25) -> List[Explanation]:
         """SHAP-explain model predictions (defaults to training samples).
 
-        Uses :meth:`TreeShapExplainer.explain_matrix`, which evaluates
-        coalition expectations once per tree for the whole sample matrix
-        (bit-identical to explaining each row individually).
+        Uses :meth:`TreeShapExplainer.explain_matrix`: exact Tree SHAP
+        for every tree family, each row's values the same as explaining
+        it alone.
         """
         explainer = TreeShapExplainer(
             self.model, feature_names=self.dataset.feature_names)

@@ -45,8 +45,8 @@ flattened once from the builder's :class:`TreeNode` records at the end of
 ``fit``.  The vectorised batch paths (:meth:`_FittedTree.predict_batch`,
 :meth:`_FittedTree.leaf_indices`) descend them frontier-by-frontier over
 the whole ``(n_samples, n_features)`` matrix, and the Tree SHAP explainer
-(:mod:`repro.xai.tree_shap`) sweeps them bottom-up.  The tests' per-sample
-oracles (``predict_value`` and ``decision_path`` in
+(:mod:`repro.xai.tree_shap`) flattens them into one table of leaf paths.
+The tests' per-sample oracles (``predict_value`` and ``decision_path`` in
 ``tests/oracles/tree.py``) walk the same arrays one row at a time, and the
 batch paths are bit-identical to them (same float64 comparisons, same leaf
 values).  The four pairings (``tree-split``, ``forest-lockstep``,
@@ -333,8 +333,12 @@ class _PresortedColumns:
         positions = np.arange(n_rows - 1)
         leaf_ok = ((positions + 1 >= self.min_samples_leaf)
                    & (n_rows - positions - 1 >= self.min_samples_leaf))
-        rows, splits = np.divmod(np.flatnonzero(
-            (np.diff(sorted_values, axis=1) > 1e-12) & leaf_ok), n_rows - 1)
+        # Equal infinities give ``inf - inf = NaN``, which compares False,
+        # so no split is taken between them, as intended: the "invalid
+        # value" warning is noise.
+        with np.errstate(invalid="ignore"):
+            gaps = np.diff(sorted_values, axis=1) > 1e-12
+        rows, splits = np.divmod(np.flatnonzero(gaps & leaf_ok), n_rows - 1)
         # ``rows`` is non-decreasing: number the distinct ones in one pass.
         first = np.ones(rows.size, dtype=bool)
         first[1:] = rows[1:] != rows[:-1]

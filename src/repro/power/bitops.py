@@ -18,11 +18,8 @@ engine's block producer and the gate-blocked moment fold
 (:mod:`repro.tvla.moments`): both walk a chunk's gates in the same blocks,
 so a block can be filled and folded while it is cache-resident.
 
-On NumPy >= 2.0 the counts come from ``numpy.bitwise_count``; older
-NumPy falls back to one shared 16-bit lookup table (:data:`POPCOUNT16`,
-64 KiB, built once per process), which also serves 8-bit inputs — a uint8
-index simply never reaches the upper half of the table.  ``bitwise_count``
-is SIMD-vectorised for uint8 but runs a scalar loop on uint16 (2.1 ms
+The counts come from ``numpy.bitwise_count`` (NumPy >= 2.0).  It is
+SIMD-vectorised for uint8 but runs a scalar loop on uint16 (2.1 ms
 against 0.28 ms for the same 3.6 MB on a 2-vCPU x86-64 VM), so bulk
 16-bit counts go through :func:`popcount16_inplace`: byte counts, then
 one in-place fold of each byte pair.
@@ -123,14 +120,6 @@ def combine_transition_codes(shares: np.ndarray) -> np.ndarray:
             | (flat[3] << 3)).reshape(shares.shape[1:])
 
 
-def _build_popcount16() -> np.ndarray:
-    """Build the 64 KiB 16-bit population-count table (read-only)."""
-    table = (np.unpackbits(np.arange(65536, dtype=np.uint16).view(np.uint8))
-             .reshape(65536, 16).sum(axis=1).astype(np.uint8))
-    table.setflags(write=False)
-    return table
-
-
 #: Keeps the low byte of every 16-bit lane of a uint64 word.
 _LOW_BYTES = np.uint64(0x00FF00FF00FF00FF)
 #: Words per fold block of :func:`popcount16_inplace`: the shifted copy
@@ -138,66 +127,40 @@ _LOW_BYTES = np.uint64(0x00FF00FF00FF00FF)
 _FOLD_WORDS = 1 << 14
 
 
-if hasattr(np, "bitwise_count"):
-    def popcount16(values: np.ndarray) -> np.ndarray:
-        """Per-element population count of uint16 (or uint8) arrays."""
-        return np.bitwise_count(values)
+def popcount16(values: np.ndarray) -> np.ndarray:
+    """Per-element population count of uint16 (or uint8) arrays."""
+    return np.bitwise_count(values)
 
-    def popcount16_inplace(words: np.ndarray) -> np.ndarray:
-        """Population counts of the 16-bit lanes of a uint64 word buffer.
 
-        Equal to ``popcount16(words.view(np.uint16))`` lane for lane, but
-        computed **in place**: the SIMD uint8 ``bitwise_count`` overwrites
-        every byte with its count, then each byte pair is summed into its
-        16-bit lane (``w += w >> 8; w &= 0x00FF00FF00FF00FF``; a byte
-        count is at most 8, so no sum carries across a lane).  The shift
-        moves each lane's high byte onto its low byte on either byte
-        order.  The fold runs in fixed blocks, so its only temporary is
-        one block.
+def popcount16_inplace(words: np.ndarray) -> np.ndarray:
+    """Population counts of the 16-bit lanes of a uint64 word buffer.
 
-        Args:
-            words: 1-D C-contiguous uint64 buffer; overwritten.
+    Equal to ``popcount16(words.view(np.uint16))`` lane for lane, but
+    computed **in place**: the SIMD uint8 ``bitwise_count`` overwrites
+    every byte with its count, then each byte pair is summed into its
+    16-bit lane (``w += w >> 8; w &= 0x00FF00FF00FF00FF``; a byte
+    count is at most 8, so no sum carries across a lane).  The shift
+    moves each lane's high byte onto its low byte on either byte
+    order.  The fold runs in fixed blocks, so its only temporary is
+    one block.
 
-        Returns:
-            The uint16 view of ``words`` holding the counts.
-        """
-        lanes = words.view(np.uint8)
-        np.bitwise_count(lanes, out=lanes)
-        shifted = np.empty(min(words.size, _FOLD_WORDS), dtype=np.uint64)
-        eight = np.uint64(8)
-        for start in range(0, words.size, _FOLD_WORDS):
-            block = words[start:start + _FOLD_WORDS]
-            high = shifted[:block.size]
-            np.right_shift(block, eight, out=high)
-            np.add(block, high, out=block)
-            np.bitwise_and(block, _LOW_BYTES, out=block)
-        return words.view(np.uint16)
+    Args:
+        words: 1-D C-contiguous uint64 buffer; overwritten.
 
-    def __getattr__(name: str) -> np.ndarray:
-        # The table is dead weight next to the hardware-backed
-        # bitwise_count, so it is built only if someone actually asks for
-        # ``bitops.POPCOUNT16`` (then memoised).
-        if name == "POPCOUNT16":
-            table = _build_popcount16()
-            globals()["POPCOUNT16"] = table
-            return table
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-else:
-    #: 16-bit population-count lookup table: ``POPCOUNT16[v]`` is the
-    #: number of set bits of ``v`` for any ``v < 65536``.  Valid for uint8
-    #: indices too.  (On NumPy >= 2.0 this attribute is built lazily.)
-    POPCOUNT16: np.ndarray = _build_popcount16()
-
-    def popcount16(values: np.ndarray) -> np.ndarray:
-        """Per-element population count via the shared 16-bit LUT."""
-        return POPCOUNT16[values]
-
-    def popcount16_inplace(words: np.ndarray) -> np.ndarray:
-        """Population counts of the 16-bit lanes of a uint64 word buffer,
-        as a new uint8 array from the shared 16-bit LUT (``words`` is left
-        as it is)."""
-        return POPCOUNT16[words.view(np.uint16)]
+    Returns:
+        The uint16 view of ``words`` holding the counts.
+    """
+    lanes = words.view(np.uint8)
+    np.bitwise_count(lanes, out=lanes)
+    shifted = np.empty(min(words.size, _FOLD_WORDS), dtype=np.uint64)
+    eight = np.uint64(8)
+    for start in range(0, words.size, _FOLD_WORDS):
+        block = words[start:start + _FOLD_WORDS]
+        high = shifted[:block.size]
+        np.right_shift(block, eight, out=high)
+        np.add(block, high, out=block)
+        np.bitwise_and(block, _LOW_BYTES, out=block)
+    return words.view(np.uint16)
 
 
 def popcount_rows(packed: np.ndarray, n_vectors: int) -> np.ndarray:

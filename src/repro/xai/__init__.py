@@ -1,8 +1,10 @@
 """Explainable-AI substrate: SHAP explanations and rules.
 
-:class:`TreeShapExplainer` is the explainer; its model-agnostic oracle,
-``KernelShapExplainer``, lives with the tests
-(``tests/oracles/kernel_shap.py``).
+:class:`TreeShapExplainer` is the explainer: exact path-dependent Tree
+SHAP for every tree family of :mod:`repro.ml`, with no sampling.  Its
+oracles live with the tests: coalition enumeration per tree
+(``tests/oracles/tree_shap.py``) and the model-agnostic
+``KernelShapExplainer`` (``tests/oracles/kernel_shap.py``).
 """
 
 from .explain import (

@@ -2,32 +2,46 @@
 
 The paper highlights SHAP's model-specific Tree SHAP variant as one reason
 for choosing SHAP over LIME/Captum.  This implementation computes exact
-Shapley values per tree under the *path-dependent* value function used by
-Tree SHAP: the value of a feature coalition ``S`` is the expectation of the
-tree output when features in ``S`` follow the explained sample and all other
-split decisions are marginalised according to the training cover of each
-branch.  Shapley values of an ensemble are the sum of the per-tree values
-(linearity).
+Shapley values under the *path-dependent* value function used by Tree
+SHAP: the value of a feature coalition ``S`` is the expectation of the
+model output when features in ``S`` follow the explained sample and all
+other split decisions are marginalised according to the training cover of
+each branch.
 
-Exactness is achieved by enumerating coalitions over only the features a
-tree actually splits on (for POLARIS's shallow AdaBoost learners that is at
-most a handful per tree); when a single tree uses more features than
-``max_exact_features`` the explainer falls back to an unbiased permutation-
-sampling estimate for that tree.
+Under that value function each leaf ``l`` of each tree adds
+``v_l · Π_j (o_lj if j ∈ S else z_lj)`` to the value of ``S``, with ``j``
+running over the distinct features split on along the leaf's path:
 
-There is one engine: each coalition expectation is one bottom-up sweep
-over a tree's :class:`~repro.ml.tree.FlatTree` arrays for a whole sample
-matrix (:meth:`TreeShapExplainer.explain_matrix`), and
-:meth:`TreeShapExplainer.explain` is its one-row case.  The recursive
-per-sample engine it replaced is the tests' oracle
+* ``z_lj`` is the product of the feature's cover fractions along the path
+  (0.5/0.5 where the children's cover sums to 0);
+* ``o_lj ∈ {0, 1}`` says whether the sample satisfies every split on
+  ``j`` along the path (``x <= threshold`` goes left, anything else,
+  NaN included, goes right).
+
+For a path of ``D`` features, the Shapley value of feature ``i`` at leaf
+``l`` is therefore ``v_l (o_li − z_li) Σ_s s!(D−1−s)!/D! · e_s``, where
+``e_s`` sums ``Π_S o · Π_rest z`` over the size-``s`` subsets ``S`` of the
+other path features (Lundberg, Erion & Lee, arXiv:1802.03888).  The
+Shapley weight is the Beta integral ``∫_0^1 t^s (1−t)^(D−1−s) dt``, so the
+sum equals ``∫_0^1 Π_{j≠i} ((1−t) z_lj + t o_lj) dt``: a polynomial of
+degree below ``D`` in ``t``, which ``⌈D/2⌉``-point Gauss–Legendre
+quadrature integrates exactly (the identity behind Linear TreeShap, Yu et
+al., NeurIPS 2022).  Shapley values of an ensemble are the sum over its
+leaves (linearity), and the base value and prediction come from the same
+leaf table: ``Σ v·Πz`` and ``Σ v·Πo``.
+
+There is one engine, :class:`_LeafTable`, for every tree family: all
+leaves of the ensemble share one ``(rows, leaves, path slots)`` array,
+shorter paths padded with null slots (``o = z = 1``, which leave every
+other value unchanged).  :meth:`TreeShapExplainer.explain` is the one-row
+case of :meth:`TreeShapExplainer.explain_matrix`.  The coalition
+enumeration it replaced is the tests' oracle
 (``tests/oracles/tree_shap.py``).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,66 +52,133 @@ from ..ml.tree import (LEAF, DecisionTreeClassifier, DecisionTreeRegressor,
                        FlatTree)
 from .explain import Explanation
 
+#: Entries of one ``(rows, leaves, path slots)`` float64 block array
+#: (1 MiB).  Rows are explained in blocks of as many rows as fit, at least
+#: one, so memory stays bounded however many rows are asked for.
+_BLOCK_ENTRIES = 1 << 17
 
-class _WeightedTree:
-    """A single tree's :class:`FlatTree`, its weight and its output.
 
-    ``output`` holds the tree's scalar output per node in the explainer's
-    output convention, which :meth:`expectation_batch` sweeps bottom-up
-    for a whole sample matrix at once.  Node indices are topologically
-    ordered (children after parents), so one reverse pass visits every
-    child before its parent.
+class _WeightedTree(NamedTuple):
+    """A single tree's :class:`FlatTree`, its weight in the ensemble and
+    its per-node output in the explainer's output convention."""
+
+    flat: FlatTree
+    weight: float
+    output: np.ndarray
+
+
+#: One feature of a leaf's path: the smallest threshold of its left turns
+#: and the largest of its right turns (None without such a turn), and the
+#: product of its cover fractions.
+_PathFeature = Tuple[Optional[float], Optional[float], float]
+
+
+def _leaf_paths(tree: _WeightedTree
+                ) -> Iterator[Tuple[float, Dict[int, _PathFeature]]]:
+    """``(weighted leaf output, {feature: path record})`` per leaf."""
+    flat = tree.flat
+    features, thresholds = flat.feature.tolist(), flat.threshold.tolist()
+    lefts, rights = flat.left.tolist(), flat.right.tolist()
+    cover, output = flat.cover.tolist(), tree.output.tolist()
+    # A subtree whose leaves all output the same value is that value for
+    # every coalition: it is explained as one leaf, so its splits give
+    # exact zeros rather than round-off.  Children follow their parents.
+    constant: List[Optional[float]] = [None] * flat.n_nodes
+    for node in range(flat.n_nodes - 1, -1, -1):
+        if features[node] == LEAF:
+            constant[node] = output[node]
+        elif constant[lefts[node]] == constant[rights[node]]:
+            constant[node] = constant[lefts[node]]
+    stack: List[Tuple[int, Dict[int, _PathFeature]]] = [(0, {})]
+    while stack:
+        node, path = stack.pop()
+        feature = features[node]
+        if constant[node] is not None:
+            yield tree.weight * constant[node], path
+            continue
+        left, right = lefts[node], rights[node]
+        total = cover[left] + cover[right]
+        if total <= 0:
+            left_share = right_share = 0.5
+        else:
+            left_share, right_share = cover[left] / total, cover[right] / total
+        upper, lower, share = path.get(feature, (None, None, 1.0))
+        threshold = thresholds[node]
+        stack.append((left, {**path, feature: (
+            threshold if upper is None else min(upper, threshold),
+            lower, share * left_share)}))
+        stack.append((right, {**path, feature: (
+            upper, threshold if lower is None else max(lower, threshold),
+            share * right_share)}))
+
+
+class _LeafTable:
+    """Every leaf of an ensemble as one row of padded path arrays.
+
+    Row ``l`` holds the leaf's weighted output ``value[l]`` and, per path
+    slot, the feature, its bounds and its cover product ``z``.  An open
+    bound is NaN, which ``~(x <= lower)`` passes; an open upper bound is
+    also flagged in ``open_upper``, since ``x <= NaN`` is False.  Padding
+    slots have open bounds, ``z = 1`` and the sink feature
+    ``n_features``, whose column is dropped.
     """
 
-    def __init__(self, flat: FlatTree, weight: float,
-                 output: np.ndarray) -> None:
-        self.flat = flat
-        self.weight = weight
-        self.output = output
+    def __init__(self, trees: Sequence[_WeightedTree],
+                 n_features: int) -> None:
+        leaves = [leaf for tree in trees for leaf in _leaf_paths(tree)]
+        depth = max(len(path) for _, path in leaves)
+        shape = (len(leaves), depth)
+        self.n_features = n_features
+        self.value = np.array([value for value, _ in leaves])
+        self.feature = np.full(shape, n_features)
+        self.upper = np.full(shape, np.nan)
+        self.lower = np.full(shape, np.nan)
+        self.cover = np.ones(shape)
+        for index, (_, path) in enumerate(leaves):
+            for slot, (feature, (upper, lower, share)) in enumerate(
+                    path.items()):
+                self.feature[index, slot] = feature
+                self.upper[index, slot] = np.nan if upper is None else upper
+                self.lower[index, slot] = np.nan if lower is None else lower
+                self.cover[index, slot] = share
+        self.open_upper = np.isnan(self.upper)
+        # Gauss–Legendre points and weights moved from [-1, 1] to [0, 1].
+        points, weights = np.polynomial.legendre.leggauss(max(1, -(-depth // 2)))
+        self.quadrature = list(zip(((points + 1.0) / 2.0).tolist(),
+                                   (weights / 2.0).tolist()))
+        self.rows_per_block = max(1, _BLOCK_ENTRIES // max(1, shape[0] * depth))
 
-    def used_features(self) -> Tuple[int, ...]:
-        """The features the tree splits on, ascending."""
-        return tuple(np.unique(self.flat.feature[self.flat.feature != LEAF])
-                     .tolist())
+    def base_value(self) -> float:
+        """``Σ_l v_l Π_j z_lj``: the output with no feature known."""
+        return float(np.sum(self.value * self.cover.prod(axis=1)))
 
-    def expectation_batch(self, samples: np.ndarray,
-                          known: frozenset) -> np.ndarray:
-        """E[tree(x)] for every row ``x`` of ``samples`` when the features
-        in ``known`` follow the row.
+    def shap_block(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Shapley values ``(n_rows, n_features)`` and ``Σ_l v_l Π_j o_lj``
+        ``(n_rows,)`` of a block of rows.
 
-        Unknown split features are marginalised with the per-branch
-        training cover, which is the path-dependent Tree SHAP convention.
-        One bottom-up pass over the flat node arrays: each node's
-        conditional expectation is an ``(n_samples,)`` vector computed from
-        its children's vectors.  Bit-identical per row to the tests'
-        recursive ``expectation`` (oracle pair ``tree-shap-expectation``,
-        polaris-lint PL002): same cover ratios, same operation order.
-        The node loop reads the arrays as Python lists (float64 values
-        either way), which spares a numpy scalar per read.
+        Every step is elementwise per row or reduces one row's own slots
+        or leaves, so a row's values do not depend on the other rows.
         """
-        flat = self.flat
-        features, thresholds = flat.feature.tolist(), flat.threshold.tolist()
-        lefts, rights = flat.left.tolist(), flat.right.tolist()
-        cover, output = flat.cover.tolist(), self.output.tolist()
-        values = np.empty((flat.n_nodes, samples.shape[0]))
-        for index in range(flat.n_nodes - 1, -1, -1):
-            feature = features[index]
-            if feature < 0:
-                values[index] = output[index]
-                continue
-            left = lefts[index]
-            right = rights[index]
-            if feature in known:
-                go_left = samples[:, feature] <= thresholds[index]
-                values[index] = np.where(go_left, values[left], values[right])
-                continue
-            total = cover[left] + cover[right]
-            if total <= 0:
-                values[index] = 0.5 * (values[left] + values[right])
-            else:
-                values[index] = (cover[left] / total * values[left]
-                                 + cover[right] / total * values[right])
-        return values[0]
+        # Padding slots gather the last column (clipped); their open
+        # bounds make o = 1 whatever it holds.
+        values = rows.take(self.feature, axis=1, mode="clip")
+        inside = (((values <= self.upper) | self.open_upper)
+                  & ~(values <= self.lower))
+        prediction = np.where(inside.all(axis=2), self.value, 0.0).sum(axis=1)
+        step = inside - self.cover  # o - z
+        integral = np.zeros_like(step)
+        for point, weight in self.quadrature:
+            factors = self.cover + point * step  # (1 - t) z + t o
+            # Π_{j≠i} as the product over all slots divided by slot i's
+            # factor.  Factors are >= 0, and 0 only where o = z = 0, whose
+            # (o - z) zeroes the contribution anyway.
+            others = (factors.prod(axis=2, keepdims=True)
+                      / np.where(factors > 0.0, factors, 1.0))
+            integral += weight * others
+        phi = np.zeros((rows.shape[0], self.n_features + 1))
+        np.add.at(phi, (np.arange(rows.shape[0])[:, None, None], self.feature),
+                  self.value[:, None] * step * integral)
+        return phi[:, :-1], prediction
 
 
 def _column_output(flat: FlatTree, column: int) -> np.ndarray:
@@ -163,7 +244,8 @@ def _class_column(tree: DecisionTreeClassifier, positive_class: int) -> int:
 
 
 class TreeShapExplainer:
-    """Shapley-value explainer for the tree models of :mod:`repro.ml`.
+    """Exact Shapley-value explainer for the tree models of
+    :mod:`repro.ml`.
 
     The explained quantity is the model's positive-class score in its
     natural output space: probabilities for AdaBoost / Random Forest /
@@ -173,26 +255,13 @@ class TreeShapExplainer:
     Args:
         model: A fitted tree-based model.
         feature_names: Column names for the explanations.
-        max_exact_features: Per-tree limit on exact coalition enumeration.
-        n_permutations: Sampling budget for trees exceeding the exact limit.
         positive_class: Label treated as the positive class.
-        seed: RNG seed for the sampling fallback.
     """
 
     def __init__(self, model: object,
                  feature_names: Optional[Sequence[str]] = None,
-                 max_exact_features: int = 12,
-                 n_permutations: int = 128,
-                 positive_class: int = 1,
-                 seed: int = 0) -> None:
-        if max_exact_features < 0:
-            raise ValueError("max_exact_features must be >= 0")
-        if n_permutations < 1:
-            raise ValueError("n_permutations must be >= 1")
+                 positive_class: int = 1) -> None:
         self.model = model
-        self.max_exact_features = max_exact_features
-        self.n_permutations = n_permutations
-        self.seed = seed
         self._trees, self._offset, self.link = _extract_trees(model, positive_class)
         if not self._trees:
             raise ValueError("model has no fitted trees to explain")
@@ -202,7 +271,8 @@ class TreeShapExplainer:
         if len(feature_names) != self._n_features:
             raise ValueError("feature_names length does not match the model")
         self.feature_names = tuple(feature_names)
-        self._base_value = self._compute_base_value()
+        self._leaves = _LeafTable(self._trees, self._n_features)
+        self._base_value = self._offset + self._leaves.base_value()
 
     # ------------------------------------------------------------------
     @property
@@ -219,16 +289,6 @@ class TreeShapExplainer:
             return int(model.estimators_[0].n_features_)
         raise ValueError("cannot determine the model's feature count")
 
-    def _compute_base_value(self) -> float:
-        # ``total = offset; total += ...`` per tree: summing the trees
-        # first and adding the offset last rounds differently.
-        total = self._offset
-        empty = frozenset()
-        dummy = np.zeros((1, self._n_features))
-        for tree in self._trees:
-            total += tree.weight * tree.expectation_batch(dummy, empty)[0]
-        return float(total)
-
     # ------------------------------------------------------------------
     def explain(self, sample: np.ndarray) -> Explanation:
         """Compute Shapley values for one sample (one row of
@@ -239,13 +299,12 @@ class TreeShapExplainer:
         return self.explain_matrix(sample[None])[0]
 
     def explain_matrix(self, samples: np.ndarray) -> List[Explanation]:
-        """Explain every row of ``samples`` in one batched pass.
+        """Explain every row of ``samples``, one block of rows at a time
+        (:meth:`_LeafTable.shap_block`).
 
-        Coalition expectations are evaluated once per (tree, coalition)
-        for the whole matrix via :meth:`_WeightedTree.expectation_batch`
-        instead of once per row, which collapses the dominant cost of
-        explaining a gate-feature matrix.  Every row is bit-identical to
-        the tests' per-sample engine, ``explain_per_sample`` (oracle pair
+        A row's values are bitwise independent of the other rows; they
+        agree with the tests' coalition enumeration,
+        ``explain_per_sample``, to round-off (oracle pair
         ``tree-shap-explain``, polaris-lint PL002).
         """
         samples = np.asarray(samples, dtype=float)
@@ -253,10 +312,14 @@ class TreeShapExplainer:
             samples = samples.reshape(1, -1)
         if samples.shape[1] != self._n_features:
             raise ValueError("sample length does not match the model")
-        phi = np.zeros((samples.shape[0], self._n_features))
-        for tree in self._trees:
-            phi += tree.weight * self._tree_shapley_batch(tree, samples)
-        predictions = self._predict_output_batch(samples)
+        phi = np.empty(samples.shape)
+        predictions = np.empty(samples.shape[0])
+        step = self._leaves.rows_per_block
+        for start in range(0, samples.shape[0], step):
+            block = slice(start, start + step)
+            phi[block], predictions[block] = self._leaves.shap_block(
+                samples[block])
+        predictions += self._offset
         return [
             Explanation(
                 base_value=self._base_value,
@@ -267,88 +330,3 @@ class TreeShapExplainer:
             )
             for index in range(samples.shape[0])
         ]
-
-    def _predict_output_batch(self, samples: np.ndarray) -> np.ndarray:
-        """Model output in the explainer's output space, per row."""
-        if self.link == "logit":
-            return np.asarray(self.model.decision_function(samples), dtype=float)
-        if self.link == "identity":
-            return np.asarray(self.model.predict(samples), dtype=float)
-        total = np.full(samples.shape[0], self._offset)
-        known = frozenset(range(self._n_features))
-        for tree in self._trees:
-            total += tree.weight * tree.expectation_batch(samples, known)
-        return total
-
-    # ------------------------------------------------------------------
-    def _tree_shapley_batch(self, tree: _WeightedTree,
-                            samples: np.ndarray) -> np.ndarray:
-        """One tree's Shapley values, an ``(n_samples, n_features)``
-        matrix: exact when the tree splits on at most
-        ``max_exact_features`` features, sampled otherwise."""
-        used = tree.used_features()
-        phi = np.zeros((samples.shape[0], self._n_features))
-        if not used:
-            return phi
-        if len(used) <= self.max_exact_features:
-            contributions = self._exact_shapley_batch(tree, samples, used)
-        else:
-            contributions = self._sampled_shapley_batch(tree, samples, used)
-        for feature, values in contributions.items():
-            phi[:, feature] = values
-        return phi
-
-    def _exact_shapley_batch(self, tree: _WeightedTree, samples: np.ndarray,
-                             used: Tuple[int, ...]) -> Dict[int, np.ndarray]:
-        """Exact Shapley values by coalition enumeration.
-
-        Each coalition's expectation is cached, keyed by frozenset, as an
-        ``(n_samples,)`` vector; the per-sample oracle runs the same
-        subset order and factorial weights on one row's scalars.
-        """
-        n_used = len(used)
-        cache: Dict[frozenset, np.ndarray] = {}
-
-        def value(subset: frozenset) -> np.ndarray:
-            if subset not in cache:
-                cache[subset] = tree.expectation_batch(samples, subset)
-            return cache[subset]
-
-        contributions = {feature: np.zeros(samples.shape[0]) for feature in used}
-        others: Dict[int, Tuple[int, ...]] = {
-            feature: tuple(f for f in used if f != feature) for feature in used
-        }
-        factorials = [factorial(k) for k in range(n_used + 1)]
-        denominator = factorials[n_used]
-        for feature in used:
-            for size in range(n_used):
-                weight = factorials[size] * factorials[n_used - size - 1] / denominator
-                for subset in combinations(others[feature], size):
-                    base = frozenset(subset)
-                    contributions[feature] += weight * (
-                        value(base | {feature}) - value(base))
-        return contributions
-
-    def _sampled_shapley_batch(self, tree: _WeightedTree, samples: np.ndarray,
-                               used: Tuple[int, ...]) -> Dict[int, np.ndarray]:
-        """Permutation-sampling estimate of the Shapley values.
-
-        A fresh ``default_rng(self.seed)`` per tree draws the permutations,
-        so every row sees the same sequence and a row's estimate does not
-        depend on the other rows of ``samples``.
-        """
-        rng = np.random.default_rng(self.seed)
-        contributions = {feature: np.zeros(samples.shape[0]) for feature in used}
-        used_array = np.array(used)
-        for _ in range(self.n_permutations):
-            order = rng.permutation(used_array)
-            current: frozenset = frozenset()
-            previous_value = tree.expectation_batch(samples, current)
-            for feature in order:
-                current = current | {int(feature)}
-                new_value = tree.expectation_batch(samples, current)
-                contributions[int(feature)] += new_value - previous_value
-                previous_value = new_value
-        for feature in used:
-            contributions[feature] /= self.n_permutations
-        return contributions

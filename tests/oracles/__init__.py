@@ -38,14 +38,13 @@ Oracle -> fast path [PL002 pair]:
   [``tree-predict``].  Walks the ``FlatTree`` node arrays one row at a
   time; ``tree.decision_path`` lists the nodes one row visits, the oracle
   of ``_FittedTree.leaf_indices`` [no pair].
-* ``tree_shap.expectation`` -> ``repro.xai.tree_shap._WeightedTree
-  .expectation_batch`` [``tree-shap-expectation``].  Recursive walk of one
-  tree for one sample, coalition by coalition.
-* ``tree_shap.explain_per_sample`` -> ``TreeShapExplainer.explain_matrix``
-  [``tree-shap-explain``].  The per-sample Tree SHAP engine (exact
-  enumeration or permutation sampling per tree) on that walk; every row of
-  the batched sweep is bitwise equal to it.  ``tree_shap.base_value``
-  rebuilds the explainer's base value the same way.
+* ``tree_shap.explain_per_sample`` -> ``repro.xai.tree_shap._LeafTable
+  .shap_block`` behind ``TreeShapExplainer.explain_matrix``
+  [``tree-shap-explain``].  Exact coalition enumeration per tree, each
+  coalition a recursive walk of the tree for one sample; every row of the
+  leaf-path engine equals it to round-off (1e-10).
+  ``tree_shap.base_value`` rebuilds the explainer's base value the same
+  way.
 * ``forest.fit_forest_per_tree`` -> ``repro.ml.tree._fit_lockstep``
   [``forest-lockstep``].  Fits each random-forest tree alone on its
   bootstrap with ``best_split_loop``; bitwise equal to the lockstep

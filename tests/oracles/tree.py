@@ -52,8 +52,10 @@ def best_split_loop(builder: _TreeBuilder,
         sorted_values = column[column_order]
         sorted_weights = weights[column_order]
         sorted_targets = targets[column_order]
-        # Candidate split positions: between distinct consecutive values.
-        positions = np.nonzero(np.diff(sorted_values) > 1e-12)[0]
+        # Candidate split positions: between distinct consecutive values
+        # (equal infinities give inf - inf = NaN, which is no split).
+        with np.errstate(invalid="ignore"):
+            positions = np.nonzero(np.diff(sorted_values) > 1e-12)[0]
         if positions.size == 0:
             continue
         leaf_ok = ((positions + 1 >= builder.min_samples_leaf)

@@ -1,17 +1,20 @@
-"""Per-sample Tree SHAP engine: the oracle of the batched sweep.
+"""Per-sample Tree SHAP engine: the oracle of the leaf-path engine.
 
-* :func:`expectation` walks one tree recursively for one sample: the
-  oracle of ``repro.xai.tree_shap._WeightedTree.expectation_batch``
-  (PL002 pair ``tree-shap-expectation``).
-* :func:`explain_per_sample` explains one sample with that walk, coalition
-  by coalition: the oracle of ``TreeShapExplainer.explain_matrix`` (PL002
-  pair ``tree-shap-explain``), whose rows must match it bit for bit.
+* :func:`explain_per_sample` explains one sample tree by tree, enumerating
+  every coalition of the features the tree splits on; each coalition's
+  value is a recursive walk of the tree (:meth:`_TreeWalk.expectation`).
+  It is the oracle of ``TreeShapExplainer.explain_matrix`` and its engine
+  ``_LeafTable.shap_block`` (PL002 pair ``tree-shap-explain``), whose rows
+  must match it to round-off (1e-10).  Its prediction is the model's own
+  output (``decision_function`` / ``predict`` / the trees' walks).
 * :func:`base_value` is the explainer's base value from the walk, added
   tree by tree onto the offset.
 
 The walks read Python lists made once per tree from its ``FlatTree``
 arrays, so each node visit costs list lookups and Python float
-arithmetic, not numpy scalar operations.
+arithmetic, not numpy scalar operations.  Enumeration costs ``2^k``
+walks for a tree that splits on ``k`` features, so tests keep ``k`` small
+(at most 13).
 """
 
 from __future__ import annotations
@@ -58,12 +61,6 @@ class _TreeWalk(NodeLists):
         return recurse(0)
 
 
-def expectation(tree: _WeightedTree, sample: np.ndarray,
-                known: frozenset) -> float:
-    """Recursive conditional expectation of one tree for one sample."""
-    return _TreeWalk(tree).expectation(sample, known)
-
-
 def base_value(explainer: TreeShapExplainer) -> float:
     """The explainer's offset plus every tree's weighted root expectation
     with no known feature, added one tree at a time."""
@@ -99,26 +96,6 @@ def _exact_shapley(walk: _TreeWalk, sample: np.ndarray,
     return contributions
 
 
-def _sampled_shapley(walk: _TreeWalk, sample: np.ndarray,
-                     used: Tuple[int, ...], n_permutations: int,
-                     seed: int) -> Dict[int, float]:
-    rng = np.random.default_rng(seed)
-    contributions = {feature: 0.0 for feature in used}
-    used_array = np.array(used)
-    for _ in range(n_permutations):
-        order = rng.permutation(used_array)
-        current: frozenset = frozenset()
-        previous_value = walk.expectation(sample, current)
-        for feature in order:
-            current = current | {int(feature)}
-            new_value = walk.expectation(sample, current)
-            contributions[int(feature)] += new_value - previous_value
-            previous_value = new_value
-    for feature in used:
-        contributions[feature] /= n_permutations
-    return contributions
-
-
 def _predict_output(explainer: TreeShapExplainer, sample: np.ndarray,
                     walks) -> float:
     """Model output in the explainer's output space for one sample."""
@@ -136,9 +113,9 @@ def _predict_output(explainer: TreeShapExplainer, sample: np.ndarray,
 
 def explain_per_sample(explainer: TreeShapExplainer,
                        sample: np.ndarray) -> Explanation:
-    """Shapley values of one sample, tree by tree and coalition by
-    coalition; bitwise equal to the sample's row of
-    ``explainer.explain_matrix``."""
+    """Shapley values, base value and prediction of one sample, tree by
+    tree and coalition by coalition; equal to the sample's row of
+    ``explainer.explain_matrix`` to round-off."""
     sample = np.asarray(sample, dtype=float).ravel()
     if sample.shape[0] != explainer._n_features:
         raise ValueError("sample length does not match the model")
@@ -146,19 +123,13 @@ def explain_per_sample(explainer: TreeShapExplainer,
     phi = np.zeros(explainer._n_features)
     for tree, walk in zip(explainer._trees, walks):
         tree_phi = np.zeros(explainer._n_features)
-        used = tree.used_features()
-        if used:
-            if len(used) <= explainer.max_exact_features:
-                contributions = _exact_shapley(walk, sample, used)
-            else:
-                contributions = _sampled_shapley(
-                    walk, sample, used, explainer.n_permutations,
-                    explainer.seed)
-            for feature, value in contributions.items():
-                tree_phi[feature] = value
+        used = tuple(np.unique(tree.flat.feature[tree.flat.feature != LEAF])
+                     .tolist())
+        for feature, value in _exact_shapley(walk, sample, used).items():
+            tree_phi[feature] = value
         phi += tree.weight * tree_phi
     return Explanation(
-        base_value=explainer.base_value,
+        base_value=base_value(explainer),
         shap_values=phi,
         data=sample,
         feature_names=explainer.feature_names,

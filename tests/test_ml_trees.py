@@ -182,12 +182,15 @@ def test_predict_on_zero_rows_keeps_the_output_width(rng):
     assert reg.predict(np.zeros((0, 3))).shape == (0,)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("model", [DecisionTreeClassifier,
                                    DecisionTreeRegressor])
 def test_infinite_split_keeps_both_sides(model):
     # Regression: the midpoint of -inf and inf is NaN, so ``x <= NaN``
     # sent every sample right, leaving an empty left leaf and a right
     # child that repeated its parent.  The threshold falls back to -inf.
+    # The split scan differences equal infinities (``inf - inf``) without
+    # a RuntimeWarning.
     features = np.array([[-np.inf], [-np.inf], [np.inf], [np.inf]])
     tree = model().fit(features, np.array([0, 0, 1, 1]))
     assert tree.tree_.n_nodes == 3

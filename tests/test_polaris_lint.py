@@ -369,10 +369,8 @@ def _oracle_repo_files(tmp_path):
             "def _fit_lockstep():\n"
             "    pass\n",
         "src/repro/xai/tree_shap.py":
-            "class TreeShapExplainer:\n"
-            "    def expectation_batch(self):\n"
-            "        pass\n"
-            "    def explain_matrix(self):\n"
+            "class _LeafTable:\n"
+            "    def shap_block(self):\n"
             "        pass\n",
         "src/repro/power/ctrsample.py":
             "def philox_raw():\n"
@@ -397,8 +395,6 @@ def _oracle_repo_files(tmp_path):
             "def fit_forest_per_tree():\n"
             "    pass\n",
         "tests/oracles/tree_shap.py":
-            "def expectation():\n"
-            "    pass\n"
             "def explain_per_sample():\n"
             "    pass\n",
         "tests/oracles/ctrsample.py":
@@ -418,8 +414,8 @@ _ORACLE_REFERENCES = (
     "# LogicSimulator LoopSimulator generate generate_loop\n"
     "# _best_split best_split_loop _fit_lockstep fit_forest_per_tree fit\n"
     "# _fit_fixed_weights\n"
-    "# predict_batch predict_value expectation_batch expectation\n"
-    "# explain_matrix explain_per_sample\n"
+    "# predict_batch predict_value\n"
+    "# shap_block explain_per_sample\n"
     "# philox_raw philox_blocks_reference\n"
     "# popcount16_inplace popcount16\n")
 

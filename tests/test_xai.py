@@ -105,7 +105,7 @@ class TestTreeShap:
         explainer = TreeShapExplainer(model, feature_names=FEATURE_NAMES)
         for row in features[:5]:
             explanation = explainer.explain(row)
-            assert explanation.additivity_gap < 1e-8
+            assert explanation.additivity_gap < 1e-9
 
     def test_adaboost_prediction_matches_predict_proba(self, binary_data,
                                                        fitted_adaboost):
@@ -126,41 +126,9 @@ class TestTreeShap:
         # but attributions should broadly agree on one-hot style data.
         assert np.abs(tree_phi - kernel_phi).max() < 0.15
 
-    def test_sampling_fallback_close_to_exact(self, binary_data, fitted_tree):
-        features, _ = binary_data
-        exact = TreeShapExplainer(fitted_tree, feature_names=FEATURE_NAMES,
-                                  max_exact_features=12)
-        sampled = TreeShapExplainer(fitted_tree, feature_names=FEATURE_NAMES,
-                                    max_exact_features=1, n_permutations=300,
-                                    seed=5)
-        phi_exact = exact.explain(features[0]).shap_values
-        phi_sampled = sampled.explain(features[0]).shap_values
-        assert np.abs(phi_exact - phi_sampled).max() < 0.1
-
     def test_unsupported_model_rejected(self):
         with pytest.raises(TypeError):
             TreeShapExplainer(object())
-
-    @pytest.mark.parametrize("n_permutations", [0, -3])
-    def test_n_permutations_below_one_rejected(self, fitted_tree,
-                                               n_permutations):
-        # Regression: 0 reached explain and raised a bare ZeroDivisionError;
-        # -3 returned all-zero SHAP values, breaking additivity.
-        with pytest.raises(ValueError, match="n_permutations"):
-            TreeShapExplainer(fitted_tree, n_permutations=n_permutations)
-
-    def test_negative_max_exact_features_rejected(self, fitted_tree):
-        with pytest.raises(ValueError, match="max_exact_features"):
-            TreeShapExplainer(fitted_tree, max_exact_features=-1)
-
-    def test_zero_exact_features_samples_every_tree(self, binary_data,
-                                                    fitted_tree):
-        features, _ = binary_data
-        explainer = TreeShapExplainer(fitted_tree, max_exact_features=0,
-                                      n_permutations=1, seed=2)
-        explanation = explainer.explain(features[0])
-        assert explanation.additivity_gap < 1e-8
-        assert np.any(explanation.shap_values != 0.0)
 
 
 class TestExplanationObjects:

@@ -100,13 +100,10 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     OraclePair("tree-predict", "src/repro/ml/tree.py",
                "predict_batch", "predict_value",
                oracle_module="tests/oracles/tree.py"),
-    # PR 7: bottom-up batched conditional expectation vs the recursive walk.
-    OraclePair("tree-shap-expectation", "src/repro/xai/tree_shap.py",
-               "expectation_batch", "expectation",
-               oracle_module="tests/oracles/tree_shap.py"),
-    # PR 7: batched SHAP matrix vs the per-sample engine.
+    # Exact Tree SHAP from one leaf-path table for every tree family vs
+    # coalition enumeration per tree and sample (agree to round-off).
     OraclePair("tree-shap-explain", "src/repro/xai/tree_shap.py",
-               "explain_matrix", "explain_per_sample",
+               "shap_block", "explain_per_sample",
                oracle_module="tests/oracles/tree_shap.py"),
     # Presorted all-features CART split search vs the per-feature
     # argsort-and-scan loop.

@@ -308,6 +308,45 @@ def test_infinite_and_nan_rows_match_the_oracle(family):
         assert explanation.additivity_gap < 1e-9
 
 
+@pytest.mark.parametrize("family", sorted(MODEL_FACTORIES))
+def test_row_blocks_do_not_change_values(family):
+    # Seven rows in blocks of three: two full blocks and a partial one.
+    features, labels, _ = _dataset(19, 40, 4)
+    model = MODEL_FACTORIES[family](3).fit(features, labels)
+    whole = TreeShapExplainer(model).explain_matrix(features[:7])
+    explainer = TreeShapExplainer(model)
+    leaves = explainer._leaves
+    leaves.rows_per_block = 3
+    assert leaves.rows_per_block < len(whole)
+    for explanation, blocked in zip(whole,
+                                    explainer.explain_matrix(features[:7])):
+        _assert_explanations_identical(explanation, blocked)
+
+
+def test_split_between_equal_votes_gets_exact_zero():
+    # (ones, zeros) per (x0, x1) cell: the tree splits on x0, then on x1
+    # in both halves, but each half's leaves vote for the same class, so
+    # AdaBoost's hard vote never depends on x1.  With these uneven covers,
+    # explaining each leaf on its own leaves about 1e-17 of round-off on
+    # x1; an equal-vote subtree is one leaf, whose x1 value is exactly 0.
+    cells = {(0, 0): (1, 14), (0, 1): (1, 4), (1, 0): (3, 2), (1, 1): (12, 6)}
+    rows, labels = [], []
+    for (x0, x1), (ones, zeros) in cells.items():
+        rows += [(x0, x1)] * (ones + zeros)
+        labels += [1] * ones + [0] * zeros
+    features = np.array(rows, dtype=float)
+    model = AdaBoostClassifier(n_estimators=1, max_depth=2,
+                               random_state=0).fit(features, labels)
+    flat = model.estimators_[0].tree_.flat
+    assert 1 in flat.feature.tolist()
+    explainer = TreeShapExplainer(model)
+    for explanation in explainer.explain_matrix(np.array(list(cells),
+                                                         dtype=float)):
+        assert explanation.shap_values[1] == 0.0
+        assert explanation.shap_values[0] != 0.0
+        assert explanation.additivity_gap < 1e-12
+
+
 def test_explain_matrix_rejects_wrong_width():
     features, labels, _ = _dataset(0, 20, 3)
     model = DecisionTreeClassifier(max_depth=2, random_state=0).fit(

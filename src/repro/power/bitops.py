@@ -54,8 +54,10 @@ def column_blocks(width: int, n_rows: int) -> List[Tuple[int, int]]:
     A block holds as many columns as fill :data:`FOLD_BLOCK_BYTES` of
     float64 rows, and at least :data:`FOLD_BLOCK_COLUMNS`: 64 for a
     2048-trace chunk, 131 for a 1000-trace one.  Every block costs a fixed
-    number of numpy calls, each a GIL hand-off when threads fold at once,
-    so short chunks take wider blocks.  The partition does not change the
+    number of numpy calls, so short chunks take wider blocks.  (Calls of
+    a campaign's worker threads, which fold shards in one process at once,
+    are each a GIL hand-off; ``assess_leakage`` folds in forked processes,
+    which share no GIL.)  The partition does not change the
     result as long as no block is a single column: a column's sum
     associates the same way in any block of two or more columns, but a
     one-column block of a C-order batch is contiguous, so numpy would sum

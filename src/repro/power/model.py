@@ -35,8 +35,9 @@ from .bitops import FAST_NOISE_BITS
 #: shared; consumers copy (or ``astype``) before deriving from them.
 _TOGGLE_TABLE_CACHE: Dict[Tuple[type, GateType, bool], np.ndarray] = {}
 
-#: Serialises cache fills: shards on a thread pool (or a campaign's worker
-#: threads) construct their trace generators concurrently, and
+#: Serialises cache fills: a campaign's worker threads construct their
+#: trace generators concurrently (the chunk driver's forked children only
+#: read tables built before the fork), and
 #: an unguarded check-then-build would let two threads enumerate (and
 #: publish) the same table.  Duplicate work is only
 #: the benign half of that race — callers compare tables by identity in

@@ -21,7 +21,9 @@ one XOR over packed bytes followed by a single ``numpy.unpackbits`` of just
 the watched rows, and masked-composite data codes are assembled from the
 packed share rows with shifts/ORs.  The full ``(n_signals, batch)`` boolean
 state matrix is **never materialised**, and the whole chunk is processed by
-GIL-releasing numpy calls.
+a few whole-array numpy calls.  The TVLA chunk driver runs chunks side by
+side in forked processes (:func:`repro.tvla.assessment._run_tasks`), so
+its parallelism does not rest on those calls releasing the GIL.
 
 Each chunk is **one simulator sweep**: :meth:`PowerTraceGenerator.generate`
 stacks the previous rows, padded with copies of row 0 to a multiple of 8,

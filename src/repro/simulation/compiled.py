@@ -36,10 +36,10 @@ This module removes the per-gate loop with a classic plan/execute split:
   extraction) never pay an unpack at
   all, while :meth:`CompiledNetlist.unpack` materialises the boolean
   ``(n_signals, n_vectors)`` state matrix for everyone else.  Every call
-  operates on whole segments, so numpy releases the GIL for the bulk of
-  each chunk's work and the chunk tasks of
-  :func:`~repro.tvla.assessment.assess_leakage` genuinely overlap on its
-  thread pool.
+  operates on whole segments, so a sweep is a few large numpy calls
+  however many gates the design has.  The chunk tasks of
+  :func:`~repro.tvla.assessment.assess_leakage` run side by side in
+  forked processes, which share no GIL.
 
 The plan is immutable after construction and ``execute_packed`` allocates
 fresh buffers per call, so one plan can be shared by concurrent threads.

@@ -5,9 +5,10 @@ once: every net's value is a boolean array of shape ``(n_vectors,)``.  The
 sweep is the fused levelised kernel of :mod:`repro.simulation.compiled`: a
 :class:`CompiledNetlist` plan is built once per simulator and each
 :meth:`LogicSimulator.evaluate` call runs a handful of large numpy segment
-kernels over one bit-packed ``(n_signals, batch / 8)`` state matrix,
-releasing the GIL for the bulk of the work.  Its per-gate loop oracle,
-``LoopSimulator``, lives with the tests (``tests/oracles/simulation.py``).
+kernels over one bit-packed ``(n_signals, batch / 8)`` state matrix, so
+its Python overhead tracks the segment count, not the gate count.  Its
+per-gate loop oracle, ``LoopSimulator``, lives with the tests
+(``tests/oracles/simulation.py``).
 
 A netlist the planner cannot fuse raises
 :class:`~repro.simulation.compiled.CompilationError` when the simulator is

@@ -19,10 +19,15 @@ There is one fold path.  :func:`fold_trace_range` enumerates the ``(class,
 group, chunk)`` tasks of a trace range and folds each chunk into a fresh
 accumulator; :func:`merge_shard_partials` left-folds those per-chunk
 accumulators in global chunk order.  :func:`assess_leakage` folds
-``[0, n_traces)`` on every available CPU (inline when there is one) and
-merges it as a one-shard campaign; a durable campaign shard
-(:mod:`repro.campaign.runner`) folds its chunk-aligned range inline on its
-worker thread, and the collector merges all shards.
+``[0, n_traces)`` on every available CPU and merges it as a one-shard
+campaign: with one CPU the chunks fold inline, with more the call forks one
+child process per extra CPU, each folding a fixed share of the chunks, and
+the children send their accumulators back over pipes (:func:`_run_tasks`).
+Processes, not threads, because a chunk fold is many short numpy calls and
+threads of one process would hand the GIL back and forth between them.  A
+durable campaign shard (:mod:`repro.campaign.runner`) folds its
+chunk-aligned range inline on its worker thread, and the collector merges
+all shards.
 
 Every chunk's mask/noise randomness is read off Philox counter blocks
 addressed by its ``(seed, class, group, chunk)`` coordinates
@@ -40,12 +45,16 @@ same accumulators; see :func:`repro.tvla.welch.welch_higher_order`.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
+import warnings
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (BinaryIO, Callable, Dict, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 import numpy as np
 
@@ -400,26 +409,134 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+class ChunkWorkerError(RuntimeError):
+    """A forked chunk-fold process died before it sent its share back, or
+    failed with an exception that cannot cross the pipe."""
+
+
+#: What Python 3.12+ warns on ``os.fork`` in a process with a second OS
+#: thread (numpy's idle OpenBLAS pool is one).  A fold child only runs
+#: numpy arithmetic on arrays it inherited, pickles its accumulators into
+#: a pipe and leaves with ``os._exit``: it takes none of the locks the
+#: caller's other threads use (glibc resets malloc's own at the fork), so
+#: this one warning is silenced around the fork.
+_FORK_THREADS_WARNING = (r"This process (\(pid=\d+\) )?is multi-threaded, "
+                         r"use of fork\(\) may lead to deadlocks in the "
+                         r"child\.")
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=_FORK_THREADS_WARNING,
+                                category=DeprecationWarning)
+        return os.fork()
+
+
+def _share_payload(share: Sequence[Callable[[], _T]]) -> bytes:
+    """A child's pickled ``(True, results)``, or ``(False, exception)``."""
+    try:
+        return pickle.dumps((True, [task() for task in share]),
+                            pickle.HIGHEST_PROTOCOL)
+    except BaseException as exc:
+        try:
+            payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(payload)
+            return payload
+        except Exception:
+            text = "".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__))
+            return pickle.dumps((False, ChunkWorkerError(
+                f"a chunk fold in process {os.getpid()} failed with an "
+                f"exception that cannot be sent back:\n{text}")),
+                pickle.HIGHEST_PROTOCOL)
+
+
+def _fold_share(share: Sequence[Callable[[], _T]], read_fd: int,
+                write_fd: int) -> None:
+    """Body of a forked child: fold ``share``, send it, never return."""
+    code = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(_share_payload(share))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _share_from(pid: int, payload: bytes, status: int) -> list:
+    """The results a child sent, or the error it sent or died of."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0 and payload:
+        ok, value = pickle.loads(payload)
+        if ok:
+            return value
+        raise value
+    how = (f"was killed by signal {-code}" if code < 0
+           else f"exited with status {code}")
+    raise ChunkWorkerError(
+        f"chunk-fold process {pid} {how} before it sent its results")
+
+
 def _run_tasks(tasks: Sequence[Callable[[], _T]], workers: int) -> List[_T]:
-    """Run ``tasks`` on up to ``workers`` threads; results come in task
+    """Run ``tasks`` in up to ``workers`` processes; results come in task
     order.
 
-    With one worker (or one task) the tasks run inline and no pool is
-    created.  Otherwise a per-call thread pool runs them; if one raises,
-    the queued tasks are cancelled and the running ones drained before the
-    exception propagates, so no pool thread outlives the call.
+    With one worker (or one task), or where ``os.fork`` does not exist, the
+    tasks run inline.  Otherwise the call forks ``workers - 1`` children:
+    task ``i`` runs in process ``i % workers``, the caller folding share 0
+    itself while the children fold theirs on copy-on-write views of the
+    generator and the campaigns (a spawned worker would have to rebuild
+    or unpickle both on every call).  Each child pickles its results into
+    a pipe and leaves with ``os._exit``.  A chunk fold makes about ten short
+    numpy calls per gate block, so threads in one process lose much of
+    their time to GIL hand-offs; processes do not share a GIL.  A child's
+    exception is re-raised here, and a child that dies, or whose exception
+    cannot be pickled, raises :class:`ChunkWorkerError`.  On every path
+    every child is reaped (killed first, if the call is leaving early), so
+    none outlives the call.  Each share is a fixed function of the task
+    list, and the results are put back in task order, so the outcome is
+    bitwise the inline one.
     """
     workers = min(workers, len(tasks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers,
-                            thread_name_prefix="tvla-chunk") as pool:
-        futures = [pool.submit(task) for task in tasks]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    children: Dict[int, BinaryIO] = {}
+    try:
+        for rank in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = _fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _fold_share(tasks[rank::workers], read_fd, write_fd)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        shares = [[task() for task in tasks[0::workers]]]
+        for pid, pipe in list(children.items()):
+            payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pipe.close()
+            del children[pid]
+            shares.append(_share_from(pid, payload, status))
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+    results: List[_T] = [None] * len(tasks)  # type: ignore[list-item]
+    for rank, share in enumerate(shares):
+        results[rank::workers] = share
+    return results
 
 
 def fold_trace_range(generator: PowerTraceGenerator,
@@ -431,29 +548,32 @@ def fold_trace_range(generator: PowerTraceGenerator,
 
     The one enumerator of a campaign's chunk tasks: every ``(class, group,
     chunk)`` of the range is one :func:`_fold_chunk` call, and
-    :func:`_run_tasks` runs them on ``workers`` threads (inline for one).
+    :func:`_run_tasks` runs them in ``workers`` processes (inline for one).
     :func:`assess_leakage` folds ``[0, n_traces)`` on every CPU; a campaign
     shard (:func:`repro.campaign.runner.run_shard_task`) folds its
     chunk-aligned range inline on its worker thread.  Either way the
-    partials go to :func:`merge_shard_partials`.
+    partials go to :func:`merge_shard_partials`, in the same order
+    whichever process folded each chunk.
 
     ``start`` must be a multiple of ``config.chunk_traces``, so every chunk
     reads the counter blocks of its global chunk index.
     """
     first_chunk = start // config.chunk_traces
     n_local = -(-(stop - start) // config.chunk_traces)
+    # Group-major, so dealing the tasks round-robin gives every process
+    # its share of the cheaper constant fixed-group chunks.
     tasks = [
-        partial(_fold_chunk, generator, campaign.slice(start, stop), config,
-                CounterStream(config.seed, class_index, group_index),
+        partial(_fold_chunk, generator, pair[group_index].slice(start, stop),
+                config, CounterStream(config.seed, class_index, group_index),
                 chunk_index, first_chunk)
+        for group_index in (0, 1)
         for class_index, pair in enumerate(campaigns)
-        for group_index, campaign in enumerate(pair)
         for chunk_index in range(n_local)
     ]
     chunks = _run_tasks(tasks, workers)
-    groups = [chunks[index:index + n_local]
-              for index in range(0, len(chunks), n_local)]
-    return list(zip(groups[0::2], groups[1::2]))
+    streams = [chunks[index:index + n_local]
+               for index in range(0, len(chunks), n_local)]
+    return list(zip(streams[:len(campaigns)], streams[len(campaigns):]))
 
 
 def results_from_accumulators(acc0: OnePassMoments, acc1: OnePassMoments,

@@ -25,6 +25,11 @@ import numpy as np
 
 from .explain import Explanation
 
+#: A SHAP value at most this fraction of its row's largest |value| is
+#: round-off (contributions that cancel across subtrees leave ~1e-18), not
+#: a push towards either action, so no rule condition is keyed on its sign.
+ROUND_OFF_RELATIVE = 1e-12
+
 
 @dataclass(frozen=True)
 class RuleCondition:
@@ -227,11 +232,16 @@ class RuleExtractor:
     def _sample_conditions(self, explanation: Explanation,
                            action: str) -> List[RuleCondition]:
         conditions: List[RuleCondition] = []
+        values = explanation.shap_values
+        round_off = (ROUND_OFF_RELATIVE * float(np.max(np.abs(values)))
+                     if values.size else 0.0)
         for name, shap_value, feature_value in explanation.top_features(
                 self.top_features):
             # Keep only features that push the prediction towards the
             # sample's action: positive SHAP for "mask", negative for
             # "no_mask".
+            if abs(shap_value) <= round_off:
+                continue
             if action == "mask" and shap_value <= 0:
                 continue
             if action == "no_mask" and shap_value >= 0:

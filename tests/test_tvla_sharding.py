@@ -9,14 +9,18 @@ The contract pinned down here is what makes sharding trustworthy:
 * fixed seeds give bit-identical reruns;
 * shard ranges are chunk-aligned, disjoint and cover the campaign;
 * the serial counter driver, which runs one task per ``(class, group,
-  chunk)`` on every CPU, is bitwise equal to the running fold and to every
-  shard layout whatever its worker count, creates no pool on one CPU and
-  propagates a failing chunk without leaving pool threads behind.
+  chunk)`` in one forked process per extra CPU, is bitwise equal to the
+  running fold and to every shard layout whatever its worker count, forks
+  nothing on one CPU, and turns a failing chunk, a killed child or an
+  exception that cannot be pickled into an error in the caller without
+  leaving a child process behind.
 """
 
-import sys
+import os
+import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from repro.tvla import (
     shard_trace_ranges,
 )
 from repro.tvla.assessment import (
+    ChunkWorkerError,
     aggregate_class_results,
     fold_trace_range,
     resolve_generator,
@@ -210,6 +215,54 @@ def _running_fold(netlist, config):
                                    generator.gate_names, config, 0.0)
 
 
+def _recording_forks(monkeypatch):
+    """Spy on ``os.fork``: the list it returns gathers the parent's view of
+    every fork, the child's pid."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    """Every forked child has been waited for: none is left running or as
+    a zombie."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _frames(error):
+    """Function names on ``error``'s traceback."""
+    return [frame.name for frame in traceback.extract_tb(error.__traceback__)]
+
+
+def _run_with_timeout(call, timeout=60):
+    """``call()``'s exception (or None) from a thread that must finish in
+    ``timeout`` seconds: a lost child must not hang the caller."""
+    outcome = []
+
+    def run():
+        try:
+            call()
+            outcome.append(None)
+        except Exception as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=timeout)
+    assert not caller.is_alive(), "the chunk driver hung"
+    return outcome[0]
+
+
 class TestParallelChunkDriver:
     #: (n_traces, chunk_traces): a short final chunk (600 = 4 x 128 + 88)
     #: and a single-chunk campaign.
@@ -229,99 +282,161 @@ class TestParallelChunkDriver:
         expected = _assessment_bits(references[0])
         assert all(_assessment_bits(reference) == expected
                    for reference in references[1:])
-        # More workers than cores, switching threads as often as possible:
-        # a race on the shared generator would break bitwise equality.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(tvla_assessment, "_cpu_count",
-                                    lambda workers=workers: workers)
-                driven = assess_leakage(small_benchmark, config)
-                assert _assessment_bits(driven) == expected, workers
-                assert set(driven.order_t_values) == \
-                    set(range(2, tvla_order + 1))
-        finally:
-            sys.setswitchinterval(interval)
+        # More workers than cores: task i folds in process i % workers and
+        # the results must come back in task order.
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tvla_assessment, "_cpu_count",
+                                lambda workers=workers: workers)
+            driven = assess_leakage(small_benchmark, config)
+            assert _assessment_bits(driven) == expected, workers
+            assert set(driven.order_t_values) == \
+                set(range(2, tvla_order + 1))
 
     def test_pool_sized_by_cpu_count(self, small_benchmark, sharded_config,
                                      monkeypatch):
-        sizes = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(tvla_assessment, "ThreadPoolExecutor", Recording)
+        pids = _recording_forks(monkeypatch)
         monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 3)
         assess_leakage(small_benchmark, sharded_config)
-        assert sizes == [3]
+        assert len(pids) == 2
+        _assert_reaped(pids)
 
     def test_one_cpu_creates_no_pool(self, small_benchmark, sharded_config,
                                      monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was created on one CPU")
+        def no_fork():
+            raise AssertionError("a process was forked on one CPU")
 
-        monkeypatch.setattr(tvla_assessment, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 1)
         assess_leakage(small_benchmark, sharded_config)
 
-    def test_failing_chunk_propagates_without_leaking_threads(
-            self, small_benchmark, sharded_config, monkeypatch):
+    def test_no_fork_folds_inline(self, small_benchmark, sharded_config,
+                                  monkeypatch):
+        expected = _assessment_bits(assess_leakage(small_benchmark,
+                                                   sharded_config))
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 4)
+        driven = assess_leakage(small_benchmark, sharded_config)
+        assert _assessment_bits(driven) == expected
+
+    @staticmethod
+    def _fail_chunk(monkeypatch, failing_chunk):
+        """Make class 0, group 0, chunk ``failing_chunk`` raise.  That is
+        task ``failing_chunk``: of two workers, the parent folds the even
+        tasks and the child the odd ones."""
         fold_chunk = tvla_assessment._fold_chunk
 
         def failing(generator, campaign, config, stream, chunk_index,
                     first_chunk):
-            if stream.class_index == 1 and chunk_index == 2:
+            if (stream.class_index, stream.group_index,
+                    chunk_index) == (0, 0, failing_chunk):
                 raise RuntimeError("chunk failed")
             return fold_chunk(generator, campaign, config, stream, chunk_index,
                               first_chunk)
 
         monkeypatch.setattr(tvla_assessment, "_fold_chunk", failing)
         monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 2)
-        outcome = []
 
-        def run():
-            try:
-                assess_leakage(small_benchmark, sharded_config)
-            except RuntimeError as exc:
-                outcome.append(exc)
+    def test_failing_chunk_propagates_without_leaking_threads(
+            self, small_benchmark, sharded_config, monkeypatch):
+        self._fail_chunk(monkeypatch, failing_chunk=1)
+        pids = _recording_forks(monkeypatch)
+        error = _run_with_timeout(
+            lambda: assess_leakage(small_benchmark, sharded_config))
+        assert isinstance(error, RuntimeError)
+        assert str(error) == "chunk failed"
+        # Unpickled in the parent, the child's error has lost its frames.
+        assert "failing" not in _frames(error)
+        assert len(pids) == 1
+        _assert_reaped(pids)
 
-        caller = threading.Thread(target=run, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive(), "the failing campaign hung"
-        assert [str(exc) for exc in outcome] == ["chunk failed"]
-        assert not [thread for thread in threading.enumerate()
-                    if thread.name.startswith("tvla-chunk")]
+    def test_failing_parent_share_reaps_children(
+            self, small_benchmark, sharded_config, monkeypatch):
+        self._fail_chunk(monkeypatch, failing_chunk=2)
+        pids = _recording_forks(monkeypatch)
+        error = _run_with_timeout(
+            lambda: assess_leakage(small_benchmark, sharded_config))
+        assert isinstance(error, RuntimeError)
+        assert str(error) == "chunk failed"
+        assert "failing" in _frames(error)
+        assert len(pids) == 1
+        _assert_reaped(pids)
+
+    def test_killed_child_raises_typed_error(self, small_benchmark,
+                                             sharded_config, monkeypatch):
+        parent = os.getpid()
+        fold_chunk = tvla_assessment._fold_chunk
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fold_chunk(*args)
+
+        monkeypatch.setattr(tvla_assessment, "_fold_chunk", killed)
+        monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 2)
+        pids = _recording_forks(monkeypatch)
+        error = _run_with_timeout(
+            lambda: assess_leakage(small_benchmark, sharded_config))
+        assert isinstance(error, ChunkWorkerError)
+        assert f"killed by signal {int(signal.SIGKILL)}" in str(error)
+        _assert_reaped(pids)
+
+    def test_unpicklable_chunk_error_raises_typed_error(
+            self, small_benchmark, sharded_config, monkeypatch):
+        class LocalError(Exception):
+            """Defined in a function, so pickle cannot name it."""
+
+        parent = os.getpid()
+        fold_chunk = tvla_assessment._fold_chunk
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise LocalError("cannot cross the pipe")
+            return fold_chunk(*args)
+
+        monkeypatch.setattr(tvla_assessment, "_fold_chunk", failing)
+        monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 2)
+        pids = _recording_forks(monkeypatch)
+        error = _run_with_timeout(
+            lambda: assess_leakage(small_benchmark, sharded_config))
+        assert isinstance(error, ChunkWorkerError)
+        assert "cannot cross the pipe" in str(error)
+        _assert_reaped(pids)
+
+    def test_fork_silences_only_the_threads_warning(self, monkeypatch):
+        def warning_fork(message):
+            def fork():
+                warnings.warn(message, DeprecationWarning, stacklevel=2)
+                return 4242
+            return fork
+
+        monkeypatch.setattr(os, "fork", warning_fork(
+            "This process (pid=42) is multi-threaded, use of fork() may "
+            "lead to deadlocks in the child."))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tvla_assessment._fork() == 4242
+        monkeypatch.setattr(os, "fork", warning_fork("another deprecation"))
+        with pytest.warns(DeprecationWarning, match="another deprecation"):
+            tvla_assessment._fork()
 
     def test_shard_task_folds_inline(self, small_benchmark, sharded_config,
                                      monkeypatch, tmp_path):
-        """A campaign shard folds its range on its worker thread: with
-        several CPUs, ``assess_leakage`` starts ``tvla-chunk`` threads but
-        ``run_shard_task`` starts none (a chunk pool per shard measured
-        slower and larger on the campaign benchmark)."""
+        """A campaign shard folds its range in its worker's own process:
+        with several CPUs, ``assess_leakage`` forks but ``run_shard_task``
+        does not (a chunk pool per shard measured slower and larger on the
+        campaign benchmark)."""
         from repro.campaign.runner import run_shard_task, submit_campaign
 
-        started = []
-        start_thread = threading.Thread.start
-
-        def recording_start(thread):
-            started.append(thread.name)
-            return start_thread(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        pids = _recording_forks(monkeypatch)
         monkeypatch.setattr(tvla_assessment, "_cpu_count", lambda: 4)
         assess_leakage(small_benchmark, sharded_config)
-        assert any(name.startswith("tvla-chunk") for name in started)
-        started.clear()
+        assert len(pids) == 3
+        pids.clear()
         outcome = submit_campaign(tmp_path, netlist=small_benchmark,
                                   config=sharded_config, n_shards=2)
         result = run_shard_task(str(tmp_path), outcome.spec_hash, 0)
         assert result["skipped"] is False
-        assert not [name for name in started
-                    if name.startswith("tvla-chunk")]
+        assert pids == []
 
 
 class TestChunkAccumulatorFootprint:

@@ -214,6 +214,25 @@ class TestRules:
         assert rules.predict_score(np.array([1.0, 0.0])) == 1.0
         assert rules.predict_score(np.array([0.0, 1.0])) == 0.5
 
+    @pytest.mark.parametrize("action,prediction,planted",
+                             [("mask", 0.9, 1e-18), ("no_mask", 0.1, -1e-18)])
+    def test_round_off_value_keys_no_condition(self, action, prediction,
+                                               planted):
+        # G0=XOR is in the top 3 by |value| only because the other columns
+        # are exactly 0; its sign is round-off, not a push towards the
+        # action, so only the two real contributions become conditions.
+        sign = 1.0 if action == "mask" else -1.0
+        names = ("G0=AND", "G1=OR", "G0=XOR", "G2=NAND")
+        explanation = Explanation(
+            base_value=0.5, shap_values=[sign * 0.3, sign * 0.1, planted, 0.0],
+            data=[1.0, 0.0, 0.0, 1.0], feature_names=names,
+            prediction=prediction)
+        [rule] = RuleExtractor(top_features=3, min_support=1).extract(
+            [explanation]).rules
+        assert rule.action == action
+        assert rule.conditions == (RuleCondition("G0=AND", "==", 1.0),
+                                   RuleCondition("G1=OR", "==", 0.0))
+
     def test_extractor_requires_explanations(self):
         with pytest.raises(ValueError):
             RuleExtractor().extract([])

@@ -18,7 +18,7 @@ setup(
     package_dir={"": "src", "polaris_lint": "tools/polaris_lint"},
     packages=find_packages("src") + ["polaris_lint", "polaris_lint.rules"],
     python_requires=">=3.10",
-    install_requires=["numpy>=2", "scipy", "networkx"],
+    install_requires=["numpy>=2", "scipy"],
     entry_points={
         "console_scripts": [
             "polaris-campaign = repro.campaign.cli:main",

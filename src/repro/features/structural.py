@@ -11,12 +11,12 @@ paper's Table V (e.g. ``G4=NAND``, ``G4-G5 connected``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..netlist.cell_library import GateType
-from ..netlist.graph import neighborhood, netlist_to_graph
+from ..netlist.graph import gate_graph, neighborhood
 from ..netlist.netlist import Netlist
 from ..simulation.levelize import gate_levels
 from .encoding import GateTypeEncoder
@@ -44,12 +44,11 @@ class StructuralFeatureExtractor:
         self.netlist = netlist
         self.locality = locality
         self.encoder = encoder if encoder is not None else GateTypeEncoder()
-        self._graph = netlist_to_graph(netlist, include_ports=False)
+        self._graph = gate_graph(netlist)
         self._levels = gate_levels(netlist)
         self._max_level = max(self._levels.values(), default=1)
-        self._fanout_counts: Dict[str, int] = {
-            gate.name: len(netlist.fanout_gates(gate.name)) for gate in netlist.gates
-        }
+        self._fanout_counts = dict(
+            zip(self._graph.names, map(len, self._graph.fanout)))
         self._feature_names = self._build_feature_names()
 
     # ------------------------------------------------------------------
@@ -101,10 +100,10 @@ class StructuralFeatureExtractor:
         Raises:
             KeyError: if the gate does not exist in the netlist graph.
         """
-        if gate_name not in self._graph:
+        if gate_name not in self.netlist:
             raise KeyError(f"gate {gate_name!r} not present in design graph")
         gate = self.netlist.gate(gate_name)
-        neighbours = neighborhood(self._graph, gate_name, self.locality)
+        neighbours = self._neighbours(gate_name)
         members: List[Optional[str]] = [gate_name] + list(neighbours)
         while len(members) < self.locality + 1:
             members.append(None)
@@ -198,9 +197,12 @@ class StructuralFeatureExtractor:
         return names, self.extract_many(names)
 
     # ------------------------------------------------------------------
+    def _neighbours(self, gate_name: str) -> List[str]:
+        return neighborhood(self._graph, gate_name, self.locality)
+
     def _connected(self, a: Optional[str], b: Optional[str]) -> float:
         if a is None or b is None:
             return 0.0
-        if self._graph.has_edge(a, b) or self._graph.has_edge(b, a):
-            return 1.0
-        return 0.0
+        index, fanout = self._graph.index, self._graph.fanout
+        i, j = index[a], index[b]
+        return 1.0 if j in fanout[i] or i in fanout[j] else 0.0

@@ -11,13 +11,7 @@ from .cell_library import (
 from .netlist import Gate, Netlist, NetlistError
 from .parser import ParseError, parse_bench, parse_bench_file
 from .writer import write_bench, write_bench_file
-from .graph import (
-    combinational_graph,
-    fanout_histogram,
-    logic_depth,
-    neighborhood,
-    netlist_to_graph,
-)
+from .graph import fanout_histogram, gate_graph, logic_depth, neighborhood
 from .validate import ValidationReport, validate_netlist
 from .generators import (
     GATE_MIX_PROFILES,
@@ -54,11 +48,10 @@ __all__ = [
     "parse_bench_file",
     "write_bench",
     "write_bench_file",
-    "combinational_graph",
     "fanout_histogram",
+    "gate_graph",
     "logic_depth",
     "neighborhood",
-    "netlist_to_graph",
     "ValidationReport",
     "validate_netlist",
     "GATE_MIX_PROFILES",

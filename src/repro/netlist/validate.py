@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-import networkx as nx
-
-from .graph import combinational_graph
+from .graph import gate_graph
 from .netlist import Netlist
 
 
@@ -69,11 +67,9 @@ def validate_netlist(netlist: Netlist) -> ValidationReport:
         if len(set(gate.inputs)) != len(gate.inputs):
             report.warnings.append(f"gate {gate.name!r} has duplicated input nets")
 
-    dag = combinational_graph(netlist)
-    if dag.number_of_nodes() and not nx.is_directed_acyclic_graph(dag):
-        cycle = nx.find_cycle(dag)
-        path = " -> ".join(str(edge[0]) for edge in cycle)
-        report.errors.append(f"combinational loop detected: {path}")
+    loop = gate_graph(netlist).loop
+    if loop:
+        report.errors.append("combinational loop detected: " + " -> ".join(loop))
 
     unused_inputs = [
         net for net in netlist.primary_inputs if not netlist.sinks_of(net)

@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-import networkx as nx
-
 from ..netlist.cell_library import CellLibrary
-from ..netlist.graph import combinational_graph
+from ..netlist.graph import gate_graph
 from ..netlist.netlist import Netlist
 
 
@@ -77,6 +75,8 @@ def analyze_design(
         activity: Optional per-gate toggle probability (from
             :func:`repro.simulation.switching.switching_activity`); gates
             missing from the mapping use :data:`DEFAULT_ACTIVITY`.
+
+    A combinational loop raises ``LevelizationError``.
     """
     library = library if library is not None else netlist.library
     area = 0.0
@@ -107,21 +107,22 @@ def critical_path_delay(netlist: Netlist,
     """Longest combinational path delay (ns) through the design.
 
     Sequential elements contribute their clock-to-Q delay at path starts.
+    A combinational loop raises ``LevelizationError``.
     """
     library = library if library is not None else netlist.library
-    dag = combinational_graph(netlist)
-    if dag.number_of_nodes() == 0:
+    graph = gate_graph(netlist)
+    order = graph.topological_order()
+    if not order:
         return 0.0
-    arrival: Dict[str, float] = {}
+    arrival = [0.0] * len(graph.names)
     best = 0.0
-    for node in nx.topological_sort(dag):
-        gate = netlist.gate(node)
+    for v in order:
+        gate = netlist.gate(graph.names[v])
         scale = float(gate.attributes.get("overhead_scale", 1.0))
         cell_delay = library.delay(gate.gate_type, gate.fanin) * scale
-        preds = list(dag.predecessors(node))
-        start = max((arrival[p] for p in preds), default=0.0)
-        arrival[node] = start + cell_delay
-        best = max(best, arrival[node])
+        start = max((arrival[u] for u in graph.fanin[v]), default=0.0)
+        arrival[v] = start + cell_delay
+        best = max(best, arrival[v])
     # Registers add their own delay at the capture edge.
     sequential = netlist.sequential_gates()
     if sequential:

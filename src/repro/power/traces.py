@@ -74,6 +74,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..netlist.cell_library import CellLibrary, GateType
+from ..netlist.graph import gate_graph
 from ..netlist.netlist import Gate, Netlist
 from ..simulation.simulator import LogicSimulator, SimulationError
 from ..simulation.vectors import TraceCampaign
@@ -235,15 +236,13 @@ class PowerTraceGenerator:
         self._simulator = LogicSimulator(netlist)
         self._model = GatePowerModel(self.library, self.config)
 
+        graph = gate_graph(netlist)
         #: Per gate, the number of sinks its output drives (load model).
-        self._fanouts: Dict[str, int] = {}
+        self._fanouts = dict(zip(graph.names, map(len, graph.fanout)))
         #: Per masked gate, the residual-glitch multiplier derived from how
         #: many of its data inputs are driven by XOR-type gates.
         self._glitch_factors: Dict[str, float] = {}
-        for gate in unmasked + masked:
-            self._fanouts[gate.name] = len(netlist.fanout_gates(gate.name))
-            if not gate.gate_type.is_masked:
-                continue
+        for gate in masked:
             drivers = netlist.fanin_gates(gate.name)[:2]
             if drivers:
                 xor_fraction = sum(

@@ -1,12 +1,8 @@
 """Vectorised gate-level logic simulation (levelise → compile → execute)."""
 
+from ..netlist.graph import LevelizationError
 from .logic import MASKED_DATA_INPUTS, evaluate_gate, gate_truth_table
-from .levelize import (
-    LevelizationError,
-    gate_levels,
-    level_groups,
-    topological_gate_order,
-)
+from .levelize import gate_levels, level_groups, topological_gate_order
 from .compiled import CompilationError, CompiledNetlist, GateSegment
 from .simulator import (
     LogicSimulator,

@@ -2,41 +2,17 @@
 
 The simulator evaluates gates level by level; flip-flop outputs and primary
 inputs form level 0, and every combinational gate is placed after all of its
-drivers.  The ordering is computed once per netlist and reused across all
-simulation batches.
+drivers.  The order is the combinational order of the netlist's
+:class:`~repro.netlist.graph.GateGraph`; it is computed once per netlist and
+reused across all simulation batches.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
-from ..netlist.graph import combinational_graph
+from ..netlist.graph import gate_graph
 from ..netlist.netlist import Netlist
-
-
-class LevelizationError(Exception):
-    """Raised when a netlist cannot be levelised (combinational loops)."""
-
-
-def _sorted_combinational_dag(netlist: Netlist):
-    """Build the combinational DAG once and topologically sort it.
-
-    Shared by the public helpers below so a levelisation query costs one
-    graph construction instead of one per helper.
-
-    Raises:
-        LevelizationError: if the combinational portion contains a cycle.
-    """
-    dag = combinational_graph(netlist)
-    try:
-        order = list(nx.topological_sort(dag))
-    except nx.NetworkXUnfeasible as exc:
-        raise LevelizationError(
-            f"netlist {netlist.name!r} has a combinational loop"
-        ) from exc
-    return dag, order
 
 
 def topological_gate_order(netlist: Netlist) -> List[str]:
@@ -45,20 +21,20 @@ def topological_gate_order(netlist: Netlist) -> List[str]:
     Raises:
         LevelizationError: if the combinational portion contains a cycle.
     """
-    _, order = _sorted_combinational_dag(netlist)
-    return [name for name in order if name in netlist]
+    graph = gate_graph(netlist)
+    return [graph.names[v] for v in graph.topological_order()]
 
 
 def gate_levels(netlist: Netlist) -> Dict[str, int]:
-    """Map each combinational gate to its logic level (1 = fed by sources)."""
-    dag, order = _sorted_combinational_dag(netlist)
-    levels: Dict[str, int] = {}
-    for name in order:
-        if name not in netlist:
-            continue
-        preds = dag.predecessors(name)
-        levels[name] = 1 + max((levels.get(p, 0) for p in preds), default=0)
-    return levels
+    """Map each combinational gate to its logic level (1 = fed by sources),
+    in dependency order.
+
+    Raises:
+        LevelizationError: if the combinational portion contains a cycle.
+    """
+    graph = gate_graph(netlist)
+    levels = graph.levels()
+    return {graph.names[v]: levels[v] for v in graph.order}
 
 
 def level_groups(netlist: Netlist) -> List[Tuple[int, List[str]]]:

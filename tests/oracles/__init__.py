@@ -49,6 +49,14 @@ Oracle -> fast path [PL002 pair]:
   [``forest-lockstep``].  Fits each random-forest tree alone on its
   bootstrap with ``best_split_loop``; bitwise equal to the lockstep
   forest.
+* ``graph.neighborhood`` -> ``repro.netlist.graph.neighborhood``
+  [``gate-neighborhood``].  BFS over a networkx ``DiGraph`` of the
+  netlist; every 7-neighbourhood of every paper design, plain and masked,
+  equals the integer gate graph's.  The module's networkx topological
+  sort (``gate_levels``, ``topological_gate_order``), ``logic_depth``,
+  ``critical_path_delay`` and ``NetworkxFeatureExtractor`` pin the
+  other topology queries and the ``extract_all`` feature matrix bitwise.
+  It is the only code that needs networkx.
 * ``assessment.accumulate_campaign_slice`` ->
   ``repro.tvla.assessment.fold_trace_range`` [no pair].  One running
   accumulator per group; t-values bitwise equal to the per-chunk folds

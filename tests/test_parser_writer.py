@@ -19,6 +19,7 @@ from repro.netlist import (
     write_bench,
     write_bench_file,
 )
+from repro.power.overhead import analyze_design
 from repro.simulation import (
     CompilationError,
     LevelizationError,
@@ -187,6 +188,7 @@ class TestBenchBoundaryFuzz:
         try:
             netlist = parse_bench(text)
             validate_netlist(netlist)
+            analyze_design(netlist)
             simulator = LogicSimulator(netlist)
             rng = np.random.default_rng(0)
             result = simulator.evaluate(

@@ -400,6 +400,12 @@ def _oracle_repo_files(tmp_path):
         "tests/oracles/ctrsample.py":
             "def philox_blocks_reference():\n"
             "    pass\n",
+        "src/repro/netlist/graph.py":
+            "def neighborhood():\n"
+            "    pass\n",
+        "tests/oracles/graph.py":
+            "def neighborhood():\n"
+            "    pass\n",
         "tests/test_oracles.py": _ORACLE_REFERENCES,
         # The chunk-fold pair shares its oracle with trace-engine, so it
         # is referenced from its own module: edits to the trace-engine
@@ -417,7 +423,8 @@ _ORACLE_REFERENCES = (
     "# predict_batch predict_value\n"
     "# shap_block explain_per_sample\n"
     "# philox_raw philox_blocks_reference\n"
-    "# popcount16_inplace popcount16\n")
+    "# popcount16_inplace popcount16\n"
+    "# neighborhood\n")
 
 
 class TestPL002Oracle:

@@ -126,6 +126,12 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     OraclePair("ctr-philox", "src/repro/power/ctrsample.py",
                "philox_raw", "philox_blocks_reference",
                oracle_module="tests/oracles/ctrsample.py"),
+    # BFS neighbourhood over the integer gate graph vs the networkx BFS;
+    # the oracle module also pins the topological order, levels, delay,
+    # depth and feature matrices to networkx.
+    OraclePair("gate-neighborhood", "src/repro/netlist/graph.py",
+               "neighborhood", "neighborhood",
+               oracle_module="tests/oracles/graph.py"),
     # In-place noise-word popcount (SIMD uint8 counts folded into 16-bit
     # lanes) vs the per-element uint16 popcount.
     OraclePair("popcount-fold", "src/repro/power/bitops.py",

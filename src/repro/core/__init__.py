@@ -18,9 +18,7 @@ from .pipeline import (
 from .reporting import (
     ExperimentRecord,
     ExperimentRecorder,
-    format_markdown_table,
     format_table,
-    rows_from_dicts,
 )
 
 __all__ = [
@@ -43,7 +41,5 @@ __all__ = [
     "train_polaris",
     "ExperimentRecord",
     "ExperimentRecorder",
-    "format_markdown_table",
     "format_table",
-    "rows_from_dicts",
 ]

@@ -17,7 +17,7 @@ with weighted training for the boosted models as described in §V-B.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -215,11 +215,13 @@ def train_masking_model(dataset: Dataset,
     features = dataset.features
     labels = dataset.labels
     sample_weight = None
-    if model_config.use_smote and len(np.unique(labels)) > 1:
-        features, labels = Smote(
-            random_state=model_config.random_state).fit_resample(features, labels)
-    elif model_config.class_weighted and len(np.unique(labels)) > 1:
-        sample_weight = _class_weights(labels)
+    if len(np.unique(labels)) > 1:
+        if model_config.model_type == "random_forest":
+            features, labels = Smote(
+                random_state=model_config.random_state).fit_resample(
+                    features, labels)
+        else:
+            sample_weight = _class_weights(labels)
 
     model.fit(features, labels, sample_weight=sample_weight)
     return model

@@ -33,10 +33,6 @@ class ModelConfig:
             XGBoost and AdaBoost).
         n_estimators: Ensemble size.
         max_depth: Depth of the weak learners / trees.
-        use_smote: Oversample the minority class with SMOTE (the paper does
-            this for Random Forest).
-        class_weighted: Use inverse-frequency sample weights (the paper's
-            "weighted training" for the boosted models).
         random_state: Seed for all stochastic model components.
     """
 
@@ -44,8 +40,6 @@ class ModelConfig:
     learning_rate: float = 0.01
     n_estimators: int = 120
     max_depth: int = 2
-    use_smote: bool = False
-    class_weighted: bool = True
     random_state: int = 7
 
     def __post_init__(self) -> None:
@@ -103,12 +97,14 @@ class PolarisConfig:
     def with_model(self, model_type: str, **overrides) -> "PolarisConfig":
         """Return a copy configured for a different model family.
 
-        Convenience used by the Table III bench: Random Forest enables
-        SMOTE, the boosted models enable weighted training, matching §V-B.
+        Convenience used by the Table III bench: Random Forest takes its
+        own ensemble size and depth defaults, the boosted models keep this
+        configuration's learning rate and size.  How each family rebalances
+        the classes is fixed by :func:`repro.core.cognition.
+        train_masking_model` (§V-B).
         """
         if model_type == "random_forest":
-            model = ModelConfig(model_type=model_type, use_smote=True,
-                                class_weighted=False,
+            model = ModelConfig(model_type=model_type,
                                 n_estimators=overrides.pop("n_estimators", 60),
                                 max_depth=overrides.pop("max_depth", 8),
                                 random_state=self.model.random_state,
@@ -121,7 +117,6 @@ class PolarisConfig:
                                 max_depth=overrides.pop("max_depth",
                                                         3 if model_type == "xgboost"
                                                         else self.model.max_depth),
-                                use_smote=False, class_weighted=True,
                                 random_state=self.model.random_state,
                                 **overrides)
         return replace(self, model=model)

@@ -202,7 +202,13 @@ def protect_design(
 
     Returns:
         A :class:`ProtectionReport`.
+
+    Raises:
+        ValueError: if ``mask_fraction`` is outside [0, 1]; raised before
+            any assessment runs.
     """
+    if not 0.0 <= mask_fraction <= 1.0:
+        raise ValueError("mask_fraction must be within [0, 1]")
     config = trained.config
     if store is not None:
         # Function-level import: repro.campaign depends on repro.tvla,

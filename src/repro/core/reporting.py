@@ -1,7 +1,7 @@
 """Result formatting and experiment recording.
 
 The benchmark harness reproduces the paper's tables as lists of row
-dictionaries; this module renders them as aligned text / Markdown tables and
+dictionaries; this module renders them as aligned text tables and
 persists them as JSON so EXPERIMENTS.md can reference concrete runs.
 """
 
@@ -11,7 +11,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 Number = Union[int, float]
 
@@ -39,23 +39,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     for row in rendered:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_markdown_table(headers: Sequence[str],
-                          rows: Sequence[Sequence[object]],
-                          precision: int = 2) -> str:
-    """Render a GitHub-Markdown table."""
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(_format_cell(c, precision) for c in row) + " |")
-    return "\n".join(lines)
-
-
-def rows_from_dicts(records: Sequence[Mapping[str, object]],
-                    columns: Sequence[str]) -> List[List[object]]:
-    """Project a list of dictionaries onto an ordered column list."""
-    return [[record.get(column, "") for column in columns] for record in records]
 
 
 @dataclass

@@ -1,15 +1,14 @@
 """Labelled dataset container for POLARIS model training.
 
 Algorithm 1 of the paper appends ``(structural feature vector, good/bad
-label)`` pairs to ``{X_data, Y_data}``; this module is that container plus
-the usual conveniences (stacking, splitting, class balance, persistence).
+label)`` pairs to ``{X_data, Y_data}``; this module is that container,
+built from those rows, with its class-balance summaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,67 +62,6 @@ class Dataset:
         if self.n_samples == 0:
             return 0.0
         return float(np.mean(self.labels == 1))
-
-    # ------------------------------------------------------------------
-    def append(self, other: "Dataset") -> "Dataset":
-        """Return a new dataset with ``other`` stacked underneath ``self``."""
-        if self.feature_names != other.feature_names:
-            raise ValueError("cannot append datasets with different features")
-        return Dataset(
-            features=np.vstack([self.features, other.features]),
-            labels=np.concatenate([self.labels, other.labels]),
-            feature_names=self.feature_names,
-            metadata={**self.metadata, **other.metadata},
-        )
-
-    def subset(self, indices: Sequence[int]) -> "Dataset":
-        """Return the rows selected by ``indices`` as a new dataset."""
-        indices = np.asarray(indices, dtype=int)
-        return Dataset(self.features[indices], self.labels[indices],
-                       self.feature_names, dict(self.metadata))
-
-    def shuffled(self, seed: int = 0) -> "Dataset":
-        """Return a row-shuffled copy."""
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(self.n_samples)
-        return self.subset(order)
-
-    def train_test_split(self, test_fraction: float = 0.2,
-                         seed: int = 0) -> Tuple["Dataset", "Dataset"]:
-        """Split into (train, test) with shuffling.
-
-        Raises:
-            ValueError: if ``test_fraction`` is outside (0, 1).
-        """
-        if not 0.0 < test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
-        shuffled = self.shuffled(seed)
-        n_test = max(1, int(round(self.n_samples * test_fraction)))
-        test = shuffled.subset(range(n_test))
-        train = shuffled.subset(range(n_test, self.n_samples))
-        return train, test
-
-    # ------------------------------------------------------------------
-    def save(self, path: Union[str, Path]) -> Path:
-        """Persist the dataset to an ``.npz`` file and return the path."""
-        path = Path(path)
-        np.savez_compressed(
-            path,
-            features=self.features,
-            labels=self.labels,
-            feature_names=np.array(self.feature_names, dtype=object),
-        )
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Dataset":
-        """Load a dataset saved with :meth:`save`."""
-        data = np.load(Path(path), allow_pickle=True)
-        return cls(
-            features=data["features"],
-            labels=data["labels"],
-            feature_names=tuple(str(n) for n in data["feature_names"]),
-        )
 
     @classmethod
     def from_rows(cls, rows: Iterable[Tuple[np.ndarray, int]],

@@ -1,35 +1,18 @@
 """Masking substrate: masked composite gates and the masking transform."""
 
-from .masked_gates import (
-    MASKED_GATE_SPECS,
-    MaskedGateSpec,
-    masked_type_for,
-    needs_output_inverter,
-    reference_masked_and,
-    reference_masked_or,
-    reference_masked_xor,
-    spec_for_masked_type,
-)
+from .masked_gates import masked_type_for, needs_output_inverter
 from .transform import (
     MaskingResult,
     apply_masking,
     mask_fraction,
     maskable_gates,
-    unmasked_equivalent_types,
 )
 
 __all__ = [
-    "MASKED_GATE_SPECS",
-    "MaskedGateSpec",
     "masked_type_for",
     "needs_output_inverter",
-    "reference_masked_and",
-    "reference_masked_or",
-    "reference_masked_xor",
-    "spec_for_masked_type",
     "MaskingResult",
     "apply_masking",
     "mask_fraction",
     "maskable_gates",
-    "unmasked_equivalent_types",
 ]

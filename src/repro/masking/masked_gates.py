@@ -11,87 +11,14 @@ AND used by POLARIS::
 where ``a_hat = a ^ x`` and ``b_hat = b ^ y`` are the masked inputs, ``x``/
 ``y`` are the input masks and ``z`` is the fresh output mask.
 
-This module describes the masked composites at two levels:
-
-* :class:`MaskedGateSpec` — the "black box" view used by the masking
-  transform and cost model (cell type, number of fresh random bits, number
-  of internal nodes, primitive-gate equivalent);
-* :func:`reference_masked_and` / :func:`reference_masked_or` — bit-level
-  reference implementations used by the test-suite to prove that the masked
-  function equals the original function for every mask value (correctness of
-  the construction itself).
+The composites' internal share networks, which produce their power
+traces, live in :meth:`repro.power.model.GatePowerModel._masked_nodes_for`;
+this module only picks which composite replaces a primitive gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
-
-from ..netlist.cell_library import GateType
-
-
-@dataclass(frozen=True)
-class MaskedGateSpec:
-    """Static description of one masked composite cell.
-
-    Attributes:
-        masked_type: The composite cell type.
-        replaces: Primitive gate types this composite can stand in for.
-        fresh_random_bits: Fresh mask bits consumed per evaluation.
-        internal_nodes: Number of internal signals (drives the power model).
-        primitive_equivalent: Approximate primitive-gate count (area model).
-        inverted_output: Whether an extra output inverter is required when
-            replacing the inverting variant (NAND/NOR/XNOR).
-    """
-
-    masked_type: GateType
-    replaces: Tuple[GateType, ...]
-    fresh_random_bits: int
-    internal_nodes: int
-    primitive_equivalent: int
-    inverted_output: bool = False
-
-
-#: Registry of the masked composites available to the masking transform.
-MASKED_GATE_SPECS: Dict[GateType, MaskedGateSpec] = {
-    GateType.MASKED_AND: MaskedGateSpec(
-        masked_type=GateType.MASKED_AND,
-        replaces=(GateType.AND, GateType.NAND),
-        fresh_random_bits=3,
-        internal_nodes=10,
-        primitive_equivalent=8,
-    ),
-    GateType.MASKED_OR: MaskedGateSpec(
-        masked_type=GateType.MASKED_OR,
-        replaces=(GateType.OR, GateType.NOR),
-        fresh_random_bits=3,
-        internal_nodes=10,
-        primitive_equivalent=9,
-    ),
-    GateType.MASKED_XOR: MaskedGateSpec(
-        masked_type=GateType.MASKED_XOR,
-        replaces=(GateType.XOR, GateType.XNOR),
-        fresh_random_bits=2,
-        internal_nodes=4,
-        primitive_equivalent=2,
-    ),
-    GateType.MASKED_AND_DOM: MaskedGateSpec(
-        masked_type=GateType.MASKED_AND_DOM,
-        replaces=(GateType.AND, GateType.NAND),
-        fresh_random_bits=1,
-        internal_nodes=12,
-        primitive_equivalent=10,
-    ),
-}
-
-
-def spec_for_masked_type(masked_type: GateType) -> MaskedGateSpec:
-    """Return the spec of a masked composite type.
-
-    Raises:
-        KeyError: if ``masked_type`` is not a masked composite.
-    """
-    return MASKED_GATE_SPECS[masked_type]
+from ..netlist.cell_library import MASKED_REPLACEMENT, GateType
 
 
 def masked_type_for(gate_type: GateType, use_dom: bool = False) -> GateType:
@@ -105,59 +32,20 @@ def masked_type_for(gate_type: GateType, use_dom: bool = False) -> GateType:
     Raises:
         ValueError: if ``gate_type`` has no masked equivalent.
     """
-    if gate_type in (GateType.AND, GateType.NAND):
-        return GateType.MASKED_AND_DOM if use_dom else GateType.MASKED_AND
-    if gate_type in (GateType.OR, GateType.NOR):
-        return GateType.MASKED_OR
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        return GateType.MASKED_XOR
-    raise ValueError(f"gate type {gate_type.value} has no masked equivalent")
+    if gate_type not in MASKED_REPLACEMENT:
+        raise ValueError(
+            f"gate type {gate_type.value} has no masked equivalent")
+    masked_type = MASKED_REPLACEMENT[gate_type]
+    if use_dom and masked_type is GateType.MASKED_AND:
+        return GateType.MASKED_AND_DOM
+    return masked_type
 
 
 def needs_output_inverter(gate_type: GateType) -> bool:
-    """Whether replacing ``gate_type`` also requires an output inverter."""
+    """Whether the composite replacing ``gate_type`` inverts its output.
+
+    True for the inverting variants (NAND/NOR/XNOR): the masking transform
+    records it as the replaced gate's ``inverted_output`` attribute, which
+    the simulator applies to the composite's recombined output.
+    """
     return gate_type in (GateType.NAND, GateType.NOR, GateType.XNOR)
-
-
-# ----------------------------------------------------------------------
-# Bit-level reference implementations (used to verify Eq. 5)
-# ----------------------------------------------------------------------
-def reference_masked_and(a: int, b: int, x: int, y: int, z: int) -> int:
-    """Trichina masked AND on single bits.
-
-    Args:
-        a, b: The *real* (unmasked) data bits.
-        x, y: Input masks.
-        z: Fresh output mask.
-
-    Returns:
-        The masked output bit, equal to ``(a & b) ^ z``.
-    """
-    a_hat = a ^ x
-    b_hat = b ^ y
-    return ((a_hat & b_hat) ^ ((x & b_hat) ^ ((x & y) ^ z))) ^ (y & a_hat)
-
-
-def reference_masked_or(a: int, b: int, x: int, y: int, z: int) -> int:
-    """Masked OR built from the masked AND via De Morgan.
-
-    Returns:
-        The masked output bit, equal to ``(a | b) ^ z``.
-    """
-    # OR(a, b) = NOT(AND(NOT a, NOT b)).  Complementing a masked value flips
-    # either the share or the mask; here we flip the data bits and the
-    # output, keeping the masks untouched.
-    return reference_masked_and(a ^ 1, b ^ 1, x, y, z) ^ 1
-
-
-def reference_masked_xor(a: int, b: int, x: int, y: int) -> int:
-    """Share-wise masked XOR.
-
-    Returns:
-        The masked output bit, equal to ``(a ^ b) ^ (x ^ y)`` — i.e. the
-        output is masked by the XOR of the input masks (no fresh bit
-        needed because XOR is linear).
-    """
-    a_hat = a ^ x
-    b_hat = b ^ y
-    return a_hat ^ b_hat

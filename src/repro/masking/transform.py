@@ -2,9 +2,11 @@
 
 This implements the ``modify(Sgates, D)`` primitive of the paper's
 Algorithms 1 and 2: given a netlist and a set of gate names, each selected
-maskable gate is replaced in-place by its masked composite cell (plus an
-output inverter for inverting variants), preserving the design's logical
-function while changing its power signature.
+maskable gate is replaced in-place by its masked composite cell, preserving
+the design's logical function while changing its power signature.  An
+inverting variant (NAND/NOR/XNOR) becomes the non-inverting composite with
+its ``inverted_output`` attribute set, so no separate inverter cell is
+added.
 
 The transform never mutates its input; it returns a new netlist so the
 original and masked designs can be assessed side by side (as the paper's
@@ -13,11 +15,10 @@ Table II requires).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..netlist.cell_library import GateType
-from ..netlist.netlist import Netlist, NetlistError
+from ..netlist.netlist import Netlist
 from .masked_gates import masked_type_for, needs_output_inverter
 
 
@@ -30,14 +31,11 @@ class MaskingResult:
         masked_gates: Names of gates that were replaced.
         skipped_gates: Requested gates that could not be masked (missing or
             not maskable), with the reason.
-        inverters_added: Names of the output inverters inserted for
-            NAND/NOR/XNOR replacements.
     """
 
     netlist: Netlist
     masked_gates: Tuple[str, ...]
     skipped_gates: Tuple[Tuple[str, str], ...]
-    inverters_added: Tuple[str, ...] = ()
 
     @property
     def n_masked(self) -> int:
@@ -82,7 +80,6 @@ def apply_masking(
     masked = netlist.copy(netlist.name + suffix)
     replaced: List[str] = []
     skipped: List[Tuple[str, str]] = []
-    inverters: List[str] = []
 
     requested: Set[str] = set(gate_names)
     for name in sorted(requested):
@@ -110,7 +107,7 @@ def apply_masking(
         # Inverting variants (NAND/NOR/XNOR) fold the inversion into the
         # masked composite's recombination stage, so no separate (and
         # leaky) inverter cell is exposed in the netlist; the simulator
-        # honours the ``masked_from`` attribute when computing the output.
+        # inverts the composite's output when ``inverted_output`` is set.
         attributes["inverted_output"] = needs_output_inverter(original_type)
 
         masked.remove_gate(name)
@@ -121,7 +118,6 @@ def apply_masking(
         netlist=masked,
         masked_gates=tuple(replaced),
         skipped_gates=tuple(skipped),
-        inverters_added=tuple(inverters),
     )
 
 
@@ -147,17 +143,3 @@ def mask_fraction(netlist: Netlist, fraction: float,
         maskable_gates(netlist))
     count = int(round(len(candidates) * fraction))
     return apply_masking(netlist, candidates[:count], use_dom=use_dom)
-
-
-def unmasked_equivalent_types(netlist: Netlist) -> dict:
-    """Map each masked gate back to the primitive type it replaced.
-
-    Useful for reporting and for checking that a masked design can be
-    traced back to its original structure.
-    """
-    mapping = {}
-    for gate in netlist.gates:
-        if gate.gate_type.is_masked:
-            original = gate.attributes.get("masked_from")
-            mapping[gate.name] = original
-    return mapping

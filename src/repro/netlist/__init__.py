@@ -5,7 +5,6 @@ from .cell_library import (
     CellSpec,
     DEFAULT_LIBRARY,
     GateType,
-    MASKABLE_TYPES,
     MASKED_REPLACEMENT,
 )
 from .netlist import Gate, Netlist, NetlistError
@@ -38,7 +37,6 @@ __all__ = [
     "CellSpec",
     "DEFAULT_LIBRARY",
     "GateType",
-    "MASKABLE_TYPES",
     "MASKED_REPLACEMENT",
     "Gate",
     "Netlist",

@@ -73,21 +73,12 @@ class GateType(str, enum.Enum):
         return not (self.is_port or self.is_sequential)
 
 
-#: Gate types eligible for replacement by a masked composite cell.  XOR-type
-#: gates are linear in GF(2) and are trivially masked; the non-linear gates
-#: (AND/OR families) are the interesting targets, matching the paper.
-MASKABLE_TYPES: Tuple[GateType, ...] = (
-    GateType.AND,
-    GateType.NAND,
-    GateType.OR,
-    GateType.NOR,
-    GateType.XOR,
-    GateType.XNOR,
-)
-
 #: Mapping from a maskable primitive to the masked composite used to replace
-#: it.  Inverted gates reuse the non-inverted masked core plus an inverter,
-#: which the cost model accounts for via ``extra_inverter``.
+#: it; its keys are the maskable gate types.  XOR-type gates are linear in
+#: GF(2) and trivially masked; the non-linear AND/OR families are the
+#: interesting targets, matching the paper.  Inverting gates reuse the
+#: non-inverting composite with its output inverted (the masking transform
+#: sets the ``inverted_output`` attribute), so no inverter cell is added.
 MASKED_REPLACEMENT: Mapping[GateType, GateType] = {
     GateType.AND: GateType.MASKED_AND,
     GateType.NAND: GateType.MASKED_AND,
@@ -232,14 +223,6 @@ class CellLibrary:
     def leakage_power(self, gate_type: GateType) -> float:
         """Static leakage power (uW) of one instance of ``gate_type``."""
         return self._cells[gate_type].leakage_power
-
-    def masked_equivalent(self, gate_type: GateType) -> GateType:
-        """Return the masked composite cell that replaces ``gate_type``.
-
-        Raises:
-            KeyError: if ``gate_type`` has no masked equivalent.
-        """
-        return MASKED_REPLACEMENT[gate_type]
 
     def is_maskable(self, gate_type: GateType) -> bool:
         """Whether ``gate_type`` can be replaced by a masked composite."""

@@ -1,6 +1,6 @@
 """Power modelling: per-gate traces, noise, and area/power/delay analysis."""
 
-from .bitops import popcount16, popcount_rows, words_for_units
+from .bitops import popcount16, words_for_units
 from .ctrsample import CounterDraws, CounterStream
 from .model import GatePowerModel, PowerModelConfig
 from .traces import PowerTraceGenerator, PowerTraces
@@ -14,7 +14,6 @@ from .overhead import (
 
 __all__ = [
     "popcount16",
-    "popcount_rows",
     "words_for_units",
     "CounterDraws",
     "CounterStream",

@@ -3,15 +3,11 @@
 The simulator's compiled backend keeps the whole state matrix **bit-packed**
 (eight stimulus vectors per byte, ``numpy.packbits`` MSB-first order), and
 the power engine consumes those bytes directly whenever a compiled plan
-exists.  The primitives every packed consumer needs — population counts
-and padding-aware per-row reductions — live here, shared by
-
-* the fast measurement-noise sampler of :mod:`repro.power.traces`
-  (Binomial(16, 1/2) popcounts of raw generator words),
-* the packed toggle-count fast path of
-  :mod:`repro.simulation.switching` (``popcount(prev_row ^ cur_row)``
-  per gate, no unpack), and
-* anything else that reduces packed rows.
+exists.  The bit-level primitives of that engine live here: the
+population counts and word counts of the counter sampler
+(:mod:`repro.power.ctrsample`, whose measurement noise is Binomial(16,
+1/2) popcounts of raw generator words) and the data-transition codes
+that index the masked composites' toggle tables (:mod:`.traces`).
 
 :func:`column_blocks` is the gate-block partition shared by the trace
 engine's block producer and the gate-blocked moment fold
@@ -163,32 +159,3 @@ def popcount16_inplace(words: np.ndarray) -> np.ndarray:
         np.add(block, high, out=block)
         np.bitwise_and(block, _LOW_BYTES, out=block)
     return words.view(np.uint16)
-
-
-def popcount_rows(packed: np.ndarray, n_vectors: int) -> np.ndarray:
-    """Per-row set-bit counts of packed bit rows, ignoring padding bits.
-
-    Args:
-        packed: ``(..., n_bytes)`` uint8 array whose last axis holds
-            ``numpy.packbits``-packed bits (MSB first); typically rows of —
-            or XORs of rows of — a packed state matrix.
-        n_vectors: Number of valid bits per row.  Bits beyond it in the
-            last byte are padding with unspecified values (the packed
-            sweep's inverting kernels flip them) and are masked out before
-            counting.
-
-    Returns:
-        ``int64`` array of shape ``packed.shape[:-1]``.
-    """
-    packed = np.asarray(packed, dtype=np.uint8)
-    n_bytes = (n_vectors + 7) // 8
-    if packed.shape[-1] < n_bytes:
-        raise ValueError(
-            f"packed rows hold {packed.shape[-1] * 8} bits; "
-            f"n_vectors={n_vectors} is out of range")
-    packed = packed[..., :n_bytes]
-    remainder = n_vectors % 8
-    if remainder:
-        packed = packed.copy()
-        packed[..., -1] &= np.uint8((0xFF << (8 - remainder)) & 0xFF)
-    return popcount16(packed).sum(axis=-1, dtype=np.int64)

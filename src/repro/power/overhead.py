@@ -6,9 +6,8 @@ the ASIC flow's reports.  This module provides the equivalent analysis on
 top of the offline cell library:
 
 * **area** — sum of fan-in-scaled cell areas;
-* **power** — static leakage plus activity-weighted dynamic power (the
-  average switching activity can be supplied from simulation; a default
-  activity factor is used otherwise);
+* **power** — static leakage plus dynamic power at the default toggle
+  probability :data:`DEFAULT_ACTIVITY` for every gate;
 * **delay** — critical combinational path found by a longest-path static
   timing analysis over the levelised gate graph.
 """
@@ -16,7 +15,7 @@ top of the offline cell library:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from ..netlist.cell_library import CellLibrary
 from ..netlist.graph import gate_graph
@@ -51,7 +50,7 @@ class DesignMetrics:
         }
 
 
-#: Default toggle probability assumed when no simulated activity is provided.
+#: Toggle probability of every gate in the dynamic power estimate.
 DEFAULT_ACTIVITY = 0.25
 
 #: Conversion factor from (switching energy x activity) to milliwatts at the
@@ -65,16 +64,14 @@ _LEAKAGE_SCALE = 1.0e-3
 def analyze_design(
     netlist: Netlist,
     library: Optional[CellLibrary] = None,
-    activity: Optional[Mapping[str, float]] = None,
 ) -> DesignMetrics:
     """Compute :class:`DesignMetrics` for ``netlist``.
+
+    Every gate toggles with probability :data:`DEFAULT_ACTIVITY`.
 
     Args:
         netlist: The design to analyse.
         library: Cell library; defaults to the netlist's own library.
-        activity: Optional per-gate toggle probability (from
-            :func:`repro.simulation.switching.switching_activity`); gates
-            missing from the mapping use :data:`DEFAULT_ACTIVITY`.
 
     A combinational loop raises ``LevelizationError``.
     """
@@ -92,11 +89,8 @@ def analyze_design(
         scale = float(gate.attributes.get("overhead_scale", 1.0))
         area += library.area(gate.gate_type, gate.fanin) * scale
         leakage += library.leakage_power(gate.gate_type) * scale
-        toggle_probability = DEFAULT_ACTIVITY
-        if activity is not None:
-            toggle_probability = float(activity.get(gate.name, DEFAULT_ACTIVITY))
         dynamic += (library.switching_energy(gate.gate_type, gate.fanin)
-                    * toggle_probability * scale)
+                    * DEFAULT_ACTIVITY * scale)
     power = dynamic * _DYNAMIC_POWER_SCALE * 1000.0 + leakage * _LEAKAGE_SCALE
     delay = critical_path_delay(netlist, library)
     return DesignMetrics(area=area, power=power, delay=delay, gate_count=count)

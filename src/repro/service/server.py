@@ -180,7 +180,7 @@ class AssessmentService:
         """Bind and start serving; returns the bound ``(host, port)``."""
         self.root.mkdir(parents=True, exist_ok=True)
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=FRAME_LIMIT)
+            self._accept, self.host, self.port, limit=FRAME_LIMIT)
         bound = self._server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
         self._monitor = asyncio.get_running_loop().create_task(
@@ -188,8 +188,21 @@ class AssessmentService:
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Stop serving: cancel the monitor, drop clients, close the port."""
+        """Stop serving: stop accepting, cancel the monitor, drop clients,
+        close the port."""
         try:
+            if self._server is not None:
+                # Accept nothing more, but leave the server open for two
+                # loop iterations: a connection accepted just before builds
+                # its transport in the next one and reaches :meth:`_accept`
+                # (its handler joins ``_handler_tasks``) in the one after.
+                # A transport built after ``Server.close()`` fails to
+                # attach to the server and is dropped with its socket open.
+                loop = asyncio.get_running_loop()
+                for sock in self._server.sockets:
+                    loop.remove_reader(sock.fileno())
+                for _ in range(2):
+                    await asyncio.sleep(0)
             if self._monitor is not None:
                 self._monitor.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
@@ -222,12 +235,21 @@ class AssessmentService:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Start a connection's handler and track it at once.
+
+        A handler that registered itself only once it ran could miss a
+        :meth:`stop` that began before its first step; the loop would then
+        close with the handler pending and its socket open.
+        """
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer))
+        self._handler_tasks.add(task)
+        task.add_done_callback(self._handler_tasks.discard)
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-            task.add_done_callback(self._handler_tasks.discard)
         connection = _Connection(writer)
         connection.sender = asyncio.get_running_loop().create_task(
             connection.drain_outbox())

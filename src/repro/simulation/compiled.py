@@ -73,9 +73,6 @@ _K_OR = 3      # OR family
 _K_XOR = 4     # XOR family
 _K_MUX = 5     # MUX(d0, d1, sel): (d0 & ~sel) | (d1 & sel)
 
-_BINARY_UFUNC = {_K_AND: np.bitwise_and, _K_OR: np.bitwise_or,
-                 _K_XOR: np.bitwise_xor}
-
 # Executor opcodes: kernel with the fan-in class folded in (resolved once
 # at plan time so the execute loop dispatches on a single integer).
 (_OP_AND2, _OP_OR2, _OP_XOR2, _OP_COPY, _OP_NOT,
@@ -410,8 +407,7 @@ class CompiledNetlist:
         holds vector ``8 * k + j`` of that signal; bits beyond
         ``n_vectors`` in the last byte are padding with **unspecified**
         values (inverting kernels flip them), so consumers must mask or
-        drop them — :meth:`unpack` and
-        :func:`repro.power.bitops.popcount_rows` both do.
+        drop them, as :meth:`unpack` does.
 
         Args:
             input_values: Boolean array per primary input, shape

@@ -73,15 +73,6 @@ _EVALUATORS: Dict[GateType, Callable[[Sequence[BoolArray]], BoolArray]] = {
     GateType.MASKED_AND_DOM: lambda ops: _eval_and(ops[:2]),
 }
 
-#: Number of *data* inputs a masked cell consumes; remaining inputs (if the
-#: masking transform wires explicit randomness nets) are mask bits.
-MASKED_DATA_INPUTS: Dict[GateType, int] = {
-    GateType.MASKED_AND: 2,
-    GateType.MASKED_OR: 2,
-    GateType.MASKED_XOR: 2,
-    GateType.MASKED_AND_DOM: 2,
-}
-
 
 def supports_static_dispatch(gate_type: GateType, n_inputs: int) -> bool:
     """Whether ``(gate_type, n_inputs)`` can skip the checked evaluate path.

@@ -10,12 +10,11 @@ time can push ``scale`` up towards the paper's sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..netlist.benchmarks import (
     EVALUATION_SUITE,
     TRAINING_SUITE,
-    benchmark_spec,
     load_benchmark,
 )
 from ..netlist.netlist import Netlist
@@ -51,19 +50,3 @@ def evaluation_designs(config: Optional[WorkloadConfig] = None) -> List[Netlist]
     names = config.designs if config.designs is not None else EVALUATION_SUITE
     return [load_benchmark(name, scale=config.scale, seed=config.seed)
             for name in names]
-
-
-def suite_summary(designs: Sequence[Netlist]) -> List[Dict[str, object]]:
-    """Per-design summary rows (name, gate counts, maskable gates)."""
-    rows = []
-    for design in designs:
-        stats = design.stats()
-        try:
-            spec = benchmark_spec(design.name)
-            stats["suite"] = spec.suite
-            stats["profile"] = spec.profile
-        except KeyError:
-            stats["suite"] = "custom"
-            stats["profile"] = "unknown"
-        rows.append(stats)
-    return rows

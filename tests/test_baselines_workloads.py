@@ -6,12 +6,7 @@ from repro.baselines import ValiantConfig, ValiantResult, valiant_protect
 from repro.netlist import GateType, validate_netlist
 from repro.simulation import functional_equivalent
 from repro.tvla import assess_leakage
-from repro.workloads import (
-    WorkloadConfig,
-    evaluation_designs,
-    suite_summary,
-    training_designs,
-)
+from repro.workloads import WorkloadConfig, evaluation_designs, training_designs
 
 
 class TestValiant:
@@ -68,14 +63,3 @@ class TestWorkloads:
         designs = evaluation_designs(WorkloadConfig(scale=0.2,
                                                     designs=("des3", "voter")))
         assert [d.name for d in designs] == ["des3", "voter"]
-
-    def test_suite_summary_rows(self):
-        designs = evaluation_designs(WorkloadConfig(scale=0.2, designs=("des3",)))
-        rows = suite_summary(designs)
-        assert rows[0]["name"] == "des3"
-        assert rows[0]["suite"] == "evaluation"
-        assert rows[0]["gates"] == len(designs[0])
-
-    def test_custom_design_in_summary(self, tiny_netlist):
-        rows = suite_summary([tiny_netlist])
-        assert rows[0]["suite"] == "custom"

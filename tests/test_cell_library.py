@@ -7,7 +7,6 @@ from repro.netlist import (
     CellSpec,
     DEFAULT_LIBRARY,
     GateType,
-    MASKABLE_TYPES,
     MASKED_REPLACEMENT,
 )
 
@@ -34,9 +33,11 @@ class TestGateType:
         assert not GateType.INPUT.is_combinational
 
     def test_every_maskable_type_has_replacement(self):
-        for gate_type in MASKABLE_TYPES:
-            assert gate_type in MASKED_REPLACEMENT
-            assert MASKED_REPLACEMENT[gate_type].is_masked
+        assert set(MASKED_REPLACEMENT) == {
+            GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+            GateType.XOR, GateType.XNOR}
+        assert all(masked_type.is_masked
+                   for masked_type in MASKED_REPLACEMENT.values())
 
 
 class TestCellLibrary:
@@ -75,12 +76,6 @@ class TestCellLibrary:
         two = DEFAULT_LIBRARY.delay(GateType.AND, fanin=2)
         four = DEFAULT_LIBRARY.delay(GateType.AND, fanin=4)
         assert four == pytest.approx(two * 2)
-
-    def test_masked_equivalent_lookup(self):
-        assert DEFAULT_LIBRARY.masked_equivalent(GateType.NAND) is GateType.MASKED_AND
-        assert DEFAULT_LIBRARY.masked_equivalent(GateType.XNOR) is GateType.MASKED_XOR
-        with pytest.raises(KeyError):
-            DEFAULT_LIBRARY.masked_equivalent(GateType.NOT)
 
     def test_is_maskable(self):
         assert DEFAULT_LIBRARY.is_maskable(GateType.AND)

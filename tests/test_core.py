@@ -5,13 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import cognition, pipeline
 from repro.core import (
     ExperimentRecord,
     ExperimentRecorder,
     ModelConfig,
     PolarisConfig,
     build_model,
-    format_markdown_table,
     format_table,
     generate_cognition,
     leakage_reduction_ratio,
@@ -19,7 +19,6 @@ from repro.core import (
     polaris_mask,
     protect_design,
     rank_gates,
-    rows_from_dicts,
     train_masking_model,
 )
 from repro.features import Dataset
@@ -51,14 +50,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(model_type="svm")
 
-    def test_with_model_switches_family(self):
+    def test_with_model_switches_family(self, monkeypatch):
         base = PolarisConfig()
-        rf = base.with_model("random_forest")
-        assert rf.model.model_type == "random_forest"
-        assert rf.model.use_smote is True
-        xgb = base.with_model("xgboost")
-        assert xgb.model.model_type == "xgboost"
-        assert xgb.model.class_weighted is True
+        labels = np.array([1] * 3 + [0] * 9)
+        dataset = Dataset(np.arange(24.0).reshape(12, 2), labels, ("a", "b"))
+        fits = {}
+
+        class SpyModel:
+            def __init__(self, model_config):
+                self.family = model_config.model_type
+
+            def fit(self, features, fit_labels, sample_weight=None):
+                fits[self.family] = (np.bincount(fit_labels), sample_weight)
+                return self
+
+        monkeypatch.setattr(cognition, "build_model", SpyModel)
+        for family in ("random_forest", "xgboost", "adaboost"):
+            config = base.with_model(family)
+            assert config.model.model_type == family
+            train_masking_model(dataset, config)
+        # Random Forest trains unweighted on SMOTE-balanced classes.
+        counts, weights = fits["random_forest"]
+        assert weights is None
+        assert counts.tolist() == [9, 9]
+        # The boosted families keep the rows and weight them by inverse
+        # class frequency, so each class carries the same total weight.
+        for family in ("xgboost", "adaboost"):
+            counts, weights = fits[family]
+            assert counts.tolist() == [9, 3]
+            np.testing.assert_allclose(weights[labels == 1], 2.0)
+            np.testing.assert_allclose(weights[labels == 0], 2.0 / 3.0)
 
     def test_build_model_types(self):
         assert isinstance(build_model(ModelConfig(model_type="adaboost")),
@@ -208,6 +229,17 @@ class TestPipeline:
         assert report.after is None
         assert "before_mean_leakage" in report.leakage
 
+    @pytest.mark.parametrize("fraction", [1.5, -0.5, float("nan")])
+    def test_protect_design_rejects_mask_fraction_before_assessing(
+            self, trained_polaris, small_benchmark, monkeypatch, fraction):
+        assessed = []
+        monkeypatch.setattr(pipeline, "assess_leakage",
+                            lambda *args, **kwargs: assessed.append(args))
+        with pytest.raises(ValueError, match="mask_fraction"):
+            protect_design(small_benchmark, trained_polaris,
+                           mask_fraction=fraction)
+        assert assessed == []
+
 
 class TestReporting:
     def test_format_table_alignment(self):
@@ -215,15 +247,6 @@ class TestReporting:
         lines = text.splitlines()
         assert len(lines) == 4
         assert "des3" in lines[2] and "1.23" in lines[2]
-
-    def test_markdown_table(self):
-        text = format_markdown_table(["a", "b"], [[1, 2]])
-        assert text.startswith("| a | b |")
-        assert "| 1 | 2 |" in text
-
-    def test_rows_from_dicts_projection(self):
-        rows = rows_from_dicts([{"a": 1, "b": 2}, {"a": 3}], ["a", "b"])
-        assert rows == [[1, 2], [3, ""]]
 
     def test_recorder_save_and_load(self, tmp_path):
         recorder = ExperimentRecorder(tmp_path)

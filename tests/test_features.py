@@ -101,11 +101,6 @@ class TestStructuralFeatures:
 
 
 class TestDataset:
-    def _dataset(self, n=20, d=4, seed=0):
-        rng = np.random.default_rng(seed)
-        return Dataset(rng.normal(size=(n, d)), rng.integers(0, 2, n),
-                       [f"f{i}" for i in range(d)])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros(4), ["a", "b"])
@@ -118,34 +113,6 @@ class TestDataset:
         dataset = Dataset(np.zeros((4, 1)), np.array([0, 1, 1, 1]), ["f"])
         assert dataset.class_counts() == {0: 1, 1: 3}
         assert dataset.positive_fraction() == pytest.approx(0.75)
-
-    def test_append_and_subset(self):
-        a = self._dataset(10, seed=1)
-        b = self._dataset(5, seed=2)
-        combined = a.append(b)
-        assert combined.n_samples == 15
-        subset = combined.subset([0, 1, 2])
-        assert subset.n_samples == 3
-        mismatched = Dataset(np.zeros((2, 4)), np.zeros(2),
-                             [f"g{i}" for i in range(4)])
-        with pytest.raises(ValueError):
-            a.append(mismatched)
-
-    def test_train_test_split(self):
-        dataset = self._dataset(50)
-        train, test = dataset.train_test_split(0.2, seed=3)
-        assert train.n_samples + test.n_samples == 50
-        assert test.n_samples == 10
-        with pytest.raises(ValueError):
-            dataset.train_test_split(1.5)
-
-    def test_save_and_load_round_trip(self, tmp_path):
-        dataset = self._dataset(12)
-        path = dataset.save(tmp_path / "data.npz")
-        loaded = Dataset.load(path)
-        np.testing.assert_allclose(loaded.features, dataset.features)
-        np.testing.assert_array_equal(loaded.labels, dataset.labels)
-        assert loaded.feature_names == dataset.feature_names
 
     def test_from_rows_empty_and_filled(self):
         empty = Dataset.from_rows([], ["a", "b"])

@@ -2,47 +2,44 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.masking import (
-    MASKED_GATE_SPECS,
     apply_masking,
     mask_fraction,
     maskable_gates,
     masked_type_for,
     needs_output_inverter,
-    reference_masked_and,
-    reference_masked_or,
-    reference_masked_xor,
-    spec_for_masked_type,
-    unmasked_equivalent_types,
 )
 from repro.netlist import GateType, validate_netlist
+from repro.power import GatePowerModel
 from repro.simulation import functional_equivalent
 
 
 class TestMaskedGateConstructions:
-    def test_trichina_masked_and_is_correct_for_all_inputs(self):
-        # Eq. (5) of the paper: the masked output must equal (a & b) ^ z for
-        # every combination of data bits and mask bits.
-        for a, b, x, y, z in itertools.product([0, 1], repeat=5):
-            assert reference_masked_and(a, b, x, y, z) == (a & b) ^ z
-
-    def test_masked_or_is_correct_for_all_inputs(self):
-        for a, b, x, y, z in itertools.product([0, 1], repeat=5):
-            assert reference_masked_or(a, b, x, y, z) == (a | b) ^ z
-
-    def test_masked_xor_is_correct_for_all_inputs(self):
-        for a, b, x, y in itertools.product([0, 1], repeat=4):
-            assert reference_masked_xor(a, b, x, y) == (a ^ b) ^ (x ^ y)
-
-    def test_spec_registry_consistency(self):
-        for masked_type, spec in MASKED_GATE_SPECS.items():
-            assert spec.masked_type is masked_type
-            assert spec.fresh_random_bits >= 1
-            assert spec.internal_nodes >= 2
-            assert all(t.is_combinational for t in spec.replaces)
-        assert spec_for_masked_type(GateType.MASKED_AND).internal_nodes == 10
+    def test_share_network_computes_eq5_for_all_inputs(self):
+        # The share network that produces every masked power trace must
+        # compute the paper's Eq. (5) for every combination of data bits
+        # (a, b), input masks (x, y) and fresh output mask (z).
+        a, b, x, y, z = np.array(
+            list(itertools.product([False, True], repeat=5))).T
+        model = GatePowerModel()
+        for gate_type in (GateType.MASKED_AND, GateType.MASKED_AND_DOM):
+            nodes = model._masked_nodes_for(gate_type, a, b, x, y, z)
+            np.testing.assert_array_equal(nodes["out"], (a & b) ^ z)
+        # The De Morgan network yields the complement of the masked OR;
+        # complementing a node leaves its toggles unchanged.
+        nodes = model._masked_nodes_for(GateType.MASKED_OR, a, b, x, y, z)
+        np.testing.assert_array_equal(~nodes["out"], (a | b) ^ z)
+        nodes = model._masked_nodes_for(GateType.MASKED_XOR, a, b, x, y, z)
+        np.testing.assert_array_equal(nodes["out_share"], (a ^ b) ^ (x ^ y))
+        counts = {gate_type: model.masked_node_count(gate_type)
+                  for gate_type in (GateType.MASKED_AND, GateType.MASKED_OR,
+                                    GateType.MASKED_XOR,
+                                    GateType.MASKED_AND_DOM)}
+        assert counts == {GateType.MASKED_AND: 10, GateType.MASKED_OR: 10,
+                          GateType.MASKED_XOR: 4, GateType.MASKED_AND_DOM: 12}
 
     def test_masked_type_for_mapping(self):
         assert masked_type_for(GateType.AND) is GateType.MASKED_AND
@@ -113,9 +110,12 @@ class TestMaskingTransform:
         assert gate.attributes["protection_style"] == "valiant"
         assert gate.attributes["overhead_scale"] == 1.5
 
-    def test_unmasked_equivalent_types(self, tiny_netlist):
+    def test_masked_from_records_replaced_type(self, tiny_netlist):
+        # Each replaced gate records the primitive it replaced; the power
+        # model reads it to size the residual leakage.
         masked = apply_masking(tiny_netlist, ["g_and", "g_xor"]).netlist
-        mapping = unmasked_equivalent_types(masked)
+        mapping = {gate.name: gate.attributes.get("masked_from")
+                   for gate in masked.gates if gate.gate_type.is_masked}
         assert mapping == {"g_and": "AND", "g_xor": "XOR"}
 
 

@@ -8,9 +8,16 @@ from repro.ml import (
     GradientBoostingClassifier,
     NotFittedError,
     RandomForestClassifier,
-    accuracy_score,
-    roc_auc_score,
 )
+
+
+def pairwise_auc(labels, scores):
+    """ROC AUC as the share of (positive, negative) pairs the scores rank
+    correctly, a tie counting one half (the Mann-Whitney U statistic)."""
+    positive = scores[labels == 1][:, None]
+    negative = scores[labels != 1][None, :]
+    return float(np.mean((positive > negative)
+                         + 0.5 * (positive == negative)))
 
 
 @pytest.fixture
@@ -27,7 +34,7 @@ class TestRandomForest:
         Xtr, ytr, Xte, yte = nonlinear_data
         model = RandomForestClassifier(n_estimators=25, max_depth=7,
                                        random_state=1).fit(Xtr, ytr)
-        assert accuracy_score(yte, model.predict(Xte)) > 0.8
+        assert model.score(Xte, yte) > 0.8
 
     def test_probabilities_valid(self, nonlinear_data):
         Xtr, ytr, Xte, _ = nonlinear_data
@@ -104,20 +111,19 @@ class TestAdaBoost:
                                    max_depth=1).fit(Xtr, ytr)
         boosted = AdaBoostClassifier(n_estimators=80, learning_rate=0.5,
                                      max_depth=1).fit(Xtr, ytr)
-        assert (accuracy_score(yte, boosted.predict(Xte))
-                > accuracy_score(yte, stump.predict(Xte)))
+        assert boosted.score(Xte, yte) > stump.score(Xte, yte)
 
     def test_auc_reasonable(self, nonlinear_data):
         Xtr, ytr, Xte, yte = nonlinear_data
         model = AdaBoostClassifier(n_estimators=60, learning_rate=0.5,
                                    max_depth=2).fit(Xtr, ytr)
-        assert roc_auc_score(yte, model.positive_score(Xte)) > 0.85
+        assert pairwise_auc(yte, model.positive_score(Xte)) > 0.85
 
     def test_small_learning_rate_matches_paper_configuration(self, nonlinear_data):
         Xtr, ytr, Xte, yte = nonlinear_data
         model = AdaBoostClassifier(n_estimators=100, learning_rate=0.01,
                                    max_depth=2).fit(Xtr, ytr)
-        assert accuracy_score(yte, model.predict(Xte)) > 0.6
+        assert model.score(Xte, yte) > 0.6
 
     def test_single_class_training_degenerates_gracefully(self):
         features = np.random.default_rng(0).normal(size=(20, 3))
@@ -168,7 +174,7 @@ class TestGradientBoosting:
         Xtr, ytr, Xte, yte = nonlinear_data
         model = GradientBoostingClassifier(n_estimators=60, learning_rate=0.2,
                                            max_depth=3).fit(Xtr, ytr)
-        assert accuracy_score(yte, model.predict(Xte)) > 0.85
+        assert model.score(Xte, yte) > 0.85
 
     def test_probabilities_valid_and_monotone_in_score(self, nonlinear_data):
         Xtr, ytr, Xte, _ = nonlinear_data

@@ -35,8 +35,8 @@ moment update safe defaults:
   same chunk with the row check switched off, on the engine and on the
   loop oracle.
 
-Plus the packed substrate itself: popcount on packed rows with padding
-masking, the in-place byte-fold popcount of the noise words, the lazy
+Plus the packed substrate itself: the in-place byte-fold popcount of
+the noise words, the lazy
 packed ``SimulationResult``, and the process-wide masked-toggle-table
 cache.
 """
@@ -58,13 +58,10 @@ from repro.power import (
     GatePowerModel,
     PowerModelConfig,
     PowerTraceGenerator,
-    popcount_rows,
 )
 from repro.simulation import (
     LogicSimulator,
     fixed_vs_random_campaigns,
-    toggle_counts,
-    toggle_matrix,
 )
 from repro.campaign import (
     run_campaign,
@@ -85,7 +82,7 @@ from repro.tvla import assessment as tvla_assessment
 from repro.tvla.assessment import _fold_chunk, merge_shard_partials
 
 from oracles.power import generate_loop
-from oracles.simulation import LoopSimulator, LoopTraceGenerator
+from oracles.simulation import LoopTraceGenerator
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -539,25 +536,6 @@ class TestFusedChunkFold:
 
 class TestPackedSubstrate:
     @SETTINGS
-    @given(
-        rows=st.integers(min_value=1, max_value=12),
-        n_vectors=st.integers(min_value=1, max_value=130),
-        seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
-    )
-    def test_popcount_rows_matches_unpacked_sum(self, rows, n_vectors, seed):
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=(rows, n_vectors)).astype(bool)
-        packed = np.packbits(bits, axis=1)
-        # Poison the padding bits: popcount_rows must mask them out.
-        remainder = n_vectors % 8
-        if remainder:
-            poison = packed.copy()
-            poison[:, -1] |= np.uint8((1 << (8 - remainder)) - 1)
-            packed = poison
-        counts = popcount_rows(packed, n_vectors)
-        np.testing.assert_array_equal(counts, bits.sum(axis=1))
-
-    @SETTINGS
     @given(words=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
                           max_size=70000 // 8))
     @example(words=[2 ** 64 - 1] * (2 ** 14 + 3))
@@ -584,26 +562,6 @@ class TestPackedSubstrate:
         counts = CounterDraws(3, 1, 0, chunk).noise_counts(shape)
         assert counts.shape == tuple(shape)
         np.testing.assert_array_equal(counts, expected)
-
-    def test_popcount_rows_rejects_short_rows(self):
-        with pytest.raises(ValueError, match="out of range"):
-            popcount_rows(np.zeros((2, 1), dtype=np.uint8), 9)
-
-    def test_toggle_counts_packed_fast_path(self, rng):
-        """popcount(prev ^ cur) on packed bytes == the bool-path counts."""
-        netlist = load_benchmark("des3", scale=0.2, seed=11)
-        compiled = LogicSimulator(netlist)
-        loop = LoopSimulator(netlist)
-        stimulus_a = {net: rng.integers(0, 2, 77).astype(bool)
-                      for net in netlist.primary_inputs}
-        stimulus_b = {net: rng.integers(0, 2, 77).astype(bool)
-                      for net in netlist.primary_inputs}
-        fast = toggle_counts(netlist, compiled.evaluate(stimulus_a),
-                             compiled.evaluate(stimulus_b))
-        slow = {name: int(toggles.sum()) for name, toggles in toggle_matrix(
-            netlist, loop.evaluate(stimulus_a),
-            loop.evaluate(stimulus_b)).items()}
-        assert fast == slow
 
     def test_simulation_result_is_lazy_and_consistent(self, tiny_netlist):
         simulator = LogicSimulator(tiny_netlist)

@@ -257,13 +257,6 @@ class TestOverheadAnalysis:
         shallow.add_gate("g", GateType.AND, ["a", "b"], "y")
         assert critical_path_delay(tiny_netlist) > critical_path_delay(shallow)
 
-    def test_activity_weighted_power(self, tiny_netlist):
-        idle = analyze_design(tiny_netlist,
-                              activity={g.name: 0.0 for g in tiny_netlist.gates})
-        busy = analyze_design(tiny_netlist,
-                              activity={g.name: 1.0 for g in tiny_netlist.gates})
-        assert busy.power > idle.power
-
     def test_overhead_report_fields(self, tiny_netlist):
         masked = apply_masking(tiny_netlist, ["g_and"]).netlist
         report = overhead_report(analyze_design(tiny_netlist), analyze_design(masked))

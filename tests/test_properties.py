@@ -5,13 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.masking import (
-    apply_masking,
-    maskable_gates,
-    reference_masked_and,
-    reference_masked_or,
-    reference_masked_xor,
-)
+from repro.masking import apply_masking, maskable_gates
 from repro.netlist import (
     GateType,
     RandomLogicSpec,
@@ -29,39 +23,6 @@ from oracles.kernel_shap import KernelShapExplainer
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
-
-
-# ----------------------------------------------------------------------
-# Masked-gate correctness over every bit combination is already exhaustive;
-# here hypothesis drives the vectorised equivalents.
-# ----------------------------------------------------------------------
-@SETTINGS
-@given(st.lists(st.tuples(*[st.booleans()] * 5), min_size=1, max_size=64))
-def test_masked_and_matches_plain_and(batch):
-    a, b, x, y, z = (np.array(column) for column in zip(*batch))
-    masked = np.array([reference_masked_and(int(ai), int(bi), int(xi), int(yi),
-                                            int(zi))
-                       for ai, bi, xi, yi, zi in batch], dtype=bool)
-    np.testing.assert_array_equal(masked ^ z, a & b)
-
-
-@SETTINGS
-@given(st.lists(st.tuples(*[st.booleans()] * 5), min_size=1, max_size=64))
-def test_masked_or_matches_plain_or(batch):
-    a, b, x, y, z = (np.array(column) for column in zip(*batch))
-    masked = np.array([reference_masked_or(int(ai), int(bi), int(xi), int(yi),
-                                           int(zi))
-                       for ai, bi, xi, yi, zi in batch], dtype=bool)
-    np.testing.assert_array_equal(masked ^ z, a | b)
-
-
-@SETTINGS
-@given(st.lists(st.tuples(*[st.booleans()] * 4), min_size=1, max_size=64))
-def test_masked_xor_matches_plain_xor(batch):
-    a, b, x, y = (np.array(column) for column in zip(*batch))
-    masked = np.array([reference_masked_xor(int(ai), int(bi), int(xi), int(yi))
-                       for ai, bi, xi, yi in batch], dtype=bool)
-    np.testing.assert_array_equal(masked ^ (x ^ y), a ^ b)
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ import asyncio
 import base64
 import contextlib
 import functools
+import gc
 import json
 import os
 import signal
@@ -35,6 +36,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +248,18 @@ def _exchange(service, line, deadline=2.0, until_closed=False):
     return frames, False
 
 
+def _await_renewed_lease(queue, timeout=30.0):
+    """Id of the first task whose current lease has been renewed."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for task_id in range(1, sum(queue.counts().values()) + 1):
+            info = queue.lease_info(task_id)
+            if info["status"] == "leased" and info["renewals"] >= 1:
+                return task_id
+        time.sleep(0.02)
+    raise AssertionError("no worker renewed a lease")
+
+
 def _drain_until_complete(client, timeout=120.0):
     """Collect (progress_frames, complete_frame) from a follow stream."""
     progress = []
@@ -263,6 +277,31 @@ def _drain_until_complete(client, timeout=120.0):
 # Server behaviour
 # ----------------------------------------------------------------------
 class TestServer:
+    def test_stop_closes_a_connection_accepted_just_before(self, tmp_path):
+        """The loop accepts a connection in one iteration and builds its
+        transport in the next; ``stop()`` begins in between.  The loop runs
+        as in the ``service`` fixture, which closes it without cancelling
+        leftover tasks, so a connection ``stop()`` misses leaks its socket.
+        """
+        async def main():
+            service = AssessmentService(tmp_path / "svc")
+            host, port = await service.start()
+            with socket.create_connection((host, port)):
+                await asyncio.sleep(0)  # the loop accepts the connection
+                await asyncio.sleep(0)  # ... and queues its transport
+                await service.stop()
+
+        loop = asyncio.new_event_loop()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                loop.run_until_complete(main())
+            finally:
+                loop.close()
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+
     def test_submit_accepts_and_enqueues(self, service):
         spec = _spec()
         with ServiceClient(service.host, service.port) as client:
@@ -409,16 +448,13 @@ class TestEndToEndStreaming:
                 env={**os.environ, "PYTHONPATH": SRC_DIR,
                      "POLARIS_FAULT_PLAN": "worker.shard:mode=delay,delay=0.9"},
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if service.queue.counts()["leased"] >= 1:
-                    break
-                time.sleep(0.02)
-            assert service.queue.counts()["leased"] >= 1, \
-                "doomed worker never claimed a shard"
-            time.sleep(0.3)  # well inside its 0.9s shard
+            # Kill it once its heartbeat has renewed the lease: the
+            # renewal proves the worker is inside its shard, however long
+            # it took to start or to claim.
+            doomed_task = _await_renewed_lease(service.queue)
             doomed.kill()
             doomed.wait(10)
+            assert service.queue.lease_info(doomed_task)["status"] == "leased"
 
             # Survivor: a plain queue worker on a 0.5s lease — shorter
             # than one shard, so it *must* renew past the original expiry.
@@ -433,7 +469,8 @@ class TestEndToEndStreaming:
         assert final.shards_done == (0, 1, 2)
         assert final.n_shards_total == 3
 
-        # The survivor really did renew a lease past its original span.
+        # The survivor really did renew a lease past its original span,
+        # and it finished the doomed worker's shard on a second attempt.
         queue = service.queue
         renewals = []
         for task_id in range(1, 4):
@@ -441,6 +478,7 @@ class TestEndToEndStreaming:
             assert info is not None and info["status"] == "done"
             renewals.append(info["renewals"])
         assert max(renewals) >= 1
+        assert queue.lease_info(doomed_task)["attempts"] >= 2
 
         # Streamed == collected, bitwise, and cross-checked against an
         # undisturbed single-process campaign of the same layout.

@@ -1,20 +1,15 @@
-"""Tests for stimulus campaigns and switching-activity analysis."""
+"""Tests for stimulus campaigns."""
 
 import numpy as np
 import pytest
 
 from repro.simulation import (
-    LogicSimulator,
     TraceCampaign,
-    design_switching_summary,
     fixed_vector,
     fixed_vs_fixed_campaigns,
     fixed_vs_random_campaigns,
     input_matrix_to_dict,
     random_vectors,
-    switching_activity,
-    toggle_counts,
-    toggle_matrix,
 )
 
 
@@ -141,48 +136,3 @@ class TestCampaignShape:
                       + fixed_vs_fixed_campaigns(tiny_netlist, 12, seed=1)):
             assert group.slice(3, 9).n_traces == 6
             assert group.slice(4, 4).n_traces == 0
-
-
-class TestSwitching:
-    def test_toggle_matrix_and_counts(self, tiny_netlist, rng):
-        simulator = LogicSimulator(tiny_netlist)
-        inputs = tiny_netlist.primary_inputs
-        prev = {net: rng.integers(0, 2, 64).astype(bool) for net in inputs}
-        cur = {net: rng.integers(0, 2, 64).astype(bool) for net in inputs}
-        previous, current = simulator.evaluate(prev), simulator.evaluate(cur)
-        matrix = toggle_matrix(tiny_netlist, previous, current)
-        counts = toggle_counts(tiny_netlist, previous, current)
-        for name, toggles in matrix.items():
-            assert toggles.shape == (64,)
-            assert counts[name] == int(toggles.sum())
-
-    def test_identical_batches_have_zero_toggles(self, tiny_netlist, rng):
-        simulator = LogicSimulator(tiny_netlist)
-        stimulus = {net: rng.integers(0, 2, 32).astype(bool)
-                    for net in tiny_netlist.primary_inputs}
-        result = simulator.evaluate(stimulus)
-        counts = toggle_counts(tiny_netlist, result, result)
-        assert all(count == 0 for count in counts.values())
-
-    def test_mismatched_batch_sizes_rejected(self, tiny_netlist, rng):
-        simulator = LogicSimulator(tiny_netlist)
-        small = {net: rng.integers(0, 2, 8).astype(bool)
-                 for net in tiny_netlist.primary_inputs}
-        large = {net: rng.integers(0, 2, 16).astype(bool)
-                 for net in tiny_netlist.primary_inputs}
-        with pytest.raises(ValueError):
-            toggle_matrix(tiny_netlist, simulator.evaluate(small),
-                          simulator.evaluate(large))
-
-    def test_switching_activity_bounds_and_summary(self, tiny_netlist, rng):
-        simulator = LogicSimulator(tiny_netlist)
-        inputs = tiny_netlist.primary_inputs
-        prev = {net: rng.integers(0, 2, 128).astype(bool) for net in inputs}
-        cur = {net: rng.integers(0, 2, 128).astype(bool) for net in inputs}
-        activity = switching_activity(tiny_netlist, simulator.evaluate(prev),
-                                      simulator.evaluate(cur))
-        assert all(0.0 <= value <= 1.0 for value in activity.values())
-        summary = design_switching_summary(activity)
-        assert summary["min"] <= summary["mean"] <= summary["max"]
-        assert design_switching_summary({}) == {"mean": 0.0, "max": 0.0,
-                                                "min": 0.0, "total": 0.0}

@@ -12,34 +12,45 @@ from repro.masking import (
     masked_type_for,
     needs_output_inverter,
 )
-from repro.netlist import GateType, validate_netlist
+from repro.netlist import (
+    DEFAULT_LIBRARY,
+    MASKED_REPLACEMENT,
+    GateType,
+    Netlist,
+    validate_netlist,
+)
 from repro.power import GatePowerModel
-from repro.simulation import functional_equivalent
+from repro.simulation import evaluate_gate, functional_equivalent, simulate
 
 
 class TestMaskedGateConstructions:
-    def test_share_network_computes_eq5_for_all_inputs(self):
+    # Per composite: the node carrying the recombined output, whether the
+    # network yields its complement, the function it must compute on
+    # (a, b, x, y, z), and the number of internal nodes.
+    EQ5_CASES = {
+        GateType.MASKED_AND: ("out", False, lambda a, b, x, y, z: (a & b) ^ z, 10),
+        GateType.MASKED_AND_DOM: ("out", False,
+                                  lambda a, b, x, y, z: (a & b) ^ z, 12),
+        # The De Morgan network yields the complement of the masked OR;
+        # complementing a node leaves its toggles unchanged.
+        GateType.MASKED_OR: ("out", True, lambda a, b, x, y, z: (a | b) ^ z, 10),
+        GateType.MASKED_XOR: ("out_share", False,
+                              lambda a, b, x, y, z: (a ^ b) ^ (x ^ y), 4),
+    }
+
+    @pytest.mark.parametrize("gate_type", list(EQ5_CASES), ids=lambda t: t.value)
+    def test_share_network_computes_eq5_for_all_inputs(self, gate_type):
         # The share network that produces every masked power trace must
         # compute the paper's Eq. (5) for every combination of data bits
         # (a, b), input masks (x, y) and fresh output mask (z).
+        node, complemented, expected, node_count = self.EQ5_CASES[gate_type]
         a, b, x, y, z = np.array(
             list(itertools.product([False, True], repeat=5))).T
         model = GatePowerModel()
-        for gate_type in (GateType.MASKED_AND, GateType.MASKED_AND_DOM):
-            nodes = model._masked_nodes_for(gate_type, a, b, x, y, z)
-            np.testing.assert_array_equal(nodes["out"], (a & b) ^ z)
-        # The De Morgan network yields the complement of the masked OR;
-        # complementing a node leaves its toggles unchanged.
-        nodes = model._masked_nodes_for(GateType.MASKED_OR, a, b, x, y, z)
-        np.testing.assert_array_equal(~nodes["out"], (a | b) ^ z)
-        nodes = model._masked_nodes_for(GateType.MASKED_XOR, a, b, x, y, z)
-        np.testing.assert_array_equal(nodes["out_share"], (a ^ b) ^ (x ^ y))
-        counts = {gate_type: model.masked_node_count(gate_type)
-                  for gate_type in (GateType.MASKED_AND, GateType.MASKED_OR,
-                                    GateType.MASKED_XOR,
-                                    GateType.MASKED_AND_DOM)}
-        assert counts == {GateType.MASKED_AND: 10, GateType.MASKED_OR: 10,
-                          GateType.MASKED_XOR: 4, GateType.MASKED_AND_DOM: 12}
+        out = model._masked_nodes_for(gate_type, a, b, x, y, z)[node]
+        np.testing.assert_array_equal(~out if complemented else out,
+                                      expected(a, b, x, y, z))
+        assert model.masked_node_count(gate_type) == node_count
 
     def test_masked_type_for_mapping(self):
         assert masked_type_for(GateType.AND) is GateType.MASKED_AND
@@ -49,6 +60,22 @@ class TestMaskedGateConstructions:
         assert masked_type_for(GateType.AND, use_dom=True) is GateType.MASKED_AND_DOM
         with pytest.raises(ValueError):
             masked_type_for(GateType.NOT)
+
+    @pytest.mark.parametrize("use_dom", [False, True], ids=["trichina", "dom"])
+    @pytest.mark.parametrize("gate_type", list(GateType), ids=lambda t: t.value)
+    def test_masked_type_for_agrees_with_library(self, gate_type, use_dom):
+        # One table answers "is it maskable" and "what replaces it".
+        if not DEFAULT_LIBRARY.is_maskable(gate_type):
+            assert gate_type not in MASKED_REPLACEMENT
+            with pytest.raises(ValueError, match="no masked equivalent"):
+                masked_type_for(gate_type, use_dom=use_dom)
+            return
+        masked_type = masked_type_for(gate_type, use_dom=use_dom)
+        assert masked_type.is_masked
+        if use_dom and MASKED_REPLACEMENT[gate_type] is GateType.MASKED_AND:
+            assert masked_type is GateType.MASKED_AND_DOM
+        else:
+            assert masked_type is MASKED_REPLACEMENT[gate_type]
 
     def test_output_inverter_needed_only_for_inverting_gates(self):
         assert needs_output_inverter(GateType.NAND)
@@ -109,6 +136,29 @@ class TestMaskingTransform:
         gate = result.netlist.gate("g_and")
         assert gate.attributes["protection_style"] == "valiant"
         assert gate.attributes["overhead_scale"] == 1.5
+
+    @pytest.mark.parametrize("use_dom", [False, True], ids=["trichina", "dom"])
+    @pytest.mark.parametrize("gate_type", list(MASKED_REPLACEMENT),
+                             ids=lambda t: t.value)
+    def test_masked_gate_keeps_truth_table(self, gate_type, use_dom):
+        # An inverting primitive becomes the non-inverting composite with
+        # ``inverted_output`` set, and the simulator applies it: the masked
+        # one-gate design computes the primitive on all four inputs.
+        netlist = Netlist("one_gate")
+        netlist.add_primary_input("a")
+        netlist.add_primary_input("b")
+        netlist.add_gate("g", gate_type, ["a", "b"], "y")
+        netlist.add_primary_output("y")
+        result = apply_masking(netlist, ["g"], use_dom=use_dom)
+        gate = result.netlist.gate("g")
+        assert result.masked_gates == ("g",)
+        assert gate.gate_type is masked_type_for(gate_type, use_dom=use_dom)
+        assert gate.attributes["inverted_output"] is needs_output_inverter(
+            gate_type)
+        assert gate.attributes["masked_from"] == gate_type.value
+        a, b = np.array(list(itertools.product([False, True], repeat=2))).T
+        outputs = simulate(result.netlist, {"a": a, "b": b}).net_values["y"]
+        np.testing.assert_array_equal(outputs, evaluate_gate(gate_type, [a, b]))
 
     def test_masked_from_records_replaced_type(self, tiny_netlist):
         # Each replaced gate records the primitive it replaced; the power

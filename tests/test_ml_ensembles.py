@@ -20,6 +20,16 @@ def pairwise_auc(labels, scores):
                          + 0.5 * (positive == negative)))
 
 
+def test_pairwise_auc_ranks_and_ties():
+    labels = np.array([0, 0, 1, 1])
+    assert pairwise_auc(labels, np.array([0.1, 0.2, 0.8, 0.9])) == 1.0
+    assert pairwise_auc(labels, np.array([0.9, 0.8, 0.2, 0.1])) == 0.0
+    # Constant scores tie every pair, so each counts one half.
+    assert pairwise_auc(labels, np.zeros(4)) == 0.5
+    # One tied pair out of four: (1 + 1 + 1 + 0.5) / 4.
+    assert pairwise_auc(labels, np.array([0.1, 0.5, 0.5, 0.9])) == 0.875
+
+
 @pytest.fixture
 def nonlinear_data(rng):
     features = rng.normal(size=(600, 6))
